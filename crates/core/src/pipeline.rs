@@ -3727,6 +3727,63 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_bytes_are_pinned() {
+        // Pins the serialized snapshot format itself: a fixed-seed home
+        // whose snapshot holds every state record — rule ghosts, a proof
+        // in the replay window, live quarantine records with their
+        // quarantine-fated open events, an allow-fated open event,
+        // lockout drops on a locked device, an unknown device, and a
+        // checkpoint-truncated audit chain. A digest change means the
+        // bytes changed and SNAPSHOT_VERSION must be bumped.
+        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        let config = ProxyConfig {
+            proof_deadline: Some(SimDuration::from_secs(60)),
+            max_rules: Some(1),
+            max_audit_entries: Some(4),
+            ..ProxyConfig::default()
+        };
+        let mut proxy = FiatProxy::new(config, &SECRET, validator);
+        for d in 0..3 {
+            proxy.register_device(d, EventClassifier::simple_rule(235), 1);
+        }
+        proxy.start(SimTime::ZERO);
+        let mut t = 0;
+        while t < 20 * 60 * 1000 {
+            proxy.on_packet(&pkt(t, 100));
+            proxy.on_packet(&pkt(t + 5_000, 150));
+            t += 10_000;
+        }
+        prove_human(&mut proxy, 5, t - 100_000);
+        // Touches the evicted flow's ghost; the miss opens a non-manual
+        // event on device 0.
+        proxy.on_packet(&pkt(t, 100));
+        proxy.on_packet(&pkt_dev(t + 1_000, 235, 1)); // held
+        proxy.on_packet(&pkt_dev(t + 8_000, 235, 0)); // held
+        for k in 1..=4u64 {
+            // Slot taken: concurrent episodes drop, the fourth locks.
+            proxy.on_packet(&pkt_dev(t + 8_000 + k * 6_000, 235, 0));
+        }
+        proxy.on_packet(&pkt_dev(t + 33_000, 999, 2)); // non-manual
+        proxy.on_packet(&pkt_dev(t + 34_000, 50, 7)); // unknown device
+
+        assert!(proxy.is_locked(0));
+        let size = proxy.state_size();
+        assert_eq!(size.rule_ghosts, 1);
+        assert_eq!(size.quarantine_records, 2);
+        assert_eq!(size.open_events, 3);
+        assert!(proxy.audit().checkpoint().is_some());
+        let bytes = serde_json::to_vec(&proxy.snapshot()).unwrap();
+        let hex: String = fiat_crypto::Sha256::digest(&bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "ba95c744f7b505bd4299265499f6277bc130d864449f5a3634e0084ad3bb8dbc"
+        );
+    }
+
+    #[test]
     fn degraded_mode_is_audited_and_counted() {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
