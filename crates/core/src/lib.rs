@@ -61,7 +61,7 @@ pub use interactions::InteractionGraph;
 pub use notify::{Notification, NotificationCenter, Severity};
 pub use pairing::pair;
 pub use pipeline::{
-    AllowReason, DecisionRecord, DropReason, FiatProxy, FingerprintGate, FingerprintObservation,
+    AllowReason, DropReason, FiatProxy, FingerprintGate, FingerprintObservation,
     FingerprintVerdict, ProxyConfig, ProxyDecision, ProxyHook, ProxyStats, ProxyTelemetry,
     StateSize,
 };

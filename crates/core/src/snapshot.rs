@@ -138,29 +138,34 @@ pub struct DeviceSnapshot {
     /// First-N window (already clamped at registration).
     pub classify_at: usize,
     /// Open unpredictable event, if any.
-    pub open: Option<OpenEventSnapshot>,
+    pub open: Option<OpenEvent>,
     /// Sliding-window unverified-drop episode times, oldest first.
     pub drops: Vec<SimTime>,
     /// Brute-force lockout flag.
     pub locked: bool,
     /// Pending-verdict quarantine record, if any.
-    pub quarantine: Option<QuarantineSnapshot>,
+    pub quarantine: Option<QuarantineRecord>,
 }
 
-/// An open unpredictable event.
+/// An open unpredictable event (live proxy state and its serialized
+/// form alike).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct OpenEventSnapshot {
-    /// Packets accumulated so far.
+pub struct OpenEvent {
+    /// Packets accumulated while the verdict is pending.
     pub packets: Vec<PacketRecord>,
     /// High-water timestamp (event-gap anchor).
     pub last: SimTime,
     /// Sealed fate, once classified.
-    pub fate: Option<EventFateSnapshot>,
+    pub fate: Option<EventFate>,
 }
 
-/// Serialized form of a sealed event fate.
+/// The sealed verdict of an open event, applied to its later packets.
+/// It carries the verdict's reason so every later packet of the event
+/// is attributed to it (NonManual / ManualVerified / Cascade /
+/// QuarantineReleased) or to the demotion that sealed it, not lumped
+/// under a single label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventFateSnapshot {
+pub enum EventFate {
     /// Remaining packets allowed for this reason.
     AllowRest(AllowReason),
     /// Remaining packets dropped for this reason.
@@ -183,9 +188,15 @@ pub struct GhostSnapshot {
     pub last_bin: Option<u64>,
 }
 
-/// A pending-verdict quarantine record.
+/// A manual-classified event held pending its humanness proof. At most
+/// one per device: the proxy quarantines the first unproven manual
+/// event and demotes concurrent ones immediately, bounding held memory
+/// to `quarantine_capacity` packets per device. The record outlives its
+/// open event (the proof may arrive after the event-gap closes it) and
+/// resolves lazily — released when a proof lands before `deadline`,
+/// expired by the first operation that observes `now > deadline`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuarantineSnapshot {
+pub struct QuarantineRecord {
     /// Held packets.
     pub packets: Vec<PacketRecord>,
     /// Class the event was given at its classification point.

@@ -39,16 +39,18 @@
 //! a slice, so the channels were pure overhead; the partition plan
 //! replaces them with zero hand-off claims.
 //!
-//! [`run_sharded_probed`] is the *observed* twin of [`run_sharded`]: the
-//! same plan/claim/decide/merge structure, plus per-stage time
-//! accounting, steal counters, and an optional flight recorder wired
-//! into the proxies through [`ProxyHook`]. It lives in separate code so
-//! the unprobed runtime pays nothing — not even a branch in its claim
-//! loop — when nobody is profiling.
+//! Every sharded entry point runs one plan/claim/decide/merge loop,
+//! parameterised only by how a home is run. The loop always does its
+//! per-home accounting — claim / decide / merge time, steals and
+//! allocation attribution, a few clock reads per *home*, never per
+//! packet — and [`run_sharded_probed`] is the entry point that returns
+//! it. The flight recorder, wired into the proxies through
+//! [`ProxyHook`], stays opt-in through
+//! [`ProbeConfig::recorder_capacity`].
 
 use fiat_control::{enroll_home, restore_home, snapshot_home, DeviceSpec, HomeProvision};
 use fiat_core::{
-    EventClassifier, ProxyConfig, ProxyDecision, ProxyHook, ProxyStats, ProxyTelemetry,
+    EventClassifier, FiatProxy, ProxyConfig, ProxyDecision, ProxyHook, ProxyStats, ProxyTelemetry,
 };
 use fiat_net::SimTime;
 use fiat_probe::{
@@ -185,14 +187,32 @@ fn provision(capture: &TestbedTrace) -> HomeProvision {
     }
 }
 
+/// The validator and telemetry every fleet proxy runs with: no humanness
+/// evidence is ever injected, and spans are timed by a never-ticking
+/// [`ManualClock`] reporting into `registry`.
+fn wiring(registry: &MetricRegistry) -> (HumannessValidator, ProxyTelemetry) {
+    (
+        HumannessValidator::with_operating_point(1.0, 1.0, 0),
+        ProxyTelemetry::new(registry.clone(), Arc::new(ManualClock::new())),
+    )
+}
+
+/// A freshly enrolled proxy for one home, reporting into `registry`.
+/// Provisioning goes through the real control-plane ceremony
+/// ([`fiat_control::enroll_home`]: mutual auth, device registration,
+/// first session ticket).
+fn enroll(capture: &TestbedTrace, registry: &MetricRegistry) -> FiatProxy {
+    let (validator, telemetry) = wiring(registry);
+    enroll_home(provision(capture), &SECRET, validator, telemetry, None)
+        .expect("fleet enrollment: shared ceremony secret always verifies")
+        .proxy
+}
+
 /// Run one home's capture through a freshly enrolled proxy and return its
-/// stats and private registry. Provisioning goes through the real
-/// control-plane ceremony ([`fiat_control::enroll_home`]: mutual auth,
-/// device registration, first session ticket). Deterministic: the proxy
-/// is timed by a never-ticking [`ManualClock`], devices use their
-/// scripted simple-rule classifiers, and no humanness evidence is
-/// injected (unverified manual events drop, exactly as an unattended
-/// home would behave).
+/// stats and private registry. Deterministic: the proxy is timed by a
+/// never-ticking [`ManualClock`], devices use their scripted simple-rule
+/// classifiers, and no humanness evidence is injected (unverified manual
+/// events drop, exactly as an unattended home would behave).
 pub fn run_home(capture: &TestbedTrace) -> HomeRun {
     run_home_with_hook(capture, None)
 }
@@ -201,13 +221,9 @@ pub fn run_home(capture: &TestbedTrace) -> HomeRun {
 /// proxy (the flight recorder). The hook sees transitions; it never
 /// touches the home's registry, so a hooked run produces the same
 /// [`HomeRun`] as an unhooked one.
-pub fn run_home_with_hook(capture: &TestbedTrace, hook: Option<Box<dyn ProxyHook>>) -> HomeRun {
+fn run_home_with_hook(capture: &TestbedTrace, hook: Option<Box<dyn ProxyHook>>) -> HomeRun {
     let registry = MetricRegistry::new();
-    let telemetry = ProxyTelemetry::new(registry.clone(), Arc::new(ManualClock::new()));
-    let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
-    let enrolled = enroll_home(provision(capture), &SECRET, validator, telemetry, None)
-        .expect("fleet enrollment: shared ceremony secret always verifies");
-    let mut proxy = enrolled.proxy;
+    let mut proxy = enroll(capture, &registry);
     if let Some(h) = hook {
         proxy.set_hook(h);
     }
@@ -232,25 +248,22 @@ pub fn run_home_with_hook(capture: &TestbedTrace, hook: Option<Box<dyn ProxyHook
 /// addition yields a [`HomeRun`] byte-identical to an uninterrupted
 /// [`run_home`] — the property the fleet rebalance tests pin at every
 /// shard count.
-pub fn run_home_rebalanced(capture: &TestbedTrace, split_at: usize) -> HomeRun {
+fn run_home_rebalanced(capture: &TestbedTrace, split_at: usize) -> HomeRun {
     let registry_before = MetricRegistry::new();
-    let telemetry = ProxyTelemetry::new(registry_before.clone(), Arc::new(ManualClock::new()));
-    let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
-    let enrolled = enroll_home(provision(capture), &SECRET, validator, telemetry, None)
-        .expect("fleet enrollment: shared ceremony secret always verifies");
-    let mut proxy = enrolled.proxy;
+    let mut proxy = enroll(capture, &registry_before);
     let split_at = split_at.min(capture.trace.packets.len());
     for pkt in &capture.trace.packets[..split_at] {
         proxy.on_packet(pkt);
     }
     let bytes = snapshot_home(&proxy, None);
     let registry_after = MetricRegistry::new();
+    let (validator, telemetry) = wiring(&registry_after);
     proxy = restore_home(
         &bytes,
         ProxyConfig::default(),
         &SECRET,
-        HumannessValidator::with_operating_point(1.0, 1.0, 0),
-        ProxyTelemetry::new(registry_after.clone(), Arc::new(ManualClock::new())),
+        validator,
+        telemetry,
         |d| fleet_classifier(capture, d),
         None,
     )
@@ -299,7 +312,13 @@ fn fold(outcomes: Vec<ShardOutcome>, shards: usize) -> FleetOutcome {
 /// keeps the merged result byte-identical to [`run_sequential`] no
 /// matter which shard ends up running which home.
 pub fn run_sharded(workloads: &[HomeWorkload], shards: usize) -> FleetOutcome {
-    run_sharded_with(workloads, shards, &|capture| run_home(capture))
+    run_fleet(
+        workloads,
+        shards,
+        &ProbeConfig::default(),
+        &run_home_with_hook,
+    )
+    .fleet
 }
 
 /// [`run_sharded`] where every home is rebalanced mid-capture: each
@@ -309,53 +328,11 @@ pub fn run_sharded(workloads: &[HomeWorkload], shards: usize) -> FleetOutcome {
 /// reference at every shard count — the fleet-level proof that a
 /// control-plane home migration is invisible in every counter.
 pub fn run_sharded_rebalancing(workloads: &[HomeWorkload], shards: usize) -> FleetOutcome {
-    run_sharded_with(workloads, shards, &|capture| {
+    // The recorder is off, so no hook is ever handed in.
+    let rebalanced = |capture: &TestbedTrace, _: Option<Box<dyn ProxyHook>>| {
         run_home_rebalanced(capture, capture.trace.packets.len() / 2)
-    })
-}
-
-/// The shared plan/claim/decide/merge skeleton of the unprobed entry
-/// points, generic over how one home is run.
-fn run_sharded_with<F>(workloads: &[HomeWorkload], shards: usize, runner: &F) -> FleetOutcome
-where
-    F: Fn(&TestbedTrace) -> HomeRun + Sync,
-{
-    let shards = shards.clamp(1, workloads.len().max(1));
-    let costs: Vec<u64> = workloads.iter().map(home_cost).collect();
-    let plan = PartitionPlan::build(&costs, shards);
-    let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(shards);
-    std::thread::scope(|s| {
-        let plan = &plan;
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                s.spawn(move || {
-                    let registry = MetricRegistry::new();
-                    let mut stats = ProxyStats::default();
-                    let mut packets = 0u64;
-                    let mut homes = 0usize;
-                    while let Some(c) = plan.claim(shard) {
-                        let run = runner(&workloads[c.home].capture);
-                        registry.merge_from(&run.registry);
-                        stats += run.stats;
-                        packets += run.packets;
-                        homes += 1;
-                    }
-                    ShardOutcome {
-                        shard,
-                        homes,
-                        packets,
-                        stats,
-                        registry,
-                    }
-                })
-            })
-            .collect();
-        outcomes = handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect();
-    });
-    fold(outcomes, shards)
+    };
+    run_fleet(workloads, shards, &ProbeConfig::default(), &rebalanced).fleet
 }
 
 /// Bridges the proxy's [`ProxyHook`] transitions into a shard's flight
@@ -488,6 +465,21 @@ pub fn run_sharded_probed(
     shards: usize,
     probes: &ProbeConfig,
 ) -> ProbedOutcome {
+    run_fleet(workloads, shards, probes, &run_home_with_hook)
+}
+
+/// The one plan/claim/decide/merge loop behind every sharded entry
+/// point, generic over how one home is run (`runner` gets the recorder
+/// hook to install when the flight recorder is on).
+fn run_fleet<F>(
+    workloads: &[HomeWorkload],
+    shards: usize,
+    probes: &ProbeConfig,
+    runner: &F,
+) -> ProbedOutcome
+where
+    F: Fn(&TestbedTrace, Option<Box<dyn ProxyHook>>) -> HomeRun + Sync,
+{
     let shards = shards.clamp(1, workloads.len().max(1));
     let run_start = Instant::now();
     let recorder = (probes.recorder_capacity > 0)
@@ -558,7 +550,7 @@ pub fn run_sharded_probed(
                         });
                         let alloc = AllocScope::enter();
                         let t = Instant::now();
-                        let run = run_home_with_hook(&w.capture, hook);
+                        let run = runner(&w.capture, hook);
                         profile.add(Stage::Decide, t.elapsed());
                         profile.add_allocs(Stage::Decide, alloc.delta());
                         if let Some(ring) = &ring {

@@ -855,7 +855,6 @@ impl ReferenceProxy {
         // Close a stale event; sub-first-N closures get a retrospective
         // verdict, and if that verdict locked the device this packet is
         // dropped without opening a fresh event.
-        let retro = self.config.retro_classify;
         let human_valid_until = self.human_valid_until;
         let stale = {
             let dev = self.devices.get_mut(&pkt.device).expect("checked above");
@@ -866,7 +865,7 @@ impl ReferenceProxy {
             }
         };
         if let Some(ev) = stale {
-            if ev.fate.is_none() && retro {
+            if ev.fate.is_none() {
                 self.retro_close(pkt.device, ev, human_valid_until);
                 if self.devices[&pkt.device].locked {
                     return ProxyDecision::Drop(DropReason::LockedOut);
@@ -1019,7 +1018,6 @@ impl ReferenceProxy {
     /// device order (matching the real proxy's sorted flush).
     pub fn flush(&mut self, now: SimTime) {
         let gap = self.config.event_gap;
-        let retro = self.config.retro_classify;
         let human_valid_until = self.human_valid_until;
         let ids: Vec<u16> = self.devices.keys().copied().collect();
         for id in ids {
@@ -1037,7 +1035,7 @@ impl ReferenceProxy {
                 None
             };
             if let Some(ev) = stale {
-                if ev.fate.is_none() && retro {
+                if ev.fate.is_none() {
                     self.retro_close(id, ev, human_valid_until);
                 }
             }

@@ -47,9 +47,9 @@ pub use recorder::{
     SEQ_FIRST_HOOK,
 };
 
-/// What a probed fleet run should measure. The default is everything
-/// off: [`ProbeConfig::default`] records nothing and times nothing, and
-/// the unprobed runtime never even constructs one.
+/// What a fleet run should record beyond its always-on per-home stage
+/// accounting. [`ProbeConfig::default`] records nothing: no flight
+/// recorder, no proxy hook.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeConfig {
     /// Flight-recorder ring capacity per shard; `0` disables the

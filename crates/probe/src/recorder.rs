@@ -19,8 +19,8 @@
 //! ratio is the honesty line the report must surface).
 //!
 //! Lock cost: one uncontended `Mutex` per shard (only that shard's
-//! thread records into it), taken once per event. The unprobed runtime
-//! never constructs a recorder at all.
+//! thread records into it), taken once per event. A run with
+//! `recorder_capacity == 0` never constructs a recorder at all.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;

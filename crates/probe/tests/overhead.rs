@@ -2,7 +2,7 @@
 //! installed, the probe layer must add nothing to the decide hot path —
 //! in particular, zero heap allocations per steady-state rule-hit
 //! decision through the full `FiatProxy::on_packet` path (hook check,
-//! telemetry, journal and all).
+//! telemetry and all).
 //!
 //! [`CountingAllocator`] is this crate's own probe; using it to prove
 //! the probes-off state keeps the claim honest. The file holds exactly
@@ -59,8 +59,7 @@ fn probes_off_decide_path_does_not_allocate() {
     }
 
     // Warm up past every one-time effect: the first post-bootstrap
-    // packet triggers rule learning, and the decision journal must reach
-    // capacity (256) so pushes stop growing its buffer.
+    // packet triggers rule learning.
     let mut hits = 0u64;
     for _ in 0..512 {
         if proxy.on_packet(&pkt(ts, remote, 235)).is_allow() {

@@ -9,8 +9,6 @@
 //! - [`Span`] — stage-latency timing driven by a pluggable [`Clock`], so
 //!   real deployments use the OS monotonic clock ([`WallClock`]) while
 //!   deterministic experiments drive simulated time ([`ManualClock`]).
-//! - [`Journal`] — a bounded ring buffer of recent decisions for "what
-//!   just happened" debugging.
 //! - [`Snapshot`] exposition — Prometheus text format and a
 //!   `serde_json`-compatible JSON document, both rendered without any
 //!   serialization dependency.
@@ -46,7 +44,6 @@ pub mod chaos;
 pub mod clock;
 pub mod control;
 pub mod expose;
-pub mod journal;
 pub mod metrics;
 pub mod oracle;
 pub mod span;
@@ -57,7 +54,6 @@ pub use chaos::ChaosMetrics;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use control::ControlMetrics;
 pub use expose::{CounterSample, GaugeSample, HistogramSample, Snapshot};
-pub use journal::Journal;
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, NUM_BUCKETS};
 pub use oracle::OracleMetrics;
 pub use span::Span;

@@ -8,7 +8,7 @@
 //! - quantile estimates are within one bucket width of the exact order
 //!   statistic (and exact below 16, where buckets have width 1).
 
-use fiat_telemetry::{Histogram, Journal, MetricRegistry};
+use fiat_telemetry::{Histogram, MetricRegistry};
 use proptest::prelude::*;
 
 /// Exact order statistic matching `Histogram::quantile`'s rank rule.
@@ -99,21 +99,6 @@ proptest! {
         let mut sorted = values.clone();
         sorted.sort_unstable();
         prop_assert_eq!(h.quantile(q), exact_quantile(&sorted, q));
-    }
-
-    #[test]
-    fn journal_keeps_exactly_the_tail(
-        cap in 1usize..32,
-        items in prop::collection::vec(any::<u32>(), 0..100),
-    ) {
-        let j = Journal::new(cap);
-        for &i in &items {
-            j.push(i);
-        }
-        let keep = items.len().min(cap);
-        prop_assert_eq!(j.recent(), items[items.len() - keep..].to_vec());
-        prop_assert_eq!(j.total_pushed(), items.len() as u64);
-        prop_assert_eq!(j.evicted(), (items.len() - keep) as u64);
     }
 
     #[test]
