@@ -211,7 +211,7 @@ fn run_one(name: &str, args: &Args, registry: &MetricRegistry) -> Option<String>
         "table3" => ml_tables::table3_text(days, seed),
         "table4" => ml_tables::table4_text(days, seed, 50),
         "table5" => ml_tables::table5_text(days, seed),
-        "table6" => table6::table6_text_instrumented(days.max(4.0), 2.0, seed, Some(registry)),
+        "table6" => table6::table6_text(days.max(4.0), 2.0, seed, Some(registry)),
         "table7" => table7::table7_text(200, seed),
         "fleet" => {
             let homes = args.homes.unwrap_or(if args.full { 10_000 } else { 8 });

@@ -50,7 +50,7 @@ pub struct ChaosReport {
     pub deadline: SimDuration,
     /// Retries-on cells (the PASS gate: zero false drops in each).
     pub cells: Vec<ChaosCell>,
-    /// Retries-off degradation legs at [`DEGRADE_LOSS`], paired with the
+    /// Retries-off degradation legs at 15% loss, paired with the
     /// matching retries-on cell by profile.
     pub degraded: Vec<ChaosCell>,
 }

@@ -11,7 +11,7 @@
 
 use crate::{cdf, weighted_cdf};
 use fiat_core::PredictabilityEngine;
-use fiat_net::{FlowDef, FlowKey, Trace};
+use fiat_net::{FlowDef, Trace};
 use fiat_trace::datasets::{aggregate_5s, moniotr_like, soundtouch_flows, yourthings_like};
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -189,16 +189,6 @@ pub fn inspector(n_devices: usize, hours: u64, seed: u64) -> (Vec<f64>, f64) {
     fractions.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = fractions[fractions.len() / 2];
     (fractions, median)
-}
-
-/// Count distinct PortLess flows in a trace (used by fig1a sanity checks).
-pub fn distinct_portless_flows(trace: &Trace) -> usize {
-    let keys: std::collections::HashSet<FlowKey> = trace
-        .packets
-        .iter()
-        .map(|p| FlowKey::of(FlowDef::PortLess, p, &trace.dns))
-        .collect();
-    keys.len()
 }
 
 #[cfg(test)]

@@ -131,19 +131,7 @@ pub fn fleet_bench_record(report: &FleetReport, days: f64, seed: u64) -> BenchRe
     }
 }
 
-/// Render the sweep as text (the `experiments fleet` output).
-pub fn fleet_text_instrumented(
-    homes: usize,
-    shards_max: usize,
-    days: f64,
-    seed: u64,
-    registry: Option<&MetricRegistry>,
-) -> String {
-    let report = fleet_benchmark(homes, shards_max, days, seed, registry);
-    fleet_report_text(&report, days, seed)
-}
-
-/// Render an already-run sweep as text.
+/// Render an already-run sweep as text (the `experiments fleet` output).
 pub fn fleet_report_text(report: &FleetReport, days: f64, seed: u64) -> String {
     let s = &report.reference.stats;
     let mut out = String::new();
@@ -224,7 +212,7 @@ mod tests {
             registry.gauge("fiat_fleet_packets", &[]).get() as u64,
             report.reference.packets
         );
-        let text = fleet_text_instrumented(3, 2, 0.05, 11, None);
+        let text = fleet_report_text(&report, 0.05, 11);
         assert!(text.contains("packets/s"));
         assert!(text.contains("sequential reference"));
     }

@@ -215,14 +215,10 @@ fn run_phase(
     }
 }
 
-/// Run Table 6. `train_days`/`eval_days` control corpus sizes.
-pub fn table6(train_days: f64, eval_days: f64, seed: u64) -> Table6 {
-    table6_instrumented(train_days, eval_days, seed, None)
-}
-
-/// [`table6`], with the proxies of both phases reporting into `registry`
-/// (when given) for a metrics snapshot alongside the table.
-pub fn table6_instrumented(
+/// Run Table 6. `train_days`/`eval_days` control corpus sizes; the
+/// proxies of both phases report into `registry` (when given) for a
+/// metrics snapshot alongside the table.
+pub fn table6(
     train_days: f64,
     eval_days: f64,
     seed: u64,
@@ -336,19 +332,14 @@ fn safe_div(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Render Table 6.
-pub fn table6_text(train_days: f64, eval_days: f64, seed: u64) -> String {
-    table6_text_instrumented(train_days, eval_days, seed, None)
-}
-
-/// [`table6_text`], reporting proxy metrics into `registry` when given.
-pub fn table6_text_instrumented(
+/// Render Table 6, reporting proxy metrics into `registry` when given.
+pub fn table6_text(
     train_days: f64,
     eval_days: f64,
     seed: u64,
     registry: Option<&MetricRegistry>,
 ) -> String {
-    let t = table6_instrumented(train_days, eval_days, seed, registry);
+    let t = table6(train_days, eval_days, seed, registry);
     let mut out = String::new();
     writeln!(out, "# Table 6: FIAT end-to-end accuracy").unwrap();
     writeln!(
@@ -387,7 +378,7 @@ mod tests {
     use super::*;
 
     fn run() -> Table6 {
-        table6(6.0, 2.0, 7)
+        table6(6.0, 2.0, 7, None)
     }
 
     #[test]
@@ -447,7 +438,7 @@ mod tests {
     #[test]
     fn instrumented_run_fills_the_registry() {
         let registry = MetricRegistry::new();
-        let t = table6_instrumented(4.0, 1.0, 3, Some(&registry));
+        let t = table6(4.0, 1.0, 3, Some(&registry));
         assert!(!t.rows.is_empty());
         // Both phases reported: decisions were counted, stages timed, and
         // the QUIC path saw the evidence traffic.

@@ -25,7 +25,7 @@ pub enum ChannelVerdict {
     Lost,
     /// The frame arrives at the given time; `corrupted` means its
     /// ciphertext was flipped in flight, `duplicated` means a second
-    /// copy lands [`DUPLICATE_SPACING`] later.
+    /// copy lands 2 ms later.
     Delivered {
         /// Arrival time at the proxy.
         arrival: SimTime,

@@ -120,7 +120,7 @@ impl LongSoakConfig {
     /// The proxy configuration this leg runs: generous-but-finite caps,
     /// or none at all for the negative control. The fingerprint gate is
     /// on in both legs — its evidence state is FIFO-capped by
-    /// construction ([`soak_matcher`]), so it rides inside the budget
+    /// construction, so it rides inside the budget
     /// rather than being one of the caps the negative control disables.
     pub fn proxy_config(&self) -> ProxyConfig {
         ProxyConfig {

@@ -186,17 +186,11 @@ impl AuditLog {
     }
 
     /// Rebuild a log from exported `(entries, hashes)` — the restore half
-    /// of a snapshot. Returns `None` when the pair fails
-    /// [`verify_chain`]: a snapshot that does not verify was tampered
-    /// with (or truncated) and must not be resumed from.
-    pub fn from_parts(entries: Vec<AuditEntry>, hashes: Vec<[u8; 32]>) -> Option<Self> {
-        Self::from_parts_at(None, 0, entries, hashes)
-    }
-
-    /// Rebuild a log whose chain starts at a truncation `checkpoint`
+    /// of a snapshot — whose chain starts at a truncation `checkpoint`
     /// (`None` = genesis) with `truncated` entries already dropped.
     /// Returns `None` when the suffix fails verification from the given
-    /// anchor.
+    /// anchor: a snapshot that does not verify was tampered with (or
+    /// truncated) and must not be resumed from.
     pub fn from_parts_at(
         checkpoint: Option<[u8; 32]>,
         truncated: u64,
@@ -226,11 +220,6 @@ impl AuditLog {
     pub fn set_max_entries(&mut self, max: Option<usize>) {
         self.max_entries = max;
         self.enforce_cap();
-    }
-
-    /// Configured in-memory entry cap.
-    pub fn max_entries(&self) -> Option<usize> {
-        self.max_entries
     }
 
     /// Truncation checkpoint (chain hash of the last dropped entry), or
@@ -319,14 +308,6 @@ impl AuditLog {
             Some(cp) => verify_chain_from(cp, &self.entries, &self.hashes),
             None => verify_chain(&self.entries, &self.hashes),
         }
-    }
-
-    /// Entries for a device with a given verdict (e.g. to show the user
-    /// unverified drops).
-    pub fn drops_for(&self, device: u16) -> impl Iterator<Item = &AuditEntry> {
-        self.entries
-            .iter()
-            .filter(move |e| e.device == device && e.verdict == AuditVerdict::DroppedUnverified)
     }
 }
 
@@ -430,17 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn drops_filter() {
-        let mut log = AuditLog::new();
-        log.append(entry(1, 3, AuditVerdict::DroppedUnverified));
-        log.append(entry(2, 3, AuditVerdict::AllowedNonManual));
-        log.append(entry(3, 4, AuditVerdict::DroppedUnverified));
-        assert_eq!(log.drops_for(3).count(), 1);
-        assert_eq!(log.drops_for(4).count(), 1);
-        assert_eq!(log.drops_for(5).count(), 0);
-    }
-
-    #[test]
     fn from_parts_restores_and_rejects_tampering() {
         let mut log = AuditLog::new();
         for i in 0..4 {
@@ -450,7 +420,8 @@ mod tests {
         let hashes = log.hashes().to_vec();
 
         // A faithful export restores and the chain still extends.
-        let mut restored = AuditLog::from_parts(entries.clone(), hashes.clone()).unwrap();
+        let mut restored =
+            AuditLog::from_parts_at(None, 0, entries.clone(), hashes.clone()).unwrap();
         assert_eq!(restored.head(), log.head());
         restored.append(entry(9, 1, AuditVerdict::DroppedUnverified));
         log.append(entry(9, 1, AuditVerdict::DroppedUnverified));
@@ -460,8 +431,8 @@ mod tests {
         // A tampered export must not produce a log.
         let mut bad = entries.clone();
         bad[2].verdict = AuditVerdict::LockedOut;
-        assert!(AuditLog::from_parts(bad, hashes.clone()).is_none());
-        assert!(AuditLog::from_parts(entries[..3].to_vec(), hashes).is_none());
+        assert!(AuditLog::from_parts_at(None, 0, bad, hashes.clone()).is_none());
+        assert!(AuditLog::from_parts_at(None, 0, entries[..3].to_vec(), hashes).is_none());
     }
 
     #[test]
@@ -599,7 +570,7 @@ mod tests {
 
         // Genesis-anchored restore of a truncated suffix must refuse —
         // and so must a tampered suffix from the right checkpoint.
-        assert!(AuditLog::from_parts(entries.clone(), hashes.clone()).is_none());
+        assert!(AuditLog::from_parts_at(None, 0, entries.clone(), hashes.clone()).is_none());
         let mut bad = entries.clone();
         bad[0].verdict = AuditVerdict::LockedOut;
         assert!(AuditLog::from_parts_at(cp, truncated, bad, hashes).is_none());

@@ -2,16 +2,14 @@
 //!
 //! Simple devices (SP10, WP3, Nest-E) get a size rule: a distinctive
 //! first-packet size marks manual traffic. Complex devices get an ML
-//! model over the 66 event features; the deployed choice is BernoulliNB
-//! "given its high accuracy overall and better transferability than NCC"
-//! (§6, footnote 2), but a Nearest-Centroid variant is provided for the
-//! Table 2/3 comparisons.
+//! model over the 66 event features: BernoulliNB, "given its high
+//! accuracy overall and better transferability than NCC" (§6, footnote
+//! 2). The Table 2/3 model comparisons run on `fiat-ml` directly.
 
 use crate::events::UnpredictableEvent;
 use crate::features::{event_feature_names, event_features};
 use fiat_ml::naive_bayes::BernoulliNB;
-use fiat_ml::nearest_centroid::NearestCentroid;
-use fiat_ml::{Classifier, Dataset, Distance, StandardScaler};
+use fiat_ml::{Classifier, Dataset, StandardScaler};
 use fiat_net::{PacketRecord, TrafficClass};
 use serde::{Deserialize, Serialize};
 
@@ -78,13 +76,6 @@ pub enum EventClassifier {
         /// The fitted model.
         model: BernoulliNB,
     },
-    /// Nearest-centroid (Chebyshev) over scaled features.
-    Centroid {
-        /// Scaler fitted on training features.
-        scaler: StandardScaler,
-        /// The fitted model.
-        model: NearestCentroid,
-    },
 }
 
 impl EventClassifier {
@@ -107,20 +98,6 @@ impl EventClassifier {
         EventClassifier::Bernoulli { scaler, model }
     }
 
-    /// Train the Nearest-Centroid (Chebyshev) variant.
-    pub fn train_centroid(data: &Dataset) -> Self {
-        let (scaler, x) = StandardScaler::fit_transform(&data.x);
-        let scaled = Dataset {
-            x,
-            y: data.y.clone(),
-            n_classes: 3,
-            feature_names: data.feature_names.clone(),
-        };
-        let mut model = NearestCentroid::new(Distance::Chebyshev);
-        model.fit(&scaled);
-        EventClassifier::Centroid { scaler, model }
-    }
-
     /// Classify a 66-feature vector.
     pub fn classify(&self, features: &[f64]) -> EventClass {
         match self {
@@ -132,11 +109,6 @@ impl EventClassifier {
                 }
             }
             EventClassifier::Bernoulli { scaler, model } => {
-                let mut f = features.to_vec();
-                scaler.transform_row(&mut f);
-                EventClass::from_label(model.predict_one(&f))
-            }
-            EventClassifier::Centroid { scaler, model } => {
                 let mut f = features.to_vec();
                 scaler.transform_row(&mut f);
                 EventClass::from_label(model.predict_one(&f))
@@ -247,21 +219,6 @@ mod tests {
         let data = event_dataset(&events, &packets);
         assert_eq!(data.n_classes, 3);
         let c = EventClassifier::train_bernoulli(&data);
-        let correct = events
-            .iter()
-            .filter(|e| {
-                c.classify_event(e, &packets)
-                    == EventClass::from_traffic(e.majority_label(&packets))
-            })
-            .count();
-        assert!(correct >= 28, "correct {correct}/30");
-    }
-
-    #[test]
-    fn centroid_classifier_learns_classes() {
-        let (packets, events) = toy_event_data(30);
-        let data = event_dataset(&events, &packets);
-        let c = EventClassifier::train_centroid(&data);
         let correct = events
             .iter()
             .filter(|e| {

@@ -27,6 +27,14 @@
 //! unverified manual episode still reaches the audit log and counts
 //! toward the lockout, so gap evasion trips the brute-force protection
 //! instead of flying under the classifier.
+//!
+//! Classification goes through one verdict ladder (`Policy::verdict`:
+//! non-manual, fresh proof, interaction cascade, or unverified) at the
+//! live classification point and at a retrospective close alike. Two
+//! branches have their own modules: `quarantine` is the pending-verdict
+//! state machine that holds an unverified manual event when
+//! [`ProxyConfig::proof_deadline`] is set, and `unknown` decides traffic
+//! of unregistered devices (fail-open, or the [`FingerprintGate`]).
 
 use crate::audit::{AuditEntry, AuditLog, AuditVerdict, AUDIT_PROXY_DEVICE};
 use crate::classifier::{EventClass, EventClassifier};
@@ -36,17 +44,23 @@ use crate::interactions::InteractionGraph;
 use crate::pairing::{pair, Paired};
 use crate::predict::{PredictabilityEngine, RuleTable, RuleTelemetry, DEFAULT_TOLERANCE};
 use crate::snapshot::{
-    DeviceSnapshot, EventFate, GhostSnapshot, HomeSnapshot, OpenEvent, QuarantineRecord,
-    SnapshotError, SNAPSHOT_VERSION,
+    DeviceSnapshot, EventFate, GhostSnapshot, HomeSnapshot, OpenEvent, SnapshotError,
+    SNAPSHOT_VERSION,
 };
 use fiat_crypto::TeeKeystore;
 use fiat_net::{DnsTable, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime};
 use fiat_quic::{ClientHello, Server as QuicServer, ServerHello, ZeroRttPacket};
 use fiat_sensors::HumannessValidator;
 use fiat_telemetry::{Clock, Counter, Gauge, Histogram, MetricRegistry, Span, WallClock};
+use quarantine::Quarantine;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use unknown::UnknownDevices;
+pub use unknown::{FingerprintGate, FingerprintObservation, FingerprintVerdict};
+
+mod quarantine;
+mod unknown;
 
 /// Proxy configuration (paper defaults).
 #[derive(Debug, Clone)]
@@ -326,16 +340,6 @@ impl std::ops::AddAssign for ProxyStats {
     }
 }
 
-impl std::iter::Sum for ProxyStats {
-    fn sum<I: Iterator<Item = ProxyStats>>(iter: I) -> ProxyStats {
-        let mut acc = ProxyStats::default();
-        for s in iter {
-            acc += s;
-        }
-        acc
-    }
-}
-
 /// Point-in-time entry counts of every growable state surface one home's
 /// proxy owns — what the long-horizon soak's accountant samples against
 /// its budget (DESIGN §18). Counts are *entries*, not bytes: each surface
@@ -412,25 +416,6 @@ impl StateSize {
     }
 }
 
-impl std::ops::AddAssign for StateSize {
-    /// Field-wise addition, for fleet-wide aggregation.
-    fn add_assign(&mut self, rhs: StateSize) {
-        self.rules += rhs.rules;
-        self.rule_ghosts += rhs.rule_ghosts;
-        self.open_events += rhs.open_events;
-        self.open_packets += rhs.open_packets;
-        self.quarantine_records += rhs.quarantine_records;
-        self.quarantine_held += rhs.quarantine_held;
-        self.audit_entries += rhs.audit_entries;
-        self.replay_tickets += rhs.replay_tickets;
-        self.replay_entries += rhs.replay_entries;
-        self.replay_epochs += rhs.replay_epochs;
-        self.bootstrap_buffered += rhs.bootstrap_buffered;
-        self.released_pending += rhs.released_pending;
-        self.fingerprint_evidence += rhs.fingerprint_evidence;
-    }
-}
-
 /// Per-packet verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProxyDecision {
@@ -500,56 +485,6 @@ pub trait ProxyHook: Send {
     /// A quarantine record expired at its deadline; `packets` held
     /// packets were discarded.
     fn on_quarantine_expired(&self, _ts: SimTime, _device: u16, _packets: u64) {}
-}
-
-/// Behavioral identity verdict for one unknown device, produced by a
-/// [`FingerprintGate`] once its evidence window seals (and cached for
-/// every later packet of the same device).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FingerprintVerdict {
-    /// Still accumulating evidence: the window has not sealed yet.
-    Pending,
-    /// Behavior confidently matched the signature at this index, and it
-    /// is consistent with the class the device claims (or the device
-    /// claims nothing recognizable).
-    Match(u16),
-    /// Behavior confidently matched a *different* signature than the
-    /// class the device claims by its destinations — spoof suspected.
-    Spoof {
-        /// Signature index of the claimed class.
-        claimed: u16,
-        /// Signature index the behavior actually matched.
-        matched: u16,
-    },
-    /// No signature within the confidence threshold (or the margin to
-    /// the runner-up was too thin): explicit no-confident-match.
-    NoMatch,
-}
-
-/// One [`FingerprintGate::observe`] result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FingerprintObservation {
-    /// The verdict as of this packet.
-    pub verdict: FingerprintVerdict,
-    /// `true` exactly once per device: on the packet that sealed its
-    /// evidence window. The proxy writes the audit entry on this edge.
-    pub just_sealed: bool,
-}
-
-/// Online behavioral device-identity matcher, installed with
-/// [`FiatProxy::set_fingerprinter`] and consulted for every packet of an
-/// *unregistered* device when [`ProxyConfig::fingerprint_unknown`] is
-/// set. The concrete matcher lives in `fiat-fingerprint`; the trait keeps
-/// the dependency arrow pointing into `fiat-core`, mirroring
-/// [`ProxyHook`].
-pub trait FingerprintGate: Send {
-    /// Fold one packet of an unknown device into its evidence window and
-    /// report the current verdict. Must be deterministic and, once a
-    /// device's window has sealed, allocation-free.
-    fn observe(&mut self, pkt: &PacketRecord, dns: &DnsTable) -> FingerprintObservation;
-    /// Entries currently held (open evidence windows + cached sealed
-    /// verdicts) for [`FiatProxy::state_size`] accounting.
-    fn state_size(&self) -> usize;
 }
 
 /// Pre-resolved telemetry handles for the proxy decision path.
@@ -732,19 +667,6 @@ struct DeviceState {
     open: Option<OpenEvent>,
     drops: VecDeque<SimTime>,
     locked: bool,
-    quarantine: Option<QuarantineRecord>,
-}
-
-impl DeviceState {
-    /// Re-seal an open event still waiting on this device's quarantine
-    /// record with the record's outcome.
-    fn seal_quarantined(&mut self, fate: EventFate) {
-        if let Some(open) = &mut self.open {
-            if open.fate == Some(EventFate::Quarantine) {
-                open.fate = Some(fate);
-            }
-        }
-    }
 }
 
 /// What the decision policies share beyond one device's own state: the
@@ -775,9 +697,8 @@ pub struct FiatProxy {
     bootstrap_buffer: Vec<PacketRecord>,
     rules: Option<RuleTable>,
     server_random_counter: u64,
-    unknown_seen: HashSet<u16>,
-    released_packets: Vec<PacketRecord>,
-    fingerprinter: Option<Box<dyn FingerprintGate>>,
+    quarantine: Quarantine,
+    unknown: UnknownDevices,
     degraded: bool,
 }
 
@@ -833,9 +754,8 @@ impl FiatProxy {
             bootstrap_buffer: Vec::new(),
             rules: None,
             server_random_counter: 0,
-            unknown_seen: HashSet::new(),
-            released_packets: Vec::new(),
-            fingerprinter: None,
+            quarantine: Quarantine::default(),
+            unknown: UnknownDevices::default(),
             degraded: false,
         }
     }
@@ -852,7 +772,7 @@ impl FiatProxy {
     /// [`ProxyConfig::fingerprint_unknown`] is also set, so installing
     /// one under the default config changes nothing.
     pub fn set_fingerprinter(&mut self, gate: Box<dyn FingerprintGate>) {
-        self.fingerprinter = Some(gate);
+        self.unknown.gate = Some(gate);
     }
 
     /// Decision counters accumulated since start.
@@ -892,7 +812,6 @@ impl FiatProxy {
                 open: None,
                 drops: VecDeque::new(),
                 locked: false,
-                quarantine: None,
             },
         );
         let telemetry = &self.policy.telemetry;
@@ -902,11 +821,7 @@ impl FiatProxy {
         if prev.as_ref().is_some_and(|d| d.open.is_some()) {
             telemetry.open_events_gauge.dec();
         }
-        if let Some(q) = prev.as_ref().and_then(|d| d.quarantine.as_ref()) {
-            // Re-registration discards any pending quarantine with the
-            // rest of the device state; keep the depth gauge honest.
-            telemetry.quarantine_depth.add(-(q.packets.len() as i64));
-        }
+        self.quarantine.discard(telemetry, device);
         telemetry.devices_gauge.set(self.devices.len() as i64);
     }
 
@@ -942,18 +857,21 @@ impl FiatProxy {
             replay_entries: self.quic.replay_store().total_entries(),
             replay_epochs: self.quic.replay_store().live_epochs().len(),
             bootstrap_buffered: self.bootstrap_buffer.len(),
-            released_pending: self.released_packets.len(),
-            fingerprint_evidence: self.fingerprinter.as_ref().map_or(0, |g| g.state_size()),
+            quarantine_records: self.quarantine.records.len(),
+            quarantine_held: self
+                .quarantine
+                .records
+                .values()
+                .map(|q| q.packets.len())
+                .sum(),
+            released_pending: self.quarantine.released.len(),
+            fingerprint_evidence: self.unknown.gate.as_ref().map_or(0, |g| g.state_size()),
             ..StateSize::default()
         };
         for dev in self.devices.values() {
             if let Some(open) = &dev.open {
                 size.open_events += 1;
                 size.open_packets += open.packets.len();
-            }
-            if let Some(q) = &dev.quarantine {
-                size.quarantine_records += 1;
-                size.quarantine_held += q.packets.len();
             }
         }
         size
@@ -1001,23 +919,17 @@ impl FiatProxy {
             return;
         }
         self.degraded = degraded;
-        if degraded {
+        let verdict = if degraded {
             self.policy.telemetry.degraded_gauge.inc();
+            AuditVerdict::DegradedModeEntered
         } else {
             self.policy.telemetry.degraded_gauge.dec();
-        }
-        self.policy.audit.append(AuditEntry {
-            ts: now,
-            device: AUDIT_PROXY_DEVICE,
-            // The transition is proxy-wide; Control is the neutral class
-            // for non-event audit entries.
-            class: EventClass::Control,
-            verdict: if degraded {
-                AuditVerdict::DegradedModeEntered
-            } else {
-                AuditVerdict::DegradedModeExited
-            },
-        });
+            AuditVerdict::DegradedModeExited
+        };
+        // The transition is proxy-wide; Control is the neutral class for
+        // non-event audit entries.
+        self.policy
+            .record(now, AUDIT_PROXY_DEVICE, EventClass::Control, verdict);
     }
 
     /// Whether the proxy is in control-plane degraded mode.
@@ -1064,7 +976,7 @@ impl FiatProxy {
                 open: d.open.clone(),
                 drops: d.drops.iter().copied().collect(),
                 locked: d.locked,
-                quarantine: d.quarantine.clone(),
+                quarantine: self.quarantine.records.get(&id).cloned(),
             })
             .collect();
         devices.sort_by_key(|d| d.device);
@@ -1092,8 +1004,6 @@ impl FiatProxy {
                     .collect::<Vec<GhostSnapshot>>()
             })
             .unwrap_or_default();
-        let mut unknown_seen: Vec<u16> = self.unknown_seen.iter().copied().collect();
-        unknown_seen.sort_unstable();
         HomeSnapshot {
             version: SNAPSHOT_VERSION,
             started_at: self.started_at,
@@ -1104,9 +1014,9 @@ impl FiatProxy {
             bootstrap_buffer: self.bootstrap_buffer.clone(),
             rules,
             rule_ghosts,
-            unknown_seen,
+            unknown_seen: self.unknown.seen.iter().copied().collect(),
             devices,
-            released_packets: self.released_packets.clone(),
+            released_packets: self.quarantine.released.clone(),
             stats: self.policy.stats,
             audit_entries: self.policy.audit.entries().to_vec(),
             audit_hashes: self
@@ -1209,7 +1119,6 @@ impl FiatProxy {
                         open: d.open.clone(),
                         drops: d.drops.iter().copied().collect(),
                         locked: d.locked,
-                        quarantine: d.quarantine.clone(),
                     },
                 )
             })
@@ -1221,8 +1130,15 @@ impl FiatProxy {
         proxy.started_at = snap.started_at;
         proxy.bootstrap_buffer = snap.bootstrap_buffer.clone();
         proxy.server_random_counter = snap.server_random_counter;
-        proxy.unknown_seen = snap.unknown_seen.iter().copied().collect();
-        proxy.released_packets = snap.released_packets.clone();
+        proxy.quarantine = Quarantine {
+            records: snap
+                .devices
+                .iter()
+                .filter_map(|d| Some((d.device, d.quarantine.clone()?)))
+                .collect(),
+            released: snap.released_packets.clone(),
+        };
+        proxy.unknown.seen = snap.unknown_seen.iter().copied().collect();
         proxy.degraded = snap.degraded;
         // Like the hook and interaction graph, the fingerprint gate is
         // runtime wiring, not snapshotted state — re-install it after
@@ -1245,14 +1161,8 @@ impl FiatProxy {
         pkt: &ZeroRttPacket,
         now: SimTime,
     ) -> Result<bool, AuthError> {
-        let payload = match self.quic.accept_zero_rtt(pkt) {
-            Ok(p) => p,
-            Err(e) => {
-                self.policy.telemetry.auth_errors.inc();
-                return Err(AuthError::Transport(e));
-            }
-        };
-        self.verify_and_validate(&payload, now)
+        let payload = self.quic.accept_zero_rtt(pkt);
+        self.authenticate(payload, now)
     }
 
     /// Process a 1-RTT auth message.
@@ -1261,33 +1171,22 @@ impl FiatProxy {
         pkt: &fiat_quic::Packet,
         now: SimTime,
     ) -> Result<bool, AuthError> {
-        let payload = match self.quic.open(pkt) {
-            Ok(p) => p,
-            Err(e) => {
-                self.policy.telemetry.auth_errors.inc();
-                return Err(AuthError::Transport(e));
-            }
-        };
-        self.verify_and_validate(&payload, now)
+        let payload = self.quic.open(pkt);
+        self.authenticate(payload, now)
     }
 
-    fn verify_and_validate(&mut self, payload: &[u8], now: SimTime) -> Result<bool, AuthError> {
-        let Some((msg_bytes, tag)) = FiatApp::split_payload(payload) else {
-            self.policy.telemetry.auth_errors.inc();
-            return Err(AuthError::Malformed);
-        };
-        if !self
-            .store
-            .verify(self.keys.sign_key, msg_bytes, tag)
-            .expect("sealed sign key")
-        {
-            self.policy.telemetry.auth_errors.inc();
-            return Err(AuthError::BadSignature);
-        }
-        let Some(msg) = AuthMessage::decode(msg_bytes) else {
-            self.policy.telemetry.auth_errors.inc();
-            return Err(AuthError::Malformed);
-        };
+    /// Check an auth message's signature and validate its humanness
+    /// features. Every failure, transport or payload, counts once as an
+    /// auth error.
+    fn authenticate(
+        &mut self,
+        payload: Result<Vec<u8>, fiat_quic::QuicError>,
+        now: SimTime,
+    ) -> Result<bool, AuthError> {
+        let msg = payload
+            .map_err(AuthError::Transport)
+            .and_then(|p| self.verify(&p))
+            .inspect_err(|_| self.policy.telemetry.auth_errors.inc())?;
         let span = Span::enter(
             &self.policy.telemetry.stage_humanness,
             &self.policy.telemetry.clock,
@@ -1298,7 +1197,8 @@ impl FiatProxy {
             self.policy.human_valid_until = now + self.policy.config.human_valid_window;
             self.policy.telemetry.auth_verified.inc();
             if self.policy.config.proof_deadline.is_some() {
-                self.resolve_quarantines(now);
+                self.quarantine
+                    .resolve(&mut self.policy, &mut self.devices, now);
             }
         } else {
             self.policy.telemetry.auth_rejected.inc();
@@ -1309,50 +1209,24 @@ impl FiatProxy {
         Ok(human)
     }
 
-    /// A fresh humanness proof just landed: resolve every pending
-    /// quarantine — release records still within their deadline, expire
-    /// the ones the proof missed. Devices are visited in sorted id order
-    /// so the audit trail is deterministic.
-    fn resolve_quarantines(&mut self, now: SimTime) {
-        let mut ids: Vec<u16> = self
-            .devices
-            .iter()
-            .filter(|(_, d)| d.quarantine.is_some())
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        for id in ids {
-            let dev = self.devices.get_mut(&id).expect("id from keys()");
-            if self.policy.expire_overdue(id, dev, now) {
-                continue;
-            }
-            let q = dev.quarantine.take().expect("filtered above");
-            let held = q.packets.len() as u64;
-            let telemetry = &self.policy.telemetry;
-            telemetry.quarantine_released_ctr.add(held);
-            telemetry.quarantine_depth.add(-(held as i64));
-            if let Some(h) = &self.policy.hook {
-                h.on_quarantine_released(now, id, held);
-            }
-            self.released_packets.extend(q.packets);
-            self.policy.audit.append(AuditEntry {
-                ts: now,
-                device: id,
-                class: q.class,
-                verdict: AuditVerdict::QuarantineReleased,
-            });
-            if let Some(g) = &mut self.policy.interactions {
-                g.record_authorized(id, now);
-            }
-            dev.seal_quarantined(EventFate::AllowRest(AllowReason::QuarantineReleased));
+    /// Verify a decrypted auth payload's signature and decode it.
+    fn verify(&self, payload: &[u8]) -> Result<AuthMessage, AuthError> {
+        let (msg_bytes, tag) = FiatApp::split_payload(payload).ok_or(AuthError::Malformed)?;
+        if !self
+            .store
+            .verify(self.keys.sign_key, msg_bytes, tag)
+            .expect("sealed sign key")
+        {
+            return Err(AuthError::BadSignature);
         }
+        AuthMessage::decode(msg_bytes).ok_or(AuthError::Malformed)
     }
 
     /// Drain packets released from quarantine since the last call, in
     /// release order. The caller (the interception layer) forwards them:
     /// a released command reaches the device late, but reaches it.
     pub fn take_quarantine_releases(&mut self) -> Vec<PacketRecord> {
-        std::mem::take(&mut self.released_packets)
+        std::mem::take(&mut self.quarantine.released)
     }
 
     /// Whether a humanness proof is currently fresh.
@@ -1440,68 +1314,19 @@ impl FiatProxy {
         }
 
         // Unpredictable: event path.
-        let human_fresh = now <= self.policy.human_valid_until;
         let Some(dev) = self.devices.get_mut(&pkt.device) else {
-            // Unknown device. With the fingerprint gate enabled its
-            // traffic is identified behaviorally: packets are allowed
-            // while evidence accumulates (bounded window, so an attacker
-            // cannot complete a long command before the verdict), then
-            // the sealed verdict — matched / spoof-suspected / no match
-            // — decides every later packet. One audit entry per device,
-            // written on the sealing edge.
-            if self.policy.config.fingerprint_unknown {
-                if let Some(gate) = self.fingerprinter.as_mut() {
-                    let obs = gate.observe(pkt, &self.dns);
-                    if obs.just_sealed {
-                        let verdict = match obs.verdict {
-                            FingerprintVerdict::Match(_) => AuditVerdict::FingerprintMatched,
-                            FingerprintVerdict::Spoof { .. } => AuditVerdict::SpoofSuspected,
-                            _ => AuditVerdict::UnknownQuarantined,
-                        };
-                        self.policy.audit.append(AuditEntry {
-                            ts: now,
-                            device: pkt.device,
-                            class: EventClass::Control,
-                            verdict,
-                        });
-                    }
-                    return match obs.verdict {
-                        FingerprintVerdict::Pending => {
-                            ProxyDecision::Allow(AllowReason::UnknownDevice)
-                        }
-                        FingerprintVerdict::Match(_) => {
-                            ProxyDecision::Allow(AllowReason::FingerprintMatched)
-                        }
-                        FingerprintVerdict::Spoof { .. } | FingerprintVerdict::NoMatch => {
-                            ProxyDecision::Drop(DropReason::UnknownQuarantined)
-                        }
-                    };
-                }
-            }
-            // Legacy path: fail open during incremental deployment,
-            // attributed to its own reason (not FirstN) so the stat and
-            // per-reason counter stay honest. Audited once per device at
-            // first sighting so the operator can see which devices
-            // bypass enforcement entirely; per-packet entries would let
-            // an unenrolled chatty device flood the hash chain.
-            if self.unknown_seen.insert(pkt.device) {
-                self.policy.audit.append(AuditEntry {
-                    ts: now,
-                    device: pkt.device,
-                    // No classifier to consult; Control is the neutral
-                    // placeholder class for unclassified traffic.
-                    class: EventClass::Control,
-                    verdict: AuditVerdict::AllowedUnknownDevice,
-                });
-            }
-            return ProxyDecision::Allow(AllowReason::UnknownDevice);
+            return self.unknown.decide(&mut self.policy, pkt, &self.dns);
         };
 
         // Lazily expire this device's quarantine before anything else
         // observes `now`: the packet that reveals the deadline has passed
         // must see the post-expiry world (sealed fate, lockout credit),
         // exactly as if a timer had fired at the deadline.
-        if self.policy.expire_overdue(pkt.device, dev, now) && dev.locked {
+        if self
+            .quarantine
+            .expire_overdue(&mut self.policy, pkt.device, dev, now)
+            && dev.locked
+        {
             return ProxyDecision::Drop(DropReason::LockedOut);
         }
 
@@ -1543,22 +1368,7 @@ impl FiatProxy {
             return match fate {
                 EventFate::AllowRest(reason) => ProxyDecision::Allow(reason),
                 EventFate::DropRest(reason) => ProxyDecision::Drop(reason),
-                EventFate::Quarantine => {
-                    let q = dev
-                        .quarantine
-                        .as_mut()
-                        .expect("quarantine fate implies a live record");
-                    if q.packets.len() < self.policy.config.quarantine_capacity {
-                        q.packets.push(pkt.clone());
-                        self.policy.note_held(pkt.device, now);
-                        ProxyDecision::Quarantine
-                    } else {
-                        // Capacity overflow: shed the packet. No audit
-                        // entry and no lockout credit — the episode is
-                        // already pending exactly one verdict.
-                        ProxyDecision::Drop(DropReason::ManualUnverified)
-                    }
-                }
+                EventFate::Quarantine => self.quarantine.hold(&self.policy, pkt),
             };
         }
 
@@ -1567,127 +1377,32 @@ impl FiatProxy {
         }
 
         // Classification point reached.
-        let ev = UnpredictableEvent {
-            device: pkt.device,
-            packets: (0..open.packets.len()).collect(),
-            start: open.packets[0].ts,
-            end: open.last,
-        };
         let span = Span::enter(&self.policy.telemetry.stage_classification, clock);
-        let class = dev.classifier.classify_event(&ev, &open.packets);
+        let class = classify(&dev.classifier, pkt.device, open);
         span.exit();
-        if !class.is_manual() {
-            open.fate = Some(EventFate::AllowRest(AllowReason::NonManual));
-            self.policy.audit.append(AuditEntry {
-                ts: now,
-                device: pkt.device,
-                class,
-                verdict: AuditVerdict::AllowedNonManual,
-            });
-            return ProxyDecision::Allow(AllowReason::NonManual);
-        }
-
-        if human_fresh {
-            open.fate = Some(EventFate::AllowRest(AllowReason::ManualVerified));
-            if let Some(g) = &mut self.policy.interactions {
-                g.record_authorized(pkt.device, now);
-            }
-            self.policy.audit.append(AuditEntry {
-                ts: now,
-                device: pkt.device,
-                class,
-                verdict: AuditVerdict::AllowedManualVerified,
-            });
-            return ProxyDecision::Allow(AllowReason::ManualVerified);
-        }
-
-        // No direct humanness proof: an interaction-graph cascade (Alexa
-        // -> light) can still vouch for this device.
-        if self
-            .policy
-            .interactions
-            .as_ref()
-            .is_some_and(|g| g.cascade_covers(pkt.device, now))
-        {
-            open.fate = Some(EventFate::AllowRest(AllowReason::Cascade));
-            if let Some(g) = &mut self.policy.interactions {
-                g.record_authorized(pkt.device, now);
-            }
-            self.policy.audit.append(AuditEntry {
-                ts: now,
-                device: pkt.device,
-                class,
-                verdict: AuditVerdict::AllowedCascade,
-            });
-            return ProxyDecision::Allow(AllowReason::Cascade);
+        if let Some(reason) = self.policy.verdict(pkt.device, class, now) {
+            open.fate = Some(EventFate::AllowRest(reason));
+            self.policy.allow(pkt.device, class, reason, now);
+            return ProxyDecision::Allow(reason);
         }
 
         // Unverified manual event. With quarantine enabled the proof may
         // merely be late (lost frame, retry in flight): hold the event
-        // pending its deadline instead of demoting it — unless this
-        // device already has a verdict pending, which bounds held state
-        // to one record per device and keeps a concurrent second event
-        // on today's immediate-demotion path.
-        let quarantine_slot_free = dev.quarantine.is_none();
-        if let Some(deadline) = self.policy.config.proof_deadline {
-            if quarantine_slot_free {
-                // Admission ends the per-device borrow: the home-wide
-                // record cap is counted (and enforced) across *all*
-                // devices before this record joins.
-                if let Some(cap) = self.policy.config.max_quarantine_records {
-                    let live = self
-                        .devices
-                        .values()
-                        .filter(|d| d.quarantine.is_some())
-                        .count();
-                    if live >= cap.max(1) {
-                        self.demote_oldest_quarantine(now);
-                    }
-                }
-                let dev = self.devices.get_mut(&pkt.device).expect("registered above");
-                dev.quarantine = Some(QuarantineRecord {
-                    packets: vec![pkt.clone()],
-                    class,
-                    deadline: now + deadline,
-                });
-                if let Some(open) = &mut dev.open {
-                    open.fate = Some(EventFate::Quarantine);
-                }
-                self.policy.note_held(pkt.device, now);
-                return ProxyDecision::Quarantine;
-            }
+        // pending its deadline instead of demoting it.
+        if let Some(held) = self
+            .quarantine
+            .admit(&mut self.policy, &mut self.devices, pkt, class)
+        {
+            return held;
         }
 
-        // Drop and count toward lockout.
+        // Drop the rest of the event and count it toward lockout.
+        let dev = self.devices.get_mut(&pkt.device).expect("registered above");
+        let open = dev.open.as_mut().expect("opened above");
         open.fate = Some(EventFate::DropRest(DropReason::ManualUnverified));
         let verdict = self.policy.unverified_episode(pkt.device, dev, now);
-        self.policy.audit.append(AuditEntry {
-            ts: now,
-            device: pkt.device,
-            class,
-            verdict,
-        });
+        self.policy.record(now, pkt.device, class, verdict);
         ProxyDecision::Drop(DropReason::ManualUnverified)
-    }
-
-    /// Enforce [`ProxyConfig::max_quarantine_records`]: demote the live
-    /// record with the oldest deadline (ties: lowest device id) exactly
-    /// as if its deadline had passed. The episode is credited at
-    /// `min(now, deadline)` — early demotion must never stamp a *future*
-    /// time into the monotone lockout window.
-    fn demote_oldest_quarantine(&mut self, now: SimTime) {
-        let mut victim: Option<(SimTime, u16)> = None;
-        for (&id, d) in &self.devices {
-            if let Some(q) = &d.quarantine {
-                let cand = (q.deadline, id);
-                if victim.is_none_or(|v| cand < v) {
-                    victim = Some(cand);
-                }
-            }
-        }
-        let Some((_, id)) = victim else { return };
-        let dev = self.devices.get_mut(&id).expect("victim from scan");
-        self.policy.expire_quarantine(id, dev, now);
     }
 
     /// Close every open event whose gap has expired by `now`, applying
@@ -1702,20 +1417,61 @@ impl FiatProxy {
             // Expire overdue quarantines first, for the same reason the
             // packet path does: the expiry (and any lockout it causes)
             // happened at the deadline, before this flush.
-            self.policy.expire_overdue(id, dev, now);
+            self.quarantine
+                .expire_overdue(&mut self.policy, id, dev, now);
             self.policy.close_stale(id, dev, now);
         }
     }
 }
 
 impl Policy {
-    /// A packet joined `device`'s quarantine record.
-    fn note_held(&self, device: u16, now: SimTime) {
-        self.telemetry.quarantine_held.inc();
-        self.telemetry.quarantine_depth.inc();
-        if let Some(h) = &self.hook {
-            h.on_quarantine_held(now, device);
+    /// Append one entry to the audit chain — the proxy's only writer.
+    fn record(&mut self, ts: SimTime, device: u16, class: EventClass, verdict: AuditVerdict) {
+        self.audit.append(AuditEntry {
+            ts,
+            device,
+            class,
+            verdict,
+        });
+    }
+
+    /// The verdict ladder of a classified event at `at`: non-manual, a
+    /// fresh humanness proof, an interaction-graph cascade (Alexa ->
+    /// light) vouching for the device, or `None` — unverified manual.
+    /// The live classification point and the retrospective close both
+    /// climb it.
+    fn verdict(&self, device: u16, class: EventClass, at: SimTime) -> Option<AllowReason> {
+        if !class.is_manual() {
+            Some(AllowReason::NonManual)
+        } else if at <= self.human_valid_until {
+            Some(AllowReason::ManualVerified)
+        } else if self
+            .interactions
+            .as_ref()
+            .is_some_and(|g| g.cascade_covers(device, at))
+        {
+            Some(AllowReason::Cascade)
+        } else {
+            None
         }
+    }
+
+    /// Commit a live allow verdict at `at`: an authorized manual command
+    /// lets the device vouch for its cascade targets, and every verdict
+    /// is audited.
+    fn allow(&mut self, device: u16, class: EventClass, reason: AllowReason, at: SimTime) {
+        if reason != AllowReason::NonManual {
+            if let Some(g) = &mut self.interactions {
+                g.record_authorized(device, at);
+            }
+        }
+        let verdict = match reason {
+            AllowReason::NonManual => AuditVerdict::AllowedNonManual,
+            AllowReason::Cascade => AuditVerdict::AllowedCascade,
+            AllowReason::QuarantineReleased => AuditVerdict::QuarantineReleased,
+            _ => AuditVerdict::AllowedManualVerified,
+        };
+        self.record(at, device, class, verdict);
     }
 
     /// Credit an unverified-manual episode at `at` to the device's
@@ -1757,45 +1513,6 @@ impl Policy {
         AuditVerdict::LockedOut
     }
 
-    /// Expire the device's quarantine record if `now` is past its
-    /// deadline; returns whether it did.
-    fn expire_overdue(&mut self, device: u16, dev: &mut DeviceState, now: SimTime) -> bool {
-        let overdue = dev.quarantine.as_ref().is_some_and(|q| now > q.deadline);
-        if overdue {
-            self.expire_quarantine(device, dev, now);
-        }
-        overdue
-    }
-
-    /// Demote an expired (or cap-demoted) quarantine record: the held
-    /// packets are discarded, the episode counts toward the lockout
-    /// window, and the open event (if still this one) seals as
-    /// `QuarantineExpired`. The episode time is `min(now, deadline)`:
-    /// for a lazy expiry (`now` past the deadline) that is the deadline
-    /// itself — resolution is lazy, the outcome must not depend on when
-    /// it is observed — while a record-cap demotion lands before its
-    /// deadline and is credited at the demotion time, never a future
-    /// timestamp that would poison the monotone lockout clamp.
-    fn expire_quarantine(&mut self, device: u16, dev: &mut DeviceState, now: SimTime) {
-        let q = dev.quarantine.take().expect("caller checked presence");
-        let at = now.min(q.deadline);
-        let held = q.packets.len() as u64;
-        self.stats.quarantine_expired += held;
-        self.telemetry.quarantine_expired_ctr.add(held);
-        self.telemetry.quarantine_depth.add(-(held as i64));
-        if let Some(h) = &self.hook {
-            h.on_quarantine_expired(at, device, held);
-        }
-        self.unverified_episode(device, dev, at);
-        self.audit.append(AuditEntry {
-            ts: at,
-            device,
-            class: q.class,
-            verdict: AuditVerdict::QuarantineExpired,
-        });
-        dev.seal_quarantined(EventFate::DropRest(DropReason::QuarantineExpired));
-    }
-
     /// Close the device's open event if the event gap has passed by
     /// `now`. An event that closed before its classification point never
     /// met the classifier and gets its retrospective verdict.
@@ -1816,38 +1533,34 @@ impl Policy {
     /// an unverified manual outcome cannot drop anything — but it is
     /// audited at the event's end time and counts toward the brute-force
     /// lockout, which is what defeats fragment-and-pause evasion.
-    /// (Verified/cascade outcomes deliberately do not refresh the
-    /// interaction graph: the event is already over.)
+    /// Verified and cascade outcomes are both audited
+    /// `AllowedManualVerified` and deliberately do not refresh the
+    /// interaction graph: the event is already over.
     fn retro_close(&mut self, device: u16, dev: &mut DeviceState, event: OpenEvent) {
         let end = event.last;
-        let ev = UnpredictableEvent {
-            device,
-            packets: (0..event.packets.len()).collect(),
-            start: event.packets[0].ts,
-            end,
+        let class = classify(&dev.classifier, device, &event);
+        let verdict = match self.verdict(device, class, end) {
+            Some(AllowReason::NonManual) => AuditVerdict::AllowedNonManual,
+            Some(_) => AuditVerdict::AllowedManualVerified,
+            None => {
+                self.telemetry.retro_unverified.inc();
+                self.stats.retro_unverified += 1;
+                self.unverified_episode(device, dev, end)
+            }
         };
-        let class = dev.classifier.classify_event(&ev, &event.packets);
-        let verdict = if !class.is_manual() {
-            AuditVerdict::AllowedNonManual
-        } else if end <= self.human_valid_until
-            || self
-                .interactions
-                .as_ref()
-                .is_some_and(|g| g.cascade_covers(device, end))
-        {
-            AuditVerdict::AllowedManualVerified
-        } else {
-            self.telemetry.retro_unverified.inc();
-            self.stats.retro_unverified += 1;
-            self.unverified_episode(device, dev, end)
-        };
-        self.audit.append(AuditEntry {
-            ts: end,
-            device,
-            class,
-            verdict,
-        });
+        self.record(end, device, class, verdict);
     }
+}
+
+/// Classify an open event from the packets it buffered.
+fn classify(classifier: &EventClassifier, device: u16, event: &OpenEvent) -> EventClass {
+    let ev = UnpredictableEvent {
+        device,
+        packets: (0..event.packets.len()).collect(),
+        start: event.packets[0].ts,
+        end: event.last,
+    };
+    classifier.classify_event(&ev, &event.packets)
 }
 
 /// Errors from the auth-message path.
@@ -3562,22 +3275,27 @@ mod tests {
         assert_eq!(g.get(), 0);
     }
 
-    /// Records the quarantine transitions a [`ProxyHook`] sees, tagged
-    /// with the device whose packet was being decided (if any).
-    #[derive(Clone, Default)]
-    struct TransitionLog {
-        deciding: Arc<std::sync::Mutex<Option<u16>>>,
-        expired: Arc<std::sync::Mutex<Vec<(Option<u16>, u16)>>>,
-        released: Arc<std::sync::Mutex<u64>>,
+    /// The quarantine transitions a [`ProxyHook`] saw: releases, and
+    /// expiries tagged with the device whose packet was being decided
+    /// (if any).
+    #[derive(Default)]
+    struct Transitions {
+        deciding: Option<u16>,
+        expired: Vec<(Option<u16>, u16)>,
+        released: u64,
     }
+
+    #[derive(Clone, Default)]
+    struct TransitionLog(Arc<std::sync::Mutex<Transitions>>);
 
     impl ProxyHook for TransitionLog {
         fn on_quarantine_released(&self, _ts: SimTime, _device: u16, _packets: u64) {
-            *self.released.lock().unwrap() += 1;
+            self.0.lock().unwrap().released += 1;
         }
         fn on_quarantine_expired(&self, _ts: SimTime, device: u16, _packets: u64) {
-            let deciding = *self.deciding.lock().unwrap();
-            self.expired.lock().unwrap().push((deciding, device));
+            let mut log = self.0.lock().unwrap();
+            let deciding = log.deciding;
+            log.expired.push((deciding, device));
         }
     }
 
@@ -3636,9 +3354,9 @@ mod tests {
                 match rng.gen_range(0..100) {
                     0..=84 => {
                         let size = if rng.gen_range(0..10) < 8 { 235 } else { 999 };
-                        *log.deciding.lock().unwrap() = Some(d);
+                        log.0.lock().unwrap().deciding = Some(d);
                         proxy.on_packet(&pkt_dev(t, size, d));
-                        *log.deciding.lock().unwrap() = None;
+                        log.0.lock().unwrap().deciding = None;
                     }
                     85..=87 => prove_human(&mut proxy, step as u64, t),
                     88..=92 => {
@@ -3661,8 +3379,9 @@ mod tests {
             proxy.flush(SimTime::from_millis(t + 60_000));
             check(&proxy, usize::MAX);
             assert!(proxy.audit().verify());
-            seen[4] |= *log.released.lock().unwrap() > 0;
-            for &(deciding, expired) in log.expired.lock().unwrap().iter() {
+            let log = log.0.lock().unwrap();
+            seen[4] |= log.released > 0;
+            for &(deciding, expired) in &log.expired {
                 // Lazy expiry fires for the deciding device (or outside
                 // `on_packet`); the record cap demotes another device's.
                 match deciding {

@@ -177,17 +177,6 @@ impl ClassCounts {
     pub fn total(&self, class: TrafficClass) -> u64 {
         self.counts[Self::class_idx(class)].1
     }
-
-    /// Overall predictable fraction across classes.
-    pub fn overall_fraction(&self) -> f64 {
-        let p: u64 = self.counts.iter().map(|(p, _)| p).sum();
-        let t: u64 = self.counts.iter().map(|(_, t)| t).sum();
-        if t == 0 {
-            0.0
-        } else {
-            p as f64 / t as f64
-        }
-    }
 }
 
 /// Summary of a predictability analysis.
@@ -205,13 +194,6 @@ impl PredictabilityReport {
         self.per_device
             .get(&device)
             .map_or(0.0, |c| c.fraction(class))
-    }
-
-    /// Overall predictable fraction for one device.
-    pub fn device_fraction(&self, device: u16) -> f64 {
-        self.per_device
-            .get(&device)
-            .map_or(0.0, |c| c.overall_fraction())
     }
 }
 
@@ -701,7 +683,6 @@ mod tests {
         let rep = eng.report(&packets, &DnsTable::new());
         assert_eq!(rep.fraction(0, TrafficClass::Control), 1.0);
         assert_eq!(rep.fraction(0, TrafficClass::Manual), 0.0);
-        assert!((rep.device_fraction(0) - 10.0 / 11.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,11 +16,6 @@ impl Hkdf {
         }
     }
 
-    /// Construct directly from a PRK (e.g. a pre-shared pairing key).
-    pub fn from_prk(prk: [u8; DIGEST_LEN]) -> Self {
-        Hkdf { prk }
-    }
-
     /// HKDF-Expand: fill `okm` with output keying material bound to `info`.
     ///
     /// # Panics

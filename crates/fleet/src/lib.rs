@@ -323,7 +323,7 @@ pub fn run_sharded(workloads: &[HomeWorkload], shards: usize) -> FleetOutcome {
 
 /// [`run_sharded`] where every home is rebalanced mid-capture: each
 /// proxy is snapshotted at its midpoint packet and restored into a fresh
-/// registry before resuming ([`run_home_rebalanced`]). The merged view
+/// registry before resuming. The merged view
 /// must stay byte-identical to the uninterrupted [`run_sequential`]
 /// reference at every shard count — the fleet-level proof that a
 /// control-plane home migration is invisible in every counter.

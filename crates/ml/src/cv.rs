@@ -20,11 +20,6 @@ impl CvResult {
         mean(self.folds.iter().map(|f| f.balanced_accuracy()))
     }
 
-    /// Mean plain accuracy across folds.
-    pub fn mean_accuracy(&self) -> f64 {
-        mean(self.folds.iter().map(|f| f.accuracy()))
-    }
-
     /// Mean precision for one class across folds.
     pub fn mean_precision(&self, class: usize) -> f64 {
         mean(self.folds.iter().map(|f| f.precision(class)))

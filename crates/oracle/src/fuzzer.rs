@@ -1,5 +1,5 @@
 //! Seeded differential fuzzer: drive the real `FiatProxy` and the naive
-//! [`ReferenceProxy`](crate::ReferenceProxy) op-by-op over
+//! [`ReferenceProxy`] op-by-op over
 //! timestamp-chaos traces and report the first point they disagree.
 //!
 //! A scenario is testbed traffic (the paper's 10-device matrix) put
@@ -54,7 +54,7 @@ pub enum Op {
 /// (shared data, independent arithmetic — like the event classifier).
 #[derive(Debug, Clone)]
 pub struct FingerprintSetup {
-    /// Seed for [`fiat_trace::fingerprint_corpus`].
+    /// Seed for [`fiat_trace::fingerprint_corpus()`].
     pub corpus_seed: u64,
     /// Evidence-window and matcher parameters.
     pub matcher: MatcherConfig,

@@ -25,8 +25,8 @@
 //!   and quarantine transitions, home lifecycle), merged
 //!   deterministically on the simulated clock keyed by
 //!   `(ts, home, per-home seq)` — stable under work stealing — and
-//!   dumpable as JSONL, so an anomaly comes with a causal packet-level
-//!   timeline instead of just counters.
+//!   rendered as JSONL ([`FlightRecorder::to_jsonl`]), so an anomaly
+//!   comes with a causal packet-level timeline instead of just counters.
 //! - [`alloc`] — the counting `#[global_allocator]` from PR 2's
 //!   one-off proof test, promoted to a reusable probe with per-thread
 //!   counters so a shard can attribute allocations to the stage that
@@ -34,14 +34,17 @@
 //!
 //! The probes observe; they never feed the deterministic merged
 //! registries, so a probed fleet run still merges byte-identically to
-//! the sequential reference.
+//! the sequential reference. Shards claim homes through atomic cursors
+//! rather than channels, so there is no queue for a probe to measure;
+//! work distribution shows up as the `Recv` (claim) stage and the steal
+//! counters instead.
 
 pub mod alloc;
 pub mod profile;
 pub mod recorder;
 
 pub use alloc::{global_allocations, thread_allocations, AllocScope, CountingAllocator};
-pub use profile::{FleetProfile, QueueDepthProbe, ShardProfile, Stage};
+pub use profile::{FleetProfile, ShardProfile, Stage};
 pub use recorder::{
     FlightRecorder, ShardRecorder, TraceEvent, TraceKind, SEQ_ASSIGNED, SEQ_CLAIMED, SEQ_FINISHED,
     SEQ_FIRST_HOOK,

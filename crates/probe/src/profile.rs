@@ -21,7 +21,6 @@
 
 use fiat_telemetry::MetricRegistry;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// A named time bucket in the shard/fleet breakdown.
@@ -180,71 +179,6 @@ impl ShardProfile {
             .sum::<u64>()
             + self.stage_nanos(Stage::Idle);
         (total as f64 / self.wall_nanos as f64).min(1.0)
-    }
-}
-
-/// Queue-depth probe: the producer bumps *after* an item actually lands
-/// in the queue, the consumer drops on recv, and the high-water mark
-/// survives for the profile.
-///
-/// Two corrections over the PR 6 version (which reported a high-water
-/// of 6 on a capacity-4 channel): the producer must call [`on_send`]
-/// only once the item is enqueued — counting "intent to send" before a
-/// blocking send adds in-flight items the queue never held — and, as
-/// defense in depth, a probe built with [`with_capacity`] clamps the
-/// recorded high-water to the queue's real capacity, so racy
-/// interleavings of the two relaxed counters can never report a depth
-/// the queue cannot physically reach.
-///
-/// [`on_send`]: QueueDepthProbe::on_send
-/// [`with_capacity`]: QueueDepthProbe::with_capacity
-#[derive(Debug)]
-pub struct QueueDepthProbe {
-    depth: AtomicI64,
-    high: AtomicU64,
-    capacity: u64,
-}
-
-impl Default for QueueDepthProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QueueDepthProbe {
-    /// A probe starting at depth zero, with no capacity clamp.
-    pub fn new() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// A probe for a queue of known `capacity`: the recorded high-water
-    /// can never exceed it.
-    pub fn with_capacity(capacity: usize) -> Self {
-        QueueDepthProbe {
-            depth: AtomicI64::new(0),
-            high: AtomicU64::new(0),
-            capacity: capacity.max(1) as u64,
-        }
-    }
-
-    /// Note one item having entered the queue. Call *after* the item is
-    /// actually enqueued, never before a send that may block.
-    pub fn on_send(&self) {
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if d > 0 {
-            self.high
-                .fetch_max((d as u64).min(self.capacity), Ordering::Relaxed);
-        }
-    }
-
-    /// Note one item leaving the queue.
-    pub fn on_recv(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Deepest the queue has been (clamped to capacity when known).
-    pub fn highwater(&self) -> u64 {
-        self.high.load(Ordering::Relaxed)
     }
 }
 
@@ -663,68 +597,5 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 7_000);
         assert_eq!(r.gauge("fiat_probe_ring_evicted_ratio", &[]).get(), 250);
-    }
-
-    #[test]
-    fn queue_depth_probe_tracks_highwater() {
-        let q = QueueDepthProbe::new();
-        q.on_send();
-        q.on_send();
-        q.on_recv();
-        q.on_send();
-        q.on_send();
-        assert_eq!(q.highwater(), 3);
-        q.on_recv();
-        q.on_recv();
-        q.on_recv();
-        assert_eq!(q.highwater(), 3);
-    }
-
-    #[test]
-    fn queue_depth_probe_clamps_to_capacity() {
-        let q = QueueDepthProbe::with_capacity(4);
-        for _ in 0..6 {
-            q.on_send();
-        }
-        assert_eq!(q.highwater(), 4);
-    }
-
-    #[test]
-    fn highwater_never_exceeds_capacity_on_a_real_channel() {
-        // Regression for the PR 6 bug (high-water 6 on a capacity-4
-        // channel): drive a real bounded channel with the feeder's old
-        // try_send-then-blocking-send pattern — the probe must be bumped
-        // only once the item lands, and the clamp bounds whatever the
-        // racy counters produce.
-        use std::sync::mpsc::{self, TrySendError};
-        const CAP: usize = 4;
-        let q = QueueDepthProbe::with_capacity(CAP);
-        let (tx, rx) = mpsc::sync_channel::<u32>(CAP);
-        std::thread::scope(|s| {
-            let q = &q;
-            s.spawn(move || {
-                for i in 0..256u32 {
-                    match tx.try_send(i) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(v)) => tx.send(v).unwrap(),
-                        Err(TrySendError::Disconnected(_)) => unreachable!(),
-                    }
-                    q.on_send();
-                }
-            });
-            s.spawn(move || {
-                let mut slow = 0u32;
-                while let Ok(v) = rx.recv() {
-                    q.on_recv();
-                    // Vary consumer speed so the queue actually fills.
-                    slow = slow.wrapping_add(v);
-                    if slow.is_multiple_of(7) {
-                        std::thread::yield_now();
-                    }
-                }
-            });
-        });
-        assert!(q.highwater() >= 1);
-        assert!(q.highwater() <= CAP as u64, "highwater {}", q.highwater());
     }
 }

@@ -247,11 +247,6 @@ impl FlightRecorder {
         }
         out
     }
-
-    /// Write the merged timeline to `path` as JSONL.
-    pub fn dump_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 #[cfg(test)]

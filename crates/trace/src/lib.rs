@@ -17,7 +17,7 @@
 //! - [`datasets`]: YourThings-like and Mon(IoT)r-like corpora, the Bose
 //!   SoundTouch flows of Figure 1(a), and IoT-Inspector-style 5-second
 //!   aggregation.
-//! - [`fingerprint_corpus`]: labeled per-class training corpora and a
+//! - [`mod@fingerprint_corpus`]: labeled per-class training corpora and a
 //!   spoofed-device generator for `fiat-fingerprint`.
 
 pub mod datasets;
