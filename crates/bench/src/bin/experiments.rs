@@ -47,9 +47,10 @@ use fiat_bench::{
     ml_tables, oracle_exp, profile_exp, soak_exp, table6, table7, tolerance,
 };
 use fiat_core::ErrorModel;
-use fiat_telemetry::{MetricRegistry, Span, WallClock};
+use fiat_telemetry::MetricRegistry;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::time::Instant;
 
 // Count heap allocations (process-wide and per shard thread) so
 // `experiments profile` can attribute them to shard stages. Two relaxed
@@ -345,13 +346,12 @@ fn main() {
         registry
             .gauge("fiat_experiment_seed", &[("experiment", name)])
             .set(args.seed as i64);
-        let clock = WallClock::new();
         let duration = registry.histogram("fiat_experiment_duration_us", &[("experiment", name)]);
-        let span = Span::enter(&duration, &clock);
+        let started = Instant::now();
         let Some(text) = run_one(name, &args, &registry) else {
             die(&format!("unknown experiment {name}"));
         };
-        span.exit();
+        duration.record(started.elapsed().as_micros() as u64);
         registry
             .gauge("fiat_experiment_output_bytes", &[("experiment", name)])
             .set(text.len() as i64);

@@ -54,7 +54,8 @@ pub fn shard_counts(max: usize) -> Vec<usize> {
 /// Run the sweep. Corpus generation and the sequential reference run are
 /// outside the timed region; each sweep point times only `run_sharded`.
 /// With a registry, per-shard-count throughput lands in
-/// `fiat_fleet_packets_per_sec{shards="N"}` gauges.
+/// `fiat_fleet_packets_per_sec{shards="N"}` gauges, and the reference
+/// run's stage latencies (`fiat_proxy_stage_ns`) are folded in.
 pub fn fleet_benchmark(
     homes: usize,
     shards_max: usize,
@@ -74,6 +75,7 @@ pub fn fleet_benchmark(
         r.gauge("fiat_fleet_homes", &[]).set(homes as i64);
         r.gauge("fiat_fleet_packets", &[])
             .set(reference.packets as i64);
+        r.merge_from(&reference.timing);
     }
 
     let mut rows = Vec::new();
@@ -212,6 +214,8 @@ mod tests {
             registry.gauge("fiat_fleet_packets", &[]).get() as u64,
             report.reference.packets
         );
+        let decide = registry.histogram("fiat_proxy_stage_ns", &[("stage", "decide")]);
+        assert!(decide.count() > 0 && decide.sum() > 0);
         let text = fleet_report_text(&report, 0.05, 11);
         assert!(text.contains("packets/s"));
         assert!(text.contains("sequential reference"));

@@ -16,7 +16,8 @@
 //! comparable with Table 6 and the Appendix A closed forms.
 
 use fiat_core::{
-    ErrorModel, EventClass, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyTelemetry,
+    ErrorModel, EventClass, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyStats,
+    ProxyTelemetry,
 };
 use fiat_net::{SimDuration, SimTime, TrafficClass};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
@@ -66,9 +67,12 @@ pub struct Table6 {
     pub rows: Vec<Table6Row>,
     /// Aggregate humanness stats.
     pub human: HumanValidationStats,
+    /// Decision counters of the legit and the attack phase's proxy.
+    pub stats: [ProxyStats; 2],
 }
 
 struct PhaseOutcome {
+    stats: ProxyStats,
     // Per device: (gt_class_is_manual, predicted_manual, blocked).
     events: HashMap<u16, Vec<(bool, bool, bool)>>,
     human_accepts: u64,
@@ -93,9 +97,10 @@ fn run_phase(
         ..ProxyConfig::default()
     };
     let bootstrap_end = SimTime::ZERO + config.bootstrap;
-    // With a shared registry, the proxy's decision-path metrics (stage
-    // latency under real wall time, decision counters, QUIC counters)
-    // accumulate across phases and ship in the experiment's snapshot.
+    // With a shared registry, the proxy's decision-path metrics (decision
+    // and QUIC counters, then the stage latencies of its timing registry
+    // under real wall time) accumulate across phases and ship in the
+    // experiment's snapshot.
     let mut proxy = match registry {
         Some(r) => FiatProxy::with_telemetry(
             config,
@@ -206,7 +211,11 @@ fn run_phase(
             .push((is_manual, predicted_manual, was_blocked));
     }
 
+    if let Some(r) = registry {
+        r.merge_from(proxy.telemetry().timing());
+    }
     PhaseOutcome {
+        stats: proxy.stats(),
         events,
         human_accepts,
         human_total,
@@ -313,7 +322,11 @@ pub fn table6(
             analytic_fn: analytic.false_negative(),
         });
     }
-    Table6 { rows, human }
+    Table6 {
+        rows,
+        human,
+        stats: [legit.stats, attack.stats],
+    }
 }
 
 fn ratio(num: u64, den: u64) -> f64 {
@@ -376,6 +389,7 @@ pub fn table6_text(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiat_core::DECIDE_SAMPLE_EVERY;
 
     fn run() -> Table6 {
         table6(6.0, 2.0, 7, None)
@@ -440,25 +454,30 @@ mod tests {
         let registry = MetricRegistry::new();
         let t = table6(4.0, 1.0, 3, Some(&registry));
         assert!(!t.rows.is_empty());
-        // Both phases reported: decisions were counted, stages timed, and
-        // the QUIC path saw the evidence traffic.
-        assert!(
+        // Both phases reported: decisions were counted, stages timed (the
+        // decide stage 1 packet in 64 per proxy), and the QUIC path saw
+        // the evidence traffic.
+        assert!(t.stats.iter().all(|s| s.total() > 0));
+        assert_eq!(
             registry
                 .counter(
                     "fiat_proxy_decisions_total",
                     &[("decision", "allow"), ("reason", "rule_hit")],
                 )
-                .get()
-                > 0
+                .get(),
+            t.stats.iter().map(|s| s.rule_hit).sum::<u64>()
         );
-        assert!(
+        assert_eq!(
             registry
-                .histogram("fiat_proxy_stage_us", &[("stage", "decide")])
-                .count()
-                > 0
+                .histogram("fiat_proxy_stage_ns", &[("stage", "decide")])
+                .count(),
+            t.stats
+                .iter()
+                .map(|s| s.total().div_ceil(DECIDE_SAMPLE_EVERY))
+                .sum::<u64>()
         );
         assert_eq!(registry.counter("fiat_quic_handshakes_total", &[]).get(), 2);
-        assert!(registry.render_json().contains("fiat_proxy_stage_us"));
+        assert!(registry.render_json().contains("fiat_proxy_stage_ns"));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use pairing::pair;
 pub use pipeline::{
     AllowReason, DropReason, FiatProxy, FingerprintGate, FingerprintObservation,
     FingerprintVerdict, ProxyConfig, ProxyDecision, ProxyHook, ProxyStats, ProxyTelemetry,
-    StateSize,
+    StateSize, DECIDE_SAMPLE_EVERY,
 };
 pub use predict::{
     GhostState, PredictabilityEngine, PredictabilityReport, RuleTable, RuleTelemetry,

@@ -487,22 +487,35 @@ pub trait ProxyHook: Send {
     fn on_quarantine_expired(&self, _ts: SimTime, _device: u16, _packets: u64) {}
 }
 
+/// `on_packet` times one packet in this many into
+/// `fiat_proxy_stage_ns{stage="decide"}`: a proxy's first packet, then
+/// every `DECIDE_SAMPLE_EVERY`-th. The proxy's own packet counter picks
+/// them, so the choice is deterministic, and a proxy that decided `n`
+/// packets since it was built holds `n.div_ceil(DECIDE_SAMPLE_EVERY)`
+/// decide samples.
+pub const DECIDE_SAMPLE_EVERY: u64 = 64;
+
 /// Pre-resolved telemetry handles for the proxy decision path.
 ///
-/// Every handle is looked up in the [`MetricRegistry`] once, at
-/// construction, so the per-packet hot path never touches the registry
-/// lock — each update is a single relaxed atomic operation. The clock is
-/// pluggable so real deployments time stages with the OS monotonic clock
-/// while deterministic experiments drive a [`fiat_telemetry::ManualClock`].
+/// Every handle is looked up once, at construction, so the per-packet
+/// hot path never touches a registry lock — each update is a single
+/// relaxed atomic operation. Two registries keep what is deterministic
+/// apart from what is not:
+///
+/// - [`ProxyTelemetry::registry`] holds counters and gauges only, a pure
+///   function of the inputs, so fleet runs can compare it byte for byte;
+/// - [`ProxyTelemetry::timing`] is private to this telemetry and holds
+///   every stage-latency histogram (`fiat_proxy_stage_ns`), timed on
+///   the pluggable clock: the OS monotonic clock in deployments, a
+///   [`fiat_telemetry::ManualClock`] in tests.
 pub struct ProxyTelemetry {
     registry: MetricRegistry,
+    timing: MetricRegistry,
     clock: Arc<dyn Clock>,
     stage_rule_learn: Histogram,
-    stage_rule_match: Histogram,
-    stage_event_grouping: Histogram,
     stage_classification: Histogram,
     stage_humanness: Histogram,
-    stage_decide: Histogram,
+    decide_sampled: Histogram,
     allow_total: [Counter; AllowReason::ALL.len()],
     drop_total: [Counter; DropReason::ALL.len()],
     quarantine_total: Counter,
@@ -524,13 +537,18 @@ pub struct ProxyTelemetry {
 }
 
 impl ProxyTelemetry {
-    /// Register the proxy's metrics in `registry` and time spans with
-    /// `clock`.
+    /// Register the proxy's counters and gauges in `registry`, and time
+    /// stages with `clock` into a fresh timing registry.
     pub fn new(registry: MetricRegistry, clock: Arc<dyn Clock>) -> Self {
-        registry.describe(
-            "fiat_proxy_stage_us",
-            "Decision-path stage latency in microseconds.",
+        let timing = MetricRegistry::new();
+        timing.describe(
+            "fiat_proxy_stage_ns",
+            &format!(
+                "Decision-path stage latency in nanoseconds \
+                 (decide: 1 packet in {DECIDE_SAMPLE_EVERY})."
+            ),
         );
+        let stage = |s: &str| timing.histogram("fiat_proxy_stage_ns", &[("stage", s)]);
         registry.describe(
             "fiat_proxy_decisions_total",
             "Packets decided, by decision and reason.",
@@ -578,7 +596,6 @@ impl ProxyTelemetry {
             "fiat_proxy_degraded_decisions_total",
             "Packets decided while in control-plane degraded mode.",
         );
-        let stage = |s: &str| registry.histogram("fiat_proxy_stage_us", &[("stage", s)]);
         let allow_total = AllowReason::ALL.map(|r| {
             registry.counter(
                 "fiat_proxy_decisions_total",
@@ -593,11 +610,9 @@ impl ProxyTelemetry {
         });
         ProxyTelemetry {
             stage_rule_learn: stage("rule_learn"),
-            stage_rule_match: stage("rule_match"),
-            stage_event_grouping: stage("event_grouping"),
             stage_classification: stage("classification"),
             stage_humanness: stage("humanness"),
-            stage_decide: stage("decide"),
+            decide_sampled: stage("decide"),
             allow_total,
             drop_total,
             quarantine_total: registry.counter(
@@ -620,6 +635,7 @@ impl ProxyTelemetry {
             degraded_gauge: registry.gauge("fiat_proxy_degraded", &[]),
             degraded_decisions: registry.counter("fiat_proxy_degraded_decisions_total", &[]),
             registry,
+            timing,
             clock,
         }
     }
@@ -634,14 +650,16 @@ impl ProxyTelemetry {
         self.lockouts.get()
     }
 
-    /// The registry backing these handles (for exposition).
+    /// The deterministic registry: counters and gauges (for exposition).
     pub fn registry(&self) -> &MetricRegistry {
         &self.registry
     }
 
-    /// The span clock.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
+    /// The timing registry: the `fiat_proxy_stage_ns` histograms. Its
+    /// samples depend on the clock, so it never enters a byte-identity
+    /// comparison.
+    pub fn timing(&self) -> &MetricRegistry {
+        &self.timing
     }
 
     fn note_decision(&self, decision: ProxyDecision) {
@@ -700,6 +718,9 @@ pub struct FiatProxy {
     quarantine: Quarantine,
     unknown: UnknownDevices,
     degraded: bool,
+    /// Packets decided since this proxy was built (not snapshotted):
+    /// picks the 1 in [`DECIDE_SAMPLE_EVERY`] that `on_packet` times.
+    packets_seen: u64,
 }
 
 impl FiatProxy {
@@ -757,6 +778,7 @@ impl FiatProxy {
             quarantine: Quarantine::default(),
             unknown: UnknownDevices::default(),
             degraded: false,
+            packets_seen: 0,
         }
     }
 
@@ -780,7 +802,7 @@ impl FiatProxy {
         self.policy.stats
     }
 
-    /// The proxy's telemetry handles (registry and stage histograms).
+    /// The proxy's telemetry handles (deterministic and timing registries).
     pub fn telemetry(&self) -> &ProxyTelemetry {
         &self.policy.telemetry
     }
@@ -1187,10 +1209,8 @@ impl FiatProxy {
             .map_err(AuthError::Transport)
             .and_then(|p| self.verify(&p))
             .inspect_err(|_| self.policy.telemetry.auth_errors.inc())?;
-        let span = Span::enter(
-            &self.policy.telemetry.stage_humanness,
-            &self.policy.telemetry.clock,
-        );
+        let t = &self.policy.telemetry;
+        let span = Span::enter(&t.stage_humanness, &*t.clock);
         let human = self.validator.validate_features(&msg.features, msg.truth);
         span.exit();
         if human {
@@ -1236,10 +1256,15 @@ impl FiatProxy {
 
     /// Decide one intercepted packet (timestamped by its `ts`).
     pub fn on_packet(&mut self, pkt: &PacketRecord) -> ProxyDecision {
-        let clock = Arc::clone(&self.policy.telemetry.clock);
-        let span = Span::enter(&self.policy.telemetry.stage_decide, &*clock);
-        let d = self.decide(pkt, &*clock);
-        span.exit();
+        let sampled = self.packets_seen.is_multiple_of(DECIDE_SAMPLE_EVERY);
+        self.packets_seen += 1;
+        let started = sampled.then(|| self.policy.telemetry.clock.now_nanos());
+        let d = self.decide(pkt);
+        if let Some(started) = started {
+            let t = &self.policy.telemetry;
+            t.decide_sampled
+                .record(t.clock.now_nanos().saturating_sub(started));
+        }
         if self.degraded {
             self.policy.telemetry.degraded_decisions.inc();
         }
@@ -1268,7 +1293,7 @@ impl FiatProxy {
         d
     }
 
-    fn decide(&mut self, pkt: &PacketRecord, clock: &dyn Clock) -> ProxyDecision {
+    fn decide(&mut self, pkt: &PacketRecord) -> ProxyDecision {
         let now = pkt.ts;
         let started = self.started_at.expect("proxy not started");
 
@@ -1282,7 +1307,8 @@ impl FiatProxy {
             return ProxyDecision::Allow(AllowReason::Bootstrap);
         }
         if self.rules.is_none() {
-            let span = Span::enter(&self.policy.telemetry.stage_rule_learn, clock);
+            let t = &self.policy.telemetry;
+            let span = Span::enter(&t.stage_rule_learn, &*t.clock);
             let engine = PredictabilityEngine::new(self.policy.config.flow_def)
                 .with_tolerance(self.policy.config.tolerance);
             let mut rules = RuleTable::learn_instrumented(
@@ -1302,13 +1328,11 @@ impl FiatProxy {
         // Rule hit: predictable. The touch variant refreshes the rule's
         // LRU stamp (bounded mode evicts least-recently-matched) and
         // advances the ghost re-learn path on misses of evicted keys.
-        let span = Span::enter(&self.policy.telemetry.stage_rule_match, clock);
         let hit = self.rules.as_mut().expect("rules learned").matches_touch(
             self.policy.config.flow_def,
             pkt,
             &self.dns,
         );
-        span.exit();
         if hit {
             return ProxyDecision::Allow(AllowReason::RuleHit);
         }
@@ -1330,13 +1354,11 @@ impl FiatProxy {
             return ProxyDecision::Drop(DropReason::LockedOut);
         }
 
-        let span = Span::enter(&self.policy.telemetry.stage_event_grouping, clock);
         self.policy.close_stale(pkt.device, dev, now);
         // A retrospective verdict on the closed event may have locked
         // the device; the packet that exposed it must not open a fresh
         // event.
         if dev.locked {
-            span.exit();
             return ProxyDecision::Drop(DropReason::LockedOut);
         }
         if dev.open.is_none() {
@@ -1362,7 +1384,6 @@ impl FiatProxy {
         // zero — but must not rewind `last`, or the next in-order packet
         // measures an inflated gap and spuriously closes the event.
         open.last = open.last.max(now);
-        span.exit();
 
         if let Some(fate) = open.fate {
             return match fate {
@@ -1377,7 +1398,8 @@ impl FiatProxy {
         }
 
         // Classification point reached.
-        let span = Span::enter(&self.policy.telemetry.stage_classification, clock);
+        let t = &self.policy.telemetry;
+        let span = Span::enter(&t.stage_classification, &*t.clock);
         let class = classify(&dev.classifier, pkt.device, open);
         span.exit();
         if let Some(reason) = self.policy.verdict(pkt.device, class, now) {
@@ -2381,17 +2403,20 @@ mod tests {
         assert!(s.dropped_unverified > 0);
         assert!(s.dropped_lockout > 0);
 
-        // The decide histogram saw every packet; per-stage histograms
-        // recorded the stages that ran.
+        // ProxyStats counts every decision: one bootstrap packet per 10 s,
+        // then the eight above. Stage timing lives in the proxy's own
+        // timing registry: `decide` sampled 1 packet in 64, the
+        // once-per-job stages each time they ran.
+        assert_eq!(s.total(), t / 10_000 + 8);
+        let timing = proxy.telemetry().timing().clone();
         let stage = |name| {
-            registry
-                .histogram("fiat_proxy_stage_us", &[("stage", name)])
+            timing
+                .histogram("fiat_proxy_stage_ns", &[("stage", name)])
                 .count()
         };
-        assert_eq!(stage("decide"), s.total());
+        assert_eq!(stage("decide"), s.total().div_ceil(DECIDE_SAMPLE_EVERY));
+        assert!(stage("decide") >= 2, "too few packets to sample twice");
         assert_eq!(stage("rule_learn"), 1);
-        assert!(stage("rule_match") > 0);
-        assert!(stage("event_grouping") > 0);
         assert!(stage("classification") > 0);
         assert_eq!(stage("humanness"), 1);
 
@@ -2422,9 +2447,15 @@ mod tests {
             1
         );
 
-        // Exposition carries the whole picture.
+        // Exposition carries the whole picture: decisions in the shared
+        // registry, stage latency only in the timing one, with no
+        // per-packet rule-match or event-grouping stage.
         let text = registry.render_prometheus();
-        assert!(text.contains("fiat_proxy_stage_us_bucket"));
+        assert!(!text.contains("fiat_proxy_stage"));
+        let timing_text = timing.render_prometheus();
+        assert!(timing_text.contains("fiat_proxy_stage_ns_bucket{stage=\"decide\""));
+        assert!(!timing_text.contains("rule_match"));
+        assert!(!timing_text.contains("event_grouping"));
         assert!(
             text.contains("fiat_proxy_decisions_total{decision=\"drop\",reason=\"locked_out\"}")
         );

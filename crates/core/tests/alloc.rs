@@ -1,20 +1,24 @@
-//! Allocation proof for the per-packet rule-match path.
+//! Allocation proofs for the per-packet rule-match path and for the
+//! whole rule-hit decision.
 //!
 //! `RuleTable::matches` keys lookups on [`InternedFlowKey`] (remote
 //! domains interned to dense ids in the `DnsTable`), so deciding a
 //! packet must never touch the heap — for rule hits, misses, known
-//! domains, and unknown IPs alike. A counting `#[global_allocator]`
-//! makes that claim checkable. The counter is *per thread*: the file
-//! holds exactly one test, but the libtest harness thread can still
-//! allocate (watchdog timers, output buffering) concurrently with the
-//! measured region — on a loaded single-core host that made a
+//! domains, and unknown IPs alike. `FiatProxy::on_packet` wraps that
+//! match in the decision ladder, counters and the sampled decide timing,
+//! and a rule hit must stay allocation-free through all of it. A
+//! counting `#[global_allocator]` makes both claims checkable. The
+//! counter is *per thread*: the libtest harness thread and the other
+//! test can allocate (watchdog timers, output buffering) concurrently
+//! with a measured region — on a loaded single-core host that made a
 //! process-wide counter flake.
 
-use fiat_core::{PredictabilityEngine, RuleTable};
+use fiat_core::{FiatProxy, PredictabilityEngine, ProxyConfig, RuleTable, DECIDE_SAMPLE_EVERY};
 use fiat_net::{
     Direction, DnsTable, FlowDef, PacketRecord, SimTime, TcpFlags, TlsVersion, TrafficClass,
     Transport,
 };
+use fiat_sensors::HumannessValidator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -120,6 +124,65 @@ fn rule_match_path_does_not_allocate() {
         after - before,
         0,
         "rule-match path allocated on the heap ({} allocations over 30000 lookups)",
+        after - before
+    );
+}
+
+#[test]
+fn rule_hit_decision_does_not_allocate() {
+    const PERIOD_US: u64 = 60_000_000; // one packet a minute: a clean rule
+    let remote = Ipv4Addr::new(34, 9, 9, 9);
+    let mut dns = DnsTable::new();
+    dns.observe_forward(remote, "cloud.example.com");
+
+    // A proxy on the default wall-clock telemetry, so sampled decides
+    // read the real clock and record into the timing registry.
+    let config = ProxyConfig::default();
+    let bootstrap_us = config.bootstrap.as_micros();
+    let validator = HumannessValidator::with_operating_point(0.934, 0.982, 0);
+    let mut proxy = FiatProxy::new(config, &[9u8; 32], validator);
+    proxy.set_dns(dns);
+    proxy.start(SimTime::ZERO);
+
+    // Bootstrap one periodic flow, then warm up past rule learning.
+    let mut ts = 0;
+    while ts < bootstrap_us {
+        proxy.on_packet(&pkt(ts, remote, 235));
+        ts += PERIOD_US;
+    }
+    for _ in 0..DECIDE_SAMPLE_EVERY {
+        assert!(proxy.on_packet(&pkt(ts, remote, 235)).is_allow());
+        ts += PERIOD_US;
+    }
+
+    // Four sampling periods: four sampled decides inside the region.
+    let n = 4 * DECIDE_SAMPLE_EVERY;
+    let probes: Vec<PacketRecord> = (0..n)
+        .map(|i| pkt(ts + i * PERIOD_US, remote, 235))
+        .collect();
+    let decide = proxy
+        .telemetry()
+        .timing()
+        .histogram("fiat_proxy_stage_ns", &[("stage", "decide")]);
+    let samples_before = decide.count();
+    let hits_before = proxy.stats().rule_hit;
+
+    let before = thread_allocations();
+    for p in &probes {
+        proxy.on_packet(p);
+    }
+    let after = thread_allocations();
+
+    assert_eq!(
+        proxy.stats().rule_hit - hits_before,
+        n,
+        "every probe must be a rule hit"
+    );
+    assert_eq!(decide.count() - samples_before, 4, "four decides sampled");
+    assert_eq!(
+        after - before,
+        0,
+        "rule-hit decision allocated on the heap ({} allocations over {n} packets)",
         after - before
     );
 }

@@ -22,9 +22,11 @@
 //! - every home gets its **own** registry (gauges are `set()` last-writer
 //!   -wins, so sharing one across homes would race); per-home registries
 //!   are folded by *addition*, which is commutative and associative;
-//! - each home's proxy is timed by a [`ManualClock`] that never advances,
-//!   so stage-latency histograms record deterministic zero-length spans
-//!   instead of wall-clock noise;
+//! - the deterministic `registry` holds counters and gauges only: each
+//!   proxy times its stages on a [`WallClock`] into a separate `timing`
+//!   registry, folded the same way but never compared, so fleet stage
+//!   latencies are real numbers and wall-clock noise stays out of the
+//!   byte-identity check;
 //! - work distribution never touches a home's *content*: the
 //!   [`partition`] module plans a static cost-aware assignment and lets
 //!   shards claim (and steal) homes through atomic cursors, so *which*
@@ -58,7 +60,7 @@ use fiat_probe::{
     TraceEvent, TraceKind, SEQ_ASSIGNED, SEQ_CLAIMED, SEQ_FINISHED, SEQ_FIRST_HOOK,
 };
 use fiat_sensors::HumannessValidator;
-use fiat_telemetry::{ManualClock, MetricRegistry};
+use fiat_telemetry::{MetricRegistry, WallClock};
 use fiat_trace::{Location, TestbedConfig, TestbedTrace};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -98,8 +100,10 @@ pub fn home_cost(w: &HomeWorkload) -> u64 {
 pub struct HomeRun {
     /// Decision counters.
     pub stats: ProxyStats,
-    /// The home's private metric registry.
+    /// The home's private metric registry (counters and gauges).
     pub registry: MetricRegistry,
+    /// The home's stage-latency histograms (wall-clock, never compared).
+    pub timing: MetricRegistry,
     /// Packets pushed through `on_packet`.
     pub packets: u64,
 }
@@ -118,6 +122,8 @@ pub struct ShardOutcome {
     pub stats: ProxyStats,
     /// Folded metric registry.
     pub registry: MetricRegistry,
+    /// Folded stage-latency histograms.
+    pub timing: MetricRegistry,
 }
 
 /// The fleet-wide merged view of a run.
@@ -133,6 +139,9 @@ pub struct FleetOutcome {
     /// Fleet-wide metric registry (per-home registries folded by
     /// addition).
     pub registry: MetricRegistry,
+    /// Fleet-wide stage-latency histograms, folded like `registry`.
+    /// Wall-clock samples: never part of a byte-identity comparison.
+    pub timing: MetricRegistry,
     /// Per-shard breakdown, in shard order.
     pub per_shard: Vec<ShardOutcome>,
 }
@@ -188,12 +197,13 @@ fn provision(capture: &TestbedTrace) -> HomeProvision {
 }
 
 /// The validator and telemetry every fleet proxy runs with: no humanness
-/// evidence is ever injected, and spans are timed by a never-ticking
-/// [`ManualClock`] reporting into `registry`.
+/// evidence is ever injected, counters and gauges report into
+/// `registry`, and stages are timed on a [`WallClock`] into the
+/// telemetry's own timing registry.
 fn wiring(registry: &MetricRegistry) -> (HumannessValidator, ProxyTelemetry) {
     (
         HumannessValidator::with_operating_point(1.0, 1.0, 0),
-        ProxyTelemetry::new(registry.clone(), Arc::new(ManualClock::new())),
+        ProxyTelemetry::new(registry.clone(), Arc::new(WallClock::new())),
     )
 }
 
@@ -209,10 +219,10 @@ fn enroll(capture: &TestbedTrace, registry: &MetricRegistry) -> FiatProxy {
 }
 
 /// Run one home's capture through a freshly enrolled proxy and return its
-/// stats and private registry. Deterministic: the proxy is timed by a
-/// never-ticking [`ManualClock`], devices use their scripted simple-rule
-/// classifiers, and no humanness evidence is injected (unverified manual
-/// events drop, exactly as an unattended home would behave).
+/// stats and private registries. Deterministic apart from `timing`:
+/// devices use their scripted simple-rule classifiers, and no humanness
+/// evidence is injected (unverified manual events drop, exactly as an
+/// unattended home would behave).
 pub fn run_home(capture: &TestbedTrace) -> HomeRun {
     run_home_with_hook(capture, None)
 }
@@ -233,6 +243,7 @@ fn run_home_with_hook(capture: &TestbedTrace, hook: Option<Box<dyn ProxyHook>>) 
     HomeRun {
         stats: proxy.stats(),
         registry,
+        timing: proxy.telemetry().timing().clone(),
         packets: capture.trace.packets.len() as u64,
     }
 }
@@ -256,6 +267,7 @@ fn run_home_rebalanced(capture: &TestbedTrace, split_at: usize) -> HomeRun {
         proxy.on_packet(pkt);
     }
     let bytes = snapshot_home(&proxy, None);
+    let timing = proxy.telemetry().timing().clone();
     let registry_after = MetricRegistry::new();
     let (validator, telemetry) = wiring(&registry_after);
     proxy = restore_home(
@@ -274,20 +286,24 @@ fn run_home_rebalanced(capture: &TestbedTrace, split_at: usize) -> HomeRun {
     let registry = MetricRegistry::new();
     registry.merge_from(&registry_before);
     registry.merge_from(&registry_after);
+    timing.merge_from(proxy.telemetry().timing());
     HomeRun {
         stats: proxy.stats(),
         registry,
+        timing,
         packets: capture.trace.packets.len() as u64,
     }
 }
 
 fn fold(outcomes: Vec<ShardOutcome>, shards: usize) -> FleetOutcome {
     let registry = MetricRegistry::new();
+    let timing = MetricRegistry::new();
     let mut stats = ProxyStats::default();
     let mut packets = 0u64;
     let mut homes = 0usize;
     for o in &outcomes {
         registry.merge_from(&o.registry);
+        timing.merge_from(&o.timing);
         stats += o.stats;
         packets += o.packets;
         homes += o.homes;
@@ -298,6 +314,7 @@ fn fold(outcomes: Vec<ShardOutcome>, shards: usize) -> FleetOutcome {
         packets,
         stats,
         registry,
+        timing,
         per_shard: outcomes,
     }
 }
@@ -457,9 +474,9 @@ pub struct ProbedOutcome {
 /// [`fiat_probe::CountingAllocator`]), and an optional flight recorder
 /// hooked into every proxy's decision path.
 ///
-/// The probes only *observe*: per-home proxies still run on the manual
-/// clock and their registries still fold by addition, so the merged
-/// `fleet` view stays byte-identical to [`run_sequential`].
+/// The probes only *observe*: per-home registries still fold by
+/// addition, so the merged `fleet` view stays byte-identical to
+/// [`run_sequential`] (apart from its wall-clock `timing`).
 pub fn run_sharded_probed(
     workloads: &[HomeWorkload],
     shards: usize,
@@ -521,6 +538,7 @@ where
                     let mut profile = ShardProfile::new(shard);
                     profile.assigned = plan.assigned(shard) as u64;
                     let registry = MetricRegistry::new();
+                    let timing = MetricRegistry::new();
                     let mut stats = ProxyStats::default();
                     let mut packets = 0u64;
                     let mut homes = 0usize;
@@ -567,6 +585,7 @@ where
                         let alloc = AllocScope::enter();
                         let t = Instant::now();
                         registry.merge_from(&run.registry);
+                        timing.merge_from(&run.timing);
                         stats += run.stats;
                         packets += run.packets;
                         homes += 1;
@@ -583,6 +602,7 @@ where
                             packets,
                             stats,
                             registry,
+                            timing,
                         },
                         profile,
                     )
@@ -630,14 +650,16 @@ where
 /// The sequential reference: every home in order on the calling thread,
 /// no claim queues, no worker threads. [`run_sharded`] must merge to
 /// exactly this outcome (stats equality and byte-identical registry
-/// exposition).
+/// exposition; `timing` is wall-clock and never compared).
 pub fn run_sequential(workloads: &[HomeWorkload]) -> FleetOutcome {
     let registry = MetricRegistry::new();
+    let timing = MetricRegistry::new();
     let mut stats = ProxyStats::default();
     let mut packets = 0u64;
     for w in workloads {
         let run = run_home(&w.capture);
         registry.merge_from(&run.registry);
+        timing.merge_from(&run.timing);
         stats += run.stats;
         packets += run.packets;
     }
@@ -647,6 +669,7 @@ pub fn run_sequential(workloads: &[HomeWorkload]) -> FleetOutcome {
         packets,
         stats,
         registry,
+        timing,
     };
     fold(vec![outcome], 1)
 }
@@ -654,6 +677,7 @@ pub fn run_sequential(workloads: &[HomeWorkload]) -> FleetOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiat_core::DECIDE_SAMPLE_EVERY;
 
     fn small_workloads() -> Vec<HomeWorkload> {
         build_workloads(4, 0.05, 42)
@@ -984,19 +1008,49 @@ mod tests {
         assert!(a.contains("\"kind\":\"home_finished\""));
     }
 
+    /// Decide samples a fleet of un-restored proxies records: one in
+    /// [`DECIDE_SAMPLE_EVERY`] of each home's packets, rounded up.
+    fn decide_samples(workloads: &[HomeWorkload]) -> u64 {
+        workloads
+            .iter()
+            .map(|w| (w.capture.trace.packets.len() as u64).div_ceil(DECIDE_SAMPLE_EVERY))
+            .sum()
+    }
+
     #[test]
     fn fleet_registry_aggregates_per_home_counts() {
         let workloads = small_workloads();
         let fleet = run_sequential(&workloads);
-        // Every packet decision landed in the merged registry.
-        let decide = fleet
-            .registry
-            .histogram("fiat_proxy_stage_us", &[("stage", "decide")]);
-        assert_eq!(decide.count(), fleet.packets);
+        // Every packet was decided exactly once, and the per-home decide
+        // samples folded into the fleet's timing registry.
         assert_eq!(fleet.stats.total(), fleet.packets);
+        let decide = fleet
+            .timing
+            .histogram("fiat_proxy_stage_ns", &[("stage", "decide")]);
+        assert_eq!(decide.count(), decide_samples(&workloads));
         // Device gauges sum across homes.
         let devices = fleet.registry.gauge("fiat_proxy_devices", &[]).get();
         let per_home = workloads[0].capture.devices.len() as i64;
         assert_eq!(devices, per_home * workloads.len() as i64);
+    }
+
+    #[test]
+    fn stage_timing_stays_out_of_the_deterministic_registry() {
+        let workloads = small_workloads();
+        let reference = run_sequential(&workloads);
+        let exposition = reference.registry.render_prometheus();
+        assert!(
+            !exposition.contains("fiat_proxy_stage"),
+            "a stage sample landed in the deterministic registry"
+        );
+        // A sharded run times real wall-clock stages, yet its registry
+        // stays byte-identical to the sequential one.
+        let fleet = run_sharded(&workloads, 2);
+        assert_eq!(fleet.registry.render_prometheus(), exposition);
+        let decide = fleet
+            .timing
+            .histogram("fiat_proxy_stage_ns", &[("stage", "decide")]);
+        assert_eq!(decide.count(), decide_samples(&workloads));
+        assert!(decide.sum() > 0, "fleet decide latencies are all zero");
     }
 }

@@ -30,7 +30,7 @@
 //! let clock = ManualClock::new();
 //! reg.describe("fiat_proxy_decisions_total", "Packets decided, by reason.");
 //! reg.counter("fiat_proxy_decisions_total", &[("reason", "rule_hit")]).inc();
-//! let stage = reg.histogram("fiat_proxy_stage_us", &[("stage", "rule_match")]);
+//! let stage = reg.histogram("fiat_proxy_stage_ns", &[("stage", "classification")]);
 //! {
 //!     let _span = Span::enter(&stage, &clock);
 //!     clock.advance_micros(12);

@@ -1,22 +1,22 @@
 //! Stage-latency spans.
 //!
-//! A [`Span`] measures the wall time between `enter` and `exit` (or
-//! drop) on a pluggable [`Clock`] and records the elapsed microseconds
-//! into a [`Histogram`]. The proxy wraps each stage of its decision path
-//! in one:
+//! A [`Span`] measures the time between `enter` and `exit` (or drop) on
+//! a pluggable [`Clock`] and records the elapsed nanoseconds into a
+//! [`Histogram`]. The proxy wraps each once-per-job stage of its decision
+//! path (rule learning, classification, humanness validation) in one:
 //!
 //! ```
 //! use fiat_telemetry::{Clock, ManualClock, MetricRegistry, Span};
 //!
 //! let reg = MetricRegistry::new();
 //! let clock = ManualClock::new();
-//! let hist = reg.histogram("stage_us", &[("stage", "rule_match")]);
+//! let hist = reg.histogram("stage_ns", &[("stage", "classification")]);
 //! {
 //!     let _span = Span::enter(&hist, &clock);
 //!     clock.advance_micros(42); // ... the stage runs ...
-//! } // drop records 42 µs
+//! } // drop records 42 µs = 42 000 ns
 //! assert_eq!(hist.count(), 1);
-//! assert_eq!(hist.max(), 42);
+//! assert_eq!(hist.max(), 42_000);
 //! ```
 
 use crate::clock::Clock;
@@ -38,23 +38,23 @@ impl<'c> Span<'c> {
         Span {
             hist: hist.clone(),
             clock,
-            start: clock.now_micros(),
+            start: clock.now_nanos(),
             armed: true,
         }
     }
 
-    /// Elapsed microseconds so far (saturating if the clock went
+    /// Elapsed nanoseconds so far (saturating if the clock went
     /// backwards).
-    pub fn elapsed_micros(&self) -> u64 {
-        self.clock.now_micros().saturating_sub(self.start)
+    pub fn elapsed_nanos(&self) -> u64 {
+        self.clock.now_nanos().saturating_sub(self.start)
     }
 
-    /// Stop and record, returning the elapsed microseconds.
+    /// Stop and record, returning the elapsed nanoseconds.
     pub fn exit(mut self) -> u64 {
-        let us = self.elapsed_micros();
-        self.hist.record(us);
+        let ns = self.elapsed_nanos();
+        self.hist.record(ns);
         self.armed = false;
-        us
+        ns
     }
 
     /// Abandon the span without recording (e.g. on an error path that
@@ -67,7 +67,7 @@ impl<'c> Span<'c> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.hist.record(self.elapsed_micros());
+            self.hist.record(self.elapsed_nanos());
         }
     }
 }
@@ -86,7 +86,7 @@ mod tests {
             clock.advance_micros(100);
         }
         assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 100);
+        assert_eq!(h.max(), 100_000);
     }
 
     #[test]
@@ -95,9 +95,9 @@ mod tests {
         let h = Histogram::new();
         let s = Span::enter(&h, &clock);
         clock.advance_micros(7);
-        assert_eq!(s.exit(), 7);
+        assert_eq!(s.exit(), 7000);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 7);
+        assert_eq!(h.sum(), 7000);
     }
 
     #[test]
@@ -134,7 +134,7 @@ mod tests {
             }
             clock.advance_micros(10);
         }
-        assert_eq!(inner.max(), 5);
-        assert_eq!(outer.max(), 25);
+        assert_eq!(inner.max(), 5000);
+        assert_eq!(outer.max(), 25_000);
     }
 }
