@@ -98,7 +98,9 @@ pub fn run_attack(
     // classifier is the ideal size rule for the device's command
     // signature: this isolates the decision path's defenses from
     // classifier accuracy, which the table6 experiment measures.
-    let command_size = command_size_of(dev);
+    let command_size = dev
+        .command_size()
+        .expect("testbed devices model manual commands");
     let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
     let mut proxy = FiatProxy::new(proxy_config.clone(), &SECRET, validator);
     proxy.register_device(
@@ -418,13 +420,4 @@ pub fn run_attack(
         );
     }
     outcome
-}
-
-/// The distinctive command size the proxy's size rule (and the attacker)
-/// keys on: the declared simple-rule size, else the first size of the
-/// device's manual event palette.
-fn command_size_of(dev: &DeviceModel) -> u16 {
-    dev.simple_rule_size
-        .or_else(|| dev.manual.as_ref().map(|m| m.sizes[0]))
-        .expect("testbed devices model manual commands")
 }

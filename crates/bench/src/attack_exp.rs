@@ -25,9 +25,9 @@ fn quick_matrix() -> Vec<u16> {
 
 /// Run the panel over the device matrix. Per-run seeds derive from
 /// `seed` and the (strategy, device) cell so runs stay independent.
-pub fn attack_scorecard(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> Scorecard {
+pub fn attack_scorecard(seed: u64, quick: bool, registry: &MetricRegistry) -> Scorecard {
     let devices = if quick { quick_matrix() } else { full_matrix() };
-    let metrics = registry.map(AttackMetrics::new);
+    let metrics = AttackMetrics::new(registry);
     let mut card = Scorecard::new();
     for (si, strategy) in standard_strategies().iter().enumerate() {
         for &device in &devices {
@@ -41,7 +41,7 @@ pub fn attack_scorecard(seed: u64, quick: bool, registry: Option<&MetricRegistry
                     device,
                     seed: run_seed,
                 },
-                metrics.as_ref(),
+                Some(&metrics),
             );
             card.push(outcome);
         }
@@ -51,7 +51,7 @@ pub fn attack_scorecard(seed: u64, quick: bool, registry: Option<&MetricRegistry
 
 /// Render the experiment's text output (the scorecard plus a pass/fail
 /// posture line for the defenses that must hold).
-pub fn attack_text(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> String {
+pub fn attack_text(seed: u64, quick: bool, registry: &MetricRegistry) -> String {
     let card = attack_scorecard(seed, quick, registry);
     let mut out = card.render(seed);
     let must_block = [
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn quick_scorecard_holds_the_security_posture() {
-        let card = attack_scorecard(42, true, None);
+        let card = attack_scorecard(42, true, &MetricRegistry::new());
         // 10 strategies x 2 devices.
         assert_eq!(card.outcomes().len(), 20);
         assert!(card.all_scored("replay", AttackVerdict::Blocked));
@@ -124,8 +124,8 @@ mod tests {
 
     #[test]
     fn text_is_deterministic_and_passes() {
-        let a = attack_text(42, true, None);
-        let b = attack_text(42, true, None);
+        let a = attack_text(42, true, &MetricRegistry::new());
+        let b = attack_text(42, true, &MetricRegistry::new());
         assert_eq!(a, b);
         assert!(a.contains("posture: PASS"), "{a}");
         assert!(!a.contains("POSTURE REGRESSION"));
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn registry_collects_run_counters() {
         let registry = MetricRegistry::new();
-        let _ = attack_text(42, true, Some(&registry));
+        let _ = attack_text(42, true, &registry);
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_attack_runs_total"));
         assert!(text.contains("strategy=\"replay\""));

@@ -70,10 +70,11 @@ pub struct BenchRecord {
     pub days: f64,
     /// Swept shard counts, in sweep order.
     pub rows: Vec<BenchRow>,
-    /// Per-stage share of shard wall time (profile runs only; empty
-    /// otherwise). Keys are [`fiat_probe::Stage`] names.
+    /// Per-stage share of shard wall time (every `fleet`/`profile`
+    /// sweep; empty for seed and soak records). Keys are
+    /// [`fiat_probe::Stage`] names.
     pub stages: Vec<(String, f64)>,
-    /// The ranked bottleneck line (profile runs only).
+    /// The ranked bottleneck line (every `fleet`/`profile` sweep).
     pub bottleneck: Option<String>,
 }
 

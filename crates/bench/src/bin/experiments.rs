@@ -11,8 +11,8 @@
 //! experiments table7
 //! experiments tolerance
 //! experiments appendixa
-//! experiments fleet [--homes H] [--shards T] [--full]  # sharded multi-home throughput sweep
-//! experiments profile [--quick|--full]  # shard-scaling profile: per-stage breakdown + bottleneck
+//! experiments fleet [--homes H] [--shards T] [--full]  # shard sweep: throughput + per-stage breakdown
+//! experiments profile [--quick|--full]  # the same sweep, larger corpus, flight recorder on
 //! experiments attack [--quick]    # adversarial red-team scorecard
 //! experiments fingerprint [--quick] # behavioral unknown-device gate: accuracy, spoofs, flip
 //! experiments oracle [--quick]    # differential decision oracle vs naive reference
@@ -22,13 +22,15 @@
 //! ```
 //!
 //! Scale knobs: `--days N` (testbed capture length, default 8),
-//! `--seed N` (default 42). The fleet sweep adds `--homes H` (default 8)
-//! and `--shards T` (max worker threads, default 8); it is not part of
-//! `all` — it measures this implementation, not a paper artifact. The
-//! profile sweep defaults to the 1k-home corpus at 0.05 days; `--quick`
-//! shrinks it to 32 homes for CI smokes and `--full` grows it to the
-//! 10k-home corpus (the provider-scale trajectory point — also accepted
-//! by `fleet`), unless `--homes`/`--days` override. Output is plain
+//! `--seed N` (default 42). `fleet` and `profile` are one shard sweep
+//! with different defaults, not part of `all` — they measure this
+//! implementation, not a paper artifact. Both take `--homes H` and
+//! `--shards T` (max worker threads, default 8). `fleet` defaults to 8
+//! homes at 8 days with stage accounting only; `profile` to the 1k-home
+//! corpus at 0.05 days with the flight recorder on, and `--quick`
+//! shrinks it to 32 homes for CI smokes. `--full` grows either to the
+//! 10k-home corpus at 0.05 days (the provider-scale trajectory point),
+//! unless `--homes`/`--days` override. Output is plain
 //! text; every row is also
 //! mirrored to `results/<name>.txt` when `--save` is given, along with a
 //! telemetry snapshot in `results/<name>_metrics.json` (harness timings
@@ -44,9 +46,10 @@
 use fiat_bench::ml_tables::ModelKind;
 use fiat_bench::{
     attack_exp, bench_log, chaos_exp, control_exp, fig1, fig2, fingerprint_exp, fleet_exp,
-    ml_tables, oracle_exp, profile_exp, soak_exp, table6, table7, tolerance,
+    ml_tables, oracle_exp, soak_exp, table6, table7, tolerance,
 };
 use fiat_core::ErrorModel;
+use fiat_probe::ProbeConfig;
 use fiat_telemetry::MetricRegistry;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -212,36 +215,32 @@ fn run_one(name: &str, args: &Args, registry: &MetricRegistry) -> Option<String>
         "table3" => ml_tables::table3_text(days, seed),
         "table4" => ml_tables::table4_text(days, seed, 50),
         "table5" => ml_tables::table5_text(days, seed),
-        "table6" => table6::table6_text(days.max(4.0), 2.0, seed, Some(registry)),
+        "table6" => table6::table6_text(days.max(4.0), 2.0, seed, registry),
         "table7" => table7::table7_text(200, seed),
-        "fleet" => {
-            let homes = args.homes.unwrap_or(if args.full { 10_000 } else { 8 });
-            // The 10k-home corpus pairs with a short capture (same as the
-            // profile sweep) — provider scale comes from home count, not
-            // per-home trace length.
-            let days = args.days.unwrap_or(if args.full { 0.05 } else { 8.0 });
-            let report = fleet_exp::fleet_benchmark(homes, args.shards, days, seed, Some(registry));
-            if args.save {
-                let record = fleet_exp::fleet_bench_record(&report, days, seed);
-                if let Err(e) =
-                    bench_log::append_fleet_record(Path::new(bench_log::BENCH_FLEET_PATH), &record)
-                {
-                    eprintln!("warning: {} not updated: {e}", bench_log::BENCH_FLEET_PATH);
-                }
-            }
-            fleet_exp::fleet_report_text(&report, days, seed)
-        }
-        "profile" => {
-            // The profiling sweep defaults to the 1k-home corpus at a
-            // short capture; --quick shrinks the corpus for CI smokes,
-            // --full grows it to the 10k-home trajectory point.
-            let homes = args.homes.unwrap_or(match (args.quick, args.full) {
-                (true, _) => 32,
-                (_, true) => 10_000,
-                _ => 1000,
-            });
-            let days = args.days.unwrap_or(0.05);
-            let report = profile_exp::profile_run(homes, args.shards, days, seed, Some(registry));
+        "fleet" | "profile" => {
+            // One shard sweep; the commands differ only in defaults and
+            // probes (see the header). --full pairs the 10k-home corpus
+            // with a short capture: provider scale comes from home
+            // count, not per-home trace length.
+            let profile = name == "profile";
+            let homes = args
+                .homes
+                .unwrap_or(match (profile, args.quick, args.full) {
+                    (true, true, _) => 32,
+                    (_, _, true) => 10_000,
+                    (true, ..) => 1000,
+                    _ => 8,
+                });
+            let days = args
+                .days
+                .unwrap_or(if profile || args.full { 0.05 } else { 8.0 });
+            let (source, probes) = if profile {
+                ("profile", ProbeConfig::profiling())
+            } else {
+                ("fleet", ProbeConfig::default())
+            };
+            let report =
+                fleet_exp::shard_sweep(source, homes, args.shards, days, seed, &probes, registry);
             if args.save {
                 std::fs::create_dir_all("results").expect("create results dir");
                 if let Some(trace) = &report.trace_jsonl {
@@ -258,7 +257,7 @@ fn run_one(name: &str, args: &Args, registry: &MetricRegistry) -> Option<String>
             report.text
         }
         "soak" => {
-            let outcome = soak_exp::soak_outcome(seed, args.quick, Some(registry));
+            let outcome = soak_exp::soak_outcome(seed, args.quick, registry);
             if args.save {
                 std::fs::create_dir_all("results").expect("create results dir");
                 // The deterministic two-leg report (no wall times) —
@@ -275,11 +274,11 @@ fn run_one(name: &str, args: &Args, registry: &MetricRegistry) -> Option<String>
             }
             outcome.text
         }
-        "attack" => attack_exp::attack_text(seed, args.quick, Some(registry)),
-        "fingerprint" => fingerprint_exp::fingerprint_text(seed, args.quick, Some(registry)),
-        "oracle" => oracle_exp::oracle_text(seed, args.quick, Some(registry)),
-        "chaos" => chaos_exp::chaos_text(seed, args.quick, Some(registry)),
-        "control" => control_exp::control_text(seed, args.quick, Some(registry)),
+        "attack" => attack_exp::attack_text(seed, args.quick, registry),
+        "fingerprint" => fingerprint_exp::fingerprint_text(seed, args.quick, registry),
+        "oracle" => oracle_exp::oracle_text(seed, args.quick, registry),
+        "chaos" => chaos_exp::chaos_text(seed, args.quick, registry),
+        "control" => control_exp::control_text(seed, args.quick, registry),
         "tolerance" => tolerance::tolerance_text(),
         "appendixa" => appendixa_text(),
         _ => return None,

@@ -82,8 +82,8 @@ impl ChaosReport {
 }
 
 /// Run the sweep and record telemetry.
-pub fn chaos_report(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> ChaosReport {
-    let metrics = registry.map(ChaosMetrics::new);
+pub fn chaos_report(seed: u64, quick: bool, registry: &MetricRegistry) -> ChaosReport {
+    let metrics = ChaosMetrics::new(registry);
     let deadline = SimDuration::from_secs(10);
     let profiles: &[(&'static str, LatencyProfile)] = if quick {
         &[
@@ -116,10 +116,7 @@ pub fn chaos_report(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -
     let mut cells = Vec::new();
     for (li, &loss) in losses.iter().enumerate() {
         for (pi, &(name, latency)) in profiles.iter().enumerate() {
-            let report = run_soak(
-                &cfg(cell_seed(li, pi), loss, latency, true),
-                metrics.as_ref(),
-            );
+            let report = run_soak(&cfg(cell_seed(li, pi), loss, latency, true), &metrics);
             cells.push(ChaosCell {
                 loss,
                 profile: name,
@@ -145,7 +142,7 @@ pub fn chaos_report(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -
             .iter()
             .all(|c| c.profile != name || (c.loss - DEGRADE_LOSS).abs() >= 1e-9)
         {
-            let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, true), metrics.as_ref());
+            let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, true), &metrics);
             cells.push(ChaosCell {
                 loss: DEGRADE_LOSS,
                 profile: name,
@@ -153,7 +150,7 @@ pub fn chaos_report(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -
                 report,
             });
         }
-        let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, false), metrics.as_ref());
+        let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, false), &metrics);
         degraded.push(ChaosCell {
             loss: DEGRADE_LOSS,
             profile: name,
@@ -193,7 +190,7 @@ fn cell_row(out: &mut String, c: &ChaosCell) {
 
 /// Render the experiment's text output (ends with the `chaos: PASS` /
 /// `CHAOS REGRESSION` trailer CI greps for).
-pub fn chaos_text(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> String {
+pub fn chaos_text(seed: u64, quick: bool, registry: &MetricRegistry) -> String {
     let report = chaos_report(seed, quick, registry);
     let mut out = String::new();
     writeln!(
@@ -290,8 +287,8 @@ mod tests {
 
     #[test]
     fn quick_sweep_passes_and_is_deterministic() {
-        let a = chaos_text(42, true, None);
-        let b = chaos_text(42, true, None);
+        let a = chaos_text(42, true, &MetricRegistry::new());
+        let b = chaos_text(42, true, &MetricRegistry::new());
         assert_eq!(a, b);
         assert!(a.contains("chaos: PASS"), "{a}");
         assert!(!a.contains("CHAOS REGRESSION"), "{a}");
@@ -299,7 +296,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_exercises_quarantine_and_retries() {
-        let report = chaos_report(42, true, None);
+        let report = chaos_report(42, true, &MetricRegistry::new());
         let held: u64 = report
             .cells
             .iter()
@@ -314,7 +311,7 @@ mod tests {
     #[test]
     fn registry_collects_chaos_metrics() {
         let registry = MetricRegistry::new();
-        let _ = chaos_text(42, true, Some(&registry));
+        let _ = chaos_text(42, true, &registry);
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_chaos_faults_total"));
         assert!(text.contains("fiat_proof_retries_total"));

@@ -137,14 +137,10 @@ fn enrollment_gate_holds(seed: u64) -> bool {
 }
 
 /// Run the three sweep cells and the enrollment probe.
-pub fn control_report(
-    seed: u64,
-    quick: bool,
-    registry: Option<&MetricRegistry>,
-) -> ControlExpReport {
-    let metrics = registry.map(ControlMetrics::new);
+pub fn control_report(seed: u64, quick: bool, registry: &MetricRegistry) -> ControlExpReport {
+    let metrics = ControlMetrics::new(registry);
     let shipped = ControlConfig::new(seed, quick);
-    let degraded = run_control_sweep(&shipped, metrics.as_ref());
+    let degraded = run_control_sweep(&shipped, &metrics);
     let baseline = run_control_sweep(
         &ControlConfig {
             policy: LifecyclePolicy {
@@ -153,14 +149,14 @@ pub fn control_report(
             },
             ..shipped
         },
-        metrics.as_ref(),
+        &metrics,
     );
     let rebalanced = run_control_sweep(
         &ControlConfig {
             rebalance: true,
             ..shipped
         },
-        metrics.as_ref(),
+        &metrics,
     );
     ControlExpReport {
         seed,
@@ -194,7 +190,7 @@ fn cell_row(out: &mut String, name: &str, r: &ControlReport) {
 
 /// Render the experiment's text output (ends with the `control: PASS` /
 /// `CONTROL REGRESSION` trailer CI greps for).
-pub fn control_text(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> String {
+pub fn control_text(seed: u64, quick: bool, registry: &MetricRegistry) -> String {
     let report = control_report(seed, quick, registry);
     let mut out = String::new();
     writeln!(
@@ -286,8 +282,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes_and_is_deterministic() {
-        let a = control_text(42, true, None);
-        let b = control_text(42, true, None);
+        let a = control_text(42, true, &MetricRegistry::new());
+        let b = control_text(42, true, &MetricRegistry::new());
         assert_eq!(a, b);
         assert!(a.contains("control: PASS"), "{a}");
         assert!(!a.contains("CONTROL REGRESSION"), "{a}");
@@ -295,7 +291,7 @@ mod tests {
 
     #[test]
     fn quick_run_exercises_every_layer() {
-        let report = control_report(42, true, None);
+        let report = control_report(42, true, &MetricRegistry::new());
         assert!(report.enrollment_gate_holds);
         assert!(report.degraded.rotations > 0);
         assert!(report.degraded.fallbacks > 0);
@@ -308,7 +304,7 @@ mod tests {
     #[test]
     fn registry_collects_control_metrics() {
         let registry = MetricRegistry::new();
-        let _ = control_text(42, true, Some(&registry));
+        let _ = control_text(42, true, &registry);
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_control_epoch_rotations_total"));
         assert!(text.contains("fiat_control_outages_total"));

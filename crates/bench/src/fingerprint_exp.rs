@@ -229,11 +229,9 @@ fn record_metrics(report: &FingerprintReport, registry: &MetricRegistry) {
 
 /// Render the experiment's text output (ends with the `fingerprint:
 /// PASS` / `FINGERPRINT REGRESSION` trailer CI greps for).
-pub fn fingerprint_text(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> String {
+pub fn fingerprint_text(seed: u64, quick: bool, registry: &MetricRegistry) -> String {
     let report = fingerprint_report(seed, quick);
-    if let Some(r) = registry {
-        record_metrics(&report, r);
-    }
+    record_metrics(&report, registry);
     let mut out = String::new();
     writeln!(out, "# Fingerprint gate (seed {seed})").unwrap();
     writeln!(
@@ -292,8 +290,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes_and_is_deterministic() {
-        let a = fingerprint_text(42, true, None);
-        let b = fingerprint_text(42, true, None);
+        let a = fingerprint_text(42, true, &MetricRegistry::new());
+        let b = fingerprint_text(42, true, &MetricRegistry::new());
         assert_eq!(a, b);
         assert!(a.contains("fingerprint: PASS"), "{a}");
         assert!(!a.contains("FINGERPRINT REGRESSION"), "{a}");
@@ -314,7 +312,7 @@ mod tests {
     #[test]
     fn registry_collects_the_scoreboard() {
         let registry = MetricRegistry::new();
-        let _ = fingerprint_text(42, true, Some(&registry));
+        let _ = fingerprint_text(42, true, &registry);
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_fingerprint_identified_total"));
         assert!(text.contains("fiat_fingerprint_false_spoofs_total 0"));

@@ -1,41 +1,48 @@
-//! The fleet throughput experiment: sweep shard counts over a fixed
-//! multi-home corpus and report packets/s, verifying at every point that
-//! the sharded run merges to the exact sequential fleet view.
+//! The shard sweep behind `experiments fleet` and `experiments profile`:
+//! run a fixed multi-home corpus through [`run_sharded_probed`] at each
+//! swept shard count, check every point against the sequential
+//! reference, and report packets/s, the per-shard / per-stage breakdown
+//! with the ranked "top suspected bottleneck" line, and a
+//! schema-versioned [`BenchRecord`] for the `BENCH_fleet.json`
+//! trajectory.
 //!
-//! This is the repo's first throughput trajectory (BENCH_*.json material)
-//! rather than a paper artifact: the paper runs one proxy per home; the
-//! ROADMAP target is a provider-scale fleet.
+//! The two commands are one sweep with different defaults: `fleet` runs
+//! with [`ProbeConfig::default`] (stage accounting only, exactly the
+//! program [`fiat_fleet::run_sharded`] runs), `profile` with
+//! [`ProbeConfig::profiling`] (adds the flight recorder) on a larger,
+//! shorter corpus. A profiler that changed the answers would be
+//! measuring a different program, so every point is checked either way.
+//!
+//! Not a paper artifact: the paper runs one proxy per home; this
+//! measures this implementation at provider scale.
 
 use crate::bench_log::{self, BenchRecord, BenchRow};
-use fiat_fleet::{build_workloads, run_sequential, run_sharded, FleetOutcome};
+use fiat_fleet::{build_workloads, run_sequential, run_sharded_probed};
+use fiat_probe::{ProbeConfig, Stage};
 use fiat_telemetry::MetricRegistry;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One measured sweep point.
-#[derive(Debug, Clone)]
-pub struct FleetRow {
-    /// Worker threads used.
-    pub shards: usize,
-    /// Packets decided across all homes.
-    pub packets: u64,
-    /// Wall time of the sharded run, microseconds.
-    pub micros: u64,
-    /// Throughput in packets per second.
-    pub pps: f64,
-    /// Whether this run's merged stats and registry exposition were
-    /// byte-identical to the sequential reference.
-    pub deterministic: bool,
-}
+/// Above this evicted fraction the flight-recorder timeline no longer
+/// covers the run and the report says so loudly.
+pub const EVICTION_WARN_RATIO: f64 = 0.10;
 
-/// Full sweep output.
-pub struct FleetReport {
-    /// Sweep points, in increasing shard count.
-    pub rows: Vec<FleetRow>,
-    /// Homes in the corpus.
-    pub homes: usize,
-    /// The sequential reference outcome (fleet-wide merged view).
-    pub reference: FleetOutcome,
+/// The speedup `4 shards` must reach over `1 shard` on hosts with at
+/// least 4 cores for the scaling gate to pass.
+pub const SCALING_GATE_SPEEDUP: f64 = 2.0;
+
+/// Everything one sweep produced.
+pub struct SweepReport {
+    /// The rendered report (`results/<command>.txt`).
+    pub text: String,
+    /// The trajectory record to append to `BENCH_fleet.json`.
+    pub record: BenchRecord,
+    /// The max-shard run's merged flight-recorder timeline, when the
+    /// recorder was on (`results/trace_profile.jsonl`).
+    pub trace_jsonl: Option<String>,
+    /// Whether every sweep point merged identically to the sequential
+    /// reference.
+    pub deterministic: bool,
 }
 
 /// Shard counts to sweep: powers of two up to and including `max`.
@@ -51,137 +58,189 @@ pub fn shard_counts(max: usize) -> Vec<usize> {
     counts
 }
 
-/// Run the sweep. Corpus generation and the sequential reference run are
-/// outside the timed region; each sweep point times only `run_sharded`.
-/// With a registry, per-shard-count throughput lands in
-/// `fiat_fleet_packets_per_sec{shards="N"}` gauges, and the reference
-/// run's stage latencies (`fiat_proxy_stage_ns`) are folded in.
-pub fn fleet_benchmark(
+/// The scaling-regression verdict line for a sweep. On hosts with >= 4
+/// cores it is a hard gate: `scaling: PASS` or `scaling: SCALING
+/// REGRESSION` (CI greps for exactly these). On smaller hosts a
+/// wall-clock speedup is physically unobservable, so the line records
+/// the measured ratio but reports `scaling: SKIPPED` instead of a fake
+/// verdict.
+fn scaling_verdict(rows: &[BenchRow]) -> String {
+    let pps_at = |shards: usize| rows.iter().find(|r| r.shards == shards).map(|r| r.pps);
+    let (Some(base), Some(wide)) = (pps_at(1), pps_at(4)) else {
+        return "scaling: SKIPPED — sweep lacks 1- and 4-shard points".to_string();
+    };
+    let speedup = wide / base.max(1e-9);
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    if cores < 4 {
+        format!(
+            "scaling: SKIPPED — host has {cores} core(s); speedup(4 shards) \
+             {speedup:.2}x recorded but not gated (needs >= 4 cores)"
+        )
+    } else if speedup >= SCALING_GATE_SPEEDUP {
+        format!("scaling: PASS — speedup(4 shards) {speedup:.2}x >= {SCALING_GATE_SPEEDUP:.1}x")
+    } else {
+        format!(
+            "scaling: SCALING REGRESSION — speedup(4 shards) {speedup:.2}x \
+             < {SCALING_GATE_SPEEDUP:.1}x on a {cores}-core host"
+        )
+    }
+}
+
+/// Run the sweep for the `experiments` command `source` (`"fleet"` or
+/// `"profile"`, which becomes the record's source). Corpus generation
+/// and the sequential reference run are untimed; each sweep point times
+/// one probed fleet run. Into `registry` go the fleet size, the
+/// reference run's stage latencies (`fiat_proxy_stage_ns`),
+/// `fiat_fleet_packets_per_sec{shards="N"}` per point, and the
+/// max-shard run's profile (`fiat_fleet_shard_busy_ms` et al.).
+pub fn shard_sweep(
+    source: &'static str,
     homes: usize,
     shards_max: usize,
     days: f64,
     seed: u64,
-    registry: Option<&MetricRegistry>,
-) -> FleetReport {
+    probes: &ProbeConfig,
+    registry: &MetricRegistry,
+) -> SweepReport {
     let workloads = build_workloads(homes, days, seed);
     let reference = run_sequential(&workloads);
-    if let Some(r) = registry {
-        r.describe(
-            "fiat_fleet_packets_per_sec",
-            "Fleet decision throughput at each swept shard count.",
-        );
-        r.describe("fiat_fleet_homes", "Homes in the fleet corpus.");
-        r.describe("fiat_fleet_packets", "Packets decided per full fleet run.");
-        r.gauge("fiat_fleet_homes", &[]).set(homes as i64);
-        r.gauge("fiat_fleet_packets", &[])
-            .set(reference.packets as i64);
-        r.merge_from(&reference.timing);
-    }
+    registry.describe(
+        "fiat_fleet_packets_per_sec",
+        "Fleet decision throughput at each swept shard count.",
+    );
+    registry.describe("fiat_fleet_homes", "Homes in the fleet corpus.");
+    registry.describe("fiat_fleet_packets", "Packets decided per full fleet run.");
+    registry.gauge("fiat_fleet_homes", &[]).set(homes as i64);
+    registry
+        .gauge("fiat_fleet_packets", &[])
+        .set(reference.packets as i64);
+    registry.merge_from(&reference.timing);
 
-    let mut rows = Vec::new();
-    for shards in shard_counts(shards_max) {
-        let t0 = Instant::now();
-        let fleet = run_sharded(&workloads, shards);
-        let micros = (t0.elapsed().as_micros() as u64).max(1);
-        let deterministic = fleet.stats == reference.stats
-            && fleet.packets == reference.packets
-            && fleet.registry.render_prometheus() == reference.registry.render_prometheus();
-        let pps = fleet.packets as f64 * 1e6 / micros as f64;
-        if let Some(r) = registry {
-            r.gauge(
-                "fiat_fleet_packets_per_sec",
-                &[("shards", shards.to_string().as_str())],
-            )
-            .set(pps as i64);
-        }
-        rows.push(FleetRow {
-            shards,
-            packets: fleet.packets,
-            micros,
-            pps,
-            deterministic,
-        });
-    }
-    FleetReport {
-        rows,
-        homes,
-        reference,
-    }
-}
-
-/// Lower a sweep into a `BENCH_fleet.json` trajectory record.
-pub fn fleet_bench_record(report: &FleetReport, days: f64, seed: u64) -> BenchRecord {
-    BenchRecord {
-        date: bench_log::today_utc(),
-        source: "fleet",
-        note: None,
-        seed,
-        homes: report.homes,
-        days,
-        rows: report
-            .rows
-            .iter()
-            .map(|r| BenchRow {
-                shards: r.shards,
-                packets: r.packets,
-                wall_ms: r.micros as f64 / 1e3,
-                pps: r.pps,
-            })
-            .collect(),
-        stages: Vec::new(),
-        bottleneck: None,
-    }
-}
-
-/// Render an already-run sweep as text (the `experiments fleet` output).
-pub fn fleet_report_text(report: &FleetReport, days: f64, seed: u64) -> String {
-    let s = &report.reference.stats;
-    let mut out = String::new();
+    let s = &reference.stats;
+    let mut text = String::new();
     writeln!(
-        out,
-        "# Fleet throughput: {} homes x {} days (seed {seed})",
-        report.homes, days
+        text,
+        "# Fleet shard sweep ({source}): {homes} homes x {days} days (seed {seed})"
     )
     .unwrap();
-    writeln!(
-        out,
-        "corpus: {} packets; merged stats: total={} rule_hit={} dropped={}",
-        report.reference.packets,
+    write!(
+        text,
+        "corpus: {} packets; merged stats: total={} rule_hit={} dropped={}; \
+         probes: stage accounting",
+        reference.packets,
         s.total(),
         s.rule_hit,
         s.dropped(),
     )
     .unwrap();
+    match probes.recorder_capacity {
+        0 => writeln!(text),
+        n => writeln!(text, " + flight recorder ({n} events/ring)"),
+    }
+    .unwrap();
+
+    let mut rows: Vec<BenchRow> = Vec::new();
+    let mut deterministic = true;
+    let mut last = None;
+    for shards in shard_counts(shards_max) {
+        let t0 = Instant::now();
+        let probed = run_sharded_probed(&workloads, shards, probes);
+        let micros = (t0.elapsed().as_micros() as u64).max(1);
+        let ok = probed.fleet.stats == reference.stats
+            && probed.fleet.packets == reference.packets
+            && probed.fleet.registry.render_prometheus() == reference.registry.render_prometheus();
+        deterministic &= ok;
+        let pps = probed.fleet.packets as f64 * 1e6 / micros as f64;
+        let base = rows.first().map_or(pps, |r| r.pps);
+        writeln!(
+            text,
+            "\n## shards={shards}: wall-ms {:.1}  packets/s {:.0} ({:.2}x)  \
+             deterministic {}  coverage {:.1}%",
+            micros as f64 / 1e3,
+            pps,
+            if base > 0.0 { pps / base } else { 0.0 },
+            if ok { "yes" } else { "NO" },
+            probed.profile.coverage() * 100.0,
+        )
+        .unwrap();
+        text.push_str(&probed.profile.breakdown_table());
+        writeln!(text, "{}", probed.profile.top_bottleneck()).unwrap();
+        registry
+            .gauge(
+                "fiat_fleet_packets_per_sec",
+                &[("shards", shards.to_string().as_str())],
+            )
+            .set(pps as i64);
+        rows.push(BenchRow {
+            shards,
+            packets: probed.fleet.packets,
+            wall_ms: micros as f64 / 1e3,
+            pps,
+        });
+        last = Some(probed);
+    }
+
+    let last = last.expect("shard_counts is never empty");
+    if let Some((total, dropped)) = last.profile.recorder_events {
+        let ratio = if total == 0 {
+            0.0
+        } else {
+            dropped as f64 / total as f64
+        };
+        writeln!(
+            text,
+            "\nflight recorder (max-shard run): {total} events recorded, \
+             {dropped} evicted ({:.1}% evicted)",
+            ratio * 100.0
+        )
+        .unwrap();
+        if ratio > EVICTION_WARN_RATIO {
+            writeln!(
+                text,
+                "WARNING: flight recorder evicted {:.1}% of the run — the merged \
+                 timeline is a narrow window, not the run; raise recorder_capacity \
+                 or shorten the corpus before trusting the trace",
+                ratio * 100.0
+            )
+            .unwrap();
+        }
+    }
+    writeln!(text, "{}", scaling_verdict(&rows)).unwrap();
     writeln!(
-        out,
-        "{:>6} {:>12} {:>12} {:>12} {:>13}",
-        "shards", "packets", "wall-ms", "packets/s", "deterministic"
+        text,
+        "{}",
+        if deterministic {
+            "every sharded run merged to the sequential reference exactly"
+        } else {
+            "WARNING: a sharded run diverged from the reference"
+        }
     )
     .unwrap();
-    let base = report.rows.first().map(|r| r.pps).unwrap_or(0.0);
-    for r in &report.rows {
-        writeln!(
-            out,
-            "{:>6} {:>12} {:>12.1} {:>12.0} {:>13} ({:.2}x)",
-            r.shards,
-            r.packets,
-            r.micros as f64 / 1e3,
-            r.pps,
-            if r.deterministic { "yes" } else { "NO" },
-            if base > 0.0 { r.pps / base } else { 0.0 },
-        )
-        .unwrap();
+    last.profile.publish(registry);
+
+    let stages = Stage::ALL
+        .iter()
+        .map(|&s| (s.as_str().to_string(), last.profile.stage_share(s)))
+        .collect();
+    let record = BenchRecord {
+        date: bench_log::today_utc(),
+        source,
+        note: None,
+        seed,
+        homes,
+        days,
+        rows,
+        stages,
+        bottleneck: Some(last.profile.top_bottleneck()),
+    };
+    SweepReport {
+        text,
+        record,
+        trace_jsonl: last.recorder.as_ref().map(|r| r.to_jsonl()),
+        deterministic,
     }
-    if report.rows.iter().all(|r| r.deterministic) {
-        writeln!(
-            out,
-            "every sharded run merged to the sequential reference exactly"
-        )
-        .unwrap();
-    } else {
-        writeln!(out, "WARNING: sharded merge diverged from the reference").unwrap();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -200,10 +259,11 @@ mod tests {
     #[test]
     fn benchmark_is_deterministic_and_instrumented() {
         let registry = MetricRegistry::new();
-        let report = fleet_benchmark(3, 2, 0.05, 11, Some(&registry));
-        assert_eq!(report.rows.len(), 2);
-        assert!(report.rows.iter().all(|r| r.deterministic));
-        assert!(report.rows.iter().all(|r| r.packets > 0));
+        let report = shard_sweep("fleet", 3, 2, 0.05, 11, &ProbeConfig::default(), &registry);
+        assert!(report.deterministic);
+        let rows = &report.record.rows;
+        assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r.packets > 0));
         assert!(
             registry
                 .gauge("fiat_fleet_packets_per_sec", &[("shards", "2")])
@@ -212,12 +272,93 @@ mod tests {
         );
         assert_eq!(
             registry.gauge("fiat_fleet_packets", &[]).get() as u64,
-            report.reference.packets
+            rows[0].packets
         );
         let decide = registry.histogram("fiat_proxy_stage_ns", &[("stage", "decide")]);
         assert!(decide.count() > 0 && decide.sum() > 0);
-        let text = fleet_report_text(&report, 0.05, 11);
+        let text = &report.text;
         assert!(text.contains("packets/s"));
-        assert!(text.contains("sequential reference"));
+        assert!(text.contains("sequential reference exactly"), "{text}");
+        // With the recorder off, `fleet` still gets the shared sweep's
+        // breakdown, bottleneck line and per-stage record, and no
+        // recorder output.
+        assert!(text.contains("top suspected bottleneck: "), "{text}");
+        assert!(text.contains("scaling: "), "{text}");
+        assert!(!text.contains("flight recorder"), "{text}");
+        assert!(report.trace_jsonl.is_none());
+        assert_eq!(report.record.source, "fleet");
+        assert_eq!(report.record.stages.len(), Stage::ALL.len());
+        assert!(report.record.bottleneck.is_some());
+    }
+
+    #[test]
+    fn profile_sweep_reports_breakdown_and_record() {
+        let registry = MetricRegistry::new();
+        let report = shard_sweep(
+            "profile",
+            3,
+            2,
+            0.05,
+            11,
+            &ProbeConfig::profiling(),
+            &registry,
+        );
+        assert!(report.deterministic);
+        // The breakdown accounts for the wall time (acceptance: >= 95%)
+        // and names a bottleneck.
+        assert!(report.text.contains("coverage 100.0%"), "{}", report.text);
+        assert!(report.text.contains("top suspected bottleneck:"));
+        // Eviction accounting is always surfaced, as a percentage.
+        assert!(report.text.contains("flight recorder"));
+        assert!(report.text.contains("% evicted)"), "{}", report.text);
+        // A sweep without a 4-shard point cannot be gated — but the
+        // verdict line is still there for the CI grep to find.
+        assert!(
+            report
+                .text
+                .contains("scaling: SKIPPED — sweep lacks 1- and 4-shard points"),
+            "{}",
+            report.text
+        );
+        // The trajectory record mirrors the sweep.
+        assert_eq!(report.record.source, "profile");
+        assert_eq!(report.record.rows.len(), 2);
+        assert!(report.record.rows.iter().all(|r| r.packets > 0));
+        assert!(report.record.bottleneck.is_some());
+        assert_eq!(report.record.stages.len(), Stage::ALL.len());
+        // The probe metrics landed in the registry.
+        assert!(
+            registry
+                .gauge("fiat_fleet_packets_per_sec", &[("shards", "2")])
+                .get()
+                > 0
+        );
+        // The recorder produced a merged JSONL timeline.
+        let trace = report.trace_jsonl.expect("recorder was on");
+        assert!(trace.contains("\"kind\":\"packet_decided\""));
+    }
+
+    #[test]
+    fn scaling_verdict_gates_on_core_count() {
+        let row = |shards: usize, pps: f64| BenchRow {
+            shards,
+            packets: 1,
+            wall_ms: 1.0,
+            pps,
+        };
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let good = [row(1, 100.0), row(2, 180.0), row(4, 320.0)];
+        let bad = [row(1, 100.0), row(2, 105.0), row(4, 110.0)];
+        if cores >= 4 {
+            assert!(scaling_verdict(&good).starts_with("scaling: PASS"));
+            assert!(scaling_verdict(&bad).starts_with("scaling: SCALING REGRESSION"));
+        } else {
+            // Sub-4-core hosts record the ratio but never fake a verdict.
+            assert!(scaling_verdict(&good).starts_with("scaling: SKIPPED"));
+            assert!(scaling_verdict(&bad).starts_with("scaling: SKIPPED"));
+        }
+        assert!(scaling_verdict(&[row(2, 50.0)]).starts_with("scaling: SKIPPED"));
     }
 }

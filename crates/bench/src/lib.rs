@@ -15,7 +15,6 @@ pub mod fingerprint_exp;
 pub mod fleet_exp;
 pub mod ml_tables;
 pub mod oracle_exp;
-pub mod profile_exp;
 pub mod soak_exp;
 pub mod table6;
 pub mod table7;

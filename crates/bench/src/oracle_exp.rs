@@ -18,25 +18,24 @@ pub const FULL_TARGET_PACKETS: u64 = 10_000;
 pub const QUICK_TARGET_PACKETS: u64 = 1_500;
 
 /// Run the differential oracle and record telemetry.
-pub fn oracle_report(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> OracleReport {
+pub fn oracle_report(seed: u64, quick: bool, registry: &MetricRegistry) -> OracleReport {
     let target = if quick {
         QUICK_TARGET_PACKETS
     } else {
         FULL_TARGET_PACKETS
     };
     let report = run_differential(seed, quick, target);
-    if let Some(m) = registry.map(OracleMetrics::new) {
-        m.record_run(report.packets, report.scenarios as u64);
-        for d in &report.divergences {
-            m.divergences(d.kind).inc();
-        }
+    let m = OracleMetrics::new(registry);
+    m.record_run(report.packets, report.scenarios as u64);
+    for d in &report.divergences {
+        m.divergences(d.kind).inc();
     }
     report
 }
 
 /// Render the experiment's text output (the oracle report; ends with a
 /// `verdict: PASS` / `verdict: DIVERGENCE` line CI greps for).
-pub fn oracle_text(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> String {
+pub fn oracle_text(seed: u64, quick: bool, registry: &MetricRegistry) -> String {
     render_report(&oracle_report(seed, quick, registry))
 }
 
@@ -46,8 +45,8 @@ mod tests {
 
     #[test]
     fn quick_run_is_clean_and_deterministic() {
-        let a = oracle_text(42, true, None);
-        let b = oracle_text(42, true, None);
+        let a = oracle_text(42, true, &MetricRegistry::new());
+        let b = oracle_text(42, true, &MetricRegistry::new());
         assert_eq!(a, b);
         assert!(a.contains("verdict: PASS"), "{a}");
         assert!(!a.contains("DIVERGENCE"));
@@ -55,7 +54,7 @@ mod tests {
 
     #[test]
     fn quick_run_meets_the_packet_floor() {
-        let report = oracle_report(7, true, None);
+        let report = oracle_report(7, true, &MetricRegistry::new());
         assert!(report.packets >= QUICK_TARGET_PACKETS);
         assert!(report.passed(), "{:?}", report.divergences);
     }
@@ -63,7 +62,7 @@ mod tests {
     #[test]
     fn registry_collects_replay_volume() {
         let registry = MetricRegistry::new();
-        let _ = oracle_text(42, true, Some(&registry));
+        let _ = oracle_text(42, true, &registry);
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_oracle_packets_total"));
         assert!(text.contains("fiat_oracle_scenarios_total"));

@@ -109,11 +109,11 @@ pub fn soak_outcome_with(
     capped_cfg: &LongSoakConfig,
     negative_cfg: &LongSoakConfig,
     seed: u64,
-    registry: Option<&MetricRegistry>,
+    registry: &MetricRegistry,
 ) -> SoakOutcome {
-    let metrics = registry.map(StateMetrics::new);
+    let metrics = StateMetrics::new(registry);
     let start = std::time::Instant::now();
-    let capped = run_long_soak(capped_cfg, metrics.as_ref());
+    let capped = run_long_soak(capped_cfg, Some(&metrics));
     let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
     // The negative control runs without telemetry: its gauges would
     // otherwise overwrite the capped leg's high-water marks with the
@@ -227,7 +227,7 @@ pub fn soak_outcome_with(
 
 /// Run the experiment at CLI scale: `quick` = the CI smoke fleet,
 /// otherwise the full four-week fleet.
-pub fn soak_outcome(seed: u64, quick: bool, registry: Option<&MetricRegistry>) -> SoakOutcome {
+pub fn soak_outcome(seed: u64, quick: bool, registry: &MetricRegistry) -> SoakOutcome {
     let capped = if quick {
         LongSoakConfig::quick(seed)
     } else {
@@ -257,7 +257,7 @@ mod tests {
     #[test]
     fn tiny_soak_passes_with_trailer() {
         let (c, n) = tiny_pair(42);
-        let out = soak_outcome_with(&c, &n, 42, None);
+        let out = soak_outcome_with(&c, &n, 42, &MetricRegistry::new());
         assert!(out.passed(), "{}", out.text);
         assert!(out.text.contains("soak: PASS"), "{}", out.text);
         assert!(!out.text.contains("SOAK REGRESSION"), "{}", out.text);
@@ -269,8 +269,8 @@ mod tests {
     #[test]
     fn report_json_is_byte_identical_across_runs() {
         let (c, n) = tiny_pair(7);
-        let a = soak_outcome_with(&c, &n, 7, None);
-        let b = soak_outcome_with(&c, &n, 7, None);
+        let a = soak_outcome_with(&c, &n, 7, &MetricRegistry::new());
+        let b = soak_outcome_with(&c, &n, 7, &MetricRegistry::new());
         assert_eq!(a.json, b.json);
         assert_eq!(a.text, b.text);
         assert!(a.json.contains("\"capped\""));
@@ -281,7 +281,7 @@ mod tests {
     fn registry_collects_state_gauges() {
         let registry = MetricRegistry::new();
         let (c, n) = tiny_pair(42);
-        let out = soak_outcome_with(&c, &n, 42, Some(&registry));
+        let out = soak_outcome_with(&c, &n, 42, &registry);
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_state_rules_hwm"), "{text}");
         assert!(text.contains("fiat_state_audit_entries_hwm"), "{text}");

@@ -89,7 +89,7 @@ fn run_phase(
     classifiers: impl Fn(u16) -> EventClassifier,
     human_evidence: bool,
     seed: u64,
-    registry: Option<&MetricRegistry>,
+    registry: &MetricRegistry,
 ) -> PhaseOutcome {
     let validator = HumannessValidator::with_operating_point(0.934, 0.982, seed);
     let config = ProxyConfig {
@@ -97,19 +97,12 @@ fn run_phase(
         ..ProxyConfig::default()
     };
     let bootstrap_end = SimTime::ZERO + config.bootstrap;
-    // With a shared registry, the proxy's decision-path metrics (decision
-    // and QUIC counters, then the stage latencies of its timing registry
-    // under real wall time) accumulate across phases and ship in the
-    // experiment's snapshot.
-    let mut proxy = match registry {
-        Some(r) => FiatProxy::with_telemetry(
-            config,
-            &SECRET,
-            validator,
-            ProxyTelemetry::new(r.clone(), Arc::new(WallClock::new())),
-        ),
-        None => FiatProxy::new(config, &SECRET, validator),
-    };
+    // The proxy's decision-path metrics (decision and QUIC counters,
+    // then the stage latencies of its timing registry under real wall
+    // time) accumulate across phases in the shared registry and ship in
+    // the experiment's snapshot.
+    let telemetry = ProxyTelemetry::new(registry.clone(), Arc::new(WallClock::new()));
+    let mut proxy = FiatProxy::with_telemetry(config, &SECRET, validator, telemetry);
     proxy.set_dns(capture.trace.dns.clone());
     for (i, dev) in capture.devices.iter().enumerate() {
         proxy.register_device(i as u16, classifiers(i as u16), dev.min_packets_to_complete);
@@ -211,9 +204,7 @@ fn run_phase(
             .push((is_manual, predicted_manual, was_blocked));
     }
 
-    if let Some(r) = registry {
-        r.merge_from(proxy.telemetry().timing());
-    }
+    registry.merge_from(proxy.telemetry().timing());
     PhaseOutcome {
         stats: proxy.stats(),
         events,
@@ -225,14 +216,9 @@ fn run_phase(
 }
 
 /// Run Table 6. `train_days`/`eval_days` control corpus sizes; the
-/// proxies of both phases report into `registry` (when given) for a
+/// proxies of both phases report into `registry` for a
 /// metrics snapshot alongside the table.
-pub fn table6(
-    train_days: f64,
-    eval_days: f64,
-    seed: u64,
-    registry: Option<&MetricRegistry>,
-) -> Table6 {
+pub fn table6(train_days: f64, eval_days: f64, seed: u64, registry: &MetricRegistry) -> Table6 {
     // Train classifiers on an independent capture with events grouped the
     // way the deployed proxy groups them (bootstrap rule table + 5 s gap),
     // dense enough for the paper's ~50-manual-event training regime. The
@@ -345,12 +331,12 @@ fn safe_div(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Render Table 6, reporting proxy metrics into `registry` when given.
+/// Render Table 6, reporting proxy metrics into `registry`.
 pub fn table6_text(
     train_days: f64,
     eval_days: f64,
     seed: u64,
-    registry: Option<&MetricRegistry>,
+    registry: &MetricRegistry,
 ) -> String {
     let t = table6(train_days, eval_days, seed, registry);
     let mut out = String::new();
@@ -392,7 +378,7 @@ mod tests {
     use fiat_core::DECIDE_SAMPLE_EVERY;
 
     fn run() -> Table6 {
-        table6(6.0, 2.0, 7, None)
+        table6(6.0, 2.0, 7, &MetricRegistry::new())
     }
 
     #[test]
@@ -452,7 +438,7 @@ mod tests {
     #[test]
     fn instrumented_run_fills_the_registry() {
         let registry = MetricRegistry::new();
-        let t = table6(4.0, 1.0, 3, Some(&registry));
+        let t = table6(4.0, 1.0, 3, &registry);
         assert!(!t.rows.is_empty());
         // Both phases reported: decisions were counted, stages timed (the
         // decide stage 1 packet in 64 per proxy), and the QUIC path saw

@@ -24,7 +24,9 @@
 //! 10-device testbed: **false drops** — genuine manual events that lost
 //! packets despite an eventually-delivered proof — must be zero with
 //! retries at the default deadline, and disabling retries must show
-//! measurable degradation (otherwise the harness proves nothing).
+//! measurable degradation (otherwise the harness proves nothing). The
+//! [`ManualLedger`] does that per-event accounting, here and in the
+//! `fiat-control` sweep.
 //! `experiments chaos` sweeps fault rates × latency profiles and writes
 //! the scorecard with a PASS/REGRESSION trailer.
 //!
@@ -38,12 +40,14 @@
 
 pub mod channel;
 pub mod fault;
+pub mod ledger;
 pub mod long_soak;
 pub mod resilient;
 pub mod soak;
 
 pub use channel::{corrupt_attempt, ChannelVerdict, ProofChannel};
 pub use fault::{FaultKind, FaultPlan, FAULT_KINDS};
+pub use ledger::ManualLedger;
 pub use long_soak::{run_long_soak, HomeSim, LongSoakConfig, LongSoakReport};
 pub use resilient::{ProofFrame, ProofPlan, ResilientClient};
 pub use soak::{run_soak, SoakConfig, SoakReport};

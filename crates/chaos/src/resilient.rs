@@ -132,7 +132,7 @@ impl ResilientClient {
                 if attempt > 0 {
                     send_t += RESEND_PROC;
                     if prev_lost {
-                        send_t += base_backoff(&policy, attempt - 1);
+                        send_t += policy.base(attempt - 1);
                     }
                 }
                 match channel.transmit(send_t) {
@@ -192,18 +192,6 @@ impl ResilientClient {
             sensor_blocked: false,
         }
     }
-}
-
-/// The policy's deterministic backoff base (no jitter): `min(initial ·
-/// 2^attempt, cap)`. Used to place virtual resend times.
-fn base_backoff(policy: &RetryPolicy, attempt: u32) -> SimDuration {
-    SimDuration::from_micros(
-        policy
-            .initial
-            .as_micros()
-            .saturating_mul(1u64 << attempt.min(32))
-            .min(policy.cap.as_micros()),
-    )
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! [`ProofChannel`] with the configured fault rates, and then drives the
 //! real [`FiatProxy`] with proofs and packets merged in arrival order.
 //! Held packets drain through [`FiatProxy::take_quarantine_releases`]
-//! and are credited back to their events.
+//! and the [`ManualLedger`] credits them back to their events.
 //!
 //! The headline number is **false drops**: genuine manual events that
 //! lost packets *despite an eventually-delivered proof*. With retries at
@@ -21,11 +21,10 @@
 
 use crate::channel::ProofChannel;
 use crate::fault::{FaultPlan, FAULT_KINDS};
+use crate::ledger::ManualLedger;
 use crate::resilient::{ProofFrame, ResilientClient};
-use fiat_core::{
-    AuthAttempt, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision, ProxyStats,
-};
-use fiat_net::{SimDuration, SimTime, TrafficClass};
+use fiat_core::{AuthAttempt, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyStats};
+use fiat_net::{SimDuration, SimTime};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
 use fiat_simnet::{InterceptQueue, LatencyProfile, Verdict};
 use fiat_telemetry::ChaosMetrics;
@@ -33,9 +32,6 @@ use fiat_trace::{TestbedConfig, TestbedTrace};
 
 /// Pairing-ceremony secret shared by the soak's proxy and app.
 const SECRET: [u8; 32] = [0x6b; 32];
-
-/// The user touches the phone this long before the first command packet.
-const PROOF_LEAD: SimDuration = SimDuration::from_millis(200);
 
 /// One soak cell's configuration.
 #[derive(Debug, Clone, Copy)]
@@ -111,17 +107,18 @@ impl SoakReport {
     }
 }
 
-/// Per-event bookkeeping during the merge.
-struct EvRec {
-    device: u16,
-    verified_at: Option<SimTime>,
-    drops: u64,
-    held: u64,
-    released: u64,
+/// Hand one arrived proof frame for event `idx` to the proxy and settle
+/// it in the ledger.
+fn deliver(proxy: &mut FiatProxy, ledger: &mut ManualLedger, idx: usize, frame: &ProofFrame) {
+    let r = match &frame.attempt {
+        AuthAttempt::ZeroRtt(z) => proxy.on_auth_zero_rtt(z, frame.arrival),
+        AuthAttempt::OneRtt(p) => proxy.on_auth_one_rtt(p, frame.arrival),
+    };
+    ledger.on_proof(proxy, idx, matches!(r, Ok(true)));
 }
 
 /// Run one soak cell. Fully deterministic per [`SoakConfig`].
-pub fn run_soak(cfg: &SoakConfig, metrics: Option<&ChaosMetrics>) -> SoakReport {
+pub fn run_soak(cfg: &SoakConfig, metrics: &ChaosMetrics) -> SoakReport {
     let days = if cfg.quick { 0.022 } else { 0.06 };
     let tb = TestbedTrace::generate(TestbedConfig {
         days,
@@ -144,13 +141,9 @@ pub fn run_soak(cfg: &SoakConfig, metrics: Option<&ChaosMetrics>) -> SoakReport 
     let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
     let mut proxy = FiatProxy::new(config.clone(), &SECRET, validator);
     for (i, d) in tb.devices.iter().enumerate() {
-        let size = d
-            .simple_rule_size
-            .or_else(|| d.manual.as_ref().map(|m| m.sizes[0]))
-            .unwrap_or(0);
         proxy.register_device(
             i as u16,
-            EventClassifier::simple_rule(size),
+            EventClassifier::simple_rule(d.command_size().unwrap_or(0)),
             d.min_packets_to_complete,
         );
     }
@@ -192,24 +185,15 @@ pub fn run_soak(cfg: &SoakConfig, metrics: Option<&ChaosMetrics>) -> SoakReport 
 
     // Plan every proof up front (frames carry true arrival times; the
     // proxy only sees them once the merge reaches those times).
-    let mut events: Vec<EvRec> = Vec::new();
-    let mut ev_index: std::collections::HashMap<u16, Vec<(u64, usize)>> =
-        std::collections::HashMap::new();
-    let mut frames: Vec<(SimTime, usize, ProofFrame)> = Vec::new();
+    let mut ledger = ManualLedger::new(&tb.events, boot_end);
+    let mut frames: Vec<(usize, ProofFrame)> = Vec::new();
     let mut retries_spent = 0u64;
     let mut fell_back = 0u64;
     let mut sensor_blocked = 0u64;
-    for ev in tb
-        .events
-        .iter()
-        .filter(|e| e.class == TrafficClass::Manual && e.start >= boot_end)
-    {
-        let idx = events.len();
-        let proof_at =
-            SimTime::from_micros(ev.start.as_micros().saturating_sub(PROOF_LEAD.as_micros()));
+    for (idx, ev) in ledger.events().iter().enumerate() {
         let plan = client.plan_proof(
             &mut channel,
-            proof_at,
+            ev.proof_at(),
             "iot.app",
             &imu,
             MotionKind::HumanTouch,
@@ -221,25 +205,9 @@ pub fn run_soak(cfg: &SoakConfig, metrics: Option<&ChaosMetrics>) -> SoakReport 
             retries_spent += u64::from(o.attempts.saturating_sub(1));
             fell_back += u64::from(o.fell_back);
         }
-        for f in plan.frames {
-            frames.push((f.arrival, idx, f));
-        }
-        events.push(EvRec {
-            device: ev.device,
-            verified_at: None,
-            drops: 0,
-            held: 0,
-            released: 0,
-        });
-        ev_index
-            .entry(ev.device)
-            .or_default()
-            .push((ev.start.as_micros(), idx));
+        frames.extend(plan.frames.into_iter().map(|f| (idx, f)));
     }
-    for starts in ev_index.values_mut() {
-        starts.sort_unstable();
-    }
-    frames.sort_by_key(|&(at, idx, _)| (at, idx));
+    frames.sort_by_key(|(idx, f)| (f.arrival, *idx));
 
     // The device-bound wire: allowed packets pass an NFQUEUE-style
     // intercept with its own (light) fault plan, exercising the
@@ -255,87 +223,28 @@ pub fn run_soak(cfg: &SoakConfig, metrics: Option<&ChaosMetrics>) -> SoakReport 
     );
     let mut queue = InterceptQueue::new();
 
-    let lookup = |ev_index: &std::collections::HashMap<u16, Vec<(u64, usize)>>,
-                  device: u16,
-                  ts: SimTime|
-     -> Option<usize> {
-        let starts = ev_index.get(&device)?;
-        let pos = starts.partition_point(|&(s, _)| s <= ts.as_micros());
-        pos.checked_sub(1).map(|p| starts[p].1)
-    };
-
     // Merge: proofs and packets in global time order.
-    let mut fi = 0usize;
+    let mut frames = frames.into_iter().peekable();
     let mut packets = 0u64;
-    let deliver =
-        |proxy: &mut FiatProxy, events: &mut Vec<EvRec>, f: &(SimTime, usize, ProofFrame)| {
-            let (arrival, idx, frame) = (f.0, f.1, &f.2);
-            let r = match &frame.attempt {
-                AuthAttempt::ZeroRtt(z) => proxy.on_auth_zero_rtt(z, arrival),
-                AuthAttempt::OneRtt(p) => proxy.on_auth_one_rtt(p, arrival),
-            };
-            if let Ok(true) = r {
-                let dev = events[idx].device;
-                if events[idx].verified_at.is_none() {
-                    events[idx].verified_at = Some(arrival);
-                }
-                // The user is at the phone: a successful verify also clears
-                // any standing lockout on the device they are commanding.
-                proxy.clear_lockout(dev);
-            }
-            // A verified (or failed) proof may have released held packets
-            // across any quarantined device; credit them to their events.
-            for rel in proxy.take_quarantine_releases() {
-                if rel.label == TrafficClass::Manual {
-                    if let Some(e) = lookup(&ev_index, rel.device, rel.ts) {
-                        events[e].released += 1;
-                    }
-                }
-            }
-        };
     for pkt in &tb.trace.packets {
-        while fi < frames.len() && frames[fi].0 <= pkt.ts {
-            deliver(&mut proxy, &mut events, &frames[fi]);
-            fi += 1;
+        while let Some((idx, f)) = frames.next_if(|(_, f)| f.arrival <= pkt.ts) {
+            deliver(&mut proxy, &mut ledger, idx, &f);
         }
         let d = proxy.on_packet(pkt);
         packets += 1;
-        if pkt.label == TrafficClass::Manual && pkt.ts >= boot_end {
-            if let Some(e) = lookup(&ev_index, pkt.device, pkt.ts) {
-                match d {
-                    ProxyDecision::Allow(_) => {}
-                    ProxyDecision::Drop(_) => events[e].drops += 1,
-                    ProxyDecision::Quarantine => events[e].held += 1,
-                }
-            }
-        }
+        ledger.on_decision(pkt, d);
         if d.is_allow() {
             queue.enqueue_with(&mut wire, pkt.clone(), pkt.ts);
             while queue.decide_next(pkt.ts, |_| Verdict::Allow).is_some() {}
         }
     }
-    while fi < frames.len() {
-        deliver(&mut proxy, &mut events, &frames[fi]);
-        fi += 1;
+    for (idx, f) in frames {
+        deliver(&mut proxy, &mut ledger, idx, &f);
     }
     // Trailing flush well past the deadline expires every straggler.
     proxy.flush(span_end + cfg.proof_deadline + config.event_gap * 3);
 
-    // Event-level verdicts.
-    let mut false_drops = 0u64;
-    let mut unproven_drops = 0u64;
-    let mut proofs_delivered = 0u64;
-    for ev in &events {
-        let final_dropped = ev.drops + ev.held.saturating_sub(ev.released);
-        if ev.verified_at.is_some() {
-            proofs_delivered += 1;
-            if final_dropped > 0 {
-                false_drops += 1;
-            }
-        } else if final_dropped > 0 {
-            unproven_drops += 1;
-        }
-    }
+    let tally = ledger.tally();
 
     // Merge channel + wire fault counts into one table.
     let faults: Vec<(&'static str, u64)> = FAULT_KINDS
@@ -343,20 +252,18 @@ pub fn run_soak(cfg: &SoakConfig, metrics: Option<&ChaosMetrics>) -> SoakReport 
         .map(|&k| (k.as_str(), channel.plan.count(k) + wire.count(k)))
         .collect();
 
-    if let Some(m) = metrics {
-        for &(kind, n) in &faults {
-            m.record_faults(kind, n);
-        }
-        m.record_retries(retries_spent);
-        m.record_false_drops(false_drops);
+    for &(kind, n) in &faults {
+        metrics.record_faults(kind, n);
     }
+    metrics.record_retries(retries_spent);
+    metrics.record_false_drops(tally.false_drops);
 
     SoakReport {
         packets,
-        manual_events: events.len() as u64,
-        proofs_delivered,
-        false_drops,
-        unproven_drops,
+        manual_events: ledger.events().len() as u64,
+        proofs_delivered: tally.verified,
+        false_drops: tally.false_drops,
+        unproven_drops: tally.unproven_drops,
         sensor_blocked,
         retries: retries_spent,
         fell_back,
@@ -368,13 +275,18 @@ pub fn run_soak(cfg: &SoakConfig, metrics: Option<&ChaosMetrics>) -> SoakReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiat_telemetry::MetricRegistry;
+
+    fn metrics() -> ChaosMetrics {
+        ChaosMetrics::new(&MetricRegistry::new())
+    }
 
     #[test]
     fn quick_soak_at_default_loss_has_zero_false_drops() {
         // The acceptance bar: 5% proof-channel loss, retries on, 10 s
         // deadline — every delivered proof beats the deadline, so no
         // genuine manual event may lose packets.
-        let report = run_soak(&SoakConfig::new(42, true), None);
+        let report = run_soak(&SoakConfig::new(42, true), &metrics());
         assert!(report.manual_events > 3, "need events: {report:?}");
         assert_eq!(report.false_drops, 0, "{report:?}");
         assert!(report.proofs_delivered > 0);
@@ -383,13 +295,13 @@ mod tests {
 
     #[test]
     fn disabling_retries_degrades_delivery() {
-        let on = run_soak(&SoakConfig::new(42, true), None);
+        let on = run_soak(&SoakConfig::new(42, true), &metrics());
         let off = run_soak(
             &SoakConfig {
                 retries: false,
                 ..SoakConfig::new(42, true)
             },
-            None,
+            &metrics(),
         );
         assert!(
             off.proofs_delivered < on.proofs_delivered
@@ -406,7 +318,7 @@ mod tests {
             windows: false,
             ..SoakConfig::new(7, true)
         };
-        let report = run_soak(&cfg, None);
+        let report = run_soak(&cfg, &metrics());
         assert_eq!(report.false_drops, 0);
         assert_eq!(report.unproven_drops, 0);
         assert_eq!(report.retries, 0);
@@ -415,8 +327,8 @@ mod tests {
 
     #[test]
     fn soak_is_deterministic_per_seed() {
-        let a = run_soak(&SoakConfig::new(3, true), None);
-        let b = run_soak(&SoakConfig::new(3, true), None);
+        let a = run_soak(&SoakConfig::new(3, true), &metrics());
+        let b = run_soak(&SoakConfig::new(3, true), &metrics());
         assert_eq!(a.packets, b.packets);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.faults, b.faults);
@@ -426,9 +338,9 @@ mod tests {
 
     #[test]
     fn metrics_record_faults_retries_and_false_drops() {
-        let registry = fiat_telemetry::MetricRegistry::new();
+        let registry = MetricRegistry::new();
         let metrics = ChaosMetrics::new(&registry);
-        let report = run_soak(&SoakConfig::new(42, true), Some(&metrics));
+        let report = run_soak(&SoakConfig::new(42, true), &metrics);
         assert_eq!(metrics.retry_count(), report.retries);
         assert_eq!(metrics.false_drop_count(), report.false_drops);
         let text = registry.render_prometheus();

@@ -8,9 +8,9 @@
 //! handshake path), and — when enabled — a control-plane-outage window
 //! from the chaos fault taxonomy freezes the lifecycle mid-run. Every
 //! genuine post-bootstrap manual event gets a humanness proof delivered
-//! just ahead of its first packet, so the headline **false drops**
-//! number means what it does in the chaos soak: a genuine manual event
-//! that lost packets despite its proof.
+//! just ahead of its first packet, and the headline **false drops**
+//! number comes from the chaos soak's [`ManualLedger`]: a genuine manual
+//! event that lost packets despite its proof.
 //!
 //! The cell can also rebalance mid-run: snapshot the proxy at the
 //! midpoint packet, restore it into a fresh telemetry plug (as a
@@ -22,24 +22,19 @@
 use crate::enroll::{enroll_home, DeviceSpec, HomeProvision};
 use crate::lifecycle::{KeyLifecycle, LifecyclePolicy};
 use crate::rebalance::{restore_home, snapshot_home};
-use fiat_chaos::{FaultKind, FaultPlan, FAULT_KINDS};
+use fiat_chaos::{FaultKind, FaultPlan, ManualLedger, FAULT_KINDS};
 use fiat_core::pipeline::ProxyTelemetry;
 use fiat_core::{
-    AuthAttempt, DeliveryResult, EventClassifier, ProxyConfig, ProxyDecision, ProxyStats,
-    RetryPolicy,
+    AuthAttempt, DeliveryResult, EventClassifier, ProxyConfig, ProxyStats, RetryPolicy,
 };
-use fiat_net::{SimDuration, SimTime, TrafficClass};
+use fiat_net::{SimDuration, SimTime};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
 use fiat_telemetry::{ControlMetrics, ManualClock, MetricRegistry};
 use fiat_trace::{TestbedConfig, TestbedTrace};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Ceremony secret shared by the sweep's phone and proxy.
 const SECRET: [u8; 32] = [0xCA; 32];
-
-/// The user touches the phone this long before the first command packet.
-const PROOF_LEAD: SimDuration = SimDuration::from_millis(200);
 
 /// One control-sweep cell's configuration.
 #[derive(Debug, Clone, Copy)]
@@ -118,17 +113,8 @@ pub struct ControlReport {
     pub audit_len: u64,
 }
 
-/// Per-event bookkeeping during the merge.
-struct EvRec {
-    device: u16,
-    verified: bool,
-    drops: u64,
-    held: u64,
-    released: u64,
-}
-
 /// Run one control-sweep cell. Fully deterministic per [`ControlConfig`].
-pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) -> ControlReport {
+pub fn run_control_sweep(cfg: &ControlConfig, metrics: &ControlMetrics) -> ControlReport {
     let days = if cfg.quick { 0.03 } else { 0.08 };
     let tb = TestbedTrace::generate(TestbedConfig {
         days,
@@ -146,11 +132,7 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
 
     // Enroll the home through the real flow: mutual auth, provisioning,
     // first ticket under epoch 0.
-    let device_size = |d: &fiat_trace::DeviceModel| {
-        d.simple_rule_size
-            .or_else(|| d.manual.as_ref().map(|m| m.sizes[0]))
-            .unwrap_or(0)
-    };
+    let device_size = |d: &fiat_trace::DeviceModel| d.command_size().unwrap_or(0);
     let telemetry = ProxyTelemetry::new(MetricRegistry::new(), Arc::new(ManualClock::new()));
     let home = enroll_home(
         HomeProvision {
@@ -173,7 +155,7 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
         &SECRET,
         HumannessValidator::with_operating_point(1.0, 1.0, 0),
         telemetry,
-        metrics,
+        Some(metrics),
     )
     .expect("sweep enrollment");
     let mut proxy = home.proxy;
@@ -195,56 +177,25 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
 
     // Plan proofs: one per genuine post-bootstrap manual event, timed a
     // beat ahead of the event's first packet.
-    struct ProofJob {
-        at: SimTime,
-        idx: usize,
-    }
-    let mut events: Vec<EvRec> = Vec::new();
-    let mut ev_index: HashMap<u16, Vec<(u64, usize)>> = HashMap::new();
-    let mut proofs: Vec<ProofJob> = Vec::new();
-    for ev in tb
-        .events
+    let mut ledger = ManualLedger::new(&tb.events, boot_end);
+    let mut proofs: Vec<(SimTime, usize)> = ledger
+        .events()
         .iter()
-        .filter(|e| e.class == TrafficClass::Manual && e.start >= boot_end)
-    {
-        let idx = events.len();
-        let at = SimTime::from_micros(ev.start.as_micros().saturating_sub(PROOF_LEAD.as_micros()));
-        proofs.push(ProofJob { at, idx });
-        events.push(EvRec {
-            device: ev.device,
-            verified: false,
-            drops: 0,
-            held: 0,
-            released: 0,
-        });
-        ev_index
-            .entry(ev.device)
-            .or_default()
-            .push((ev.start.as_micros(), idx));
-    }
-    for starts in ev_index.values_mut() {
-        starts.sort_unstable();
-    }
-    proofs.sort_by_key(|p| (p.at, p.idx));
-
-    let lookup = |ev_index: &HashMap<u16, Vec<(u64, usize)>>, device: u16, ts: SimTime| {
-        let starts = ev_index.get(&device)?;
-        let pos = starts.partition_point(|&(s, _)| s <= ts.as_micros());
-        pos.checked_sub(1).map(|p| starts[p].1)
-    };
+        .enumerate()
+        .map(|(idx, e)| (e.proof_at(), idx))
+        .collect();
+    proofs.sort_unstable();
+    let mut proofs = proofs.into_iter().peekable();
 
     let mut fallbacks = 0u64;
     let mut outage_proofs = 0u64;
     let mut outage_fallbacks = 0u64;
-    let mut proofs_delivered = 0u64;
     let mut max_live = KeyLifecycle::live_epochs(&proxy);
     let mut prev_outage = false;
     let mut snapshot_bytes = 0u64;
     let mut degraded_before_rebalance = 0u64;
 
     let rebalance_at = (tb.trace.packets.len() / 2).max(1);
-    let mut pi = 0usize;
-    let mut next_proof = 0usize;
     let mut packets = 0u64;
 
     macro_rules! tick {
@@ -254,16 +205,16 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
                 plan.record(FaultKind::ControlOutage);
             }
             prev_outage = outage;
-            lifecycle.tick($now, &mut proxy, !outage, metrics);
+            lifecycle.tick($now, &mut proxy, !outage, Some(metrics));
             max_live = max_live.max(KeyLifecycle::live_epochs(&proxy));
         }};
     }
 
     macro_rules! exchange {
         ($job:expr) => {{
-            let job: &ProofJob = $job;
-            tick!(job.at);
-            let in_outage = plan.control_outage_at(job.at);
+            let (at, idx): (SimTime, usize) = $job;
+            tick!(at);
+            let in_outage = plan.control_outage_at(at);
             if in_outage {
                 outage_proofs += 1;
             }
@@ -271,12 +222,12 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
                 "iot.app",
                 &imu,
                 MotionKind::HumanTouch,
-                job.at.as_micros(),
+                at.as_micros(),
                 &policy,
                 |att, _| {
                     let r = match &att {
-                        AuthAttempt::ZeroRtt(z) => proxy.on_auth_zero_rtt(z, job.at),
-                        AuthAttempt::OneRtt(p) => proxy.on_auth_one_rtt(p, job.at),
+                        AuthAttempt::ZeroRtt(z) => proxy.on_auth_zero_rtt(z, at),
+                        AuthAttempt::OneRtt(p) => proxy.on_auth_one_rtt(p, at),
                     };
                     match r {
                         Ok(v) => DeliveryResult::Verified(v),
@@ -295,34 +246,19 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
                 let sh = proxy.accept_handshake(&hello);
                 app.complete_handshake(&sh).expect("re-handshake");
             }
-            if outcome.verified {
-                if !events[job.idx].verified {
-                    events[job.idx].verified = true;
-                    proofs_delivered += 1;
-                }
-                proxy.clear_lockout(events[job.idx].device);
-            }
-            for rel in proxy.take_quarantine_releases() {
-                if rel.label == TrafficClass::Manual {
-                    if let Some(e) = lookup(&ev_index, rel.device, rel.ts) {
-                        events[e].released += 1;
-                    }
-                }
-            }
+            ledger.on_proof(&mut proxy, idx, outcome.verified);
         }};
     }
 
-    while pi < tb.trace.packets.len() {
-        let pkt = &tb.trace.packets[pi];
-        while next_proof < proofs.len() && proofs[next_proof].at <= pkt.ts {
-            exchange!(&proofs[next_proof]);
-            next_proof += 1;
+    for (pi, pkt) in tb.trace.packets.iter().enumerate() {
+        while let Some(job) = proofs.next_if(|&(at, _)| at <= pkt.ts) {
+            exchange!(job);
         }
         if cfg.rebalance && pi == rebalance_at {
             // Rebalance: snapshot, restore into a fresh telemetry plug
             // (the destination shard's registry), re-handshake the phone
             // (restore drops the 1-RTT session key), resume mid-trace.
-            let bytes = snapshot_home(&proxy, metrics);
+            let bytes = snapshot_home(&proxy, Some(metrics));
             snapshot_bytes = bytes.len() as u64;
             degraded_before_rebalance = proxy.telemetry().degraded_decision_count();
             let plug = ProxyTelemetry::new(MetricRegistry::new(), Arc::new(ManualClock::new()));
@@ -335,7 +271,7 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
                 |d| {
                     EventClassifier::simple_rule(tb.devices.get(d as usize).map_or(0, &device_size))
                 },
-                metrics,
+                Some(metrics),
             )
             .expect("sweep restore");
             let hello = app.handshake_request();
@@ -345,27 +281,14 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
         tick!(pkt.ts);
         let d = proxy.on_packet(pkt);
         packets += 1;
-        if pkt.label == TrafficClass::Manual && pkt.ts >= boot_end {
-            if let Some(e) = lookup(&ev_index, pkt.device, pkt.ts) {
-                match d {
-                    ProxyDecision::Allow(_) => {}
-                    ProxyDecision::Drop(_) => events[e].drops += 1,
-                    ProxyDecision::Quarantine => events[e].held += 1,
-                }
-            }
-        }
-        pi += 1;
+        ledger.on_decision(pkt, d);
     }
-    while next_proof < proofs.len() {
-        exchange!(&proofs[next_proof]);
-        next_proof += 1;
+    for job in proofs {
+        exchange!(job);
     }
     proxy.flush(span_end + config.event_gap * 3);
 
-    let false_drops = events
-        .iter()
-        .filter(|e| e.verified && e.drops + e.held.saturating_sub(e.released) > 0)
-        .count() as u64;
+    let tally = ledger.tally();
 
     let faults: Vec<(&'static str, u64)> = FAULT_KINDS
         .iter()
@@ -375,9 +298,9 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
     let audit = proxy.audit();
     ControlReport {
         packets,
-        manual_events: events.len() as u64,
-        proofs_delivered,
-        false_drops,
+        manual_events: ledger.events().len() as u64,
+        proofs_delivered: tally.verified,
+        false_drops: tally.false_drops,
         fallbacks,
         outage_proofs,
         outage_fallbacks,
@@ -398,9 +321,13 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: Option<&ControlMetrics>) 
 mod tests {
     use super::*;
 
+    fn metrics() -> ControlMetrics {
+        ControlMetrics::new(&MetricRegistry::new())
+    }
+
     #[test]
     fn sweep_rotates_retires_and_keeps_zero_false_drops() {
-        let r = run_control_sweep(&ControlConfig::new(42, true), None);
+        let r = run_control_sweep(&ControlConfig::new(42, true), &metrics());
         assert!(r.manual_events > 3, "need events: {r:?}");
         assert_eq!(r.false_drops, 0, "{r:?}");
         assert!(r.rotations > 0, "{r:?}");
@@ -415,7 +342,7 @@ mod tests {
 
     #[test]
     fn degraded_mode_keeps_zero_rtt_alive_through_the_outage() {
-        let on = run_control_sweep(&ControlConfig::new(42, true), None);
+        let on = run_control_sweep(&ControlConfig::new(42, true), &metrics());
         assert_eq!(on.outages, 1, "{on:?}");
         assert!(on.outage_proofs > 0, "outage must cover proofs: {on:?}");
         assert_eq!(
@@ -431,7 +358,7 @@ mod tests {
                 },
                 ..ControlConfig::new(42, true)
             },
-            None,
+            &metrics(),
         );
         assert_eq!(off.outages, 0, "baseline never enters degraded mode");
         assert!(
@@ -443,13 +370,13 @@ mod tests {
 
     #[test]
     fn rebalanced_cell_is_byte_identical_to_uninterrupted() {
-        let plain = run_control_sweep(&ControlConfig::new(7, true), None);
+        let plain = run_control_sweep(&ControlConfig::new(7, true), &metrics());
         let moved = run_control_sweep(
             &ControlConfig {
                 rebalance: true,
                 ..ControlConfig::new(7, true)
             },
-            None,
+            &metrics(),
         );
         assert!(moved.snapshot_bytes > 0);
         assert_eq!(moved.stats, plain.stats);
@@ -460,10 +387,10 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_per_seed() {
-        let a = run_control_sweep(&ControlConfig::new(3, true), None);
-        let b = run_control_sweep(&ControlConfig::new(3, true), None);
+        let a = run_control_sweep(&ControlConfig::new(3, true), &metrics());
+        let b = run_control_sweep(&ControlConfig::new(3, true), &metrics());
         assert_eq!(a, b);
-        let c = run_control_sweep(&ControlConfig::new(4, true), None);
+        let c = run_control_sweep(&ControlConfig::new(4, true), &metrics());
         assert_ne!(a.stats, c.stats, "different seeds must differ");
     }
 
@@ -476,7 +403,7 @@ mod tests {
                 rebalance: true,
                 ..ControlConfig::new(42, true)
             },
-            Some(&metrics),
+            &metrics,
         );
         assert_eq!(metrics.rotation_count(), r.rotations);
         assert_eq!(metrics.retired_count(), r.epochs_retired);

@@ -338,15 +338,22 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Delay before retry number `attempt + 1`: `min(initial · 2^attempt,
-    /// cap)` plus uniform jitter in `[0, base/4]` so a fleet of phones
-    /// that lost the same frame does not resend in lockstep.
+    /// The jitter-free backoff before retry number `attempt + 1`:
+    /// `min(initial · 2^attempt, cap)`.
+    pub fn base(&self, attempt: u32) -> SimDuration {
+        SimDuration::from_micros(
+            self.initial
+                .as_micros()
+                .saturating_mul(1u64 << attempt.min(32))
+                .min(self.cap.as_micros()),
+        )
+    }
+
+    /// Delay before retry number `attempt + 1`: [`RetryPolicy::base`]
+    /// plus uniform jitter in `[0, base/4]` so a fleet of phones that
+    /// lost the same frame does not resend in lockstep.
     pub fn delay(&self, attempt: u32, rng: &mut StdRng) -> SimDuration {
-        let base = self
-            .initial
-            .as_micros()
-            .saturating_mul(1u64 << attempt.min(32))
-            .min(self.cap.as_micros());
+        let base = self.base(attempt).as_micros();
         let jitter = if base == 0 {
             0
         } else {

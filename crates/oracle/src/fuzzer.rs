@@ -473,10 +473,7 @@ pub fn build_scenario(seed: u64, quick: bool) -> (Scenario, ChaosStats) {
             // simple-rule devices, else the device's first manual palette
             // size so manual events still classify as manual. Shared
             // verbatim with the reference side.
-            let size = d
-                .simple_rule_size
-                .or_else(|| d.manual.as_ref().map(|m| m.sizes[0]))
-                .unwrap_or(0);
+            let size = d.command_size().unwrap_or(0);
             (i as u16, size, d.min_packets_to_complete)
         })
         .collect();

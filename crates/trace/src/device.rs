@@ -132,6 +132,14 @@ impl DeviceModel {
         self.simple_rule_size.is_some()
     }
 
+    /// The command size an ideal size rule keys on: the declared
+    /// simple-rule size, else the first size of the manual event
+    /// palette. `None` for a device that models no manual commands.
+    pub fn command_size(&self) -> Option<u16> {
+        self.simple_rule_size
+            .or_else(|| self.manual.as_ref().map(|m| m.sizes[0]))
+    }
+
     /// The device's LAN IP given its index.
     pub fn lan_ip(device_idx: u16) -> Ipv4Addr {
         let [hi, lo] = device_idx.to_be_bytes();
