@@ -5,14 +5,15 @@ use crate::sha256::DIGEST_LEN;
 
 /// An HKDF pseudo-random key ready for expansion.
 pub struct Hkdf {
-    prk: [u8; DIGEST_LEN],
+    /// HMAC keyed with the PRK, cloned for every output block.
+    prk: HmacSha256,
 }
 
 impl Hkdf {
     /// HKDF-Extract: derive a PRK from input keying material and a salt.
     pub fn extract(salt: &[u8], ikm: &[u8]) -> Self {
         Hkdf {
-            prk: HmacSha256::mac(salt, ikm),
+            prk: HmacSha256::new(&HmacSha256::mac(salt, ikm)),
         }
     }
 
@@ -22,20 +23,18 @@ impl Hkdf {
     /// Panics if `okm.len() > 255 * 32` (RFC 5869 limit).
     pub fn expand(&self, info: &[u8], okm: &mut [u8]) {
         assert!(okm.len() <= 255 * DIGEST_LEN, "HKDF output too long");
-        let mut t: Vec<u8> = Vec::new();
-        let mut offset = 0;
-        let mut counter = 1u8;
-        while offset < okm.len() {
-            let mut h = HmacSha256::new(&self.prk);
-            h.update(&t);
+        // T(i) = HMAC(PRK, T(i-1) | info | i), with T(0) empty.
+        let mut t = [0u8; DIGEST_LEN];
+        for (i, out) in okm.chunks_mut(DIGEST_LEN).enumerate() {
+            let mut h = self.prk.clone();
+            if i > 0 {
+                h.update(&t);
+            }
             h.update(info);
-            h.update(&[counter]);
-            let block = h.finalize();
-            let take = (okm.len() - offset).min(DIGEST_LEN);
-            okm[offset..offset + take].copy_from_slice(&block[..take]);
-            t = block.to_vec();
-            offset += take;
-            counter += 1;
+            // At most 255 chunks, so the counter 1..=255 fits a byte.
+            h.update(&[i as u8 + 1]);
+            t = h.finalize();
+            out.copy_from_slice(&t[..out.len()]);
         }
     }
 
@@ -61,11 +60,13 @@ mod tests {
         let ikm = [0x0b; 22];
         let salt: Vec<u8> = (0x00..=0x0c).collect();
         let info: Vec<u8> = (0xf0..=0xf9).collect();
-        let hk = Hkdf::extract(&salt, &ikm);
+        // The PRK is HKDF-Extract's HMAC; `Hkdf` keeps it only as a keyed
+        // HMAC state.
         assert_eq!(
-            hex(&hk.prk),
+            hex(&HmacSha256::mac(&salt, &ikm)),
             "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
         );
+        let hk = Hkdf::extract(&salt, &ikm);
         let mut okm = [0u8; 42];
         hk.expand(&info, &mut okm);
         assert_eq!(
@@ -95,6 +96,27 @@ mod tests {
         hk.expand(b"client", &mut a);
         hk.expand(b"server", &mut b);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn maximum_length_expansion_uses_all_255_counters() {
+        let hk = Hkdf::extract(b"s", b"k");
+        let mut max = vec![0u8; 255 * DIGEST_LEN];
+        hk.expand(b"i", &mut max);
+        let mut one = [0u8; DIGEST_LEN];
+        hk.expand(b"i", &mut one);
+        assert_eq!(&max[..DIGEST_LEN], &one[..]);
+        // Block 255 is real output, not left zero or repeated.
+        let last = &max[254 * DIGEST_LEN..];
+        assert_ne!(last, &[0u8; DIGEST_LEN][..]);
+        assert_ne!(last, &max[253 * DIGEST_LEN..254 * DIGEST_LEN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "HKDF output too long")]
+    fn expansion_past_255_blocks_is_refused() {
+        let mut okm = vec![0u8; 255 * DIGEST_LEN + 1];
+        Hkdf::extract(b"s", b"k").expand(b"i", &mut okm);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! All implementations are pure, deterministic, and allocation-light; they
 //! are *not* hardened against side channels beyond constant-time tag
 //! comparison, which is sufficient for a research reproduction.
+//!
+//! The only `unsafe` code is SHA-256's x86_64 SHA-extension path; every
+//! `unsafe` block must say why it is sound in a `// SAFETY:` comment.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aead;
 pub mod chacha20;

@@ -2,6 +2,12 @@
 //!
 //! Streaming interface: [`Sha256::update`] may be called any number of times
 //! before [`Sha256::finalize`].
+//!
+//! Two compression functions produce the same bytes. The portable scalar
+//! one is the reference and the only path on other CPUs and architectures.
+//! On x86_64 CPUs with the SHA extensions (and SSE4.1), [`Sha256::new`]
+//! selects a second one built on the `sha256rnds2`/`sha256msg1`/
+//! `sha256msg2` instructions, detected at run time.
 
 /// Output length of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -23,6 +29,26 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Which compression function a hasher runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Backend {
+    /// The portable reference, [`Sha256::compress`].
+    Scalar,
+    /// The SHA extensions; only ever chosen after [`shani::detected`].
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Backend {
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if shani::detected() {
+            return Backend::ShaNi;
+        }
+        Backend::Scalar
+    }
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -30,6 +56,7 @@ pub struct Sha256 {
     buf: [u8; BLOCK_LEN],
     buf_len: usize,
     total_len: u64,
+    backend: Backend,
 }
 
 impl Default for Sha256 {
@@ -46,6 +73,7 @@ impl Sha256 {
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
             total_len: 0,
+            backend: Backend::detect(),
         }
     }
 
@@ -60,17 +88,13 @@ impl Sha256 {
             rest = &rest[take..];
             if self.buf_len == BLOCK_LEN {
                 let block = self.buf;
-                self.compress(&block);
+                self.compress_blocks(&block);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % BLOCK_LEN);
+        self.compress_blocks(blocks);
+        rest = tail;
         if !rest.is_empty() {
             self.buf[..rest.len()].copy_from_slice(rest);
             self.buf_len = rest.len();
@@ -80,15 +104,20 @@ impl Sha256 {
     /// Consume the hasher and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length. The
+        // buffer is never full here; when fewer than 9 bytes are free, the
+        // length goes into a second, otherwise zero block.
+        let len_at = BLOCK_LEN - 8;
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= len_at {
+            let block = self.buf;
+            self.compress_blocks(&block);
+            self.buf[..len_at].fill(0);
         }
-        // update() above also bumped total_len; length bytes are appended raw.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[len_at..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
-        self.compress(&block);
+        self.compress_blocks(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -101,6 +130,25 @@ impl Sha256 {
         let mut h = Sha256::new();
         h.update(data);
         h.finalize()
+    }
+
+    /// Compress every block of `blocks`, whose length is a multiple of
+    /// [`BLOCK_LEN`], with this hasher's backend.
+    fn compress_blocks(&mut self, blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+        match self.backend {
+            Backend::Scalar => {
+                for block in blocks.chunks_exact(BLOCK_LEN) {
+                    self.compress(block.try_into().expect("chunks are whole blocks"));
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `backend` is `ShaNi` only when `shani::detected()` saw
+            // the `sha` and `sse4.1` features on this CPU (in `Backend::detect`,
+            // and in the tests' `hasher`), which are the features
+            // `shani::compress_blocks` is compiled for.
+            Backend::ShaNi => unsafe { shani::compress_blocks(&mut self.state, blocks) },
+        }
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
@@ -148,12 +196,220 @@ impl Sha256 {
     }
 }
 
+/// The x86_64 SHA-extension compression function.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::{BLOCK_LEN, K};
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress_blocks`] is built for
+    /// (`sse4.1` implies the `ssse3` and `sse2` it also uses).
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compress every block of `blocks` (a multiple of [`BLOCK_LEN`] long)
+    /// into `state`, exactly as the scalar `Sha256::compress` would.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Reverses the bytes of each 32-bit lane: the message is big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        // `sha256rnds2` keeps the state as (a, b, e, f) and (c, d, g, h),
+        // highest lane first.
+        let s = |i: usize| state[i] as i32;
+        let dcba = _mm_set_epi32(s(3), s(2), s(1), s(0));
+        let hgfe = _mm_set_epi32(s(7), s(6), s(5), s(4));
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(BLOCK_LEN) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is 64 bytes, so the four 16-byte loads at
+            // offsets 0, 16, 32 and 48 stay inside it, and `loadu` needs no
+            // alignment.
+            let raw = unsafe {
+                [
+                    _mm_loadu_si128(p),
+                    _mm_loadu_si128(p.add(1)),
+                    _mm_loadu_si128(p.add(2)),
+                    _mm_loadu_si128(p.add(3)),
+                ]
+            };
+            // `w` holds message words 4i..4i+16, four to a vector, low lane
+            // first.
+            let mut w = [
+                _mm_shuffle_epi8(raw[0], bswap),
+                _mm_shuffle_epi8(raw[1], bswap),
+                _mm_shuffle_epi8(raw[2], bswap),
+                _mm_shuffle_epi8(raw[3], bswap),
+            ];
+            for i in 0..16 {
+                let k = |j: usize| K[4 * i + j] as i32;
+                let wk = _mm_add_epi32(w[0], _mm_set_epi32(k(3), k(2), k(1), k(0)));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16].
+                let t = _mm_add_epi32(
+                    _mm_sha256msg1_epu32(w[0], w[1]),
+                    _mm_alignr_epi8(w[3], w[2], 4),
+                );
+                w = [w[1], w[2], w[3], _mm_sha256msg2_epu32(t, w[3])];
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        let out = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 bytes, so the two 16-byte stores at offsets 0
+        // and 16 stay inside it, and `storeu` needs no alignment.
+        unsafe {
+            _mm_storeu_si128(out, dcba);
+            _mm_storeu_si128(out.add(1), hgfe);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The hardware backend when this CPU has one. Without it, each test
+    /// that asks says so once on stderr and checks the scalar half alone.
+    fn hardware() -> Option<Backend> {
+        #[cfg(target_arch = "x86_64")]
+        if shani::detected() {
+            return Some(Backend::ShaNi);
+        }
+        thread_local!(static SAID: Cell<bool> = const { Cell::new(false) });
+        if !SAID.replace(true) {
+            eprintln!("sha256: this CPU has no SHA extensions; checking the scalar path only");
+        }
+        None
+    }
+
+    /// The scalar reference, then the hardware backend if there is one.
+    fn backends() -> Vec<Backend> {
+        std::iter::once(Backend::Scalar).chain(hardware()).collect()
+    }
+
+    /// A fresh hasher on `backend`, which must run on this CPU.
+    fn hasher(backend: Backend) -> Sha256 {
+        assert!(backend == Backend::Scalar || hardware() == Some(backend));
+        Sha256 {
+            backend,
+            ..Sha256::new()
+        }
+    }
+
+    /// Digest `data` on `backend`, fed in pieces cut at `cuts` (taken
+    /// modulo `data.len() + 1`).
+    fn digest_in_pieces(backend: Backend, data: &[u8], cuts: &[usize]) -> [u8; DIGEST_LEN] {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+        at.sort_unstable();
+        let mut h = hasher(backend);
+        let mut prev = 0;
+        for c in at {
+            h.update(&data[prev..c]);
+            prev = c;
+        }
+        h.update(&data[prev..]);
+        h.finalize()
+    }
+
+    proptest! {
+        /// One to three blocks from a random state: the hardware
+        /// compression, and the scalar one driven through the multi-block
+        /// entry point, both match the scalar `compress` block by block.
+        #[test]
+        fn hardware_compress_matches_scalar(
+            state in prop::collection::vec(any::<u32>(), 8),
+            blocks in (1usize..=3).prop_flat_map(|n| prop::collection::vec(any::<u8>(), n * BLOCK_LEN)),
+        ) {
+            let state: [u32; 8] = state.try_into().unwrap();
+            let mut reference = Sha256 { state, ..hasher(Backend::Scalar) };
+            for block in blocks.chunks_exact(BLOCK_LEN) {
+                reference.compress(block.try_into().unwrap());
+            }
+            for backend in backends() {
+                let mut h = Sha256 { state, ..hasher(backend) };
+                h.compress_blocks(&blocks);
+                prop_assert_eq!(h.state, reference.state, "{:?}", backend);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every length 0..=300, one-shot and in random pieces, digests the
+        /// same on every backend as one-shot on the scalar reference.
+        #[test]
+        fn hardware_digest_matches_scalar_at_every_length(
+            data in prop::collection::vec(any::<u8>(), 300),
+            cuts in prop::collection::vec(any::<usize>(), 0..6),
+        ) {
+            for len in 0..=data.len() {
+                let msg = &data[..len];
+                let want = digest_in_pieces(Backend::Scalar, msg, &[]);
+                for backend in backends() {
+                    prop_assert_eq!(digest_in_pieces(backend, msg, &[]), want, "{:?} len {}", backend, len);
+                    prop_assert_eq!(digest_in_pieces(backend, msg, &cuts), want, "{:?} len {} cuts {:?}", backend, len, &cuts);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn padding_edges_on_every_backend() {
+        // 55 bytes leave exactly room for 0x80 and the length; 56..=63 push
+        // the length into a second block; 64 is a whole block.
+        let vectors = [
+            (
+                55,
+                "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b",
+            ),
+            (
+                56,
+                "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27",
+            ),
+            (
+                63,
+                "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055",
+            ),
+            (
+                64,
+                "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241",
+            ),
+        ];
+        for (len, want) in vectors {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let every_byte: Vec<usize> = (1..len).collect();
+            for backend in backends() {
+                assert_eq!(
+                    hex(&digest_in_pieces(backend, &data, &[])),
+                    want,
+                    "{backend:?} len {len}"
+                );
+                assert_eq!(
+                    hex(&digest_in_pieces(backend, &data, &every_byte)),
+                    want,
+                    "{backend:?} len {len}, byte at a time"
+                );
+            }
+        }
     }
 
     #[test]
