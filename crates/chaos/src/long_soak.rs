@@ -119,7 +119,7 @@ impl LongSoakConfig {
 
     /// The proxy configuration this leg runs: generous-but-finite caps,
     /// or none at all for the negative control. The fingerprint gate is
-    /// on in both legs — its evidence state is FIFO-capped by
+    /// on in both legs — its evidence state is LRU-capped by
     /// construction, so it rides inside the budget
     /// rather than being one of the caps the negative control disables.
     pub fn proxy_config(&self) -> ProxyConfig {
@@ -424,7 +424,7 @@ impl HomeSim {
         // leg never re-queries a pre-snapshot sealed verdict): three
         // unknown devices a day, each bursting exactly one evidence
         // window so its verdict seals before midnight. They keep the
-        // fingerprint gate's tracked/sealed FIFOs under daily churn for
+        // fingerprint gate's tracked/sealed LRU caches under daily churn for
         // the whole soak; their quarantine drops are not false drops.
         for v in 0..3u16 {
             let vid = 100 + day as u16 * 3 + v;
@@ -706,7 +706,7 @@ mod tests {
         assert!(report.replay_checked > 0, "replay leg skipped: {report:?}");
         assert!(report.proofs_delivered > 0);
         // The fingerprint gate ran under the budget: stranger evidence
-        // was live at some sample, and never past its FIFO caps (8
+        // was live at some sample, and never past its LRU caps (8
         // tracked + 16 sealed).
         assert!(
             report.hwm.fingerprint_evidence > 0,

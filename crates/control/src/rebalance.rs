@@ -5,7 +5,8 @@
 //! canonical JSON bytes (deterministic: the snapshot sorts every
 //! collection, so the same state always produces the same bytes) and
 //! counts them into `fiat_control_snapshot_bytes_total`.
-//! [`restore_home`] parses, re-verifies (version + audit chain), and
+//! [`restore_home`] parses, re-verifies (version, audit chain and each
+//! device's open-event state), and
 //! rebuilds a proxy that resumes byte-identically — the determinism
 //! contract proven by the core pipeline tests and the fleet rebalance
 //! oracle.
@@ -84,6 +85,7 @@ pub fn restore_home(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiat_core::snapshot::OpenEvent;
     use fiat_net::SimTime;
     use fiat_telemetry::{ManualClock, MetricRegistry};
     use proptest::prelude::*;
@@ -177,6 +179,36 @@ mod tests {
         assert_eq!(
             err,
             RestoreError::Snapshot(SnapshotError::UnsupportedVersion(99))
+        );
+    }
+
+    #[test]
+    fn inconsistent_open_event_is_refused() {
+        // A pending event with no packets parses and its audit chain
+        // verifies, but classifying it would panic the resumed proxy.
+        let proxy = seeded_proxy(1, 0, 0);
+        let mut snap = proxy.snapshot();
+        snap.devices[0].open = Some(OpenEvent {
+            packets: Vec::new(),
+            last: SimTime::from_secs(1),
+            fate: None,
+        });
+        let bytes = serde_json::to_vec(&snap).unwrap();
+        let err = match restore_home(
+            &bytes,
+            ProxyConfig::default(),
+            &SECRET,
+            HumannessValidator::with_operating_point(1.0, 1.0, 0),
+            plug(),
+            |_| EventClassifier::simple_rule(0),
+            None,
+        ) {
+            Ok(_) => panic!("inconsistent open event must be refused"),
+            Err(e) => e,
+        };
+        assert_eq!(
+            err,
+            RestoreError::Snapshot(SnapshotError::InconsistentDevice(0))
         );
     }
 

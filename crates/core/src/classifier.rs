@@ -5,6 +5,11 @@
 //! model over the 66 event features: BernoulliNB, "given its high
 //! accuracy overall and better transferability than NCC" (§6, footnote
 //! 2). The Table 2/3 model comparisons run on `fiat-ml` directly.
+//!
+//! [`ModelRegistry`] holds the trained models per device type and
+//! version (§7 "Road to Production": "one model per IoT device and
+//! software version which is downloaded and applied automatically as
+//! FIAT identifies a new device").
 
 use crate::events::UnpredictableEvent;
 use crate::features::{event_feature_names, event_features};
@@ -12,6 +17,7 @@ use fiat_ml::naive_bayes::BernoulliNB;
 use fiat_ml::{Classifier, Dataset, StandardScaler};
 use fiat_net::{PacketRecord, TrafficClass};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Event class labels, aligned with [`TrafficClass`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -139,6 +145,57 @@ pub fn event_dataset(events: &[UnpredictableEvent], packets: &[PacketRecord]) ->
         .with_feature_names(event_feature_names())
 }
 
+/// A versioned, per-device-type model registry.
+#[derive(Default)]
+pub struct ModelRegistry {
+    // (device type) -> version -> classifier.
+    entries: BTreeMap<String, BTreeMap<u32, EventClassifier>>,
+}
+
+impl ModelRegistry {
+    /// Empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Publish a model for a device type and version (later publishes of
+    /// the same version overwrite).
+    pub fn publish(
+        &mut self,
+        device_type: impl Into<String>,
+        version: u32,
+        model: EventClassifier,
+    ) {
+        self.entries
+            .entry(device_type.into())
+            .or_default()
+            .insert(version, model);
+    }
+
+    /// Resolve the newest model for a device type.
+    pub fn latest(&self, device_type: &str) -> Option<(u32, &EventClassifier)> {
+        self.entries
+            .get(device_type)
+            .and_then(|v| v.last_key_value())
+            .map(|(&ver, m)| (ver, m))
+    }
+
+    /// Resolve a specific version.
+    pub fn get(&self, device_type: &str, version: u32) -> Option<&EventClassifier> {
+        self.entries.get(device_type)?.get(&version)
+    }
+
+    /// Number of (type, version) models published.
+    pub fn len(&self) -> usize {
+        self.entries.values().map(|v| v.len()).sum()
+    }
+
+    /// Whether the registry is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,5 +311,23 @@ mod tests {
             EventClass::from_traffic(TrafficClass::Manual),
             EventClass::Manual
         );
+    }
+
+    #[test]
+    fn registry_resolves_latest_version() {
+        let mut reg = ModelRegistry::new();
+        reg.publish("SP10", 1, EventClassifier::simple_rule(200));
+        reg.publish("SP10", 3, EventClassifier::simple_rule(235));
+        reg.publish("SP10", 2, EventClassifier::simple_rule(210));
+        reg.publish("Nest-E", 1, EventClassifier::simple_rule(267));
+        assert_eq!(reg.len(), 4);
+        let (ver, model) = reg.latest("SP10").unwrap();
+        assert_eq!(ver, 3);
+        assert!(matches!(
+            model,
+            EventClassifier::SimpleRule { manual_size: 235 }
+        ));
+        assert!(reg.get("SP10", 2).is_some());
+        assert!(reg.latest("Unknown").is_none());
     }
 }

@@ -12,7 +12,10 @@
 //!   (up to) five packets of an unpredictable event (§4.1).
 //! - [`classifier`]: per-device manual-event classification — the §4 size
 //!   rule for simple devices (SP10, WP3, Nest-E) and an ML model
-//!   (BernoulliNB by default) for the rest.
+//!   (BernoulliNB by default) for the rest — and the §7
+//!   per-device-and-version model registry. A new device is identified
+//!   by `fiat-fingerprint`'s `SignatureSet::identify`, the same
+//!   signatures the unknown-device gate runs.
 //! - [`client`]: the phone-side FIAT app model — foreground-app detection,
 //!   lazy sensor buffering, TEE-backed signing, QUIC transfer — with the
 //!   Table 7 latency breakdown.
@@ -23,8 +26,6 @@
 //!   lockout, and the audit trail.
 //! - [`interactions`]: the §7 device-interaction DAG (Alexa → smart
 //!   light) that lets authorized devices vouch for downstream commands.
-//! - [`identify`]: passive device identification from traffic
-//!   fingerprints and the §7 per-device-and-version model registry.
 //! - [`notify`]: the user-facing alert feed digesting the audit trail
 //!   (blocked commands, lockouts, the silent-FN digest of §7).
 //! - [`audit`]: hash-chained, tamper-evident log of every unpredictable
@@ -41,7 +42,6 @@ pub mod classifier;
 pub mod client;
 pub mod events;
 pub mod features;
-pub mod identify;
 pub mod interactions;
 pub mod notify;
 pub mod pairing;
@@ -50,13 +50,12 @@ pub mod predict;
 pub mod snapshot;
 
 pub use analysis::ErrorModel;
-pub use classifier::{EventClass, EventClassifier};
+pub use classifier::{EventClass, EventClassifier, ModelRegistry};
 pub use client::{
     AuthAttempt, AuthMessage, DeliveryResult, FiatApp, LatencyBreakdown, RetryOutcome, RetryPolicy,
 };
 pub use events::{group_events, UnpredictableEvent, EVENT_GAP};
 pub use features::{event_feature_names, event_features, EVENT_FEATURE_COUNT};
-pub use identify::{DeviceIdentifier, ModelRegistry};
 pub use interactions::InteractionGraph;
 pub use notify::{Notification, NotificationCenter, Severity};
 pub use pairing::pair;

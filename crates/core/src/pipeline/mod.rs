@@ -371,7 +371,7 @@ pub struct StateSize {
     /// Released quarantine packets not yet drained by the interceptor.
     pub released_pending: usize,
     /// Fingerprint-gate entries: unknown devices under an open evidence
-    /// window plus cached sealed verdicts (both FIFO-capped).
+    /// window plus cached sealed verdicts (both LRU-capped).
     pub fingerprint_evidence: usize,
 }
 
@@ -1101,6 +1101,9 @@ impl FiatProxy {
             hashes,
         )
         .ok_or(SnapshotError::AuditChainInvalid)?;
+        if let Some(d) = snap.devices.iter().find(|d| !d.is_consistent()) {
+            return Err(SnapshotError::InconsistentDevice(d.device));
+        }
         audit.set_max_entries(config.max_audit_entries);
         let mut proxy = Self::with_telemetry(config, ceremony_secret, validator, telemetry);
         proxy.quic.restore_image(&(&snap.quic).into());
@@ -3001,6 +3004,48 @@ mod tests {
             .err(),
             Some(crate::snapshot::SnapshotError::AuditChainInvalid)
         );
+    }
+
+    /// Restore a post-bootstrap plug snapshot after `edit`, where the
+    /// plug's manual command has opened an event.
+    fn restore_edited(edit: impl FnOnce(&mut DeviceSnapshot)) -> Result<FiatProxy, SnapshotError> {
+        let mut proxy = proxy_with_plug();
+        let t = bootstrap(&mut proxy);
+        proxy.on_packet(&pkt(t, 235));
+        let mut snap = proxy.snapshot();
+        assert!(snap.devices[0].open.is_some());
+        edit(&mut snap.devices[0]);
+        FiatProxy::restore(
+            ProxyConfig::default(),
+            &SECRET,
+            HumannessValidator::with_operating_point(1.0, 1.0, 0),
+            ProxyTelemetry::default(),
+            &snap,
+            |_| EventClassifier::simple_rule(235),
+        )
+    }
+
+    #[test]
+    fn restore_refuses_a_pending_event_without_packets() {
+        // Classification reads the first buffered packet: resuming would
+        // panic on `flush` or the device's next packet after the gap.
+        let err = restore_edited(|d| {
+            let open = d.open.as_mut().unwrap();
+            open.packets.clear();
+            open.fate = None;
+        });
+        assert_eq!(err.err(), Some(SnapshotError::InconsistentDevice(0)));
+    }
+
+    #[test]
+    fn restore_refuses_a_quarantine_fate_without_a_record() {
+        // Later packets of a quarantine-fated event join the record:
+        // resuming would panic on the device's next non-rule packet.
+        let err = restore_edited(|d| {
+            d.open.as_mut().unwrap().fate = Some(EventFate::Quarantine);
+            d.quarantine = None;
+        });
+        assert_eq!(err.err(), Some(SnapshotError::InconsistentDevice(0)));
     }
 
     // ---- bounded state (DESIGN §18) ------------------------------------

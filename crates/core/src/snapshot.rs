@@ -57,6 +57,11 @@ pub enum SnapshotError {
     /// The exported audit chain fails verification: the snapshot was
     /// tampered with or truncated and must not be resumed from.
     AuditChainInvalid,
+    /// This device's open event breaks an invariant the decision path
+    /// relies on: it is pending with no buffered packets, or
+    /// quarantine-fated with no quarantine record. Resuming it would
+    /// panic on the device's next packet.
+    InconsistentDevice(u16),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -69,6 +74,9 @@ impl std::fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::AuditChainInvalid => write!(f, "audit chain failed verification"),
+            SnapshotError::InconsistentDevice(d) => {
+                write!(f, "device {d}: open event inconsistent with its state")
+            }
         }
     }
 }
@@ -145,6 +153,20 @@ pub struct DeviceSnapshot {
     pub locked: bool,
     /// Pending-verdict quarantine record, if any.
     pub quarantine: Option<QuarantineRecord>,
+}
+
+impl DeviceSnapshot {
+    /// Whether the open event keeps the invariants the live path holds:
+    /// a pending event has buffered the packets its classification
+    /// reads, and a quarantine-fated event has the record its later
+    /// packets join.
+    pub(crate) fn is_consistent(&self) -> bool {
+        match &self.open {
+            Some(e) if e.fate.is_none() => !e.packets.is_empty(),
+            Some(e) if e.fate == Some(EventFate::Quarantine) => self.quarantine.is_some(),
+            _ => true,
+        }
+    }
 }
 
 /// An open unpredictable event (live proxy state and its serialized

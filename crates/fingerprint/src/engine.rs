@@ -174,7 +174,7 @@ impl FingerprintEngine {
         }
     }
 
-    /// Record a sealed verdict in the FIFO cache and the totals.
+    /// Record a sealed verdict in the LRU cache and the totals.
     fn commit(&mut self, device: u16, verdict: FingerprintVerdict) {
         self.sealed_total[match verdict {
             FingerprintVerdict::Match(_) => 0,

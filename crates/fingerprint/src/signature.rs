@@ -2,7 +2,7 @@
 
 use crate::features::{fold_packet, l1, profile, FEATURE_COUNT};
 use crate::MatcherConfig;
-use fiat_net::{DnsTable, RemoteId, SimTime, Trace};
+use fiat_net::{DnsTable, PacketRecord, RemoteId, SimTime, Trace};
 use std::collections::HashMap;
 
 /// Exemplar windows kept per class after stride sampling. Bounds the
@@ -194,6 +194,24 @@ impl SignatureSet {
         }
         best.map(|(i, _)| i)
     }
+
+    /// Identify a new device from a capture window (§7: "one model per
+    /// IoT device ... applied automatically as FIAT identifies a new
+    /// device"): the [`claimed_class`](Self::claimed_class) of the
+    /// distinct destination domains in `packets`, the same
+    /// `RemoteId::Domain` ids the engine records as claims. `None` when
+    /// the window contacts no known domain.
+    pub fn identify(&self, packets: &[PacketRecord], dns: &DnsTable) -> Option<u16> {
+        let mut claims: Vec<u32> = Vec::new();
+        for pkt in packets {
+            if let RemoteId::Domain(id) = dns.remote_id(pkt.remote_ip) {
+                if !claims.contains(&id) {
+                    claims.push(id);
+                }
+            }
+        }
+        self.claimed_class(&claims, dns)
+    }
 }
 
 #[cfg(test)]
@@ -288,25 +306,30 @@ mod tests {
         assert_eq!(s.confident_match(&obs, &cfg), Some(0));
     }
 
+    fn packet(ts: SimTime, device: u16, remote: &str) -> PacketRecord {
+        use fiat_net::{Direction, TcpFlags, TlsVersion, TrafficClass, Transport};
+        PacketRecord {
+            ts,
+            device,
+            direction: Direction::FromDevice,
+            local_ip: "192.168.1.2".parse().unwrap(),
+            remote_ip: remote.parse().unwrap(),
+            local_port: 40_000,
+            remote_port: 443,
+            transport: Transport::Tcp,
+            tcp_flags: TcpFlags::psh_ack(),
+            tls: TlsVersion::Tls13,
+            size: 100,
+            label: TrafficClass::Control,
+        }
+    }
+
     #[test]
     fn learn_chunks_per_device_and_caps_exemplars() {
-        use fiat_net::{Direction, PacketRecord, TcpFlags, TlsVersion, TrafficClass, Transport};
         let mut trace = Trace::new();
         for i in 0..500u64 {
-            trace.packets.push(PacketRecord {
-                ts: SimTime::from_millis(i * 7),
-                device: (i % 2) as u16,
-                direction: Direction::FromDevice,
-                local_ip: "192.168.1.2".parse().unwrap(),
-                remote_ip: "10.0.0.1".parse().unwrap(),
-                local_port: 40_000,
-                remote_port: 443,
-                transport: Transport::Tcp,
-                tcp_flags: TcpFlags::psh_ack(),
-                tls: TlsVersion::Tls13,
-                size: 100,
-                label: TrafficClass::Control,
-            });
+            let ts = SimTime::from_millis(i * 7);
+            trace.packets.push(packet(ts, (i % 2) as u16, "10.0.0.1"));
         }
         trace.finish();
         let s = SignatureSet::learn(&[("x".to_string(), trace)], 4);
@@ -333,5 +356,32 @@ mod tests {
         assert_eq!(s.claimed_class(&[], &dns), None);
         // More overlap wins; equal overlap keeps the lower index.
         assert_eq!(s.claimed_class(&[plug, cam], &dns), Some(0));
+    }
+
+    #[test]
+    fn identify_resolves_the_windows_distinct_domains() {
+        let pkt = |remote: &str| packet(SimTime::ZERO, 0, remote);
+        let mut dns = DnsTable::new();
+        dns.observe_forward("10.0.0.1".parse().unwrap(), "relay.plug.example");
+        dns.observe_forward("10.0.0.2".parse().unwrap(), "api.cam.example");
+        dns.observe_forward("10.0.0.3".parse().unwrap(), "stun.cam.example");
+        let s = set(vec![
+            sig("plug", &[0], &["relay.plug.example"]),
+            sig("cam", &[1], &["api.cam.example", "stun.cam.example"]),
+        ]);
+        // Repeats of one plug domain do not outweigh two distinct camera
+        // domains: claims are counted once each.
+        let w = [
+            pkt("10.0.0.1"),
+            pkt("10.0.0.1"),
+            pkt("10.0.0.1"),
+            pkt("10.0.0.2"),
+            pkt("10.0.0.3"),
+        ];
+        assert_eq!(s.identify(&w, &dns), Some(1));
+        assert_eq!(s.identify(&w[..1], &dns), Some(0));
+        // An unresolved address claims nothing.
+        assert_eq!(s.identify(&[pkt("10.9.9.9")], &dns), None);
+        assert_eq!(s.identify(&[], &dns), None);
     }
 }

@@ -1,12 +1,18 @@
 //! End-to-end matcher battery over the seeded labeled corpus: genuine
 //! devices identify as their own class (never a false quarantine),
 //! spoofed devices resolve as `Spoof`, and the evidence-window edge
-//! behaves exactly as documented.
+//! behaves exactly as documented. The last tests identify new devices
+//! in a fresh testbed capture and resolve their model (§7).
 
-use fiat_core::{FingerprintGate, FingerprintObservation, FingerprintVerdict};
+use fiat_core::{
+    EventClassifier, FingerprintGate, FingerprintObservation, FingerprintVerdict, ModelRegistry,
+};
 use fiat_fingerprint::{FingerprintEngine, MatcherConfig, SignatureSet};
-use fiat_net::{DnsTable, SimDuration, Trace};
-use fiat_trace::{class_trace, fingerprint_corpus, spoofed_trace, testbed_devices, CORPUS_CLASSES};
+use fiat_net::{DnsTable, SimDuration, SimTime, Trace};
+use fiat_trace::{
+    class_trace, fingerprint_corpus, spoofed_trace, testbed_devices, Location, TestbedConfig,
+    TestbedTrace, CORPUS_CLASSES,
+};
 
 fn trained_engine(seed: u64) -> FingerprintEngine {
     let corpus = fingerprint_corpus(seed);
@@ -356,7 +362,7 @@ fn mac_flood_cannot_keep_a_device_pending_forever() {
     let mut pending = 0u64;
     let mut t = 0u64;
     for cycle in 0..40u64 {
-        // A few target packets, then a full FIFO of throwaway MACs.
+        // A few target packets, then a full tracked cache of throwaway MACs.
         for _ in 0..window / 4 {
             t += 1;
             if engine.observe(&flood_pkt(target, t), &dns).verdict == FingerprintVerdict::Pending {
@@ -399,4 +405,88 @@ fn degenerate_caps_are_clamped_not_panicking() {
         }
     }
     assert!(engine.state_size() <= 2);
+}
+
+fn capture(seed: u64, hours: f64) -> TestbedTrace {
+    TestbedTrace::generate(TestbedConfig {
+        location: Location::Us,
+        days: hours / 24.0,
+        seed,
+        ..Default::default()
+    })
+}
+
+fn window(c: &TestbedTrace, device: u16, start_min: u64) -> Vec<fiat_net::PacketRecord> {
+    let lo = SimTime::ZERO + SimDuration::from_mins(start_min);
+    let hi = lo + SimDuration::from_mins(60);
+    c.trace
+        .packets
+        .iter()
+        .filter(|p| p.device == device && p.ts >= lo && p.ts < hi)
+        .cloned()
+        .collect()
+}
+
+/// Signatures learned from one-hour windows of a lab capture, each
+/// labelled by its device name.
+fn learn_windows(c: &TestbedTrace, starts: &[u64]) -> SignatureSet {
+    let mut corpus = Vec::new();
+    for (i, d) in c.devices.iter().enumerate() {
+        for &start in starts {
+            let packets = window(c, i as u16, start);
+            let dns = c.trace.dns.clone();
+            corpus.push((d.name.clone(), Trace { packets, dns }));
+        }
+    }
+    SignatureSet::learn(&corpus, MatcherConfig::default().evidence_window)
+}
+
+#[test]
+fn identifies_testbed_devices_across_captures() {
+    // Train on one capture, identify in a fresh one.
+    let train_cap = capture(1, 3.0);
+    let sigs = learn_windows(&train_cap, &[0, 60]);
+    assert_eq!(sigs.len(), 20);
+
+    let test_cap = capture(2, 3.0);
+    let mut correct = 0;
+    for (i, d) in test_cap.devices.iter().enumerate() {
+        let w = window(&test_cap, i as u16, 0);
+        let idx = sigs.identify(&w, &test_cap.trace.dns);
+        if idx.and_then(|idx| sigs.label(idx)) == Some(d.name.as_str()) {
+            correct += 1;
+        }
+    }
+    assert!(correct >= 8, "identified {correct}/10 devices");
+}
+
+#[test]
+fn end_to_end_identify_then_resolve() {
+    let train_cap = capture(3, 3.0);
+    let sigs = learn_windows(&train_cap, &[0]);
+
+    let mut reg = ModelRegistry::new();
+    for d in &train_cap.devices {
+        let m = d
+            .simple_rule_size
+            .map(EventClassifier::simple_rule)
+            .unwrap_or_else(|| EventClassifier::simple_rule(0));
+        reg.publish(d.name.clone(), 1, m);
+    }
+
+    // A "new" plug appears in a later capture: it resolves to the SP10
+    // model automatically.
+    let new_cap = capture(4, 3.0);
+    let w = window(&new_cap, 3, 0); // SP10
+    let name = sigs
+        .identify(&w, &new_cap.trace.dns)
+        .and_then(|idx| sigs.label(idx))
+        .unwrap();
+    assert_eq!(name, "SP10");
+    let (ver, model) = reg.latest(name).unwrap();
+    assert_eq!(ver, 1);
+    assert!(matches!(
+        model,
+        EventClassifier::SimpleRule { manual_size: 235 }
+    ));
 }

@@ -2,7 +2,7 @@
 //! engine's entire observe path — evidence accumulation, window sealing,
 //! and the sealed-verdict steady state — must not touch the heap. All
 //! evidence lives in fixed arrays inside two `Vec`s preallocated to
-//! their FIFO caps, and every decision is integer arithmetic.
+//! their LRU caps, and every decision is integer arithmetic.
 //!
 //! The file holds exactly one test so no concurrent test thread can
 //! perturb the allocator counters.

@@ -108,7 +108,7 @@ pub struct ChaosStats {
     /// held-then-expired manual bursts).
     pub quarantine_probes: u64,
     /// Injected unknown-device fingerprint packets (genuine, spoofed,
-    /// unclassifiable, and FIFO-flood traffic).
+    /// unclassifiable, and cache-flood traffic).
     pub fingerprint_probes: u64,
     /// Interleaved humanness proofs.
     pub verify_ops: u64,
@@ -455,7 +455,7 @@ pub fn build_scenario(seed: u64, quick: bool) -> (Scenario, ChaosStats) {
         fingerprint_unknown: true,
         ..Default::default()
     };
-    // Tight FIFO caps so the tracked-window and sealed-verdict eviction
+    // Tight LRU caps so the tracked-window and sealed-verdict eviction
     // paths actually fire on a short capture; thresholds stay at their
     // defaults so the genuine/spoofed/unclassifiable probes land their
     // intended verdicts.
@@ -625,7 +625,7 @@ pub fn build_scenario(seed: u64, quick: bool) -> (Scenario, ChaosStats) {
 /// - device 202: constant-size machine-gun chatter matching no trained
 ///   class — the explicit no-match;
 /// - devices 300..: one-window-short visitors that overflow the tracked
-///   FIFO, exercising open-window eviction and re-tracking.
+///   LRU cache, exercising open-window eviction and re-tracking.
 ///
 /// Each probe trace's DNS is merged into the capture's table so claimed
 /// classes resolve on both sides.

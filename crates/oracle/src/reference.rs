@@ -133,7 +133,7 @@ struct RefEvidence {
 /// `if` chains, per-mille normalization and L1 distances are recomputed
 /// from raw stored packets at seal time, and claimed-class resolution is
 /// a linear string scan instead of interned-id binary search. A silent
-/// change to a threshold constant or to the window/FIFO/two-window
+/// change to a threshold constant or to the window/LRU/two-window
 /// semantics in `fiat-fingerprint` therefore shows up as a divergence.
 struct RefFingerprint {
     sigs: Vec<ClassSignature>,
@@ -347,7 +347,7 @@ impl RefFingerprint {
         }
     }
 
-    /// Record a sealed verdict in the FIFO cache.
+    /// Record a sealed verdict in the LRU cache.
     fn commit(&mut self, device: u16, verdict: FingerprintVerdict) {
         if self.sealed.len() >= self.cfg.max_sealed {
             self.sealed.remove(0);

@@ -107,8 +107,9 @@ fn main() {
     assert!(forged.is_err());
 
     println!("\n=== 5. Brute force triggers lockout ===");
+    // `lockout_threshold` unverified events are tolerated; one more locks.
     let mut t = replay_at + SimDuration::from_mins(5);
-    for _ in 0..3 {
+    for _ in 0..=ProxyConfig::default().lockout_threshold {
         let d = proxy.on_packet(&plug_command(t));
         println!("injection verdict: {d:?}");
         t += SimDuration::from_secs(10);

@@ -1,12 +1,13 @@
 //! §7 "Road to Production": a new device joins the home; FIAT identifies
 //! it passively from an hour of traffic and pulls the right classifier
-//! from the model registry — no manual configuration.
+//! from the model registry — no manual configuration. Identification
+//! uses the same `SignatureSet` the proxy's unknown-device gate runs.
 //!
 //! Run: `cargo run --release --example device_identification`
 
-use fiat::core::classifier::event_dataset;
-use fiat::core::identify::{DeviceIdentifier, ModelRegistry};
+use fiat::core::classifier::{event_dataset, ModelRegistry};
 use fiat::prelude::*;
+use fiat_fingerprint::{MatcherConfig, SignatureSet};
 
 fn window(c: &TestbedTrace, device: u16, start_min: u64) -> Vec<PacketRecord> {
     let lo = SimTime::ZERO + SimDuration::from_mins(start_min);
@@ -21,7 +22,7 @@ fn window(c: &TestbedTrace, device: u16, start_min: u64) -> Vec<PacketRecord> {
 
 fn main() {
     // The vendor-side lab: captures of known device types, used to train
-    // both the identifier and the per-type event classifiers.
+    // both the device signatures and the per-type event classifiers.
     let lab = TestbedTrace::generate(TestbedConfig {
         days: 3.0,
         seed: 31,
@@ -31,14 +32,13 @@ fn main() {
     let mut samples = Vec::new();
     for (i, dev) in lab.devices.iter().enumerate() {
         for start in [0u64, 60, 120] {
-            samples.push((dev.name.clone(), window(&lab, i as u16, start)));
+            let packets = window(&lab, i as u16, start);
+            let dns = lab.trace.dns.clone();
+            samples.push((dev.name.clone(), Trace { packets, dns }));
         }
     }
-    let identifier = DeviceIdentifier::train(&samples, &lab.trace.dns);
-    println!(
-        "identifier knows {} device types",
-        identifier.known_devices().len()
-    );
+    let signatures = SignatureSet::learn(&samples, MatcherConfig::default().evidence_window);
+    println!("learned {} signature windows", signatures.len());
 
     // Publish one classifier model per device type (version 1), with a
     // version-2 refresh for the plugs.
@@ -74,8 +74,11 @@ fn main() {
     let mut correct = 0;
     for (i, dev) in home.devices.iter().enumerate() {
         let w = window(&home, i as u16, 0);
-        match registry.resolve_for_capture(&identifier, &w, &home.trace.dns) {
-            Some((name, version, _)) => {
+        let name = signatures
+            .identify(&w, &home.trace.dns)
+            .and_then(|idx| signatures.label(idx));
+        match name.and_then(|name| Some((name, registry.latest(name)?.0))) {
+            Some((name, version)) => {
                 if name == dev.name {
                     correct += 1;
                 }
