@@ -36,7 +36,6 @@ use fiat_net::{PacketRecord, SimDuration, SimTime, Trace};
 use fiat_quic::ZeroRttPacket;
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
 use fiat_simnet::{InterceptQueue, Verdict};
-use fiat_telemetry::AttackMetrics;
 use fiat_trace::{fingerprint_corpus, testbed_devices, DeviceModel, Location};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,14 +65,7 @@ pub struct RunConfig {
 }
 
 /// Execute one strategy against one device; returns the scored outcome.
-/// When `metrics` is given, the run is also recorded into
-/// `fiat_attack_runs_total{strategy=,outcome=}` and the time-to-block
-/// histogram.
-pub fn run_attack(
-    strategy: &dyn AttackStrategy,
-    config: &RunConfig,
-    metrics: Option<&AttackMetrics>,
-) -> AttackOutcome {
+pub fn run_attack(strategy: &dyn AttackStrategy, config: &RunConfig) -> AttackOutcome {
     let devices = testbed_devices();
     let dev = &devices[config.device as usize];
     let proxy_config = strategy.config(ProxyConfig::default());
@@ -396,7 +388,7 @@ pub fn run_attack(
         AttackVerdict::Blocked
     };
 
-    let outcome = AttackOutcome {
+    AttackOutcome {
         strategy: strategy.name().to_string(),
         defense: strategy.defense().to_string(),
         device: config.device,
@@ -411,13 +403,5 @@ pub fn run_attack(
         retro_episodes: stats.retro_unverified,
         time_to_block_ms,
         completed,
-    };
-    if let Some(m) = metrics {
-        m.record(
-            strategy.name(),
-            outcome.verdict.as_str(),
-            outcome.time_to_block_ms,
-        );
     }
-    outcome
 }

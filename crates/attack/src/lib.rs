@@ -66,7 +66,7 @@ mod tests {
     const CAMERA: u16 = 2;
 
     fn run(strategy: &dyn AttackStrategy, device: u16) -> AttackOutcome {
-        run_attack(strategy, &RunConfig { device, seed: 42 }, None)
+        run_attack(strategy, &RunConfig { device, seed: 42 })
     }
 
     #[test]
@@ -265,7 +265,6 @@ mod tests {
                 device: PLUG,
                 seed: 7,
             },
-            None,
         );
         let b = run_attack(
             &ReplayAttack,
@@ -273,7 +272,6 @@ mod tests {
                 device: PLUG,
                 seed: 7,
             },
-            None,
         );
         assert_eq!(a, b);
         let c = run_attack(
@@ -282,26 +280,8 @@ mod tests {
                 device: PLUG,
                 seed: 8,
             },
-            None,
         );
         // Different seed, same security posture.
         assert_eq!(c.verdict, AttackVerdict::Blocked);
-    }
-
-    #[test]
-    fn metrics_record_strategy_and_outcome() {
-        let registry = fiat_telemetry::MetricRegistry::new();
-        let metrics = fiat_telemetry::AttackMetrics::new(&registry);
-        run_attack(
-            &ReplayAttack,
-            &RunConfig {
-                device: PLUG,
-                seed: 42,
-            },
-            Some(&metrics),
-        );
-        assert_eq!(metrics.runs("replay", "blocked").get(), 1);
-        let text = registry.render_prometheus();
-        assert!(text.contains("fiat_attack_runs_total"));
     }
 }

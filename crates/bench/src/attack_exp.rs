@@ -9,7 +9,7 @@
 //! stay reviewable.
 
 use fiat_attack::{run_attack, standard_strategies, AttackVerdict, RunConfig, Scorecard};
-use fiat_telemetry::{AttackMetrics, MetricRegistry};
+use fiat_telemetry::MetricRegistry;
 use fiat_trace::testbed_devices;
 
 /// Device matrix for the full run: every testbed device.
@@ -23,11 +23,37 @@ fn quick_matrix() -> Vec<u16> {
     vec![3, 2]
 }
 
-/// Run the panel over the device matrix. Per-run seeds derive from
-/// `seed` and the (strategy, device) cell so runs stay independent.
+/// Publish a finished scorecard: one `fiat_attack_runs_total` increment
+/// per run, by strategy and scored outcome, and each run's time to
+/// block. The histogram is registered even when no run was blocked.
+fn publish(card: &Scorecard, registry: &MetricRegistry) {
+    registry.describe(
+        "fiat_attack_runs_total",
+        "Red-team attack runs, by strategy and scored outcome.",
+    );
+    registry.describe(
+        "fiat_attack_time_to_block_ms",
+        "Time from first attack packet to first blocking decision (ms).",
+    );
+    let time_to_block = registry.histogram("fiat_attack_time_to_block_ms", &[]);
+    for o in card.outcomes() {
+        registry
+            .counter(
+                "fiat_attack_runs_total",
+                &[("strategy", &o.strategy), ("outcome", o.verdict.as_str())],
+            )
+            .inc();
+        if let Some(ms) = o.time_to_block_ms {
+            time_to_block.record(ms);
+        }
+    }
+}
+
+/// Run the panel over the device matrix and publish the scorecard.
+/// Per-run seeds derive from `seed` and the (strategy, device) cell so
+/// runs stay independent.
 pub fn attack_scorecard(seed: u64, quick: bool, registry: &MetricRegistry) -> Scorecard {
     let devices = if quick { quick_matrix() } else { full_matrix() };
-    let metrics = AttackMetrics::new(registry);
     let mut card = Scorecard::new();
     for (si, strategy) in standard_strategies().iter().enumerate() {
         for &device in &devices {
@@ -41,11 +67,11 @@ pub fn attack_scorecard(seed: u64, quick: bool, registry: &MetricRegistry) -> Sc
                     device,
                     seed: run_seed,
                 },
-                Some(&metrics),
             );
             card.push(outcome);
         }
     }
+    publish(&card, registry);
     card
 }
 
@@ -134,9 +160,23 @@ mod tests {
     #[test]
     fn registry_collects_run_counters() {
         let registry = MetricRegistry::new();
-        let _ = attack_text(42, true, &registry);
+        let card = attack_scorecard(42, true, &registry);
         let text = registry.render_prometheus();
-        assert!(text.contains("fiat_attack_runs_total"));
         assert!(text.contains("strategy=\"replay\""));
+        let runs: u64 = registry
+            .snapshot()
+            .counters
+            .iter()
+            .filter(|c| c.name == "fiat_attack_runs_total")
+            .map(|c| c.value)
+            .sum();
+        assert_eq!(runs, card.outcomes().len() as u64);
+        let timed = card
+            .outcomes()
+            .iter()
+            .filter(|o| o.time_to_block_ms.is_some())
+            .count();
+        let time_to_block = registry.histogram("fiat_attack_time_to_block_ms", &[]);
+        assert_eq!(time_to_block.count(), timed as u64);
     }
 }

@@ -15,7 +15,7 @@
 use fiat_chaos::{run_soak, SoakConfig, SoakReport};
 use fiat_net::SimDuration;
 use fiat_simnet::LatencyProfile;
-use fiat_telemetry::{ChaosMetrics, MetricRegistry};
+use fiat_telemetry::MetricRegistry;
 use std::fmt::Write as _;
 
 /// Proof-channel loss rates for the full sweep.
@@ -81,9 +81,39 @@ impl ChaosReport {
     }
 }
 
-/// Run the sweep and record telemetry.
+/// Publish a finished sweep, summed over every cell and degradation
+/// leg: injected faults by kind (kinds that never fired stay absent),
+/// proof retries, and false drops.
+fn publish(report: &ChaosReport, registry: &MetricRegistry) {
+    registry.describe(
+        "fiat_chaos_faults_total",
+        "Faults injected into the proof channel, by kind.",
+    );
+    registry.describe(
+        "fiat_proof_retries_total",
+        "Humanness-proof delivery attempts beyond the first.",
+    );
+    registry.describe(
+        "fiat_chaos_false_drops_total",
+        "Genuine manual events that lost packets despite an eventually-delivered proof.",
+    );
+    let retries = registry.counter("fiat_proof_retries_total", &[]);
+    let false_drops = registry.counter("fiat_chaos_false_drops_total", &[]);
+    for c in report.cells.iter().chain(&report.degraded) {
+        for &(kind, n) in &c.report.faults {
+            if n > 0 {
+                registry
+                    .counter("fiat_chaos_faults_total", &[("kind", kind)])
+                    .add(n);
+            }
+        }
+        retries.add(c.report.retries);
+        false_drops.add(c.report.false_drops);
+    }
+}
+
+/// Run the sweep and publish the report.
 pub fn chaos_report(seed: u64, quick: bool, registry: &MetricRegistry) -> ChaosReport {
-    let metrics = ChaosMetrics::new(registry);
     let deadline = SimDuration::from_secs(10);
     let profiles: &[(&'static str, LatencyProfile)] = if quick {
         &[
@@ -116,7 +146,7 @@ pub fn chaos_report(seed: u64, quick: bool, registry: &MetricRegistry) -> ChaosR
     let mut cells = Vec::new();
     for (li, &loss) in losses.iter().enumerate() {
         for (pi, &(name, latency)) in profiles.iter().enumerate() {
-            let report = run_soak(&cfg(cell_seed(li, pi), loss, latency, true), &metrics);
+            let report = run_soak(&cfg(cell_seed(li, pi), loss, latency, true));
             cells.push(ChaosCell {
                 loss,
                 profile: name,
@@ -142,7 +172,7 @@ pub fn chaos_report(seed: u64, quick: bool, registry: &MetricRegistry) -> ChaosR
             .iter()
             .all(|c| c.profile != name || (c.loss - DEGRADE_LOSS).abs() >= 1e-9)
         {
-            let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, true), &metrics);
+            let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, true));
             cells.push(ChaosCell {
                 loss: DEGRADE_LOSS,
                 profile: name,
@@ -150,7 +180,7 @@ pub fn chaos_report(seed: u64, quick: bool, registry: &MetricRegistry) -> ChaosR
                 report,
             });
         }
-        let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, false), &metrics);
+        let report = run_soak(&cfg(cs, DEGRADE_LOSS, latency, false));
         degraded.push(ChaosCell {
             loss: DEGRADE_LOSS,
             profile: name,
@@ -158,13 +188,15 @@ pub fn chaos_report(seed: u64, quick: bool, registry: &MetricRegistry) -> ChaosR
             report,
         });
     }
-    ChaosReport {
+    let report = ChaosReport {
         seed,
         quick,
         deadline,
         cells,
         degraded,
-    }
+    };
+    publish(&report, registry);
+    report
 }
 
 fn cell_row(out: &mut String, c: &ChaosCell) {
@@ -311,10 +343,27 @@ mod tests {
     #[test]
     fn registry_collects_chaos_metrics() {
         let registry = MetricRegistry::new();
-        let _ = chaos_text(42, true, &registry);
+        let report = chaos_report(42, true, &registry);
+        let legs: Vec<&SoakReport> = report
+            .cells
+            .iter()
+            .chain(&report.degraded)
+            .map(|c| &c.report)
+            .collect();
+        let count = |name, labels: &[(&str, &str)]| registry.counter(name, labels).get();
+        let retries: u64 = legs.iter().map(|r| r.retries).sum();
+        assert_eq!(count("fiat_proof_retries_total", &[]), retries);
+        let false_drops: u64 = legs.iter().map(|r| r.false_drops).sum();
+        assert_eq!(count("fiat_chaos_false_drops_total", &[]), false_drops);
         let text = registry.render_prometheus();
-        assert!(text.contains("fiat_chaos_faults_total"));
-        assert!(text.contains("fiat_proof_retries_total"));
-        assert!(text.contains("fiat_chaos_false_drops_total"));
+        for (i, &(kind, _)) in legs[0].faults.iter().enumerate() {
+            let n: u64 = legs.iter().map(|r| r.faults[i].1).sum();
+            let series = format!("fiat_chaos_faults_total{{kind=\"{kind}\"}}");
+            if n == 0 {
+                assert!(!text.contains(&series), "zero kind {kind} published");
+            } else {
+                assert!(text.contains(&format!("{series} {n}")), "{text}");
+            }
+        }
     }
 }

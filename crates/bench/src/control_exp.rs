@@ -17,9 +17,10 @@
 //! `CONTROL REGRESSION` trailer CI greps for.
 
 use fiat_control::{
-    run_control_sweep, ControlConfig, ControlReport, LifecyclePolicy, PhoneEnroller, ProxyEnroller,
+    run_control_sweep, ControlConfig, ControlMetrics, ControlReport, LifecyclePolicy,
+    PhoneEnroller, ProxyEnroller,
 };
-use fiat_telemetry::{ControlMetrics, MetricRegistry};
+use fiat_telemetry::MetricRegistry;
 use std::fmt::Write as _;
 
 /// The full experiment result.

@@ -159,19 +159,16 @@ pub fn fingerprint_report(seed: u64, quick: bool) -> FingerprintReport {
     let off = run_attack(
         &DeviceSpoofing { gate: false },
         &RunConfig { device: 2, seed },
-        None,
     );
     report.gate_off_allowed = off.verdict == AttackVerdict::Allowed;
     let on_camera = run_attack(
         &DeviceSpoofing { gate: true },
         &RunConfig { device: 2, seed },
-        None,
     );
     report.gate_on_blocked = on_camera.verdict == AttackVerdict::Blocked;
     let on_plug = run_attack(
         &DeviceSpoofing { gate: true },
         &RunConfig { device: 3, seed },
-        None,
     );
     report.gate_on_detected = on_plug.verdict == AttackVerdict::Detected;
 

@@ -9,7 +9,7 @@
 //! known-divergence ledger).
 
 use fiat_oracle::{render_report, run_differential, OracleReport};
-use fiat_telemetry::{MetricRegistry, OracleMetrics};
+use fiat_telemetry::MetricRegistry;
 
 /// Packet floor for the full run (the acceptance bar: ≥ 10 k
 /// chaos-mutated packets across the 10-device matrix).
@@ -17,7 +17,35 @@ pub const FULL_TARGET_PACKETS: u64 = 10_000;
 /// Packet floor for the CI smoke run.
 pub const QUICK_TARGET_PACKETS: u64 = 1_500;
 
-/// Run the differential oracle and record telemetry.
+/// Publish a finished oracle run: replay volume, scenarios, and one
+/// `fiat_oracle_divergences_total` increment per divergence, by kind.
+fn publish(report: &OracleReport, registry: &MetricRegistry) {
+    registry.describe(
+        "fiat_oracle_packets_total",
+        "Packets replayed through both the reference and real proxy.",
+    );
+    registry.describe(
+        "fiat_oracle_scenarios_total",
+        "Differential fuzz scenarios executed.",
+    );
+    registry.describe(
+        "fiat_oracle_divergences_total",
+        "Reference/real disagreements found, by kind.",
+    );
+    registry
+        .counter("fiat_oracle_packets_total", &[])
+        .add(report.packets);
+    registry
+        .counter("fiat_oracle_scenarios_total", &[])
+        .add(report.scenarios as u64);
+    for d in &report.divergences {
+        registry
+            .counter("fiat_oracle_divergences_total", &[("kind", d.kind)])
+            .inc();
+    }
+}
+
+/// Run the differential oracle and publish the report.
 pub fn oracle_report(seed: u64, quick: bool, registry: &MetricRegistry) -> OracleReport {
     let target = if quick {
         QUICK_TARGET_PACKETS
@@ -25,11 +53,7 @@ pub fn oracle_report(seed: u64, quick: bool, registry: &MetricRegistry) -> Oracl
         FULL_TARGET_PACKETS
     };
     let report = run_differential(seed, quick, target);
-    let m = OracleMetrics::new(registry);
-    m.record_run(report.packets, report.scenarios as u64);
-    for d in &report.divergences {
-        m.divergences(d.kind).inc();
-    }
+    publish(&report, registry);
     report
 }
 
@@ -62,9 +86,12 @@ mod tests {
     #[test]
     fn registry_collects_replay_volume() {
         let registry = MetricRegistry::new();
-        let _ = oracle_text(42, true, &registry);
-        let text = registry.render_prometheus();
-        assert!(text.contains("fiat_oracle_packets_total"));
-        assert!(text.contains("fiat_oracle_scenarios_total"));
+        let report = oracle_report(42, true, &registry);
+        let count = |name| registry.counter(name, &[]).get();
+        assert_eq!(count("fiat_oracle_packets_total"), report.packets);
+        assert_eq!(
+            count("fiat_oracle_scenarios_total"),
+            report.scenarios as u64
+        );
     }
 }

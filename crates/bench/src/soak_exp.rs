@@ -14,7 +14,7 @@
 
 use crate::bench_log::{self, BenchRecord, BenchRow};
 use fiat_chaos::{run_long_soak, LongSoakConfig, LongSoakReport};
-use fiat_telemetry::{MetricRegistry, StateMetrics};
+use fiat_telemetry::MetricRegistry;
 use std::fmt::Write as _;
 
 /// Both legs of one soak run plus the artifacts the CLI writes.
@@ -103,6 +103,40 @@ fn leg_row(out: &mut String, name: &str, r: &LongSoakReport) {
     .unwrap();
 }
 
+/// Publish the capped leg's per-home high-water marks of the
+/// budget-covered surfaces (`fiat_state_*_hwm`: the worst home over the
+/// whole run). The negative control is not published: its deliberately
+/// unbounded state is the evidence in the text, not a fleet number.
+fn publish(capped: &LongSoakReport, registry: &MetricRegistry) {
+    let h = &capped.hwm;
+    for (name, help, v) in [
+        (
+            "fiat_state_rules_hwm",
+            "High-water mark of live rule-table entries (LRU-capped).",
+            h.rules,
+        ),
+        (
+            "fiat_state_quarantine_records_hwm",
+            "High-water mark of concurrent pending-verdict quarantine records \
+             (demotion-capped).",
+            h.quarantine_records,
+        ),
+        (
+            "fiat_state_quarantine_held_hwm",
+            "High-water mark of packets held across all quarantine records.",
+            h.quarantine_held,
+        ),
+        (
+            "fiat_state_audit_entries_hwm",
+            "High-water mark of in-memory audit chain length (truncation-capped).",
+            h.audit_entries,
+        ),
+    ] {
+        registry.describe(name, help);
+        registry.gauge(name, &[]).set(v as i64);
+    }
+}
+
 /// Run both legs at explicit configurations (tests use scaled-down
 /// fleets; the CLI passes `quick`/`full` + `negative`).
 pub fn soak_outcome_with(
@@ -111,14 +145,11 @@ pub fn soak_outcome_with(
     seed: u64,
     registry: &MetricRegistry,
 ) -> SoakOutcome {
-    let metrics = StateMetrics::new(registry);
     let start = std::time::Instant::now();
-    let capped = run_long_soak(capped_cfg, Some(&metrics));
+    let capped = run_long_soak(capped_cfg);
     let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
-    // The negative control runs without telemetry: its gauges would
-    // otherwise overwrite the capped leg's high-water marks with the
-    // deliberately unbounded ones.
-    let negative = run_long_soak(negative_cfg, None);
+    let negative = run_long_soak(negative_cfg);
+    publish(&capped, registry);
 
     let mut out = String::new();
     writeln!(
@@ -282,9 +313,22 @@ mod tests {
         let registry = MetricRegistry::new();
         let (c, n) = tiny_pair(42);
         let out = soak_outcome_with(&c, &n, 42, &registry);
-        let text = registry.render_prometheus();
-        assert!(text.contains("fiat_state_rules_hwm"), "{text}");
-        assert!(text.contains("fiat_state_audit_entries_hwm"), "{text}");
-        assert!(out.capped.hwm.rules > 0);
+        let h = &out.capped.hwm;
+        assert!(h.rules > 0);
+        let gauges = registry.snapshot().gauges;
+        let published: Vec<(&str, i64)> =
+            gauges.iter().map(|g| (g.name.as_str(), g.value)).collect();
+        assert_eq!(
+            published,
+            [
+                ("fiat_state_audit_entries_hwm", h.audit_entries as i64),
+                ("fiat_state_quarantine_held_hwm", h.quarantine_held as i64),
+                (
+                    "fiat_state_quarantine_records_hwm",
+                    h.quarantine_records as i64
+                ),
+                ("fiat_state_rules_hwm", h.rules as i64),
+            ]
+        );
     }
 }

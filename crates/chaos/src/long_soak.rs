@@ -25,8 +25,8 @@
 //!   concurrent quarantine records past the record cap (demotion).
 //! - **State accountant.** [`FiatProxy::state_size`] is sampled twice a
 //!   simulated day (mid-quarantine-storm and end-of-day) and asserted
-//!   against [`LongSoakConfig::budget`]; samples also feed the
-//!   `fiat_state_*` gauge pairs, whose high-water marks report the worst
+//!   against [`LongSoakConfig::budget`] and folded into the report's
+//!   per-surface high-water marks ([`LongSoakReport::hwm`]): the worst
 //!   home in the fleet.
 //! - **Snapshot-replay leg.** Every Nth home is snapshotted mid-soak,
 //!   serialized, restored, and driven in lockstep with the original to
@@ -50,7 +50,7 @@ use fiat_net::{
     Direction, PacketRecord, SimDuration, SimTime, TcpFlags, TlsVersion, TrafficClass, Transport,
 };
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
-use fiat_telemetry::{ManualClock, MetricRegistry, StateMetrics};
+use fiat_telemetry::{ManualClock, MetricRegistry};
 use fiat_trace::fingerprint_corpus;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -594,9 +594,8 @@ impl HomeSim {
     }
 }
 
-/// Run the fleet. Fully deterministic per [`LongSoakConfig`]; samples
-/// feed `metrics` (worst-home-wins via the gauge high-water marks).
-pub fn run_long_soak(cfg: &LongSoakConfig, metrics: Option<&StateMetrics>) -> LongSoakReport {
+/// Run the fleet. Fully deterministic per [`LongSoakConfig`].
+pub fn run_long_soak(cfg: &LongSoakConfig) -> LongSoakReport {
     let mut report = LongSoakReport {
         homes: cfg.homes,
         days: cfg.days,
@@ -639,12 +638,6 @@ pub fn run_long_soak(cfg: &LongSoakConfig, metrics: Option<&StateMetrics>) -> Lo
                 if s.total() > cfg.budget {
                     report.budget_breaches += 1;
                 }
-                if let Some(m) = metrics {
-                    m.rules.sample(s.rules as i64);
-                    m.quarantine_records.sample(s.quarantine_records as i64);
-                    m.quarantine_held.sample(s.quarantine_held as i64);
-                    m.audit_entries.sample(s.audit_entries as i64);
-                }
             });
         }
         if let Some(ok) = sim.shadow_matches() {
@@ -683,7 +676,7 @@ mod tests {
 
     #[test]
     fn capped_soak_stays_inside_budget_with_zero_false_drops() {
-        let report = run_long_soak(&tiny(42), None);
+        let report = run_long_soak(&tiny(42));
         assert!(report.passed(), "{report:?}");
         assert_eq!(report.false_drops, 0, "{report:?}");
         assert_eq!(report.budget_breaches, 0, "{report:?}");
@@ -721,7 +714,7 @@ mod tests {
             homes: 2,
             ..LongSoakConfig::negative(42)
         };
-        let report = run_long_soak(&negative, None);
+        let report = run_long_soak(&negative);
         assert!(
             report.budget_breaches > 0,
             "negative control failed to breach: {report:?}"
@@ -736,28 +729,8 @@ mod tests {
 
     #[test]
     fn long_soak_is_deterministic() {
-        let a = run_long_soak(&tiny(7), None);
-        let b = run_long_soak(&tiny(7), None);
+        let a = run_long_soak(&tiny(7));
+        let b = run_long_soak(&tiny(7));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn state_metrics_track_worst_home() {
-        let registry = MetricRegistry::new();
-        let metrics = StateMetrics::new(&registry);
-        let cfg = LongSoakConfig {
-            homes: 2,
-            days: 3,
-            replay_every: 0,
-            ..LongSoakConfig::quick(1)
-        };
-        let report = run_long_soak(&cfg, Some(&metrics));
-        assert_eq!(metrics.rules.high_water(), report.hwm.rules as i64);
-        assert_eq!(
-            metrics.quarantine_records.high_water(),
-            report.hwm.quarantine_records as i64
-        );
-        let text = registry.render_prometheus();
-        assert!(text.contains("fiat_state_rules_hwm"));
     }
 }

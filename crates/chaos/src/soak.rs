@@ -27,7 +27,6 @@ use fiat_core::{AuthAttempt, EventClassifier, FiatApp, FiatProxy, ProxyConfig, P
 use fiat_net::{SimDuration, SimTime};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
 use fiat_simnet::{InterceptQueue, LatencyProfile, Verdict};
-use fiat_telemetry::ChaosMetrics;
 use fiat_trace::{TestbedConfig, TestbedTrace};
 
 /// Pairing-ceremony secret shared by the soak's proxy and app.
@@ -118,7 +117,7 @@ fn deliver(proxy: &mut FiatProxy, ledger: &mut ManualLedger, idx: usize, frame: 
 }
 
 /// Run one soak cell. Fully deterministic per [`SoakConfig`].
-pub fn run_soak(cfg: &SoakConfig, metrics: &ChaosMetrics) -> SoakReport {
+pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let days = if cfg.quick { 0.022 } else { 0.06 };
     let tb = TestbedTrace::generate(TestbedConfig {
         days,
@@ -252,12 +251,6 @@ pub fn run_soak(cfg: &SoakConfig, metrics: &ChaosMetrics) -> SoakReport {
         .map(|&k| (k.as_str(), channel.plan.count(k) + wire.count(k)))
         .collect();
 
-    for &(kind, n) in &faults {
-        metrics.record_faults(kind, n);
-    }
-    metrics.record_retries(retries_spent);
-    metrics.record_false_drops(tally.false_drops);
-
     SoakReport {
         packets,
         manual_events: ledger.events().len() as u64,
@@ -275,18 +268,13 @@ pub fn run_soak(cfg: &SoakConfig, metrics: &ChaosMetrics) -> SoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiat_telemetry::MetricRegistry;
-
-    fn metrics() -> ChaosMetrics {
-        ChaosMetrics::new(&MetricRegistry::new())
-    }
 
     #[test]
     fn quick_soak_at_default_loss_has_zero_false_drops() {
         // The acceptance bar: 5% proof-channel loss, retries on, 10 s
         // deadline — every delivered proof beats the deadline, so no
         // genuine manual event may lose packets.
-        let report = run_soak(&SoakConfig::new(42, true), &metrics());
+        let report = run_soak(&SoakConfig::new(42, true));
         assert!(report.manual_events > 3, "need events: {report:?}");
         assert_eq!(report.false_drops, 0, "{report:?}");
         assert!(report.proofs_delivered > 0);
@@ -295,14 +283,11 @@ mod tests {
 
     #[test]
     fn disabling_retries_degrades_delivery() {
-        let on = run_soak(&SoakConfig::new(42, true), &metrics());
-        let off = run_soak(
-            &SoakConfig {
-                retries: false,
-                ..SoakConfig::new(42, true)
-            },
-            &metrics(),
-        );
+        let on = run_soak(&SoakConfig::new(42, true));
+        let off = run_soak(&SoakConfig {
+            retries: false,
+            ..SoakConfig::new(42, true)
+        });
         assert!(
             off.proofs_delivered < on.proofs_delivered
                 || off.dropped_events() > on.dropped_events(),
@@ -318,7 +303,7 @@ mod tests {
             windows: false,
             ..SoakConfig::new(7, true)
         };
-        let report = run_soak(&cfg, &metrics());
+        let report = run_soak(&cfg);
         assert_eq!(report.false_drops, 0);
         assert_eq!(report.unproven_drops, 0);
         assert_eq!(report.retries, 0);
@@ -327,23 +312,12 @@ mod tests {
 
     #[test]
     fn soak_is_deterministic_per_seed() {
-        let a = run_soak(&SoakConfig::new(3, true), &metrics());
-        let b = run_soak(&SoakConfig::new(3, true), &metrics());
+        let a = run_soak(&SoakConfig::new(3, true));
+        let b = run_soak(&SoakConfig::new(3, true));
         assert_eq!(a.packets, b.packets);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.false_drops, b.false_drops);
         assert_eq!(a.unproven_drops, b.unproven_drops);
-    }
-
-    #[test]
-    fn metrics_record_faults_retries_and_false_drops() {
-        let registry = MetricRegistry::new();
-        let metrics = ChaosMetrics::new(&registry);
-        let report = run_soak(&SoakConfig::new(42, true), &metrics);
-        assert_eq!(metrics.retry_count(), report.retries);
-        assert_eq!(metrics.false_drop_count(), report.false_drops);
-        let text = registry.render_prometheus();
-        assert!(text.contains("fiat_chaos_faults_total"));
     }
 }

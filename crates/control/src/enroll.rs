@@ -23,12 +23,12 @@
 //! provisioning (a rogue phone enrolls nothing). Both tags bind both
 //! nonces, so neither message replays across ceremonies.
 
+use crate::metrics::ControlMetrics;
 use fiat_core::pairing::Paired;
 use fiat_core::{pair, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyTelemetry};
 use fiat_crypto::TeeKeystore;
 use fiat_net::{DnsTable, SimTime};
 use fiat_sensors::HumannessValidator;
-use fiat_telemetry::ControlMetrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -288,6 +288,7 @@ pub fn enroll_home(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::CONTROL_ENROLLMENTS_TOTAL;
     use fiat_telemetry::{ManualClock, MetricRegistry};
     use std::sync::Arc;
 
@@ -306,6 +307,12 @@ mod tests {
             }],
             start_at: SimTime::ZERO,
         }
+    }
+
+    fn enrollments(registry: &MetricRegistry, result: &str) -> u64 {
+        registry
+            .counter(CONTROL_ENROLLMENTS_TOTAL, &[("result", result)])
+            .get()
     }
 
     fn plug() -> (MetricRegistry, ProxyTelemetry) {
@@ -328,8 +335,8 @@ mod tests {
         .expect("enrollment");
         assert!(home.app.can_zero_rtt(), "first session ticket issued");
         assert_eq!(home.proxy.ticket_epoch(), 0, "first ticket is epoch 0");
-        assert_eq!(metrics.enrollment_accepted_count(), 1);
-        assert_eq!(metrics.enrollment_rejected_count(), 0);
+        assert_eq!(enrollments(&registry, "accepted"), 1);
+        assert_eq!(enrollments(&registry, "rejected"), 0);
     }
 
     #[test]
@@ -349,8 +356,8 @@ mod tests {
         // The phone aborts first: the proxy's challenge tag does not
         // verify under the phone's (different) keys.
         assert_eq!(err, EnrollError::ProxyRejected);
-        assert_eq!(metrics.enrollment_rejected_count(), 1);
-        assert_eq!(metrics.enrollment_accepted_count(), 0);
+        assert_eq!(enrollments(&registry, "rejected"), 1);
+        assert_eq!(enrollments(&registry, "accepted"), 0);
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! - [`rebalance`] — home snapshot/restore: canonical serialized bytes
 //!   of a proxy's full decision state, and the restore path a fleet
 //!   uses to move a home between shards byte-identically.
+//! - [`metrics`] — [`ControlMetrics`], the `fiat_control_*` lifecycle
+//!   counters the functions above record into when handed one.
 //! - [`sweep`] — the end-to-end experiment cell: enroll → rotate →
 //!   outage → recover on the paper's testbed, with the degraded-mode
 //!   sliding window contrasted against the unsafe keep-retiring
@@ -29,6 +31,7 @@
 
 pub mod enroll;
 pub mod lifecycle;
+pub mod metrics;
 pub mod rebalance;
 pub mod sweep;
 
@@ -37,5 +40,6 @@ pub use enroll::{
     EnrolledHome, HomeProvision, PhoneEnroller, ProxyEnroller,
 };
 pub use lifecycle::{KeyLifecycle, LifecyclePolicy};
+pub use metrics::ControlMetrics;
 pub use rebalance::{restore_home, snapshot_home, RestoreError};
 pub use sweep::{run_control_sweep, ControlConfig, ControlReport};

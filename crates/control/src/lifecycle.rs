@@ -25,9 +25,9 @@
 //! its local schedule through the outage, killing 0-RTT for clients
 //! whose epochs retire mid-outage.
 
+use crate::metrics::ControlMetrics;
 use fiat_core::FiatProxy;
 use fiat_net::{SimDuration, SimTime};
-use fiat_telemetry::ControlMetrics;
 
 /// Rotation/retirement policy for one home.
 #[derive(Debug, Clone, Copy)]
@@ -137,6 +137,9 @@ impl KeyLifecycle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{
+        CONTROL_EPOCHS_RETIRED_TOTAL, CONTROL_EPOCH_ROTATIONS_TOTAL, CONTROL_OUTAGES_TOTAL,
+    };
     use fiat_core::{FiatProxy, ProxyConfig};
     use fiat_sensors::HumannessValidator;
 
@@ -229,9 +232,10 @@ mod tests {
         lc.tick(SimTime::from_secs(20 * 60), &mut p, true, Some(&metrics));
         lc.tick(SimTime::from_secs(25 * 60), &mut p, false, Some(&metrics));
         lc.tick(SimTime::from_secs(30 * 60), &mut p, true, Some(&metrics));
-        assert_eq!(metrics.rotation_count(), lc.rotations);
-        assert_eq!(metrics.retired_count(), lc.retired);
-        assert_eq!(metrics.outage_count(), 1);
+        let count = |name| registry.counter(name, &[]).get();
+        assert_eq!(count(CONTROL_EPOCH_ROTATIONS_TOTAL), lc.rotations);
+        assert_eq!(count(CONTROL_EPOCHS_RETIRED_TOTAL), lc.retired);
+        assert_eq!(count(CONTROL_OUTAGES_TOTAL), 1);
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_control_degraded_transitions_total{state=\"entered\"} 1"));
         assert!(text.contains("fiat_control_degraded_transitions_total{state=\"exited\"} 1"));

@@ -1,4 +1,4 @@
-//! Metrics for the proxy cluster control plane (`fiat-control`).
+//! Lifecycle metrics for the proxy cluster control plane.
 //!
 //! The control plane owns the home lifecycle the paper hand-waves:
 //! enrollment, ticket-epoch key rotation, snapshot/restore rebalancing,
@@ -23,7 +23,7 @@
 //!   snapshot bytes (a counter, not a gauge, so per-home registries keep
 //!   folding additively).
 
-use crate::metrics::{Counter, MetricRegistry};
+use fiat_telemetry::{Counter, MetricRegistry};
 
 /// Metric name for enrollment-outcome counters.
 pub const CONTROL_ENROLLMENTS_TOTAL: &str = "fiat_control_enrollments_total";
@@ -144,31 +144,6 @@ impl ControlMetrics {
     pub fn record_snapshot_restore(&self) {
         self.snapshot_restores.inc();
     }
-
-    /// Accepted enrollments so far.
-    pub fn enrollment_accepted_count(&self) -> u64 {
-        self.enroll_accepted.get()
-    }
-
-    /// Rejected enrollments so far.
-    pub fn enrollment_rejected_count(&self) -> u64 {
-        self.enroll_rejected.get()
-    }
-
-    /// Rotations so far.
-    pub fn rotation_count(&self) -> u64 {
-        self.rotations.get()
-    }
-
-    /// Epochs retired so far.
-    pub fn retired_count(&self) -> u64 {
-        self.retired.get()
-    }
-
-    /// Outage windows so far.
-    pub fn outage_count(&self) -> u64 {
-        self.outages.get()
-    }
 }
 
 #[cfg(test)]
@@ -190,12 +165,6 @@ mod tests {
         m.record_degraded(false);
         m.record_snapshot_save(1024);
         m.record_snapshot_restore();
-
-        assert_eq!(m.enrollment_accepted_count(), 2);
-        assert_eq!(m.enrollment_rejected_count(), 1);
-        assert_eq!(m.rotation_count(), 1);
-        assert_eq!(m.retired_count(), 3);
-        assert_eq!(m.outage_count(), 1);
 
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_control_enrollments_total{result=\"accepted\"} 2"));

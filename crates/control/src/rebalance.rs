@@ -11,10 +11,10 @@
 //! contract proven by the core pipeline tests and the fleet rebalance
 //! oracle.
 
+use crate::metrics::ControlMetrics;
 use fiat_core::pipeline::ProxyTelemetry;
 use fiat_core::{EventClassifier, FiatProxy, HomeSnapshot, ProxyConfig, SnapshotError};
 use fiat_sensors::HumannessValidator;
-use fiat_telemetry::ControlMetrics;
 
 /// Why a serialized snapshot could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

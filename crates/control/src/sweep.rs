@@ -21,6 +21,7 @@
 
 use crate::enroll::{enroll_home, DeviceSpec, HomeProvision};
 use crate::lifecycle::{KeyLifecycle, LifecyclePolicy};
+use crate::metrics::ControlMetrics;
 use crate::rebalance::{restore_home, snapshot_home};
 use fiat_chaos::{FaultKind, FaultPlan, ManualLedger, FAULT_KINDS};
 use fiat_core::pipeline::ProxyTelemetry;
@@ -29,7 +30,7 @@ use fiat_core::{
 };
 use fiat_net::{SimDuration, SimTime};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
-use fiat_telemetry::{ControlMetrics, ManualClock, MetricRegistry};
+use fiat_telemetry::{ManualClock, MetricRegistry};
 use fiat_trace::{TestbedConfig, TestbedTrace};
 use std::sync::Arc;
 
@@ -320,6 +321,10 @@ pub fn run_control_sweep(cfg: &ControlConfig, metrics: &ControlMetrics) -> Contr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{
+        CONTROL_ENROLLMENTS_TOTAL, CONTROL_EPOCHS_RETIRED_TOTAL, CONTROL_EPOCH_ROTATIONS_TOTAL,
+        CONTROL_OUTAGES_TOTAL,
+    };
 
     fn metrics() -> ControlMetrics {
         ControlMetrics::new(&MetricRegistry::new())
@@ -405,10 +410,14 @@ mod tests {
             },
             &metrics,
         );
-        assert_eq!(metrics.rotation_count(), r.rotations);
-        assert_eq!(metrics.retired_count(), r.epochs_retired);
-        assert_eq!(metrics.outage_count(), r.outages);
-        assert_eq!(metrics.enrollment_accepted_count(), 1);
+        let count = |name, labels: &[(&str, &str)]| registry.counter(name, labels).get();
+        assert_eq!(count(CONTROL_EPOCH_ROTATIONS_TOTAL, &[]), r.rotations);
+        assert_eq!(count(CONTROL_EPOCHS_RETIRED_TOTAL, &[]), r.epochs_retired);
+        assert_eq!(count(CONTROL_OUTAGES_TOTAL, &[]), r.outages);
+        assert_eq!(
+            count(CONTROL_ENROLLMENTS_TOTAL, &[("result", "accepted")]),
+            1
+        );
         let text = registry.render_prometheus();
         assert!(text.contains("fiat_control_snapshots_total{op=\"save\"} 1"));
         assert!(text.contains("fiat_control_snapshots_total{op=\"restore\"} 1"));

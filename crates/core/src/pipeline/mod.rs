@@ -1069,8 +1069,15 @@ impl FiatProxy {
     /// pre-snapshot traffic already counted it. A fleet that folds the
     /// old and new registries additively gets totals byte-identical to
     /// an uninterrupted run — the invariant the fleet rebalance tests
-    /// pin. The interaction graph and any hook are not captured in v1;
-    /// re-install them after restore if the home uses them.
+    /// pin. The interaction graph, any hook and the fingerprint gate
+    /// are not part of a snapshot; re-install them after restore if the
+    /// home uses them (the gate's evidence windows restart empty).
+    ///
+    /// Snapshot bytes are not authenticated, so restore refuses a device
+    /// whose state the live path could never reach
+    /// ([`SnapshotError::InconsistentDevice`]): a first-N window outside
+    /// `1..=classify_at_cap`, a pending event with no buffered packets,
+    /// or a quarantine-fated event with no quarantine record.
     pub fn restore(
         config: ProxyConfig,
         ceremony_secret: &[u8; 32],
@@ -1101,7 +1108,11 @@ impl FiatProxy {
             hashes,
         )
         .ok_or(SnapshotError::AuditChainInvalid)?;
-        if let Some(d) = snap.devices.iter().find(|d| !d.is_consistent()) {
+        if let Some(d) = snap
+            .devices
+            .iter()
+            .find(|d| !d.is_consistent(config.classify_at_cap))
+        {
             return Err(SnapshotError::InconsistentDevice(d.device));
         }
         audit.set_max_entries(config.max_audit_entries);
@@ -3035,6 +3046,22 @@ mod tests {
             open.fate = None;
         });
         assert_eq!(err.err(), Some(SnapshotError::InconsistentDevice(0)));
+    }
+
+    #[test]
+    fn restore_refuses_a_first_n_window_outside_the_cap() {
+        // Snapshot bytes are unauthenticated: a first-N window past the
+        // cap would forward an unproven manual command packet by packet.
+        let cap = ProxyConfig::default().classify_at_cap;
+        for classify_at in [0, cap + 1, 10_000] {
+            let err = restore_edited(|d| d.classify_at = classify_at);
+            assert_eq!(
+                err.err(),
+                Some(SnapshotError::InconsistentDevice(0)),
+                "classify_at {classify_at}"
+            );
+        }
+        assert!(restore_edited(|d| d.classify_at = cap).is_ok());
     }
 
     #[test]

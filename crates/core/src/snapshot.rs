@@ -26,9 +26,12 @@
 //!   guessing at a foreign layout.
 //!
 //! Known exclusions (documented residuals, DESIGN §17): the
-//! interaction graph (`FiatProxy::set_interactions`) and any installed
-//! [`crate::ProxyHook`] are not captured; homes using either must
-//! re-install them after restore.
+//! interaction graph (`FiatProxy::set_interactions`), any installed
+//! [`crate::ProxyHook`], and the fingerprint gate
+//! (`FiatProxy::set_fingerprinter`) with its per-stranger evidence
+//! windows are not captured; homes using any of them must re-install
+//! them after restore, and the gate re-fingerprints strangers from
+//! empty evidence.
 //!
 //! v2 (bounded-state, DESIGN §18) additions over v1: rules are emitted
 //! in LRU order (least-recently-matched first) instead of sorted, so
@@ -57,10 +60,12 @@ pub enum SnapshotError {
     /// The exported audit chain fails verification: the snapshot was
     /// tampered with or truncated and must not be resumed from.
     AuditChainInvalid,
-    /// This device's open event breaks an invariant the decision path
-    /// relies on: it is pending with no buffered packets, or
+    /// This device's state breaks an invariant the decision path relies
+    /// on: its first-N window lies outside `1..=classify_at_cap`, or its
+    /// open event is pending with no buffered packets, or
     /// quarantine-fated with no quarantine record. Resuming it would
-    /// panic on the device's next packet.
+    /// forward unproven packets past the cap, or panic on the device's
+    /// next packet.
     InconsistentDevice(u16),
 }
 
@@ -75,7 +80,7 @@ impl std::fmt::Display for SnapshotError {
             }
             SnapshotError::AuditChainInvalid => write!(f, "audit chain failed verification"),
             SnapshotError::InconsistentDevice(d) => {
-                write!(f, "device {d}: open event inconsistent with its state")
+                write!(f, "device {d}: state inconsistent with the decision path")
             }
         }
     }
@@ -156,11 +161,15 @@ pub struct DeviceSnapshot {
 }
 
 impl DeviceSnapshot {
-    /// Whether the open event keeps the invariants the live path holds:
-    /// a pending event has buffered the packets its classification
-    /// reads, and a quarantine-fated event has the record its later
-    /// packets join.
-    pub(crate) fn is_consistent(&self) -> bool {
+    /// Whether the device keeps the invariants the live path holds: the
+    /// first-N window is one registration could have produced (within
+    /// `1..=max(classify_at_cap, 1)`), a pending event has buffered the packets
+    /// its classification reads, and a quarantine-fated event has the
+    /// record its later packets join.
+    pub(crate) fn is_consistent(&self, classify_at_cap: usize) -> bool {
+        if !(1..=classify_at_cap.max(1)).contains(&self.classify_at) {
+            return false;
+        }
         match &self.open {
             Some(e) if e.fate.is_none() => !e.packets.is_empty(),
             Some(e) if e.fate == Some(EventFate::Quarantine) => self.quarantine.is_some(),

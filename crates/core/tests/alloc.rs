@@ -6,62 +6,24 @@
 //! packet must never touch the heap — for rule hits, misses, known
 //! domains, and unknown IPs alike. `FiatProxy::on_packet` wraps that
 //! match in the decision ladder, counters and the sampled decide timing,
-//! and a rule hit must stay allocation-free through all of it. A
-//! counting `#[global_allocator]` makes both claims checkable. The
-//! counter is *per thread*: the libtest harness thread and the other
-//! test can allocate (watchdog timers, output buffering) concurrently
-//! with a measured region — on a loaded single-core host that made a
-//! process-wide counter flake.
+//! and a rule hit must stay allocation-free through all of it. The
+//! probe crate's counting `#[global_allocator]` makes both claims
+//! checkable. The tests read its *per-thread* count: the libtest harness
+//! thread and the other test can allocate (watchdog timers, output
+//! buffering) concurrently with a measured region — on a loaded
+//! single-core host that made a process-wide counter flake.
 
 use fiat_core::{FiatProxy, PredictabilityEngine, ProxyConfig, RuleTable, DECIDE_SAMPLE_EVERY};
 use fiat_net::{
     Direction, DnsTable, FlowDef, PacketRecord, SimTime, TcpFlags, TlsVersion, TrafficClass,
     Transport,
 };
+use fiat_probe::{thread_allocations, CountingAllocator};
 use fiat_sensors::HumannessValidator;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::net::Ipv4Addr;
 
-struct CountingAlloc;
-
-thread_local! {
-    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn thread_allocations() -> u64 {
-    THREAD_ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
-}
-
-#[inline]
-fn count_one() {
-    // `try_with`: never panic if TLS is unavailable (thread teardown).
-    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn pkt(ts_us: u64, remote_ip: Ipv4Addr, size: u16) -> PacketRecord {
     PacketRecord {

@@ -12,16 +12,13 @@
 //! - [`Snapshot`] exposition — Prometheus text format and a
 //!   `serde_json`-compatible JSON document, both rendered without any
 //!   serialization dependency.
-//! - [`AttackMetrics`] — outcome counters and a time-to-block histogram
-//!   for the `fiat-attack` red-team harness.
-//! - [`OracleMetrics`] — replay volume and divergence counters for the
-//!   `fiat-oracle` differential decision oracle.
-//! - [`ChaosMetrics`] — injected-fault, proof-retry, and false-drop
-//!   counters for the `fiat-chaos` fault-injection harness.
-//! - [`ControlMetrics`] — enrollment, epoch-rotation, snapshot, and
-//!   degraded-mode counters for the `fiat-control` control plane.
-//! - [`StateMetrics`] — bounded-state gauges + high-water marks
-//!   (`fiat_state_*`) for the long-horizon soak's per-home accountant.
+//!
+//! The crate holds only these primitives. Metric families belong to the
+//! layer that owns the numbers: the proxy registers its decision-path
+//! families in `fiat-core`, the control plane keeps its lifecycle handle
+//! (`fiat_control::ControlMetrics`), and each `fiat-bench` experiment
+//! publishes its harness report (red-team, oracle, chaos, long soak)
+//! into the registry once the run has finished.
 //!
 //! ```
 //! use fiat_telemetry::{ManualClock, MetricRegistry, Span};
@@ -39,22 +36,12 @@
 //! assert!(reg.render_json().starts_with("{\"counters\":["));
 //! ```
 
-pub mod attack;
-pub mod chaos;
 pub mod clock;
-pub mod control;
 pub mod expose;
 pub mod metrics;
-pub mod oracle;
 pub mod span;
-pub mod state;
 
-pub use attack::AttackMetrics;
-pub use chaos::ChaosMetrics;
 pub use clock::{Clock, ManualClock, WallClock};
-pub use control::ControlMetrics;
 pub use expose::{CounterSample, GaugeSample, HistogramSample, Snapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, NUM_BUCKETS};
-pub use oracle::OracleMetrics;
 pub use span::Span;
-pub use state::{StateMetrics, StatePair};

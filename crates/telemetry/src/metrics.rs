@@ -114,11 +114,6 @@ impl Gauge {
         self.add(-1);
     }
 
-    /// Raise the gauge to `v` if it is below it (high-water marks).
-    pub fn set_max(&self, v: i64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
