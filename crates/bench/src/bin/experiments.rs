@@ -11,6 +11,7 @@
 //! experiments table7
 //! experiments tolerance
 //! experiments appendixa
+//! experiments ablations           # flow definition, event gap, bootstrap, channel, first-N
 //! experiments fleet [--homes H] [--shards T] [--full]  # shard sweep: throughput + per-stage breakdown
 //! experiments profile [--quick|--full]  # the same sweep, larger corpus, flight recorder on
 //! experiments attack [--quick]    # adversarial red-team scorecard
@@ -45,8 +46,8 @@
 
 use fiat_bench::ml_tables::ModelKind;
 use fiat_bench::{
-    attack_exp, bench_log, chaos_exp, control_exp, fig1, fig2, fingerprint_exp, fleet_exp,
-    ml_tables, oracle_exp, soak_exp, table6, table7, tolerance,
+    ablations, attack_exp, bench_log, chaos_exp, control_exp, fig1, fig2, fingerprint_exp,
+    fleet_exp, ml_tables, oracle_exp, soak_exp, table6, table7, tolerance,
 };
 use fiat_core::ErrorModel;
 use fiat_probe::ProbeConfig;
@@ -281,12 +282,13 @@ fn run_one(name: &str, args: &Args, registry: &MetricRegistry) -> Option<String>
         "control" => control_exp::control_text(seed, args.quick, registry),
         "tolerance" => tolerance::tolerance_text(),
         "appendixa" => appendixa_text(),
+        "ablations" => ablations::ablations_text(),
         _ => return None,
     };
     Some(text)
 }
 
-const ALL: [&str; 19] = [
+const ALL: [&str; 20] = [
     "fig1a",
     "fig1b",
     "fig1c",
@@ -301,6 +303,7 @@ const ALL: [&str; 19] = [
     "table7",
     "tolerance",
     "appendixa",
+    "ablations",
     "attack",
     "fingerprint",
     "oracle",

@@ -1,9 +1,11 @@
 //! Experiment harness reproducing every table and figure of the FIAT
 //! paper (CoNEXT '22). Each module regenerates one artifact; the
 //! `experiments` binary dispatches on the artifact name and prints the
-//! same rows/series the paper reports. Criterion benches in `benches/`
-//! time the hot paths behind each artifact.
+//! same rows/series the paper reports. `ablations` prints the quality
+//! side of the design choices DESIGN.md calls out; perfbench (its own
+//! workspace under `perfbench/`) is the timing ledger.
 
+pub mod ablations;
 pub mod attack_exp;
 pub mod bench_log;
 pub mod chaos_exp;

@@ -17,7 +17,7 @@
 //!   by `fiat-fingerprint`'s `SignatureSet::identify`, the same
 //!   signatures the unknown-device gate runs.
 //! - [`client`]: the phone-side FIAT app model — foreground-app detection,
-//!   lazy sensor buffering, TEE-backed signing, QUIC transfer — with the
+//!   sensor sampling, TEE-backed signing, QUIC transfer — with the
 //!   Table 7 latency breakdown.
 //! - [`pairing`]: the offline pairing ceremony that seeds both TEEs with
 //!   the shared key (§5.4 "Pairing").
@@ -26,8 +26,6 @@
 //!   lockout, and the audit trail.
 //! - [`interactions`]: the §7 device-interaction DAG (Alexa → smart
 //!   light) that lets authorized devices vouch for downstream commands.
-//! - [`notify`]: the user-facing alert feed digesting the audit trail
-//!   (blocked commands, lockouts, the silent-FN digest of §7).
 //! - [`audit`]: hash-chained, tamper-evident log of every unpredictable
 //!   event and decision (§7 "Technology Acceptance").
 //! - [`snapshot`]: versioned, serde-round-trippable export of a proxy's
@@ -43,7 +41,6 @@ pub mod client;
 pub mod events;
 pub mod features;
 pub mod interactions;
-pub mod notify;
 pub mod pairing;
 pub mod pipeline;
 pub mod predict;
@@ -57,7 +54,6 @@ pub use client::{
 pub use events::{group_events, UnpredictableEvent, EVENT_GAP};
 pub use features::{event_feature_names, event_features, EVENT_FEATURE_COUNT};
 pub use interactions::InteractionGraph;
-pub use notify::{Notification, NotificationCenter, Severity};
 pub use pairing::pair;
 pub use pipeline::{
     AllowReason, DropReason, FiatProxy, FingerprintGate, FingerprintObservation,

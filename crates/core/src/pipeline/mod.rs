@@ -1076,8 +1076,10 @@ impl FiatProxy {
     /// Snapshot bytes are not authenticated, so restore refuses a device
     /// whose state the live path could never reach
     /// ([`SnapshotError::InconsistentDevice`]): a first-N window outside
-    /// `1..=classify_at_cap`, a pending event with no buffered packets,
-    /// or a quarantine-fated event with no quarantine record.
+    /// `1..=classify_at_cap`, a pending event with no buffered packets or
+    /// with `classify_at` or more, a quarantine-fated event with no
+    /// quarantine record, or a quarantine record that is empty or holds
+    /// more than `max(quarantine_capacity, 1)` packets.
     pub fn restore(
         config: ProxyConfig,
         ceremony_secret: &[u8; 32],
@@ -1108,11 +1110,7 @@ impl FiatProxy {
             hashes,
         )
         .ok_or(SnapshotError::AuditChainInvalid)?;
-        if let Some(d) = snap
-            .devices
-            .iter()
-            .find(|d| !d.is_consistent(config.classify_at_cap))
-        {
+        if let Some(d) = snap.devices.iter().find(|d| !d.is_consistent(&config)) {
             return Err(SnapshotError::InconsistentDevice(d.device));
         }
         audit.set_max_entries(config.max_audit_entries);
@@ -1625,6 +1623,7 @@ impl std::error::Error for AuthError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::QuarantineRecord;
     use fiat_net::{Direction, TcpFlags, TlsVersion, TrafficClass, Transport};
     use fiat_sensors::{ImuTrace, MotionKind};
     use std::net::Ipv4Addr;
@@ -3073,6 +3072,56 @@ mod tests {
             d.quarantine = None;
         });
         assert_eq!(err.err(), Some(SnapshotError::InconsistentDevice(0)));
+    }
+
+    #[test]
+    fn restore_refuses_a_pending_event_at_its_classification_point() {
+        // A pending event seals on its `classify_at`-th packet, so the
+        // live path buffers at most `classify_at - 1` of them.
+        let pending = |classify_at: usize, n: usize| {
+            restore_edited(|d| {
+                d.classify_at = classify_at;
+                let open = d.open.as_mut().unwrap();
+                open.packets = vec![open.packets[0].clone(); n];
+                open.fate = None;
+            })
+        };
+        let cap = ProxyConfig::default().classify_at_cap;
+        for (classify_at, n) in [(1, 1), (cap, cap), (cap, 10_000)] {
+            assert_eq!(
+                pending(classify_at, n).err(),
+                Some(SnapshotError::InconsistentDevice(0)),
+                "{n} packets at classify_at {classify_at}"
+            );
+        }
+        assert!(pending(cap, cap - 1).is_ok());
+    }
+
+    #[test]
+    fn restore_refuses_a_quarantine_record_over_capacity() {
+        // `Quarantine::admit` starts a record at one packet and `hold`
+        // sheds packets once it reaches `quarantine_capacity`.
+        let held = |n: usize| {
+            restore_edited(|d| {
+                let open = d.open.as_mut().unwrap();
+                open.fate = Some(EventFate::Quarantine);
+                d.quarantine = Some(QuarantineRecord {
+                    packets: vec![open.packets[0].clone(); n],
+                    class: EventClass::Manual,
+                    deadline: open.last,
+                });
+            })
+        };
+        let capacity = ProxyConfig::default().quarantine_capacity;
+        for n in [0, capacity + 1, 10_000] {
+            assert_eq!(
+                held(n).err(),
+                Some(SnapshotError::InconsistentDevice(0)),
+                "{n} held packets"
+            );
+        }
+        assert!(held(1).is_ok());
+        assert!(held(capacity).is_ok());
     }
 
     // ---- bounded state (DESIGN §18) ------------------------------------

@@ -43,7 +43,7 @@
 
 use crate::audit::AuditEntry;
 use crate::classifier::EventClass;
-use crate::pipeline::{AllowReason, DropReason, ProxyStats};
+use crate::pipeline::{AllowReason, DropReason, ProxyConfig, ProxyStats};
 use fiat_net::{DnsTable, FlowKey, PacketRecord, SimTime};
 use fiat_quic::{ReplayEpochImage, ReplayImage, ServerImage};
 use serde::{Deserialize, Serialize};
@@ -164,14 +164,21 @@ impl DeviceSnapshot {
     /// Whether the device keeps the invariants the live path holds: the
     /// first-N window is one registration could have produced (within
     /// `1..=max(classify_at_cap, 1)`), a pending event has buffered the packets
-    /// its classification reads, and a quarantine-fated event has the
-    /// record its later packets join.
-    pub(crate) fn is_consistent(&self, classify_at_cap: usize) -> bool {
-        if !(1..=classify_at_cap.max(1)).contains(&self.classify_at) {
+    /// its classification reads but not yet reached its classification
+    /// point (`1..classify_at` packets), a quarantine-fated event has the
+    /// record its later packets join, and a quarantine record holds
+    /// `1..=max(quarantine_capacity, 1)` packets.
+    pub(crate) fn is_consistent(&self, config: &ProxyConfig) -> bool {
+        if !(1..=config.classify_at_cap.max(1)).contains(&self.classify_at) {
             return false;
         }
+        if let Some(q) = &self.quarantine {
+            if !(1..=config.quarantine_capacity.max(1)).contains(&q.packets.len()) {
+                return false;
+            }
+        }
         match &self.open {
-            Some(e) if e.fate.is_none() => !e.packets.is_empty(),
+            Some(e) if e.fate.is_none() => (1..self.classify_at).contains(&e.packets.len()),
             Some(e) if e.fate == Some(EventFate::Quarantine) => self.quarantine.is_some(),
             _ => true,
         }

@@ -7,8 +7,8 @@
 //! their behalf. Purpose binding (a signing key cannot encrypt) mirrors
 //! Android keystore semantics.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::aead;
 use crate::hkdf::Hkdf;
@@ -73,10 +73,18 @@ impl TeeKeystore {
         Self::default()
     }
 
+    /// The store's state. Every update leaves it valid at each step (an
+    /// id is reserved before its key is inserted; every other operation
+    /// only reads), so a guard poisoned by a panicking thread is
+    /// recovered, not propagated.
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Import raw key material. The material is consumed by the store; only
     /// a handle escapes.
     pub fn import(&self, material: [u8; 32], purpose: KeyPurpose) -> KeyHandle {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let id = inner.next_id;
         inner.next_id += 1;
         inner.keys.insert(id, SealedKey { material, purpose });
@@ -92,7 +100,7 @@ impl TeeKeystore {
         purpose: KeyPurpose,
     ) -> Result<KeyHandle, KeystoreError> {
         let derived: [u8; 32] = {
-            let inner = self.inner.lock();
+            let inner = self.lock();
             let key = inner
                 .keys
                 .get(&parent.0)
@@ -104,7 +112,7 @@ impl TeeKeystore {
 
     /// HMAC-SHA256 over `data` with a Sign-purpose key.
     pub fn sign(&self, handle: KeyHandle, data: &[u8]) -> Result<[u8; 32], KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -122,7 +130,7 @@ impl TeeKeystore {
         data: &[u8],
         tag: &[u8],
     ) -> Result<bool, KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -141,7 +149,7 @@ impl TeeKeystore {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -160,7 +168,7 @@ impl TeeKeystore {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, KeystoreError> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let key = inner
             .keys
             .get(&handle.0)
@@ -173,7 +181,7 @@ impl TeeKeystore {
 
     /// Number of keys sealed in the store.
     pub fn len(&self) -> usize {
-        self.inner.lock().keys.len()
+        self.lock().keys.len()
     }
 
     /// Whether the store holds no keys.
@@ -253,5 +261,22 @@ mod tests {
         let hx = proxy.import(psk, KeyPurpose::Sign);
         let tag = phone.sign(hp, b"auth message").unwrap();
         assert!(proxy.verify(hx, b"auth message", &tag).unwrap());
+    }
+
+    #[test]
+    fn store_survives_a_panic_under_its_lock() {
+        let store = TeeKeystore::new();
+        let h = store.import([5u8; 32], KeyPurpose::Sign);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = store.lock();
+                panic!("holder panics");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && store.inner.is_poisoned());
+        assert_eq!(store.len(), 1);
+        assert!(store.sign(h, b"after").is_ok());
     }
 }

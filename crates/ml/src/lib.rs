@@ -17,8 +17,6 @@
 //! - [`metrics`]: confusion matrix, precision/recall/F1, balanced accuracy.
 //! - [`cv`]: stratified k-fold cross-validation.
 //! - [`permutation`]: permutation feature importance (§4.3).
-//! - [`shapley`]: Monte-Carlo Shapley attribution (the paper's §7
-//!   future-work SHAP analysis).
 //!
 //! Everything is seeded and deterministic: the same seed produces the same
 //! model, fold assignment, and importance scores.
@@ -34,7 +32,6 @@ pub mod naive_bayes;
 pub mod nearest_centroid;
 pub mod permutation;
 pub mod scaler;
-pub mod shapley;
 pub mod svm;
 pub mod tree;
 

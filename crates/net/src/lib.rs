@@ -8,27 +8,19 @@
 //!   deterministic, microsecond resolution, no wall clock.
 //! - [`packet`]: the packet metadata record ([`PacketRecord`]) and its
 //!   vocabulary (direction, transport, TCP flags, TLS version, labels).
-//! - [`headers`]: Ethernet II / IPv4 / TCP / UDP wire-format synthesis and
-//!   parsing with real checksums, so traces can round-trip through bytes
-//!   exactly as a capture tool would see them.
 //! - [`flow`]: the paper's two flow definitions — "Classic" 6-tuple and
 //!   "PortLess" (ports dropped, destination IP replaced by domain name).
 //! - [`dns`]: the DNS table used for the PortLess mapping, including
 //!   reverse lookups and domain aliases (§2.1 footnote 1).
-//! - [`tls`]: passive ClientHello sniffing — how the proxy derives the
-//!   TLS-version event feature from record bytes (incl. the
-//!   supported_versions extension for TLS 1.3).
 //! - [`trace`]: a labeled trace container with serde support.
-//! - [`pcap`]: a compact, versioned binary trace format ("fpcap") for
-//!   archiving and sharing captures.
+//!
+//! The proxy sees traffic through simulated interception, never as wire
+//! bytes, so there is no frame or capture-file codec here.
 
 pub mod dns;
 pub mod flow;
-pub mod headers;
 pub mod packet;
-pub mod pcap;
 pub mod time;
-pub mod tls;
 pub mod trace;
 
 pub use dns::DnsTable;

@@ -18,9 +18,7 @@
 pub mod features;
 pub mod humanness;
 pub mod imu;
-pub mod lazy;
 
 pub use features::{extract_features, feature_names, FEATURE_COUNT};
 pub use humanness::{HumannessValidator, ValidatorReport};
 pub use imu::{ImuTrace, MotionKind, SAMPLE_RATE_HZ};
-pub use lazy::{BufferMode, LazyImuBuffer};

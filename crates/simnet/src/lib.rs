@@ -17,18 +17,16 @@
 //!   (§5.4 "Traffic Intercept").
 //! - [`tcp`]: RFC 6298-style retransmission backoff, used for the §6
 //!   finding that devices tolerate ~2 s of added validation delay.
-//! - [`arp`]: the ARP-spoofing insertion itself — LAN ARP tables, the
-//!   proxy's poisoning volley, and frame-level capture through the real
-//!   Ethernet/IPv4 codecs.
+//!
+//! The paper inserts its proxy by ARP spoofing (§5.4); the simulator
+//! routes traffic through the interception point directly instead.
 
-pub mod arp;
 pub mod event;
 pub mod home;
 pub mod intercept;
 pub mod link;
 pub mod tcp;
 
-pub use arp::SpoofedLan;
 pub use event::Scheduler;
 pub use home::{HomeNetwork, PhoneLocation};
 pub use intercept::{FaultInjector, InterceptQueue, Verdict};

@@ -21,9 +21,6 @@ text = open(path).read()
 for name, extra in [
     ("rand", ""),
     ("proptest", ""),
-    ("criterion", ""),
-    ("parking_lot", ""),
-    ("bytes", ""),
     ("serde", ', features = ["derive"]'),
     ("serde_json", ""),
 ]:

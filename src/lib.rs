@@ -10,7 +10,7 @@
 //! - [`core`] (`fiat-core`) — the FIAT system: predictability engine,
 //!   event grouping, event classification, access-control pipeline,
 //!   client app model, pairing, audit log.
-//! - [`net`] (`fiat-net`) — packets, headers, flow keys, DNS, traces.
+//! - [`net`] (`fiat-net`) — packets, flow keys, DNS, traces.
 //! - [`ml`] (`fiat-ml`) — the nine classifiers, metrics, CV, permutation
 //!   importance.
 //! - [`sensors`] (`fiat-sensors`) — IMU synthesis and humanness
