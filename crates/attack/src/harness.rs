@@ -2,8 +2,8 @@
 //!
 //! A run rebuilds the whole stack from scratch — a fresh [`FiatProxy`]
 //! with default (production) settings, the target device's real traffic
-//! model from the Table 1 testbed, and an NFQUEUE-style
-//! [`InterceptQueue`] every packet passes through. The timeline is:
+//! model from the Table 1 testbed, and every packet handed straight to
+//! [`FiatProxy::on_packet`]. The timeline is:
 //!
 //! 1. **Bootstrap** (20 min): the device's periodic control flows run;
 //!    the proxy learns its allow rules. Strategies may inject here
@@ -12,7 +12,7 @@
 //!    (the attacker sniffs and keeps the ciphertext) and issues one real
 //!    command inside the humanness window.
 //! 3. **Attack window**: the strategy's plan plays out, interleaved with
-//!    the continuing background flows, all through the intercept queue.
+//!    the continuing background flows.
 //!
 //! Scoring: the attacker's command *completes* iff at least
 //! `min_packets_to_complete` attack packets are delivered in one
@@ -23,9 +23,10 @@
 //! evidence that [`verify_chain`] caught on the exported audit log.
 //!
 //! Determinism: every randomness source is seeded from the run seed, no
-//! wall-clock time is read, and background, auth, and attack packets
-//! merge via a stable sort — the same `(strategy, device, seed)` triple
-//! always yields the identical [`AttackOutcome`].
+//! wall-clock time is read, and packets and control events merge into
+//! one script by a stable sort on `(time, kind)` — the same
+//! `(strategy, device, seed)` triple always yields the identical
+//! [`AttackOutcome`].
 
 use crate::scorecard::{AttackOutcome, AttackVerdict};
 use crate::strategies::{AttackAction, AttackStrategy, Recon};
@@ -35,7 +36,6 @@ use fiat_fingerprint::{FingerprintEngine, MatcherConfig, SignatureSet};
 use fiat_net::{PacketRecord, SimDuration, SimTime, Trace};
 use fiat_quic::ZeroRttPacket;
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
-use fiat_simnet::{InterceptQueue, Verdict};
 use fiat_trace::{fingerprint_corpus, testbed_devices, DeviceModel, Location};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,6 +53,36 @@ const LEGIT_DELAY: SimDuration = SimDuration::from_secs(60);
 /// Delay from the legitimate command to the attack window opening (the
 /// humanness window is long closed by then).
 const ATTACK_DELAY: SimDuration = SimDuration::from_secs(120);
+
+/// One entry of a run's script. On equal timestamps steps run in
+/// declaration order, so control events precede the packets they gate.
+enum Step {
+    /// The paired app's 0-RTT authorization the attacker sniffs.
+    LegitAuth,
+    /// Rotate the ticket epoch and retire every older one.
+    Rotate,
+    /// Replay the sniffed authorization, or the withheld one if `stale`.
+    Replay {
+        /// Replay the withheld capture instead of the sniffed one.
+        stale: bool,
+    },
+    /// Operator clears the device's lockout.
+    ClearLockout,
+    /// A packet for the proxy; `true` marks the attacker's.
+    Packet(PacketRecord, bool),
+}
+
+impl Step {
+    fn rank(&self) -> u8 {
+        match self {
+            Step::LegitAuth => 0,
+            Step::Rotate => 1,
+            Step::Replay { stale } => 2 + u8::from(*stale),
+            Step::ClearLockout => 4,
+            Step::Packet(..) => 5,
+        }
+    }
+}
 
 /// Configuration of one harness run.
 #[derive(Debug, Clone)]
@@ -182,49 +212,37 @@ pub fn run_attack(strategy: &dyn AttackStrategy, config: &RunConfig) -> AttackOu
     let mut plan_rng = StdRng::seed_from_u64(config.seed ^ 0x4154_5441_434b);
     let plan = strategy.plan(&recon, &mut plan_rng);
 
-    // --- Split the plan into wire packets and scheduled control events.
-    let mut attack_packets: Vec<PacketRecord> = Vec::new();
-    let mut replays: Vec<SimTime> = Vec::new();
-    let mut stale_replays: Vec<SimTime> = Vec::new();
-    let mut rotations: Vec<SimTime> = Vec::new();
-    let mut clears: Vec<SimTime> = Vec::new();
-    let mut tamper = false;
-    for action in plan {
-        match action {
-            AttackAction::Inject(p) => attack_packets.push(p),
-            AttackAction::ReplayAuth { at } => replays.push(at),
-            AttackAction::ReplayStaleAuth { at } => stale_replays.push(at),
-            AttackAction::RotateEpochs { at } => rotations.push(at),
-            AttackAction::ClearLockout { at } => clears.push(at),
-            AttackAction::TamperAudit => tamper = true,
-        }
-    }
-
-    // --- Merge the timeline: background, the legitimate command, and
-    // attack packets, each tagged. Stable sort keeps insertion order on
-    // timestamp ties, so the merge is deterministic.
-    let mut timeline: Vec<(PacketRecord, bool)> = Vec::new();
+    // --- One script for the whole run: background, the legitimate
+    // command and attack packets, plus the scheduled control events.
+    // Packets enter in a fixed order and the stable sort keeps it on
+    // timestamp ties; a control event runs before any packet at or after
+    // its time, and control events due together run in `Step` order.
+    let mut script: Vec<(SimTime, Step)> = Vec::new();
     for p in &trace.packets {
-        timeline.push((p.clone(), false));
+        script.push((p.ts, Step::Packet(p.clone(), false)));
     }
     let mut t = legit_at + SimDuration::from_millis(500);
     for _ in 0..dev.min_packets_to_complete {
         let mut p = recon.command_packet(t);
         p.local_port = 49_800; // the real app's flow, not the attacker's
-        timeline.push((p, false));
+        script.push((t, Step::Packet(p, false)));
         t += SimDuration::from_millis(100);
     }
-    for p in &attack_packets {
-        timeline.push((p.clone(), true));
+    script.push((legit_at, Step::LegitAuth));
+    let mut tamper = false;
+    for action in plan {
+        match action {
+            AttackAction::Inject(p) => script.push((p.ts, Step::Packet(p, true))),
+            AttackAction::RotateEpochs { at } => script.push((at, Step::Rotate)),
+            AttackAction::ReplayAuth { at } => script.push((at, Step::Replay { stale: false })),
+            AttackAction::ReplayStaleAuth { at } => script.push((at, Step::Replay { stale: true })),
+            AttackAction::ClearLockout { at } => script.push((at, Step::ClearLockout)),
+            AttackAction::TamperAudit => tamper = true,
+        }
     }
-    timeline.sort_by_key(|(p, _)| p.ts);
-    replays.sort();
-    stale_replays.sort();
-    rotations.sort();
-    clears.sort();
+    script.sort_by_key(|(at, step)| (*at, step.rank()));
 
-    // --- Drive the proxy through the intercept queue.
-    let mut queue = InterceptQueue::new();
+    // --- Play the script against the proxy.
     let mut injected = 0u64;
     let mut delivered = 0u64;
     let mut dropped = 0u64;
@@ -235,110 +253,59 @@ pub fn run_attack(strategy: &dyn AttackStrategy, config: &RunConfig) -> AttackOu
     let mut run_len = 0usize;
     let mut last_delivered: Option<SimTime> = None;
     let mut completed = false;
-    let mut replay_i = 0usize;
-    let mut stale_i = 0usize;
-    let mut rot_i = 0usize;
-    let mut clear_i = 0usize;
-
-    // The legitimate authorization, observed in order with the timeline.
-    let mut legit_auth_done = false;
-
-    for (pkt, is_attack) in timeline {
-        let now = pkt.ts;
-        if !legit_auth_done && legit_at <= now {
-            let ok = proxy
-                .on_auth_zero_rtt(&sniffed, legit_at)
-                .expect("legitimate authorization accepted");
-            debug_assert!(ok, "perfect validator verifies the human");
-            legit_auth_done = true;
-        }
-        while rot_i < rotations.len() && rotations[rot_i] <= now {
-            // The scheduled key lifecycle: rotate the issuing epoch and
-            // retire everything older, exactly as fiat-control's manager
-            // does between its bounded-window ticks.
-            proxy.rotate_ticket_epoch();
-            let newest = proxy.ticket_epoch();
-            proxy.retire_ticket_epochs_below(newest);
-            rot_i += 1;
-        }
-        while replay_i < replays.len() && replays[replay_i] <= now {
-            match proxy.on_auth_zero_rtt(&sniffed, replays[replay_i]) {
-                Err(_) => replays_rejected += 1,
-                Ok(verified) => replay_opened_window |= verified,
+    for (at, step) in script {
+        match step {
+            Step::LegitAuth => {
+                let ok = proxy
+                    .on_auth_zero_rtt(&sniffed, at)
+                    .expect("legitimate authorization accepted");
+                debug_assert!(ok, "perfect validator verifies the human");
             }
-            replay_i += 1;
-        }
-        while stale_i < stale_replays.len() && stale_replays[stale_i] <= now {
-            match proxy.on_auth_zero_rtt(&withheld, stale_replays[stale_i]) {
-                Err(_) => replays_rejected += 1,
-                Ok(verified) => replay_opened_window |= verified,
+            Step::Rotate => {
+                // The scheduled key lifecycle: rotate the issuing epoch
+                // and retire everything older, exactly as fiat-control's
+                // manager does between its bounded-window ticks.
+                proxy.rotate_ticket_epoch();
+                let newest = proxy.ticket_epoch();
+                proxy.retire_ticket_epochs_below(newest);
             }
-            stale_i += 1;
-        }
-        while clear_i < clears.len() && clears[clear_i] <= now {
-            proxy.clear_lockout(config.device);
-            clear_i += 1;
-        }
-
-        queue.enqueue(pkt, now);
-        let mut decision: Option<ProxyDecision> = None;
-        let (decided, verdict) = queue
-            .decide_next(now, |p| {
-                let d = proxy.on_packet(p);
-                decision = Some(d);
-                if d.is_allow() {
-                    Verdict::Allow
+            Step::Replay { stale } => {
+                let capture = if stale { &withheld } else { &sniffed };
+                match proxy.on_auth_zero_rtt(capture, at) {
+                    Err(_) => replays_rejected += 1,
+                    Ok(verified) => replay_opened_window |= verified,
+                }
+            }
+            Step::ClearLockout => proxy.clear_lockout(config.device),
+            Step::Packet(pkt, false) => {
+                proxy.on_packet(&pkt);
+            }
+            Step::Packet(pkt, true) => {
+                injected += 1;
+                let decision = proxy.on_packet(&pkt);
+                if decision.is_allow() {
+                    delivered += 1;
+                    if decision == ProxyDecision::Allow(AllowReason::RuleHit) {
+                        rule_hits += 1;
+                    }
+                    if pkt.ts >= attack_start {
+                        let contiguous = last_delivered
+                            .is_some_and(|prev| pkt.ts - prev < proxy_config.event_gap);
+                        run_len = if contiguous { run_len + 1 } else { 1 };
+                        last_delivered = Some(pkt.ts);
+                        completed |= run_len >= dev.min_packets_to_complete;
+                    }
                 } else {
-                    Verdict::Drop
-                }
-            })
-            .expect("one packet was just enqueued");
-        if !is_attack {
-            continue;
-        }
-        injected += 1;
-        match verdict {
-            Verdict::Allow => {
-                delivered += 1;
-                if decision == Some(ProxyDecision::Allow(AllowReason::RuleHit)) {
-                    rule_hits += 1;
-                }
-                if decided.ts >= attack_start {
-                    let contiguous = last_delivered
-                        .is_some_and(|prev| decided.ts - prev < proxy_config.event_gap);
-                    run_len = if contiguous { run_len + 1 } else { 1 };
-                    last_delivered = Some(decided.ts);
-                    completed |= run_len >= dev.min_packets_to_complete;
-                }
-            }
-            Verdict::Drop => {
-                dropped += 1;
-                if time_to_block_ms.is_none() && decided.ts >= attack_start {
-                    time_to_block_ms = Some((decided.ts - attack_start).as_millis());
+                    dropped += 1;
+                    if time_to_block_ms.is_none() && pkt.ts >= attack_start {
+                        time_to_block_ms = Some((pkt.ts - attack_start).as_millis());
+                    }
                 }
             }
         }
     }
-    // Trailing control events (the attacker's last fragment, probes with
-    // no follow-up traffic) are closed like a live proxy's idle sweep
+    // Close the attacker's last fragment, as a live proxy's idle sweep
     // would.
-    while rot_i < rotations.len() {
-        proxy.rotate_ticket_epoch();
-        let newest = proxy.ticket_epoch();
-        proxy.retire_ticket_epochs_below(newest);
-        rot_i += 1;
-    }
-    while stale_i < stale_replays.len() {
-        match proxy.on_auth_zero_rtt(&withheld, stale_replays[stale_i]) {
-            Err(_) => replays_rejected += 1,
-            Ok(verified) => replay_opened_window |= verified,
-        }
-        stale_i += 1;
-    }
-    while clear_i < clears.len() {
-        proxy.clear_lockout(config.device);
-        clear_i += 1;
-    }
     proxy.flush(attack_end);
 
     // --- Audit tampering: export (entries, hashes), rewrite the first

@@ -6,9 +6,9 @@
 //! lockout, and a tamper-evident audit chain. This crate turns that
 //! argument into an executable scorecard: a panel of seeded attacker
 //! [`strategies`], each aimed at one layer, is run against a live
-//! [`fiat_core::FiatProxy`] fed through an NFQUEUE-style intercept
-//! queue, and every run is scored blocked / allowed / detected with
-//! packet counts and time-to-block.
+//! [`fiat_core::FiatProxy`], each packet handed to its `on_packet`,
+//! and every run is scored blocked / allowed / detected with packet
+//! counts and time-to-block.
 //!
 //! The panel ([`standard_strategies`]):
 //!

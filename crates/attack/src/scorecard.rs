@@ -46,7 +46,7 @@ pub struct AttackOutcome {
     pub device_name: String,
     /// Scored verdict.
     pub verdict: AttackVerdict,
-    /// Attack packets offered to the intercept queue.
+    /// Attack packets handed to the proxy.
     pub injected: u64,
     /// Attack packets forwarded into the home.
     pub delivered: u64,

@@ -112,8 +112,8 @@ impl Recon {
 /// One step of an attack plan.
 #[derive(Debug, Clone)]
 pub enum AttackAction {
-    /// Put a crafted packet on the wire (it passes the intercept queue
-    /// like everything else).
+    /// Put a crafted packet on the wire (the proxy decides it like
+    /// everything else).
     Inject(PacketRecord),
     /// Re-send the sniffed 0-RTT authorization packet at `at` (§5.3's
     /// replay attack — the harness holds the captured ciphertext).

@@ -149,6 +149,63 @@ mod tests {
     }
 
     #[test]
+    fn quick_scorecard_rows_are_pinned() {
+        // Every `attack --quick` row as printed: strategy, device,
+        // verdict, injected, forwarded, dropped, rule hits, replays
+        // rejected, lockout episodes, time to block (ms). A change to
+        // how the harness drives the proxy shows up here.
+        type Row<'a> = (&'a str, &'a str, &'a str, [u64; 6], Option<u64>);
+        #[rustfmt::skip]
+        let expected: [Row; 20] = [
+            ("replay", "SP10", "blocked", [1, 0, 1, 0, 1, 0], Some(50)),
+            ("replay", "WyzeCam", "blocked", [41, 4, 37, 0, 1, 0], Some(414)),
+            ("stale-epoch-replay", "SP10", "blocked", [1, 0, 1, 0, 1, 0], Some(1050)),
+            ("stale-epoch-replay", "WyzeCam", "blocked", [41, 4, 37, 0, 1, 0], Some(1428)),
+            ("mimicry", "SP10", "allowed", [2, 2, 0, 2, 0, 0], None),
+            ("mimicry", "WyzeCam", "allowed", [41, 41, 0, 41, 0, 0], None),
+            ("poison-slow", "SP10", "allowed", [60, 60, 0, 1, 0, 0], None),
+            ("poison-slow", "WyzeCam", "allowed", [100, 100, 0, 41, 0, 0], None),
+            ("poison-fast", "SP10", "blocked", [181, 180, 1, 0, 0, 0], Some(20)),
+            ("poison-fast", "WyzeCam", "blocked", [221, 184, 37, 0, 0, 0], Some(420)),
+            ("lockout-probe", "SP10", "blocked", [13, 0, 13, 0, 0, 2], Some(0)),
+            ("lockout-probe", "WyzeCam", "blocked", [13, 10, 3, 0, 0, 2], Some(108_000)),
+            ("gap-evasion", "SP10", "blocked", [6, 0, 6, 0, 0, 1], Some(0)),
+            ("gap-evasion", "WyzeCam", "blocked", [44, 16, 28, 0, 0, 1], Some(24_000)),
+            ("audit-tamper", "SP10", "detected", [2, 0, 2, 0, 0, 0], Some(0)),
+            ("audit-tamper", "WyzeCam", "detected", [2, 2, 0, 0, 0, 0], None),
+            ("quarantine-probe", "SP10", "blocked", [7, 0, 7, 0, 0, 1], Some(0)),
+            ("quarantine-probe", "WyzeCam", "blocked", [139, 16, 123, 0, 0, 1], Some(30_000)),
+            ("device-spoofing", "SP10", "detected", [80, 23, 57, 0, 0, 0], Some(3418)),
+            ("device-spoofing", "WyzeCam", "blocked", [80, 23, 57, 0, 0, 0], Some(3551)),
+        ];
+        let card = attack_scorecard(42, true, &MetricRegistry::new());
+        let rows: Vec<Row> = card
+            .outcomes()
+            .iter()
+            .map(|o| {
+                (
+                    o.strategy.as_str(),
+                    o.device_name.as_str(),
+                    o.verdict.as_str(),
+                    [
+                        o.injected,
+                        o.delivered,
+                        o.dropped,
+                        o.rule_hits,
+                        o.replays_rejected,
+                        o.lockout_episodes,
+                    ],
+                    o.time_to_block_ms,
+                )
+            })
+            .collect();
+        assert_eq!(rows, expected);
+        assert!(card
+            .render(42)
+            .contains("\nverdicts: 13 blocked, 3 detected, 4 allowed over 20 runs\n"));
+    }
+
+    #[test]
     fn text_is_deterministic_and_passes() {
         let a = attack_text(42, true, &MetricRegistry::new());
         let b = attack_text(42, true, &MetricRegistry::new());

@@ -1,20 +1,18 @@
-//! Seeded fault plans for the phone → proxy channel.
+//! Seeded fault plans for the phone → proxy proof channel.
 //!
 //! A [`FaultPlan`] is the single source of randomness and accounting for
-//! one chaos run: per-packet fault rates (drop, duplicate, reorder,
-//! delay, corrupt), an extra-delay [`LatencyProfile`], phone-offline
-//! windows, and sensor-unavailable intervals. It implements
-//! [`FaultInjector`], so it plugs straight into
-//! [`InterceptQueue::enqueue_with`](fiat_simnet::InterceptQueue::enqueue_with);
-//! the proof-channel half is consumed by
-//! [`ProofChannel`](crate::ProofChannel).
+//! one chaos run: per-frame fault rates (drop, duplicate, delay,
+//! corrupt), an extra-delay [`LatencyProfile`], phone-offline windows,
+//! sensor-unavailable intervals and control-plane outages. The
+//! [`ProofChannel`](crate::ProofChannel) consumes it, rolling one fate
+//! per sealed frame.
 //!
 //! Determinism: one seeded `StdRng`, rolls happen in a fixed order, and
-//! a zero-rate plan never touches the RNG at all — so
-//! [`FaultPlan::none`] is byte-identical to no injector (tested).
+//! a zero-rate roll never touches the RNG — so over [`FaultPlan::none`]
+//! the channel draws nothing but its base-latency samples (tested).
 
-use fiat_net::{PacketRecord, SimDuration, SimTime};
-use fiat_simnet::{FaultInjector, LatencyProfile};
+use fiat_net::{SimDuration, SimTime};
+use fiat_simnet::LatencyProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,8 +23,6 @@ pub enum FaultKind {
     Drop,
     /// Frame delivered twice.
     Duplicate,
-    /// Frame delivered after its successor (modeled as extra delay).
-    Reorder,
     /// Frame delayed by an extra latency sample.
     Delay,
     /// Frame delivered with flipped bits.
@@ -41,10 +37,9 @@ pub enum FaultKind {
 }
 
 /// All kinds, in stable reporting order.
-pub const FAULT_KINDS: [FaultKind; 8] = [
+pub const FAULT_KINDS: [FaultKind; 7] = [
     FaultKind::Drop,
     FaultKind::Duplicate,
-    FaultKind::Reorder,
     FaultKind::Delay,
     FaultKind::Corrupt,
     FaultKind::Offline,
@@ -58,7 +53,6 @@ impl FaultKind {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Duplicate => "duplicate",
-            FaultKind::Reorder => "reorder",
             FaultKind::Delay => "delay",
             FaultKind::Corrupt => "corrupt",
             FaultKind::Offline => "offline",
@@ -66,25 +60,7 @@ impl FaultKind {
             FaultKind::ControlOutage => "control_outage",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            FaultKind::Drop => 0,
-            FaultKind::Duplicate => 1,
-            FaultKind::Reorder => 2,
-            FaultKind::Delay => 3,
-            FaultKind::Corrupt => 4,
-            FaultKind::Offline => 5,
-            FaultKind::SensorUnavailable => 6,
-            FaultKind::ControlOutage => 7,
-        }
-    }
 }
-
-/// Fixed extra delay standing in for "delivered after the next frame".
-const REORDER_DELAY: SimDuration = SimDuration::from_millis(40);
-/// Spacing between a frame and its duplicate.
-const DUPLICATE_SPACING: SimDuration = SimDuration::from_millis(2);
 
 /// A seeded, counting fault model for one run. See the module docs.
 #[derive(Debug)]
@@ -93,8 +69,6 @@ pub struct FaultPlan {
     pub drop_rate: f64,
     /// Per-frame duplication probability.
     pub dup_rate: f64,
-    /// Per-frame reordering probability.
-    pub reorder_rate: f64,
     /// Per-frame extra-delay probability.
     pub delay_rate: f64,
     /// Per-frame corruption probability.
@@ -108,14 +82,14 @@ pub struct FaultPlan {
     /// Control-plane-outage windows (inclusive start, exclusive end).
     pub control_outage: Vec<(SimTime, SimTime)>,
     rng: StdRng,
-    counts: [u64; 8],
+    counts: [u64; FAULT_KINDS.len()],
 }
 
 impl FaultPlan {
-    /// The identity plan: nothing ever fires and the RNG is never
-    /// consulted, so the fault path is bit-for-bit the no-injector path.
+    /// The identity plan: nothing ever fires and no fault roll consults
+    /// the RNG, so a channel over it draws only base latencies.
     pub fn none(seed: u64) -> Self {
-        Self::with_rates(seed, 0.0, 0.0, 0.0, 0.0, 0.0)
+        Self::with_rates(seed, 0.0, 0.0, 0.0, 0.0)
     }
 
     /// A plan with the given per-frame fault rates and no extra windows.
@@ -123,14 +97,12 @@ impl FaultPlan {
         seed: u64,
         drop_rate: f64,
         dup_rate: f64,
-        reorder_rate: f64,
         delay_rate: f64,
         corrupt_rate: f64,
     ) -> Self {
         FaultPlan {
             drop_rate,
             dup_rate,
-            reorder_rate,
             delay_rate,
             corrupt_rate,
             delay: LatencyProfile::from_millis(20, 80),
@@ -138,7 +110,7 @@ impl FaultPlan {
             sensor_unavailable: Vec::new(),
             control_outage: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            counts: [0; 8],
+            counts: [0; FAULT_KINDS.len()],
         }
     }
 
@@ -167,12 +139,12 @@ impl FaultPlan {
 
     /// Count one injected fault.
     pub fn record(&mut self, kind: FaultKind) {
-        self.counts[kind.index()] += 1;
+        self.counts[kind as usize] += 1;
     }
 
     /// Faults injected so far of one kind.
     pub fn count(&self, kind: FaultKind) -> u64 {
-        self.counts[kind.index()]
+        self.counts[kind as usize]
     }
 
     /// `(kind, count)` pairs in stable order, including zero rows.
@@ -183,11 +155,6 @@ impl FaultPlan {
     /// Total faults injected so far.
     pub fn total_faults(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Sample the extra delay for one delay fault.
-    pub(crate) fn sample_delay(&mut self) -> SimDuration {
-        self.delay.sample(&mut self.rng)
     }
 
     /// Expose the plan's RNG for channel-level draws (base latency),
@@ -209,7 +176,7 @@ impl FaultPlan {
         }
         let mut extra = SimDuration::ZERO;
         if self.roll(self.delay_rate) {
-            extra = self.sample_delay();
+            extra = self.delay.sample(&mut self.rng);
             self.record(FaultKind::Delay);
         }
         let corrupted = self.roll(self.corrupt_rate);
@@ -244,96 +211,44 @@ pub(crate) enum FrameFate {
     },
 }
 
-impl FaultInjector for FaultPlan {
-    fn inject(&mut self, mut pkt: PacketRecord, now: SimTime) -> Vec<(SimTime, PacketRecord)> {
-        if self.offline_at(now) {
-            self.record(FaultKind::Offline);
-            return Vec::new();
-        }
-        if self.roll(self.drop_rate) {
-            self.record(FaultKind::Drop);
-            return Vec::new();
-        }
-        let mut at = now;
-        if self.roll(self.delay_rate) {
-            at += self.sample_delay();
-            self.record(FaultKind::Delay);
-        }
-        if self.roll(self.reorder_rate) {
-            at += REORDER_DELAY;
-            self.record(FaultKind::Reorder);
-        }
-        if self.roll(self.corrupt_rate) {
-            pkt.size ^= 0x0101;
-            self.record(FaultKind::Corrupt);
-        }
-        let mut out = vec![(at, pkt.clone())];
-        if self.roll(self.dup_rate) {
-            out.push((at + DUPLICATE_SPACING, pkt));
-            self.record(FaultKind::Duplicate);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiat_net::{Direction, TcpFlags, TlsVersion, TrafficClass, Transport};
-    use fiat_simnet::InterceptQueue;
-    use std::net::Ipv4Addr;
+    use crate::channel::{ChannelVerdict, ProofChannel};
 
-    fn pkt(ts: SimTime) -> PacketRecord {
-        PacketRecord {
-            ts,
-            device: 1,
-            direction: Direction::ToDevice,
-            local_ip: Ipv4Addr::new(192, 168, 1, 10),
-            remote_ip: Ipv4Addr::new(34, 0, 0, 1),
-            local_port: 4000,
-            remote_port: 443,
-            transport: Transport::Tcp,
-            tcp_flags: TcpFlags::psh_ack(),
-            tls: TlsVersion::Tls12,
-            size: 300,
-            label: TrafficClass::Manual,
-        }
+    fn channel(plan: FaultPlan) -> ProofChannel {
+        ProofChannel::new(plan, LatencyProfile::from_millis(5, 15))
     }
 
     #[test]
-    fn zero_fault_plan_is_byte_identical_to_no_injector() {
-        // The acceptance bar: the default is zero-cost AND zero-effect.
-        let mut plain = InterceptQueue::new();
-        let mut faulted = InterceptQueue::new();
-        let mut plan = FaultPlan::none(7);
+    fn zero_rate_plan_draws_only_base_latency() {
+        // The zero-cost default: no fault roll touches the RNG, so every
+        // arrival is `sent_at` plus the next base-latency sample of a
+        // fresh RNG on the same seed.
+        let mut ch = channel(FaultPlan::none(7));
+        let mut rng = StdRng::seed_from_u64(7);
         for i in 0..200u64 {
-            let p = pkt(SimTime::from_micros(i * 10_000));
-            plain.enqueue(p.clone(), p.ts);
-            let n = faulted.enqueue_with(&mut plan, p.clone(), p.ts);
-            assert_eq!(n, 1);
+            let t = SimTime::from_micros(i * 10_000);
+            assert_eq!(
+                ch.transmit(t),
+                ChannelVerdict::Delivered {
+                    arrival: t + ch.base.sample(&mut rng),
+                    corrupted: false,
+                    duplicated: false,
+                }
+            );
         }
-        let at = SimTime::from_secs(10);
-        let a = plain.decide_all(at, |_| fiat_simnet::Verdict::Allow);
-        let b = faulted.decide_all(at, |_| fiat_simnet::Verdict::Allow);
-        assert_eq!(a, b);
-        // Stats fold in every enqueue time via the verdict-latency sum,
-        // so equal stats mean equal arrival times too.
-        assert_eq!(plain.stats(), faulted.stats());
-        assert_eq!(plan.total_faults(), 0);
+        assert_eq!(ch.plan.total_faults(), 0);
     }
 
     #[test]
     fn plans_are_deterministic_per_seed() {
         let run = |seed: u64| {
-            let mut plan = FaultPlan::with_rates(seed, 0.2, 0.1, 0.1, 0.2, 0.1);
-            let mut out = Vec::new();
-            for i in 0..500u64 {
-                out.push(plan.inject(
-                    pkt(SimTime::from_micros(i * 1000)),
-                    SimTime::from_micros(i * 1000),
-                ));
-            }
-            (out, plan.counts())
+            let mut ch = channel(FaultPlan::with_rates(seed, 0.2, 0.1, 0.2, 0.1));
+            let out: Vec<ChannelVerdict> = (0..500u64)
+                .map(|i| ch.transmit(SimTime::from_micros(i * 1000)))
+                .collect();
+            (out, ch.plan.counts())
         };
         let (a, ca) = run(42);
         let (b, cb) = run(42);
@@ -345,14 +260,12 @@ mod tests {
 
     #[test]
     fn rates_are_roughly_honored_and_counted() {
-        let mut plan = FaultPlan::with_rates(1, 0.3, 0.0, 0.0, 0.0, 0.0);
+        let mut ch = channel(FaultPlan::with_rates(1, 0.3, 0.0, 0.0, 0.0));
         let n = 2000u64;
-        let mut survived = 0u64;
-        for i in 0..n {
-            let t = SimTime::from_micros(i * 1000);
-            survived += plan.inject(pkt(t), t).len() as u64;
-        }
-        let dropped = plan.count(FaultKind::Drop);
+        let survived = (0..n)
+            .filter(|&i| ch.transmit(SimTime::from_micros(i * 1000)) != ChannelVerdict::Lost)
+            .count() as u64;
+        let dropped = ch.plan.count(FaultKind::Drop);
         assert_eq!(survived + dropped, n);
         let rate = dropped as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.05, "drop rate {rate}");
@@ -362,18 +275,18 @@ mod tests {
     fn offline_window_swallows_everything_inside_it() {
         let mut plan = FaultPlan::none(3);
         plan.offline = vec![(SimTime::from_secs(10), SimTime::from_secs(20))];
-        assert!(plan
-            .inject(pkt(SimTime::from_secs(15)), SimTime::from_secs(15))
-            .is_empty());
-        assert_eq!(
-            plan.inject(pkt(SimTime::from_secs(20)), SimTime::from_secs(20))
-                .len(),
-            1,
+        let mut ch = channel(plan);
+        assert_eq!(ch.transmit(SimTime::from_secs(15)), ChannelVerdict::Lost);
+        assert!(
+            matches!(
+                ch.transmit(SimTime::from_secs(20)),
+                ChannelVerdict::Delivered { .. }
+            ),
             "window end is exclusive"
         );
-        assert_eq!(plan.count(FaultKind::Offline), 1);
-        assert!(plan.sensor_unavailable.is_empty());
-        assert!(!plan.sensor_unavailable_at(SimTime::from_secs(15)));
+        assert_eq!(ch.plan.count(FaultKind::Offline), 1);
+        assert!(ch.plan.sensor_unavailable.is_empty());
+        assert!(!ch.plan.sensor_unavailable_at(SimTime::from_secs(15)));
     }
 
     #[test]
@@ -388,25 +301,36 @@ mod tests {
             "end exclusive"
         );
         // An outage does not touch the data path: frames still flow.
-        assert_eq!(
-            plan.inject(pkt(SimTime::from_secs(45)), SimTime::from_secs(45))
-                .len(),
-            1
-        );
-        plan.record(FaultKind::ControlOutage);
-        assert_eq!(plan.count(FaultKind::ControlOutage), 1);
-        assert_eq!(plan.counts().len(), FAULT_KINDS.len());
+        let mut ch = channel(plan);
+        assert!(matches!(
+            ch.transmit(SimTime::from_secs(45)),
+            ChannelVerdict::Delivered { .. }
+        ));
+        ch.plan.record(FaultKind::ControlOutage);
+        assert_eq!(ch.plan.count(FaultKind::ControlOutage), 1);
+        assert_eq!(ch.plan.counts().len(), FAULT_KINDS.len());
         assert_eq!(FaultKind::ControlOutage.as_str(), "control_outage");
     }
 
     #[test]
-    fn corrupt_changes_the_record_and_duplicate_doubles_it() {
-        let mut plan = FaultPlan::with_rates(5, 0.0, 1.0, 0.0, 0.0, 1.0);
-        let p = pkt(SimTime::from_secs(1));
-        let out = plan.inject(p.clone(), p.ts);
-        assert_eq!(out.len(), 2, "dup rate 1.0 must double");
-        assert_ne!(out[0].1.size, p.size, "corrupt rate 1.0 must mutate");
-        assert_eq!(out[0].1, out[1].1, "the duplicate is the same mutant");
-        assert!(out[1].0 > out[0].0, "the duplicate trails");
+    fn corrupt_and_duplicate_flags_are_set_and_counted() {
+        let mut ch = channel(FaultPlan::with_rates(5, 0.0, 1.0, 0.0, 1.0));
+        let ChannelVerdict::Delivered {
+            arrival,
+            corrupted,
+            duplicated,
+        } = ch.transmit(SimTime::from_secs(1))
+        else {
+            panic!("zero drop rate lost a frame");
+        };
+        assert!(corrupted, "corrupt rate 1.0 must flip the frame");
+        assert!(duplicated, "dup rate 1.0 must double it");
+        assert_eq!(ch.plan.count(FaultKind::Corrupt), 1);
+        assert_eq!(ch.plan.count(FaultKind::Duplicate), 1);
+        assert_eq!(ch.plan.total_faults(), 2);
+        assert!(
+            ProofChannel::duplicate_arrival(arrival) > arrival,
+            "the duplicate trails"
+        );
     }
 }

@@ -3,12 +3,11 @@
 //! FIAT's decision path assumes the humanness proof *arrives*: the phone
 //! seals evidence, the proxy verifies it, and manual traffic flows. This
 //! crate breaks that assumption on purpose. A seeded [`FaultPlan`]
-//! drops, duplicates, reorders, delays, and corrupts frames on the
-//! phone → proxy channel, models phone-offline windows and
-//! sensor-unavailable intervals, and plugs into both the NFQUEUE-style
-//! intercept queue ([`fiat_simnet::InterceptQueue::enqueue_with`]) and
-//! the QUIC proof channel ([`ProofChannel`]). The zero-fault plan is
-//! byte-identical to no injection at all — chaos is strictly opt-in.
+//! drops, duplicates, delays, and corrupts frames on the QUIC proof
+//! channel ([`ProofChannel`]) and models phone-offline windows and
+//! sensor-unavailable intervals. Device packets are never faulted. The
+//! zero-fault plan rolls nothing, so the channel draws only its base
+//! latencies — chaos is strictly opt-in.
 //!
 //! Against that, the graceful-degradation story:
 //!

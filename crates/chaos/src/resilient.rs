@@ -242,7 +242,7 @@ mod tests {
     fn total_loss_exhausts_retries_with_no_arrivals() {
         let (app, _proxy) = paired(2);
         let mut client = ResilientClient::new(app);
-        let plan_cfg = FaultPlan::with_rates(3, 1.0, 0.0, 0.0, 0.0, 0.0);
+        let plan_cfg = FaultPlan::with_rates(3, 1.0, 0.0, 0.0, 0.0);
         let mut ch = ProofChannel::new(plan_cfg, LatencyProfile::lan_wifi());
         let plan = client.plan_proof(
             &mut ch,
@@ -265,7 +265,7 @@ mod tests {
         // Every frame corrupted: 0-RTT attempt falls back, 1-RTT
         // corruptions read as losses, the loop runs to exhaustion and
         // every arrived frame is a mutant.
-        let plan_cfg = FaultPlan::with_rates(4, 0.0, 0.0, 0.0, 0.0, 1.0);
+        let plan_cfg = FaultPlan::with_rates(4, 0.0, 0.0, 0.0, 1.0);
         let mut ch = ProofChannel::new(plan_cfg, LatencyProfile::lan_wifi());
         let plan = client.plan_proof(
             &mut ch,
@@ -309,7 +309,7 @@ mod tests {
     fn without_retries_a_single_loss_is_fatal() {
         let (app, _proxy) = paired(5);
         let mut client = ResilientClient::without_retries(app);
-        let plan_cfg = FaultPlan::with_rates(6, 1.0, 0.0, 0.0, 0.0, 0.0);
+        let plan_cfg = FaultPlan::with_rates(6, 1.0, 0.0, 0.0, 0.0);
         let mut ch = ProofChannel::new(plan_cfg, LatencyProfile::lan_wifi());
         let plan = client.plan_proof(
             &mut ch,
@@ -344,7 +344,7 @@ mod tests {
         let (app, mut proxy) = paired(7);
         let mut client = ResilientClient::new(app);
         let mut ch = ProofChannel::new(
-            FaultPlan::with_rates(9, 0.3, 0.2, 0.0, 0.3, 0.1),
+            FaultPlan::with_rates(9, 0.3, 0.2, 0.3, 0.1),
             LatencyProfile::lte(),
         );
         let mut verified = 0u32;

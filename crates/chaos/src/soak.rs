@@ -7,7 +7,9 @@
 //! [`ProofChannel`] with the configured fault rates, and then drives the
 //! real [`FiatProxy`] with proofs and packets merged in arrival order.
 //! Held packets drain through [`FiatProxy::take_quarantine_releases`]
-//! and the [`ManualLedger`] credits them back to their events.
+//! and the [`ManualLedger`] credits them back to their events. Device
+//! packets go to [`FiatProxy::on_packet`] unfaulted, so every fault the
+//! report counts met a proof frame or blocked one (sensor outage).
 //!
 //! The headline number is **false drops**: genuine manual events that
 //! lost packets *despite an eventually-delivered proof*. With retries at
@@ -26,7 +28,7 @@ use crate::resilient::{ProofFrame, ResilientClient};
 use fiat_core::{AuthAttempt, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyStats};
 use fiat_net::{SimDuration, SimTime};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
-use fiat_simnet::{InterceptQueue, LatencyProfile, Verdict};
+use fiat_simnet::LatencyProfile;
 use fiat_trace::{TestbedConfig, TestbedTrace};
 
 /// Pairing-ceremony secret shared by the soak's proxy and app.
@@ -88,7 +90,7 @@ pub struct SoakReport {
     pub retries: u64,
     /// Exchanges that fell back from 0-RTT to 1-RTT.
     pub fell_back: u64,
-    /// Injected faults by kind (proof channel + device wire combined).
+    /// Faults the proof channel injected, by kind.
     pub faults: Vec<(&'static str, u64)>,
     /// Final proxy counters (quarantine held/released/expired included).
     pub stats: ProxyStats,
@@ -156,7 +158,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         cfg.seed ^ 0xc2b2_ae35,
         cfg.loss,
         cfg.loss / 2.0,
-        0.0,
         0.15,
         cfg.loss / 4.0,
     );
@@ -208,20 +209,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     }
     frames.sort_by_key(|(idx, f)| (f.arrival, *idx));
 
-    // The device-bound wire: allowed packets pass an NFQUEUE-style
-    // intercept with its own (light) fault plan, exercising the
-    // enqueue_with integration; wire faults are reported but do not
-    // touch decision accounting.
-    let mut wire = FaultPlan::with_rates(
-        cfg.seed ^ 0x27d4_eb2f,
-        cfg.loss / 4.0,
-        0.0,
-        cfg.loss / 2.0,
-        0.0,
-        0.0,
-    );
-    let mut queue = InterceptQueue::new();
-
     // Merge: proofs and packets in global time order.
     let mut frames = frames.into_iter().peekable();
     let mut packets = 0u64;
@@ -232,10 +219,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         let d = proxy.on_packet(pkt);
         packets += 1;
         ledger.on_decision(pkt, d);
-        if d.is_allow() {
-            queue.enqueue_with(&mut wire, pkt.clone(), pkt.ts);
-            while queue.decide_next(pkt.ts, |_| Verdict::Allow).is_some() {}
-        }
     }
     for (idx, f) in frames {
         deliver(&mut proxy, &mut ledger, idx, &f);
@@ -245,10 +228,9 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
 
     let tally = ledger.tally();
 
-    // Merge channel + wire fault counts into one table.
     let faults: Vec<(&'static str, u64)> = FAULT_KINDS
         .iter()
-        .map(|&k| (k.as_str(), channel.plan.count(k) + wire.count(k)))
+        .map(|&k| (k.as_str(), channel.plan.count(k)))
         .collect();
 
     SoakReport {
@@ -279,6 +261,22 @@ mod tests {
         assert_eq!(report.false_drops, 0, "{report:?}");
         assert!(report.proofs_delivered > 0);
         assert!(report.total_faults() > 0, "chaos must actually fire");
+    }
+
+    #[test]
+    fn faults_count_only_what_the_proof_channel_injected() {
+        // Each proof transmission records at most three faults (delay,
+        // corrupt, duplicate) or one loss, and each sensor-blocked event
+        // records one. Anything beyond that bound was injected somewhere
+        // no proof ever travelled.
+        let r = run_soak(&SoakConfig::new(42, true));
+        let transmissions = r.manual_events - r.sensor_blocked + r.retries;
+        let bound = 3 * transmissions + r.sensor_blocked;
+        assert!(
+            r.total_faults() <= bound,
+            "{} > {bound}: {r:?}",
+            r.total_faults()
+        );
     }
 
     #[test]

@@ -628,7 +628,7 @@ mod tests {
         // Verbatim replay (the §5.3 attack) is caught by the store.
         assert_eq!(s.accept_zero_rtt(&z), Err(QuicError::Replayed));
         // The burned pair is observable through the store accessor.
-        assert!(s.replay_store().contains(z.ticket.id, z.nonce));
+        assert!(s.replay_store().contains_in(0, z.ticket.id, z.nonce));
         // A fresh 0-RTT packet still works.
         let z2 = c.seal_zero_rtt(b"again").unwrap();
         assert_eq!(s.accept_zero_rtt(&z2).unwrap(), b"again");
@@ -720,7 +720,7 @@ mod tests {
         // End-to-end eviction contract: at capacity 1, accepting early
         // data under ticket 2 evicts ticket 1's nonce set. A replayed
         // ticket-1 packet must NOT look fresh — pre-fix it passed
-        // `check_and_insert` and decrypted fine, silently reopening the
+        // `check_and_insert_in` and decrypted fine, silently reopening the
         // §5.3 replay window.
         let mut s = Server::new(PSK);
         s.set_replay_capacity(1);
@@ -901,7 +901,7 @@ mod tests {
         assert_eq!(s.replay_store().tickets(), 1);
         assert!(s
             .replay_store()
-            .contains(resigned.ticket.id, resigned.nonce));
+            .contains_in(0, resigned.ticket.id, resigned.nonce));
         assert_eq!(s.accept_zero_rtt(&resigned), Err(QuicError::Replayed));
         // And a fresh nonce under the kept ticket still works.
         let next = victim.seal_zero_rtt(b"v3").unwrap();

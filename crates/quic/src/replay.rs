@@ -17,15 +17,8 @@
 //! history a verbatim replay would look fresh, exactly the hazard the
 //! per-ticket eviction watermark already guards inside one epoch.
 //!
-//! Callers that predate epochs use the epoch-0 convenience API
-//! ([`check_and_insert`], [`contains`], [`is_stale`]); they behave
-//! exactly as before rotation is ever exercised.
-//!
 //! [`retire_below`]: ReplayStore::retire_below
 //! [`is_retired`]: ReplayStore::is_retired
-//! [`check_and_insert`]: ReplayStore::check_and_insert
-//! [`contains`]: ReplayStore::contains
-//! [`is_stale`]: ReplayStore::is_stale
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -90,13 +83,6 @@ impl ReplayStore {
         }
     }
 
-    /// Record (ticket, nonce) under epoch 0; returns `true` if fresh.
-    /// Pre-epoch convenience wrapper over
-    /// [`check_and_insert_in`](ReplayStore::check_and_insert_in).
-    pub fn check_and_insert(&mut self, ticket: u64, nonce: u64) -> bool {
-        self.check_and_insert_in(0, ticket, nonce).fresh
-    }
-
     /// Record (ticket, nonce) under `epoch`. A detected replay leaves the
     /// store untouched, and capacity eviction never removes the ticket
     /// just touched — evicting it would discard the nonce set recorded a
@@ -132,11 +118,6 @@ impl ReplayStore {
         }
     }
 
-    /// Whether a pair has been recorded under epoch 0.
-    pub fn contains(&self, ticket: u64, nonce: u64) -> bool {
-        self.contains_in(0, ticket, nonce)
-    }
-
     /// Whether a pair has been recorded under `epoch`.
     pub fn contains_in(&self, epoch: u32, ticket: u64, nonce: u64) -> bool {
         self.epochs
@@ -163,12 +144,6 @@ impl ReplayStore {
     /// Epochs holding live state, in increasing order.
     pub fn live_epochs(&self) -> Vec<u32> {
         self.epochs.keys().copied().collect()
-    }
-
-    /// Whether a ticket id under epoch 0 falls at or below the eviction
-    /// watermark (pre-epoch convenience wrapper).
-    pub fn is_stale(&self, ticket: u64) -> bool {
-        self.is_stale_in(0, ticket)
     }
 
     /// Whether a ticket id falls at or below `epoch`'s eviction
@@ -307,31 +282,31 @@ mod tests {
     #[test]
     fn fresh_then_replay() {
         let mut r = ReplayStore::new();
-        assert!(r.check_and_insert(1, 10));
-        assert!(!r.check_and_insert(1, 10));
-        assert!(r.check_and_insert(1, 11));
-        assert!(r.check_and_insert(2, 10)); // different ticket, same nonce
-        assert!(r.contains(1, 10));
-        assert!(!r.contains(3, 10));
+        assert!(r.check_and_insert_in(0, 1, 10).fresh);
+        assert!(!r.check_and_insert_in(0, 1, 10).fresh);
+        assert!(r.check_and_insert_in(0, 1, 11).fresh);
+        assert!(r.check_and_insert_in(0, 2, 10).fresh); // different ticket, same nonce
+        assert!(r.contains_in(0, 1, 10));
+        assert!(!r.contains_in(0, 3, 10));
     }
 
     #[test]
     fn capacity_evicts_oldest_ticket_wholesale() {
         let mut r = ReplayStore::with_capacity(2);
-        r.check_and_insert(1, 1);
-        r.check_and_insert(2, 1);
-        r.check_and_insert(3, 1);
+        r.check_and_insert_in(0, 1, 1);
+        r.check_and_insert_in(0, 2, 1);
+        r.check_and_insert_in(0, 3, 1);
         assert_eq!(r.tickets(), 2);
-        assert!(!r.contains(1, 1), "oldest ticket evicted");
-        assert!(r.contains(2, 1));
-        assert!(r.contains(3, 1));
+        assert!(!r.contains_in(0, 1, 1), "oldest ticket evicted");
+        assert!(r.contains_in(0, 2, 1));
+        assert!(r.contains_in(0, 3, 1));
     }
 
     #[test]
     fn zero_capacity_clamped_to_one() {
         let mut r = ReplayStore::with_capacity(0);
-        assert!(r.check_and_insert(1, 1));
-        assert!(!r.check_and_insert(1, 1));
+        assert!(r.check_and_insert_in(0, 1, 1).fresh);
+        assert!(!r.check_and_insert_in(0, 1, 1).fresh);
     }
 
     #[test]
@@ -340,61 +315,70 @@ mod tests {
         // tracked id used to evict the just-touched ticket itself, so the
         // identical 0-RTT packet replayed again was accepted as fresh.
         let mut r = ReplayStore::with_capacity(2);
-        r.check_and_insert(5, 1);
-        r.check_and_insert(6, 1);
-        assert!(r.check_and_insert(1, 42), "first presentation is fresh");
-        assert!(!r.check_and_insert(1, 42), "first replay rejected");
-        assert!(!r.check_and_insert(1, 42), "second replay rejected");
-        assert!(r.contains(1, 42));
+        r.check_and_insert_in(0, 5, 1);
+        r.check_and_insert_in(0, 6, 1);
+        assert!(
+            r.check_and_insert_in(0, 1, 42).fresh,
+            "first presentation is fresh"
+        );
+        assert!(
+            !r.check_and_insert_in(0, 1, 42).fresh,
+            "first replay rejected"
+        );
+        assert!(
+            !r.check_and_insert_in(0, 1, 42).fresh,
+            "second replay rejected"
+        );
+        assert!(r.contains_in(0, 1, 42));
         assert_eq!(r.tickets(), 2);
     }
 
     #[test]
     fn detected_replay_does_not_mutate_store() {
         let mut r = ReplayStore::with_capacity(2);
-        r.check_and_insert(5, 1);
-        r.check_and_insert(6, 1);
-        assert!(!r.check_and_insert(5, 1));
+        r.check_and_insert_in(0, 5, 1);
+        r.check_and_insert_in(0, 6, 1);
+        assert!(!r.check_and_insert_in(0, 5, 1).fresh);
         assert_eq!(r.tickets(), 2);
-        assert!(r.contains(5, 1));
-        assert!(r.contains(6, 1));
+        assert!(r.contains_in(0, 5, 1));
+        assert!(r.contains_in(0, 6, 1));
     }
 
     #[test]
     fn eviction_marks_ticket_stale() {
         let mut r = ReplayStore::with_capacity(2);
-        r.check_and_insert(1, 1);
-        r.check_and_insert(2, 1);
-        assert!(!r.is_stale(1), "tracked tickets are not stale");
-        r.check_and_insert(3, 1); // evicts ticket 1
-        assert!(r.is_stale(1));
-        assert!(!r.is_stale(2));
-        assert!(!r.is_stale(3));
+        r.check_and_insert_in(0, 1, 1);
+        r.check_and_insert_in(0, 2, 1);
+        assert!(!r.is_stale_in(0, 1), "tracked tickets are not stale");
+        r.check_and_insert_in(0, 3, 1); // evicts ticket 1
+        assert!(r.is_stale_in(0, 1));
+        assert!(!r.is_stale_in(0, 2));
+        assert!(!r.is_stale_in(0, 3));
         // An id below the watermark that was never tracked is stale too:
         // it sorts below ids already discarded.
-        assert!(r.is_stale(0));
+        assert!(r.is_stale_in(0, 0));
         // Untracked ids above the watermark are merely unknown, not stale.
-        assert!(!r.is_stale(9));
+        assert!(!r.is_stale_in(0, 9));
     }
 
     #[test]
     fn unbounded_store_never_goes_stale() {
         let mut r = ReplayStore::new();
         for t in 0..100 {
-            r.check_and_insert(t, 0);
+            r.check_and_insert_in(0, t, 0);
         }
-        assert!(!r.is_stale(0));
-        assert!(!r.is_stale(999));
+        assert!(!r.is_stale_in(0, 0));
+        assert!(!r.is_stale_in(0, 999));
     }
 
     #[test]
     fn many_nonces_per_ticket() {
         let mut r = ReplayStore::new();
         for n in 0..1000 {
-            assert!(r.check_and_insert(7, n));
+            assert!(r.check_and_insert_in(0, 7, n).fresh);
         }
         for n in 0..1000 {
-            assert!(!r.check_and_insert(7, n));
+            assert!(!r.check_and_insert_in(0, 7, n).fresh);
         }
         assert_eq!(r.tickets(), 1);
     }

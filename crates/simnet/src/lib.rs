@@ -12,22 +12,19 @@
 //!   seeded jitter.
 //! - [`home`]: the home topology — phone, IoT proxy, IoT devices, vendor
 //!   cloud — and path-latency composition for LAN and mobile scenarios.
-//! - [`intercept`]: the NFQUEUE-style interception point: every forwarded
-//!   packet is held until a verdict callback decides Allow or Drop
-//!   (§5.4 "Traffic Intercept").
 //! - [`tcp`]: RFC 6298-style retransmission backoff, used for the §6
 //!   finding that devices tolerate ~2 s of added validation delay.
 //!
-//! The paper inserts its proxy by ARP spoofing (§5.4); the simulator
-//! routes traffic through the interception point directly instead.
+//! The paper inserts its proxy by ARP spoofing and gives each packet an
+//! NFQUEUE verdict (§5.4); this crate models no interception point. The
+//! harnesses hand each packet to `FiatProxy::on_packet` directly, and
+//! the simulator supplies only the latencies around that call.
 
 pub mod event;
 pub mod home;
-pub mod intercept;
 pub mod link;
 pub mod tcp;
 
 pub use event::Scheduler;
 pub use home::{HomeNetwork, PhoneLocation};
-pub use intercept::{FaultInjector, InterceptQueue, Verdict};
 pub use link::LatencyProfile;

@@ -8,7 +8,6 @@
 use fiat_net::SimDuration;
 use rand::rngs::StdRng;
 use rand::Rng;
-use rand::SeedableRng;
 
 /// One-way latency distribution of a link: base plus uniform jitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,31 +67,10 @@ impl LatencyProfile {
     }
 }
 
-/// A seeded latency sampler bound to one profile.
-#[derive(Debug)]
-pub struct LinkSampler {
-    profile: LatencyProfile,
-    rng: StdRng,
-}
-
-impl LinkSampler {
-    /// New sampler.
-    pub fn new(profile: LatencyProfile, seed: u64) -> Self {
-        LinkSampler {
-            profile,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Next latency sample.
-    pub fn sample(&mut self) -> SimDuration {
-        self.profile.sample(&mut self.rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn samples_within_bounds() {
@@ -118,15 +96,6 @@ mod tests {
     fn mean_is_midpoint() {
         let p = LatencyProfile::from_millis(10, 20);
         assert_eq!(p.mean(), SimDuration::from_millis(20));
-    }
-
-    #[test]
-    fn sampler_is_deterministic() {
-        let mut a = LinkSampler::new(LatencyProfile::lte(), 5);
-        let mut b = LinkSampler::new(LatencyProfile::lte(), 5);
-        for _ in 0..100 {
-            assert_eq!(a.sample(), b.sample());
-        }
     }
 
     #[test]
