@@ -48,13 +48,13 @@ use crate::snapshot::{
     SNAPSHOT_VERSION,
 };
 use fiat_crypto::TeeKeystore;
-use fiat_net::{DnsTable, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime};
+use fiat_net::{DnsTable, FastMap, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime};
 use fiat_quic::{ClientHello, Server as QuicServer, ServerHello, ZeroRttPacket};
 use fiat_sensors::HumannessValidator;
 use fiat_telemetry::{Clock, Counter, Gauge, Histogram, MetricRegistry, Span, WallClock};
 use quarantine::Quarantine;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use unknown::UnknownDevices;
 pub use unknown::{FingerprintGate, FingerprintObservation, FingerprintVerdict};
@@ -708,7 +708,7 @@ pub struct FiatProxy {
     keys: Paired,
     quic: QuicServer,
     validator: HumannessValidator,
-    devices: HashMap<u16, DeviceState>,
+    devices: FastMap<u16, DeviceState>,
     policy: Policy,
     dns: DnsTable,
     started_at: Option<SimTime>,
@@ -760,7 +760,7 @@ impl FiatProxy {
             keys,
             quic,
             validator,
-            devices: HashMap::new(),
+            devices: FastMap::default(),
             policy: Policy {
                 config,
                 human_valid_until: SimTime::ZERO,

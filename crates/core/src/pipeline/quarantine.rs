@@ -31,8 +31,8 @@ use super::{AllowReason, DeviceState, DropReason, Policy, ProxyDecision, ProxyTe
 use crate::audit::AuditVerdict;
 use crate::classifier::EventClass;
 use crate::snapshot::{EventFate, QuarantineRecord};
-use fiat_net::{PacketRecord, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use fiat_net::{FastMap, PacketRecord, SimTime};
+use std::collections::BTreeMap;
 
 /// Every live quarantine record of the home, plus the released packets
 /// the interception layer has not drained yet. Outside the transitions
@@ -55,7 +55,7 @@ impl Quarantine {
     pub(super) fn admit(
         &mut self,
         policy: &mut Policy,
-        devices: &mut HashMap<u16, DeviceState>,
+        devices: &mut FastMap<u16, DeviceState>,
         pkt: &PacketRecord,
         class: EventClass,
     ) -> Option<ProxyDecision> {
@@ -129,7 +129,7 @@ impl Quarantine {
     pub(super) fn resolve(
         &mut self,
         policy: &mut Policy,
-        devices: &mut HashMap<u16, DeviceState>,
+        devices: &mut FastMap<u16, DeviceState>,
         now: SimTime,
     ) {
         for (id, q) in std::mem::take(&mut self.records) {

@@ -9,7 +9,7 @@
 //! intervals are quantized into tolerance bins before matching.
 
 use fiat_net::{
-    DnsTable, FlowDef, InternedFlowKey, PacketRecord, SimDuration, SimTime, TrafficClass,
+    DnsTable, FastMap, FlowDef, InternedFlowKey, PacketRecord, SimDuration, SimTime, TrafficClass,
 };
 use fiat_telemetry::{Counter, MetricRegistry};
 use std::collections::{HashMap, HashSet};
@@ -291,8 +291,8 @@ struct Ghost {
 /// path. Ghosts are capped at the same size and evicted the same way.
 #[derive(Debug, Clone, Default)]
 pub struct RuleTable {
-    rules: HashMap<(u16, InternedFlowKey), u64>,
-    ghosts: HashMap<(u16, InternedFlowKey), Ghost>,
+    rules: FastMap<(u16, InternedFlowKey), u64>,
+    ghosts: FastMap<(u16, InternedFlowKey), Ghost>,
     stamp: u64,
     cap: Option<usize>,
     /// Interval quantization bin for ghost re-learn, µs (0 acts as 1).
@@ -324,7 +324,7 @@ impl RuleTable {
         dns: &DnsTable,
         telemetry: RuleTelemetry,
     ) -> RuleTable {
-        let mut buckets: HashMap<(u16, InternedFlowKey), Vec<SimTime>> = HashMap::new();
+        let mut buckets: FastMap<(u16, InternedFlowKey), Vec<SimTime>> = FastMap::default();
         for p in packets {
             buckets
                 .entry((p.device, InternedFlowKey::of(engine.def, p, dns)))
@@ -335,8 +335,9 @@ impl RuleTable {
         // order, so "least recently matched" is well-defined — and
         // deterministic — from the moment the table is born.
         let mut qualifying: Vec<(SimTime, (u16, InternedFlowKey))> = Vec::new();
+        let mut counts: FastMap<u64, (SimDuration, u32)> = FastMap::default();
         for (key, times) in buckets {
-            let mut counts: HashMap<u64, (SimDuration, u32)> = HashMap::new();
+            counts.clear();
             for w in times.windows(2) {
                 let iv = w[1] - w[0];
                 let e = counts.entry(engine.bin(iv)).or_insert((iv, 0));
@@ -584,6 +585,7 @@ impl RuleTable {
 mod tests {
     use super::*;
     use fiat_net::{Direction, TcpFlags, TlsVersion, Transport};
+    use std::hash::BuildHasher;
     use std::net::Ipv4Addr;
 
     fn pkt(ts_ms: u64, size: u16, port: u16) -> PacketRecord {
@@ -855,6 +857,51 @@ mod tests {
                 last_bin: None
             }]
         );
+    }
+
+    #[test]
+    fn eviction_order_is_independent_of_the_hash_key() {
+        // Every map draws its own hash key, so two tables learned from one
+        // bootstrap iterate in different orders. Eviction and the exports
+        // go by stamp, so both must still end in the same state.
+        let dns = DnsTable::new();
+        let eng = PredictabilityEngine::new(FlowDef::PortLess);
+        let flows = 12u64;
+        let packets: Vec<PacketRecord> = (0..10)
+            .flat_map(|i| (0..flows).map(move |f| pkt(i * 10_000 + f, 100 + f as u16, 5000)))
+            .collect();
+        let mut a = RuleTable::learn(&eng, &packets, &dns);
+        let mut b = RuleTable::learn(&eng, &packets, &dns);
+        let probe = (0u16, key_of(100, &dns));
+        assert_ne!(
+            a.rules.hasher().hash_one(probe),
+            b.rules.hasher().hash_one(probe),
+            "the two tables must hash under different keys"
+        );
+        let mut promoted = 0;
+        for t in [&mut a, &mut b] {
+            assert_eq!(t.len(), flows as usize);
+            t.set_capacity(Some(8));
+            for size in 500..506 {
+                t.insert(0, key_of(size, &dns));
+            }
+            // The learned flows resume at their 10 s cadence: live rules
+            // hit, and ghosts re-promote on the third packet, each an
+            // over-cap insert that evicts another rule.
+            for round in 0..3 {
+                for f in 0..flows {
+                    let p = pkt(1_000_000 + round * 10_000 + f, 100 + f as u16, 9);
+                    let ghost = t.ghosts.contains_key(&(0, key_of(p.size, &dns)));
+                    if t.matches_touch(FlowDef::PortLess, &p, &dns) && ghost {
+                        promoted += 1;
+                    }
+                }
+            }
+            assert!(t.len() <= 8 && t.ghost_len() <= 8);
+        }
+        assert!(promoted > 0, "no ghost re-promoted");
+        assert_eq!(a.export_lru(), b.export_lru());
+        assert_eq!(a.export_ghosts(), b.export_ghosts());
     }
 
     #[test]

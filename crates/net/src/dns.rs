@@ -13,8 +13,8 @@
 //! `String`. Ids are local to one table (and preserved by [`DnsTable::merge`]
 //! only for domains already interned on the receiving side).
 
+use crate::hash::FastMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How a domain mapping was learned; forward (in-trace DNS) beats reverse.
@@ -26,7 +26,7 @@ pub enum DnsSource {
     Reverse,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     domain: u32,
     source: DnsSource,
@@ -36,9 +36,9 @@ struct Entry {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "DnsTableRepr", into = "DnsTableRepr")]
 pub struct DnsTable {
-    entries: HashMap<Ipv4Addr, Entry>,
+    entries: FastMap<Ipv4Addr, Entry>,
     domains: Vec<String>,
-    index: HashMap<String, u32>,
+    index: FastMap<String, u32>,
 }
 
 /// Serialized form: the flat entry list (ids are rebuilt on load, so the

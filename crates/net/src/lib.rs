@@ -13,18 +13,22 @@
 //! - [`dns`]: the DNS table used for the PortLess mapping, including
 //!   reverse lookups and domain aliases (§2.1 footnote 1).
 //! - [`trace`]: a labeled trace container with serde support.
+//! - [`hash`]: the keyed fold-multiply hasher behind the per-packet maps
+//!   ([`FastMap`]).
 //!
 //! The proxy sees traffic through simulated interception, never as wire
 //! bytes, so there is no frame or capture-file codec here.
 
 pub mod dns;
 pub mod flow;
+pub mod hash;
 pub mod packet;
 pub mod time;
 pub mod trace;
 
 pub use dns::DnsTable;
 pub use flow::{FlowDef, FlowKey, InternedFlowKey, RemoteId};
+pub use hash::{FastMap, FoldState};
 pub use packet::{Direction, PacketRecord, TcpFlags, TlsVersion, TrafficClass, Transport};
 pub use time::{SimDuration, SimTime};
 pub use trace::Trace;
