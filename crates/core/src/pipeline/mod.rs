@@ -51,7 +51,9 @@ use fiat_crypto::TeeKeystore;
 use fiat_net::{DnsTable, FastMap, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime};
 use fiat_quic::{ClientHello, Server as QuicServer, ServerHello, ZeroRttPacket};
 use fiat_sensors::HumannessValidator;
-use fiat_telemetry::{Clock, Counter, Gauge, Histogram, MetricRegistry, Span, WallClock};
+use fiat_telemetry::{
+    Clock, Counter, Family, Gauge, Histogram, MetricRegistry, SchemaPart, Span, WallClock,
+};
 use quarantine::Quarantine;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -495,12 +497,134 @@ pub trait ProxyHook: Send {
 /// decide samples.
 pub const DECIDE_SAMPLE_EVERY: u64 = 64;
 
+/// The proxy's counters and gauges: every `fiat_proxy_*` and
+/// `fiat_quarantine_*` series, attached to the shared registry by
+/// [`ProxyTelemetry::new`]. The `fiat_proxy_decisions_total` label sets
+/// follow [`AllowReason::ALL`], then [`DropReason::ALL`], then the
+/// quarantine decision, so a reason's discriminant is its series index.
+static PROXY_METRICS: SchemaPart = SchemaPart::new(&[
+    Family::counter(
+        "fiat_proxy_decisions_total",
+        "Packets decided, by decision and reason.",
+        &[
+            &[("decision", "allow"), ("reason", "bootstrap")],
+            &[("decision", "allow"), ("reason", "rule_hit")],
+            &[("decision", "allow"), ("reason", "first_n")],
+            &[("decision", "allow"), ("reason", "non_manual")],
+            &[("decision", "allow"), ("reason", "manual_verified")],
+            &[("decision", "allow"), ("reason", "cascade")],
+            &[("decision", "allow"), ("reason", "unknown_device")],
+            &[("decision", "allow"), ("reason", "quarantine_released")],
+            &[("decision", "allow"), ("reason", "fingerprint_matched")],
+            &[("decision", "drop"), ("reason", "manual_unverified")],
+            &[("decision", "drop"), ("reason", "locked_out")],
+            &[("decision", "drop"), ("reason", "quarantine_expired")],
+            &[("decision", "drop"), ("reason", "unknown_quarantined")],
+            &[("decision", "quarantine"), ("reason", "pending_proof")],
+        ],
+    ),
+    Family::gauge("fiat_proxy_rules", "Learned predictability rules.", &[&[]]),
+    Family::gauge(
+        "fiat_proxy_open_events",
+        "Unpredictable events currently open.",
+        &[&[]],
+    ),
+    Family::gauge(
+        "fiat_proxy_locked_devices",
+        "Devices currently locked out.",
+        &[&[]],
+    ),
+    Family::gauge("fiat_proxy_devices", "Registered devices.", &[&[]]),
+    Family::counter(
+        "fiat_proxy_auth_total",
+        "Humanness auth messages processed, by result.",
+        &[
+            &[("result", "verified")],
+            &[("result", "rejected")],
+            &[("result", "error")],
+        ],
+    ),
+    Family::counter(
+        "fiat_proxy_lockouts_total",
+        "Lockout episodes entered (once per episode, not per dropped packet).",
+        &[&[]],
+    ),
+    Family::counter(
+        "fiat_proxy_retro_unverified_total",
+        "Unverified manual episodes detected retrospectively at event closure.",
+        &[&[]],
+    ),
+    Family::counter(
+        "fiat_quarantine_held_total",
+        "Packets held in pending-verdict quarantine.",
+        &[&[]],
+    ),
+    Family::counter(
+        "fiat_quarantine_released_total",
+        "Held packets released by a late-arriving humanness proof.",
+        &[&[]],
+    ),
+    Family::counter(
+        "fiat_quarantine_expired_total",
+        "Held packets demoted at their proof deadline.",
+        &[&[]],
+    ),
+    Family::gauge(
+        "fiat_quarantine_depth",
+        "Packets currently held in quarantine.",
+        &[&[]],
+    ),
+    Family::gauge(
+        "fiat_proxy_degraded",
+        "1 while the proxy runs in control-plane degraded mode.",
+        &[&[]],
+    ),
+    Family::counter(
+        "fiat_proxy_degraded_decisions_total",
+        "Packets decided while in control-plane degraded mode.",
+        &[&[]],
+    ),
+]);
+
+/// [`PROXY_METRICS`] family indices.
+const DECISIONS: usize = 0;
+const RULES: usize = 1;
+const OPEN_EVENTS: usize = 2;
+const LOCKED_DEVICES: usize = 3;
+const DEVICES: usize = 4;
+const AUTH: usize = 5;
+const LOCKOUTS: usize = 6;
+const RETRO_UNVERIFIED: usize = 7;
+const QUARANTINE_HELD: usize = 8;
+const QUARANTINE_RELEASED: usize = 9;
+const QUARANTINE_EXPIRED: usize = 10;
+const QUARANTINE_DEPTH: usize = 11;
+const DEGRADED: usize = 12;
+const DEGRADED_DECISIONS: usize = 13;
+
+/// Stage latency, attached to each proxy's private timing registry.
+static STAGE_METRICS: SchemaPart = SchemaPart::new(&[Family::histogram(
+    "fiat_proxy_stage_ns",
+    "Decision-path stage latency in nanoseconds (decide: 1 packet in 64).",
+    &[
+        &[("stage", "rule_learn")],
+        &[("stage", "classification")],
+        &[("stage", "humanness")],
+        &[("stage", "decide")],
+    ],
+)]);
+const _: () = assert!(
+    DECIDE_SAMPLE_EVERY == 64,
+    "the fiat_proxy_stage_ns help text names the decide sampling rate"
+);
+
 /// Pre-resolved telemetry handles for the proxy decision path.
 ///
-/// Every handle is looked up once, at construction, so the per-packet
-/// hot path never touches a registry lock — each update is a single
-/// relaxed atomic operation. Two registries keep what is deterministic
-/// apart from what is not:
+/// Every handle indexes a cell of a static schema part
+/// (`PROXY_METRICS`, `STAGE_METRICS`), attached once at
+/// construction, so the per-packet hot path never touches a registry
+/// lock — each update is a single relaxed atomic operation. Two
+/// registries keep what is deterministic apart from what is not:
 ///
 /// - [`ProxyTelemetry::registry`] holds counters and gauges only, a pure
 ///   function of the inputs, so fleet runs can compare it byte for byte;
@@ -537,103 +661,36 @@ pub struct ProxyTelemetry {
 }
 
 impl ProxyTelemetry {
-    /// Register the proxy's counters and gauges in `registry`, and time
+    /// Attach the proxy's counters and gauges to `registry`, and time
     /// stages with `clock` into a fresh timing registry.
     pub fn new(registry: MetricRegistry, clock: Arc<dyn Clock>) -> Self {
         let timing = MetricRegistry::new();
-        timing.describe(
-            "fiat_proxy_stage_ns",
-            &format!(
-                "Decision-path stage latency in nanoseconds \
-                 (decide: 1 packet in {DECIDE_SAMPLE_EVERY})."
-            ),
-        );
-        let stage = |s: &str| timing.histogram("fiat_proxy_stage_ns", &[("stage", s)]);
-        registry.describe(
-            "fiat_proxy_decisions_total",
-            "Packets decided, by decision and reason.",
-        );
-        registry.describe("fiat_proxy_rules", "Learned predictability rules.");
-        registry.describe(
-            "fiat_proxy_open_events",
-            "Unpredictable events currently open.",
-        );
-        registry.describe("fiat_proxy_locked_devices", "Devices currently locked out.");
-        registry.describe("fiat_proxy_devices", "Registered devices.");
-        registry.describe(
-            "fiat_proxy_auth_total",
-            "Humanness auth messages processed, by result.",
-        );
-        registry.describe(
-            "fiat_proxy_lockouts_total",
-            "Lockout episodes entered (once per episode, not per dropped packet).",
-        );
-        registry.describe(
-            "fiat_proxy_retro_unverified_total",
-            "Unverified manual episodes detected retrospectively at event closure.",
-        );
-        registry.describe(
-            "fiat_quarantine_held_total",
-            "Packets held in pending-verdict quarantine.",
-        );
-        registry.describe(
-            "fiat_quarantine_released_total",
-            "Held packets released by a late-arriving humanness proof.",
-        );
-        registry.describe(
-            "fiat_quarantine_expired_total",
-            "Held packets demoted at their proof deadline.",
-        );
-        registry.describe(
-            "fiat_quarantine_depth",
-            "Packets currently held in quarantine.",
-        );
-        registry.describe(
-            "fiat_proxy_degraded",
-            "1 while the proxy runs in control-plane degraded mode.",
-        );
-        registry.describe(
-            "fiat_proxy_degraded_decisions_total",
-            "Packets decided while in control-plane degraded mode.",
-        );
-        let allow_total = AllowReason::ALL.map(|r| {
-            registry.counter(
-                "fiat_proxy_decisions_total",
-                &[("decision", "allow"), ("reason", r.as_str())],
-            )
-        });
-        let drop_total = DropReason::ALL.map(|r| {
-            registry.counter(
-                "fiat_proxy_decisions_total",
-                &[("decision", "drop"), ("reason", r.as_str())],
-            )
-        });
+        let stage = timing.attach(&STAGE_METRICS);
+        let c = registry.attach(&PROXY_METRICS);
+        const DROPS: usize = AllowReason::ALL.len();
         ProxyTelemetry {
-            stage_rule_learn: stage("rule_learn"),
-            stage_classification: stage("classification"),
-            stage_humanness: stage("humanness"),
-            decide_sampled: stage("decide"),
-            allow_total,
-            drop_total,
-            quarantine_total: registry.counter(
-                "fiat_proxy_decisions_total",
-                &[("decision", "quarantine"), ("reason", "pending_proof")],
-            ),
-            quarantine_held: registry.counter("fiat_quarantine_held_total", &[]),
-            quarantine_released_ctr: registry.counter("fiat_quarantine_released_total", &[]),
-            quarantine_expired_ctr: registry.counter("fiat_quarantine_expired_total", &[]),
-            quarantine_depth: registry.gauge("fiat_quarantine_depth", &[]),
-            rules_gauge: registry.gauge("fiat_proxy_rules", &[]),
-            open_events_gauge: registry.gauge("fiat_proxy_open_events", &[]),
-            locked_devices_gauge: registry.gauge("fiat_proxy_locked_devices", &[]),
-            devices_gauge: registry.gauge("fiat_proxy_devices", &[]),
-            auth_verified: registry.counter("fiat_proxy_auth_total", &[("result", "verified")]),
-            auth_rejected: registry.counter("fiat_proxy_auth_total", &[("result", "rejected")]),
-            auth_errors: registry.counter("fiat_proxy_auth_total", &[("result", "error")]),
-            lockouts: registry.counter("fiat_proxy_lockouts_total", &[]),
-            retro_unverified: registry.counter("fiat_proxy_retro_unverified_total", &[]),
-            degraded_gauge: registry.gauge("fiat_proxy_degraded", &[]),
-            degraded_decisions: registry.counter("fiat_proxy_degraded_decisions_total", &[]),
+            stage_rule_learn: stage.histogram(0, 0),
+            stage_classification: stage.histogram(0, 1),
+            stage_humanness: stage.histogram(0, 2),
+            decide_sampled: stage.histogram(0, 3),
+            allow_total: std::array::from_fn(|i| c.counter(DECISIONS, i)),
+            drop_total: std::array::from_fn(|i| c.counter(DECISIONS, DROPS + i)),
+            quarantine_total: c.counter(DECISIONS, DROPS + DropReason::ALL.len()),
+            quarantine_held: c.counter(QUARANTINE_HELD, 0),
+            quarantine_released_ctr: c.counter(QUARANTINE_RELEASED, 0),
+            quarantine_expired_ctr: c.counter(QUARANTINE_EXPIRED, 0),
+            quarantine_depth: c.gauge(QUARANTINE_DEPTH, 0),
+            rules_gauge: c.gauge(RULES, 0),
+            open_events_gauge: c.gauge(OPEN_EVENTS, 0),
+            locked_devices_gauge: c.gauge(LOCKED_DEVICES, 0),
+            devices_gauge: c.gauge(DEVICES, 0),
+            auth_verified: c.counter(AUTH, 0),
+            auth_rejected: c.counter(AUTH, 1),
+            auth_errors: c.counter(AUTH, 2),
+            lockouts: c.counter(LOCKOUTS, 0),
+            retro_unverified: c.counter(RETRO_UNVERIFIED, 0),
+            degraded_gauge: c.gauge(DEGRADED, 0),
+            degraded_decisions: c.counter(DEGRADED_DECISIONS, 0),
             registry,
             timing,
             clock,
@@ -2324,6 +2381,29 @@ mod tests {
         assert_eq!(s.quarantine_released, 0);
         assert_eq!(s.dropped_quarantine, 0);
         assert_eq!(s.quarantine_expired, 0);
+    }
+
+    #[test]
+    fn decision_series_follow_reason_order() {
+        let decisions = &PROXY_METRICS.families()[DECISIONS];
+        assert_eq!(decisions.name, "fiat_proxy_decisions_total");
+        let expected = AllowReason::ALL
+            .map(ProxyDecision::Allow)
+            .into_iter()
+            .chain(DropReason::ALL.map(ProxyDecision::Drop))
+            .chain([ProxyDecision::Quarantine]);
+        let labels: Vec<[(&str, &str); 2]> = expected
+            .map(|d| {
+                let decision = match d {
+                    ProxyDecision::Allow(_) => "allow",
+                    ProxyDecision::Drop(_) => "drop",
+                    ProxyDecision::Quarantine => "quarantine",
+                };
+                [("decision", decision), ("reason", d.reason_str())]
+            })
+            .collect();
+        let declared: Vec<&[(&str, &str)]> = decisions.series.to_vec();
+        assert_eq!(declared, labels.iter().map(|l| &l[..]).collect::<Vec<_>>());
     }
 
     #[test]

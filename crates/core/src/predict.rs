@@ -11,7 +11,7 @@
 use fiat_net::{
     DnsTable, FastMap, FlowDef, InternedFlowKey, PacketRecord, SimDuration, SimTime, TrafficClass,
 };
-use fiat_telemetry::{Counter, MetricRegistry};
+use fiat_telemetry::{Counter, Family, MetricRegistry, SchemaPart};
 use std::collections::{HashMap, HashSet};
 
 /// Default interval quantization bin: one microsecond, i.e. exact
@@ -223,24 +223,30 @@ pub struct RuleTelemetry {
     pub match_misses: Counter,
 }
 
+/// The `fiat_rules_*` series, attached when rules are learned or
+/// restored, so they stay absent from a registry until then.
+static RULE_METRICS: SchemaPart = SchemaPart::new(&[
+    Family::counter(
+        "fiat_rules_buckets_total",
+        "Bootstrap flow buckets examined for rules, by outcome.",
+        &[&[("outcome", "learned")], &[("outcome", "rejected")]],
+    ),
+    Family::counter(
+        "fiat_rules_match_total",
+        "Rule-table lookups at enforcement time, by outcome.",
+        &[&[("outcome", "hit")], &[("outcome", "miss")]],
+    ),
+]);
+
 impl RuleTelemetry {
-    /// Handles registered in `registry` under the `fiat_rules_*` names.
+    /// Handles to the `fiat_rules_*` series of `registry`.
     pub fn registered(registry: &MetricRegistry) -> Self {
-        registry.describe(
-            "fiat_rules_buckets_total",
-            "Bootstrap flow buckets examined for rules, by outcome.",
-        );
-        registry.describe(
-            "fiat_rules_match_total",
-            "Rule-table lookups at enforcement time, by outcome.",
-        );
+        let cells = registry.attach(&RULE_METRICS);
         RuleTelemetry {
-            buckets_learned: registry
-                .counter("fiat_rules_buckets_total", &[("outcome", "learned")]),
-            buckets_rejected: registry
-                .counter("fiat_rules_buckets_total", &[("outcome", "rejected")]),
-            match_hits: registry.counter("fiat_rules_match_total", &[("outcome", "hit")]),
-            match_misses: registry.counter("fiat_rules_match_total", &[("outcome", "miss")]),
+            buckets_learned: cells.counter(0, 0),
+            buckets_rejected: cells.counter(0, 1),
+            match_hits: cells.counter(1, 0),
+            match_misses: cells.counter(1, 1),
         }
     }
 }

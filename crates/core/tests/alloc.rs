@@ -1,26 +1,34 @@
-//! Allocation proofs for the per-packet rule-match path and for the
-//! whole rule-hit decision.
+//! Allocation proofs for the per-packet rule-match path, for the whole
+//! rule-hit decision, and for a home's telemetry set-up and merge.
 //!
 //! `RuleTable::matches` keys lookups on [`InternedFlowKey`] (remote
 //! domains interned to dense ids in the `DnsTable`), so deciding a
 //! packet must never touch the heap — for rule hits, misses, known
 //! domains, and unknown IPs alike. `FiatProxy::on_packet` wraps that
 //! match in the decision ladder, counters and the sampled decide timing,
-//! and a rule hit must stay allocation-free through all of it. The
-//! probe crate's counting `#[global_allocator]` makes both claims
+//! and a rule hit must stay allocation-free through all of it. A home's
+//! telemetry is built from static schema parts, one cell array each, so
+//! its set-up cost is a small fixed allocation count and merging it into
+//! a registry that already holds the same parts allocates nothing. The
+//! probe crate's counting `#[global_allocator]` makes these claims
 //! checkable. The tests read its *per-thread* count: the libtest harness
 //! thread and the other test can allocate (watchdog timers, output
 //! buffering) concurrently with a measured region — on a loaded
 //! single-core host that made a process-wide counter flake.
 
-use fiat_core::{FiatProxy, PredictabilityEngine, ProxyConfig, RuleTable, DECIDE_SAMPLE_EVERY};
+use fiat_core::{
+    FiatApp, FiatProxy, PredictabilityEngine, ProxyConfig, ProxyTelemetry, RuleTable,
+    RuleTelemetry, DECIDE_SAMPLE_EVERY,
+};
 use fiat_net::{
     Direction, DnsTable, FlowDef, PacketRecord, SimTime, TcpFlags, TlsVersion, TrafficClass,
     Transport,
 };
 use fiat_probe::{thread_allocations, CountingAllocator};
-use fiat_sensors::HumannessValidator;
+use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
+use fiat_telemetry::{Clock, ManualClock, MetricRegistry};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -146,5 +154,79 @@ fn rule_hit_decision_does_not_allocate() {
         0,
         "rule-hit decision allocated on the heap ({} allocations over {n} packets)",
         after - before
+    );
+}
+
+/// Heap allocations `f` makes on this thread, with its result.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = thread_allocations();
+    let out = f();
+    (thread_allocations() - before, out)
+}
+
+/// A home past bootstrap on its own registry: proxy, QUIC and rule
+/// series all attached, and a per-epoch replay gauge from a 0-RTT proof.
+fn served_home() -> MetricRegistry {
+    const PERIOD_US: u64 = 60_000_000;
+    let registry = MetricRegistry::new();
+    let telemetry = ProxyTelemetry::new(registry.clone(), Arc::new(ManualClock::new()));
+    let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+    let config = ProxyConfig::default();
+    let bootstrap_us = config.bootstrap.as_micros();
+    let mut proxy = FiatProxy::with_telemetry(config, &[9u8; 32], validator, telemetry);
+    proxy.start(SimTime::ZERO);
+    let remote = Ipv4Addr::new(34, 9, 9, 9);
+    let mut ts = 0;
+    while ts <= bootstrap_us + PERIOD_US {
+        proxy.on_packet(&pkt(ts, remote, 235));
+        ts += PERIOD_US;
+    }
+    let mut app = FiatApp::new(&[9u8; 32], 1);
+    let sh = proxy.accept_handshake(&app.handshake_request());
+    app.complete_handshake(&sh).unwrap();
+    let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
+    let z = app
+        .authorize_zero_rtt("app", &imu, MotionKind::HumanTouch, ts / 1000)
+        .unwrap();
+    assert_eq!(
+        proxy.on_auth_zero_rtt(&z, SimTime::from_micros(ts)),
+        Ok(true)
+    );
+    assert!(proxy.rule_count() > 0);
+    registry
+}
+
+#[test]
+fn home_telemetry_set_up_is_a_few_cell_arrays() {
+    let registry = MetricRegistry::new();
+    let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+    // The proxy part's cells, the timing registry, and its stage cells
+    // (plus the part lists of both registries).
+    let (n, telemetry) = allocations(|| ProxyTelemetry::new(registry.clone(), clock));
+    assert!(n <= 8, "ProxyTelemetry::new made {n} allocations");
+    // Rules attach into a registry that already lists a part: one array.
+    let (n, _rules) = allocations(|| RuleTelemetry::registered(telemetry.registry()));
+    assert!(n <= 1, "RuleTelemetry::registered made {n} allocations");
+    assert_eq!(registry.len(), 29 + 4);
+}
+
+#[test]
+fn same_schema_merge_does_not_allocate() {
+    let round = MetricRegistry::new();
+    round.merge_from(&served_home());
+    let home = served_home();
+    let series = round.len();
+    assert_eq!(series, home.len());
+    let (n, ()) = allocations(|| round.merge_from(&home));
+    assert_eq!(
+        n, 0,
+        "merging a home into a same-schema registry allocated {n} times"
+    );
+    assert_eq!(round.len(), series);
+    assert_eq!(
+        round
+            .counter("fiat_quic_zero_rtt_total", &[("result", "accepted")])
+            .get(),
+        2
     );
 }

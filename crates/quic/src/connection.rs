@@ -26,7 +26,7 @@
 
 use crate::replay::{ReplayImage, ReplayStore};
 use fiat_crypto::{aead, Hkdf};
-use fiat_telemetry::{Counter, Gauge, MetricRegistry};
+use fiat_telemetry::{Counter, Family, Gauge, MetricRegistry, SchemaPart};
 
 /// Errors surfaced by the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,6 +263,44 @@ fn ticket_secret(psk: &[u8; 32], id: u64, epoch: u32) -> [u8; 32] {
     out
 }
 
+/// The channel's fixed `fiat_quic_*` series. `fiat_quic_replay_entries`
+/// declares only its help text: its series are per ticket epoch, created
+/// by name as epochs first take entries.
+static QUIC_METRICS: SchemaPart = SchemaPart::new(&[
+    Family::counter(
+        "fiat_quic_handshakes_total",
+        "1-RTT handshakes accepted by the proxy.",
+        &[&[]],
+    ),
+    Family::counter(
+        "fiat_quic_one_rtt_total",
+        "1-RTT packets processed by the proxy, by result.",
+        &[&[("result", "accepted")], &[("result", "rejected")]],
+    ),
+    Family::counter(
+        "fiat_quic_zero_rtt_total",
+        "0-RTT packets processed by the proxy, by result.",
+        &[
+            &[("result", "accepted")],
+            &[("result", "replayed")],
+            &[("result", "retired_epoch")],
+            &[("result", "rejected")],
+        ],
+    ),
+    Family::gauge(
+        REPLAY_ENTRIES,
+        "Accepted 0-RTT (ticket, nonce) entries tracked, per ticket epoch.",
+        &[],
+    ),
+    Family::counter(
+        "fiat_quic_epochs_retired_total",
+        "Replay-store ticket epochs retired by the key lifecycle.",
+        &[&[]],
+    ),
+]);
+
+const REPLAY_ENTRIES: &str = "fiat_quic_replay_entries";
+
 /// Counters for the server (proxy) side of the channel. Defaults to
 /// detached counters so an uninstrumented [`Server`] costs one relaxed
 /// atomic op per packet; [`ServerTelemetry::registered`] exposes the same
@@ -289,57 +327,43 @@ pub struct ServerTelemetry {
     /// Registry for per-epoch replay-entry gauges (labels resolve on
     /// demand as epochs rotate); `None` when detached.
     pub registry: Option<MetricRegistry>,
+    /// Replay-entry gauges resolved so far, one per live epoch.
+    replay_gauges: Vec<(u32, Gauge)>,
 }
 
 impl ServerTelemetry {
-    /// Handles registered in `registry` under the `fiat_quic_*` names.
+    /// Handles to the `fiat_quic_*` series of `registry`.
     pub fn registered(registry: &MetricRegistry) -> Self {
-        registry.describe(
-            "fiat_quic_handshakes_total",
-            "1-RTT handshakes accepted by the proxy.",
-        );
-        registry.describe(
-            "fiat_quic_one_rtt_total",
-            "1-RTT packets processed by the proxy, by result.",
-        );
-        registry.describe(
-            "fiat_quic_zero_rtt_total",
-            "0-RTT packets processed by the proxy, by result.",
-        );
-        registry.describe(
-            "fiat_quic_replay_entries",
-            "Accepted 0-RTT (ticket, nonce) entries tracked, per ticket epoch.",
-        );
-        registry.describe(
-            "fiat_quic_epochs_retired_total",
-            "Replay-store ticket epochs retired by the key lifecycle.",
-        );
+        let cells = registry.attach(&QUIC_METRICS);
         ServerTelemetry {
-            handshakes: registry.counter("fiat_quic_handshakes_total", &[]),
-            one_rtt_accepted: registry
-                .counter("fiat_quic_one_rtt_total", &[("result", "accepted")]),
-            one_rtt_rejected: registry
-                .counter("fiat_quic_one_rtt_total", &[("result", "rejected")]),
-            zero_rtt_accepted: registry
-                .counter("fiat_quic_zero_rtt_total", &[("result", "accepted")]),
-            zero_rtt_replayed: registry
-                .counter("fiat_quic_zero_rtt_total", &[("result", "replayed")]),
-            zero_rtt_retired: registry
-                .counter("fiat_quic_zero_rtt_total", &[("result", "retired_epoch")]),
-            zero_rtt_rejected: registry
-                .counter("fiat_quic_zero_rtt_total", &[("result", "rejected")]),
-            epochs_retired: registry.counter("fiat_quic_epochs_retired_total", &[]),
+            handshakes: cells.counter(0, 0),
+            one_rtt_accepted: cells.counter(1, 0),
+            one_rtt_rejected: cells.counter(1, 1),
+            zero_rtt_accepted: cells.counter(2, 0),
+            zero_rtt_replayed: cells.counter(2, 1),
+            zero_rtt_retired: cells.counter(2, 2),
+            zero_rtt_rejected: cells.counter(2, 3),
+            epochs_retired: cells.counter(4, 0),
             registry: Some(registry.clone()),
+            replay_gauges: Vec::new(),
         }
     }
 
-    /// Gauge of replay entries tracked under one epoch (resolved on
-    /// demand; `None` when detached). Updated with deltas, never `set`,
-    /// so per-home registries still fold additively in the fleet merge.
-    pub fn replay_entries(&self, epoch: u32) -> Option<Gauge> {
-        self.registry
-            .as_ref()
-            .map(|r| r.gauge("fiat_quic_replay_entries", &[("epoch", &epoch.to_string())]))
+    /// Gauge of replay entries tracked under one epoch (`None` when
+    /// detached), resolved by name on the epoch's first use and kept
+    /// until the epoch retires. Updated with deltas, never `set`, so
+    /// per-home registries still fold additively in the fleet merge.
+    fn replay_entries(&mut self, epoch: u32) -> Option<&Gauge> {
+        let registry = self.registry.as_ref()?;
+        let i = match self.replay_gauges.iter().position(|(e, _)| *e == epoch) {
+            Some(i) => i,
+            None => {
+                let gauge = registry.gauge(REPLAY_ENTRIES, &[("epoch", &epoch.to_string())]);
+                self.replay_gauges.push((epoch, gauge));
+                self.replay_gauges.len() - 1
+            }
+        };
+        Some(&self.replay_gauges[i].1)
     }
 }
 
@@ -444,6 +468,8 @@ impl Server {
                     }
                 }
             }
+            let live = self.replay.retired_below();
+            self.telemetry.replay_gauges.retain(|(e, _)| *e >= live);
         }
         newly
     }
@@ -1006,6 +1032,47 @@ mod tests {
         let mut z = c.seal_zero_rtt(b"x").unwrap();
         z.ticket.epoch = 7; // forged: the server never issued epoch 7
         assert_eq!(s.accept_zero_rtt(&z), Err(QuicError::UnknownTicket));
+    }
+
+    #[test]
+    fn replay_gauges_track_live_entries_per_epoch() {
+        let registry = MetricRegistry::new();
+        let mut s = Server::new(PSK);
+        s.set_replay_capacity(2); // evictions take entries out too
+        s.set_telemetry(ServerTelemetry::registered(&registry));
+        let check = |s: &Server| {
+            for epoch in 0..=s.current_epoch() {
+                let gauge = registry.gauge(REPLAY_ENTRIES, &[("epoch", &epoch.to_string())]);
+                let live = s.replay_store().entries_in(epoch) as i64;
+                assert_eq!(gauge.get(), live, "epoch {epoch}");
+            }
+            let oldest = s.oldest_live_epoch();
+            assert!(s
+                .telemetry()
+                .replay_gauges
+                .iter()
+                .all(|(e, _)| *e >= oldest));
+        };
+        let mut clients = Vec::new();
+        for round in 0..4u8 {
+            for _ in 0..3 {
+                let mut c = Client::new(PSK);
+                handshake(&mut c, &mut s);
+                clients.push(c);
+            }
+            for c in &mut clients {
+                for msg in [[round].as_ref(), b"again".as_ref()] {
+                    let _ = s.accept_zero_rtt(&c.seal_zero_rtt(msg).unwrap());
+                }
+            }
+            check(&s);
+            s.rotate_epoch();
+            if round >= 1 {
+                assert_eq!(s.retire_epochs_below(u32::from(round)), 1);
+            }
+            check(&s);
+        }
+        assert_eq!(s.telemetry().replay_gauges.len(), 1);
     }
 
     #[test]

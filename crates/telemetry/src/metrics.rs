@@ -1,11 +1,24 @@
 //! Counters, gauges, log-linear histograms, and the registry that owns
 //! them.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`-backed
-//! clones over atomics: instrumented code looks a metric up once, stores
-//! the handle, and updates it lock-free on the hot path. The
-//! [`MetricRegistry`] itself is only locked on registration and
-//! exposition.
+//! Every metric value lives in a cell: an `AtomicU64` in a shared
+//! `Arc<[AtomicU64]>` array. A handle ([`Counter`], [`Gauge`],
+//! [`Histogram`]) is that array plus an index, so cloning one is a
+//! reference-count bump and every update on the hot path is one relaxed
+//! atomic operation. A [`MetricRegistry`] holds two kinds of series:
+//!
+//! - **schema parts** ([`SchemaPart`]): families declared once as a
+//!   `static` table. Attaching a part allocates one zeroed cell array for
+//!   all of its series, and merging registries adds same-part arrays
+//!   element by element;
+//! - **string-keyed series**, created on first lookup by name and labels:
+//!   what is truly dynamic (per-epoch gauges, harness reports).
+//!
+//! Each `(name, labels)` lives in exactly one place: a lookup by name
+//! resolves to an attached part's cell when the part declares the
+//! series, and attaching a part absorbs any string-keyed series it
+//! declares. The registry's lock is taken to attach, look up, merge and
+//! expose, never by a handle update.
 //!
 //! Histograms use log-linear buckets (16 linear sub-buckets per power of
 //! two, the HdrHistogram layout): relative bucket width is bounded by
@@ -14,9 +27,12 @@
 //! buckets.
 
 use crate::expose::{CounterSample, GaugeSample, HistogramSample, Snapshot};
+use crate::schema::{MetricKind, PartCells, SchemaPart};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::fmt;
+use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BITS` linear buckets.
@@ -26,6 +42,15 @@ const SUBS: u64 = 1 << SUB_BITS; // 16
 /// Total bucket count covering all of `u64`: 16 linear buckets below 16,
 /// then 16 per octave for octaves 4..=63.
 pub const NUM_BUCKETS: usize = (SUBS + (64 - SUB_BITS as u64) * SUBS) as usize;
+
+/// A histogram's cells: count, sum, the bitwise complement of the
+/// minimum (so a zeroed cell means "no sample"), maximum, then buckets.
+const COUNT: usize = 0;
+const SUM: usize = 1;
+const INV_MIN: usize = 2;
+const MAX: usize = 3;
+const BUCKETS: usize = 4;
+pub(crate) const HISTOGRAM_CELLS: usize = BUCKETS + NUM_BUCKETS;
 
 /// Bucket index for a value (monotone in `v`).
 pub(crate) fn bucket_index(v: u64) -> usize {
@@ -54,16 +79,62 @@ pub(crate) fn bucket_bounds(idx: usize) -> (u64, u64) {
     }
 }
 
+/// `n` zeroed cells in one allocation.
+fn zeroed(n: usize) -> Arc<[AtomicU64]> {
+    (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// Add one counter or gauge cell into another (gauges wrap as `i64`).
+pub(crate) fn fold_cell(dst: &AtomicU64, src: &AtomicU64) {
+    let n = src.load(Ordering::Relaxed);
+    if n != 0 {
+        dst.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Fold one histogram's cells into another's: buckets, count and sum
+/// add, min and max tighten.
+pub(crate) fn fold_histogram(dst: &[AtomicU64], src: &[AtomicU64]) {
+    if src[COUNT].load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    for (d, s) in dst[BUCKETS..].iter().zip(&src[BUCKETS..]) {
+        fold_cell(d, s);
+    }
+    fold_cell(&dst[COUNT], &src[COUNT]);
+    fold_cell(&dst[SUM], &src[SUM]);
+    for cell in [INV_MIN, MAX] {
+        dst[cell].fetch_max(src[cell].load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
 /// A monotonically increasing counter.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct Counter {
-    value: Arc<AtomicU64>,
+    cells: Arc<[AtomicU64]>,
+    cell: usize,
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Debug for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Counter").field(&self.get()).finish()
+    }
 }
 
 impl Counter {
     /// A detached counter (not owned by any registry).
     pub fn new() -> Self {
-        Self::default()
+        Self::at(zeroed(1), 0)
+    }
+
+    pub(crate) fn at(cells: Arc<[AtomicU64]>, cell: usize) -> Self {
+        Counter { cells, cell }
     }
 
     /// Add one.
@@ -73,35 +144,52 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.cells[self.cell].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.cells[self.cell].load(Ordering::Relaxed)
     }
 }
 
 /// A gauge: a value that can go up and down.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct Gauge {
-    value: Arc<AtomicI64>,
+    cells: Arc<[AtomicU64]>,
+    cell: usize,
+}
+
+impl Default for Gauge {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Debug for Gauge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Gauge").field(&self.get()).finish()
+    }
 }
 
 impl Gauge {
     /// A detached gauge (not owned by any registry).
     pub fn new() -> Self {
-        Self::default()
+        Self::at(zeroed(1), 0)
+    }
+
+    pub(crate) fn at(cells: Arc<[AtomicU64]>, cell: usize) -> Self {
+        Gauge { cells, cell }
     }
 
     /// Set the value.
     pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
+        self.cells[self.cell].store(v as u64, Ordering::Relaxed);
     }
 
     /// Add `n` (may be negative).
     pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.cells[self.cell].fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Add one.
@@ -116,25 +204,17 @@ impl Gauge {
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
+        self.cells[self.cell].load(Ordering::Relaxed) as i64
     }
-}
-
-#[derive(Debug)]
-struct HistogramCore {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
 }
 
 /// A log-linear-bucket histogram of `u64` samples (typically latencies
 /// in nanoseconds or microseconds). Quantile queries are accurate to one
 /// bucket width (≤ 1/16 of the value, or ±1 below 16).
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Histogram {
-    core: Arc<HistogramCore>,
+    cells: Arc<[AtomicU64]>,
+    base: usize,
 }
 
 impl Default for Histogram {
@@ -143,55 +223,64 @@ impl Default for Histogram {
     }
 }
 
+impl fmt::Debug for Histogram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Histogram")
+            .field("count", &self.count())
+            .field("sum", &self.sum())
+            .finish_non_exhaustive()
+    }
+}
+
 impl Histogram {
     /// A detached histogram (not owned by any registry).
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(NUM_BUCKETS);
-        buckets.resize_with(NUM_BUCKETS, AtomicU64::default);
-        Histogram {
-            core: Arc::new(HistogramCore {
-                buckets,
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            }),
-        }
+        Self::at(zeroed(HISTOGRAM_CELLS), 0)
+    }
+
+    pub(crate) fn at(cells: Arc<[AtomicU64]>, base: usize) -> Self {
+        Histogram { cells, base }
+    }
+
+    fn cells(&self) -> &[AtomicU64] {
+        &self.cells[self.base..self.base + HISTOGRAM_CELLS]
+    }
+
+    fn load(&self, cell: usize) -> u64 {
+        self.cells()[cell].load(Ordering::Relaxed)
     }
 
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        let c = &self.core;
-        c.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
-        c.min.fetch_min(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+        let c = self.cells();
+        c[BUCKETS + bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        c[COUNT].fetch_add(1, Ordering::Relaxed);
+        c[SUM].fetch_add(v, Ordering::Relaxed);
+        c[INV_MIN].fetch_max(!v, Ordering::Relaxed);
+        c[MAX].fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
+        self.load(COUNT)
     }
 
     /// Sum of recorded samples.
     pub fn sum(&self) -> u64 {
-        self.core.sum.load(Ordering::Relaxed)
+        self.load(SUM)
     }
 
     /// Smallest recorded sample (0 when empty).
     pub fn min(&self) -> u64 {
-        let v = self.core.min.load(Ordering::Relaxed);
-        if v == u64::MAX {
-            0
-        } else {
-            v
+        match self.load(INV_MIN) {
+            0 => 0,
+            inv => !inv,
         }
     }
 
     /// Largest recorded sample (0 when empty; exact, not bucketed).
     pub fn max(&self) -> u64 {
-        self.core.max.load(Ordering::Relaxed)
+        self.load(MAX)
     }
 
     /// Mean of recorded samples (0.0 when empty).
@@ -204,17 +293,18 @@ impl Histogram {
         }
     }
 
+    fn bucket_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.cells()[BUCKETS..]
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+    }
+
     /// Estimate of the `q`-quantile (`0.0 ..= 1.0`): the lower bound of
     /// the bucket holding the order statistic of rank `ceil(q·n)`,
     /// clamped to the exact recorded min/max. The true quantile lies in
     /// the same bucket, so the error is at most one bucket width.
     pub fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .core
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts: Vec<u64> = self.bucket_counts().collect();
         let total: u64 = counts.iter().sum();
         if total == 0 {
             return 0;
@@ -251,28 +341,10 @@ impl Histogram {
     /// fleet-wide view; merging is commutative, so the merged result does
     /// not depend on shard order.
     pub fn merge_from(&self, other: &Histogram) {
-        if Arc::ptr_eq(&self.core, &other.core) {
+        if Arc::ptr_eq(&self.cells, &other.cells) && self.base == other.base {
             return; // same underlying histogram: nothing to fold in
         }
-        let c = &self.core;
-        let o = &other.core;
-        for (dst, src) in c.buckets.iter().zip(o.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n > 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        let n = o.count.load(Ordering::Relaxed);
-        if n == 0 {
-            return;
-        }
-        c.count.fetch_add(n, Ordering::Relaxed);
-        c.sum
-            .fetch_add(o.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        c.min
-            .fetch_min(o.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        c.max
-            .fetch_max(o.max.load(Ordering::Relaxed), Ordering::Relaxed);
+        fold_histogram(self.cells(), other.cells());
     }
 
     /// Non-empty buckets as `(inclusive_upper_bound, cumulative_count)`
@@ -280,14 +352,28 @@ impl Histogram {
     pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
-        for (idx, b) in self.core.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
+        for (idx, n) in self.bucket_counts().enumerate() {
             if n > 0 {
                 cum += n;
                 out.push((bucket_bounds(idx).1, cum));
             }
         }
         out
+    }
+
+    fn sample(&self, name: String, labels: Vec<(String, String)>) -> HistogramSample {
+        HistogramSample {
+            name,
+            labels,
+            count: self.count(),
+            sum: self.sum(),
+            min: self.min(),
+            max: self.max(),
+            p50: self.p50(),
+            p90: self.p90(),
+            p99: self.p99(),
+            buckets: self.cumulative_buckets(),
+        }
     }
 }
 
@@ -318,11 +404,21 @@ impl MetricId {
     }
 }
 
-fn valid_name(s: &str) -> bool {
-    !s.is_empty()
-        && !s.starts_with(|c: char| c.is_ascii_digit())
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+/// Whether `s` is a valid metric name or label key
+/// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
+pub(crate) const fn valid_name(s: &str) -> bool {
+    let b = s.as_bytes();
+    if b.is_empty() || b[0].is_ascii_digit() {
+        return false;
+    }
+    let mut i = 0;
+    while i < b.len() {
+        if !(b[i].is_ascii_alphanumeric() || b[i] == b'_' || b[i] == b':') {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 #[derive(Debug, Clone)]
@@ -332,10 +428,134 @@ enum Metric {
     Histogram(Histogram),
 }
 
+impl Metric {
+    fn new(kind: MetricKind) -> Self {
+        match kind {
+            MetricKind::Counter => Metric::Counter(Counter::new()),
+            MetricKind::Gauge => Metric::Gauge(Gauge::new()),
+            MetricKind::Histogram => Metric::Histogram(Histogram::new()),
+        }
+    }
+
+    /// The handle of `kind` at `cell` of `cells`.
+    fn at(kind: MetricKind, cells: Arc<[AtomicU64]>, cell: usize) -> Self {
+        match kind {
+            MetricKind::Counter => Metric::Counter(Counter::at(cells, cell)),
+            MetricKind::Gauge => Metric::Gauge(Gauge::at(cells, cell)),
+            MetricKind::Histogram => Metric::Histogram(Histogram::at(cells, cell)),
+        }
+    }
+
+    fn kind(&self) -> MetricKind {
+        match self {
+            Metric::Counter(_) => MetricKind::Counter,
+            Metric::Gauge(_) => MetricKind::Gauge,
+            Metric::Histogram(_) => MetricKind::Histogram,
+        }
+    }
+
+    /// Add `other`'s value into this metric. Panics on a kind mismatch.
+    fn fold(&self, other: &Metric, name: &str) {
+        match (self, other) {
+            (Metric::Counter(c), Metric::Counter(o)) => {
+                fold_cell(&c.cells[c.cell], &o.cells[o.cell])
+            }
+            (Metric::Gauge(g), Metric::Gauge(o)) => fold_cell(&g.cells[g.cell], &o.cells[o.cell]),
+            (Metric::Histogram(h), Metric::Histogram(o)) => h.merge_from(o),
+            _ => panic!("metric {name:?} merged with a different kind"),
+        }
+    }
+}
+
+/// A schema part attached to a registry, with its cells.
+#[derive(Debug)]
+struct Part {
+    schema: &'static SchemaPart,
+    cells: Arc<[AtomicU64]>,
+}
+
 #[derive(Debug, Default)]
-struct RegistryInner {
-    metrics: Mutex<BTreeMap<MetricId, Metric>>,
-    help: Mutex<BTreeMap<String, String>>,
+struct Store {
+    parts: Vec<Part>,
+    metrics: BTreeMap<Arc<MetricId>, Metric>,
+    help: BTreeMap<Arc<str>, Arc<str>>,
+}
+
+impl Store {
+    /// The attached-part handle for `name` + `labels`, if a part declares
+    /// that series.
+    fn part_series<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        name: &str,
+        labels: &[(K, V)],
+    ) -> Option<Metric> {
+        self.parts.iter().find_map(|p| {
+            p.schema
+                .find(name, labels)
+                .map(|(kind, cell)| Metric::at(kind, p.cells.clone(), cell))
+        })
+    }
+
+    /// Get or create the cells of `schema`. A new part absorbs the
+    /// string-keyed series it declares, so none is exported twice.
+    fn attach(&mut self, schema: &'static SchemaPart) -> Arc<[AtomicU64]> {
+        if let Some(p) = self.parts.iter().find(|p| std::ptr::eq(p.schema, schema)) {
+            return p.cells.clone();
+        }
+        let cells = zeroed(schema.cells());
+        self.metrics
+            .retain(|id, metric| match schema.find(&id.name, &id.labels) {
+                Some((kind, cell)) => {
+                    Metric::at(kind, cells.clone(), cell).fold(metric, &id.name);
+                    false
+                }
+                None => true,
+            });
+        self.parts.push(Part {
+            schema,
+            cells: cells.clone(),
+        });
+        cells
+    }
+
+    /// The string-keyed series `id`, created as `kind` when absent.
+    fn keyed(&mut self, id: Arc<MetricId>, kind: MetricKind) -> Metric {
+        self.metrics
+            .entry(id)
+            .or_insert_with(|| Metric::new(kind))
+            .clone()
+    }
+
+    /// Get or create the series `name` + `labels` as `kind`.
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> Metric {
+        let metric = self
+            .part_series(name, labels)
+            .unwrap_or_else(|| self.keyed(Arc::new(MetricId::new(name, labels)), kind));
+        assert!(
+            metric.kind() == kind,
+            "metric {name:?} already registered with a different kind"
+        );
+        metric
+    }
+
+    /// Fold one string-keyed series of another registry into this one.
+    fn fold_metric(&mut self, id: &Arc<MetricId>, metric: &Metric) {
+        self.part_series(&id.name, &id.labels)
+            .unwrap_or_else(|| self.keyed(id.clone(), metric.kind()))
+            .fold(metric, &id.name);
+    }
+}
+
+/// The entry after `last` in a map keyed by `Arc`s (the first when
+/// `last` is `None`), with its key and value cloned cheaply.
+fn entry_after<K: Ord + ?Sized, V: Clone>(
+    map: &BTreeMap<Arc<K>, V>,
+    last: Option<&K>,
+) -> Option<(Arc<K>, V)> {
+    let lower = last.map_or(Bound::Unbounded, Bound::Excluded);
+    map.range::<K, _>((lower, Bound::Unbounded))
+        .next()
+        .map(|(k, v)| (k.clone(), v.clone()))
 }
 
 /// A thread-safe collection of named metrics. Cloning shares the same
@@ -343,7 +563,7 @@ struct RegistryInner {
 /// and exposed once.
 #[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
-    inner: Arc<RegistryInner>,
+    inner: Arc<Mutex<Store>>,
 }
 
 impl MetricRegistry {
@@ -352,56 +572,53 @@ impl MetricRegistry {
         Self::default()
     }
 
-    /// Get or create a counter. Panics if the name+labels already map to
-    /// a different metric kind.
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        self.inner.lock().unwrap()
+    }
+
+    /// Attach a schema part, or return the cells it already has here: two
+    /// components attaching the same part to one registry share them.
+    /// String-keyed series the part declares move into its cells.
+    pub fn attach(&self, part: &'static SchemaPart) -> PartCells {
+        PartCells::new(part, self.lock().attach(part))
+    }
+
+    /// Get or create a counter. Resolves to an attached part's cell when
+    /// a part declares the series. Panics if the name+labels already map
+    /// to a different metric kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        let id = MetricId::new(name, labels);
-        let mut m = self.inner.metrics.lock().unwrap();
-        match m
-            .entry(id)
-            .or_insert_with(|| Metric::Counter(Counter::new()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric {name:?} already registered with a different kind"),
+        match self.lock().resolve(name, labels, MetricKind::Counter) {
+            Metric::Counter(c) => c,
+            _ => unreachable!("resolve checks the kind"),
         }
     }
 
     /// Get or create a gauge. Panics on kind mismatch.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        let id = MetricId::new(name, labels);
-        let mut m = self.inner.metrics.lock().unwrap();
-        match m.entry(id).or_insert_with(|| Metric::Gauge(Gauge::new())) {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric {name:?} already registered with a different kind"),
+        match self.lock().resolve(name, labels, MetricKind::Gauge) {
+            Metric::Gauge(g) => g,
+            _ => unreachable!("resolve checks the kind"),
         }
     }
 
     /// Get or create a histogram. Panics on kind mismatch.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        let id = MetricId::new(name, labels);
-        let mut m = self.inner.metrics.lock().unwrap();
-        match m
-            .entry(id)
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric {name:?} already registered with a different kind"),
+        match self.lock().resolve(name, labels, MetricKind::Histogram) {
+            Metric::Histogram(h) => h,
+            _ => unreachable!("resolve checks the kind"),
         }
     }
 
-    /// Attach help text to a metric name (shown as `# HELP` in the text
-    /// exposition).
+    /// Attach help text to a string-keyed metric name (shown as `# HELP`
+    /// in the text exposition). Schema families carry their own.
     pub fn describe(&self, name: &str, help: &str) {
-        self.inner
-            .help
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), help.to_string());
+        self.lock().help.insert(name.into(), help.into());
     }
 
     /// Number of registered metrics (all kinds, counting each label set).
     pub fn len(&self) -> usize {
-        self.inner.metrics.lock().unwrap().len()
+        let s = self.lock();
+        s.parts.iter().map(|p| p.schema.series()).sum::<usize>() + s.metrics.len()
     }
 
     /// Whether no metrics are registered.
@@ -413,74 +630,93 @@ impl MetricRegistry {
     /// gauges add, histograms merge bucket-wise, help text carries over.
     /// Addition is commutative, so merging per-shard registries yields
     /// the same fleet-wide registry regardless of shard order or count.
+    ///
+    /// The two registries are never locked at once (no lock-order
+    /// deadlock between them), and merging into a registry that already
+    /// holds every part and series of `other` allocates nothing: parts
+    /// add cell array into cell array, and string-keyed series are
+    /// visited one entry per lock.
     pub fn merge_from(&self, other: &MetricRegistry) {
         if Arc::ptr_eq(&self.inner, &other.inner) {
             return; // same underlying store: nothing to fold in
         }
-        // Clone the other side's map first so the two locks are never
-        // held at once (no lock-order deadlock between registries).
-        let other_metrics: BTreeMap<MetricId, Metric> = other.inner.metrics.lock().unwrap().clone();
-        let other_help: BTreeMap<String, String> = other.inner.help.lock().unwrap().clone();
-        {
-            let mut metrics = self.inner.metrics.lock().unwrap();
-            for (id, metric) in other_metrics {
-                match metrics.entry(id.clone()).or_insert_with(|| match &metric {
-                    Metric::Counter(_) => Metric::Counter(Counter::new()),
-                    Metric::Gauge(_) => Metric::Gauge(Gauge::new()),
-                    Metric::Histogram(_) => Metric::Histogram(Histogram::new()),
-                }) {
-                    Metric::Counter(c) => match &metric {
-                        Metric::Counter(o) => c.add(o.get()),
-                        _ => panic!("metric {:?} merged with a different kind", id.name),
-                    },
-                    Metric::Gauge(g) => match &metric {
-                        Metric::Gauge(o) => g.add(o.get()),
-                        _ => panic!("metric {:?} merged with a different kind", id.name),
-                    },
-                    Metric::Histogram(h) => match &metric {
-                        Metric::Histogram(o) => h.merge_from(o),
-                        _ => panic!("metric {:?} merged with a different kind", id.name),
-                    },
-                }
-            }
+        for i in 0.. {
+            let part = other
+                .lock()
+                .parts
+                .get(i)
+                .map(|p| (p.schema, p.cells.clone()));
+            let Some((schema, src)) = part else { break };
+            let dst = self.lock().attach(schema);
+            schema.fold(&dst, &src);
         }
-        let mut help = self.inner.help.lock().unwrap();
-        for (name, text) in other_help {
-            help.entry(name).or_insert(text);
+        let mut last: Option<Arc<MetricId>> = None;
+        loop {
+            let next = entry_after(&other.lock().metrics, last.as_deref());
+            let Some((id, metric)) = next else { break };
+            self.lock().fold_metric(&id, &metric);
+            last = Some(id);
+        }
+        let mut last: Option<Arc<str>> = None;
+        loop {
+            let next = entry_after(&other.lock().help, last.as_deref());
+            let Some((name, text)) = next else { break };
+            let mut s = self.lock();
+            if !s.help.contains_key(&*name) {
+                s.help.insert(name.clone(), text);
+            }
+            drop(s);
+            last = Some(name);
         }
     }
 
     /// A point-in-time copy of every metric, ordered by name then labels.
     pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.inner.metrics.lock().unwrap();
+        let s = self.lock();
         let mut snap = Snapshot::default();
-        for (id, metric) in metrics.iter() {
+        let mut push = |metric: &Metric, name: &str, labels: Vec<(String, String)>| {
+            let name = name.to_string();
             match metric {
                 Metric::Counter(c) => snap.counters.push(CounterSample {
-                    name: id.name.clone(),
-                    labels: id.labels.clone(),
+                    name,
+                    labels,
                     value: c.get(),
                 }),
                 Metric::Gauge(g) => snap.gauges.push(GaugeSample {
-                    name: id.name.clone(),
-                    labels: id.labels.clone(),
+                    name,
+                    labels,
                     value: g.get(),
                 }),
-                Metric::Histogram(h) => snap.histograms.push(HistogramSample {
-                    name: id.name.clone(),
-                    labels: id.labels.clone(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    min: h.min(),
-                    max: h.max(),
-                    p50: h.p50(),
-                    p90: h.p90(),
-                    p99: h.p99(),
-                    buckets: h.cumulative_buckets(),
-                }),
+                Metric::Histogram(h) => snap.histograms.push(h.sample(name, labels)),
+            }
+        };
+        for part in &s.parts {
+            for (fam, set, cell) in part.schema.each_series() {
+                let labels = set.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+                push(
+                    &Metric::at(fam.kind, part.cells.clone(), cell),
+                    fam.name,
+                    labels,
+                );
             }
         }
-        snap.help = self.inner.help.lock().unwrap().clone();
+        for (id, metric) in &s.metrics {
+            push(metric, &id.name, id.labels.clone());
+        }
+        snap.counters
+            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        snap.gauges
+            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        snap.histograms
+            .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        snap.help = s
+            .help
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        for fam in s.parts.iter().flat_map(|p| p.schema.families()) {
+            snap.help.insert(fam.name.into(), fam.help.into());
+        }
         snap
     }
 
@@ -750,6 +986,77 @@ mod tests {
         assert_eq!(h.max(), (THREADS - 1) * 1000 + ROUNDS);
         assert_eq!(h.min(), 1);
         assert_eq!(h.cumulative_buckets().last().unwrap().1, h.count());
+    }
+
+    static PART: SchemaPart = SchemaPart::new(&[
+        crate::Family::counter("hits_total", "Hits.", &[&[("shard", "x")], &[]]),
+        crate::Family::gauge("open", "Open.", &[&[]]),
+        crate::Family::histogram("lat_us", "Latency.", &[&[]]),
+    ]);
+
+    #[test]
+    fn part_series_resolve_by_name_and_count_once() {
+        let r = MetricRegistry::new();
+        let early = r.counter("hits_total", &[]);
+        early.add(5);
+        r.counter("other_total", &[]).inc();
+        let cells = r.attach(&PART);
+        // The string-keyed series moved into the part, value and all.
+        assert_eq!(r.len(), 4 + 1);
+        assert_eq!(cells.counter(0, 1).get(), 5);
+        cells.counter(0, 1).inc();
+        assert_eq!(r.counter("hits_total", &[]).get(), 6);
+        r.histogram("lat_us", &[]).record(7);
+        assert_eq!(cells.histogram(2, 0).max(), 7);
+        // Attaching again shares the cells.
+        r.attach(&PART).gauge(1, 0).set(-3);
+        assert_eq!(r.gauge("open", &[]).get(), -3);
+        let text = r.render_prometheus();
+        assert_eq!(text.matches("hits_total 6").count(), 1, "{text}");
+        assert!(
+            text.contains("# HELP open Open.\n# TYPE open gauge\nopen -3\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "different kind")]
+    fn part_lookup_kind_mismatch_panics() {
+        let r = MetricRegistry::new();
+        r.attach(&PART);
+        r.gauge("hits_total", &[]);
+    }
+
+    #[test]
+    fn part_merge_routes_every_series_to_one_place() {
+        // A registry with the part, one with the same series string-keyed.
+        let with_part = MetricRegistry::new();
+        let cells = with_part.attach(&PART);
+        cells.counter(0, 0).add(2);
+        cells.gauge(1, 0).add(-1);
+        cells.histogram(2, 0).record(40);
+        let keyed = MetricRegistry::new();
+        keyed.counter("hits_total", &[("shard", "x")]).add(3);
+        keyed.histogram("lat_us", &[]).record(4);
+
+        let a = MetricRegistry::new();
+        a.merge_from(&keyed);
+        a.merge_from(&with_part);
+        let b = MetricRegistry::new();
+        b.merge_from(&with_part);
+        b.merge_from(&keyed);
+        for r in [&a, &b] {
+            assert_eq!(r.len(), 4);
+            assert_eq!(r.counter("hits_total", &[("shard", "x")]).get(), 5);
+            assert_eq!(r.gauge("open", &[]).get(), -1);
+            let h = r.histogram("lat_us", &[]);
+            assert_eq!((h.count(), h.min(), h.max()), (2, 4, 40));
+        }
+        assert_eq!(a.render_prometheus(), b.render_prometheus());
+        assert_eq!(a.render_json(), b.render_json());
+        // The sources are untouched.
+        assert_eq!(cells.counter(0, 0).get(), 2);
+        assert_eq!(keyed.len(), 2);
     }
 
     #[test]
