@@ -894,6 +894,9 @@ impl FiatProxy {
             },
         );
         let telemetry = &self.policy.telemetry;
+        if prev.is_none() {
+            telemetry.devices_gauge.inc();
+        }
         if prev.as_ref().is_some_and(|d| d.locked) {
             telemetry.locked_devices_gauge.dec();
         }
@@ -901,7 +904,6 @@ impl FiatProxy {
             telemetry.open_events_gauge.dec();
         }
         self.quarantine.discard(telemetry, device);
-        telemetry.devices_gauge.set(self.devices.len() as i64);
     }
 
     /// Provide DNS knowledge (the proxy observes DNS responses on-path).
@@ -1107,7 +1109,7 @@ impl FiatProxy {
                 .collect(),
             audit_checkpoint: self.policy.audit.checkpoint().map(|c| c.to_vec()),
             audit_truncated: self.policy.audit.truncated(),
-            quic: (&self.quic.to_image()).into(),
+            quic: self.quic.to_image(),
         }
     }
 
@@ -1172,7 +1174,7 @@ impl FiatProxy {
         }
         audit.set_max_entries(config.max_audit_entries);
         let mut proxy = Self::with_telemetry(config, ceremony_secret, validator, telemetry);
-        proxy.quic.restore_image(&(&snap.quic).into());
+        proxy.quic.restore_image(&snap.quic);
         let mut dns = snap.dns.clone();
         let policy = &mut proxy.policy;
         proxy.rules = snap.rules.as_ref().map(|list| {
@@ -1388,7 +1390,7 @@ impl FiatProxy {
             );
             rules.set_capacity(self.policy.config.max_rules);
             span.exit();
-            self.policy.telemetry.rules_gauge.set(rules.len() as i64);
+            self.policy.telemetry.rules_gauge.add(rules.len() as i64);
             self.rules = Some(rules);
             self.bootstrap_buffer.clear();
             self.bootstrap_buffer.shrink_to_fit();

@@ -45,7 +45,7 @@ use crate::audit::AuditEntry;
 use crate::classifier::EventClass;
 use crate::pipeline::{AllowReason, DropReason, ProxyConfig, ProxyStats};
 use fiat_net::{DnsTable, FlowKey, PacketRecord, SimTime};
-use fiat_quic::{ReplayEpochImage, ReplayImage, ServerImage};
+use fiat_quic::ServerImage;
 use serde::{Deserialize, Serialize};
 
 /// Current snapshot layout version. Bump on any incompatible change to
@@ -140,7 +140,7 @@ pub struct HomeSnapshot {
     /// suffix.
     pub audit_truncated: u64,
     /// QUIC server state (ticket issuance + epoch-keyed replay window).
-    pub quic: QuicServerSnapshot,
+    pub quic: ServerImage,
 }
 
 /// One device's decision state.
@@ -241,79 +241,4 @@ pub struct QuarantineRecord {
     pub class: EventClass,
     /// Proof deadline.
     pub deadline: SimTime,
-}
-
-/// QUIC server state: ticket issuance counter, current epoch, and the
-/// epoch-keyed anti-replay store (serde mirror of
-/// [`fiat_quic::ServerImage`] — the quic crate itself stays serde-free).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuicServerSnapshot {
-    /// Next session-ticket id to issue.
-    pub next_ticket_id: u64,
-    /// Epoch new tickets are issued under.
-    pub current_epoch: u32,
-    /// Per-epoch replay capacity cap.
-    pub replay_max_tickets: Option<usize>,
-    /// Epochs below this are retired.
-    pub replay_retired_below: u32,
-    /// Total epochs retired so far.
-    pub replay_retired_count: u64,
-    /// Live epochs, ascending.
-    pub replay_epochs: Vec<EpochSnapshot>,
-}
-
-/// One live replay epoch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpochSnapshot {
-    /// Epoch number.
-    pub epoch: u32,
-    /// Highest ticket id evicted by the capacity cap, if any.
-    pub evicted_watermark: Option<u64>,
-    /// `(ticket id, sorted packet numbers)` pairs, ascending by id.
-    pub entries: Vec<(u64, Vec<u64>)>,
-}
-
-impl From<&ServerImage> for QuicServerSnapshot {
-    fn from(img: &ServerImage) -> Self {
-        QuicServerSnapshot {
-            next_ticket_id: img.next_ticket_id,
-            current_epoch: img.current_epoch,
-            replay_max_tickets: img.replay.max_tickets,
-            replay_retired_below: img.replay.retired_below,
-            replay_retired_count: img.replay.retired_count,
-            replay_epochs: img
-                .replay
-                .epochs
-                .iter()
-                .map(|e| EpochSnapshot {
-                    epoch: e.epoch,
-                    evicted_watermark: e.evicted_watermark,
-                    entries: e.entries.clone(),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl From<&QuicServerSnapshot> for ServerImage {
-    fn from(snap: &QuicServerSnapshot) -> Self {
-        ServerImage {
-            next_ticket_id: snap.next_ticket_id,
-            current_epoch: snap.current_epoch,
-            replay: ReplayImage {
-                max_tickets: snap.replay_max_tickets,
-                retired_below: snap.replay_retired_below,
-                retired_count: snap.replay_retired_count,
-                epochs: snap
-                    .replay_epochs
-                    .iter()
-                    .map(|e| ReplayEpochImage {
-                        epoch: e.epoch,
-                        evicted_watermark: e.evicted_watermark,
-                        entries: e.entries.clone(),
-                    })
-                    .collect(),
-            },
-        }
-    }
 }

@@ -263,15 +263,15 @@ fn two_proxies_share_one_registry() {
     };
     assert_eq!(hits(&alone), 1);
     assert_eq!(hits(&shared), 2);
-    // Every counter of the shared registry is what two separate
-    // registries merged would hold. (Gauges are set, not added, so a
-    // shared registry holds the last writer's value.)
+    // Every counter and gauge of the shared registry is what two
+    // separate registries merged would hold.
     let twice = MetricRegistry::new();
     twice.merge_from(&alone);
     let other = MetricRegistry::new();
     learn_and_match(&mut proxy(&other));
     twice.merge_from(&other);
     assert_eq!(shared.snapshot().counters, twice.snapshot().counters);
+    assert_eq!(shared.snapshot().gauges, twice.snapshot().gauges);
 }
 
 #[test]

@@ -19,9 +19,8 @@
 //! throughput/accuracy table built on it is suspect. Three choices make
 //! that hold:
 //!
-//! - every home gets its **own** registry (gauges are `set()` last-writer
-//!   -wins, so sharing one across homes would race); per-home registries
-//!   are folded by *addition*, which is commutative and associative;
+//! - every home gets its **own** registry, and per-home registries are
+//!   folded by *addition*, which is commutative and associative;
 //! - the deterministic `registry` holds counters and gauges only: each
 //!   proxy times its stages on a [`WallClock`] into a separate `timing`
 //!   registry, folded the same way but never compared, so fleet stage

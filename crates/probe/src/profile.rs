@@ -377,12 +377,13 @@ impl FleetProfile {
         for sp in &self.shards {
             let shard = sp.shard.to_string();
             for s in Stage::ALL {
+                let labels = [("shard", shard.as_str()), ("stage", s.as_str())];
                 registry
-                    .gauge(
-                        "fiat_fleet_shard_busy_ms",
-                        &[("shard", shard.as_str()), ("stage", s.as_str())],
-                    )
+                    .gauge("fiat_fleet_shard_busy_ms", &labels)
                     .set((sp.stage_nanos(s) / 1_000_000) as i64);
+                registry
+                    .gauge("fiat_fleet_shard_allocs", &labels)
+                    .set(sp.stage_allocs(s) as i64);
             }
             registry
                 .gauge("fiat_fleet_assigned_homes", &[("shard", shard.as_str())])
@@ -390,17 +391,6 @@ impl FleetProfile {
             registry
                 .counter("fiat_fleet_steals_total", &[("shard", shard.as_str())])
                 .add(sp.steals);
-            for s in Stage::ALL {
-                let n = sp.stage_allocs(s);
-                if n > 0 {
-                    registry
-                        .gauge(
-                            "fiat_fleet_shard_allocs",
-                            &[("shard", shard.as_str()), ("stage", s.as_str())],
-                        )
-                        .set(n as i64);
-                }
-            }
         }
         for s in Stage::COORDINATOR {
             registry
@@ -597,5 +587,32 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 7_000);
         assert_eq!(r.gauge("fiat_probe_ring_evicted_ratio", &[]).get(), 250);
+    }
+
+    #[test]
+    fn publish_writes_every_shard_alloc_series_even_at_zero() {
+        let fp = FleetProfile {
+            shards: vec![profile_with(0, 10, 5, 1), profile_with(1, 10, 5, 1)],
+            coordinator: coordinator_with(1, 1),
+            wall_nanos: 10_000_000,
+            fold_nanos: 0,
+            recorder_events: None,
+        };
+        let r = MetricRegistry::new();
+        fp.publish(&r);
+        let gauges = r.snapshot().gauges;
+        // (shard, stage) of every zero-valued allocation series; labels
+        // are sorted by key, so shard comes first.
+        let zero_allocs: Vec<(&str, &str)> = gauges
+            .iter()
+            .filter(|g| g.name == "fiat_fleet_shard_allocs" && g.value == 0)
+            .map(|g| (g.labels[0].1.as_str(), g.labels[1].1.as_str()))
+            .collect();
+        assert_eq!(zero_allocs.len(), 2 * Stage::ALL.len());
+        for shard in ["0", "1"] {
+            for s in Stage::ALL {
+                assert!(zero_allocs.contains(&(shard, s.as_str())), "{shard} {s:?}");
+            }
+        }
     }
 }

@@ -24,9 +24,10 @@
 //! 1-RTT re-handshake — the same recovery path as a replay-store
 //! eviction, just driven by key lifecycle instead of capacity.
 
-use crate::replay::{ReplayImage, ReplayStore};
+use crate::replay::{ReplayEpochImage, ReplayStore};
 use fiat_crypto::{aead, Hkdf};
 use fiat_telemetry::{Counter, Family, Gauge, MetricRegistry, SchemaPart};
+use serde::{Deserialize, Serialize};
 
 /// Errors surfaced by the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,6 +141,54 @@ fn early_key(ticket_secret: &[u8; 32]) -> [u8; 32] {
 const DIR_CLIENT_TO_SERVER: u8 = 0;
 const DIR_SERVER_TO_CLIENT: u8 = 1;
 
+/// One end of an established 1-RTT session: the session key, the
+/// direction byte this end seals under and the one it opens under, and
+/// the last packet number sent and accepted.
+struct Session {
+    key: [u8; 32],
+    send_dir: u8,
+    recv_dir: u8,
+    send_pn: u64,
+    recv_pn: u64,
+}
+
+impl Session {
+    fn new(key: [u8; 32], send_dir: u8, recv_dir: u8) -> Self {
+        Session {
+            key,
+            send_dir,
+            recv_dir,
+            send_pn: 0,
+            recv_pn: 0,
+        }
+    }
+
+    fn seal(&mut self, data: &[u8]) -> Packet {
+        self.send_pn += 1;
+        let n = self.send_pn;
+        Packet {
+            number: n,
+            ciphertext: aead::seal(&self.key, &nonce_bytes(self.send_dir, n), b"1rtt", data),
+        }
+    }
+
+    /// Open a peer packet; a failed open leaves `recv_pn` where it was.
+    fn open(&mut self, pkt: &Packet) -> Result<Vec<u8>, QuicError> {
+        if pkt.number <= self.recv_pn {
+            return Err(QuicError::StalePacketNumber);
+        }
+        let out = aead::open(
+            &self.key,
+            &nonce_bytes(self.recv_dir, pkt.number),
+            b"1rtt",
+            &pkt.ciphertext,
+        )
+        .map_err(|_| QuicError::DecryptFailed)?;
+        self.recv_pn = pkt.number;
+        Ok(out)
+    }
+}
+
 enum ClientState {
     Idle,
     AwaitingServerHello { client_random: [u8; 32] },
@@ -150,10 +199,8 @@ enum ClientState {
 pub struct Client {
     psk: [u8; 32],
     state: ClientState,
-    key: Option<[u8; 32]>,
+    session: Option<Session>,
     ticket: Option<(SessionTicket, [u8; 32])>, // ticket + early key
-    send_pn: u64,
-    recv_pn: u64,
     zero_rtt_nonce: u64,
 }
 
@@ -163,10 +210,8 @@ impl Client {
         Client {
             psk,
             state: ClientState::Idle,
-            key: None,
+            session: None,
             ticket: None,
-            send_pn: 0,
-            recv_pn: 0,
             zero_rtt_nonce: 0,
         }
     }
@@ -186,15 +231,18 @@ impl Client {
         let ClientState::AwaitingServerHello { client_random } = self.state else {
             return Err(QuicError::BadState);
         };
-        self.key = Some(session_key(&self.psk, &client_random, &hello.server_random));
+        let key = session_key(&self.psk, &client_random, &hello.server_random);
+        self.session = Some(Session::new(
+            key,
+            DIR_CLIENT_TO_SERVER,
+            DIR_SERVER_TO_CLIENT,
+        ));
         // The client derives the same ticket secret the server stored:
         // HKDF(PSK, "ticket" || id || epoch) — tickets are PSK- and
         // epoch-bound.
         let secret = ticket_secret(&self.psk, hello.ticket.id, hello.ticket.epoch);
         self.ticket = Some((hello.ticket, early_key(&secret)));
         self.state = ClientState::Established;
-        self.send_pn = 0;
-        self.recv_pn = 0;
         Ok(())
     }
 
@@ -214,30 +262,12 @@ impl Client {
 
     /// Seal application data on the established 1-RTT connection.
     pub fn seal(&mut self, data: &[u8]) -> Result<Packet, QuicError> {
-        let key = self.key.ok_or(QuicError::BadState)?;
-        self.send_pn += 1;
-        let n = self.send_pn;
-        Ok(Packet {
-            number: n,
-            ciphertext: aead::seal(&key, &nonce_bytes(DIR_CLIENT_TO_SERVER, n), b"1rtt", data),
-        })
+        Ok(self.session.as_mut().ok_or(QuicError::BadState)?.seal(data))
     }
 
     /// Open a server-to-client packet.
     pub fn open(&mut self, pkt: &Packet) -> Result<Vec<u8>, QuicError> {
-        let key = self.key.ok_or(QuicError::BadState)?;
-        if pkt.number <= self.recv_pn {
-            return Err(QuicError::StalePacketNumber);
-        }
-        let out = aead::open(
-            &key,
-            &nonce_bytes(DIR_SERVER_TO_CLIENT, pkt.number),
-            b"1rtt",
-            &pkt.ciphertext,
-        )
-        .map_err(|_| QuicError::DecryptFailed)?;
-        self.recv_pn = pkt.number;
-        Ok(out)
+        self.session.as_mut().ok_or(QuicError::BadState)?.open(pkt)
     }
 
     /// Seal early data for 0-RTT using the cached ticket.
@@ -367,30 +397,35 @@ impl ServerTelemetry {
     }
 }
 
-/// Plain-data image of a [`Server`]'s resumable state for home
-/// snapshot/restore. The 1-RTT session key is deliberately absent:
-/// sessions do not survive a restore; clients re-handshake. Ticket
-/// issuance state and the anti-replay store DO survive, so a restored
-/// proxy keeps refusing every 0-RTT packet the original already burned.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A [`Server`]'s resumable state, serialized as the `quic` section of
+/// a home snapshot (field names and order are that section's layout).
+/// The 1-RTT session key is deliberately absent: sessions do not
+/// survive a restore; clients re-handshake. Ticket issuance state and
+/// the anti-replay store DO survive, so a restored proxy keeps refusing
+/// every 0-RTT packet the original already burned.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ServerImage {
     /// Next ticket id to issue.
     pub next_ticket_id: u64,
-    /// Current key-lifecycle epoch.
+    /// Epoch new tickets are issued under.
     pub current_epoch: u32,
-    /// The anti-replay store's contents.
-    pub replay: ReplayImage,
+    /// Per-epoch replay capacity cap, if bounded.
+    pub replay_max_tickets: Option<usize>,
+    /// Epochs strictly below this are retired.
+    pub replay_retired_below: u32,
+    /// Epochs retired over the store's lifetime.
+    pub replay_retired_count: u64,
+    /// Live replay epochs, ascending.
+    pub replay_epochs: Vec<ReplayEpochImage>,
 }
 
 /// Server (IoT proxy) side of the channel.
 pub struct Server {
     psk: [u8; 32],
-    key: Option<[u8; 32]>,
+    session: Option<Session>,
     next_ticket_id: u64,
     current_epoch: u32,
     replay: ReplayStore,
-    send_pn: u64,
-    recv_pn: u64,
     telemetry: ServerTelemetry,
 }
 
@@ -399,12 +434,10 @@ impl Server {
     pub fn new(psk: [u8; 32]) -> Self {
         Server {
             psk,
-            key: None,
+            session: None,
             next_ticket_id: 1,
             current_epoch: 0,
             replay: ReplayStore::new(),
-            send_pn: 0,
-            recv_pn: 0,
             telemetry: ServerTelemetry::default(),
         }
     }
@@ -474,13 +507,13 @@ impl Server {
         newly
     }
 
-    /// Plain-data image of the resumable channel state (ticket issuance,
-    /// epoch, anti-replay store) for a home snapshot.
+    /// The resumable channel state (ticket issuance, epoch, anti-replay
+    /// store) for a home snapshot.
     pub fn to_image(&self) -> ServerImage {
         ServerImage {
             next_ticket_id: self.next_ticket_id,
             current_epoch: self.current_epoch,
-            replay: self.replay.to_image(),
+            ..self.replay.to_image()
         }
     }
 
@@ -492,20 +525,21 @@ impl Server {
     pub fn restore_image(&mut self, img: &ServerImage) {
         self.next_ticket_id = img.next_ticket_id;
         self.current_epoch = img.current_epoch;
-        self.replay = ReplayStore::from_image(&img.replay);
-        self.key = None;
-        self.send_pn = 0;
-        self.recv_pn = 0;
+        self.replay = ReplayStore::from_image(img);
+        self.session = None;
     }
 
     /// Accept a ClientHello; returns the ServerHello carrying a fresh
     /// ticket. `server_random` is caller-provided for determinism.
     pub fn accept(&mut self, hello: &ClientHello, server_random: [u8; 32]) -> ServerHello {
-        self.key = Some(session_key(&self.psk, &hello.client_random, &server_random));
+        let key = session_key(&self.psk, &hello.client_random, &server_random);
+        self.session = Some(Session::new(
+            key,
+            DIR_SERVER_TO_CLIENT,
+            DIR_CLIENT_TO_SERVER,
+        ));
         let id = self.next_ticket_id;
         self.next_ticket_id += 1;
-        self.send_pn = 0;
-        self.recv_pn = 0;
         self.telemetry.handshakes.inc();
         ServerHello {
             server_random,
@@ -518,7 +552,11 @@ impl Server {
 
     /// Open a client-to-server 1-RTT packet.
     pub fn open(&mut self, pkt: &Packet) -> Result<Vec<u8>, QuicError> {
-        let out = self.open_inner(pkt);
+        let out = self
+            .session
+            .as_mut()
+            .ok_or(QuicError::BadState)
+            .and_then(|session| session.open(pkt));
         match out {
             Ok(_) => self.telemetry.one_rtt_accepted.inc(),
             Err(_) => self.telemetry.one_rtt_rejected.inc(),
@@ -526,31 +564,9 @@ impl Server {
         out
     }
 
-    fn open_inner(&mut self, pkt: &Packet) -> Result<Vec<u8>, QuicError> {
-        let key = self.key.ok_or(QuicError::BadState)?;
-        if pkt.number <= self.recv_pn {
-            return Err(QuicError::StalePacketNumber);
-        }
-        let out = aead::open(
-            &key,
-            &nonce_bytes(DIR_CLIENT_TO_SERVER, pkt.number),
-            b"1rtt",
-            &pkt.ciphertext,
-        )
-        .map_err(|_| QuicError::DecryptFailed)?;
-        self.recv_pn = pkt.number;
-        Ok(out)
-    }
-
     /// Seal a server-to-client packet.
     pub fn seal(&mut self, data: &[u8]) -> Result<Packet, QuicError> {
-        let key = self.key.ok_or(QuicError::BadState)?;
-        self.send_pn += 1;
-        let n = self.send_pn;
-        Ok(Packet {
-            number: n,
-            ciphertext: aead::seal(&key, &nonce_bytes(DIR_SERVER_TO_CLIENT, n), b"1rtt", data),
-        })
+        Ok(self.session.as_mut().ok_or(QuicError::BadState)?.seal(data))
     }
 
     /// Accept a 0-RTT packet: ticket must have been issued by this server
@@ -1145,5 +1161,28 @@ mod tests {
             .ticket;
         assert_eq!(t.id, 2);
         assert_eq!(t.epoch, 1);
+    }
+
+    #[test]
+    fn restore_drops_the_one_rtt_session() {
+        let mut c = Client::new(PSK);
+        let mut s = Server::new(PSK);
+        handshake(&mut c, &mut s);
+        let before = c.seal(b"pre-snapshot").unwrap();
+        let img = s.to_image();
+
+        // Restoring over the live server drops its session: a packet
+        // sealed under the pre-snapshot session is refused before any
+        // AEAD work, and so is sealing.
+        s.restore_image(&img);
+        assert_eq!(s.open(&before), Err(QuicError::BadState));
+        assert_eq!(s.seal(b"reply").unwrap_err(), QuicError::BadState);
+
+        // A fresh handshake brings 1-RTT back in both directions.
+        handshake(&mut c, &mut s);
+        let p = c.seal(b"post-restore").unwrap();
+        assert_eq!(s.open(&p).unwrap(), b"post-restore");
+        let r = s.seal(b"ack").unwrap();
+        assert_eq!(c.open(&r).unwrap(), b"ack");
     }
 }

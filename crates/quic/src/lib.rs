@@ -11,10 +11,6 @@
 //! - [`replay`]: the server-side anti-replay store. §5.3 notes 0-RTT is
 //!   replayable in general, but a home proxy serves few devices and can
 //!   afford to remember every 0-RTT packet it has accepted.
-//!
-//! Flight-count constants let the latency harness compose handshake cost
-//! with link latency: 1-RTT spends one round trip before data; 0-RTT
-//! carries data in the first flight.
 
 pub mod connection;
 pub mod replay;
@@ -23,12 +19,4 @@ pub use connection::{
     Client, ClientHello, Packet, QuicError, Server, ServerHello, ServerImage, ServerTelemetry,
     SessionTicket, ZeroRttPacket,
 };
-pub use replay::{InsertOutcome, ReplayEpochImage, ReplayImage, ReplayStore};
-
-/// Network flights before application data flows, 1-RTT mode (one full
-/// round trip: ClientHello out, ServerHello back, then data).
-pub const ONE_RTT_FLIGHTS_BEFORE_DATA: u32 = 2;
-
-/// Network flights before application data flows, 0-RTT mode (data rides
-/// the first flight).
-pub const ZERO_RTT_FLIGHTS_BEFORE_DATA: u32 = 0;
+pub use replay::{InsertOutcome, ReplayEpochImage, ReplayStore};

@@ -20,6 +20,8 @@
 //! [`retire_below`]: ReplayStore::retire_below
 //! [`is_retired`]: ReplayStore::is_retired
 
+use crate::connection::ServerImage;
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
 /// Per-epoch replay state: per-ticket sets of accepted early-data nonces
@@ -195,14 +197,16 @@ impl ReplayStore {
         (newly, dropped)
     }
 
-    /// Plain-data image of the store for snapshot/restore (sorted, so two
-    /// equal stores produce identical images).
-    pub fn to_image(&self) -> ReplayImage {
-        ReplayImage {
-            max_tickets: self.max_tickets,
-            retired_below: self.retired_below,
-            retired_count: self.retired_count,
-            epochs: self
+    /// The store's half of a [`ServerImage`]: the `replay_*` fields,
+    /// sorted so two equal stores produce identical images. The issuance
+    /// fields stay zero; [`Server::to_image`](crate::Server::to_image)
+    /// fills them.
+    pub(crate) fn to_image(&self) -> ServerImage {
+        ServerImage {
+            replay_max_tickets: self.max_tickets,
+            replay_retired_below: self.retired_below,
+            replay_retired_count: self.retired_count,
+            replay_epochs: self
                 .epochs
                 .iter()
                 .map(|(&epoch, state)| ReplayEpochImage {
@@ -219,15 +223,15 @@ impl ReplayStore {
                         .collect(),
                 })
                 .collect(),
+            ..ServerImage::default()
         }
     }
 
-    /// Rebuild a store from an image produced by
-    /// [`to_image`](ReplayStore::to_image).
-    pub fn from_image(img: &ReplayImage) -> Self {
+    /// Rebuild a store from an image's `replay_*` fields.
+    pub(crate) fn from_image(img: &ServerImage) -> Self {
         ReplayStore {
             epochs: img
-                .epochs
+                .replay_epochs
                 .iter()
                 .map(|e| {
                     (
@@ -243,36 +247,22 @@ impl ReplayStore {
                     )
                 })
                 .collect(),
-            max_tickets: img.max_tickets,
-            retired_below: img.retired_below,
-            retired_count: img.retired_count,
+            max_tickets: img.replay_max_tickets,
+            retired_below: img.replay_retired_below,
+            retired_count: img.replay_retired_count,
         }
     }
 }
 
-/// Plain-data image of one epoch's replay state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One live epoch's replay state inside a [`ServerImage`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReplayEpochImage {
     /// The epoch.
     pub epoch: u32,
-    /// The epoch's capacity-eviction watermark.
+    /// Highest ticket id evicted by the capacity cap, if any.
     pub evicted_watermark: Option<u64>,
     /// `(ticket, sorted nonces)` pairs in increasing ticket order.
     pub entries: Vec<(u64, Vec<u64>)>,
-}
-
-/// Plain-data image of a whole [`ReplayStore`] (carried inside a home
-/// snapshot; this crate stays serde-free, the snapshot layer maps it).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplayImage {
-    /// Per-epoch ticket capacity, if bounded.
-    pub max_tickets: Option<usize>,
-    /// Epochs strictly below this are retired.
-    pub retired_below: u32,
-    /// Epochs retired over the store's lifetime.
-    pub retired_count: u64,
-    /// Live epochs in increasing order.
-    pub epochs: Vec<ReplayEpochImage>,
 }
 
 #[cfg(test)]
@@ -492,6 +482,6 @@ mod tests {
             r.to_image()
         };
         assert_eq!(build(), build());
-        assert_eq!(build().epochs[0].entries[0].1, vec![1, 3, 5, 7, 9]);
+        assert_eq!(build().replay_epochs[0].entries[0].1, vec![1, 3, 5, 7, 9]);
     }
 }

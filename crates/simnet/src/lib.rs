@@ -1,13 +1,11 @@
-//! Deterministic discrete-event home-network simulator.
+//! Deterministic home-network simulator.
 //!
 //! The paper's latency evaluation (Table 7) measures FIAT's authentication
 //! race: the humanness proof travelling phone → proxy must beat the IoT
 //! command travelling phone → vendor cloud → device. This crate provides
-//! the pieces to stage that race reproducibly:
+//! the pieces to stage that race reproducibly (harnesses order simulated
+//! time themselves, with a stable-sorted `Vec` of timestamped events):
 //!
-//! - [`event`]: a seeded, deterministic discrete-event scheduler. Events
-//!   at equal timestamps fire in insertion order (no wall clock, no
-//!   `HashMap` iteration order anywhere).
 //! - [`link`]: latency profiles (LAN WiFi, LTE, WAN, VPN detours) with
 //!   seeded jitter.
 //! - [`home`]: the home topology — phone, IoT proxy, IoT devices, vendor
@@ -20,11 +18,9 @@
 //! harnesses hand each packet to `FiatProxy::on_packet` directly, and
 //! the simulator supplies only the latencies around that call.
 
-pub mod event;
 pub mod home;
 pub mod link;
 pub mod tcp;
 
-pub use event::Scheduler;
 pub use home::{HomeNetwork, PhoneLocation};
 pub use link::LatencyProfile;

@@ -1,8 +1,9 @@
-//! Event-driven staging of the Table 7 race on the discrete-event
-//! scheduler: for each user interaction, two events enter the queue —
-//! the 0-RTT humanness evidence (phone → proxy) and the IoT command
-//! (phone → cloud → proxy) — and the proxy decides the command whenever
-//! it actually arrives. Exercises `Scheduler`, `HomeNetwork`, the QUIC
+//! Event-driven staging of the Table 7 race: for each user interaction,
+//! two events enter a timeline — the 0-RTT humanness evidence (phone →
+//! proxy) and the IoT command (phone → cloud → proxy) — and the proxy
+//! decides the command whenever it actually arrives. The timeline is a
+//! `Vec` stable-sorted by arrival time, so events at equal timestamps
+//! fire in the order they were staged. Exercises `HomeNetwork`, the QUIC
 //! channel, and the access-control pipeline together.
 
 use fiat::core::client::{ML_VALIDATION, ZERO_RTT_PROC};
@@ -10,7 +11,6 @@ use fiat::core::{FiatProxy, ProxyConfig};
 use fiat::net::{Direction, TcpFlags, TlsVersion, Transport};
 use fiat::prelude::*;
 use fiat::quic::ZeroRttPacket;
-use fiat::simnet::Scheduler;
 use std::net::Ipv4Addr;
 
 const CEREMONY: [u8; 32] = [0x61; 32];
@@ -21,6 +21,12 @@ enum Event {
     Evidence(Box<ZeroRttPacket>),
     /// The IoT command's first packet reaches the proxy.
     Command,
+}
+
+/// Events in arrival order; ties keep staging order (stable sort).
+fn in_arrival_order(mut timeline: Vec<(SimTime, Event)>) -> Vec<(SimTime, Event)> {
+    timeline.sort_by_key(|(at, _)| *at);
+    timeline
 }
 
 fn plug_command(ts: SimTime) -> PacketRecord {
@@ -52,7 +58,7 @@ fn run_scenario(loc: PhoneLocation, interactions: usize) -> (usize, usize) {
     app.complete_handshake(&sh).unwrap();
 
     let mut net = HomeNetwork::new(17);
-    let mut sched: Scheduler<Event> = Scheduler::new();
+    let mut timeline = Vec::new();
 
     // Interactions spaced a minute apart, starting after bootstrap.
     let bootstrap_end = SimTime::ZERO + SimDuration::from_mins(20);
@@ -67,25 +73,27 @@ fn run_scenario(loc: PhoneLocation, interactions: usize) -> (usize, usize) {
         let z = app
             .authorize_zero_rtt("plug.app", &imu, MotionKind::HumanTouch, tap.as_micros())
             .unwrap();
-        sched.schedule(evidence_arrival, Event::Evidence(Box::new(z)));
+        timeline.push((evidence_arrival, Event::Evidence(Box::new(z))));
         // The command goes phone → vendor cloud → device push.
         let command_arrival = tap + net.command_first_packet(loc);
-        sched.schedule(command_arrival, Event::Command);
+        timeline.push((command_arrival, Event::Command));
     }
 
     let mut allowed = 0usize;
     let mut total = 0usize;
-    sched.run(|_, now, event| match event {
-        Event::Evidence(z) => {
-            proxy.on_auth_zero_rtt(&z, now).expect("evidence accepted");
-        }
-        Event::Command => {
-            total += 1;
-            if proxy.on_packet(&plug_command(now)).is_allow() {
-                allowed += 1;
+    for (now, event) in in_arrival_order(timeline) {
+        match event {
+            Event::Evidence(z) => {
+                proxy.on_auth_zero_rtt(&z, now).expect("evidence accepted");
+            }
+            Event::Command => {
+                total += 1;
+                if proxy.on_packet(&plug_command(now)).is_allow() {
+                    allowed += 1;
+                }
             }
         }
-    });
+    }
     (allowed, total)
 }
 
@@ -117,22 +125,22 @@ fn without_evidence_the_same_commands_drop() {
     proxy.register_device(PLUG, EventClassifier::simple_rule(235), 1);
     proxy.start(SimTime::ZERO);
     let mut net = HomeNetwork::new(17);
-    let mut sched: Scheduler<Event> = Scheduler::new();
+    let mut timeline = Vec::new();
     let bootstrap_end = SimTime::ZERO + SimDuration::from_mins(20);
     for k in 0..10 {
         let tap = bootstrap_end + SimDuration::from_secs(60 * (k + 1));
-        sched.schedule(
+        timeline.push((
             tap + net.command_first_packet(PhoneLocation::Lan),
             Event::Command,
-        );
+        ));
     }
     let mut dropped = 0;
-    sched.run(|_, now, event| {
+    for (now, event) in in_arrival_order(timeline) {
         if let Event::Command = event {
             if !proxy.on_packet(&plug_command(now)).is_allow() {
                 dropped += 1;
             }
         }
-    });
+    }
     assert_eq!(dropped, 10);
 }
