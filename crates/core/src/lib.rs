@@ -57,8 +57,8 @@ pub use interactions::InteractionGraph;
 pub use pairing::pair;
 pub use pipeline::{
     AllowReason, DropReason, FiatProxy, FingerprintGate, FingerprintObservation,
-    FingerprintVerdict, ProxyConfig, ProxyDecision, ProxyHook, ProxyStats, ProxyTelemetry,
-    StateSize, DECIDE_SAMPLE_EVERY,
+    FingerprintVerdict, ProxyConfig, ProxyDecision, ProxyEvent, ProxyHook, ProxyStats,
+    ProxyTelemetry, StateSize, DECIDE_SAMPLE_EVERY,
 };
 pub use predict::{
     GhostState, PredictabilityEngine, PredictabilityReport, RuleTable, RuleTelemetry,

@@ -316,6 +316,37 @@ impl ProxyStats {
             self.rule_hit as f64 / post as f64
         }
     }
+
+    /// Fold one policy event into the counts: a decision into its
+    /// reason's field, an expiry's demoted packets into
+    /// `quarantine_expired`.
+    fn note(&mut self, ev: &ProxyEvent) {
+        let decision = match *ev {
+            ProxyEvent::Decided { decision, .. } => decision,
+            ProxyEvent::QuarantineExpired { packets, .. } => {
+                self.quarantine_expired += packets;
+                return;
+            }
+            _ => return,
+        };
+        let counter = match decision {
+            ProxyDecision::Allow(AllowReason::Bootstrap) => &mut self.bootstrap,
+            ProxyDecision::Allow(AllowReason::RuleHit) => &mut self.rule_hit,
+            ProxyDecision::Allow(AllowReason::FirstN) => &mut self.first_n,
+            ProxyDecision::Allow(AllowReason::NonManual) => &mut self.non_manual,
+            ProxyDecision::Allow(AllowReason::ManualVerified) => &mut self.manual_verified,
+            ProxyDecision::Allow(AllowReason::Cascade) => &mut self.cascade,
+            ProxyDecision::Allow(AllowReason::UnknownDevice) => &mut self.unknown_device,
+            ProxyDecision::Allow(AllowReason::QuarantineReleased) => &mut self.quarantine_released,
+            ProxyDecision::Allow(AllowReason::FingerprintMatched) => &mut self.fingerprint_matched,
+            ProxyDecision::Drop(DropReason::ManualUnverified) => &mut self.dropped_unverified,
+            ProxyDecision::Drop(DropReason::LockedOut) => &mut self.dropped_lockout,
+            ProxyDecision::Drop(DropReason::QuarantineExpired) => &mut self.dropped_quarantine,
+            ProxyDecision::Drop(DropReason::UnknownQuarantined) => &mut self.dropped_unknown,
+            ProxyDecision::Quarantine => &mut self.quarantined,
+        };
+        *counter += 1;
+    }
 }
 
 impl std::ops::AddAssign for ProxyStats {
@@ -451,42 +482,80 @@ impl ProxyDecision {
             ProxyDecision::Quarantine => "pending_proof",
         }
     }
+
+    /// Index of this decision's `fiat_proxy_decisions_total` series:
+    /// [`AllowReason::ALL`], then [`DropReason::ALL`], then quarantine.
+    fn series(self) -> usize {
+        const DROPS: usize = AllowReason::ALL.len();
+        match self {
+            ProxyDecision::Allow(r) => r as usize,
+            ProxyDecision::Drop(r) => DROPS + r as usize,
+            ProxyDecision::Quarantine => DROPS + DropReason::ALL.len(),
+        }
+    }
 }
 
-/// Observer for decision-path transitions, installed with
-/// [`FiatProxy::set_hook`]. Every method has an empty default body, so
-/// an implementor subscribes only to the transitions it cares about.
-///
-/// Hooks exist for the flight recorder (`fiat-probe`): they fire at the
-/// state transitions a post-mortem needs a causal timeline for — packet
-/// verdicts, proof arrivals, lockout and quarantine changes. The proxy
-/// calls them with the *simulated* packet clock, so a recorded timeline
-/// is deterministic across runs of the same trace.
-///
-/// With no hook installed (the default), each site costs one branch on
-/// an `Option` — the allocation-regression test in `fiat-probe`
-/// (`tests/overhead.rs`) pins the hook-free decide path at zero
-/// allocations.
-pub trait ProxyHook: Send {
-    /// A packet was decided (fires once per [`FiatProxy::on_packet`]).
-    fn on_decision(&self, _ts: SimTime, _device: u16, _decision: ProxyDecision) {}
-    /// A humanness proof arrived and was validated (`verified` is the
-    /// outcome).
-    fn on_proof(&self, _ts: SimTime, _verified: bool) {}
-    /// A device entered brute-force lockout at `ts` (packet time, retro
-    /// event end, or quarantine deadline — whichever triggered it).
-    fn on_lockout(&self, _ts: SimTime, _device: u16) {}
-    /// A lockout was manually cleared (no simulated timestamp: the §5.4
-    /// user action happens outside packet time).
-    fn on_lockout_cleared(&self, _device: u16) {}
+/// One policy action of the proxy, emitted once where it happens: it is
+/// folded into [`ProxyStats`] and the telemetry, then handed to the
+/// [`ProxyHook`]. `ts` is *simulated* packet time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProxyEvent {
+    /// A packet was decided (once per [`FiatProxy::on_packet`]).
+    Decided {
+        ts: SimTime,
+        device: u16,
+        decision: ProxyDecision,
+    },
+    /// A humanness proof arrived and was validated.
+    Proof { ts: SimTime, verified: bool },
+    /// A device entered brute-force lockout at packet time, retro event
+    /// end, or quarantine deadline: whichever triggered it.
+    Lockout { ts: SimTime, device: u16 },
+    /// A lockout was manually cleared. The §5.4 user action happens
+    /// outside packet time, so it has no timestamp.
+    LockoutCleared { device: u16 },
     /// A packet was held in pending-verdict quarantine.
-    fn on_quarantine_held(&self, _ts: SimTime, _device: u16) {}
-    /// A quarantine record was released by a late proof; `packets` held
+    QuarantineHeld { ts: SimTime, device: u16 },
+    /// A late proof released a quarantine record: `packets` held
     /// packets were forwarded.
-    fn on_quarantine_released(&self, _ts: SimTime, _device: u16, _packets: u64) {}
-    /// A quarantine record expired at its deadline; `packets` held
-    /// packets were discarded.
-    fn on_quarantine_expired(&self, _ts: SimTime, _device: u16, _packets: u64) {}
+    QuarantineReleased {
+        ts: SimTime,
+        device: u16,
+        packets: u64,
+    },
+    /// A quarantine record expired at its deadline, or earlier by a
+    /// record-cap demotion: `packets` held packets were discarded.
+    QuarantineExpired {
+        ts: SimTime,
+        device: u16,
+        packets: u64,
+    },
+}
+
+impl ProxyEvent {
+    /// Stable snake_case name of the event's kind (the flight recorder's).
+    pub fn name(&self) -> &'static str {
+        match self {
+            ProxyEvent::Decided { .. } => "packet_decided",
+            ProxyEvent::Proof { .. } => "proof_arrival",
+            ProxyEvent::Lockout { .. } => "lockout_entered",
+            ProxyEvent::LockoutCleared { .. } => "lockout_cleared",
+            ProxyEvent::QuarantineHeld { .. } => "quarantine_held",
+            ProxyEvent::QuarantineReleased { .. } => "quarantine_released",
+            ProxyEvent::QuarantineExpired { .. } => "quarantine_expired",
+        }
+    }
+}
+
+/// Observer of the proxy's [`ProxyEvent`]s, installed with
+/// [`FiatProxy::set_hook`] — the flight recorder's (`fiat-probe`) feed
+/// of the transitions a post-mortem needs a causal timeline for. With no
+/// hook installed (the default), an event costs one branch on an
+/// `Option`: `fiat-probe`'s `tests/overhead.rs` pins the hook-free
+/// decide path at zero allocations.
+pub trait ProxyHook: Send {
+    /// One policy event, after the proxy's stats and counters include it.
+    fn on_event(&self, ev: &ProxyEvent);
 }
 
 /// `on_packet` times one packet in this many into
@@ -601,6 +670,8 @@ const QUARANTINE_EXPIRED: usize = 10;
 const QUARANTINE_DEPTH: usize = 11;
 const DEGRADED: usize = 12;
 const DEGRADED_DECISIONS: usize = 13;
+/// Series of the `fiat_proxy_decisions_total` family.
+const DECISION_SERIES: usize = AllowReason::ALL.len() + DropReason::ALL.len() + 1;
 
 /// Stage latency, attached to each proxy's private timing registry.
 static STAGE_METRICS: SchemaPart = SchemaPart::new(&[Family::histogram(
@@ -640,12 +711,10 @@ pub struct ProxyTelemetry {
     stage_classification: Histogram,
     stage_humanness: Histogram,
     decide_sampled: Histogram,
-    allow_total: [Counter; AllowReason::ALL.len()],
-    drop_total: [Counter; DropReason::ALL.len()],
-    quarantine_total: Counter,
+    decisions: [Counter; DECISION_SERIES],
     quarantine_held: Counter,
-    quarantine_released_ctr: Counter,
-    quarantine_expired_ctr: Counter,
+    quarantine_released: Counter,
+    quarantine_expired: Counter,
     quarantine_depth: Gauge,
     rules_gauge: Gauge,
     open_events_gauge: Gauge,
@@ -667,18 +736,15 @@ impl ProxyTelemetry {
         let timing = MetricRegistry::new();
         let stage = timing.attach(&STAGE_METRICS);
         let c = registry.attach(&PROXY_METRICS);
-        const DROPS: usize = AllowReason::ALL.len();
         ProxyTelemetry {
             stage_rule_learn: stage.histogram(0, 0),
             stage_classification: stage.histogram(0, 1),
             stage_humanness: stage.histogram(0, 2),
             decide_sampled: stage.histogram(0, 3),
-            allow_total: std::array::from_fn(|i| c.counter(DECISIONS, i)),
-            drop_total: std::array::from_fn(|i| c.counter(DECISIONS, DROPS + i)),
-            quarantine_total: c.counter(DECISIONS, DROPS + DropReason::ALL.len()),
+            decisions: std::array::from_fn(|i| c.counter(DECISIONS, i)),
             quarantine_held: c.counter(QUARANTINE_HELD, 0),
-            quarantine_released_ctr: c.counter(QUARANTINE_RELEASED, 0),
-            quarantine_expired_ctr: c.counter(QUARANTINE_EXPIRED, 0),
+            quarantine_released: c.counter(QUARANTINE_RELEASED, 0),
+            quarantine_expired: c.counter(QUARANTINE_EXPIRED, 0),
             quarantine_depth: c.gauge(QUARANTINE_DEPTH, 0),
             rules_gauge: c.gauge(RULES, 0),
             open_events_gauge: c.gauge(OPEN_EVENTS, 0),
@@ -719,11 +785,29 @@ impl ProxyTelemetry {
         &self.timing
     }
 
-    fn note_decision(&self, decision: ProxyDecision) {
-        match decision {
-            ProxyDecision::Allow(r) => self.allow_total[r as usize].inc(),
-            ProxyDecision::Drop(r) => self.drop_total[r as usize].inc(),
-            ProxyDecision::Quarantine => self.quarantine_total.inc(),
+    /// Fold one policy event into the counters and gauges it moves.
+    fn note(&self, ev: &ProxyEvent) {
+        match *ev {
+            ProxyEvent::Decided { decision, .. } => self.decisions[decision.series()].inc(),
+            ProxyEvent::Proof { verified: true, .. } => self.auth_verified.inc(),
+            ProxyEvent::Proof { .. } => self.auth_rejected.inc(),
+            ProxyEvent::Lockout { .. } => {
+                self.lockouts.inc();
+                self.locked_devices_gauge.inc();
+            }
+            ProxyEvent::LockoutCleared { .. } => self.locked_devices_gauge.dec(),
+            ProxyEvent::QuarantineHeld { .. } => {
+                self.quarantine_held.inc();
+                self.quarantine_depth.inc();
+            }
+            ProxyEvent::QuarantineReleased { packets, .. } => {
+                self.quarantine_released.add(packets);
+                self.quarantine_depth.add(-(packets as i64));
+            }
+            ProxyEvent::QuarantineExpired { packets, .. } => {
+                self.quarantine_expired.add(packets);
+                self.quarantine_depth.add(-(packets as i64));
+            }
         }
     }
 }
@@ -745,10 +829,10 @@ struct DeviceState {
 }
 
 /// What the decision policies share beyond one device's own state: the
-/// configuration and humanness window they read, and the audit chain,
-/// counters, telemetry and hook their effects write. Kept apart from the
-/// device table so a policy can hold one device's state mutably while it
-/// records its effects.
+/// configuration and humanness window they read, the audit chain, and
+/// the stats, telemetry and hook that [`Policy::emit`] writes. Kept
+/// apart from the device table so a policy can hold one device's state
+/// mutably while it records its effects.
 struct Policy {
     config: ProxyConfig,
     human_valid_until: SimTime,
@@ -840,8 +924,8 @@ impl FiatProxy {
     }
 
     /// Install a decision-path observer (see [`ProxyHook`]). Probing is
-    /// opt-in: without this call every hook site is a single branch on
-    /// `None`.
+    /// opt-in: without this call each event's hook call is a single
+    /// branch on `None`.
     pub fn set_hook(&mut self, hook: Box<dyn ProxyHook>) {
         self.policy.hook = Some(hook);
     }
@@ -975,10 +1059,7 @@ impl FiatProxy {
     pub fn clear_lockout(&mut self, device: u16) {
         if let Some(d) = self.devices.get_mut(&device) {
             if d.locked {
-                self.policy.telemetry.locked_devices_gauge.dec();
-                if let Some(h) = &self.policy.hook {
-                    h.on_lockout_cleared(device);
-                }
+                self.policy.emit(ProxyEvent::LockoutCleared { device });
             }
             d.locked = false;
             d.drops.clear();
@@ -1286,17 +1367,15 @@ impl FiatProxy {
         span.exit();
         if human {
             self.policy.human_valid_until = now + self.policy.config.human_valid_window;
-            self.policy.telemetry.auth_verified.inc();
             if self.policy.config.proof_deadline.is_some() {
                 self.quarantine
                     .resolve(&mut self.policy, &mut self.devices, now);
             }
-        } else {
-            self.policy.telemetry.auth_rejected.inc();
         }
-        if let Some(h) = &self.policy.hook {
-            h.on_proof(now, human);
-        }
+        self.policy.emit(ProxyEvent::Proof {
+            ts: now,
+            verified: human,
+        });
         Ok(human)
     }
 
@@ -1339,28 +1418,11 @@ impl FiatProxy {
         if self.degraded {
             self.policy.telemetry.degraded_decisions.inc();
         }
-        self.policy.telemetry.note_decision(d);
-        if let Some(h) = &self.policy.hook {
-            h.on_decision(pkt.ts, pkt.device, d);
-        }
-        let stats = &mut self.policy.stats;
-        let counter = match d {
-            ProxyDecision::Allow(AllowReason::Bootstrap) => &mut stats.bootstrap,
-            ProxyDecision::Allow(AllowReason::RuleHit) => &mut stats.rule_hit,
-            ProxyDecision::Allow(AllowReason::FirstN) => &mut stats.first_n,
-            ProxyDecision::Allow(AllowReason::NonManual) => &mut stats.non_manual,
-            ProxyDecision::Allow(AllowReason::ManualVerified) => &mut stats.manual_verified,
-            ProxyDecision::Allow(AllowReason::Cascade) => &mut stats.cascade,
-            ProxyDecision::Allow(AllowReason::UnknownDevice) => &mut stats.unknown_device,
-            ProxyDecision::Allow(AllowReason::QuarantineReleased) => &mut stats.quarantine_released,
-            ProxyDecision::Drop(DropReason::ManualUnverified) => &mut stats.dropped_unverified,
-            ProxyDecision::Drop(DropReason::LockedOut) => &mut stats.dropped_lockout,
-            ProxyDecision::Drop(DropReason::QuarantineExpired) => &mut stats.dropped_quarantine,
-            ProxyDecision::Allow(AllowReason::FingerprintMatched) => &mut stats.fingerprint_matched,
-            ProxyDecision::Drop(DropReason::UnknownQuarantined) => &mut stats.dropped_unknown,
-            ProxyDecision::Quarantine => &mut stats.quarantined,
-        };
-        *counter += 1;
+        self.policy.emit(ProxyEvent::Decided {
+            ts: pkt.ts,
+            device: pkt.device,
+            decision: d,
+        });
         d
     }
 
@@ -1460,7 +1522,7 @@ impl FiatProxy {
             return match fate {
                 EventFate::AllowRest(reason) => ProxyDecision::Allow(reason),
                 EventFate::DropRest(reason) => ProxyDecision::Drop(reason),
-                EventFate::Quarantine => self.quarantine.hold(&self.policy, pkt),
+                EventFate::Quarantine => self.quarantine.hold(&mut self.policy, pkt),
             };
         }
 
@@ -1518,6 +1580,16 @@ impl FiatProxy {
 }
 
 impl Policy {
+    /// Emit one policy event: fold it into the stats and telemetry, then
+    /// hand it to the hook. The only reader of `hook`.
+    fn emit(&mut self, ev: ProxyEvent) {
+        self.stats.note(&ev);
+        self.telemetry.note(&ev);
+        if let Some(h) = &self.hook {
+            h.on_event(&ev);
+        }
+    }
+
     /// Append one entry to the audit chain — the proxy's only writer.
     fn record(&mut self, ts: SimTime, device: u16, class: EventClass, verdict: AuditVerdict) {
         self.audit.append(AuditEntry {
@@ -1597,11 +1669,7 @@ impl Policy {
         }
         if !dev.locked {
             dev.locked = true;
-            self.telemetry.locked_devices_gauge.inc();
-            self.telemetry.lockouts.inc();
-            if let Some(h) = &self.hook {
-                h.on_lockout(at, device);
-            }
+            self.emit(ProxyEvent::Lockout { ts: at, device });
         }
         AuditVerdict::LockedOut
     }
@@ -3523,13 +3591,16 @@ mod tests {
     struct TransitionLog(Arc<std::sync::Mutex<Transitions>>);
 
     impl ProxyHook for TransitionLog {
-        fn on_quarantine_released(&self, _ts: SimTime, _device: u16, _packets: u64) {
-            self.0.lock().unwrap().released += 1;
-        }
-        fn on_quarantine_expired(&self, _ts: SimTime, device: u16, _packets: u64) {
+        fn on_event(&self, ev: &ProxyEvent) {
             let mut log = self.0.lock().unwrap();
-            let deciding = log.deciding;
-            log.expired.push((deciding, device));
+            match *ev {
+                ProxyEvent::QuarantineReleased { .. } => log.released += 1,
+                ProxyEvent::QuarantineExpired { device, .. } => {
+                    let deciding = log.deciding;
+                    log.expired.push((deciding, device));
+                }
+                _ => {}
+            }
         }
     }
 

@@ -1,12 +1,10 @@
 //! # fiat-probe — profiling and tracing probes for the fleet runtime
 //!
-//! ROADMAP item 1 asks *why* the sharded runtime gains only 1.06x from
-//! 1→2 shards. Counters (PR 1) say what the fleet decided; nothing says
-//! where the parallelism goes. This crate supplies the missing layer,
-//! with the same constraints as `fiat-telemetry`: zero external
-//! dependencies, and **off by default** — the decide hot path must not
-//! pay for probes nobody turned on (proven by the allocation regression
-//! test in `tests/overhead.rs`).
+//! Counters say what the fleet decided; these probes say where its time
+//! and parallelism go. Same constraints as `fiat-telemetry`: zero
+//! external dependencies, and **off by default** — the decide hot path
+//! must not pay for probes nobody turned on (proven by the allocation
+//! regression test in `tests/overhead.rs`).
 //!
 //! Three probes:
 //!
@@ -21,8 +19,8 @@
 //!   gauges, steal counters, a barrier-skew histogram, and the
 //!   flight-recorder eviction-ratio gauge.
 //! - [`recorder`] — a flight recorder: bounded per-shard ring buffers of
-//!   structured [`TraceEvent`]s (packet decided, proof arrival, lockout
-//!   and quarantine transitions, home lifecycle), merged
+//!   structured [`TraceEvent`]s (the proxy's policy events and the
+//!   home lifecycle), merged
 //!   deterministically on the simulated clock keyed by
 //!   `(ts, home, per-home seq)` — stable under work stealing — and
 //!   rendered as JSONL ([`FlightRecorder::to_jsonl`]), so an anomaly

@@ -37,8 +37,8 @@ pub const SEQ_FIRST_HOOK: u64 = 2;
 /// every hook event the home could have produced.
 pub const SEQ_FINISHED: u64 = u64::MAX;
 
-/// What happened. Packet-level kinds come from the proxy's transition
-/// hooks; home-level kinds from the fleet plan and shard claim loop.
+/// What happened. Home-level kinds come from the fleet plan and shard
+/// claim loop; everything else is one of the proxy's policy events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A home was assigned to a shard's claim queue (coordinator side).
@@ -47,20 +47,11 @@ pub enum TraceKind {
     HomeDequeued,
     /// A shard finished deciding a home's capture.
     HomeFinished,
-    /// The proxy decided one packet (`detail` carries the reason label).
-    PacketDecided,
-    /// A humanness proof arrived (`detail`: verified / rejected).
-    ProofArrival,
-    /// A device entered brute-force lockout.
-    LockoutEntered,
-    /// A lockout was manually cleared.
-    LockoutCleared,
-    /// A packet was held in pending-verdict quarantine.
-    QuarantineHeld,
-    /// A quarantine record was released by a late proof (`arg`: packets).
-    QuarantineReleased,
-    /// A quarantine record expired at its deadline (`arg`: packets).
-    QuarantineExpired,
+    /// A proxy policy event, by the name `fiat_core::ProxyEvent::name`
+    /// gives it (`"packet_decided"`, `"proof_arrival"`, ...). The event's
+    /// payload goes to `detail` (decision reason, proof result) and
+    /// `arg` (quarantine packet counts).
+    Proxy(&'static str),
 }
 
 impl TraceKind {
@@ -70,13 +61,7 @@ impl TraceKind {
             TraceKind::HomeEnqueued => "home_enqueued",
             TraceKind::HomeDequeued => "home_dequeued",
             TraceKind::HomeFinished => "home_finished",
-            TraceKind::PacketDecided => "packet_decided",
-            TraceKind::ProofArrival => "proof_arrival",
-            TraceKind::LockoutEntered => "lockout_entered",
-            TraceKind::LockoutCleared => "lockout_cleared",
-            TraceKind::QuarantineHeld => "quarantine_held",
-            TraceKind::QuarantineReleased => "quarantine_released",
-            TraceKind::QuarantineExpired => "quarantine_expired",
+            TraceKind::Proxy(name) => name,
         }
     }
 }
@@ -259,7 +244,7 @@ mod tests {
             home,
             seq,
             device: 0,
-            kind: TraceKind::PacketDecided,
+            kind: TraceKind::Proxy("packet_decided"),
             detail: "rule_hit",
             arg: 0,
         }
@@ -375,7 +360,7 @@ mod tests {
             home: 7,
             seq: 9,
             device: 3,
-            kind: TraceKind::QuarantineReleased,
+            kind: TraceKind::Proxy("quarantine_released"),
             detail: "",
             arg: 9,
         });

@@ -8,7 +8,7 @@
 //! the probes-off state keeps the claim honest. The file holds exactly
 //! one test so no concurrent test thread can perturb the counters.
 
-use fiat_core::{FiatProxy, ProxyConfig, ProxyHook};
+use fiat_core::{FiatProxy, ProxyConfig, ProxyEvent, ProxyHook};
 use fiat_net::{
     Direction, DnsTable, PacketRecord, SimTime, TcpFlags, TlsVersion, TrafficClass, Transport,
 };
@@ -98,7 +98,9 @@ fn probes_off_decide_path_does_not_allocate() {
     // Installing a hook is the *on* state; it may allocate (that is the
     // probe's cost), but flipping it on must be explicit:
     struct Nop;
-    impl ProxyHook for Nop {}
+    impl ProxyHook for Nop {
+        fn on_event(&self, _: &ProxyEvent) {}
+    }
     proxy.set_hook(Box::new(Nop));
     assert!(proxy.on_packet(&pkt(ts, remote, 235)).is_allow());
 }

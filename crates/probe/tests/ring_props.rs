@@ -12,7 +12,7 @@ fn ev(ts_us: u64, home: u32, seq: u64) -> TraceEvent {
         home,
         seq,
         device: 0,
-        kind: TraceKind::PacketDecided,
+        kind: TraceKind::Proxy("packet_decided"),
         detail: "rule_hit",
         arg: 0,
     }
