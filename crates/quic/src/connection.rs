@@ -599,6 +599,18 @@ impl Server {
         if self.replay.is_stale_in(epoch, id) {
             return Err(QuicError::StaleTicket);
         }
+        // Open before recording the nonce: ticket ids and nonces are
+        // predictable, so recording unauthenticated packets would let a
+        // forger burn the genuine client's nonces. A verbatim replay
+        // still opens, then hits the store.
+        let secret = ticket_secret(&self.psk, id, epoch);
+        let plaintext = aead::open(
+            &early_key(&secret),
+            &nonce_bytes(DIR_CLIENT_TO_SERVER, pkt.nonce),
+            b"0rtt",
+            &pkt.ciphertext,
+        )
+        .map_err(|_| QuicError::DecryptFailed)?;
         let outcome = self.replay.check_and_insert_in(epoch, id, pkt.nonce);
         if !outcome.fresh {
             return Err(QuicError::Replayed);
@@ -606,14 +618,7 @@ impl Server {
         if let Some(g) = self.telemetry.replay_entries(epoch) {
             g.add(1 - outcome.evicted_entries as i64);
         }
-        let secret = ticket_secret(&self.psk, id, epoch);
-        aead::open(
-            &early_key(&secret),
-            &nonce_bytes(DIR_CLIENT_TO_SERVER, pkt.nonce),
-            b"0rtt",
-            &pkt.ciphertext,
-        )
-        .map_err(|_| QuicError::DecryptFailed)
+        Ok(plaintext)
     }
 }
 
@@ -674,6 +679,28 @@ mod tests {
         // A fresh 0-RTT packet still works.
         let z2 = c.seal_zero_rtt(b"again").unwrap();
         assert_eq!(s.accept_zero_rtt(&z2).unwrap(), b"again");
+    }
+
+    #[test]
+    fn forged_zero_rtt_packets_burn_no_nonces() {
+        let mut c = Client::new(PSK);
+        let mut s = Server::new(PSK);
+        handshake(&mut c, &mut s);
+        let before = s.replay_store().total_entries();
+        // Ticket ids and client nonces both count up from 1, so a forger
+        // can aim at the genuine client's next nonces.
+        for nonce in 1..=64 {
+            let forged = ZeroRttPacket {
+                ticket: SessionTicket { id: 1, epoch: 0 },
+                nonce,
+                ciphertext: Vec::new(),
+            };
+            assert_eq!(s.accept_zero_rtt(&forged), Err(QuicError::DecryptFailed));
+        }
+        assert_eq!(s.replay_store().total_entries(), before);
+        let z = c.seal_zero_rtt(b"genuine proof").unwrap();
+        assert_eq!(s.accept_zero_rtt(&z).unwrap(), b"genuine proof");
+        assert_eq!(s.accept_zero_rtt(&z), Err(QuicError::Replayed));
     }
 
     #[test]
@@ -881,10 +908,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_rtt_nonce_reuse_is_replay_not_decrypt_failure() {
-        // Sequence-number reuse on the 0-RTT path: a forged packet that
-        // reuses an accepted (ticket, nonce) pair is rejected by the
-        // replay store *before* any AEAD work, whatever its ciphertext.
+    fn zero_rtt_nonce_reuse_is_replay_only_when_authentic() {
+        // Sequence-number reuse on the 0-RTT path: a verbatim replay of an
+        // accepted (ticket, nonce) pair opens and is then refused by the
+        // replay store; a forgery reusing the pair with other bytes fails
+        // the AEAD before it reaches the store.
         let mut c = Client::new(PSK);
         let mut s = Server::new(PSK);
         handshake(&mut c, &mut s);
@@ -895,7 +923,8 @@ mod tests {
             nonce: z.nonce,
             ciphertext: vec![0xAA; 48],
         };
-        assert_eq!(s.accept_zero_rtt(&forged), Err(QuicError::Replayed));
+        assert_eq!(s.accept_zero_rtt(&forged), Err(QuicError::DecryptFailed));
+        assert_eq!(s.accept_zero_rtt(&z), Err(QuicError::Replayed));
         // 1-RTT sequence reuse is the analogous exact variant.
         let p1 = c.seal(b"one").unwrap();
         assert!(s.open(&p1).is_ok());
