@@ -57,8 +57,8 @@ pub struct FingerprintObservation {
 /// [`FiatProxy::set_fingerprinter`] and consulted for every packet of an
 /// *unregistered* device when [`ProxyConfig::fingerprint_unknown`] is
 /// set. The concrete matcher lives in `fiat-fingerprint`; the trait keeps
-/// the dependency arrow pointing into `fiat-core`, mirroring
-/// [`super::ProxyHook`].
+/// the dependency arrow pointing into `fiat-core`, as the
+/// [`super::ProxyEvent`] observer [`super::ProxyHook`] does.
 pub trait FingerprintGate: Send {
     /// Fold one packet of an unknown device into its evidence window and
     /// report the current verdict. Must be deterministic and, once a

@@ -26,12 +26,12 @@
 //!   guessing at a foreign layout.
 //!
 //! Known exclusions (documented residuals, DESIGN §17): the
-//! interaction graph (`FiatProxy::set_interactions`), any installed
-//! [`crate::ProxyHook`], and the fingerprint gate
-//! (`FiatProxy::set_fingerprinter`) with its per-stranger evidence
-//! windows are not captured; homes using any of them must re-install
-//! them after restore, and the gate re-fingerprints strangers from
-//! empty evidence.
+//! interaction graph (`FiatProxy::set_interactions`), the
+//! [`crate::ProxyEvent`] observer ([`crate::ProxyHook`]), and the
+//! fingerprint gate (`FiatProxy::set_fingerprinter`) with its
+//! per-stranger evidence windows are not captured; homes using any of
+//! them must re-install them after restore, and the gate
+//! re-fingerprints strangers from empty evidence.
 //!
 //! v2 (bounded-state, DESIGN §18) additions over v1: rules are emitted
 //! in LRU order (least-recently-matched first) instead of sorted, so
