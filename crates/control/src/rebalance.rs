@@ -212,6 +212,72 @@ mod tests {
         );
     }
 
+    /// The fixture `fiat_core`'s `snapshot_bytes_are_pinned` pins, in
+    /// the current layout and in version 2's.
+    const FIXTURE_V3: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v3.json");
+    const FIXTURE_V2: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v2.json");
+
+    /// Restore `bytes` with the configuration the pinned fixture was
+    /// taken under.
+    fn restore_fixture(bytes: &[u8]) -> Result<FiatProxy, RestoreError> {
+        let config = ProxyConfig {
+            proof_deadline: Some(fiat_net::SimDuration::from_secs(60)),
+            max_rules: Some(1),
+            max_audit_entries: Some(4),
+            ..ProxyConfig::default()
+        };
+        restore_home(
+            bytes,
+            config,
+            &SECRET,
+            HumannessValidator::with_operating_point(1.0, 1.0, 0),
+            plug(),
+            |_| EventClassifier::simple_rule(235),
+            None,
+        )
+    }
+
+    #[test]
+    fn version_two_bytes_are_refused() {
+        // No legacy reader: v2 stores one hash per audit entry and lacks
+        // `audit_head`, and the vendored serde reports the missing field
+        // before the version check can run.
+        assert!(FIXTURE_V2.starts_with(b"{\"version\":2,"));
+        match restore_fixture(FIXTURE_V2) {
+            Ok(_) => panic!("v2 bytes must be refused"),
+            Err(e) => assert_eq!(e, RestoreError::Corrupt),
+        }
+    }
+
+    #[test]
+    fn fixture_restores_whole_and_no_strict_prefix_parses() {
+        let proxy = restore_fixture(FIXTURE_V3).expect("the v3 fixture restores");
+        assert_eq!(snapshot_home(&proxy, None), FIXTURE_V3);
+        for len in 0..FIXTURE_V3.len() {
+            match restore_fixture(&FIXTURE_V3[..len]) {
+                Ok(_) => panic!("a {len}-byte prefix restored"),
+                Err(e) => assert_eq!(e, RestoreError::Corrupt, "{len}-byte prefix"),
+            }
+        }
+    }
+
+    #[test]
+    fn single_byte_flips_never_panic_restore() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut restored = 0;
+        for _ in 0..400 {
+            let mut bytes = FIXTURE_V3.to_vec();
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8u32);
+            // Either outcome is fine; a panic fails the test.
+            restored += usize::from(restore_fixture(&bytes).is_ok());
+        }
+        // Flips inside numbers keep the bytes parseable, so the run
+        // reaches restore's own checks, not only the parser.
+        assert!(restored > 0);
+    }
+
     proptest! {
         /// The satellite round-trip property: for arbitrary provisioning
         /// shapes, serialize → deserialize → serialize is byte-identical

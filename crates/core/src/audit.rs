@@ -131,7 +131,7 @@ impl AuditEntry {
 /// rewritten entry, flipped hash byte, deletion, or reordering breaks at
 /// least one link.
 pub fn verify_chain(entries: &[AuditEntry], hashes: &[[u8; 32]]) -> bool {
-    verify_chain_with(b"fiat-audit-genesis", entries, hashes)
+    verify_chain_with(GENESIS, entries, hashes)
 }
 
 /// Verify an exported `(entries, hashes)` suffix whose chain starts at a
@@ -152,18 +152,26 @@ fn verify_chain_with(anchor: &[u8], entries: &[AuditEntry], hashes: &[[u8; 32]])
     if entries.len() != hashes.len() {
         return false;
     }
-    let mut prev: Vec<u8> = anchor.to_vec();
+    let mut prev = anchor;
     for (e, stored) in entries.iter().zip(hashes) {
-        let mut h = Sha256::new();
-        h.update(&prev);
-        h.update(&e.encode());
-        if &h.finalize() != stored {
+        if link(prev, e) != *stored {
             return false;
         }
-        prev = stored.to_vec();
+        prev = stored;
     }
     true
 }
+
+/// One chain link: `SHA-256(prev || record)`.
+fn link(prev: &[u8], entry: &AuditEntry) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(prev);
+    h.update(&entry.encode());
+    h.finalize()
+}
+
+/// The anchor an untruncated chain starts from.
+const GENESIS: &[u8] = b"fiat-audit-genesis";
 
 /// Hash-chained audit log.
 #[derive(Debug, Default)]
@@ -185,32 +193,28 @@ impl AuditLog {
         Self::default()
     }
 
-    /// Rebuild a log from exported `(entries, hashes)` — the restore half
-    /// of a snapshot — whose chain starts at a truncation `checkpoint`
-    /// (`None` = genesis) with `truncated` entries already dropped.
-    /// Returns `None` when the suffix fails verification from the given
-    /// anchor: a snapshot that does not verify was tampered with (or
-    /// truncated) and must not be resumed from.
+    /// Rebuild a log from its exported entries and [`head`](Self::head)
+    /// — the restore half of a snapshot — whose chain starts at a
+    /// truncation `checkpoint` (`None` = genesis) with `truncated`
+    /// entries already dropped. The per-entry hashes are recomputed
+    /// from the anchor. Returns `None` when the recomputed head differs
+    /// from `head`: a snapshot whose entries were edited, reordered,
+    /// added or cut (at either end) must not be resumed from.
     pub fn from_parts_at(
         checkpoint: Option<[u8; 32]>,
         truncated: u64,
         entries: Vec<AuditEntry>,
-        hashes: Vec<[u8; 32]>,
+        head: Option<[u8; 32]>,
     ) -> Option<Self> {
-        let ok = match &checkpoint {
-            Some(cp) => verify_chain_from(cp, &entries, &hashes),
-            None => verify_chain(&entries, &hashes),
-        };
-        if !ok {
-            return None;
-        }
-        Some(AuditLog {
-            entries,
-            hashes,
+        let mut log = AuditLog {
             checkpoint,
             truncated,
-            max_entries: None,
-        })
+            ..AuditLog::default()
+        };
+        for entry in entries {
+            log.append(entry);
+        }
+        (log.head() == head).then_some(log)
     }
 
     /// Bound the in-memory chain: when an append pushes the length past
@@ -254,13 +258,10 @@ impl AuditLog {
             Some(h) => h,
             None => match &self.checkpoint {
                 Some(cp) => cp,
-                None => b"fiat-audit-genesis",
+                None => GENESIS,
             },
         };
-        let mut h = Sha256::new();
-        h.update(prev);
-        h.update(&entry.encode());
-        self.hashes.push(h.finalize());
+        self.hashes.push(link(prev, &entry));
         self.entries.push(entry);
         self.enforce_cap();
     }
@@ -417,22 +418,27 @@ mod tests {
             log.append(entry(i, 1, AuditVerdict::AllowedManualVerified));
         }
         let entries = log.entries().to_vec();
-        let hashes = log.hashes().to_vec();
+        let head = log.head();
 
         // A faithful export restores and the chain still extends.
-        let mut restored =
-            AuditLog::from_parts_at(None, 0, entries.clone(), hashes.clone()).unwrap();
+        let mut restored = AuditLog::from_parts_at(None, 0, entries.clone(), head).unwrap();
         assert_eq!(restored.head(), log.head());
         restored.append(entry(9, 1, AuditVerdict::DroppedUnverified));
         log.append(entry(9, 1, AuditVerdict::DroppedUnverified));
         assert_eq!(restored.head(), log.head());
         assert!(restored.verify());
 
-        // A tampered export must not produce a log.
+        // A tampered export must not produce a log: an edited entry, a
+        // cut tail, a cut head, or a head that commits to nothing.
         let mut bad = entries.clone();
         bad[2].verdict = AuditVerdict::LockedOut;
-        assert!(AuditLog::from_parts_at(None, 0, bad, hashes.clone()).is_none());
-        assert!(AuditLog::from_parts_at(None, 0, entries[..3].to_vec(), hashes).is_none());
+        assert!(AuditLog::from_parts_at(None, 0, bad, head).is_none());
+        assert!(AuditLog::from_parts_at(None, 0, entries[..3].to_vec(), head).is_none());
+        assert!(AuditLog::from_parts_at(None, 0, entries[1..].to_vec(), head).is_none());
+        assert!(AuditLog::from_parts_at(None, 0, entries.clone(), None).is_none());
+        // An empty log has no head.
+        assert!(AuditLog::from_parts_at(None, 0, Vec::new(), None).is_some());
+        assert!(AuditLog::from_parts_at(None, 0, Vec::new(), head).is_none());
     }
 
     #[test]
@@ -555,12 +561,12 @@ mod tests {
         let cp = log.checkpoint();
         let truncated = log.truncated();
         let entries = log.entries().to_vec();
-        let hashes = log.hashes().to_vec();
+        let head = log.head();
 
         // A faithful export restores from the checkpoint and the chain
         // still extends identically to the original.
-        let mut restored = AuditLog::from_parts_at(cp, truncated, entries.clone(), hashes.clone())
-            .expect("restores");
+        let mut restored =
+            AuditLog::from_parts_at(cp, truncated, entries.clone(), head).expect("restores");
         assert_eq!(restored.head(), log.head());
         assert_eq!(restored.truncated(), log.truncated());
         restored.append(entry(99, 1, AuditVerdict::DroppedUnverified));
@@ -569,11 +575,14 @@ mod tests {
         assert!(restored.verify());
 
         // Genesis-anchored restore of a truncated suffix must refuse —
-        // and so must a tampered suffix from the right checkpoint.
-        assert!(AuditLog::from_parts_at(None, 0, entries.clone(), hashes.clone()).is_none());
+        // and so must a tampered or tail-cut suffix from the right
+        // checkpoint.
+        assert!(AuditLog::from_parts_at(None, 0, entries.clone(), head).is_none());
         let mut bad = entries.clone();
         bad[0].verdict = AuditVerdict::LockedOut;
-        assert!(AuditLog::from_parts_at(cp, truncated, bad, hashes).is_none());
+        assert!(AuditLog::from_parts_at(cp, truncated, bad, head).is_none());
+        let cut = entries[..entries.len() - 1].to_vec();
+        assert!(AuditLog::from_parts_at(cp, truncated, cut, head).is_none());
     }
 
     #[test]

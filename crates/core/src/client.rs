@@ -229,9 +229,9 @@ impl FiatApp {
     }
 
     /// Drop the cached session ticket. Called when the proxy answers
-    /// `StaleTicket`/`UnknownTicket`/`RetiredEpoch`: the ticket was
-    /// evicted from the anti-replay store (or its whole epoch retired by
-    /// key rotation), so 0-RTT is dead until a fresh handshake.
+    /// `UnknownTicket`/`RetiredEpoch`: the proxy never issued the ticket,
+    /// or its whole epoch was retired by key rotation, so 0-RTT is dead
+    /// until a fresh handshake.
     pub fn forget_ticket(&mut self) {
         self.quic.forget_ticket();
     }
@@ -284,14 +284,12 @@ impl FiatApp {
                     }
                 }
                 DeliveryResult::Rejected(e) => match e {
-                    // The ticket fell out of the proxy's replay store, or
-                    // its whole epoch was retired by key rotation: only a
-                    // fresh handshake (and a proof re-signed under the
-                    // new ticket) restores 0-RTT; meanwhile the
-                    // established 1-RTT keys still work.
-                    AuthError::Transport(
-                        QuicError::StaleTicket | QuicError::UnknownTicket | QuicError::RetiredEpoch,
-                    ) => {
+                    // The proxy does not know the ticket, or its whole
+                    // epoch was retired by key rotation: only a fresh
+                    // handshake (and a proof re-signed under the new
+                    // ticket) restores 0-RTT; meanwhile the established
+                    // 1-RTT keys still work.
+                    AuthError::Transport(QuicError::UnknownTicket | QuicError::RetiredEpoch) => {
                         self.forget_ticket();
                         outcome.fell_back = true;
                     }
@@ -572,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_ticket_rejection_falls_back_to_one_rtt() {
+    fn scripted_retired_epoch_rejection_falls_back_to_one_rtt() {
         let (mut app, mut proxy) = paired_app_and_proxy(4);
         let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 6);
         let policy = RetryPolicy::default();
@@ -583,9 +581,9 @@ mod tests {
             2_000,
             &policy,
             |att, attempt| match (attempt, att) {
-                // The proxy evicted our ticket from its replay store.
+                // The proxy retired our ticket's epoch.
                 (0, AuthAttempt::ZeroRtt(_)) => {
-                    DeliveryResult::Rejected(AuthError::Transport(QuicError::StaleTicket))
+                    DeliveryResult::Rejected(AuthError::Transport(QuicError::RetiredEpoch))
                 }
                 // The fallback must arrive re-signed over 1-RTT.
                 (_, AuthAttempt::OneRtt(p)) => {

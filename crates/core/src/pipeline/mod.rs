@@ -1181,13 +1181,7 @@ impl FiatProxy {
             released_packets: self.quarantine.released.clone(),
             stats: self.policy.stats,
             audit_entries: self.policy.audit.entries().to_vec(),
-            audit_hashes: self
-                .policy
-                .audit
-                .hashes()
-                .iter()
-                .map(|h| h.to_vec())
-                .collect(),
+            audit_head: self.policy.audit.head().map(|h| h.to_vec()),
             audit_checkpoint: self.policy.audit.checkpoint().map(|c| c.to_vec()),
             audit_truncated: self.policy.audit.truncated(),
             quic: self.quic.to_image(),
@@ -1231,23 +1225,17 @@ impl FiatProxy {
         if snap.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snap.version));
         }
-        let hashes: Vec<[u8; 32]> = snap
-            .audit_hashes
-            .iter()
-            .map(|h| <[u8; 32]>::try_from(h.as_slice()))
-            .collect::<Result<_, _>>()
-            .map_err(|_| SnapshotError::AuditChainInvalid)?;
-        let checkpoint = snap
-            .audit_checkpoint
-            .as_ref()
-            .map(|c| <[u8; 32]>::try_from(c.as_slice()))
-            .transpose()
-            .map_err(|_| SnapshotError::AuditChainInvalid)?;
+        let hash = |h: &Option<Vec<u8>>| {
+            h.as_deref()
+                .map(<[u8; 32]>::try_from)
+                .transpose()
+                .map_err(|_| SnapshotError::AuditChainInvalid)
+        };
         let mut audit = AuditLog::from_parts_at(
-            checkpoint,
+            hash(&snap.audit_checkpoint)?,
             snap.audit_truncated,
             snap.audit_entries.clone(),
-            hashes,
+            hash(&snap.audit_head)?,
         )
         .ok_or(SnapshotError::AuditChainInvalid)?;
         if let Some(d) = snap.devices.iter().find(|d| !d.is_consistent(&config)) {
@@ -3151,19 +3139,28 @@ mod tests {
 
         let mut tampered = good.clone();
         tampered.audit_entries[0].verdict = AuditVerdict::AllowedManualVerified;
-        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
-        assert_eq!(
-            FiatProxy::restore(
-                ProxyConfig::default(),
-                &SECRET,
-                validator,
-                ProxyTelemetry::default(),
-                &tampered,
-                |_| EventClassifier::simple_rule(235),
-            )
-            .err(),
-            Some(crate::snapshot::SnapshotError::AuditChainInvalid)
-        );
+        // The newest entry cut away: the shortened chain is well formed,
+        // but it no longer ends at the stored head.
+        let mut tail_cut = good.clone();
+        assert!(tail_cut.audit_entries.pop().is_some());
+        // A head that is not 32 bytes.
+        let mut short_head = good.clone();
+        short_head.audit_head.as_mut().unwrap().pop();
+        for bad in [tampered, tail_cut, short_head] {
+            let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+            assert_eq!(
+                FiatProxy::restore(
+                    ProxyConfig::default(),
+                    &SECRET,
+                    validator,
+                    ProxyTelemetry::default(),
+                    &bad,
+                    |_| EventClassifier::simple_rule(235),
+                )
+                .err(),
+                Some(crate::snapshot::SnapshotError::AuditChainInvalid)
+            );
+        }
     }
 
     /// Restore a post-bootstrap plug snapshot after `edit`, where the
@@ -3418,6 +3415,41 @@ mod tests {
     }
 
     #[test]
+    fn restore_refuses_a_tail_cut_truncated_audit_chain() {
+        let config = ProxyConfig {
+            max_audit_entries: Some(8),
+            ..ProxyConfig::default()
+        };
+        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        let mut proxy = FiatProxy::new(config.clone(), &SECRET, validator);
+        proxy.register_device(0, EventClassifier::simple_rule(235), 1);
+        proxy.start(SimTime::ZERO);
+        let t = bootstrap(&mut proxy);
+        for k in 0..12u64 {
+            proxy.on_packet(&pkt(t + k * 40_000, 235));
+        }
+        let mut snap = proxy.snapshot();
+        assert!(snap.audit_checkpoint.is_some());
+        assert!(snap.audit_entries.len() > 1);
+        // Drop the newest entry: the suffix still chains from the
+        // checkpoint, but not to the stored head.
+        snap.audit_entries.pop();
+        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        assert_eq!(
+            FiatProxy::restore(
+                config,
+                &SECRET,
+                validator,
+                ProxyTelemetry::default(),
+                &snap,
+                |_| EventClassifier::simple_rule(235),
+            )
+            .err(),
+            Some(SnapshotError::AuditChainInvalid)
+        );
+    }
+
+    #[test]
     fn snapshot_round_trips_lru_order_and_ghosts() {
         // Two periodic flows learned, cap 1: the older one is evicted to
         // a ghost, then touched once so the ghost carries re-learn state.
@@ -3492,7 +3524,9 @@ mod tests {
         // quarantine-fated open events, an allow-fated open event,
         // lockout drops on a locked device, an unknown device, and a
         // checkpoint-truncated audit chain. A digest change means the
-        // bytes changed and SNAPSHOT_VERSION must be bumped.
+        // bytes changed and SNAPSHOT_VERSION must be bumped. The bytes
+        // themselves are `tests/golden/snapshot_v3.json`, which
+        // fiat-control's restore and fuzz tests read.
         let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         let config = ProxyConfig {
             proof_deadline: Some(SimDuration::from_secs(60)),
@@ -3537,8 +3571,9 @@ mod tests {
             .collect();
         assert_eq!(
             hex,
-            "ba95c744f7b505bd4299265499f6277bc130d864449f5a3634e0084ad3bb8dbc"
+            "10687ebd7a7b93f61dbf1781f4518b10fc59b6511493cd4e81b700fe98dec1e1"
         );
+        assert!(bytes == include_bytes!("../../tests/golden/snapshot_v3.json"));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!   0-RTT tickets (re-derivable from the pairing PSK + epoch) keep
 //!   working. Classifiers are also not serialized — ML model weights are
 //!   provisioning data, re-supplied by the caller at restore.
-//! - **Versioned.** [`HomeSnapshot::version`] must equal
-//!   [`SNAPSHOT_VERSION`]; restore refuses anything else rather than
-//!   guessing at a foreign layout.
+//! - **Versioned, no legacy reader.** [`HomeSnapshot::version`] must
+//!   equal [`SNAPSHOT_VERSION`]; restore refuses anything else. Snapshots
+//!   live only in memory for one migration, so no older version is ever
+//!   read and a layout change is just a version bump.
 //!
 //! Known exclusions (documented residuals, DESIGN §17): the
 //! interaction graph (`FiatProxy::set_interactions`), the
@@ -33,13 +34,12 @@
 //! them must re-install them after restore, and the gate
 //! re-fingerprints strangers from empty evidence.
 //!
-//! v2 (bounded-state, DESIGN §18) additions over v1: rules are emitted
-//! in LRU order (least-recently-matched first) instead of sorted, so
-//! eviction order survives the round trip; [`GhostSnapshot`]s carry the
-//! evicted-rule re-learn state; and the audit section gains
-//! [`HomeSnapshot::audit_checkpoint`] / [`HomeSnapshot::audit_truncated`]
-//! so a checkpoint-truncated chain restores verifiably from its
-//! checkpoint head rather than genesis.
+//! Version 3 layout: the [`HomeSnapshot`] fields in declaration order,
+//! with the QUIC section as [`ServerImage`] itself. Each fact is stored
+//! once: the audit chain is its retained entries, the 32-byte head, the
+//! truncation checkpoint and ledger — not one hash per entry, since
+//! restore recomputes every link and refuses a chain that does not end
+//! at the stored head.
 
 use crate::audit::AuditEntry;
 use crate::classifier::EventClass;
@@ -49,16 +49,18 @@ use fiat_quic::ServerImage;
 use serde::{Deserialize, Serialize};
 
 /// Current snapshot layout version. Bump on any incompatible change to
-/// the structs in this module.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// the structs in this module; restore reads this version only.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The snapshot's version field does not match [`SNAPSHOT_VERSION`].
     UnsupportedVersion(u32),
-    /// The exported audit chain fails verification: the snapshot was
-    /// tampered with or truncated and must not be resumed from.
+    /// The audit chain recomputed from the snapshot's entries does not
+    /// end at its stored head (or a stored hash is not 32 bytes): the
+    /// snapshot was tampered with or truncated and must not be resumed
+    /// from.
     AuditChainInvalid,
     /// This device's state breaks an invariant the decision path relies
     /// on: its first-N window lies outside `1..=classify_at_cap`, or its
@@ -125,13 +127,14 @@ pub struct HomeSnapshot {
     pub released_packets: Vec<PacketRecord>,
     /// Decision counters so far.
     pub stats: ProxyStats,
-    /// Audit entries, parallel to [`HomeSnapshot::audit_hashes`]. When
-    /// the chain was checkpoint-truncated this is the retained suffix.
+    /// Audit entries. When the chain was checkpoint-truncated this is
+    /// the retained suffix.
     pub audit_entries: Vec<AuditEntry>,
-    /// Audit chain hashes, 32 bytes each (stored as `Vec<u8>` because
-    /// the vendored serde has no fixed-array impls); restore re-verifies
-    /// the chain and rejects malformed lengths.
-    pub audit_hashes: Vec<Vec<u8>>,
+    /// Chain head ([`crate::audit::AuditLog::head`], 32 bytes, stored as
+    /// `Vec<u8>` because the vendored serde has no fixed-array impls);
+    /// `None` for a log that never held an entry. Restore recomputes
+    /// the chain from the entries and requires it to end here.
+    pub audit_head: Option<Vec<u8>>,
     /// Chain hash of the last truncated-away audit entry (32 bytes), if
     /// the log has ever been checkpoint-truncated; the suffix verifies
     /// from this anchor instead of genesis.

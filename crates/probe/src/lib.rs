@@ -60,11 +60,13 @@ pub struct ProbeConfig {
 
 impl ProbeConfig {
     /// The configuration `experiments profile` runs with: stage
-    /// accounting plus a flight recorder sized to keep the recent tail
-    /// of each shard's decision stream.
+    /// accounting plus a flight recorder of 2^17 events per ring. That
+    /// holds the whole of `profile --quick` (32 homes, 88,301 events)
+    /// even if one shard ends up running every home, so its trace does
+    /// not depend on placement; longer runs evict and say so.
     pub fn profiling() -> Self {
         ProbeConfig {
-            recorder_capacity: 4096,
+            recorder_capacity: 1 << 17,
         }
     }
 }

@@ -12,7 +12,8 @@
 //! differ run to run, but a home's own event stream is deterministic —
 //! so the merged timeline is reproducible across both thread scheduling
 //! *and* work placement, as long as nothing was evicted. Rings are
-//! bounded and evict oldest-first: memory is `O(shards × capacity)` no
+//! bounded and evict oldest-first: a ring grows with the events it
+//! records up to its capacity, so memory is `O(shards × capacity)` no
 //! matter how long the run, and [`FlightRecorder::evicted_ratio`] tells
 //! a reader how much of the stream the retained window actually covers
 //! (an evicting run's window is placement-dependent — the eviction
@@ -107,12 +108,13 @@ pub struct ShardRecorder {
 }
 
 impl ShardRecorder {
-    /// A ring holding at most `capacity` events (min 1).
+    /// A ring holding at most `capacity` events (min 1). It allocates
+    /// as events arrive, never more than the events recorded need.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         ShardRecorder {
             ring: Mutex::new(Ring {
-                buf: VecDeque::with_capacity(capacity),
+                buf: VecDeque::new(),
                 capacity,
                 total: 0,
                 dropped: 0,
@@ -121,8 +123,8 @@ impl ShardRecorder {
     }
 
     /// Record an event, evicting the oldest when full. Allocation-free
-    /// once the ring has filled (the `VecDeque` is pre-sized and
-    /// `TraceEvent` is `Copy`).
+    /// once the ring has filled (`TraceEvent` is `Copy`); until then the
+    /// `VecDeque` grows by doubling.
     pub fn record(&self, event: TraceEvent) {
         let mut r = self.ring.lock().unwrap();
         if r.buf.len() == r.capacity {

@@ -21,8 +21,8 @@
 //! retires old ones ([`Server::retire_epochs_below`]); a retired epoch's
 //! early keys and replay history are dead, so a 0-RTT proof under it is
 //! answered [`QuicError::RetiredEpoch`] and the client falls back to a
-//! 1-RTT re-handshake — the same recovery path as a replay-store
-//! eviction, just driven by key lifecycle instead of capacity.
+//! 1-RTT re-handshake. Retirement is the only way the server forgets an
+//! accepted 0-RTT nonce: the anti-replay store has no capacity bound.
 
 use crate::replay::{ReplayEpochImage, ReplayStore};
 use fiat_crypto::{aead, Hkdf};
@@ -42,10 +42,6 @@ pub enum QuicError {
     BadState,
     /// Packet number not strictly greater than the last accepted one.
     StalePacketNumber,
-    /// The session ticket was evicted from the anti-replay store; its
-    /// nonce history is gone, so early data under it is refused and the
-    /// client must redo a 1-RTT handshake.
-    StaleTicket,
     /// The ticket's key epoch was retired by the control plane; its early
     /// keys and replay history are gone, so early data under it is
     /// refused and the client must redo a 1-RTT handshake.
@@ -60,7 +56,6 @@ impl std::fmt::Display for QuicError {
             QuicError::Replayed => write!(f, "0-RTT replay detected"),
             QuicError::BadState => write!(f, "handshake message in wrong state"),
             QuicError::StalePacketNumber => write!(f, "stale packet number"),
-            QuicError::StaleTicket => write!(f, "session ticket evicted (stale)"),
             QuicError::RetiredEpoch => write!(f, "session ticket epoch retired"),
         }
     }
@@ -252,10 +247,10 @@ impl Client {
     }
 
     /// Drop the cached ticket (and its early key). The resilience path
-    /// calls this after the server answers [`QuicError::StaleTicket`] —
-    /// the ticket was evicted from the anti-replay store, so the only way
-    /// back to 0-RTT is a fresh handshake and a re-signed proof under the
-    /// new ticket.
+    /// calls this after the server answers [`QuicError::RetiredEpoch`] or
+    /// [`QuicError::UnknownTicket`] — the ticket's epoch was retired (or
+    /// the server never issued it), so the only way back to 0-RTT is a
+    /// fresh handshake and a re-signed proof under the new ticket.
     pub fn forget_ticket(&mut self) {
         self.ticket = None;
     }
@@ -409,8 +404,6 @@ pub struct ServerImage {
     pub next_ticket_id: u64,
     /// Epoch new tickets are issued under.
     pub current_epoch: u32,
-    /// Per-epoch replay capacity cap, if bounded.
-    pub replay_max_tickets: Option<usize>,
     /// Epochs strictly below this are retired.
     pub replay_retired_below: u32,
     /// Epochs retired over the store's lifetime.
@@ -446,13 +439,6 @@ impl Server {
     /// [`ServerTelemetry::registered`] in a shared registry).
     pub fn set_telemetry(&mut self, telemetry: ServerTelemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Bound the anti-replay store to `max_tickets` tickets. Replaces the
-    /// store, so call before any 0-RTT traffic — nonces already recorded
-    /// are forgotten.
-    pub fn set_replay_capacity(&mut self, max_tickets: usize) {
-        self.replay = ReplayStore::with_capacity(max_tickets);
     }
 
     /// The server's counters.
@@ -594,11 +580,6 @@ impl Server {
         if self.replay.is_retired(epoch) {
             return Err(QuicError::RetiredEpoch);
         }
-        // Same hazard one level down: an evicted ticket's nonce history
-        // is gone. Refuse the ticket wholesale and force a new handshake.
-        if self.replay.is_stale_in(epoch, id) {
-            return Err(QuicError::StaleTicket);
-        }
         // Open before recording the nonce: ticket ids and nonces are
         // predictable, so recording unauthenticated packets would let a
         // forger burn the genuine client's nonces. A verbatim replay
@@ -611,12 +592,11 @@ impl Server {
             &pkt.ciphertext,
         )
         .map_err(|_| QuicError::DecryptFailed)?;
-        let outcome = self.replay.check_and_insert_in(epoch, id, pkt.nonce);
-        if !outcome.fresh {
+        if !self.replay.check_and_insert_in(epoch, id, pkt.nonce) {
             return Err(QuicError::Replayed);
         }
         if let Some(g) = self.telemetry.replay_entries(epoch) {
-            g.add(1 - outcome.evicted_entries as i64);
+            g.add(1);
         }
         Ok(plaintext)
     }
@@ -785,43 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_after_eviction_is_rejected() {
-        // End-to-end eviction contract: at capacity 1, accepting early
-        // data under ticket 2 evicts ticket 1's nonce set. A replayed
-        // ticket-1 packet must NOT look fresh — pre-fix it passed
-        // `check_and_insert_in` and decrypted fine, silently reopening the
-        // §5.3 replay window.
-        let mut s = Server::new(PSK);
-        s.set_replay_capacity(1);
-        let mut c1 = Client::new(PSK);
-        handshake(&mut c1, &mut s); // ticket 1
-        let mut c2 = Client::new(PSK);
-        handshake(&mut c2, &mut s); // ticket 2
-
-        let z1 = c1.seal_zero_rtt(b"first").unwrap();
-        assert!(s.accept_zero_rtt(&z1).is_ok());
-        let z2 = c2.seal_zero_rtt(b"second").unwrap();
-        assert!(s.accept_zero_rtt(&z2).is_ok()); // evicts ticket 1
-
-        // The replayed packet is refused — and so is *fresh* early data
-        // under the evicted ticket: without its nonce history the server
-        // cannot tell the two apart, so the whole ticket is dead.
-        assert_eq!(s.accept_zero_rtt(&z1), Err(QuicError::StaleTicket));
-        let z1b = c1.seal_zero_rtt(b"fresh but stale ticket").unwrap();
-        assert_eq!(s.accept_zero_rtt(&z1b), Err(QuicError::StaleTicket));
-
-        // The still-tracked ticket keeps working, with replay protection.
-        let z2b = c2.seal_zero_rtt(b"more").unwrap();
-        assert!(s.accept_zero_rtt(&z2b).is_ok());
-        assert_eq!(s.accept_zero_rtt(&z2b), Err(QuicError::Replayed));
-
-        // Recovery path: a fresh handshake issues a post-watermark ticket.
-        handshake(&mut c1, &mut s); // ticket 3
-        let z3 = c1.seal_zero_rtt(b"back").unwrap();
-        assert_eq!(s.accept_zero_rtt(&z3).unwrap(), b"back");
-    }
-
-    #[test]
     fn forget_ticket_disables_zero_rtt_until_rehandshake() {
         let mut c = Client::new(PSK);
         let mut s = Server::new(PSK);
@@ -879,35 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_rtt_after_capacity_zero_store_swap() {
-        // `set_replay_capacity(0)` clamps to one tracked ticket AND
-        // replaces the store wholesale. Early data accepted before the
-        // swap is forgotten, so the exact variant matters: a verbatim
-        // replay after the swap is accepted as fresh (the documented
-        // reason the capacity must be set before any 0-RTT traffic), and
-        // capacity pressure then surfaces as StaleTicket, not Replayed.
-        let mut s = Server::new(PSK);
-        let mut c1 = Client::new(PSK);
-        handshake(&mut c1, &mut s); // ticket 1
-        let z1 = c1.seal_zero_rtt(b"pre-swap").unwrap();
-        assert!(s.accept_zero_rtt(&z1).is_ok());
-
-        s.set_replay_capacity(0); // clamped to 1 ticket
-        assert!(
-            s.accept_zero_rtt(&z1).is_ok(),
-            "nonce history was discarded by the swap"
-        );
-        assert_eq!(s.accept_zero_rtt(&z1), Err(QuicError::Replayed));
-
-        // A second ticket evicts the first at capacity 1.
-        let mut c2 = Client::new(PSK);
-        handshake(&mut c2, &mut s); // ticket 2
-        let z2 = c2.seal_zero_rtt(b"evictor").unwrap();
-        assert!(s.accept_zero_rtt(&z2).is_ok());
-        assert_eq!(s.accept_zero_rtt(&z1), Err(QuicError::StaleTicket));
-    }
-
-    #[test]
     fn zero_rtt_nonce_reuse_is_replay_only_when_authentic() {
         // Sequence-number reuse on the 0-RTT path: a verbatim replay of an
         // accepted (ticket, nonce) pair opens and is then refused by the
@@ -933,50 +847,6 @@ mod tests {
             ciphertext: c.seal(b"two").unwrap().ciphertext,
         };
         assert_eq!(s.open(&reused), Err(QuicError::StalePacketNumber));
-    }
-
-    #[test]
-    fn resign_after_eviction_keeps_just_touched_ticket() {
-        // PR 2 invariant extended to the re-sign path: the client learns
-        // its ticket went stale, forgets it, re-handshakes, and re-sends
-        // under the new ticket. That new ticket is the just-touched one at
-        // exactly max_tickets capacity — eviction must never remove it,
-        // or the re-signed packet's replay would be accepted as fresh.
-        let mut s = Server::new(PSK);
-        s.set_replay_capacity(1);
-        let mut victim = Client::new(PSK);
-        handshake(&mut victim, &mut s); // ticket 1
-        assert!(s
-            .accept_zero_rtt(&victim.seal_zero_rtt(b"v1").unwrap())
-            .is_ok());
-
-        // Another client's traffic evicts ticket 1.
-        let mut other = Client::new(PSK);
-        handshake(&mut other, &mut s); // ticket 2
-        assert!(s
-            .accept_zero_rtt(&other.seal_zero_rtt(b"o1").unwrap())
-            .is_ok());
-
-        // The victim's next proof is refused; the resilience path reacts.
-        let stale = victim.seal_zero_rtt(b"v2").unwrap();
-        assert_eq!(s.accept_zero_rtt(&stale), Err(QuicError::StaleTicket));
-        victim.forget_ticket();
-        assert!(!victim.can_zero_rtt());
-        handshake(&mut victim, &mut s); // ticket 3
-
-        // The re-signed proof lands; its ticket was just touched at
-        // capacity, so the store kept it (capacity-boundary audit) and
-        // the verbatim replay stays rejected.
-        let resigned = victim.seal_zero_rtt(b"v2 re-signed").unwrap();
-        assert_eq!(s.accept_zero_rtt(&resigned).unwrap(), b"v2 re-signed");
-        assert_eq!(s.replay_store().tickets(), 1);
-        assert!(s
-            .replay_store()
-            .contains_in(0, resigned.ticket.id, resigned.nonce));
-        assert_eq!(s.accept_zero_rtt(&resigned), Err(QuicError::Replayed));
-        // And a fresh nonce under the kept ticket still works.
-        let next = victim.seal_zero_rtt(b"v3").unwrap();
-        assert_eq!(s.accept_zero_rtt(&next).unwrap(), b"v3");
     }
 
     #[test]
@@ -1031,7 +901,7 @@ mod tests {
         // wait for the lifecycle to rotate and retire its epoch (which
         // drops the epoch's nonce history wholesale), replay it. Without
         // the retired-epoch check the replay would pass the replay store
-        // as fresh — the epoch-level twin of the PR 4 eviction bug.
+        // as fresh.
         let mut c = Client::new(PSK);
         let mut s = Server::new(PSK);
         handshake(&mut c, &mut s); // epoch-0 ticket
@@ -1083,7 +953,6 @@ mod tests {
     fn replay_gauges_track_live_entries_per_epoch() {
         let registry = MetricRegistry::new();
         let mut s = Server::new(PSK);
-        s.set_replay_capacity(2); // evictions take entries out too
         s.set_telemetry(ServerTelemetry::registered(&registry));
         let check = |s: &Server| {
             for epoch in 0..=s.current_epoch() {

@@ -19,4 +19,4 @@ pub use connection::{
     Client, ClientHello, Packet, QuicError, Server, ServerHello, ServerImage, ServerTelemetry,
     SessionTicket, ZeroRttPacket,
 };
-pub use replay::{InsertOutcome, ReplayEpochImage, ReplayStore};
+pub use replay::{ReplayEpochImage, ReplayStore};
