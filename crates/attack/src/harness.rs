@@ -20,7 +20,8 @@
 //! after the attack window opens — fragments separated by silence do not
 //! assemble, and bootstrap-phase groundwork does not count as a command.
 //! A [`AttackVerdict::Detected`] verdict means the attack left tamper
-//! evidence that [`verify_chain`] caught on the exported audit log.
+//! evidence that [`verify_chain`] caught on the exported audit log: its
+//! entries, edited by the attacker, no longer chain to its head.
 //!
 //! Determinism: every randomness source is seeded from the run seed, no
 //! wall-clock time is read, and packets and control events merge into
@@ -308,13 +309,13 @@ pub fn run_attack(strategy: &dyn AttackStrategy, config: &RunConfig) -> AttackOu
     // would.
     proxy.flush(attack_end);
 
-    // --- Audit tampering: export (entries, hashes), rewrite the first
+    // --- Audit tampering: export (entries, head), rewrite the first
     // incriminating drop into an allow, and re-verify like the companion
     // app would.
     let mut detected = false;
     if tamper {
-        let mut entries: Vec<AuditEntry> = proxy.audit().entries().to_vec();
-        let hashes: Vec<[u8; 32]> = proxy.audit().hashes().to_vec();
+        let audit = proxy.audit();
+        let mut entries: Vec<AuditEntry> = audit.entries().to_vec();
         let target = entries.iter().position(|e| {
             e.device == config.device && e.verdict == AuditVerdict::DroppedUnverified
         });
@@ -324,7 +325,7 @@ pub fn run_attack(strategy: &dyn AttackStrategy, config: &RunConfig) -> AttackOu
             // Nothing incriminating to rewrite: hide the newest record.
             entries.pop();
         }
-        detected = !verify_chain(&entries, &hashes);
+        detected = !verify_chain(audit.checkpoint().as_ref(), &entries, audit.head());
     }
 
     // The fingerprint gate's sealed quarantine/spoof verdicts are

@@ -18,7 +18,8 @@ pub enum AttackVerdict {
     /// an audit tamper went unnoticed).
     Allowed,
     /// The attack "succeeded" on the wire but left tamper evidence the
-    /// verifier caught ([`fiat_core::audit::verify_chain`]).
+    /// verifier caught ([`fiat_core::audit::verify_chain`]): the exported
+    /// entries no longer chain to the exported head.
     Detected,
 }
 

@@ -396,8 +396,8 @@ impl AttackStrategy for GapEvasion {
 
 /// Audit tampering: issue a couple of doomed command attempts (leaving
 /// incriminating drop records), then rewrite one of them to an allow in
-/// the exported log. Caught by the hash chain: `verify_chain` fails on
-/// the tampered export.
+/// the exported log. Caught by the hash chain: the tampered entries no
+/// longer chain to the exported head, so `verify_chain` fails.
 pub struct AuditTamper;
 
 impl AttackStrategy for AuditTamper {

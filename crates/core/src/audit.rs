@@ -5,18 +5,25 @@
 //! wanting to hide a silent false negative must rewrite the chain, which
 //! requires breaking into the proxy's TEE (out of the threat model).
 //!
+//! The log keeps one commitment: the **head**, the chain hash of the
+//! newest entry, which commits to the whole history (it is what the TEE
+//! would attest). No per-entry hash is stored; [`verify_chain`]
+//! recomputes the links from the entries and compares the result with
+//! the head. A snapshot holds exactly the same facts as memory.
+//!
 //! ## Checkpointed truncation
 //!
 //! A proxy that runs for months cannot keep every entry in memory, so the
 //! log supports a bounded mode ([`AuditLog::set_max_entries`]): when the
 //! in-memory chain exceeds the cap, the oldest half is dropped in one
-//! block and the chain hash of the *last dropped entry* becomes the
-//! **checkpoint** — the trust anchor the surviving suffix chains from.
-//! Truncation discards entry bodies, never hash-chain integrity: the
-//! checkpoint commits to everything dropped (it is the head of the
-//! dropped prefix), so [`verify_chain_from`] validates the suffix exactly
-//! as [`verify_chain`] validates a full log, and an external verifier who
-//! archived the dropped prefix can still join the two at the checkpoint.
+//! block and the chain is computed over that block onto the previous
+//! anchor. Its last link — the chain hash of the *last dropped entry* —
+//! becomes the **checkpoint**, the trust anchor the surviving suffix
+//! chains from. Truncation discards entry bodies, never hash-chain
+//! integrity: the checkpoint commits to everything dropped (it is the
+//! head of the dropped prefix), the head does not move, and an external
+//! verifier who archived the dropped prefix can still join the two at
+//! the checkpoint.
 
 use crate::classifier::EventClass;
 use fiat_crypto::Sha256;
@@ -121,51 +128,35 @@ impl AuditEntry {
     }
 }
 
-/// Verify an exported (entries, hashes) pair against the chain rules,
+/// Verify an exported log against the head that commits to it,
 /// independent of any [`AuditLog`] instance.
 ///
 /// This is what an external verifier (the companion app, or the
 /// red-team scorecard in `fiat-attack`) runs over a log it received:
-/// `true` iff every stored hash equals `SHA-256(prev || record)` walking
-/// from the genesis tag, and the two slices have equal length. Any
-/// rewritten entry, flipped hash byte, deletion, or reordering breaks at
-/// least one link.
-pub fn verify_chain(entries: &[AuditEntry], hashes: &[[u8; 32]]) -> bool {
-    verify_chain_with(GENESIS, entries, hashes)
-}
-
-/// Verify an exported `(entries, hashes)` suffix whose chain starts at a
-/// truncation `checkpoint` instead of genesis: `true` iff every stored
-/// hash equals `SHA-256(prev || record)` walking from the checkpoint.
-/// This is what a verifier runs over a log that was checkpoint-truncated
-/// (see the module docs) — the checkpoint is the chain hash of the last
-/// dropped entry and commits to the whole dropped prefix.
-pub fn verify_chain_from(
-    checkpoint: &[u8; 32],
+/// `true` iff chaining `entries` as `SHA-256(prev || record)` from the
+/// truncation `checkpoint` (`None` = the genesis tag) ends at `head`.
+/// Any rewritten, deleted, added or reordered entry changes the result.
+/// A log with no entries ends where it starts: at the checkpoint, or at
+/// no head at all.
+pub fn verify_chain(
+    checkpoint: Option<&[u8; 32]>,
     entries: &[AuditEntry],
-    hashes: &[[u8; 32]],
+    head: Option<[u8; 32]>,
 ) -> bool {
-    verify_chain_with(checkpoint, entries, hashes)
+    chain(checkpoint.copied(), entries) == head
 }
 
-fn verify_chain_with(anchor: &[u8], entries: &[AuditEntry], hashes: &[[u8; 32]]) -> bool {
-    if entries.len() != hashes.len() {
-        return false;
-    }
-    let mut prev = anchor;
-    for (e, stored) in entries.iter().zip(hashes) {
-        if link(prev, e) != *stored {
-            return false;
-        }
-        prev = stored;
-    }
-    true
+/// Chain `entries` onto `prev` (`None` = genesis) and return the last
+/// link, or `prev` itself when there are no entries.
+fn chain(prev: Option<[u8; 32]>, entries: &[AuditEntry]) -> Option<[u8; 32]> {
+    entries.iter().fold(prev, |prev, e| Some(link(prev, e)))
 }
 
-/// One chain link: `SHA-256(prev || record)`.
-fn link(prev: &[u8], entry: &AuditEntry) -> [u8; 32] {
+/// One chain link: `SHA-256(prev || record)`, where a missing `prev` is
+/// the genesis tag.
+fn link(prev: Option<[u8; 32]>, entry: &AuditEntry) -> [u8; 32] {
     let mut h = Sha256::new();
-    h.update(prev);
+    h.update(prev.as_ref().map_or(GENESIS, |p| p.as_slice()));
     h.update(&entry.encode());
     h.finalize()
 }
@@ -173,16 +164,19 @@ fn link(prev: &[u8], entry: &AuditEntry) -> [u8; 32] {
 /// The anchor an untruncated chain starts from.
 const GENESIS: &[u8] = b"fiat-audit-genesis";
 
-/// Hash-chained audit log.
+/// Hash-chained audit log: the entries in memory, the checkpoint they
+/// chain from, and the head that commits to the whole history.
 #[derive(Debug, Default)]
 pub struct AuditLog {
     entries: Vec<AuditEntry>,
-    hashes: Vec<[u8; 32]>,
     /// Truncation checkpoint: chain hash of the last dropped entry, or
     /// `None` when the chain still starts at genesis.
     checkpoint: Option<[u8; 32]>,
     /// Entries dropped by checkpointed truncation so far.
     truncated: u64,
+    /// Chain hash of the newest entry ever appended, or `None` for a
+    /// log that never had one.
+    head: Option<[u8; 32]>,
     /// In-memory entry cap; `None` = unbounded (the historical default).
     max_entries: Option<usize>,
 }
@@ -193,28 +187,28 @@ impl AuditLog {
         Self::default()
     }
 
-    /// Rebuild a log from its exported entries and [`head`](Self::head)
-    /// — the restore half of a snapshot — whose chain starts at a
-    /// truncation `checkpoint` (`None` = genesis) with `truncated`
-    /// entries already dropped. The per-entry hashes are recomputed
-    /// from the anchor. Returns `None` when the recomputed head differs
-    /// from `head`: a snapshot whose entries were edited, reordered,
-    /// added or cut (at either end) must not be resumed from.
+    /// Rebuild a log from its exported parts — the restore half of a
+    /// snapshot: the truncation `checkpoint` (`None` = genesis), the
+    /// `truncated` count, the entries in memory and the
+    /// [`head`](Self::head). Returns `None` unless [`verify_chain`]
+    /// accepts the entries from the checkpoint to `head` (a snapshot
+    /// whose entries were edited, reordered, added or cut at either end
+    /// must not be resumed from), or when exactly one of `checkpoint`
+    /// and `truncated > 0` is set: live truncation always sets both.
     pub fn from_parts_at(
         checkpoint: Option<[u8; 32]>,
         truncated: u64,
         entries: Vec<AuditEntry>,
         head: Option<[u8; 32]>,
     ) -> Option<Self> {
-        let mut log = AuditLog {
+        let ledger_ok = checkpoint.is_some() == (truncated > 0);
+        (ledger_ok && verify_chain(checkpoint.as_ref(), &entries, head)).then_some(AuditLog {
+            entries,
             checkpoint,
             truncated,
-            ..AuditLog::default()
-        };
-        for entry in entries {
-            log.append(entry);
-        }
-        (log.head() == head).then_some(log)
+            head,
+            max_entries: None,
+        })
     }
 
     /// Bound the in-memory chain: when an append pushes the length past
@@ -246,22 +240,14 @@ impl AuditLog {
         // amortized O(1) per append, not O(n) on every over-cap entry.
         let keep = max / 2;
         let drop_n = self.entries.len() - keep;
-        self.checkpoint = Some(self.hashes[drop_n - 1]);
+        self.checkpoint = chain(self.checkpoint, &self.entries[..drop_n]);
         self.truncated += drop_n as u64;
         self.entries.drain(..drop_n);
-        self.hashes.drain(..drop_n);
     }
 
     /// Append an entry, extending the hash chain.
     pub fn append(&mut self, entry: AuditEntry) {
-        let prev: &[u8] = match self.hashes.last() {
-            Some(h) => h,
-            None => match &self.checkpoint {
-                Some(cp) => cp,
-                None => GENESIS,
-            },
-        };
-        self.hashes.push(link(prev, &entry));
+        self.head = Some(link(self.head, &entry));
         self.entries.push(entry);
         self.enforce_cap();
     }
@@ -288,27 +274,20 @@ impl AuditLog {
     }
 
     /// Head hash committing to the whole log (what the TEE would attest).
-    /// Falls back to the checkpoint when every in-memory entry has been
-    /// truncated — the commitment to history never regresses.
+    /// Export it with the [`entries`](Self::entries) and the
+    /// [`checkpoint`](Self::checkpoint), and an external party can
+    /// re-verify the chain with [`verify_chain`] without trusting this
+    /// process. Truncation never moves it: when every in-memory entry
+    /// has been dropped, it equals the checkpoint.
     pub fn head(&self) -> Option<[u8; 32]> {
-        self.hashes.last().copied().or(self.checkpoint)
-    }
-
-    /// Per-entry chain hashes, parallel to [`entries`](Self::entries).
-    /// Export both and an external party can re-verify the chain with
-    /// [`verify_chain`] (or [`verify_chain_from`] the checkpoint, for a
-    /// truncated log) without trusting this process.
-    pub fn hashes(&self) -> &[[u8; 32]] {
-        &self.hashes
+        self.head
     }
 
     /// Verify the chain against the stored entries; `false` if any entry
-    /// or hash was altered. A truncated log verifies from its checkpoint.
+    /// or the head was altered. A truncated log verifies from its
+    /// checkpoint.
     pub fn verify(&self) -> bool {
-        match &self.checkpoint {
-            Some(cp) => verify_chain_from(cp, &self.entries, &self.hashes),
-            None => verify_chain(&self.entries, &self.hashes),
-        }
+        verify_chain(self.checkpoint.as_ref(), &self.entries, self.head)
     }
 }
 
@@ -351,7 +330,7 @@ mod tests {
         let mut log = AuditLog::new();
         log.append(entry(1, 0, AuditVerdict::DroppedUnverified));
         log.append(entry(2, 0, AuditVerdict::AllowedNonManual));
-        log.hashes[0][0] ^= 1;
+        log.head.as_mut().unwrap()[0] ^= 1;
         assert!(!log.verify());
     }
 
@@ -360,17 +339,17 @@ mod tests {
         let mut log = AuditLog::new();
         log.append(entry(1, 0, AuditVerdict::DroppedUnverified));
         log.append(entry(2, 0, AuditVerdict::AllowedNonManual));
-        // Deleting the incriminating entry but keeping its hash breaks the
-        // count invariant; deleting both breaks the successor's link.
+        // Deleting the incriminating entry changes the chain the head
+        // commits to.
         log.entries.remove(0);
         assert!(!log.verify());
     }
 
     #[test]
     fn verify_chain_on_exported_copy() {
-        // An external verifier works from (entries, hashes) snapshots,
-        // not the log object. Tampering with either side of the export
-        // must fail verification.
+        // An external verifier works from an (entries, head) export, not
+        // the log object. Tampering with either side of the export must
+        // fail verification.
         let mut log = AuditLog::new();
         for i in 0..6 {
             let verdict = if i == 3 {
@@ -381,34 +360,43 @@ mod tests {
             log.append(entry(i, 2, verdict));
         }
         let entries: Vec<AuditEntry> = log.entries().to_vec();
-        let hashes: Vec<[u8; 32]> = log.hashes().to_vec();
-        assert_eq!(hashes.len(), entries.len());
-        assert!(verify_chain(&entries, &hashes));
+        let head = log.head();
+        assert!(verify_chain(None, &entries, head));
 
         // Rewriting the incriminating drop into an allow.
         let mut tampered = entries.clone();
         tampered[3].verdict = AuditVerdict::AllowedManualVerified;
-        assert!(!verify_chain(&tampered, &hashes));
+        assert!(!verify_chain(None, &tampered, head));
 
-        // Truncating the tail (hiding the most recent records).
-        assert!(!verify_chain(&entries[..4], &hashes));
-        assert!(!verify_chain(&entries, &hashes[..4]));
+        // Truncating the tail (hiding the most recent records), or
+        // presenting an older head with the full entries.
+        assert!(!verify_chain(None, &entries[..4], head));
+        let mut older = AuditLog::new();
+        for e in &entries[..4] {
+            older.append(e.clone());
+        }
+        assert!(!verify_chain(None, &entries, older.head()));
+
+        // A flipped head byte, or no head at all.
+        let mut flipped = head.unwrap();
+        flipped[31] ^= 1;
+        assert!(!verify_chain(None, &entries, Some(flipped)));
+        assert!(!verify_chain(None, &entries, None));
     }
 
     #[test]
     fn verify_chain_detects_reordering() {
-        // Swapping two records *and* their hashes keeps each pairwise
-        // (entry, hash) association intact, but breaks the prev-links on
-        // both sides of the swap.
+        // Swapping two records keeps the same multiset of entries, but
+        // every link from the first swapped one on changes, so the chain
+        // no longer ends at the head.
         let mut log = AuditLog::new();
         for i in 0..5 {
             log.append(entry(i, 1, AuditVerdict::DroppedUnverified));
         }
         let mut entries: Vec<AuditEntry> = log.entries().to_vec();
-        let mut hashes: Vec<[u8; 32]> = log.hashes().to_vec();
+        assert!(verify_chain(None, &entries, log.head()));
         entries.swap(1, 3);
-        hashes.swap(1, 3);
-        assert!(!verify_chain(&entries, &hashes));
+        assert!(!verify_chain(None, &entries, log.head()));
     }
 
     #[test]
@@ -461,12 +449,14 @@ mod tests {
         log.append(enter);
         log.append(exit);
         assert!(log.verify());
+        let mut first = AuditLog::new();
+        first.append(log.entries()[0].clone());
         let mut other = AuditLog::new();
         other.append(AuditEntry {
             verdict: AuditVerdict::DegradedModeExited,
             ..log.entries()[0].clone()
         });
-        assert_ne!(log.hashes()[0], other.hashes()[0]);
+        assert_ne!(first.head(), other.head());
     }
 
     #[test]
@@ -520,35 +510,48 @@ mod tests {
 
     #[test]
     fn checkpointed_truncation_keeps_chain_verifiable() {
+        // `heads[n]` is the head of an unbounded log after `n` appends.
+        fn check(bounded: &AuditLog, heads: &[Option<[u8; 32]>], cap: usize) {
+            let n = heads.len() - 1;
+            let ctx = format!("cap {cap}, {n} appends");
+            assert!(bounded.len() <= cap, "{ctx}");
+            assert_eq!(bounded.total_appended(), n as u64, "{ctx}");
+            // The checkpoint is the chain hash of the last dropped entry,
+            // so an archived prefix joins the live suffix at it.
+            let cp = bounded.checkpoint();
+            assert_eq!(cp, heads[bounded.truncated() as usize], "{ctx}");
+            // The suffix verifies from the checkpoint, and the commitment
+            // to the full history is unchanged.
+            assert!(
+                verify_chain(cp.as_ref(), bounded.entries(), bounded.head()),
+                "{ctx}"
+            );
+            assert_eq!(bounded.head(), heads[n], "{ctx}");
+        }
+        for cap in 1..=9 {
+            let mut bounded = AuditLog::new();
+            bounded.set_max_entries(Some(cap));
+            let mut unbounded = AuditLog::new();
+            let mut heads = vec![None];
+            check(&bounded, &heads, cap);
+            for i in 0..40 {
+                let e = entry(i, 2, AuditVerdict::DroppedUnverified);
+                bounded.append(e.clone());
+                unbounded.append(e);
+                heads.push(unbounded.head());
+                check(&bounded, &heads, cap);
+            }
+            assert!(bounded.truncated() > 0, "cap {cap}");
+        }
+
+        // A truncated suffix does not verify from genesis.
         let mut bounded = AuditLog::new();
         bounded.set_max_entries(Some(8));
-        let mut unbounded = AuditLog::new();
         for i in 0..40 {
-            let e = entry(i, 2, AuditVerdict::DroppedUnverified);
-            bounded.append(e.clone());
-            unbounded.append(e);
+            bounded.append(entry(i, 2, AuditVerdict::DroppedUnverified));
         }
-        // The cap held, entries were dropped, and the commitment to the
-        // full history is unchanged: both logs attest the same head.
-        assert!(bounded.len() <= 8);
-        assert!(bounded.truncated() > 0);
-        assert_eq!(bounded.total_appended(), 40);
-        assert_eq!(bounded.head(), unbounded.head());
-        assert!(bounded.verify());
-
-        // The suffix verifies from the checkpoint, not from genesis.
-        let cp = bounded.checkpoint().expect("truncation sets checkpoint");
-        assert!(verify_chain_from(&cp, bounded.entries(), bounded.hashes()));
-        assert!(!verify_chain(bounded.entries(), bounded.hashes()));
-
-        // The checkpoint is the chain hash of the last dropped entry, so
-        // an archived prefix joins the live suffix at the checkpoint.
-        let dropped = bounded.truncated() as usize;
-        assert_eq!(cp, unbounded.hashes()[dropped - 1]);
-        assert!(verify_chain(
-            &unbounded.entries()[..dropped],
-            &unbounded.hashes()[..dropped]
-        ));
+        assert!(!bounded.is_empty());
+        assert!(!verify_chain(None, bounded.entries(), bounded.head()));
     }
 
     #[test]
@@ -583,6 +586,15 @@ mod tests {
         assert!(AuditLog::from_parts_at(cp, truncated, bad, head).is_none());
         let cut = entries[..entries.len() - 1].to_vec();
         assert!(AuditLog::from_parts_at(cp, truncated, cut, head).is_none());
+
+        // A truncation ledger the live log cannot produce: a truncated
+        // count with no checkpoint, or a checkpoint with nothing dropped.
+        let mut suffix = AuditLog::new();
+        for e in &entries {
+            suffix.append(e.clone());
+        }
+        assert!(AuditLog::from_parts_at(None, truncated, entries.clone(), suffix.head()).is_none());
+        assert!(AuditLog::from_parts_at(cp, 0, entries.clone(), head).is_none());
     }
 
     #[test]

@@ -56,7 +56,7 @@ use fiat_telemetry::{
 };
 use quarantine::Quarantine;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use unknown::UnknownDevices;
 pub use unknown::{FingerprintGate, FingerprintObservation, FingerprintVerdict};
@@ -1212,8 +1212,10 @@ impl FiatProxy {
     /// ([`SnapshotError::InconsistentDevice`]): a first-N window outside
     /// `1..=classify_at_cap`, a pending event with no buffered packets or
     /// with `classify_at` or more, a quarantine-fated event with no
-    /// quarantine record, or a quarantine record that is empty or holds
-    /// more than `max(quarantine_capacity, 1)` packets.
+    /// quarantine record, a quarantine record that is empty or holds
+    /// more than `max(quarantine_capacity, 1)` packets, or more quarantine
+    /// records than `max(max_quarantine_records, 1)` (the first device, in
+    /// id order, whose record is past that cap is the one reported).
     pub fn restore(
         config: ProxyConfig,
         ceremony_secret: &[u8; 32],
@@ -1240,6 +1242,15 @@ impl FiatProxy {
         .ok_or(SnapshotError::AuditChainInvalid)?;
         if let Some(d) = snap.devices.iter().find(|d| !d.is_consistent(&config)) {
             return Err(SnapshotError::InconsistentDevice(d.device));
+        }
+        let records: BTreeMap<_, _> = snap
+            .devices
+            .iter()
+            .filter_map(|d| Some((d.device, d.quarantine.clone()?)))
+            .collect();
+        let cap = config.max_quarantine_records;
+        if let Some((&d, _)) = cap.and_then(|cap| records.iter().nth(cap.max(1))) {
+            return Err(SnapshotError::InconsistentDevice(d));
         }
         audit.set_max_entries(config.max_audit_entries);
         let mut proxy = Self::with_telemetry(config, ceremony_secret, validator, telemetry);
@@ -1293,11 +1304,7 @@ impl FiatProxy {
         proxy.bootstrap_buffer = snap.bootstrap_buffer.clone();
         proxy.server_random_counter = snap.server_random_counter;
         proxy.quarantine = Quarantine {
-            records: snap
-                .devices
-                .iter()
-                .filter_map(|d| Some((d.device, d.quarantine.clone()?)))
-                .collect(),
+            records,
             released: snap.released_packets.clone(),
         };
         proxy.unknown.seen = snap.unknown_seen.iter().copied().collect();
@@ -3329,6 +3336,52 @@ mod tests {
         prove_human(&mut proxy, 1, t + 3_000);
         assert_eq!(proxy.take_quarantine_releases().len(), 2);
         assert!(proxy.audit().verify());
+    }
+
+    #[test]
+    fn restore_refuses_quarantine_records_over_the_record_cap() {
+        // `Quarantine::admit` demotes a record before the home holds more
+        // than `max(max_quarantine_records, 1)` of them.
+        let config = |cap: Option<usize>| ProxyConfig {
+            proof_deadline: Some(SimDuration::from_secs(60)),
+            max_quarantine_records: cap,
+            ..ProxyConfig::default()
+        };
+        let validator = || HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        let mut proxy = FiatProxy::new(config(Some(3)), &SECRET, validator());
+        for d in 0..4 {
+            proxy.register_device(d, EventClassifier::simple_rule(235), 1);
+        }
+        proxy.start(SimTime::ZERO);
+        let t = bootstrap(&mut proxy);
+        for (k, d) in [3, 1, 2].into_iter().enumerate() {
+            assert_eq!(
+                proxy.on_packet(&pkt_dev(t + k as u64 * 1_000, 235, d)),
+                ProxyDecision::Quarantine
+            );
+        }
+        let snap = proxy.snapshot();
+        let restore = |cap| {
+            FiatProxy::restore(
+                config(cap),
+                &SECRET,
+                validator(),
+                ProxyTelemetry::default(),
+                &snap,
+                |_| EventClassifier::simple_rule(235),
+            )
+        };
+        for (cap, past) in [(Some(2), 3), (Some(1), 2), (Some(0), 2)] {
+            assert_eq!(
+                restore(cap).err(),
+                Some(SnapshotError::InconsistentDevice(past)),
+                "cap {cap:?}"
+            );
+        }
+        for cap in [Some(3), None] {
+            let restored = restore(cap).expect("records within the cap");
+            assert_eq!(restored.state_size().quarantine_records, 3);
+        }
     }
 
     #[test]

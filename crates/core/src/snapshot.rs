@@ -63,10 +63,13 @@ pub enum SnapshotError {
     /// from.
     AuditChainInvalid,
     /// This device's state breaks an invariant the decision path relies
-    /// on: its first-N window lies outside `1..=classify_at_cap`, or its
-    /// open event is pending with no buffered packets, or
-    /// quarantine-fated with no quarantine record. Resuming it would
-    /// forward unproven packets past the cap, or panic on the device's
+    /// on: its first-N window lies outside `1..=classify_at_cap`, its
+    /// open event is pending with no buffered packets or
+    /// quarantine-fated with no quarantine record, its quarantine record
+    /// is empty or over `quarantine_capacity`, or its record is past
+    /// `max_quarantine_records` (counting records in device-id order).
+    /// Resuming it would forward unproven packets past the cap, hold
+    /// more state than the live path allows, or panic on the device's
     /// next packet.
     InconsistentDevice(u16),
 }
