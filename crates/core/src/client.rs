@@ -114,13 +114,16 @@ impl AuthMessage {
         };
         let ts_micros = u64::from_be_bytes(take(&mut i, 8)?.try_into().ok()?);
         let n = u16::from_be_bytes(take(&mut i, 2)?.try_into().ok()?) as usize;
-        let mut features = Vec::with_capacity(n);
-        for _ in 0..n {
-            features.push(f64::from_be_bytes(take(&mut i, 8)?.try_into().ok()?));
-        }
-        if i != bytes.len() {
+        // The count is untrusted: check it against the bytes that are
+        // actually there before sizing anything by it.
+        let rest = &bytes[i..];
+        if rest.len() != 8 * n {
             return None;
         }
+        let features = rest
+            .chunks_exact(8)
+            .map(|f| f64::from_be_bytes(f.try_into().expect("8-byte chunk")))
+            .collect();
         Some(AuthMessage {
             app_package,
             features,
@@ -430,6 +433,34 @@ mod tests {
         let mut bad_truth = bytes;
         bad_truth[3] = 9; // truth byte after 2-byte len + 1-byte name
         assert!(AuthMessage::decode(&bad_truth).is_none());
+    }
+
+    #[test]
+    fn decode_survives_every_truncation_and_bit_flip() {
+        let msg = AuthMessage {
+            app_package: "com.smartplug.app".into(),
+            features: extract_features(&ImuTrace::synthesize(MotionKind::HumanTouch, 400, 0)),
+            truth: MotionKind::HumanTouch,
+            ts_micros: 123_456_789,
+        };
+        let bytes = msg.encode();
+        for len in 0..bytes.len() {
+            assert_eq!(AuthMessage::decode(&bytes[..len]), None, "prefix {len}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // A flip inside a value still parses, and then to exactly the
+            // flipped bytes; anything else is refused.
+            if let Some(m) = AuthMessage::decode(&flipped) {
+                assert_eq!(m.encode(), flipped, "bit {bit}");
+            }
+        }
+        // A feature count far past the bytes present is refused.
+        let mut huge = bytes;
+        let at = 2 + msg.app_package.len() + 1 + 8;
+        huge[at..at + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+        assert_eq!(AuthMessage::decode(&huge), None);
     }
 
     #[test]

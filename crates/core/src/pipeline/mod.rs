@@ -1947,6 +1947,77 @@ mod tests {
     }
 
     #[test]
+    fn truncated_or_flipped_proofs_fail_cleanly() {
+        let mut proxy = proxy_with_plug();
+        let mut app = FiatApp::new(&SECRET, 1);
+        let ch = app.handshake_request();
+        let sh = proxy.accept_handshake(&ch);
+        app.complete_handshake(&sh).unwrap();
+        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
+        let z = app
+            .authorize_zero_rtt("com.smartplug.app", &imu, MotionKind::HumanTouch, 0)
+            .unwrap();
+        let at = SimTime::from_secs(1);
+        let mut forged = Vec::new();
+        for len in 0..z.ciphertext.len() {
+            let mut cut = z.clone();
+            cut.ciphertext.truncate(len);
+            forged.push(cut);
+        }
+        for bit in 0..z.ciphertext.len() * 8 {
+            let mut flipped = z.clone();
+            flipped.ciphertext[bit / 8] ^= 1 << (bit % 8);
+            forged.push(flipped);
+        }
+        for bit in 0..64 {
+            let mut flipped = z.clone();
+            flipped.nonce ^= 1 << bit;
+            forged.push(flipped.clone());
+            flipped.nonce = z.nonce;
+            flipped.ticket.id ^= 1 << bit;
+            forged.push(flipped);
+        }
+        for bit in 0..32 {
+            let mut flipped = z.clone();
+            flipped.ticket.epoch ^= 1 << bit;
+            forged.push(flipped);
+        }
+        for f in &forged {
+            assert!(
+                matches!(proxy.on_auth_zero_rtt(f, at), Err(AuthError::Transport(_))),
+                "{f:?}"
+            );
+        }
+        // The same over 1-RTT, where the packet number is the nonce.
+        let p = app
+            .authorize_one_rtt("com.smartplug.app", &imu, MotionKind::HumanTouch, 0)
+            .unwrap();
+        for len in 0..p.ciphertext.len() {
+            let mut cut = p.clone();
+            cut.ciphertext.truncate(len);
+            assert!(proxy.on_auth_one_rtt(&cut, at).is_err(), "prefix {len}");
+        }
+        for bit in 0..p.ciphertext.len() * 8 {
+            let mut flipped = p.clone();
+            flipped.ciphertext[bit / 8] ^= 1 << (bit % 8);
+            assert!(proxy.on_auth_one_rtt(&flipped, at).is_err(), "bit {bit}");
+        }
+        for bit in 0..64 {
+            let mut flipped = p.clone();
+            flipped.number ^= 1 << bit;
+            assert!(
+                proxy.on_auth_one_rtt(&flipped, at).is_err(),
+                "number bit {bit}"
+            );
+        }
+        // None of them granted a proof, burned the genuine 0-RTT packet's
+        // nonce or moved the 1-RTT packet number past the genuine one.
+        assert!(!proxy.human_fresh(at));
+        assert_eq!(proxy.on_auth_zero_rtt(&z, at), Ok(true));
+        assert_eq!(proxy.on_auth_one_rtt(&p, at), Ok(true));
+    }
+
+    #[test]
     fn brute_force_triggers_lockout() {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);

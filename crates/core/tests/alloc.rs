@@ -1,5 +1,6 @@
 //! Allocation proofs for the per-packet rule-match path, for the whole
-//! rule-hit decision, and for a home's telemetry set-up and merge.
+//! rule-hit decision, for a home's telemetry set-up and merge, and for a
+//! proof payload that lies about its length.
 //!
 //! `RuleTable::matches` keys lookups on [`InternedFlowKey`] (remote
 //! domains interned to dense ids in the `DnsTable`), so deciding a
@@ -17,7 +18,7 @@
 //! single-core host that made a process-wide counter flake.
 
 use fiat_core::{
-    FiatApp, FiatProxy, PredictabilityEngine, ProxyConfig, ProxyTelemetry, RuleTable,
+    AuthMessage, FiatApp, FiatProxy, PredictabilityEngine, ProxyConfig, ProxyTelemetry, RuleTable,
     RuleTelemetry, DECIDE_SAMPLE_EVERY,
 };
 use fiat_net::{
@@ -162,6 +163,23 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = thread_allocations();
     let out = f();
     (thread_allocations() - before, out)
+}
+
+#[test]
+fn untrusted_feature_count_sizes_nothing() {
+    let msg = AuthMessage {
+        app_package: "iot.app".into(),
+        features: vec![0.5; 4],
+        truth: MotionKind::HumanTouch,
+        ts_micros: 7,
+    };
+    let mut bytes = msg.encode();
+    // The feature count sits after the name, the truth byte and the time.
+    let at = 2 + msg.app_package.len() + 1 + 8;
+    bytes[at..at + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+    let (n, decoded) = allocations(|| AuthMessage::decode(&bytes));
+    assert_eq!(decoded, None);
+    assert_eq!(n, 1, "only the package name; the count sized nothing");
 }
 
 /// A home past bootstrap on its own registry: proxy, QUIC and rule

@@ -31,11 +31,45 @@ impl std::fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-fn poly_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-    let block0 = chacha20::block(key, 0, nonce);
-    let mut pk = [0u8; 32];
-    pk.copy_from_slice(&block0[..32]);
-    pk
+/// Keystream blocks 0–3 as one four-block ChaCha20 batch: block 0's first
+/// 32 bytes are the Poly1305 key, and blocks 1–3 cover a message's first
+/// 192 bytes.
+struct FirstBatch {
+    buf: [u8; 4 * 64],
+    /// How many message bytes blocks 1–3 cover.
+    len: usize,
+}
+
+impl FirstBatch {
+    /// Run the batch over `data`'s first 192 bytes, into the batch's own
+    /// buffer: nothing of `data` is released until [`FirstBatch::finish`].
+    fn new(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], data: &[u8]) -> Self {
+        let len = data.len().min(3 * 64);
+        let mut buf = [0u8; 4 * 64];
+        buf[64..64 + len].copy_from_slice(&data[..len]);
+        chacha20::xor_in_place(key, 0, nonce, &mut buf[..64 + len]);
+        FirstBatch { buf, len }
+    }
+
+    fn poly_key(&self) -> [u8; 32] {
+        self.buf[..32].try_into().expect("32 bytes")
+    }
+
+    /// `data` XORed with the keystream from block 1 on, with room for
+    /// `spare` more bytes.
+    fn finish(
+        &self,
+        key: &[u8; KEY_LEN],
+        nonce: &[u8; NONCE_LEN],
+        data: &[u8],
+        spare: usize,
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len() + spare);
+        out.extend_from_slice(&self.buf[64..64 + self.len]);
+        out.extend_from_slice(&data[self.len..]);
+        chacha20::xor_in_place(key, 4, nonce, &mut out[self.len..]);
+        out
+    }
 }
 
 fn compute_tag(pkey: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
@@ -51,9 +85,9 @@ fn compute_tag(pkey: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] 
 
 /// Encrypt `plaintext` with associated data `aad`; returns ciphertext ‖ tag.
 pub fn seal(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut out = plaintext.to_vec();
-    chacha20::xor_in_place(key, 1, nonce, &mut out);
-    let tag = compute_tag(&poly_key(key, nonce), aad, &out);
+    let batch = FirstBatch::new(key, nonce, plaintext);
+    let mut out = batch.finish(key, nonce, plaintext, TAG_LEN);
+    let tag = compute_tag(&batch.poly_key(), aad, &out);
     out.extend_from_slice(&tag);
     out
 }
@@ -69,13 +103,12 @@ pub fn open(
         return Err(AeadError::Truncated);
     }
     let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-    let expect = compute_tag(&poly_key(key, nonce), aad, ct);
+    let batch = FirstBatch::new(key, nonce, ct);
+    let expect = compute_tag(&batch.poly_key(), aad, ct);
     if !ct_eq(&expect, tag) {
         return Err(AeadError::BadTag);
     }
-    let mut out = ct.to_vec();
-    chacha20::xor_in_place(key, 1, nonce, &mut out);
-    Ok(out)
+    Ok(batch.finish(key, nonce, ct, 0))
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //! are *not* hardened against side channels beyond constant-time tag
 //! comparison, which is sufficient for a research reproduction.
 //!
-//! The only `unsafe` code is SHA-256's x86_64 SHA-extension path; every
-//! `unsafe` block must say why it is sound in a `// SAFETY:` comment.
+//! The only `unsafe` code is in the x86_64 fast paths: SHA-256 on the SHA
+//! extensions and ChaCha20 four blocks at a time on SSE2. Every `unsafe`
+//! block must say why it is sound in a `// SAFETY:` comment.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 

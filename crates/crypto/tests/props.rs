@@ -1,7 +1,66 @@
 //! Property tests for the crypto primitives.
 
+use fiat_crypto::poly1305::Poly1305;
 use fiat_crypto::{aead, chacha20, hkdf::Hkdf, HmacSha256, KeyPurpose, Sha256, TeeKeystore};
 use proptest::prelude::*;
+
+/// XOR `data` with the keystream taken block by block from the scalar
+/// [`chacha20::block`], the counter wrapping like `u32::wrapping_add`.
+fn xor_reference(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
+    for (i, chunk) in data.chunks_mut(64).enumerate() {
+        let ks = chacha20::block(key, counter.wrapping_add(i as u32), nonce);
+        for (b, k) in chunk.iter_mut().zip(ks) {
+            *b ^= k;
+        }
+    }
+}
+
+/// RFC 8439 §2.8 ChaCha20-Poly1305 composed from the scalar block function
+/// and one-shot Poly1305, as the text writes it.
+fn seal_reference(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+    let mut ct = plaintext.to_vec();
+    xor_reference(key, 1, nonce, &mut ct);
+    let block0 = chacha20::block(key, 0, nonce);
+    let pad = |v: &mut Vec<u8>| v.resize(v.len().next_multiple_of(16), 0);
+    let mut mac_data = aad.to_vec();
+    pad(&mut mac_data);
+    mac_data.extend_from_slice(&ct);
+    pad(&mut mac_data);
+    mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
+    mac_data.extend_from_slice(&(ct.len() as u64).to_le_bytes());
+    let tag = Poly1305::mac(block0[..32].try_into().unwrap(), &mac_data);
+    ct.extend_from_slice(&tag);
+    ct
+}
+
+/// Seal and open every length 0..=600 (the four-block batches, the
+/// batch that also carries the Poly1305 key, and every tail length),
+/// against the scalar composition.
+#[test]
+fn aead_matches_reference_at_every_length() {
+    let key: [u8; 32] = std::array::from_fn(|i| (i * 7 + 3) as u8);
+    let nonce = [0, 0, 0, 7, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47];
+    let plain: Vec<u8> = (0..=600).map(|i| (i * 31 % 251) as u8).collect();
+    for len in 0..=600 {
+        let aad = &plain[..len % 29];
+        let sealed = aead::seal(&key, &nonce, aad, &plain[..len]);
+        assert_eq!(
+            sealed,
+            seal_reference(&key, &nonce, aad, &plain[..len]),
+            "len {len}"
+        );
+        assert_eq!(
+            aead::open(&key, &nonce, aad, &sealed).unwrap(),
+            &plain[..len]
+        );
+        let mut bad = sealed;
+        bad[len / 2] ^= 0x10;
+        assert_eq!(
+            aead::open(&key, &nonce, aad, &bad),
+            Err(aead::AeadError::BadTag)
+        );
+    }
+}
 
 proptest! {
     /// SHA-256 streaming at arbitrary chunk boundaries equals one-shot.
@@ -82,6 +141,23 @@ proptest! {
         chacha20::xor_in_place(&key, counter, &nonce, &mut buf);
         chacha20::xor_in_place(&key, counter, &nonce, &mut buf);
         prop_assert_eq!(buf, data);
+    }
+
+    /// `xor_in_place`, four blocks at a time where the CPU allows, equals
+    /// the scalar block function run block by block, also when the block
+    /// counter wraps past `u32::MAX`.
+    #[test]
+    fn chacha20_matches_scalar_blocks(
+        key in prop::array::uniform32(any::<u8>()),
+        nonce in prop::array::uniform12(any::<u8>()),
+        counter in prop_oneof![any::<u32>(), (u32::MAX - 3)..=u32::MAX],
+        data in prop::collection::vec(any::<u8>(), 0..=1024),
+    ) {
+        let mut fast = data.clone();
+        chacha20::xor_in_place(&key, counter, &nonce, &mut fast);
+        let mut reference = data;
+        xor_reference(&key, counter, &nonce, &mut reference);
+        prop_assert_eq!(fast, reference);
     }
 
     /// AEAD under different nonces never produces identical ciphertexts

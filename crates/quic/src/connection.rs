@@ -118,10 +118,10 @@ fn nonce_bytes(direction: u8, n: u64) -> [u8; aead::NONCE_LEN] {
 
 fn session_key(psk: &[u8; 32], client_random: &[u8; 32], server_random: &[u8; 32]) -> [u8; 32] {
     let hk = Hkdf::extract(b"fiat-quic", psk);
-    let mut info = Vec::with_capacity(4 + 64);
-    info.extend_from_slice(b"1rtt");
-    info.extend_from_slice(client_random);
-    info.extend_from_slice(server_random);
+    let mut info = [0u8; 4 + 64];
+    info[..4].copy_from_slice(b"1rtt");
+    info[4..36].copy_from_slice(client_random);
+    info[36..].copy_from_slice(server_random);
     let mut key = [0u8; 32];
     hk.expand(&info, &mut key);
     key
@@ -279,10 +279,10 @@ impl Client {
 }
 
 fn ticket_secret(psk: &[u8; 32], id: u64, epoch: u32) -> [u8; 32] {
-    let mut info = Vec::with_capacity(18);
-    info.extend_from_slice(b"ticket");
-    info.extend_from_slice(&id.to_be_bytes());
-    info.extend_from_slice(&epoch.to_be_bytes());
+    let mut info = [0u8; 18];
+    info[..6].copy_from_slice(b"ticket");
+    info[6..14].copy_from_slice(&id.to_be_bytes());
+    info[14..].copy_from_slice(&epoch.to_be_bytes());
     let mut out = [0u8; 32];
     Hkdf::extract(b"fiat-ticket", psk).expand(&info, &mut out);
     out
@@ -416,6 +416,10 @@ pub struct ServerImage {
 pub struct Server {
     psk: [u8; 32],
     session: Option<Session>,
+    /// The early key of the last ticket whose 0-RTT packet authenticated,
+    /// as the client keeps it. A pure function of the PSK, the ticket id
+    /// and the epoch, so it is not part of [`ServerImage`].
+    early: Option<(SessionTicket, [u8; 32])>,
     next_ticket_id: u64,
     current_epoch: u32,
     replay: ReplayStore,
@@ -428,6 +432,7 @@ impl Server {
         Server {
             psk,
             session: None,
+            early: None,
             next_ticket_id: 1,
             current_epoch: 0,
             replay: ReplayStore::new(),
@@ -507,12 +512,14 @@ impl Server {
     /// untouched: restored replay entries were already counted by the
     /// registry that witnessed them, so re-counting here would double
     /// them in an additive fleet merge. The 1-RTT session (if any) is
-    /// dropped; clients re-handshake.
+    /// dropped; clients re-handshake. The early-key cache is dropped too
+    /// and refills on the next authenticated 0-RTT packet.
     pub fn restore_image(&mut self, img: &ServerImage) {
         self.next_ticket_id = img.next_ticket_id;
         self.current_epoch = img.current_epoch;
         self.replay = ReplayStore::from_image(img);
         self.session = None;
+        self.early = None;
     }
 
     /// Accept a ClientHello; returns the ServerHello carrying a fresh
@@ -583,15 +590,20 @@ impl Server {
         // Open before recording the nonce: ticket ids and nonces are
         // predictable, so recording unauthenticated packets would let a
         // forger burn the genuine client's nonces. A verbatim replay
-        // still opens, then hits the store.
-        let secret = ticket_secret(&self.psk, id, epoch);
+        // still opens, then hits the store. The early-key cache follows
+        // the same rule: only a key that just authenticated is kept.
+        let key = match self.early {
+            Some((ticket, key)) if ticket == pkt.ticket => key,
+            _ => early_key(&ticket_secret(&self.psk, id, epoch)),
+        };
         let plaintext = aead::open(
-            &early_key(&secret),
+            &key,
             &nonce_bytes(DIR_CLIENT_TO_SERVER, pkt.nonce),
             b"0rtt",
             &pkt.ciphertext,
         )
         .map_err(|_| QuicError::DecryptFailed)?;
+        self.early = Some((pkt.ticket, key));
         if !self.replay.check_and_insert_in(epoch, id, pkt.nonce) {
             return Err(QuicError::Replayed);
         }
@@ -681,6 +693,82 @@ mod tests {
         let z = c.seal_zero_rtt(b"genuine proof").unwrap();
         assert_eq!(s.accept_zero_rtt(&z).unwrap(), b"genuine proof");
         assert_eq!(s.accept_zero_rtt(&z), Err(QuicError::Replayed));
+    }
+
+    #[test]
+    fn forged_zero_rtt_packets_leave_the_early_key_cache_alone() {
+        let mut c = Client::new(PSK);
+        let mut s = Server::new(PSK);
+        handshake(&mut c, &mut s); // ticket 1
+        let mut other = Client::new(PSK);
+        handshake(&mut other, &mut s); // ticket 2
+        let first = c.seal_zero_rtt(b"first proof").unwrap();
+        assert_eq!(s.accept_zero_rtt(&first).unwrap(), b"first proof");
+        let cached = s.early;
+        assert_eq!(cached.map(|(ticket, _)| ticket), Some(first.ticket));
+        let image = s.to_image();
+
+        // A client holding the genuine ticket under another PSK seals with
+        // a wrong early key, at the genuine client's next nonces.
+        let mut wrong = Client::new([0x22; 32]);
+        wrong.start_handshake([9; 32]);
+        wrong
+            .finish_handshake(&ServerHello {
+                server_random: [0; 32],
+                ticket: first.ticket,
+            })
+            .unwrap();
+        let mut forged = Vec::new();
+        for _ in 0..4 {
+            let z = wrong.seal_zero_rtt(b"forged proof").unwrap();
+            // The same bytes aimed at the other valid ticket id.
+            let mut retargeted = z.clone();
+            retargeted.ticket.id = 2;
+            forged.extend([z, retargeted]);
+        }
+        // The genuine ciphertext replayed at the genuine ticket's next
+        // nonces, and under the other ticket.
+        for nonce in 2..=5 {
+            forged.push(ZeroRttPacket {
+                nonce,
+                ..first.clone()
+            });
+        }
+        let mut moved = first.clone();
+        moved.ticket.id = 2;
+        forged.push(moved);
+        for z in &forged {
+            assert_eq!(s.accept_zero_rtt(z), Err(QuicError::DecryptFailed));
+            assert_eq!(s.early, cached, "{z:?}");
+            assert_eq!(s.to_image(), image, "{z:?}");
+        }
+
+        // The genuine client's next packets still open over 0-RTT, on the
+        // cached key and on a rebuilt server's cold one alike.
+        let genuine: Vec<_> = (0..3)
+            .map(|i| c.seal_zero_rtt(&[b'p', i]).unwrap())
+            .collect();
+        let mut rebuilt = Server::new(PSK);
+        rebuilt.restore_image(&image);
+        assert_eq!(rebuilt.early, None);
+        for z in &genuine {
+            let plaintext = s.accept_zero_rtt(z).unwrap();
+            assert_eq!(rebuilt.accept_zero_rtt(z).unwrap(), plaintext);
+        }
+        assert_eq!(s.to_image(), rebuilt.to_image());
+        assert_eq!(rebuilt.accept_zero_rtt(&first), Err(QuicError::Replayed));
+        for z in &forged {
+            assert_eq!(rebuilt.accept_zero_rtt(z), Err(QuicError::DecryptFailed));
+        }
+
+        // A genuine packet under the other ticket takes the cache over;
+        // the first ticket then derives its key afresh.
+        let z = other.seal_zero_rtt(b"other phone").unwrap();
+        assert_eq!(s.accept_zero_rtt(&z).unwrap(), b"other phone");
+        assert_eq!(s.early.map(|(ticket, _)| ticket), Some(z.ticket));
+        let z = c.seal_zero_rtt(b"back again").unwrap();
+        assert_eq!(s.accept_zero_rtt(&z).unwrap(), b"back again");
+        assert_eq!(s.early, cached);
     }
 
     #[test]

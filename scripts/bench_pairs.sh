@@ -12,6 +12,8 @@
 # then per end-to-end metric each side's median and quartiles (linear
 # interpolation at p*(n+1), as Python's statistics.quantiles gives them)
 # and how many pairs the working tree won (ties count for neither side).
+# For proof_storm the same table also covers auth_p50_us and
+# migrate_p50_us from each run's `proofs per round:` line (lower wins).
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
@@ -56,8 +58,12 @@ done
 echo "$workload seed $seed, $seconds s, $pairs pairs: base = $rev, head = working tree"
 for side in base head; do
     for i in $(seq 1 "$pairs"); do
-        awk -v side="$side" -v pair="$i" \
-            '$1 == "metric" { print side, pair, $2, $4 }' "$tmp/out/$side.$i"
+        awk -v side="$side" -v pair="$i" '
+            $1 == "metric" { print side, pair, $2, $4 }
+            /^proofs per round:/ {
+                for (f = 1; f < NF; f++)
+                    if ($f == "auth_p50_us" || $f == "migrate_p50_us") print side, pair, $f, $(f + 1)
+            }' "$tmp/out/$side.$i"
     done
 done | awk '
 function quantile(v, n, p,    pos, lo) {
@@ -79,14 +85,17 @@ function sorted(side, m, v,    n, i, j, t) {
 }
 {
     val[$1, $3, $2] = $4
+    seen[$3] = 1
     if ($2 > pairs) pairs = $2
 }
 END {
-    split("setup_s pps decide_p50_ns decide_p99_ns fleet_pps", names, " ")
+    count = split("setup_s pps decide_p50_ns decide_p99_ns fleet_pps", names, " ")
+    if ("auth_p50_us" in seen) names[++count] = "auth_p50_us"
+    if ("migrate_p50_us" in seen) names[++count] = "migrate_p50_us"
     higher["pps"] = 1
     higher["fleet_pps"] = 1
     printf "%-14s %-34s %-34s %s\n", "metric", "base median [q1, q3]", "head median [q1, q3]", "head wins"
-    for (k = 1; k <= 5; k++) {
+    for (k = 1; k <= count; k++) {
         m = names[k]
         delete b; delete h
         nb = sorted("base", m, b)
