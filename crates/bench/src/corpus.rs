@@ -91,12 +91,13 @@ pub fn build_enforcement_corpus(
     // (as after a long deployment), but command streams are not (the
     // >= 1 s rule-interval policy) — exactly the packet mix the proxy's
     // event grouper sees at enforcement time.
-    let rules = fiat_core::RuleTable::learn(&engine, &capture.trace.packets, &capture.trace.dns);
+    let mut rules =
+        fiat_core::RuleTable::learn(&engine, &capture.trace.packets, &capture.trace.dns);
     let flags: Vec<bool> = capture
         .trace
         .packets
         .iter()
-        .map(|p| rules.matches(FlowDef::PortLess, p, &capture.trace.dns))
+        .map(|p| rules.matches_touch(FlowDef::PortLess, p, &capture.trace.dns))
         .collect();
     let events = group_events(&capture.trace.packets, &flags, EVENT_GAP);
     capture

@@ -60,7 +60,5 @@ pub use pipeline::{
     FingerprintVerdict, ProxyConfig, ProxyDecision, ProxyEvent, ProxyHook, ProxyStats,
     ProxyTelemetry, StateSize, DECIDE_SAMPLE_EVERY,
 };
-pub use predict::{
-    GhostState, PredictabilityEngine, PredictabilityReport, RuleTable, RuleTelemetry,
-};
+pub use predict::{PredictabilityEngine, PredictabilityReport, RuleTable, RuleTelemetry};
 pub use snapshot::{GhostSnapshot, HomeSnapshot, SnapshotError, SNAPSHOT_VERSION};

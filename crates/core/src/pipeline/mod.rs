@@ -44,11 +44,10 @@ use crate::interactions::InteractionGraph;
 use crate::pairing::{pair, Paired};
 use crate::predict::{PredictabilityEngine, RuleTable, RuleTelemetry, DEFAULT_TOLERANCE};
 use crate::snapshot::{
-    DeviceSnapshot, EventFate, GhostSnapshot, HomeSnapshot, OpenEvent, SnapshotError,
-    SNAPSHOT_VERSION,
+    DeviceSnapshot, EventFate, HomeSnapshot, OpenEvent, SnapshotError, SNAPSHOT_VERSION,
 };
 use fiat_crypto::TeeKeystore;
-use fiat_net::{DnsTable, FastMap, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime};
+use fiat_net::{DnsTable, FastMap, FlowDef, PacketRecord, SimDuration, SimTime};
 use fiat_quic::{ClientHello, Server as QuicServer, ServerHello, ZeroRttPacket};
 use fiat_sensors::HumannessValidator;
 use fiat_telemetry::{
@@ -56,7 +55,6 @@ use fiat_telemetry::{
 };
 use quarantine::Quarantine;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use unknown::UnknownDevices;
 pub use unknown::{FingerprintGate, FingerprintObservation, FingerprintVerdict};
@@ -820,12 +818,11 @@ impl Default for ProxyTelemetry {
     }
 }
 
+/// One registered device: its classifier (provisioning data) and its
+/// decision state, which is the snapshot's record of the device itself.
 struct DeviceState {
     classifier: EventClassifier,
-    classify_at: usize,
-    open: Option<OpenEvent>,
-    drops: VecDeque<SimTime>,
-    locked: bool,
+    rec: DeviceSnapshot,
 }
 
 /// What the decision policies share beyond one device's own state: the
@@ -967,27 +964,31 @@ impl FiatProxy {
         let classify_at = min_packets_to_complete
             .min(self.policy.config.classify_at_cap)
             .max(1);
-        let prev = self.devices.insert(
+        let rec = DeviceSnapshot {
             device,
-            DeviceState {
-                classifier,
-                classify_at,
-                open: None,
-                drops: VecDeque::new(),
-                locked: false,
-            },
-        );
+            classify_at,
+            open: None,
+            drops: Vec::new(),
+            locked: false,
+            quarantine: None,
+        };
+        let prev = self.devices.insert(device, DeviceState { classifier, rec });
+        // The old state, quarantine record included, goes with the old
+        // registration; keep the gauges honest.
         let telemetry = &self.policy.telemetry;
-        if prev.is_none() {
+        let Some(DeviceState { rec: prev, .. }) = prev else {
             telemetry.devices_gauge.inc();
-        }
-        if prev.as_ref().is_some_and(|d| d.locked) {
+            return;
+        };
+        if prev.locked {
             telemetry.locked_devices_gauge.dec();
         }
-        if prev.as_ref().is_some_and(|d| d.open.is_some()) {
+        if prev.open.is_some() {
             telemetry.open_events_gauge.dec();
         }
-        self.quarantine.discard(telemetry, device);
+        if let Some(q) = prev.quarantine {
+            telemetry.quarantine_depth.add(-(q.packets.len() as i64));
+        }
     }
 
     /// Provide DNS knowledge (the proxy observes DNS responses on-path).
@@ -1022,21 +1023,18 @@ impl FiatProxy {
             replay_entries: self.quic.replay_store().total_entries(),
             replay_epochs: self.quic.replay_store().live_epochs().len(),
             bootstrap_buffered: self.bootstrap_buffer.len(),
-            quarantine_records: self.quarantine.records.len(),
-            quarantine_held: self
-                .quarantine
-                .records
-                .values()
-                .map(|q| q.packets.len())
-                .sum(),
             released_pending: self.quarantine.released.len(),
             fingerprint_evidence: self.unknown.gate.as_ref().map_or(0, |g| g.state_size()),
             ..StateSize::default()
         };
         for dev in self.devices.values() {
-            if let Some(open) = &dev.open {
+            if let Some(open) = &dev.rec.open {
                 size.open_events += 1;
                 size.open_packets += open.packets.len();
+            }
+            if let Some(q) = &dev.rec.quarantine {
+                size.quarantine_records += 1;
+                size.quarantine_held += q.packets.len();
             }
         }
         size
@@ -1044,7 +1042,7 @@ impl FiatProxy {
 
     /// Whether a device is locked out.
     pub fn is_locked(&self, device: u16) -> bool {
-        self.devices.get(&device).is_some_and(|d| d.locked)
+        self.devices.get(&device).is_some_and(|d| d.rec.locked)
     }
 
     /// Manually clear a lockout (the §5.4 user verification). Also closes
@@ -1057,7 +1055,7 @@ impl FiatProxy {
     /// specific held command, which still needs its proof (or expires at
     /// its deadline as usual).
     pub fn clear_lockout(&mut self, device: u16) {
-        if let Some(d) = self.devices.get_mut(&device) {
+        if let Some(d) = self.devices.get_mut(&device).map(|d| &mut d.rec) {
             if d.locked {
                 self.policy.emit(ProxyEvent::LockoutCleared { device });
             }
@@ -1129,43 +1127,14 @@ impl FiatProxy {
     /// Every collection is emitted sorted, so the same state always
     /// serializes to the same bytes.
     pub fn snapshot(&self) -> HomeSnapshot {
-        let mut devices: Vec<DeviceSnapshot> = self
-            .devices
-            .iter()
-            .map(|(&id, d)| DeviceSnapshot {
-                device: id,
-                classify_at: d.classify_at,
-                open: d.open.clone(),
-                drops: d.drops.iter().copied().collect(),
-                locked: d.locked,
-                quarantine: self.quarantine.records.get(&id).cloned(),
-            })
-            .collect();
-        devices.sort_by_key(|d| d.device);
-        // LRU order (not sorted): eviction order is semantic state.
-        let rules = self.rules.as_ref().map(|table| {
-            table
-                .export_lru()
-                .into_iter()
-                .map(|(dev, key)| (dev, key.resolve(&self.dns)))
-                .collect::<Vec<(u16, FlowKey)>>()
-        });
-        let rule_ghosts = self
+        let mut devices: Vec<DeviceSnapshot> =
+            self.devices.values().map(|d| d.rec.clone()).collect();
+        devices.sort_unstable_by_key(|d| d.device);
+        let (rules, rule_ghosts) = self
             .rules
             .as_ref()
-            .map(|table| {
-                table
-                    .export_ghosts()
-                    .into_iter()
-                    .map(|g| GhostSnapshot {
-                        device: g.device,
-                        key: g.key.resolve(&self.dns),
-                        last_ts: g.last_ts,
-                        last_bin: g.last_bin,
-                    })
-                    .collect::<Vec<GhostSnapshot>>()
-            })
-            .unwrap_or_default();
+            .map(|table| table.snapshot(&self.dns))
+            .unzip();
         HomeSnapshot {
             version: SNAPSHOT_VERSION,
             started_at: self.started_at,
@@ -1175,7 +1144,7 @@ impl FiatProxy {
             dns: self.dns.clone(),
             bootstrap_buffer: self.bootstrap_buffer.clone(),
             rules,
-            rule_ghosts,
+            rule_ghosts: rule_ghosts.unwrap_or_default(),
             unknown_seen: self.unknown.seen.iter().copied().collect(),
             devices,
             released_packets: self.quarantine.released.clone(),
@@ -1209,13 +1178,15 @@ impl FiatProxy {
     ///
     /// Snapshot bytes are not authenticated, so restore refuses a device
     /// whose state the live path could never reach
-    /// ([`SnapshotError::InconsistentDevice`]): a first-N window outside
+    /// ([`SnapshotError::InconsistentDevice`]): an id not strictly above
+    /// the previous device's (a repeated or out-of-order id; the live
+    /// path writes each device once, ascending), a first-N window outside
     /// `1..=classify_at_cap`, a pending event with no buffered packets or
     /// with `classify_at` or more, a quarantine-fated event with no
     /// quarantine record, a quarantine record that is empty or holds
     /// more than `max(quarantine_capacity, 1)` packets, or more quarantine
-    /// records than `max(max_quarantine_records, 1)` (the first device, in
-    /// id order, whose record is past that cap is the one reported).
+    /// records than `max(max_quarantine_records, 1)`. The first such
+    /// device in list order (which is id order) is the one reported.
     pub fn restore(
         config: ProxyConfig,
         ceremony_secret: &[u8; 32],
@@ -1240,60 +1211,43 @@ impl FiatProxy {
             hash(&snap.audit_head)?,
         )
         .ok_or(SnapshotError::AuditChainInvalid)?;
-        if let Some(d) = snap.devices.iter().find(|d| !d.is_consistent(&config)) {
-            return Err(SnapshotError::InconsistentDevice(d.device));
-        }
-        let records: BTreeMap<_, _> = snap
-            .devices
-            .iter()
-            .filter_map(|d| Some((d.device, d.quarantine.clone()?)))
-            .collect();
-        let cap = config.max_quarantine_records;
-        if let Some((&d, _)) = cap.and_then(|cap| records.iter().nth(cap.max(1))) {
-            return Err(SnapshotError::InconsistentDevice(d));
+        // One pass in list order: ids strictly ascending (so the list is
+        // a map, in id order), each device consistent, and its record
+        // within the record cap.
+        let cap = config
+            .max_quarantine_records
+            .map_or(usize::MAX, |c| c.max(1));
+        let mut records = 0;
+        let mut prev = None;
+        for d in &snap.devices {
+            records += usize::from(d.quarantine.is_some());
+            if prev.is_some_and(|p| p >= d.device) || !d.is_consistent(&config) || records > cap {
+                return Err(SnapshotError::InconsistentDevice(d.device));
+            }
+            prev = Some(d.device);
         }
         audit.set_max_entries(config.max_audit_entries);
         let mut proxy = Self::with_telemetry(config, ceremony_secret, validator, telemetry);
         proxy.quic.restore_image(&snap.quic);
         let mut dns = snap.dns.clone();
         let policy = &mut proxy.policy;
-        proxy.rules = snap.rules.as_ref().map(|list| {
-            let mut table =
-                RuleTable::with_telemetry(RuleTelemetry::registered(&policy.telemetry.registry));
-            table.set_tolerance(policy.config.tolerance);
-            // LRU order: inserts re-assign fresh stamps 0..n, preserving
-            // the snapshotted relative eviction order. Ghosts restored
-            // before the cap is applied so nothing is spuriously evicted.
-            for (device, key) in list {
-                let ikey = key.intern(&mut dns);
-                table.insert(*device, ikey);
-            }
-            for g in &snap.rule_ghosts {
-                let ikey = g.key.intern(&mut dns);
-                table.insert_ghost(crate::predict::GhostState {
-                    device: g.device,
-                    key: ikey,
-                    last_ts: g.last_ts,
-                    last_bin: g.last_bin,
-                });
-            }
-            table.set_capacity(policy.config.max_rules);
-            table
+        proxy.rules = snap.rules.as_ref().map(|rules| {
+            RuleTable::restore(
+                rules,
+                &snap.rule_ghosts,
+                &mut dns,
+                policy.config.tolerance,
+                policy.config.max_rules,
+                RuleTelemetry::registered(&policy.telemetry.registry),
+            )
         });
         proxy.devices = snap
             .devices
             .iter()
             .map(|d| {
-                (
-                    d.device,
-                    DeviceState {
-                        classifier: classifiers(d.device),
-                        classify_at: d.classify_at,
-                        open: d.open.clone(),
-                        drops: d.drops.iter().copied().collect(),
-                        locked: d.locked,
-                    },
-                )
+                let classifier = classifiers(d.device);
+                let rec = d.clone();
+                (d.device, DeviceState { classifier, rec })
             })
             .collect();
         policy.human_valid_until = snap.human_valid_until;
@@ -1303,10 +1257,7 @@ impl FiatProxy {
         proxy.started_at = snap.started_at;
         proxy.bootstrap_buffer = snap.bootstrap_buffer.clone();
         proxy.server_random_counter = snap.server_random_counter;
-        proxy.quarantine = Quarantine {
-            records,
-            released: snap.released_packets.clone(),
-        };
+        proxy.quarantine.released = snap.released_packets.clone();
         proxy.unknown.seen = snap.unknown_seen.iter().copied().collect();
         proxy.degraded = snap.degraded;
         // Like the hook and interaction graph, the fingerprint gate is
@@ -1425,7 +1376,7 @@ impl FiatProxy {
         let now = pkt.ts;
         let started = self.started_at.expect("proxy not started");
 
-        if self.devices.get(&pkt.device).is_some_and(|d| d.locked) {
+        if self.devices.get(&pkt.device).is_some_and(|d| d.rec.locked) {
             return ProxyDecision::Drop(DropReason::LockedOut);
         }
 
@@ -1474,25 +1425,21 @@ impl FiatProxy {
         // observes `now`: the packet that reveals the deadline has passed
         // must see the post-expiry world (sealed fate, lockout credit),
         // exactly as if a timer had fired at the deadline.
-        if self
-            .quarantine
-            .expire_overdue(&mut self.policy, pkt.device, dev, now)
-            && dev.locked
-        {
+        if Quarantine::expire_overdue(&mut self.policy, dev, now) && dev.rec.locked {
             return ProxyDecision::Drop(DropReason::LockedOut);
         }
 
-        self.policy.close_stale(pkt.device, dev, now);
+        self.policy.close_stale(dev, now);
         // A retrospective verdict on the closed event may have locked
         // the device; the packet that exposed it must not open a fresh
         // event.
-        if dev.locked {
+        if dev.rec.locked {
             return ProxyDecision::Drop(DropReason::LockedOut);
         }
-        if dev.open.is_none() {
+        if dev.rec.open.is_none() {
             self.policy.telemetry.open_events_gauge.inc();
         }
-        let open = dev.open.get_or_insert_with(|| OpenEvent {
+        let open = dev.rec.open.get_or_insert_with(|| OpenEvent {
             packets: Vec::new(),
             last: now,
             fate: None,
@@ -1517,11 +1464,13 @@ impl FiatProxy {
             return match fate {
                 EventFate::AllowRest(reason) => ProxyDecision::Allow(reason),
                 EventFate::DropRest(reason) => ProxyDecision::Drop(reason),
-                EventFate::Quarantine => self.quarantine.hold(&mut self.policy, pkt),
+                EventFate::Quarantine => {
+                    Quarantine::hold(&mut self.policy, dev.rec.quarantine.as_mut(), pkt)
+                }
             };
         }
 
-        if open.packets.len() < dev.classify_at {
+        if open.packets.len() < dev.rec.classify_at {
             return ProxyDecision::Allow(AllowReason::FirstN);
         }
 
@@ -1539,18 +1488,15 @@ impl FiatProxy {
         // Unverified manual event. With quarantine enabled the proof may
         // merely be late (lost frame, retry in flight): hold the event
         // pending its deadline instead of demoting it.
-        if let Some(held) = self
-            .quarantine
-            .admit(&mut self.policy, &mut self.devices, pkt, class)
-        {
+        if let Some(held) = Quarantine::admit(&mut self.policy, &mut self.devices, pkt, class) {
             return held;
         }
 
         // Drop the rest of the event and count it toward lockout.
         let dev = self.devices.get_mut(&pkt.device).expect("registered above");
-        let open = dev.open.as_mut().expect("opened above");
+        let open = dev.rec.open.as_mut().expect("opened above");
         open.fate = Some(EventFate::DropRest(DropReason::ManualUnverified));
-        let verdict = self.policy.unverified_episode(pkt.device, dev, now);
+        let verdict = self.policy.unverified_episode(dev, now);
         self.policy.record(now, pkt.device, class, verdict);
         ProxyDecision::Drop(DropReason::ManualUnverified)
     }
@@ -1560,16 +1506,14 @@ impl FiatProxy {
     /// the end of a capture so trailing sub-window events still reach
     /// the audit log and the lockout counter.
     pub fn flush(&mut self, now: SimTime) {
-        let mut ids: Vec<u16> = self.devices.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let dev = self.devices.get_mut(&id).expect("id from keys()");
+        let mut devices: Vec<&mut DeviceState> = self.devices.values_mut().collect();
+        devices.sort_unstable_by_key(|d| d.rec.device);
+        for dev in devices {
             // Expire overdue quarantines first, for the same reason the
             // packet path does: the expiry (and any lockout it causes)
             // happened at the deadline, before this flush.
-            self.quarantine
-                .expire_overdue(&mut self.policy, id, dev, now);
-            self.policy.close_stale(id, dev, now);
+            Quarantine::expire_overdue(&mut self.policy, dev, now);
+            self.policy.close_stale(dev, now);
         }
     }
 }
@@ -1644,26 +1588,19 @@ impl Policy {
     /// would break the front-pruning: `SimTime` subtraction saturates,
     /// so an old `at` reads every gap as zero and stale episodes would
     /// never expire.
-    fn unverified_episode(
-        &mut self,
-        device: u16,
-        dev: &mut DeviceState,
-        at: SimTime,
-    ) -> AuditVerdict {
-        let drops = &mut dev.drops;
-        let at = drops.back().map_or(at, |&newest| newest.max(at));
-        drops.push_back(at);
-        while drops
-            .front()
-            .is_some_and(|&t| at - t > self.config.lockout_window)
-        {
-            drops.pop_front();
-        }
-        if drops.len() as u32 <= self.config.lockout_threshold {
+    fn unverified_episode(&mut self, dev: &mut DeviceState, at: SimTime) -> AuditVerdict {
+        let dev = &mut dev.rec;
+        let at = dev.drops.last().map_or(at, |&newest| newest.max(at));
+        dev.drops.push(at);
+        let window = self.config.lockout_window;
+        let stale = dev.drops.partition_point(|&t| at - t > window);
+        dev.drops.drain(..stale);
+        if dev.drops.len() as u32 <= self.config.lockout_threshold {
             return AuditVerdict::DroppedUnverified;
         }
         if !dev.locked {
             dev.locked = true;
+            let device = dev.device;
             self.emit(ProxyEvent::Lockout { ts: at, device });
         }
         AuditVerdict::LockedOut
@@ -1672,15 +1609,14 @@ impl Policy {
     /// Close the device's open event if the event gap has passed by
     /// `now`. An event that closed before its classification point never
     /// met the classifier and gets its retrospective verdict.
-    fn close_stale(&mut self, device: u16, dev: &mut DeviceState, now: SimTime) {
+    fn close_stale(&mut self, dev: &mut DeviceState, now: SimTime) {
         let gap = self.config.event_gap;
-        if dev.open.as_ref().is_none_or(|e| now - e.last < gap) {
+        let Some(stale) = dev.rec.open.take_if(|e| now - e.last >= gap) else {
             return;
-        }
-        let stale = dev.open.take().expect("presence checked above");
+        };
         self.telemetry.open_events_gauge.dec();
         if stale.fate.is_none() {
-            self.retro_close(device, dev, stale);
+            self.retro_close(dev, stale);
         }
     }
 
@@ -1692,7 +1628,8 @@ impl Policy {
     /// Verified and cascade outcomes are both audited
     /// `AllowedManualVerified` and deliberately do not refresh the
     /// interaction graph: the event is already over.
-    fn retro_close(&mut self, device: u16, dev: &mut DeviceState, event: OpenEvent) {
+    fn retro_close(&mut self, dev: &mut DeviceState, event: OpenEvent) {
+        let device = dev.rec.device;
         let end = event.last;
         let class = classify(&dev.classifier, device, &event);
         let verdict = match self.verdict(device, class, end) {
@@ -1701,7 +1638,7 @@ impl Policy {
             None => {
                 self.telemetry.retro_unverified.inc();
                 self.stats.retro_unverified += 1;
-                self.unverified_episode(device, dev, end)
+                self.unverified_episode(dev, end)
             }
         };
         self.record(end, device, class, verdict);
@@ -3291,7 +3228,8 @@ mod tests {
     #[test]
     fn restore_refuses_a_quarantine_fate_without_a_record() {
         // Later packets of a quarantine-fated event join the record:
-        // resuming would panic on the device's next non-rule packet.
+        // with none, they would all be shed, and no release or expiry
+        // would ever resolve the episode or credit it to the lockout.
         let err = restore_edited(|d| {
             d.open.as_mut().unwrap().fate = Some(EventFate::Quarantine);
             d.quarantine = None;
@@ -3347,6 +3285,104 @@ mod tests {
         }
         assert!(held(1).is_ok());
         assert!(held(capacity).is_ok());
+    }
+
+    #[test]
+    fn restore_refuses_repeated_or_out_of_order_device_ids() {
+        // The live path writes each device once, in ascending id order.
+        // A repeated id would silently keep one of its two records, and
+        // the record cap counts records in list order.
+        let golden: HomeSnapshot =
+            serde_json::from_slice(include_bytes!("../../tests/golden/snapshot_v3.json")).unwrap();
+        let restore = |snap: &HomeSnapshot| {
+            let config = ProxyConfig {
+                proof_deadline: Some(SimDuration::from_secs(60)),
+                max_rules: Some(1),
+                max_audit_entries: Some(4),
+                ..ProxyConfig::default()
+            };
+            let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+            FiatProxy::restore(
+                config,
+                &SECRET,
+                validator,
+                ProxyTelemetry::default(),
+                snap,
+                |_| EventClassifier::simple_rule(235),
+            )
+            .err()
+        };
+        let ids: Vec<u16> = golden.devices.iter().map(|d| d.device).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(restore(&golden), None);
+        let mut repeated = golden.clone();
+        repeated.devices.insert(2, golden.devices[1].clone());
+        assert_eq!(
+            restore(&repeated),
+            Some(SnapshotError::InconsistentDevice(1))
+        );
+        let mut swapped = golden.clone();
+        swapped.devices.swap(0, 1);
+        assert_eq!(
+            restore(&swapped),
+            Some(SnapshotError::InconsistentDevice(0))
+        );
+    }
+
+    /// Device ids of the quarantine releases a [`ProxyHook`] saw.
+    #[derive(Clone, Default)]
+    struct ReleaseLog(Arc<std::sync::Mutex<Vec<u16>>>);
+
+    impl ProxyHook for ReleaseLog {
+        fn on_event(&self, ev: &ProxyEvent) {
+            if let ProxyEvent::QuarantineReleased { device, .. } = *ev {
+                self.0.lock().unwrap().push(device);
+            }
+        }
+    }
+
+    #[test]
+    fn quarantine_resolution_follows_device_ids_not_hash_order() {
+        // Every proxy's device map draws its own hash key, so devices
+        // iterate in a different order in each fresh proxy. A proof must
+        // still release, announce and audit the records in id order.
+        for _ in 0..8 {
+            let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+            let config = ProxyConfig {
+                proof_deadline: Some(SimDuration::from_secs(60)),
+                ..ProxyConfig::default()
+            };
+            let mut proxy = FiatProxy::new(config, &SECRET, validator);
+            for d in [5, 1, 3] {
+                proxy.register_device(d, EventClassifier::simple_rule(235), 1);
+            }
+            let log = ReleaseLog::default();
+            proxy.set_hook(Box::new(log.clone()));
+            proxy.start(SimTime::ZERO);
+            let t = bootstrap(&mut proxy);
+            for (k, d) in [5, 1, 3].into_iter().enumerate() {
+                assert_eq!(
+                    proxy.on_packet(&pkt_dev(t + k as u64 * 1_000, 235, d)),
+                    ProxyDecision::Quarantine
+                );
+            }
+            prove_human(&mut proxy, 1, t + 5_000);
+            let released: Vec<u16> = proxy
+                .take_quarantine_releases()
+                .iter()
+                .map(|p| p.device)
+                .collect();
+            assert_eq!(released, [1, 3, 5]);
+            assert_eq!(*log.0.lock().unwrap(), [1, 3, 5]);
+            let audited: Vec<u16> = proxy
+                .audit()
+                .entries()
+                .iter()
+                .filter(|e| e.verdict == AuditVerdict::QuarantineReleased)
+                .map(|e| e.device)
+                .collect();
+            assert_eq!(audited, [1, 3, 5]);
+        }
     }
 
     // ---- bounded state (DESIGN §18) ------------------------------------
@@ -3407,6 +3443,38 @@ mod tests {
         prove_human(&mut proxy, 1, t + 3_000);
         assert_eq!(proxy.take_quarantine_releases().len(), 2);
         assert!(proxy.audit().verify());
+    }
+
+    #[test]
+    fn record_cap_demotes_the_lower_id_on_equal_deadlines() {
+        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        let config = ProxyConfig {
+            proof_deadline: Some(SimDuration::from_secs(60)),
+            max_quarantine_records: Some(2),
+            ..ProxyConfig::default()
+        };
+        let mut proxy = FiatProxy::new(config, &SECRET, validator);
+        for d in [4, 2, 6] {
+            proxy.register_device(d, EventClassifier::simple_rule(235), 1);
+        }
+        proxy.start(SimTime::ZERO);
+        let t = bootstrap(&mut proxy);
+        // Devices 4 and 2 are held at the same instant: equal deadlines.
+        for (ts, d) in [(t, 4), (t, 2), (t + 1_000, 6)] {
+            assert_eq!(
+                proxy.on_packet(&pkt_dev(ts, 235, d)),
+                ProxyDecision::Quarantine
+            );
+        }
+        let demoted: Vec<u16> = proxy
+            .audit()
+            .entries()
+            .iter()
+            .filter(|e| e.verdict == AuditVerdict::QuarantineExpired)
+            .map(|e| e.device)
+            .collect();
+        assert_eq!(demoted, [2]);
+        assert_eq!(proxy.state_size().quarantine_records, 2);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! predictable*. Real traffic jitters by tens of milliseconds, so
 //! intervals are quantized into tolerance bins before matching.
 
+use crate::snapshot::GhostSnapshot;
 use fiat_net::{
-    DnsTable, FastMap, FlowDef, InternedFlowKey, PacketRecord, SimDuration, SimTime, TrafficClass,
+    DnsTable, FastMap, FlowDef, FlowKey, InternedFlowKey, PacketRecord, SimDuration, SimTime,
+    TrafficClass,
 };
 use fiat_telemetry::{Counter, Family, MetricRegistry, SchemaPart};
 use std::collections::{HashMap, HashSet};
@@ -251,20 +253,6 @@ impl RuleTelemetry {
     }
 }
 
-/// Exported state of one evicted-rule ghost (see [`RuleTable`]): enough
-/// to resume the re-learn pattern match after a snapshot restore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GhostState {
-    /// Device the evicted rule belonged to.
-    pub device: u16,
-    /// The evicted flow key.
-    pub key: InternedFlowKey,
-    /// Timestamp of the last miss on this key, if any.
-    pub last_ts: Option<SimTime>,
-    /// Quantized inter-arrival bin of the last miss pair, if any.
-    pub last_bin: Option<u64>,
-}
-
 /// Per-ghost re-learn progress: a rule evicted by the LRU cap leaves a
 /// ghost behind, and the ghost re-promotes to a rule when the flow
 /// repeats a qualifying interval again — exactly the evidence the
@@ -372,28 +360,13 @@ impl RuleTable {
         table
     }
 
-    /// Whether a packet hits a learned rule, without touching LRU or
-    /// ghost state (read-only observers; the enforcement path uses
-    /// [`RuleTable::matches_touch`]). The lookup key is interned
-    /// ([`InternedFlowKey`]) and never touches the heap. Rules only match
-    /// against the same `DnsTable` (interner) they were learned with.
-    pub fn matches(&self, def: FlowDef, pkt: &PacketRecord, dns: &DnsTable) -> bool {
-        let hit = self
-            .rules
-            .contains_key(&(pkt.device, InternedFlowKey::of(def, pkt, dns)));
-        if hit {
-            self.telemetry.match_hits.inc();
-        } else {
-            self.telemetry.match_misses.inc();
-        }
-        hit
-    }
-
-    /// [`RuleTable::matches`] for the enforcement hot path: a hit
-    /// refreshes the rule's LRU stamp; a miss advances the key's ghost
-    /// (if the rule was evicted) and re-promotes it once the flow repeats
-    /// a qualifying interval — the packet completing the pattern already
-    /// counts as a hit.
+    /// Whether a packet hits a learned rule. The lookup key is interned
+    /// ([`InternedFlowKey`]) and never touches the heap; rules only match
+    /// against the same `DnsTable` (interner) they were learned with. A
+    /// hit refreshes the rule's LRU stamp; a miss advances the key's
+    /// ghost (if the rule was evicted) and re-promotes it once the flow
+    /// repeats a qualifying interval — the packet completing the pattern
+    /// already counts as a hit.
     pub fn matches_touch(&mut self, def: FlowDef, pkt: &PacketRecord, dns: &DnsTable) -> bool {
         let key = (pkt.device, InternedFlowKey::of(def, pkt, dns));
         if let Some(stamp) = self.rules.get_mut(&key) {
@@ -458,17 +431,6 @@ impl RuleTable {
         self.evict_ghosts_over_cap();
     }
 
-    /// Configured rule cap.
-    pub fn capacity(&self) -> Option<usize> {
-        self.cap
-    }
-
-    /// Override the ghost re-learn tolerance bin (defaults to the learn
-    /// engine's; restore paths re-supply it from config).
-    pub fn set_tolerance(&mut self, tolerance: SimDuration) {
-        self.tolerance_us = tolerance.as_micros();
-    }
-
     fn evict_rules_over_cap(&mut self) {
         let Some(cap) = self.cap else { return };
         while self.rules.len() > cap {
@@ -520,70 +482,65 @@ impl RuleTable {
         self.evict_rules_over_cap();
     }
 
-    /// Restore one ghost (snapshot restore path); appended in call order,
-    /// so feeding [`RuleTable::export_ghosts`] back preserves the
-    /// eviction order.
-    pub fn insert_ghost(&mut self, g: GhostState) {
-        self.stamp += 1;
-        self.ghosts.insert(
-            (g.device, g.key),
-            Ghost {
+    /// The table as a snapshot stores it, keys resolved against `dns`:
+    /// live rules, then evicted-rule ghosts, each in LRU order (least
+    /// recently matched or touched first). Stamps are unique, so the
+    /// order is the eviction order and does not depend on hash order.
+    pub fn snapshot(&self, dns: &DnsTable) -> (Vec<(u16, FlowKey)>, Vec<GhostSnapshot>) {
+        let mut rules: Vec<_> = self.rules.iter().map(|(&k, &s)| (s, k)).collect();
+        rules.sort_unstable_by_key(|&(s, _)| s);
+        let mut ghosts: Vec<_> = self.ghosts.iter().map(|(&k, &g)| (k, g)).collect();
+        ghosts.sort_unstable_by_key(|(_, g)| g.stamp);
+        let rules = rules
+            .into_iter()
+            .map(|(_, (device, key))| (device, key.resolve(dns)))
+            .collect();
+        let ghosts = ghosts
+            .into_iter()
+            .map(|((device, key), g)| GhostSnapshot {
+                device,
+                key: key.resolve(dns),
                 last_ts: g.last_ts,
                 last_bin: g.last_bin,
-                stamp: self.stamp,
-            },
-        );
-        self.evict_ghosts_over_cap();
-    }
-
-    /// Empty table reporting lookup outcomes through `telemetry` — the
-    /// restore half of a snapshot, where rules are re-inserted rather
-    /// than re-learned (re-learning would double the bucket counters).
-    pub fn with_telemetry(telemetry: RuleTelemetry) -> Self {
-        RuleTable {
-            telemetry,
-            ..RuleTable::default()
-        }
-    }
-
-    /// Iterate the learned `(device, key)` rules, in arbitrary (hash)
-    /// order. Callers that need determinism — e.g. a snapshot — must
-    /// use [`RuleTable::export_lru`] or sort after resolving.
-    pub fn iter(&self) -> impl Iterator<Item = &(u16, InternedFlowKey)> {
-        self.rules.keys()
-    }
-
-    /// Live rules in LRU order, least recently matched first. Re-inserting
-    /// them in this order (as snapshot restore does) reproduces the
-    /// eviction order exactly, so a restored proxy evicts the same rules
-    /// the uninterrupted one would.
-    pub fn export_lru(&self) -> Vec<(u16, InternedFlowKey)> {
-        let mut v: Vec<(u64, (u16, InternedFlowKey))> =
-            self.rules.iter().map(|(k, s)| (*s, *k)).collect();
-        v.sort_unstable_by_key(|(s, _)| *s);
-        v.into_iter().map(|(_, k)| k).collect()
-    }
-
-    /// Evicted-rule ghosts in LRU order, least recently touched first
-    /// (same restore contract as [`RuleTable::export_lru`]).
-    pub fn export_ghosts(&self) -> Vec<GhostState> {
-        let mut v: Vec<(u64, GhostState)> = self
-            .ghosts
-            .iter()
-            .map(|(k, g)| {
-                (
-                    g.stamp,
-                    GhostState {
-                        device: k.0,
-                        key: k.1,
-                        last_ts: g.last_ts,
-                        last_bin: g.last_bin,
-                    },
-                )
             })
             .collect();
-        v.sort_unstable_by_key(|(s, _)| *s);
-        v.into_iter().map(|(_, g)| g).collect()
+        (rules, ghosts)
+    }
+
+    /// Rebuild a table from [`RuleTable::snapshot`]'s lists, interning
+    /// keys into `dns`. Rules, then ghosts, take fresh stamps in list
+    /// order, which reproduces the snapshotted eviction order; the cap
+    /// applies only after both are in, so restoring evicts nothing the
+    /// snapshotted table held. `tolerance` is the ghost re-learn bin.
+    /// Lookups report through `telemetry`; the bucket counters stay
+    /// untouched, since re-learning would count the buckets twice.
+    pub fn restore(
+        rules: &[(u16, FlowKey)],
+        ghosts: &[GhostSnapshot],
+        dns: &mut DnsTable,
+        tolerance: SimDuration,
+        cap: Option<usize>,
+        telemetry: RuleTelemetry,
+    ) -> RuleTable {
+        let mut table = RuleTable {
+            tolerance_us: tolerance.as_micros(),
+            telemetry,
+            ..RuleTable::default()
+        };
+        for (device, key) in rules {
+            table.insert(*device, key.intern(dns));
+        }
+        for g in ghosts {
+            table.stamp += 1;
+            let ghost = Ghost {
+                last_ts: g.last_ts,
+                last_bin: g.last_bin,
+                stamp: table.stamp,
+            };
+            table.ghosts.insert((g.device, g.key.intern(dns)), ghost);
+        }
+        table.set_capacity(cap);
+        table
     }
 }
 
@@ -724,11 +681,11 @@ mod tests {
         let packets: Vec<PacketRecord> = (0..10).map(|i| pkt(i * 1000, 100, 5000)).collect();
         let dns = DnsTable::new();
         let eng = PredictabilityEngine::new(FlowDef::PortLess);
-        let rules = RuleTable::learn(&eng, &packets, &dns);
+        let mut rules = RuleTable::learn(&eng, &packets, &dns);
         assert_eq!(rules.len(), 1);
         // A fresh packet of the same flow hits; a different size misses.
-        assert!(rules.matches(FlowDef::PortLess, &pkt(99_000, 100, 60_000), &dns));
-        assert!(!rules.matches(FlowDef::PortLess, &pkt(99_000, 101, 60_000), &dns));
+        assert!(rules.matches_touch(FlowDef::PortLess, &pkt(99_000, 100, 60_000), &dns));
+        assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(99_000, 101, 60_000), &dns));
     }
 
     #[test]
@@ -791,7 +748,7 @@ mod tests {
         rules.insert(0, key_of(222, &dns)); // evicts the learned rule
         assert_eq!(rules.len(), 1);
         assert_eq!(rules.ghost_len(), 1);
-        assert!(!rules.matches(FlowDef::PortLess, &pkt(100_000, 100, 9), &dns));
+        assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(100_000, 100, 9), &dns));
 
         // The periodic flow resumes at its 10 s cadence: the third packet
         // completes two equal intervals and hits again.
@@ -799,7 +756,7 @@ mod tests {
         assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(210_000, 100, 9), &dns));
         assert!(rules.matches_touch(FlowDef::PortLess, &pkt(220_000, 100, 9), &dns));
         assert_eq!(rules.len(), 1, "cap still holds after re-promotion");
-        assert!(rules.matches(FlowDef::PortLess, &pkt(230_000, 100, 9), &dns));
+        assert!(rules.matches_touch(FlowDef::PortLess, &pkt(230_000, 100, 9), &dns));
     }
 
     #[test]
@@ -831,12 +788,12 @@ mod tests {
         // next insert evicts it and not the fresh match.
         assert!(rules.matches_touch(FlowDef::PortLess, &pkt(70_000, 100, 9), &dns));
         rules.insert(0, key_of(55, &dns));
-        assert!(rules.matches(FlowDef::PortLess, &pkt(80_000, 100, 9), &dns));
-        assert!(!rules.matches(FlowDef::PortLess, &pkt(80_000, 200, 9), &dns));
+        assert!(rules.matches_touch(FlowDef::PortLess, &pkt(80_000, 100, 9), &dns));
+        assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(80_000, 200, 9), &dns));
     }
 
     #[test]
-    fn export_lru_round_trips_eviction_order() {
+    fn snapshot_restore_round_trips_eviction_order() {
         let dns = DnsTable::new();
         let (k1, k2, k3) = (key_of(11, &dns), key_of(12, &dns), key_of(13, &dns));
         let mut rules = RuleTable::new();
@@ -844,21 +801,34 @@ mod tests {
         rules.insert(0, k2);
         rules.insert(0, k3);
         rules.insert(0, k1); // refresh: k1 is now the most recent
-        assert_eq!(rules.export_lru(), vec![(0, k2), (0, k3), (0, k1)]);
+        let resolved = |keys: &[InternedFlowKey]| -> Vec<(u16, FlowKey)> {
+            keys.iter().map(|k| (0, k.resolve(&dns))).collect()
+        };
+        let (lru, ghosts) = rules.snapshot(&dns);
+        assert_eq!(lru, resolved(&[k2, k3, k1]));
+        assert!(ghosts.is_empty());
 
-        // Re-inserting the export reproduces the order (restore contract).
-        let mut restored = RuleTable::new();
-        for (d, k) in rules.export_lru() {
-            restored.insert(d, k);
-        }
-        assert_eq!(restored.export_lru(), rules.export_lru());
-        restored.set_capacity(Some(2));
-        assert_eq!(restored.export_lru(), vec![(0, k3), (0, k1)]);
+        // Restoring the lists reproduces the order; a cap then evicts
+        // the least recently matched rule into a ghost.
+        let restore = |cap| {
+            let mut dns = dns.clone();
+            RuleTable::restore(
+                &lru,
+                &ghosts,
+                &mut dns,
+                DEFAULT_TOLERANCE,
+                cap,
+                RuleTelemetry::default(),
+            )
+        };
+        assert_eq!(restore(None).snapshot(&dns), (lru.clone(), Vec::new()));
+        let (lru, ghosts) = restore(Some(2)).snapshot(&dns);
+        assert_eq!(lru, resolved(&[k3, k1]));
         assert_eq!(
-            restored.export_ghosts(),
-            vec![GhostState {
+            ghosts,
+            vec![GhostSnapshot {
                 device: 0,
-                key: k2,
+                key: k2.resolve(&dns),
                 last_ts: None,
                 last_bin: None
             }]
@@ -868,7 +838,7 @@ mod tests {
     #[test]
     fn eviction_order_is_independent_of_the_hash_key() {
         // Every map draws its own hash key, so two tables learned from one
-        // bootstrap iterate in different orders. Eviction and the exports
+        // bootstrap iterate in different orders. Eviction and the snapshot
         // go by stamp, so both must still end in the same state.
         let dns = DnsTable::new();
         let eng = PredictabilityEngine::new(FlowDef::PortLess);
@@ -906,8 +876,7 @@ mod tests {
             assert!(t.len() <= 8 && t.ghost_len() <= 8);
         }
         assert!(promoted > 0, "no ghost re-promoted");
-        assert_eq!(a.export_lru(), b.export_lru());
-        assert_eq!(a.export_ghosts(), b.export_ghosts());
+        assert_eq!(a.snapshot(&dns), b.snapshot(&dns));
     }
 
     #[test]
@@ -922,12 +891,12 @@ mod tests {
         let eng = PredictabilityEngine::new(FlowDef::PortLess);
         let registry = MetricRegistry::new();
         let telemetry = RuleTelemetry::registered(&registry);
-        let rules = RuleTable::learn_instrumented(&eng, &packets, &dns, telemetry.clone());
+        let mut rules = RuleTable::learn_instrumented(&eng, &packets, &dns, telemetry.clone());
         assert_eq!(telemetry.buckets_learned.get(), 1);
         assert_eq!(telemetry.buckets_rejected.get(), 1);
 
-        assert!(rules.matches(FlowDef::PortLess, &pkt(99_000, 100, 60_000), &dns));
-        assert!(!rules.matches(FlowDef::PortLess, &pkt(99_000, 101, 60_000), &dns));
+        assert!(rules.matches_touch(FlowDef::PortLess, &pkt(99_000, 100, 60_000), &dns));
+        assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(99_000, 101, 60_000), &dns));
         assert_eq!(telemetry.match_hits.get(), 1);
         assert_eq!(telemetry.match_misses.get(), 1);
         // The registry sees the same counts (handles are shared).

@@ -34,6 +34,12 @@
 //! them must re-install them after restore, and the gate
 //! re-fingerprints strangers from empty evidence.
 //!
+//! Memory and snapshot hold the same records: the live proxy keeps each
+//! device's decision state as a [`DeviceSnapshot`], its quarantine
+//! record inside, so snapshot and restore copy each device whole, and
+//! the rule table converts itself (`RuleTable::snapshot`,
+//! `RuleTable::restore`).
+//!
 //! Version 3 layout: the [`HomeSnapshot`] fields in declaration order,
 //! with the QUIC section as [`ServerImage`] itself. Each fact is stored
 //! once: the audit chain is its retained entries, the 32-byte head, the
@@ -63,14 +69,15 @@ pub enum SnapshotError {
     /// from.
     AuditChainInvalid,
     /// This device's state breaks an invariant the decision path relies
-    /// on: its first-N window lies outside `1..=classify_at_cap`, its
-    /// open event is pending with no buffered packets or
-    /// quarantine-fated with no quarantine record, its quarantine record
-    /// is empty or over `quarantine_capacity`, or its record is past
-    /// `max_quarantine_records` (counting records in device-id order).
-    /// Resuming it would forward unproven packets past the cap, hold
-    /// more state than the live path allows, or panic on the device's
-    /// next packet.
+    /// on: its id is not above the previous device's in the list (a
+    /// repeated or out-of-order id), its first-N window lies outside
+    /// `1..=classify_at_cap`, its open event is pending with no buffered
+    /// packets or quarantine-fated with no quarantine record, its
+    /// quarantine record is empty or over `quarantine_capacity`, or its
+    /// record is past `max_quarantine_records` (counting records in list
+    /// order). Resuming it would forward unproven packets past the cap,
+    /// hold more state than the live path allows, drop one of two
+    /// records, or panic on the device's next packet.
     InconsistentDevice(u16),
 }
 
@@ -124,7 +131,7 @@ pub struct HomeSnapshot {
     pub rule_ghosts: Vec<GhostSnapshot>,
     /// Unknown devices already audited fail-open, sorted.
     pub unknown_seen: Vec<u16>,
-    /// Per-device decision state, sorted by device id.
+    /// Per-device decision state, strictly ascending by device id.
     pub devices: Vec<DeviceSnapshot>,
     /// Quarantine releases not yet drained by the interception layer.
     pub released_packets: Vec<PacketRecord>,
@@ -149,7 +156,8 @@ pub struct HomeSnapshot {
     pub quic: ServerImage,
 }
 
-/// One device's decision state.
+/// One device's decision state: the live proxy's own record of the
+/// device (beside its classifier), not a copy made for the snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSnapshot {
     /// Device id.
@@ -158,7 +166,8 @@ pub struct DeviceSnapshot {
     pub classify_at: usize,
     /// Open unpredictable event, if any.
     pub open: Option<OpenEvent>,
-    /// Sliding-window unverified-drop episode times, oldest first.
+    /// Sliding-window unverified-drop episode times, oldest first,
+    /// pruned from the front as they leave the lockout window.
     pub drops: Vec<SimTime>,
     /// Brute-force lockout flag.
     pub locked: bool,

@@ -2,7 +2,7 @@
 //! rule-hit decision, for a home's telemetry set-up and merge, and for a
 //! proof payload that lies about its length.
 //!
-//! `RuleTable::matches` keys lookups on [`InternedFlowKey`] (remote
+//! `RuleTable::matches_touch` keys lookups on [`InternedFlowKey`] (remote
 //! domains interned to dense ids in the `DnsTable`), so deciding a
 //! packet must never touch the heap — for rule hits, misses, known
 //! domains, and unknown IPs alike. `FiatProxy::on_packet` wraps that
@@ -61,7 +61,7 @@ fn rule_match_path_does_not_allocate() {
     // Learn a table with a real rule: one flow repeating a 60 s period.
     let bootstrap: Vec<PacketRecord> = (0..10).map(|i| pkt(i * 60_000_000, known, 235)).collect();
     let engine = PredictabilityEngine::new(FlowDef::PortLess);
-    let rules = RuleTable::learn(&engine, &bootstrap, &dns);
+    let mut rules = RuleTable::learn(&engine, &bootstrap, &dns);
     assert!(!rules.is_empty(), "bootstrap must learn at least one rule");
 
     // Probe packets built outside the measured region: a rule hit on a
@@ -76,14 +76,14 @@ fn rule_match_path_does_not_allocate() {
     // Warm up once (first lookups may lazily touch nothing, but keep the
     // measured region free of any one-time effects regardless).
     for p in &probes {
-        rules.matches(FlowDef::PortLess, p, &dns);
+        rules.matches_touch(FlowDef::PortLess, p, &dns);
     }
 
     let before = thread_allocations();
     let mut hits = 0u32;
     for _ in 0..10_000 {
         for p in &probes {
-            if rules.matches(FlowDef::PortLess, p, &dns) {
+            if rules.matches_touch(FlowDef::PortLess, p, &dns) {
                 hits += 1;
             }
         }

@@ -130,11 +130,6 @@ impl FingerprintEngine {
         &self.signatures
     }
 
-    /// The active configuration (after clamping).
-    pub fn config(&self) -> &MatcherConfig {
-        &self.cfg
-    }
-
     /// Sealed verdict cached for `device`, if its window has closed.
     pub fn sealed_verdict(&self, device: u16) -> Option<FingerprintVerdict> {
         self.sealed

@@ -40,7 +40,7 @@ fn assert_no_cross_class_flip(
     let devices = testbed_devices();
     let mut trace = class_trace(&devices[CORPUS_CLASSES[ci].1], 600, seed);
     dns.merge(&trace.dns);
-    let window = engine.config().evidence_window as usize;
+    let window = MatcherConfig::default().evidence_window as usize;
     trace.packets.truncate(2 * window);
     for pkt in &mut trace.packets {
         transform(pkt);

@@ -142,7 +142,7 @@ fn window_edge_is_exact() {
     let devices = testbed_devices();
     let mut engine = trained_engine(1);
     let mut dns = corpus_dns(1);
-    let window = engine.config().evidence_window as usize;
+    let window = MatcherConfig::default().evidence_window as usize;
     let trace = class_trace(&devices[CORPUS_CLASSES[1].1], 321, 77);
     dns.merge(&trace.dns);
     assert!(trace.packets.len() > window + 10);
@@ -174,7 +174,7 @@ fn spoof_confirmation_quarantines_instead_of_allowing() {
     let devices = testbed_devices();
     let mut engine = trained_engine(1);
     let mut dns = corpus_dns(1);
-    let window = engine.config().evidence_window as usize;
+    let window = MatcherConfig::default().evidence_window as usize;
     let trace = spoofed_trace(
         &devices[CORPUS_CLASSES[2].1],
         &devices[CORPUS_CLASSES[1].1],
@@ -395,8 +395,6 @@ fn degenerate_caps_are_clamped_not_panicking() {
         ..MatcherConfig::default()
     };
     let mut engine = FingerprintEngine::new(SignatureSet::learn(&corpus, 1), cfg);
-    assert_eq!(engine.config().max_tracked, 1);
-    assert_eq!(engine.config().max_sealed, 1);
     let dns = DnsTable::new();
     // Exercise both the tracked and sealed eviction paths at cap 1.
     for d in 0..4u16 {
@@ -405,6 +403,9 @@ fn degenerate_caps_are_clamped_not_panicking() {
         }
     }
     assert!(engine.state_size() <= 2);
+    // The sealed cache is clamped to one verdict, not zero: the newest
+    // device keeps its verdict.
+    assert!(engine.sealed_verdict(3).is_some());
 }
 
 fn capture(seed: u64, hours: f64) -> TestbedTrace {

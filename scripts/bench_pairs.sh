@@ -14,6 +14,13 @@
 # and how many pairs the working tree won (ties count for neither side).
 # For proof_storm the same table also covers auth_p50_us and
 # migrate_p50_us from each run's `proofs per round:` line (lower wins).
+#
+# The end-to-end metrics, their direction (`better`) and their
+# no-regression `bound` are read from BENCHMARK.json with jq. For each
+# one the table adds the head-vs-base change of the median in % and
+# `ok`, or `WORSE` when the head median is worse than the base median by
+# more than the bound (a bound of 0.25 allows 25%). The last line is the
+# verdict over all of them.
 set -euo pipefail
 
 if [ $# -ne 5 ]; then
@@ -23,6 +30,8 @@ fi
 rev=$1 workload=$2 pairs=$3 seconds=$4 seed=$5
 
 repo=$(git rev-parse --show-toplevel)
+# "<name> <better> <bound>" per end-to-end metric, separated by ";".
+spec=$(jq -r '[.end_to_end[] | "\(.name) \(.better) \(.bound)"] | join(";")' "$repo/BENCHMARK.json")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/base" "$tmp/head" "$tmp/out"
@@ -65,7 +74,7 @@ for side in base head; do
                     if ($f == "auth_p50_us" || $f == "migrate_p50_us") print side, pair, $f, $(f + 1)
             }' "$tmp/out/$side.$i"
     done
-done | awk '
+done | awk -v spec="$spec" '
 function quantile(v, n, p,    pos, lo) {
     pos = p * (n + 1)
     if (pos <= 1) return v[1]
@@ -89,12 +98,18 @@ function sorted(side, m, v,    n, i, j, t) {
     if ($2 > pairs) pairs = $2
 }
 END {
-    count = split("setup_s pps decide_p50_ns decide_p99_ns fleet_pps", names, " ")
+    count = split(spec, lines, ";")
+    for (k = 1; k <= count; k++) {
+        split(lines[k], f, " ")
+        names[k] = f[1]
+        if (f[2] == "higher") higher[f[1]] = 1
+        bound[f[1]] = f[3]
+    }
     if ("auth_p50_us" in seen) names[++count] = "auth_p50_us"
     if ("migrate_p50_us" in seen) names[++count] = "migrate_p50_us"
-    higher["pps"] = 1
-    higher["fleet_pps"] = 1
-    printf "%-14s %-34s %-34s %s\n", "metric", "base median [q1, q3]", "head median [q1, q3]", "head wins"
+    worse = ""
+    printf "%-14s %-34s %-34s %-9s %-8s %s\n", "metric", "base median [q1, q3]",
+        "head median [q1, q3]", "head wins", "change", "verdict"
     for (k = 1; k <= count; k++) {
         m = names[k]
         delete b; delete h
@@ -107,9 +122,32 @@ END {
             d = val["head", m, i] - val["base", m, i]
             if ((m in higher && d > 0) || (!(m in higher) && d < 0)) wins++
         }
-        printf "%-14s %-34s %-34s %d/%d\n", m,
-            sprintf("%.4g [%.4g, %.4g]", quantile(b, nb, 0.5), quantile(b, nb, 0.25), quantile(b, nb, 0.75)),
-            sprintf("%.4g [%.4g, %.4g]", quantile(h, nh, 0.5), quantile(h, nh, 0.25), quantile(h, nh, 0.75)),
-            wins, played
+        mb = quantile(b, nb, 0.5)
+        mh = quantile(h, nh, 0.5)
+        # pct: head-vs-base median change in %; worse_by: the same
+        # change, signed so that positive means the head is worse.
+        change = "n/a"
+        worse_by = 0
+        if (nb > 0 && nh > 0 && mb != 0) {
+            pct = 100 * (mh - mb) / mb
+            change = sprintf("%+.1f%%", pct)
+            worse_by = (m in higher) ? -pct : pct
+        }
+        verdict = "-"
+        if (m in bound) {
+            verdict = "ok"
+            if (change == "n/a" || worse_by > 100 * bound[m]) {
+                verdict = "WORSE"
+                worse = worse " " m
+            }
+        }
+        printf "%-14s %-34s %-34s %-9s %-8s %s\n", m,
+            sprintf("%.4g [%.4g, %.4g]", mb, quantile(b, nb, 0.25), quantile(b, nb, 0.75)),
+            sprintf("%.4g [%.4g, %.4g]", mh, quantile(h, nh, 0.25), quantile(h, nh, 0.75)),
+            sprintf("%d/%d", wins, played), change, verdict
     }
+    if (worse == "")
+        print "verdict: no metric worse than its bound"
+    else
+        print "verdict: WORSE than its bound:" worse
 }'
