@@ -92,6 +92,7 @@ pub fn ablations_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fiat_net::FlowKey;
 
     #[test]
     fn ablation_numbers_are_pinned() {
@@ -128,5 +129,61 @@ first-N 5: 42/78 events decidable, mean decision delay 3670 ms
 first-N 10: 16/78 events decidable, mean decision delay 1661 ms
 ";
         assert_eq!(ablations_text(), expected);
+    }
+
+    #[test]
+    fn bootstrap_rules_are_pinned() {
+        // The 20-minute bootstrap row's rules, in LRU order: device,
+        // remote, protocol, size, direction.
+        let expected = "\
+2 stun.wyzecam.com 17 102 0
+1 cast-edge.google.com 6 311 0
+0 device-metrics.amazon.com 6 489 0
+0 dns.amazon.com 17 70 0
+4 cast-edge.google.com 6 311 0
+7 api.roborock.com 6 133 1
+5 nest-weave.google.com 6 131 0
+5 nest-weave.google.com 6 144 1
+3 teckin.com 6 60 0
+3 teckin.com 6 66 1
+8 rest-prod.immedia-semi.com 6 104 1
+2 api.wyzecam.com 6 97 1
+6 avs.amazon.com 6 66 0
+9 gosund.com 6 66 1
+2 api.wyzecam.com 6 88 0
+4 clients.google.com 6 92 0
+1 clients.google.com 6 105 1
+0 avs.amazon.com 6 123 1
+7 api.roborock.com 6 120 0
+1 clients.google.com 6 92 0
+0 avs.amazon.com 6 66 0
+9 gosund.com 6 60 0
+8 rest-prod.immedia-semi.com 6 95 0
+6 avs.amazon.com 6 123 1
+4 clients.google.com 6 105 1
+";
+        let cap = TestbedTrace::generate(TestbedConfig {
+            days: 0.5,
+            ..Default::default()
+        });
+        let window = cap
+            .trace
+            .window(SimTime::ZERO, SimTime::ZERO + SimDuration::from_mins(20));
+        let engine = PredictabilityEngine::new(FlowDef::PortLess);
+        let rules = RuleTable::learn(&engine, &window.packets, &cap.trace.dns);
+        let mut got = String::new();
+        for (device, key) in rules.snapshot(&cap.trace.dns).0 {
+            let FlowKey::PortLess {
+                remote,
+                proto,
+                size,
+                dir,
+            } = key
+            else {
+                panic!("PortLess engine learned {key:?}");
+            };
+            writeln!(got, "{device} {remote} {proto} {size} {dir}").unwrap();
+        }
+        assert_eq!(got, expected);
     }
 }

@@ -267,4 +267,29 @@ mod tests {
         // periods >= 10 s mostly survive 5 s windowing.
         assert!(median > 0.3, "median {median}");
     }
+
+    #[test]
+    fn fig1c_text_is_pinned() {
+        let expected = "\
+# Fig 1(c): CDF of max interval of predictable flows (s)
+p50  =    43.0 s
+p80  =   172.1 s
+p90  =   233.1 s
+p95  =   283.0 s
+p100 =   585.0 s
+max  =   585.0 s  (paper: <= 600 s)
+";
+        assert_eq!(fig1c_text(10, 3, 0), expected);
+    }
+
+    #[test]
+    fn inspector_fractions_are_pinned() {
+        let (fractions, _) = inspector(8, 2, 0);
+        assert_eq!(
+            format!("{fractions:?}"),
+            "[0.7393526405451448, 0.823045267489712, 0.8410535876475931, \
+             0.8945783132530121, 0.9028132992327366, 0.9225700164744646, \
+             0.9276018099547512, 0.9572953736654805]"
+        );
+    }
 }

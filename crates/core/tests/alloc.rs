@@ -1,6 +1,6 @@
 //! Allocation proofs for the per-packet rule-match path, for the whole
-//! rule-hit decision, for a home's telemetry set-up and merge, and for a
-//! proof payload that lies about its length.
+//! rule-hit decision, for bootstrap rule learning, for a home's telemetry
+//! set-up and merge, and for a proof payload that lies about its length.
 //!
 //! `RuleTable::matches_touch` keys lookups on [`InternedFlowKey`] (remote
 //! domains interned to dense ids in the `DnsTable`), so deciding a
@@ -163,6 +163,51 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = thread_allocations();
     let out = f();
     (thread_allocations() - before, out)
+}
+
+/// Twenty minutes of a two-device home: sixteen flows, a quarter each
+/// periodic, periodic with jitter, irregular, and a sub-second burst.
+fn multi_bucket_bootstrap() -> Vec<PacketRecord> {
+    let remotes = [Ipv4Addr::new(34, 9, 9, 9), Ipv4Addr::new(203, 0, 113, 7)];
+    let mut packets = Vec::new();
+    for f in 0..16u64 {
+        let start = f * 1_700_000;
+        let mut ts = start;
+        let mut i = 0;
+        while ts < 1_200_000_000 {
+            let mut p = pkt(ts, remotes[(f / 2 % 2) as usize], 100 + f as u16);
+            p.device = (f % 2) as u16;
+            packets.push(p);
+            i += 1;
+            ts += match f % 4 {
+                0 => 30_000_000,
+                1 => 45_000_000 + (i % 3) * 250_000,
+                2 => 7_000_000 + f * 13_000 + i * i * 17_000,
+                _ if i < 30 => 33_000,
+                _ => u64::MAX / 2,
+            };
+        }
+    }
+    packets.sort_by_key(|p| p.ts);
+    packets
+}
+
+#[test]
+fn rule_learning_allocations_are_bounded() {
+    let mut dns = DnsTable::new();
+    dns.observe_forward(Ipv4Addr::new(34, 9, 9, 9), "cloud.example.com");
+    let bootstrap = multi_bucket_bootstrap();
+    let engine = PredictabilityEngine::new(FlowDef::PortLess);
+    let (n, rules) = allocations(|| RuleTable::learn(&engine, &bootstrap, &dns));
+    assert_eq!(
+        rules.len(),
+        8,
+        "the periodic and jittered flows learn rules"
+    );
+    // The learner with a growable timestamp list per bucket made 94
+    // allocations here. Every home learns once inside the serving loop,
+    // so learning may not allocate per bin or per bucket beyond that.
+    assert!(n <= 94, "RuleTable::learn made {n} allocations");
 }
 
 #[test]
