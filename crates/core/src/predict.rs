@@ -7,6 +7,11 @@
 //! associated with that inter-arrival — previous or future — are
 //! predictable*. Real traffic jitters by tens of milliseconds, so
 //! intervals are quantized into tolerance bins before matching.
+//!
+//! One private pass buckets the packets and summarizes each bucket's
+//! bins; a bin *repeats* when it holds two pairs. The figures' `analyze`
+//! and `max_intervals` and the proxy's [`RuleTable::learn`] are folds
+//! over it, so the figures measure the rules the proxy learns.
 
 use crate::snapshot::GhostSnapshot;
 use fiat_net::{
@@ -14,16 +19,45 @@ use fiat_net::{
     TrafficClass,
 };
 use fiat_telemetry::{Counter, Family, MetricRegistry, SchemaPart};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Default interval quantization bin: one microsecond, i.e. exact
 /// matching at capture resolution — what the paper's heuristic does.
 /// Timer-driven IoT control traffic re-fires at coarse scheduler ticks,
 /// so its inter-arrival values repeat exactly; the irregular gaps inside
 /// command bursts are effectively continuous and (almost) never do.
-/// Coarser bins trade false "predictable" matches for jitter tolerance —
-/// the `ablation_flowdef` bench sweeps this.
+/// Coarser bins trade false "predictable" matches for jitter tolerance;
+/// only the proxy's `ProxyConfig::tolerance` (this by default) sets one.
 pub const DEFAULT_TOLERANCE: SimDuration = SimDuration::from_micros(1);
+
+/// A bucket: device and flow key.
+type Key = (u16, InternedFlowKey);
+
+/// A packet's bucket.
+fn bucket_key(def: FlowDef, p: &PacketRecord, dns: &DnsTable) -> Key {
+    (p.device, InternedFlowKey::of(def, p, dns))
+}
+
+/// An interval's tolerance bin (a zero tolerance acts as 1 µs).
+fn bin(interval: SimDuration, tolerance: SimDuration) -> u64 {
+    interval.as_micros() / tolerance.as_micros().max(1)
+}
+
+/// One tolerance bin of a bucket: its first interval in trace order,
+/// its largest, and how many consecutive packet pairs fall in it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bin {
+    first: SimDuration,
+    max: SimDuration,
+    pairs: u32,
+}
+
+impl Bin {
+    /// The interval repeated: two pairs share the bin.
+    fn repeats(&self) -> bool {
+        self.pairs >= 2
+    }
+}
 
 /// Offline analyzer: marks each packet of a trace predictable or not.
 #[derive(Debug, Clone)]
@@ -43,51 +77,57 @@ impl PredictabilityEngine {
         }
     }
 
-    /// Override the tolerance bin (for the gap-threshold ablation).
+    /// Override the tolerance bin (the proxy's `ProxyConfig::tolerance`).
     pub fn with_tolerance(mut self, tolerance: SimDuration) -> Self {
         assert!(tolerance > SimDuration::ZERO, "tolerance must be positive");
         self.tolerance = tolerance;
         self
     }
 
-    pub(crate) fn bin(&self, d: SimDuration) -> u64 {
-        d.as_micros() / self.tolerance.as_micros().max(1)
+    /// The bucketing pass: calls `fold` with each bucket's key, its
+    /// packet indices in trace order, and its bins. One bin map serves
+    /// every bucket, so nothing is allocated per bin.
+    fn for_each_bucket(
+        &self,
+        packets: &[PacketRecord],
+        dns: &DnsTable,
+        mut fold: impl FnMut(Key, &[usize], &FastMap<u64, Bin>),
+    ) {
+        let mut buckets: FastMap<Key, Vec<usize>> = FastMap::default();
+        for (i, p) in packets.iter().enumerate() {
+            let key = bucket_key(self.def, p, dns);
+            buckets.entry(key).or_default().push(i);
+        }
+        let mut bins: FastMap<u64, Bin> = FastMap::default();
+        for (&key, members) in &buckets {
+            bins.clear();
+            for pair in members.windows(2) {
+                let iv = packets[pair[1]].ts - packets[pair[0]].ts;
+                let e = bins.entry(bin(iv, self.tolerance)).or_default();
+                if e.pairs == 0 {
+                    e.first = iv;
+                }
+                e.max = e.max.max(iv);
+                e.pairs += 1;
+            }
+            fold(key, members, &bins);
+        }
     }
 
     /// Analyze packets (with the trace's DNS table), returning one flag
-    /// per packet: `true` = predictable.
+    /// per packet: `true` = predictable, i.e. one end of a pair whose
+    /// bin repeats.
     pub fn analyze(&self, packets: &[PacketRecord], dns: &DnsTable) -> Vec<bool> {
-        // Bucket id -> list of (packet index, timestamp), in trace order.
-        // Keys are interned ([`InternedFlowKey`]), so bucketing allocates
-        // only for the bucket vectors, never per packet for the key.
-        let mut buckets: HashMap<(u16, InternedFlowKey), Vec<(usize, SimTime)>> = HashMap::new();
-        for (i, p) in packets.iter().enumerate() {
-            let key = (p.device, InternedFlowKey::of(self.def, p, dns));
-            buckets.entry(key).or_default().push((i, p.ts));
-        }
-
         let mut predictable = vec![false; packets.len()];
-        for members in buckets.values() {
-            // interval bin -> packet indices associated with it.
-            let mut by_bin: HashMap<u64, Vec<usize>> = HashMap::new();
-            for w in members.windows(2) {
-                let (i_prev, t_prev) = w[0];
-                let (i_cur, t_cur) = w[1];
-                let b = self.bin(t_cur - t_prev);
-                let entry = by_bin.entry(b).or_default();
-                entry.push(i_prev);
-                entry.push(i_cur);
-            }
-            for indices in by_bin.values() {
-                // An interval value seen at least twice (i.e. >= 3 distinct
-                // packets involved across >= 2 pairs) is a repeat.
-                if indices.len() >= 4 {
-                    for &i in indices {
-                        predictable[i] = true;
-                    }
+        self.for_each_bucket(packets, dns, |_, members, bins| {
+            for pair in members.windows(2) {
+                let iv = packets[pair[1]].ts - packets[pair[0]].ts;
+                if bins[&bin(iv, self.tolerance)].repeats() {
+                    predictable[pair[0]] = true;
+                    predictable[pair[1]] = true;
                 }
             }
-        }
+        });
         predictable
     }
 
@@ -109,35 +149,14 @@ impl PredictabilityEngine {
         packets: &[PacketRecord],
         dns: &DnsTable,
     ) -> Vec<(SimDuration, usize)> {
-        let mut buckets: HashMap<(u16, InternedFlowKey), Vec<SimTime>> = HashMap::new();
-        for p in packets {
-            buckets
-                .entry((p.device, InternedFlowKey::of(self.def, p, dns)))
-                .or_default()
-                .push(p.ts);
-        }
+        let flags = self.analyze(packets, dns);
         let mut out = Vec::new();
-        for times in buckets.values() {
-            let mut by_bin: HashMap<u64, (SimDuration, HashSet<usize>)> = HashMap::new();
-            for (k, w) in times.windows(2).enumerate() {
-                let iv = w[1] - w[0];
-                let e = by_bin.entry(self.bin(iv)).or_insert((iv, HashSet::new()));
-                e.0 = e.0.max(iv);
-                e.1.insert(k);
-                e.1.insert(k + 1);
+        self.for_each_bucket(packets, dns, |_, members, bins| {
+            let repeating = bins.values().filter(|b| b.repeats());
+            if let Some(max_iv) = repeating.map(|b| b.max).max() {
+                out.push((max_iv, members.iter().filter(|&&i| flags[i]).count()));
             }
-            let mut max_iv = SimDuration::ZERO;
-            let mut n = HashSet::new();
-            for (iv, idx) in by_bin.values() {
-                if idx.len() >= 3 {
-                    max_iv = max_iv.max(*iv);
-                    n.extend(idx.iter().copied());
-                }
-            }
-            if !n.is_empty() {
-                out.push((max_iv, n.len()));
-            }
-        }
+        });
         out
     }
 }
@@ -253,15 +272,21 @@ impl RuleTelemetry {
     }
 }
 
-/// Per-ghost re-learn progress: a rule evicted by the LRU cap leaves a
-/// ghost behind, and the ghost re-promotes to a rule when the flow
-/// repeats a qualifying interval again — exactly the evidence the
-/// bootstrap learner demanded.
-#[derive(Debug, Clone, Copy)]
+/// Per-ghost re-learn progress: the previous sighting and the bin of
+/// the previous interval (not its value, so the floor can only test the
+/// promoting interval; see [`RuleTable`]).
+#[derive(Debug, Clone, Copy, Default)]
 struct Ghost {
     last_ts: Option<SimTime>,
     last_bin: Option<u64>,
     stamp: u64,
+}
+
+/// The key of a nonempty map with the least recent stamp. Stamps are
+/// unique, so the minimum does not depend on hash iteration order.
+fn least_recent<V>(map: &FastMap<Key, V>, stamp: impl Fn(&V) -> u64) -> Key {
+    let (key, _) = map.iter().min_by_key(|(_, v)| stamp(v)).expect("nonempty");
+    *key
 }
 
 /// The enforcement-time rule table (§5.4 "Rules Creation"): flows observed
@@ -274,10 +299,10 @@ struct Ghost {
 /// inserting past the cap evicts the least-recently-*matched* rule
 /// (deterministically — every touch takes a unique monotonic stamp, so
 /// the minimum is unambiguous). An evicted rule is not forgotten
-/// outright: it becomes a *ghost*, and if the flow keeps repeating a
-/// qualifying interval (two consecutive inter-arrivals in the same
-/// tolerance bin, at least [`MIN_RULE_INTERVAL`] long — the same
-/// evidence bootstrap learning demanded) it re-promotes to a live rule.
+/// outright: it becomes a *ghost*, and it re-promotes to a live rule
+/// when two consecutive inter-arrivals share a tolerance bin and the
+/// second is at least [`MIN_RULE_INTERVAL`]. (Bootstrap tests a
+/// repeating bin's *first* interval; with 1 µs bins the two are equal.)
 /// Eviction therefore costs an evicted periodic flow a couple of
 /// event-path traversals (latency), never a false drop, while a hostile
 /// device cycling fresh keys can never grow the table past the cap —
@@ -285,12 +310,12 @@ struct Ghost {
 /// path. Ghosts are capped at the same size and evicted the same way.
 #[derive(Debug, Clone, Default)]
 pub struct RuleTable {
-    rules: FastMap<(u16, InternedFlowKey), u64>,
-    ghosts: FastMap<(u16, InternedFlowKey), Ghost>,
+    rules: FastMap<Key, u64>,
+    ghosts: FastMap<Key, Ghost>,
     stamp: u64,
     cap: Option<usize>,
-    /// Interval quantization bin for ghost re-learn, µs (0 acts as 1).
-    tolerance_us: u64,
+    /// Interval quantization bin for ghost re-learn.
+    tolerance: SimDuration,
     telemetry: RuleTelemetry,
 }
 
@@ -301,7 +326,8 @@ impl RuleTable {
     }
 
     /// Learn rules from a bootstrap capture: a bucket becomes a rule when
-    /// it repeats an interval of at least [`MIN_RULE_INTERVAL`].
+    /// one of its bins repeats (holds two pairs) and that bin's first
+    /// interval is at least [`MIN_RULE_INTERVAL`].
     pub fn learn(
         engine: &PredictabilityEngine,
         packets: &[PacketRecord],
@@ -318,44 +344,30 @@ impl RuleTable {
         dns: &DnsTable,
         telemetry: RuleTelemetry,
     ) -> RuleTable {
-        let mut buckets: FastMap<(u16, InternedFlowKey), Vec<SimTime>> = FastMap::default();
-        for p in packets {
-            buckets
-                .entry((p.device, InternedFlowKey::of(engine.def, p, dns)))
-                .or_default()
-                .push(p.ts);
-        }
         // Qualifying buckets get their LRU stamps in (last-seen, key)
         // order, so "least recently matched" is well-defined — and
         // deterministic — from the moment the table is born.
-        let mut qualifying: Vec<(SimTime, (u16, InternedFlowKey))> = Vec::new();
-        let mut counts: FastMap<u64, (SimDuration, u32)> = FastMap::default();
-        for (key, times) in buckets {
-            counts.clear();
-            for w in times.windows(2) {
-                let iv = w[1] - w[0];
-                let e = counts.entry(engine.bin(iv)).or_insert((iv, 0));
-                e.1 += 1;
-            }
-            if counts
+        let mut qualifying: Vec<(SimTime, Key)> = Vec::new();
+        engine.for_each_bucket(packets, dns, |key, members, bins| {
+            if bins
                 .values()
-                .any(|(iv, n)| *n >= 2 && *iv >= MIN_RULE_INTERVAL)
+                .any(|b| b.repeats() && b.first >= MIN_RULE_INTERVAL)
             {
                 telemetry.buckets_learned.inc();
-                qualifying.push((*times.last().expect("qualifying bucket nonempty"), key));
+                let last = *members.last().expect("buckets are nonempty");
+                qualifying.push((packets[last].ts, key));
             } else {
                 telemetry.buckets_rejected.inc();
             }
-        }
+        });
         qualifying.sort();
         let mut table = RuleTable {
-            tolerance_us: engine.tolerance.as_micros(),
+            tolerance: engine.tolerance,
             telemetry,
             ..RuleTable::default()
         };
-        for (_, key) in qualifying {
-            table.stamp += 1;
-            table.rules.insert(key, table.stamp);
+        for (_, (device, key)) in qualifying {
+            table.insert(device, key);
         }
         table
     }
@@ -368,7 +380,7 @@ impl RuleTable {
     /// repeats a qualifying interval — the packet completing the pattern
     /// already counts as a hit.
     pub fn matches_touch(&mut self, def: FlowDef, pkt: &PacketRecord, dns: &DnsTable) -> bool {
-        let key = (pkt.device, InternedFlowKey::of(def, pkt, dns));
+        let key = bucket_key(def, pkt, dns);
         if let Some(stamp) = self.rules.get_mut(&key) {
             self.stamp += 1;
             *stamp = self.stamp;
@@ -386,7 +398,7 @@ impl RuleTable {
     /// Advance the re-learn pattern for an evicted key; `true` when this
     /// packet completed the qualifying repeat and the rule was promoted
     /// back into the table.
-    fn advance_ghost(&mut self, key: (u16, InternedFlowKey), ts: SimTime) -> bool {
+    fn advance_ghost(&mut self, key: Key, ts: SimTime) -> bool {
         let Some(g) = self.ghosts.get_mut(&key) else {
             return false;
         };
@@ -395,9 +407,9 @@ impl RuleTable {
         let mut promote = false;
         if let Some(prev) = g.last_ts {
             let iv = ts - prev;
-            let bin = iv.as_micros() / self.tolerance_us.max(1);
-            promote = g.last_bin == Some(bin) && iv >= MIN_RULE_INTERVAL;
-            g.last_bin = Some(bin);
+            let b = bin(iv, self.tolerance);
+            promote = g.last_bin == Some(b) && iv >= MIN_RULE_INTERVAL;
+            g.last_bin = Some(b);
         }
         g.last_ts = Some(ts);
         if promote {
@@ -427,44 +439,25 @@ impl RuleTable {
     /// restores the unbounded historical behavior.
     pub fn set_capacity(&mut self, cap: Option<usize>) {
         self.cap = cap;
-        self.evict_rules_over_cap();
-        self.evict_ghosts_over_cap();
+        self.evict_over_cap();
     }
 
-    fn evict_rules_over_cap(&mut self) {
+    /// Evict least-recently-matched rules into ghosts, then the least
+    /// recently touched ghosts, until both fit the cap.
+    fn evict_over_cap(&mut self) {
         let Some(cap) = self.cap else { return };
         while self.rules.len() > cap {
-            // Unique stamps make the minimum unambiguous, so eviction is
-            // deterministic regardless of hash iteration order.
-            let victim = *self
-                .rules
-                .iter()
-                .min_by_key(|(_, s)| **s)
-                .expect("nonempty over-cap table")
-                .0;
+            let victim = least_recent(&self.rules, |&s| s);
             self.rules.remove(&victim);
             self.stamp += 1;
-            self.ghosts.insert(
-                victim,
-                Ghost {
-                    last_ts: None,
-                    last_bin: None,
-                    stamp: self.stamp,
-                },
-            );
-            self.evict_ghosts_over_cap();
+            let ghost = Ghost {
+                stamp: self.stamp,
+                ..Ghost::default()
+            };
+            self.ghosts.insert(victim, ghost);
         }
-    }
-
-    fn evict_ghosts_over_cap(&mut self) {
-        let Some(cap) = self.cap else { return };
         while self.ghosts.len() > cap {
-            let victim = *self
-                .ghosts
-                .iter()
-                .min_by_key(|(_, g)| g.stamp)
-                .expect("nonempty over-cap ghosts")
-                .0;
+            let victim = least_recent(&self.ghosts, |g| g.stamp);
             self.ghosts.remove(&victim);
         }
     }
@@ -479,7 +472,7 @@ impl RuleTable {
         self.stamp += 1;
         self.rules.insert(k, self.stamp);
         self.ghosts.remove(&k);
-        self.evict_rules_over_cap();
+        self.evict_over_cap();
     }
 
     /// The table as a snapshot stores it, keys resolved against `dns`:
@@ -523,7 +516,7 @@ impl RuleTable {
         telemetry: RuleTelemetry,
     ) -> RuleTable {
         let mut table = RuleTable {
-            tolerance_us: tolerance.as_micros(),
+            tolerance,
             telemetry,
             ..RuleTable::default()
         };
@@ -597,14 +590,17 @@ mod tests {
 
     #[test]
     fn jitter_within_tolerance_still_matches() {
-        // Period 1000 ms with ±80 ms jitter lands in the same 250 ms bin
-        // often enough that most packets are predictable.
-        let times = [0u64, 1010, 2020, 3080, 4100, 5150, 6170];
+        // Period ~1 s with 10–60 ms of jitter: no interval repeats
+        // exactly, but all six land in one 250 ms bin.
+        let times = [0u64, 1010, 2030, 3060, 4100, 5150, 6210];
         let packets: Vec<PacketRecord> = times.iter().map(|&t| pkt(t, 100, 5000)).collect();
-        let eng = PredictabilityEngine::new(FlowDef::PortLess);
-        let flags = eng.analyze(&packets, &DnsTable::new());
-        let frac = flags.iter().filter(|&&f| f).count() as f64 / flags.len() as f64;
-        assert!(frac > 0.8, "{flags:?}");
+        let dns = DnsTable::new();
+        let binned = PredictabilityEngine::new(FlowDef::PortLess)
+            .with_tolerance(SimDuration::from_millis(250))
+            .analyze(&packets, &dns);
+        assert!(binned.iter().all(|&f| f), "{binned:?}");
+        let exact = PredictabilityEngine::new(FlowDef::PortLess).analyze(&packets, &dns);
+        assert!(exact.iter().all(|&f| !f), "{exact:?}");
     }
 
     #[test]
@@ -771,6 +767,50 @@ mod tests {
         rules.insert(0, key_of(222, &dns));
         for i in 0..20u64 {
             assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(200_000 + i * 33, 100, 9), &dns));
+        }
+    }
+
+    #[test]
+    fn rule_floor_tests_the_bins_first_interval() {
+        // 950 ms and 1100 ms share a 300 ms bin. Bootstrap tests the
+        // bin's first interval against the 1 s floor; Fig 1(c) reports
+        // the bin's largest.
+        let dns = DnsTable::new();
+        let eng = PredictabilityEngine::new(FlowDef::PortLess)
+            .with_tolerance(SimDuration::from_millis(300));
+        for (times, rules) in [([0u64, 950, 2050], 0), ([0, 1100, 2050], 1)] {
+            let packets: Vec<PacketRecord> = times.iter().map(|&t| pkt(t, 100, 5000)).collect();
+            assert_eq!(
+                RuleTable::learn(&eng, &packets, &dns).len(),
+                rules,
+                "{times:?}"
+            );
+            let iv = eng.max_intervals(&packets, &dns);
+            assert_eq!(iv, vec![(SimDuration::from_millis(1100), 3)], "{times:?}");
+        }
+    }
+
+    #[test]
+    fn ghost_floor_tests_the_promoting_interval() {
+        // A ghost keeps only the previous interval's bin, so it tests
+        // the second interval against the floor: 950 ms then 1100 ms
+        // promotes, 1100 ms then 950 ms does not (the reverse of
+        // bootstrap above). Only a bin wider than 1 µs can tell.
+        let dns = DnsTable::new();
+        let eng = PredictabilityEngine::new(FlowDef::PortLess)
+            .with_tolerance(SimDuration::from_millis(300));
+        let packets: Vec<PacketRecord> = (0..10).map(|i| pkt(i * 10_000, 100, 5000)).collect();
+        for (gaps, promotes) in [([950u64, 1100], true), ([1100, 950], false)] {
+            let mut rules = RuleTable::learn(&eng, &packets, &dns);
+            rules.set_capacity(Some(1));
+            rules.insert(0, key_of(222, &dns)); // evicts the learned rule
+            let mut t = 200_000;
+            assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(t, 100, 9), &dns));
+            t += gaps[0];
+            assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(t, 100, 9), &dns));
+            t += gaps[1];
+            let hit = rules.matches_touch(FlowDef::PortLess, &pkt(t, 100, 9), &dns);
+            assert_eq!(hit, promotes, "{gaps:?}");
         }
     }
 

@@ -97,8 +97,9 @@ struct RefDevice {
 
 /// An evicted rule's re-learn state: the flow re-promotes once it
 /// repeats a qualifying interval (two consecutive inter-arrivals in the
-/// same tolerance bin, at least [`MIN_RULE_INTERVAL`] long) — the same
-/// evidence bootstrap learning demanded.
+/// same tolerance bin, the second at least [`MIN_RULE_INTERVAL`] long).
+/// Bootstrap learning tests the bin's first interval instead; the two
+/// agree whenever the bin is 1 µs wide.
 #[derive(Debug, Clone)]
 struct RefGhost {
     device: u16,

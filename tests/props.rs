@@ -1,19 +1,22 @@
 //! Property-based tests on the core invariants, via proptest.
 
 use fiat::core::analysis::ErrorModel;
-use fiat::core::{group_events, EventClassifier, FiatProxy, PredictabilityEngine, ProxyConfig};
+use fiat::core::{
+    group_events, EventClassifier, FiatProxy, PredictabilityEngine, ProxyConfig, RuleTable,
+};
 use fiat::crypto::{open, seal};
 use fiat::fleet::{build_workloads, run_sequential, run_sharded};
 use fiat::ml::data::{fold_complement, stratified_kfold};
 use fiat::ml::StandardScaler;
 use fiat::net::{
-    Direction, DnsTable, FlowDef, PacketRecord, SimDuration, SimTime, TcpFlags, TlsVersion,
-    TrafficClass, Transport,
+    Direction, DnsTable, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime, TcpFlags,
+    TlsVersion, TrafficClass, Transport,
 };
 use fiat::sensors::HumannessValidator;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 fn pkt(ts_us: u64, size: u16, port: u16) -> PacketRecord {
@@ -94,6 +97,56 @@ proptest! {
         let engine = PredictabilityEngine::new(FlowDef::PortLess);
         let flags = engine.analyze(&packets, &DnsTable::new());
         prop_assert!(flags.iter().all(|&f| !f));
+    }
+
+    /// `analyze`, `max_intervals` and `RuleTable::learn` are folds over
+    /// one bucketing pass, so they agree: Fig 1(c) has one entry per
+    /// bucket with a flagged packet, its counts sum to the flags, and
+    /// every learned rule is a bucket `analyze` flags.
+    #[test]
+    fn predictability_folds_agree(
+        flows in prop::collection::vec(
+            (0u16..2, 0u16..3, 0u64..5_000, 0usize..5, 2usize..15,
+             prop::collection::vec(0u64..3, 15)),
+            1..8,
+        ),
+        coarse in any::<bool>(),
+    ) {
+        const PERIODS_MS: [u64; 5] = [33, 950, 1_000, 1_100, 10_000];
+        let mut packets = Vec::new();
+        for (device, size, start_ms, period, n, jitter) in &flows {
+            let mut ts_ms = *start_ms;
+            for j in &jitter[..*n] {
+                let mut p = pkt(ts_ms * 1_000, 100 + size, 40_000);
+                p.device = *device;
+                packets.push(p);
+                ts_ms += PERIODS_MS[*period] + j * 50;
+            }
+        }
+        packets.sort_by_key(|p| p.ts);
+        let dns = DnsTable::new();
+        let tolerance = if coarse { 250_000 } else { 1 };
+        let engine = PredictabilityEngine::new(FlowDef::PortLess)
+            .with_tolerance(SimDuration::from_micros(tolerance));
+        let key = |p: &PacketRecord| (p.device, FlowKey::of(FlowDef::PortLess, p, &dns));
+
+        let flags = engine.analyze(&packets, &dns);
+        let flagged: BTreeSet<_> = packets
+            .iter()
+            .zip(&flags)
+            .filter(|(_, &f)| f)
+            .map(|(p, _)| key(p))
+            .collect();
+        let intervals = engine.max_intervals(&packets, &dns);
+        prop_assert_eq!(intervals.len(), flagged.len());
+        prop_assert_eq!(
+            intervals.iter().map(|&(_, n)| n).sum::<usize>(),
+            flags.iter().filter(|&&f| f).count()
+        );
+        let (rules, _) = RuleTable::learn(&engine, &packets, &dns).snapshot(&dns);
+        for rule in &rules {
+            prop_assert!(flagged.contains(rule), "rule {:?} on no flagged packet", rule);
+        }
     }
 
     /// Event grouping partitions exactly the unpredictable packets: every
