@@ -453,19 +453,17 @@ impl HomeSim {
         acts
     }
 
-    /// Snapshot the home, round-trip it through serde bytes, and restore
-    /// the twin that [`HomeSim::run_day`] will drive in lockstep.
-    /// Returns `false` (and counts a mismatch) if serialization is
-    /// unstable or the restore is refused.
+    /// Snapshot the home, round-trip it through its encoded bytes, and
+    /// restore the twin that [`HomeSim::run_day`] will drive in
+    /// lockstep. Returns `false` (and counts a mismatch) if the encoding
+    /// is unstable or the restore is refused.
     pub fn begin_shadow(&mut self) -> bool {
-        let bytes = serde_json::to_vec(&self.proxy.snapshot()).expect("snapshot serializes");
-        let again = serde_json::to_vec(&self.proxy.snapshot()).expect("snapshot serializes");
-        if bytes != again {
+        let bytes = self.proxy.snapshot().to_bytes();
+        if bytes != self.proxy.snapshot().to_bytes() {
             return false;
         }
-        let parsed: HomeSnapshot = match serde_json::from_slice(&bytes) {
-            Ok(s) => s,
-            Err(_) => return false,
+        let Some(parsed) = HomeSnapshot::from_bytes(&bytes) else {
+            return false;
         };
         match FiatProxy::restore(
             self.config.clone(),
@@ -497,8 +495,7 @@ impl HomeSim {
     pub fn shadow_matches(&self) -> Option<bool> {
         self.shadow.as_ref().map(|sh| {
             sh.stats() == self.proxy.stats()
-                && serde_json::to_vec(&sh.snapshot()).expect("snapshot serializes")
-                    == serde_json::to_vec(&self.proxy.snapshot()).expect("snapshot serializes")
+                && sh.snapshot().to_bytes() == self.proxy.snapshot().to_bytes()
         })
     }
 

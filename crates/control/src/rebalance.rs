@@ -1,15 +1,16 @@
 //! Snapshot/restore orchestration: the control-plane operations a fleet
 //! uses to rebalance a home between shards or survive a proxy restart.
 //!
-//! [`snapshot_home`] serializes a [`FiatProxy`]'s [`HomeSnapshot`] to
-//! canonical JSON bytes (deterministic: the snapshot sorts every
-//! collection, so the same state always produces the same bytes) and
-//! counts them into `fiat_control_snapshot_bytes_total`.
-//! [`restore_home`] parses, re-verifies (version, audit chain and each
-//! device's open-event state), and
-//! rebuilds a proxy that resumes byte-identically — the determinism
-//! contract proven by the core pipeline tests and the fleet rebalance
-//! oracle.
+//! [`snapshot_home`] encodes a [`FiatProxy`]'s [`HomeSnapshot`] to its
+//! canonical binary bytes ([`HomeSnapshot::to_bytes`], the version-4
+//! layout in `fiat_core::snapshot`; deterministic: the snapshot sorts
+//! every collection, so the same state always produces the same bytes)
+//! and counts them into `fiat_control_snapshot_bytes_total`.
+//! [`restore_home`] decodes ([`HomeSnapshot::from_bytes`], which checks
+//! shape only), re-verifies (version, audit chain, each device's state
+//! and the caps), and rebuilds a proxy that resumes byte-identically —
+//! the determinism contract proven by the core pipeline tests and the
+//! fleet rebalance oracle.
 
 use crate::metrics::ControlMetrics;
 use fiat_core::pipeline::ProxyTelemetry;
@@ -19,7 +20,7 @@ use fiat_sensors::HumannessValidator;
 /// Why a serialized snapshot could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreError {
-    /// The bytes did not parse as a [`HomeSnapshot`].
+    /// The bytes are not a canonical [`HomeSnapshot`] encoding.
     Corrupt,
     /// The snapshot parsed but failed validation.
     Snapshot(SnapshotError),
@@ -42,10 +43,9 @@ impl From<SnapshotError> for RestoreError {
     }
 }
 
-/// Serialize `proxy`'s full decision state to canonical JSON bytes.
+/// Encode `proxy`'s full decision state to its canonical snapshot bytes.
 pub fn snapshot_home(proxy: &FiatProxy, metrics: Option<&ControlMetrics>) -> Vec<u8> {
-    let snap = proxy.snapshot();
-    let bytes = serde_json::to_vec(&snap).expect("snapshot serializes");
+    let bytes = proxy.snapshot().to_bytes();
     if let Some(m) = metrics {
         m.record_snapshot_save(bytes.len() as u64);
     }
@@ -67,7 +67,7 @@ pub fn restore_home(
     classifiers: impl FnMut(u16) -> EventClassifier,
     metrics: Option<&ControlMetrics>,
 ) -> Result<FiatProxy, RestoreError> {
-    let snap: HomeSnapshot = serde_json::from_slice(bytes).map_err(|_| RestoreError::Corrupt)?;
+    let snap = HomeSnapshot::from_bytes(bytes).ok_or(RestoreError::Corrupt)?;
     let proxy = FiatProxy::restore(
         config,
         ceremony_secret,
@@ -163,7 +163,7 @@ mod tests {
         let proxy = seeded_proxy(1, 0, 0);
         let mut snap = proxy.snapshot();
         snap.version = 99;
-        let bytes = serde_json::to_vec(&snap).unwrap();
+        let bytes = snap.to_bytes();
         let err = match restore_home(
             &bytes,
             ProxyConfig::default(),
@@ -193,7 +193,7 @@ mod tests {
             last: SimTime::from_secs(1),
             fate: None,
         });
-        let bytes = serde_json::to_vec(&snap).unwrap();
+        let bytes = snap.to_bytes();
         let err = match restore_home(
             &bytes,
             ProxyConfig::default(),
@@ -212,8 +212,9 @@ mod tests {
         );
     }
 
-    /// The fixture `fiat_core`'s `snapshot_bytes_are_pinned` pins, in
-    /// the current layout and in version 2's.
+    /// The fixture `fiat_core`'s `snapshot_bytes_are_pinned` pins, and
+    /// the JSON bytes of the two earlier layouts.
+    const FIXTURE_V4: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v4.bin");
     const FIXTURE_V3: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v3.json");
     const FIXTURE_V2: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v2.json");
 
@@ -238,23 +239,29 @@ mod tests {
     }
 
     #[test]
-    fn version_two_bytes_are_refused() {
-        // No legacy reader: v2 stores one hash per audit entry and lacks
-        // `audit_head`, and the vendored serde reports the missing field
-        // before the version check can run.
-        assert!(FIXTURE_V2.starts_with(b"{\"version\":2,"));
-        match restore_fixture(FIXTURE_V2) {
-            Ok(_) => panic!("v2 bytes must be refused"),
-            Err(e) => assert_eq!(e, RestoreError::Corrupt),
+    fn json_layouts_are_refused() {
+        // No legacy reader: the v2 and v3 JSON bytes are not a v4
+        // encoding. Their first four bytes read as a version, but the
+        // fifth onwards is text where v4 has an audit ledger and option
+        // tags, so decoding stops before restore sees a version.
+        for (fixture, head) in [
+            (FIXTURE_V2, b"{\"version\":2,"),
+            (FIXTURE_V3, b"{\"version\":3,"),
+        ] {
+            assert!(fixture.starts_with(head));
+            match restore_fixture(fixture) {
+                Ok(_) => panic!("JSON bytes must be refused"),
+                Err(e) => assert_eq!(e, RestoreError::Corrupt),
+            }
         }
     }
 
     #[test]
     fn fixture_restores_whole_and_no_strict_prefix_parses() {
-        let proxy = restore_fixture(FIXTURE_V3).expect("the v3 fixture restores");
-        assert_eq!(snapshot_home(&proxy, None), FIXTURE_V3);
-        for len in 0..FIXTURE_V3.len() {
-            match restore_fixture(&FIXTURE_V3[..len]) {
+        let proxy = restore_fixture(FIXTURE_V4).expect("the v4 fixture restores");
+        assert_eq!(snapshot_home(&proxy, None), FIXTURE_V4);
+        for len in 0..FIXTURE_V4.len() {
+            match restore_fixture(&FIXTURE_V4[..len]) {
                 Ok(_) => panic!("a {len}-byte prefix restored"),
                 Err(e) => assert_eq!(e, RestoreError::Corrupt, "{len}-byte prefix"),
             }
@@ -265,34 +272,40 @@ mod tests {
     fn single_byte_flips_never_panic_restore() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5eed);
-        let mut restored = 0;
-        for _ in 0..400 {
-            let mut bytes = FIXTURE_V3.to_vec();
+        let (mut decoded, mut restored) = (0, 0);
+        for _ in 0..2_000 {
+            let mut bytes = FIXTURE_V4.to_vec();
             let at = rng.gen_range(0..bytes.len());
             bytes[at] ^= 1 << rng.gen_range(0..8u32);
-            // Either outcome is fine; a panic fails the test.
+            // Any input the codec accepts is the canonical encoding of
+            // what it decoded to.
+            if let Some(snap) = HomeSnapshot::from_bytes(&bytes) {
+                decoded += 1;
+                assert_eq!(snap.to_bytes(), bytes, "flip at byte {at}");
+            }
+            // Either restore outcome is fine; a panic fails the test.
             restored += usize::from(restore_fixture(&bytes).is_ok());
         }
-        // Flips inside numbers keep the bytes parseable, so the run
-        // reaches restore's own checks, not only the parser.
+        // Flips inside timestamps and counters keep the bytes decodable,
+        // so the run reaches restore's own checks, not only the codec.
+        assert!(decoded > 0);
         assert!(restored > 0);
     }
 
     proptest! {
-        /// The satellite round-trip property: for arbitrary provisioning
-        /// shapes, serialize → deserialize → serialize is byte-identical
-        /// (the canonical-bytes contract every rebalance leans on).
+        /// The round-trip property: for arbitrary provisioning shapes,
+        /// encode → decode → encode is byte-identical (the
+        /// canonical-bytes contract every rebalance leans on).
         #[test]
-        fn snapshot_serde_round_trips_byte_identically(
+        fn snapshot_bytes_round_trip_byte_identically(
             devices in 0u16..6,
             rotations in 0u32..4,
             start_secs in 0u64..1000,
         ) {
             let proxy = seeded_proxy(devices, rotations, start_secs);
             let bytes = snapshot_home(&proxy, None);
-            let snap: HomeSnapshot = serde_json::from_slice(&bytes).expect("parses");
-            let again = serde_json::to_vec(&snap).expect("re-serializes");
-            prop_assert_eq!(bytes, again);
+            let snap = HomeSnapshot::from_bytes(&bytes).expect("decodes");
+            prop_assert_eq!(snap.to_bytes(), bytes);
         }
 
         /// A checkpoint-truncated audit chain survives rebalance: drive

@@ -28,14 +28,13 @@
 use crate::classifier::EventClass;
 use fiat_crypto::Sha256;
 use fiat_net::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Sentinel device id for proxy-wide audit entries (degraded-mode
 /// transitions) that concern no single device.
 pub const AUDIT_PROXY_DEVICE: u16 = u16::MAX;
 
 /// Verdict recorded for an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditVerdict {
     /// Event allowed as non-manual.
     AllowedNonManual,
@@ -77,7 +76,7 @@ pub enum AuditVerdict {
 }
 
 /// One audit record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditEntry {
     /// Decision time.
     pub ts: SimTime,
@@ -90,42 +89,66 @@ pub struct AuditEntry {
 }
 
 impl AuditEntry {
-    /// Deterministic 16-byte record fed to the hash chain:
-    /// timestamp µs (8, BE) | device (2, BE) | class label (1) |
-    /// verdict (1) | FNV-1a-32 of the first 12 bytes (4, BE). The
-    /// trailing checksum makes every byte load-bearing — a record
-    /// truncated or padded by a buggy (or malicious) serializer cannot
-    /// produce the same chain input as a well-formed one.
-    fn encode(&self) -> [u8; 16] {
+    /// Deterministic 16-byte record fed to the hash chain (and stored
+    /// as is in a home snapshot): timestamp µs (8, BE) | device (2, BE)
+    /// | class label (1) | verdict (1) | FNV-1a-32 of the first 12 bytes
+    /// (4, BE). The trailing checksum makes every byte load-bearing — a
+    /// record truncated or padded by a buggy (or malicious) serializer
+    /// cannot produce the same chain input as a well-formed one.
+    pub(crate) fn encode(&self) -> [u8; 16] {
         let mut out = [0u8; 16];
         out[..8].copy_from_slice(&self.ts.as_micros().to_be_bytes());
         out[8..10].copy_from_slice(&self.device.to_be_bytes());
         out[10] = self.class.label() as u8;
-        out[11] = match self.verdict {
-            AuditVerdict::AllowedNonManual => 0,
-            AuditVerdict::AllowedManualVerified => 1,
-            AuditVerdict::DroppedUnverified => 2,
-            AuditVerdict::LockedOut => 3,
-            AuditVerdict::AllowedCascade => 4,
-            AuditVerdict::AllowedUnknownDevice => 5,
-            // Later additions take the next free code so the pinned
-            // golden vectors for 0..=5 stay valid.
-            AuditVerdict::QuarantineReleased => 6,
-            AuditVerdict::QuarantineExpired => 7,
-            AuditVerdict::DegradedModeEntered => 8,
-            AuditVerdict::DegradedModeExited => 9,
-            AuditVerdict::FingerprintMatched => 10,
-            AuditVerdict::SpoofSuspected => 11,
-            AuditVerdict::UnknownQuarantined => 12,
-        };
-        let mut fnv: u32 = 0x811c_9dc5;
-        for &b in &out[..12] {
-            fnv ^= u32::from(b);
-            fnv = fnv.wrapping_mul(0x0100_0193);
-        }
-        out[12..].copy_from_slice(&fnv.to_be_bytes());
+        out[11] = VERDICT_CODES
+            .iter()
+            .position(|&v| v == self.verdict)
+            .expect("every verdict has a code") as u8;
+        let sum = fnv1a(&out[..12]);
+        out[12..].copy_from_slice(&sum.to_be_bytes());
         out
     }
+
+    /// Inverse of [`AuditEntry::encode`]: `None` when the class label or
+    /// verdict code is out of range or the checksum does not match.
+    pub(crate) fn decode(record: &[u8; 16]) -> Option<AuditEntry> {
+        if fnv1a(&record[..12]).to_be_bytes() != record[12..] || record[10] > 2 {
+            return None;
+        }
+        let ts: [u8; 8] = record[..8].try_into().expect("eight bytes");
+        Some(AuditEntry {
+            ts: SimTime::from_micros(u64::from_be_bytes(ts)),
+            device: u16::from_be_bytes([record[8], record[9]]),
+            class: EventClass::from_label(usize::from(record[10])),
+            verdict: *VERDICT_CODES.get(usize::from(record[11]))?,
+        })
+    }
+}
+
+/// Each verdict's code in the chain record, by position. Later
+/// additions take the next free code so the pinned golden vectors for
+/// the earlier codes stay valid.
+const VERDICT_CODES: [AuditVerdict; 13] = [
+    AuditVerdict::AllowedNonManual,
+    AuditVerdict::AllowedManualVerified,
+    AuditVerdict::DroppedUnverified,
+    AuditVerdict::LockedOut,
+    AuditVerdict::AllowedCascade,
+    AuditVerdict::AllowedUnknownDevice,
+    AuditVerdict::QuarantineReleased,
+    AuditVerdict::QuarantineExpired,
+    AuditVerdict::DegradedModeEntered,
+    AuditVerdict::DegradedModeExited,
+    AuditVerdict::FingerprintMatched,
+    AuditVerdict::SpoofSuspected,
+    AuditVerdict::UnknownQuarantined,
+];
+
+/// FNV-1a-32, the record checksum.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| {
+        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    })
 }
 
 /// Verify an exported log against the head that commits to it,

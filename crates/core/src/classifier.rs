@@ -16,11 +16,10 @@ use crate::features::{event_feature_names, event_features};
 use fiat_ml::naive_bayes::BernoulliNB;
 use fiat_ml::{Classifier, Dataset, StandardScaler};
 use fiat_net::{PacketRecord, TrafficClass};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Event class labels, aligned with [`TrafficClass`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventClass {
     /// Unpredictable control chatter.
     Control,

@@ -28,8 +28,8 @@
 //!   light) that lets authorized devices vouch for downstream commands.
 //! - [`audit`]: hash-chained, tamper-evident log of every unpredictable
 //!   event and decision (§7 "Technology Acceptance").
-//! - [`snapshot`]: versioned, serde-round-trippable export of a proxy's
-//!   full decision state, so a home can move between fleet shards or
+//! - [`snapshot`]: versioned export of a proxy's full decision state in a
+//!   canonical binary encoding, so a home can move between fleet shards or
 //!   survive a restart without losing rules, events, or its audit chain.
 //! - [`analysis`]: the Appendix A closed-form false-positive/negative
 //!   model.

@@ -141,7 +141,7 @@ impl Default for ProxyConfig {
 }
 
 /// Why a packet was allowed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllowReason {
     /// Still in the bootstrap window.
     Bootstrap,
@@ -196,7 +196,7 @@ impl AllowReason {
 }
 
 /// Why a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     /// Manual event without humanness proof.
     ManualUnverified,
@@ -1150,8 +1150,8 @@ impl FiatProxy {
             released_packets: self.quarantine.released.clone(),
             stats: self.policy.stats,
             audit_entries: self.policy.audit.entries().to_vec(),
-            audit_head: self.policy.audit.head().map(|h| h.to_vec()),
-            audit_checkpoint: self.policy.audit.checkpoint().map(|c| c.to_vec()),
+            audit_head: self.policy.audit.head(),
+            audit_checkpoint: self.policy.audit.checkpoint(),
             audit_truncated: self.policy.audit.truncated(),
             quic: self.quic.to_image(),
         }
@@ -1198,17 +1198,11 @@ impl FiatProxy {
         if snap.version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(snap.version));
         }
-        let hash = |h: &Option<Vec<u8>>| {
-            h.as_deref()
-                .map(<[u8; 32]>::try_from)
-                .transpose()
-                .map_err(|_| SnapshotError::AuditChainInvalid)
-        };
         let mut audit = AuditLog::from_parts_at(
-            hash(&snap.audit_checkpoint)?,
+            snap.audit_checkpoint,
             snap.audit_truncated,
             snap.audit_entries.clone(),
-            hash(&snap.audit_head)?,
+            snap.audit_head,
         )
         .ok_or(SnapshotError::AuditChainInvalid)?;
         // One pass in list order: ids strictly ascending (so the list is
@@ -3113,18 +3107,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_serde_round_trips_byte_identically() {
+    fn snapshot_bytes_round_trip_byte_identically() {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
         proxy.on_packet(&pkt(t, 235));
         proxy.set_degraded(SimTime::from_millis(t + 1), true);
-        let snap = proxy.snapshot();
-        let bytes = serde_json::to_vec(&snap).unwrap();
-        let back: crate::snapshot::HomeSnapshot = serde_json::from_slice(&bytes).unwrap();
-        let again = serde_json::to_vec(&back).unwrap();
-        assert_eq!(bytes, again);
-        // And two snapshots of the same state serialize identically.
-        assert_eq!(bytes, serde_json::to_vec(&proxy.snapshot()).unwrap());
+        let bytes = proxy.snapshot().to_bytes();
+        let back = HomeSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(bytes, back.to_bytes());
+        // And two snapshots of the same state encode identically.
+        assert_eq!(bytes, proxy.snapshot().to_bytes());
     }
 
     #[test]
@@ -3158,10 +3150,10 @@ mod tests {
         // but it no longer ends at the stored head.
         let mut tail_cut = good.clone();
         assert!(tail_cut.audit_entries.pop().is_some());
-        // A head that is not 32 bytes.
-        let mut short_head = good.clone();
-        short_head.audit_head.as_mut().unwrap().pop();
-        for bad in [tampered, tail_cut, short_head] {
+        // A head that commits to nothing in the log.
+        let mut foreign_head = good.clone();
+        foreign_head.audit_head = Some([0xA5; 32]);
+        for bad in [tampered, tail_cut, foreign_head] {
             let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
             assert_eq!(
                 FiatProxy::restore(
@@ -3292,8 +3284,8 @@ mod tests {
         // The live path writes each device once, in ascending id order.
         // A repeated id would silently keep one of its two records, and
         // the record cap counts records in list order.
-        let golden: HomeSnapshot =
-            serde_json::from_slice(include_bytes!("../../tests/golden/snapshot_v3.json")).unwrap();
+        let golden =
+            HomeSnapshot::from_bytes(include_bytes!("../../tests/golden/snapshot_v4.bin")).unwrap();
         let restore = |snap: &HomeSnapshot| {
             let config = ProxyConfig {
                 proof_deadline: Some(SimDuration::from_secs(60)),
@@ -3578,10 +3570,9 @@ mod tests {
 
         // The snapshot round-trips the truncated chain byte-identically
         // and the restored log still verifies (from the checkpoint).
-        let snap = proxy.snapshot();
-        let bytes = serde_json::to_vec(&snap).unwrap();
-        let back: crate::snapshot::HomeSnapshot = serde_json::from_slice(&bytes).unwrap();
-        assert_eq!(bytes, serde_json::to_vec(&back).unwrap());
+        let bytes = proxy.snapshot().to_bytes();
+        let back = HomeSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(bytes, back.to_bytes());
         let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         let mut restored = FiatProxy::restore(
             config,
@@ -3681,7 +3672,7 @@ mod tests {
         let snap = snapshotted.snapshot();
         assert_eq!(snap.rule_ghosts.len(), 1);
         assert!(snap.rule_ghosts[0].last_ts.is_some());
-        let bytes = serde_json::to_vec(&snap).unwrap();
+        let bytes = snap.to_bytes();
         let mut restored = FiatProxy::restore(
             config,
             &SECRET,
@@ -3693,7 +3684,7 @@ mod tests {
         .unwrap();
         // Restore → snapshot reproduces the exact bytes (LRU order and
         // ghost state are semantic, not incidental).
-        assert_eq!(bytes, serde_json::to_vec(&restored.snapshot()).unwrap());
+        assert_eq!(bytes, restored.snapshot().to_bytes());
 
         // Resume: the ghost re-promotes identically in both twins (two
         // more qualifying repeats at the same cadence).
@@ -3714,10 +3705,11 @@ mod tests {
         // whose snapshot holds every state record — rule ghosts, a proof
         // in the replay window, live quarantine records with their
         // quarantine-fated open events, an allow-fated open event,
-        // lockout drops on a locked device, an unknown device, and a
-        // checkpoint-truncated audit chain. A digest change means the
+        // lockout drops on a locked device, an unknown device, a
+        // checkpoint-truncated audit chain, and DNS names shared between
+        // two addresses and the learned rule. A digest change means the
         // bytes changed and SNAPSHOT_VERSION must be bumped. The bytes
-        // themselves are `tests/golden/snapshot_v3.json`, which
+        // themselves are `tests/golden/snapshot_v4.bin` (binary), which
         // fiat-control's restore and fuzz tests read.
         let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         let config = ProxyConfig {
@@ -3727,6 +3719,11 @@ mod tests {
             ..ProxyConfig::default()
         };
         let mut proxy = FiatProxy::new(config, &SECRET, validator);
+        let mut dns = DnsTable::new();
+        dns.observe_forward(Ipv4Addr::new(34, 0, 0, 1), "cloud.example.com");
+        dns.observe_forward(Ipv4Addr::new(34, 0, 0, 2), "cloud.example.com");
+        dns.observe_reverse(Ipv4Addr::new(10, 0, 0, 9), "ptr.example.net");
+        proxy.set_dns(dns);
         for d in 0..3 {
             proxy.register_device(d, EventClassifier::simple_rule(235), 1);
         }
@@ -3756,16 +3753,16 @@ mod tests {
         assert_eq!(size.quarantine_records, 2);
         assert_eq!(size.open_events, 3);
         assert!(proxy.audit().checkpoint().is_some());
-        let bytes = serde_json::to_vec(&proxy.snapshot()).unwrap();
+        let bytes = proxy.snapshot().to_bytes();
         let hex: String = fiat_crypto::Sha256::digest(&bytes)
             .iter()
             .map(|b| format!("{b:02x}"))
             .collect();
         assert_eq!(
             hex,
-            "10687ebd7a7b93f61dbf1781f4518b10fc59b6511493cd4e81b700fe98dec1e1"
+            "a0ed74ad3c2a52fc8c5ccca32d7550c54a53c97d722d86cb7a2369bf96211af5"
         );
-        assert!(bytes == include_bytes!("../../tests/golden/snapshot_v3.json"));
+        assert!(bytes == include_bytes!("../../tests/golden/snapshot_v4.bin"));
     }
 
     #[test]

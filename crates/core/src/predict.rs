@@ -85,21 +85,43 @@ impl PredictabilityEngine {
     }
 
     /// The bucketing pass: calls `fold` with each bucket's key, its
-    /// packet indices in trace order, and its bins. One bin map serves
-    /// every bucket, so nothing is allocated per bin.
+    /// packet indices in trace order, and its bins. A counting sort
+    /// lays every bucket's indices out in one array, and one bin map
+    /// serves every bucket, so nothing is allocated per bucket or bin.
     fn for_each_bucket(
         &self,
         packets: &[PacketRecord],
         dns: &DnsTable,
         mut fold: impl FnMut(Key, &[usize], &FastMap<u64, Bin>),
     ) {
-        let mut buckets: FastMap<Key, Vec<usize>> = FastMap::default();
-        for (i, p) in packets.iter().enumerate() {
-            let key = bucket_key(self.def, p, dns);
-            buckets.entry(key).or_default().push(i);
+        // Each key's dense id, in order of first appearance.
+        let mut ids: FastMap<Key, usize> = FastMap::default();
+        let bucket_of: Vec<usize> = packets
+            .iter()
+            .map(|p| {
+                let next = ids.len();
+                *ids.entry(bucket_key(self.def, p, dns)).or_insert(next)
+            })
+            .collect();
+        // `end[b]` counts bucket b's packets, then holds its first slot
+        // in `order`, and after the fill one past its last, so bucket b
+        // is `end[b - 1]..end[b]`.
+        let mut end = vec![0; ids.len()];
+        for &b in &bucket_of {
+            end[b] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut end {
+            (*slot, start) = (start, start + *slot);
+        }
+        let mut order = vec![0; packets.len()];
+        for (i, &b) in bucket_of.iter().enumerate() {
+            order[end[b]] = i;
+            end[b] += 1;
         }
         let mut bins: FastMap<u64, Bin> = FastMap::default();
-        for (&key, members) in &buckets {
+        for (&key, &b) in &ids {
+            let members = &order[b.checked_sub(1).map_or(0, |p| end[p])..end[b]];
             bins.clear();
             for pair in members.windows(2) {
                 let iv = packets[pair[1]].ts - packets[pair[0]].ts;

@@ -1,4 +1,4 @@
-//! Versioned, serde-round-trippable home state snapshots.
+//! Versioned home state snapshots and their canonical binary encoding.
 //!
 //! A [`HomeSnapshot`] captures everything a [`crate::FiatProxy`] needs to
 //! resume mid-trace on another process (or fleet shard): learned rules,
@@ -13,9 +13,9 @@
 //! - **Deterministic bytes.** Every collection is a canonically ordered
 //!   `Vec` (rules and ghosts in LRU/stamp order — semantic state, since
 //!   eviction follows it — devices by id, replay epochs and tickets
-//!   ascending), and `DnsTable`'s own serde representation sorts by IP,
-//!   so serializing the same state twice yields identical bytes — the
-//!   property the round-trip proptest in `fiat-control` pins.
+//!   ascending, DNS entries by IP), so encoding the same state twice
+//!   yields identical bytes — the property the round-trip proptest in
+//!   `fiat-control` pins.
 //! - **No live keys.** The QUIC 1-RTT session key is *not* serialized;
 //!   a restored proxy requires clients to re-handshake for 1-RTT while
 //!   0-RTT tickets (re-derivable from the pairing PSK + epoch) keep
@@ -40,23 +40,81 @@
 //! the rule table converts itself (`RuleTable::snapshot`,
 //! `RuleTable::restore`).
 //!
-//! Version 3 layout: the [`HomeSnapshot`] fields in declaration order,
-//! with the QUIC section as [`ServerImage`] itself. Each fact is stored
-//! once: the audit chain is its retained entries, the 32-byte head, the
-//! truncation checkpoint and ledger — not one hash per entry, since
-//! restore recomputes every link and refuses a chain that does not end
-//! at the stored head.
+//! ## Version 4 layout
+//!
+//! [`HomeSnapshot::to_bytes`] writes one canonical binary encoding and
+//! [`HomeSnapshot::from_bytes`] reads it back. Integers are fixed-width
+//! little-endian. A `bool` or an option tag is one byte, 0 or 1 (an
+//! option's value follows a 1). An enum is a one-byte tag, in the
+//! variant's declaration order, followed by its payload. A list is a
+//! `u32` count, then its elements. A string is a `u32` byte count, then
+//! UTF-8. Each fact is stored once: the audit chain is its retained
+//! entries, the 32-byte head, the truncation checkpoint and ledger — not
+//! one hash per entry, since restore recomputes every link and refuses a
+//! chain that does not end at the stored head. The fields follow in
+//! [`HomeSnapshot`]'s declaration order:
+//!
+//! | Field | Encoding |
+//! |---|---|
+//! | `version` | `u32` |
+//! | `audit_truncated` | `u64` |
+//! | `audit_checkpoint`, `audit_head` | option of 32 bytes, each |
+//! | `audit_entries` | list of 16-byte records, [`AuditEntry`]'s chain input |
+//! | `started_at` | option of `u64` µs |
+//! | `human_valid_until`, `server_random_counter` | `u64`, each |
+//! | `degraded` | bool |
+//! | `dns` | list of (IPv4 octets, name, source tag), strictly ascending by address |
+//! | `bootstrap_buffer` | list of packets |
+//! | `rules` | option of a list of (device `u16`, flow key) |
+//! | `rule_ghosts` | list of (device `u16`, flow key, option `last_ts`, option `last_bin`) |
+//! | `unknown_seen` | list of `u16` |
+//! | `devices` | list of devices |
+//! | `released_packets` | list of packets |
+//! | `stats` | the 16 [`ProxyStats`] counters as `u64`, in declaration order |
+//! | `quic` | `next_ticket_id` `u64`, `current_epoch` `u32`, `replay_retired_below` `u32`, `replay_retired_count` `u64`, list of (epoch `u32`, list of (ticket `u64`, list of nonce `u64`)) |
+//!
+//! - A **packet** is 29 bytes: `ts` `u64`, `device` `u16`, direction
+//!   tag, local and remote IPv4 octets, local and remote port `u16`,
+//!   transport tag, TCP flags byte, TLS tag, `size` `u16`, label tag.
+//! - A **flow key** is tag 0 (Classic: source and destination IPv4,
+//!   ports `u16`, proto byte, `size` `u16`) or tag 1 (PortLess: remote
+//!   name, proto byte, `size` `u16`, direction byte).
+//! - A **device** is `device` `u16`, `classify_at` `u64`, an option of
+//!   the open event (list of packets, `last` `u64`, option of the fate:
+//!   tag 0 allow plus reason tag, 1 drop plus reason tag, 2
+//!   quarantine), the `drops` list of `u64`, `locked` bool, and an
+//!   option of the quarantine record (list of packets, class tag,
+//!   `deadline` `u64`).
+//! - A **name** (a DNS name or a PortLess remote) is a `u32` index into
+//!   the names seen so far. The first use of a name takes the next
+//!   index and carries the string right after it; every later use is
+//!   the index alone.
+//!
+//! The reader checks every count against the bytes left (count × the
+//! element's smallest encoding) before it sizes anything by it. It
+//! refuses an unknown tag, a bool or option tag that is not 0 or 1,
+//! invalid UTF-8, a name written twice or out of order, DNS entries
+//! that do not ascend, an audit record whose checksum fails, and
+//! trailing bytes. So any byte string it accepts re-encodes to exactly
+//! those bytes. The reader checks shape only; every semantic check
+//! (version, audit chain, device invariants, caps) is
+//! [`crate::FiatProxy::restore`]'s.
 
 use crate::audit::AuditEntry;
 use crate::classifier::EventClass;
 use crate::pipeline::{AllowReason, DropReason, ProxyConfig, ProxyStats};
-use fiat_net::{DnsTable, FlowKey, PacketRecord, SimTime};
-use fiat_quic::ServerImage;
-use serde::{Deserialize, Serialize};
+use fiat_net::dns::DnsSource;
+use fiat_net::{
+    Direction, DnsTable, FastMap, FlowKey, FoldState, PacketRecord, SimTime, TcpFlags, TlsVersion,
+    TrafficClass, Transport,
+};
+use fiat_quic::{ReplayEpochImage, ServerImage};
+use std::collections::HashSet;
+use std::net::Ipv4Addr;
 
 /// Current snapshot layout version. Bump on any incompatible change to
 /// the structs in this module; restore reads this version only.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,9 +122,9 @@ pub enum SnapshotError {
     /// The snapshot's version field does not match [`SNAPSHOT_VERSION`].
     UnsupportedVersion(u32),
     /// The audit chain recomputed from the snapshot's entries does not
-    /// end at its stored head (or a stored hash is not 32 bytes): the
-    /// snapshot was tampered with or truncated and must not be resumed
-    /// from.
+    /// end at its stored head, or its truncation ledger is impossible:
+    /// the snapshot was tampered with or truncated and must not be
+    /// resumed from.
     AuditChainInvalid,
     /// This device's state breaks an invariant the decision path relies
     /// on: its id is not above the previous device's in the list (a
@@ -102,12 +160,27 @@ impl std::error::Error for SnapshotError {}
 
 /// Full decision state of one home's proxy (see the module docs).
 ///
-/// Compare snapshots through their serialized bytes (the canonical,
-/// deterministic form) — `DnsTable` has no structural equality.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Compare snapshots through their encoded bytes
+/// ([`HomeSnapshot::to_bytes`], the canonical form) — `DnsTable` has no
+/// structural equality.
+#[derive(Debug, Clone)]
 pub struct HomeSnapshot {
     /// Layout version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
+    /// How many audit entries were truncated away before the retained
+    /// suffix.
+    pub audit_truncated: u64,
+    /// Chain hash of the last truncated-away audit entry, if the log has
+    /// ever been checkpoint-truncated; the suffix verifies from this
+    /// anchor instead of genesis.
+    pub audit_checkpoint: Option<[u8; 32]>,
+    /// Chain head ([`crate::audit::AuditLog::head`]); `None` for a log
+    /// that never held an entry. Restore recomputes the chain from the
+    /// entries and requires it to end here.
+    pub audit_head: Option<[u8; 32]>,
+    /// Audit entries. When the chain was checkpoint-truncated this is
+    /// the retained suffix.
+    pub audit_entries: Vec<AuditEntry>,
     /// When the proxy started (bootstrap anchor).
     pub started_at: Option<SimTime>,
     /// Humanness-proof freshness horizon.
@@ -116,7 +189,7 @@ pub struct HomeSnapshot {
     pub server_random_counter: u64,
     /// Whether the proxy was in control-plane degraded mode.
     pub degraded: bool,
-    /// DNS knowledge (serialized sorted by IP; interner ids rebuilt on
+    /// DNS knowledge (encoded sorted by IP; interner ids rebuilt on
     /// load).
     pub dns: DnsTable,
     /// Bootstrap capture, when the snapshot predates rule learning.
@@ -137,28 +210,13 @@ pub struct HomeSnapshot {
     pub released_packets: Vec<PacketRecord>,
     /// Decision counters so far.
     pub stats: ProxyStats,
-    /// Audit entries. When the chain was checkpoint-truncated this is
-    /// the retained suffix.
-    pub audit_entries: Vec<AuditEntry>,
-    /// Chain head ([`crate::audit::AuditLog::head`], 32 bytes, stored as
-    /// `Vec<u8>` because the vendored serde has no fixed-array impls);
-    /// `None` for a log that never held an entry. Restore recomputes
-    /// the chain from the entries and requires it to end here.
-    pub audit_head: Option<Vec<u8>>,
-    /// Chain hash of the last truncated-away audit entry (32 bytes), if
-    /// the log has ever been checkpoint-truncated; the suffix verifies
-    /// from this anchor instead of genesis.
-    pub audit_checkpoint: Option<Vec<u8>>,
-    /// How many audit entries were truncated away before the retained
-    /// suffix.
-    pub audit_truncated: u64,
     /// QUIC server state (ticket issuance + epoch-keyed replay window).
     pub quic: ServerImage,
 }
 
 /// One device's decision state: the live proxy's own record of the
 /// device (beside its classifier), not a copy made for the snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSnapshot {
     /// Device id.
     pub device: u16,
@@ -202,7 +260,7 @@ impl DeviceSnapshot {
 
 /// An open unpredictable event (live proxy state and its serialized
 /// form alike).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenEvent {
     /// Packets accumulated while the verdict is pending.
     pub packets: Vec<PacketRecord>,
@@ -217,7 +275,7 @@ pub struct OpenEvent {
 /// is attributed to it (NonManual / ManualVerified / Cascade /
 /// QuarantineReleased) or to the demotion that sealed it, not lumped
 /// under a single label.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventFate {
     /// Remaining packets allowed for this reason.
     AllowRest(AllowReason),
@@ -229,7 +287,7 @@ pub enum EventFate {
 
 /// One evicted rule's re-learn ("ghost") state, stringly keyed like
 /// [`HomeSnapshot::rules`] and re-interned on restore.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GhostSnapshot {
     /// Device id the evicted rule belonged to.
     pub device: u16,
@@ -248,7 +306,7 @@ pub struct GhostSnapshot {
 /// open event (the proof may arrive after the event-gap closes it) and
 /// resolves lazily — released when a proof lands before `deadline`,
 /// expired by the first operation that observes `now > deadline`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuarantineRecord {
     /// Held packets.
     pub packets: Vec<PacketRecord>,
@@ -256,4 +314,724 @@ pub struct QuarantineRecord {
     pub class: EventClass,
     /// Proof deadline.
     pub deadline: SimTime,
+}
+
+impl HomeSnapshot {
+    /// The canonical version-4 encoding (see the module docs): the same
+    /// snapshot always gives the same bytes. A counting pass sizes the
+    /// output, so the bytes are written into one allocation.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let dns = self.dns.entries_sorted();
+        let mut sized = Writer {
+            out: 0,
+            names: FastMap::default(),
+            next_name: 0,
+        };
+        sized.snapshot(self, &dns);
+        let mut w = Writer {
+            out: Vec::with_capacity(sized.out),
+            names: sized.names,
+            next_name: 0,
+        };
+        w.snapshot(self, &dns);
+        w.out
+    }
+
+    /// Read [`HomeSnapshot::to_bytes`]'s encoding back. `None` when the
+    /// bytes are not exactly one canonical encoding: a count larger than
+    /// the bytes left could hold, an unknown tag, a bool that is not 0
+    /// or 1, invalid UTF-8, a name out of order, DNS entries out of
+    /// order, an audit record whose checksum fails, or trailing bytes.
+    /// Whether the decoded state may be resumed from is
+    /// [`crate::FiatProxy::restore`]'s decision.
+    pub fn from_bytes(bytes: &[u8]) -> Option<HomeSnapshot> {
+        let mut r = Reader {
+            bytes,
+            names: Vec::new(),
+            seen: HashSet::default(),
+        };
+        let snap = HomeSnapshot {
+            version: r.u32()?,
+            audit_truncated: r.u64()?,
+            audit_checkpoint: r.opt(Reader::array)?,
+            audit_head: r.opt(Reader::array)?,
+            audit_entries: r.list(AUDIT_LEN, |r| AuditEntry::decode(&r.array()?))?,
+            started_at: r.opt(Reader::time)?,
+            human_valid_until: r.time()?,
+            server_random_counter: r.u64()?,
+            degraded: r.bool()?,
+            dns: r.dns()?,
+            bootstrap_buffer: r.list(PACKET_LEN, Reader::packet)?,
+            rules: r.opt(|r| r.list(RULE_MIN, |r| Some((r.u16()?, r.key()?))))?,
+            rule_ghosts: r.list(GHOST_MIN, Reader::ghost)?,
+            unknown_seen: r.list(2, Reader::u16)?,
+            devices: r.list(DEVICE_MIN, Reader::device)?,
+            released_packets: r.list(PACKET_LEN, Reader::packet)?,
+            stats: r.stats()?,
+            quic: r.quic()?,
+        };
+        r.bytes.is_empty().then_some(snap)
+    }
+}
+
+/// Smallest encodings of the list elements, which bound a list's count
+/// by the bytes left before anything is sized by it.
+const AUDIT_LEN: usize = 16;
+const PACKET_LEN: usize = 29;
+/// A PortLess key naming an earlier name: tag, index, proto, size, dir.
+const KEY_MIN: usize = 1 + 4 + 1 + 2 + 1;
+const RULE_MIN: usize = 2 + KEY_MIN;
+const GHOST_MIN: usize = RULE_MIN + 2;
+const DEVICE_MIN: usize = 2 + 8 + 1 + 4 + 1 + 1;
+const DNS_ENTRY_MIN: usize = 4 + 4 + 1;
+const EPOCH_MIN: usize = 4 + 4;
+const TICKET_MIN: usize = 8 + 4;
+
+/// Tag tables: a variant's tag is its index here (declaration order).
+const DIRECTIONS: [Direction; 2] = [Direction::FromDevice, Direction::ToDevice];
+const TRANSPORTS: [Transport; 2] = [Transport::Tcp, Transport::Udp];
+const TLS_VERSIONS: [TlsVersion; 4] = [
+    TlsVersion::None,
+    TlsVersion::Tls10,
+    TlsVersion::Tls12,
+    TlsVersion::Tls13,
+];
+const EVENT_CLASSES: [EventClass; 3] = [
+    EventClass::Control,
+    EventClass::Automated,
+    EventClass::Manual,
+];
+const DNS_SOURCES: [DnsSource; 2] = [DnsSource::Forward, DnsSource::Reverse];
+
+/// Where [`Writer`] puts bytes: a byte count for the sizing pass, the
+/// output for the writing pass.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Put the `N` bytes `f` computes; the sizing pass skips computing
+    /// them.
+    fn put_with<const N: usize>(&mut self, f: impl FnOnce() -> [u8; N]) {
+        self.put(&f());
+    }
+
+    /// The next bytes put hold `field`. Only the structure-aware tests
+    /// listen.
+    fn mark(&mut self, _field: Field) {}
+}
+
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+
+    fn put_with<const N: usize>(&mut self, _: impl FnOnce() -> [u8; N]) {
+        *self += N;
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A value the reader checks, by kind: a list or string count, an enum
+/// tag with its number of variants, a bool or option tag, or the bytes
+/// of a name's first use. Only the tests read a tag's variant count.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))]
+enum Field {
+    Count,
+    Tag(u8),
+    Bool,
+    Name,
+}
+
+/// The encoder. `names` maps each name written so far to its index; the
+/// sizing pass fills it and the writing pass reuses it, meeting every
+/// name's first use at the same point.
+struct Writer<'a, S> {
+    out: S,
+    names: FastMap<&'a str, u32>,
+    next_name: u32,
+}
+
+impl<'a, S: Sink> Writer<'a, S> {
+    fn u8(&mut self, v: u8) {
+        self.out.put(&[v]);
+    }
+
+    fn u16(&mut self, v: u16) {
+        self.out.put(&v.to_le_bytes());
+    }
+
+    fn u32(&mut self, v: u32) {
+        self.out.put(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.out.put(&v.to_le_bytes());
+    }
+
+    fn bool(&mut self, v: bool) {
+        self.out.mark(Field::Bool);
+        self.u8(u8::from(v));
+    }
+
+    fn time(&mut self, t: SimTime) {
+        self.u64(t.as_micros());
+    }
+
+    fn ip(&mut self, ip: Ipv4Addr) {
+        self.out.put(&ip.octets());
+    }
+
+    /// Tag `at` of an enum with `of` variants.
+    fn variant(&mut self, at: u8, of: u8) {
+        self.out.mark(Field::Tag(of));
+        self.u8(at);
+    }
+
+    fn tag<T: PartialEq>(&mut self, all: &[T], v: &T) {
+        let at = all.iter().position(|x| x == v);
+        self.variant(at.expect("every variant has a tag") as u8, all.len() as u8);
+    }
+
+    fn count(&mut self, n: usize) {
+        self.out.mark(Field::Count);
+        self.u32(u32::try_from(n).expect("a snapshot list fits a u32 count"));
+    }
+
+    fn list<T>(&mut self, items: &'a [T], mut f: impl FnMut(&mut Self, &'a T)) {
+        self.count(items.len());
+        for item in items {
+            f(self, item);
+        }
+    }
+
+    fn opt<T>(&mut self, v: Option<T>, f: impl FnOnce(&mut Self, T)) {
+        self.bool(v.is_some());
+        if let Some(v) = v {
+            f(self, v);
+        }
+    }
+
+    fn name(&mut self, name: &'a str) {
+        let next = self.next_name;
+        let at = *self.names.entry(name).or_insert(next);
+        self.u32(at);
+        if at == next {
+            self.next_name += 1;
+            self.count(name.len());
+            self.out.mark(Field::Name);
+            self.out.put(name.as_bytes());
+        }
+    }
+
+    fn snapshot(&mut self, s: &'a HomeSnapshot, dns: &[(Ipv4Addr, &'a str, DnsSource)]) {
+        self.u32(s.version);
+        self.u64(s.audit_truncated);
+        self.opt(s.audit_checkpoint.as_ref(), |w, h| w.out.put(h));
+        self.opt(s.audit_head.as_ref(), |w, h| w.out.put(h));
+        self.list(&s.audit_entries, |w, e| w.out.put_with(|| e.encode()));
+        self.opt(s.started_at, Self::time);
+        self.time(s.human_valid_until);
+        self.u64(s.server_random_counter);
+        self.bool(s.degraded);
+        self.count(dns.len());
+        for &(ip, name, source) in dns {
+            self.ip(ip);
+            self.name(name);
+            self.tag(&DNS_SOURCES, &source);
+        }
+        self.list(&s.bootstrap_buffer, Self::packet);
+        self.opt(s.rules.as_deref(), |w, rules| {
+            w.list(rules, |w, (device, key)| {
+                w.u16(*device);
+                w.key(key);
+            })
+        });
+        self.list(&s.rule_ghosts, |w, g| {
+            w.u16(g.device);
+            w.key(&g.key);
+            w.opt(g.last_ts, Self::time);
+            w.opt(g.last_bin, Self::u64);
+        });
+        self.list(&s.unknown_seen, |w, d| w.u16(*d));
+        self.list(&s.devices, Self::device);
+        self.list(&s.released_packets, Self::packet);
+        self.stats(&s.stats);
+        self.quic(&s.quic);
+    }
+
+    fn packet(&mut self, p: &PacketRecord) {
+        self.time(p.ts);
+        self.u16(p.device);
+        self.tag(&DIRECTIONS, &p.direction);
+        self.ip(p.local_ip);
+        self.ip(p.remote_ip);
+        self.u16(p.local_port);
+        self.u16(p.remote_port);
+        self.tag(&TRANSPORTS, &p.transport);
+        self.u8(p.tcp_flags.0);
+        self.tag(&TLS_VERSIONS, &p.tls);
+        self.u16(p.size);
+        self.tag(&TrafficClass::ALL, &p.label);
+    }
+
+    fn key(&mut self, key: &'a FlowKey) {
+        match key {
+            FlowKey::Classic {
+                src_ip,
+                dst_ip,
+                src_port,
+                dst_port,
+                proto,
+                size,
+            } => {
+                self.variant(0, 2);
+                self.ip(*src_ip);
+                self.ip(*dst_ip);
+                self.u16(*src_port);
+                self.u16(*dst_port);
+                self.u8(*proto);
+                self.u16(*size);
+            }
+            FlowKey::PortLess {
+                remote,
+                proto,
+                size,
+                dir,
+            } => {
+                self.variant(1, 2);
+                self.name(remote);
+                self.u8(*proto);
+                self.u16(*size);
+                self.u8(*dir);
+            }
+        }
+    }
+
+    fn device(&mut self, d: &'a DeviceSnapshot) {
+        self.u16(d.device);
+        self.u64(d.classify_at as u64);
+        self.opt(d.open.as_ref(), |w, e| {
+            w.list(&e.packets, Self::packet);
+            w.time(e.last);
+            w.opt(e.fate, |w, fate| match fate {
+                EventFate::AllowRest(why) => {
+                    w.variant(0, 3);
+                    w.tag(&AllowReason::ALL, &why);
+                }
+                EventFate::DropRest(why) => {
+                    w.variant(1, 3);
+                    w.tag(&DropReason::ALL, &why);
+                }
+                EventFate::Quarantine => w.variant(2, 3),
+            });
+        });
+        self.list(&d.drops, |w, t| w.time(*t));
+        self.bool(d.locked);
+        self.opt(d.quarantine.as_ref(), |w, q| {
+            w.list(&q.packets, Self::packet);
+            w.tag(&EVENT_CLASSES, &q.class);
+            w.time(q.deadline);
+        });
+    }
+
+    fn stats(&mut self, s: &ProxyStats) {
+        for v in [
+            s.bootstrap,
+            s.rule_hit,
+            s.first_n,
+            s.non_manual,
+            s.manual_verified,
+            s.cascade,
+            s.unknown_device,
+            s.dropped_unverified,
+            s.dropped_lockout,
+            s.retro_unverified,
+            s.quarantined,
+            s.quarantine_released,
+            s.dropped_quarantine,
+            s.quarantine_expired,
+            s.fingerprint_matched,
+            s.dropped_unknown,
+        ] {
+            self.u64(v);
+        }
+    }
+
+    fn quic(&mut self, q: &'a ServerImage) {
+        self.u64(q.next_ticket_id);
+        self.u32(q.current_epoch);
+        self.u32(q.replay_retired_below);
+        self.u64(q.replay_retired_count);
+        self.list(&q.replay_epochs, |w, e| {
+            w.u32(e.epoch);
+            w.list(&e.entries, |w, (ticket, nonces)| {
+                w.u64(*ticket);
+                w.list(nonces, |w, n| w.u64(*n));
+            });
+        });
+    }
+}
+
+/// The decoder: the bytes not yet read, the names read so far by index,
+/// and the same names as a set, to refuse a name written twice.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    names: Vec<&'a str>,
+    seen: HashSet<&'a str, FoldState>,
+}
+
+impl<'a> Reader<'a> {
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.bytes.split_first_chunk()?;
+        self.bytes = rest;
+        Some(*head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn bool(&mut self) -> Option<bool> {
+        match self.u8()? {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
+    }
+
+    fn time(&mut self) -> Option<SimTime> {
+        self.u64().map(SimTime::from_micros)
+    }
+
+    fn ip(&mut self) -> Option<Ipv4Addr> {
+        self.array().map(Ipv4Addr::from)
+    }
+
+    fn tag<T: Copy>(&mut self, all: &[T]) -> Option<T> {
+        all.get(usize::from(self.u8()?)).copied()
+    }
+
+    /// A list count, refused unless `count × min` bytes are left.
+    fn count(&mut self, min: usize) -> Option<usize> {
+        let n = usize::try_from(self.u32()?).ok()?;
+        (n.checked_mul(min)? <= self.bytes.len()).then_some(n)
+    }
+
+    fn list<T>(&mut self, min: usize, mut f: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.count(min)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(f(self)?);
+        }
+        Some(out)
+    }
+
+    fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+        match self.bool()? {
+            false => Some(None),
+            true => f(self).map(Some),
+        }
+    }
+
+    fn name(&mut self) -> Option<&'a str> {
+        let at = usize::try_from(self.u32()?).ok()?;
+        if let Some(&name) = self.names.get(at) {
+            return Some(name);
+        }
+        if at != self.names.len() {
+            return None;
+        }
+        let len = self.count(1)?;
+        let (name, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        let name = std::str::from_utf8(name).ok()?;
+        if !self.seen.insert(name) {
+            return None;
+        }
+        self.names.push(name);
+        Some(name)
+    }
+
+    fn dns(&mut self) -> Option<DnsTable> {
+        let n = self.count(DNS_ENTRY_MIN)?;
+        let mut dns = DnsTable::new();
+        let mut prev = None;
+        for _ in 0..n {
+            let ip = self.ip()?;
+            if prev >= Some(u32::from(ip)) {
+                return None;
+            }
+            prev = Some(u32::from(ip));
+            let name = self.name()?;
+            match self.tag(&DNS_SOURCES)? {
+                DnsSource::Forward => dns.observe_forward(ip, name),
+                DnsSource::Reverse => dns.observe_reverse(ip, name),
+            }
+        }
+        Some(dns)
+    }
+
+    fn packet(&mut self) -> Option<PacketRecord> {
+        Some(PacketRecord {
+            ts: self.time()?,
+            device: self.u16()?,
+            direction: self.tag(&DIRECTIONS)?,
+            local_ip: self.ip()?,
+            remote_ip: self.ip()?,
+            local_port: self.u16()?,
+            remote_port: self.u16()?,
+            transport: self.tag(&TRANSPORTS)?,
+            tcp_flags: TcpFlags(self.u8()?),
+            tls: self.tag(&TLS_VERSIONS)?,
+            size: self.u16()?,
+            label: self.tag(&TrafficClass::ALL)?,
+        })
+    }
+
+    fn key(&mut self) -> Option<FlowKey> {
+        match self.u8()? {
+            0 => Some(FlowKey::Classic {
+                src_ip: self.ip()?,
+                dst_ip: self.ip()?,
+                src_port: self.u16()?,
+                dst_port: self.u16()?,
+                proto: self.u8()?,
+                size: self.u16()?,
+            }),
+            1 => Some(FlowKey::PortLess {
+                remote: self.name()?.to_string(),
+                proto: self.u8()?,
+                size: self.u16()?,
+                dir: self.u8()?,
+            }),
+            _ => None,
+        }
+    }
+
+    fn ghost(&mut self) -> Option<GhostSnapshot> {
+        Some(GhostSnapshot {
+            device: self.u16()?,
+            key: self.key()?,
+            last_ts: self.opt(Self::time)?,
+            last_bin: self.opt(Self::u64)?,
+        })
+    }
+
+    fn device(&mut self) -> Option<DeviceSnapshot> {
+        Some(DeviceSnapshot {
+            device: self.u16()?,
+            classify_at: usize::try_from(self.u64()?).ok()?,
+            open: self.opt(|r| {
+                Some(OpenEvent {
+                    packets: r.list(PACKET_LEN, Self::packet)?,
+                    last: r.time()?,
+                    fate: r.opt(|r| match r.u8()? {
+                        0 => r.tag(&AllowReason::ALL).map(EventFate::AllowRest),
+                        1 => r.tag(&DropReason::ALL).map(EventFate::DropRest),
+                        2 => Some(EventFate::Quarantine),
+                        _ => None,
+                    })?,
+                })
+            })?,
+            drops: self.list(8, Self::time)?,
+            locked: self.bool()?,
+            quarantine: self.opt(|r| {
+                Some(QuarantineRecord {
+                    packets: r.list(PACKET_LEN, Self::packet)?,
+                    class: r.tag(&EVENT_CLASSES)?,
+                    deadline: r.time()?,
+                })
+            })?,
+        })
+    }
+
+    fn stats(&mut self) -> Option<ProxyStats> {
+        Some(ProxyStats {
+            bootstrap: self.u64()?,
+            rule_hit: self.u64()?,
+            first_n: self.u64()?,
+            non_manual: self.u64()?,
+            manual_verified: self.u64()?,
+            cascade: self.u64()?,
+            unknown_device: self.u64()?,
+            dropped_unverified: self.u64()?,
+            dropped_lockout: self.u64()?,
+            retro_unverified: self.u64()?,
+            quarantined: self.u64()?,
+            quarantine_released: self.u64()?,
+            dropped_quarantine: self.u64()?,
+            quarantine_expired: self.u64()?,
+            fingerprint_matched: self.u64()?,
+            dropped_unknown: self.u64()?,
+        })
+    }
+
+    fn quic(&mut self) -> Option<ServerImage> {
+        Some(ServerImage {
+            next_ticket_id: self.u64()?,
+            current_epoch: self.u32()?,
+            replay_retired_below: self.u32()?,
+            replay_retired_count: self.u64()?,
+            replay_epochs: self.list(EPOCH_MIN, |r| {
+                Some(ReplayEpochImage {
+                    epoch: r.u32()?,
+                    entries: r.list(TICKET_MIN, |r| Some((r.u64()?, r.list(8, Self::u64)?)))?,
+                })
+            })?,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FIXTURE: &[u8] = include_bytes!("../tests/golden/snapshot_v4.bin");
+
+    /// A sink that records where each checked value sits.
+    #[derive(Default)]
+    struct Fields {
+        len: usize,
+        marks: Vec<(usize, Field)>,
+    }
+
+    impl Sink for Fields {
+        fn put(&mut self, bytes: &[u8]) {
+            self.len += bytes.len();
+        }
+
+        fn mark(&mut self, field: Field) {
+            self.marks.push((self.len, field));
+        }
+    }
+
+    /// `FIXTURE` with `value` written over the bytes at `at`.
+    fn edited(at: usize, value: &[u8]) -> Vec<u8> {
+        let mut bytes = FIXTURE.to_vec();
+        bytes[at..at + value.len()].copy_from_slice(value);
+        bytes
+    }
+
+    #[test]
+    fn every_value_edit_is_refused() {
+        // Walk the fixture's structure: every count, tag, bool and name
+        // the encoder wrote, at its offset.
+        let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
+        let dns = snap.dns.entries_sorted();
+        let mut w = Writer {
+            out: Fields::default(),
+            names: FastMap::default(),
+            next_name: 0,
+        };
+        w.snapshot(&snap, &dns);
+        assert_eq!(w.out.len, FIXTURE.len());
+        let mut seen = Vec::new();
+        for &(at, field) in &w.out.marks {
+            let edits = match field {
+                // Past any count the bytes left could hold: the whole
+                // range, and one more element than bytes remain.
+                Field::Count => {
+                    let left = (FIXTURE.len() - at - 4) as u32;
+                    vec![
+                        edited(at, &u32::MAX.to_le_bytes()),
+                        edited(at, &(left + 1).to_le_bytes()),
+                    ]
+                }
+                Field::Tag(of) => vec![edited(at, &[of])],
+                Field::Bool => vec![edited(at, &[2])],
+                // 0xFF never occurs in UTF-8.
+                Field::Name => vec![edited(at, &[0xFF])],
+            };
+            for bytes in edits {
+                // `restore_home` answers `None` with `RestoreError::Corrupt`.
+                assert!(
+                    HomeSnapshot::from_bytes(&bytes).is_none(),
+                    "{field:?} edit at byte {at} decoded"
+                );
+            }
+            let kind = std::mem::discriminant(&field);
+            if !seen.contains(&kind) {
+                seen.push(kind);
+            }
+        }
+        assert_eq!(seen.len(), 4, "the fixture holds every kind of field");
+    }
+
+    #[test]
+    fn only_the_canonical_encoding_decodes() {
+        let mut snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
+        let mut dns = DnsTable::new();
+        dns.observe_forward(Ipv4Addr::new(1, 1, 1, 1), "a.example");
+        dns.observe_reverse(Ipv4Addr::new(2, 2, 2, 2), "b.example");
+        snap.dns = dns;
+        let bytes = snap.to_bytes();
+        assert_eq!(HomeSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+        let find = |needle: &[u8]| bytes.windows(needle.len()).position(|w| w == needle);
+        let refused = |at: usize, value: &[u8]| {
+            let mut edited = bytes.clone();
+            edited[at..at + value.len()].copy_from_slice(value);
+            HomeSnapshot::from_bytes(&edited).is_none()
+        };
+        // A name written a second time instead of referred to.
+        assert!(refused(find(b"b.example").unwrap(), b"a.example"));
+        // DNS entries that do not ascend by address: the second entry's
+        // address follows the first's name and source tag.
+        let second = find(b"a.example").unwrap() + b"a.example".len() + 1;
+        assert_eq!(bytes[second..second + 4], [2, 2, 2, 2]);
+        assert!(refused(second, &[1, 1, 1, 1]));
+        assert!(refused(second, &[0, 0, 0, 1]));
+        // Trailing bytes.
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(HomeSnapshot::from_bytes(&longer).is_none());
+    }
+
+    #[test]
+    fn tag_tables_follow_declaration_order() {
+        // The v4 tags are the variants' declaration order, which is also
+        // their discriminant order.
+        assert!(DIRECTIONS.iter().enumerate().all(|(i, &v)| v as usize == i));
+        assert!(TRANSPORTS.iter().enumerate().all(|(i, &v)| v as usize == i));
+        assert!(TLS_VERSIONS
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v as usize == i));
+        assert!(EVENT_CLASSES
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v as usize == i));
+        assert!(DNS_SOURCES
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v as usize == i));
+        assert!(TrafficClass::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v as usize == i));
+        assert!(AllowReason::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v as usize == i));
+        assert!(DropReason::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v as usize == i));
+    }
 }

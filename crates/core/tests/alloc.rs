@@ -1,6 +1,7 @@
 //! Allocation proofs for the per-packet rule-match path, for the whole
 //! rule-hit decision, for bootstrap rule learning, for a home's telemetry
-//! set-up and merge, and for a proof payload that lies about its length.
+//! set-up and merge, for the snapshot codec, and for a proof payload and
+//! a snapshot that lie about their lengths.
 //!
 //! `RuleTable::matches_touch` keys lookups on [`InternedFlowKey`] (remote
 //! domains interned to dense ids in the `DnsTable`), so deciding a
@@ -18,12 +19,12 @@
 //! single-core host that made a process-wide counter flake.
 
 use fiat_core::{
-    AuthMessage, FiatApp, FiatProxy, PredictabilityEngine, ProxyConfig, ProxyTelemetry, RuleTable,
-    RuleTelemetry, DECIDE_SAMPLE_EVERY,
+    AuthMessage, EventClassifier, FiatApp, FiatProxy, HomeSnapshot, PredictabilityEngine,
+    ProxyConfig, ProxyTelemetry, RuleTable, RuleTelemetry, DECIDE_SAMPLE_EVERY,
 };
 use fiat_net::{
-    Direction, DnsTable, FlowDef, PacketRecord, SimTime, TcpFlags, TlsVersion, TrafficClass,
-    Transport,
+    Direction, DnsTable, FlowDef, PacketRecord, SimDuration, SimTime, TcpFlags, TlsVersion,
+    TrafficClass, Transport,
 };
 use fiat_probe::{thread_allocations, CountingAllocator};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
@@ -204,10 +205,11 @@ fn rule_learning_allocations_are_bounded() {
         8,
         "the periodic and jittered flows learn rules"
     );
-    // The learner with a growable timestamp list per bucket made 94
-    // allocations here. Every home learns once inside the serving loop,
-    // so learning may not allocate per bin or per bucket beyond that.
-    assert!(n <= 94, "RuleTable::learn made {n} allocations");
+    // The learner with a growable index list per bucket made 94
+    // allocations here; the counting sort into one index array makes
+    // 25. Every home learns once inside the serving loop, so learning
+    // may not allocate per bin or per bucket.
+    assert!(n <= 25, "RuleTable::learn made {n} allocations");
 }
 
 #[test]
@@ -292,4 +294,66 @@ fn same_schema_merge_does_not_allocate() {
             .get(),
         2
     );
+}
+
+/// The pinned snapshot fixture's bytes (`snapshot_bytes_are_pinned`).
+const FIXTURE: &[u8] = include_bytes!("golden/snapshot_v4.bin");
+
+/// The home the fixture was taken from, restored under its config.
+fn fixture_home() -> FiatProxy {
+    let config = ProxyConfig {
+        proof_deadline: Some(SimDuration::from_secs(60)),
+        max_rules: Some(1),
+        max_audit_entries: Some(4),
+        ..ProxyConfig::default()
+    };
+    let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
+    FiatProxy::restore(
+        config,
+        &[0x77; 32],
+        HumannessValidator::with_operating_point(1.0, 1.0, 0),
+        ProxyTelemetry::default(),
+        &snap,
+        |_| EventClassifier::simple_rule(235),
+    )
+    .expect("the fixture restores")
+}
+
+#[test]
+fn snapshot_codec_allocations_are_bounded() {
+    let proxy = fixture_home();
+    // What `snapshot_home` does: take the snapshot (its own clones of
+    // the home's lists), then encode it.
+    let (taken, snap) = allocations(|| proxy.snapshot());
+    let (encoded, bytes) = allocations(|| snap.to_bytes());
+    assert_eq!(bytes, FIXTURE);
+    assert!(taken <= 25, "FiatProxy::snapshot made {taken} allocations");
+    // The sorted DNS entries, the name index and one pre-sized output.
+    assert!(
+        encoded <= 3,
+        "HomeSnapshot::to_bytes made {encoded} allocations"
+    );
+    // One per non-empty decoded list and string, the DNS table's maps
+    // and names, and the name index: 25 on the fixture.
+    let (decoded, back) = allocations(|| HomeSnapshot::from_bytes(&bytes));
+    assert!(back.is_some());
+    assert!(
+        decoded <= 25,
+        "HomeSnapshot::from_bytes made {decoded} allocations"
+    );
+}
+
+#[test]
+fn untrusted_snapshot_count_sizes_nothing() {
+    // Version 4, no truncation, no checkpoint, no head, then a count of
+    // u32::MAX audit entries with 22 bytes left: 40 bytes in all.
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&4u32.to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    bytes.extend_from_slice(&[0, 0]);
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    bytes.resize(40, 0);
+    let (n, decoded) = allocations(|| HomeSnapshot::from_bytes(&bytes));
+    assert!(decoded.is_none());
+    assert_eq!(n, 0, "the count sized {n} allocations");
 }

@@ -103,8 +103,8 @@ impl DnsTable {
 
     /// Record a mapping observed from an in-trace DNS response. Forward
     /// mappings always overwrite reverse ones.
-    pub fn observe_forward(&mut self, ip: Ipv4Addr, domain: impl Into<String>) {
-        let domain = self.intern_domain(&domain.into());
+    pub fn observe_forward(&mut self, ip: Ipv4Addr, domain: impl AsRef<str>) {
+        let domain = self.intern_domain(domain.as_ref());
         self.entries.insert(
             ip,
             Entry {
@@ -116,8 +116,8 @@ impl DnsTable {
 
     /// Record a mapping obtained via reverse lookup. Does not overwrite an
     /// existing forward mapping.
-    pub fn observe_reverse(&mut self, ip: Ipv4Addr, domain: impl Into<String>) {
-        let domain = self.intern_domain(&domain.into());
+    pub fn observe_reverse(&mut self, ip: Ipv4Addr, domain: impl AsRef<str>) {
+        let domain = self.intern_domain(domain.as_ref());
         let e = self.entries.entry(ip).or_insert(Entry {
             domain,
             source: DnsSource::Reverse,

@@ -27,7 +27,6 @@
 use crate::replay::{ReplayEpochImage, ReplayStore};
 use fiat_crypto::{aead, Hkdf};
 use fiat_telemetry::{Counter, Family, Gauge, MetricRegistry, SchemaPart};
-use serde::{Deserialize, Serialize};
 
 /// Errors surfaced by the channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,13 +391,13 @@ impl ServerTelemetry {
     }
 }
 
-/// A [`Server`]'s resumable state, serialized as the `quic` section of
-/// a home snapshot (field names and order are that section's layout).
+/// A [`Server`]'s resumable state, encoded as the `quic` section of a
+/// home snapshot (field order is that section's layout).
 /// The 1-RTT session key is deliberately absent: sessions do not
 /// survive a restore; clients re-handshake. Ticket issuance state and
 /// the anti-replay store DO survive, so a restored proxy keeps refusing
 /// every 0-RTT packet the original already burned.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServerImage {
     /// Next ticket id to issue.
     pub next_ticket_id: u64,

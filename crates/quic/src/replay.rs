@@ -19,7 +19,6 @@
 //! [`is_retired`]: ReplayStore::is_retired
 
 use crate::connection::ServerImage;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
 /// Per-epoch replay state: per-ticket sets of accepted early-data nonces.
@@ -175,7 +174,7 @@ impl ReplayStore {
 }
 
 /// One live epoch's replay state inside a [`ServerImage`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayEpochImage {
     /// The epoch.
     pub epoch: u32,
