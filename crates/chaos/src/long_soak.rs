@@ -470,7 +470,7 @@ impl HomeSim {
             &SECRET,
             perfect_validator(),
             fresh_telemetry(),
-            &parsed,
+            parsed,
             |_| EventClassifier::simple_rule(MANUAL_SIZE),
         ) {
             Ok(mut p) => {

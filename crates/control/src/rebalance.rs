@@ -73,7 +73,7 @@ pub fn restore_home(
         ceremony_secret,
         validator,
         telemetry,
-        &snap,
+        snap,
         classifiers,
     )?;
     if let Some(m) = metrics {
@@ -85,7 +85,7 @@ pub fn restore_home(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiat_core::snapshot::OpenEvent;
+    use fiat_core::snapshot::{EventPackets, OpenEvent};
     use fiat_net::SimTime;
     use fiat_telemetry::{ManualClock, MetricRegistry};
     use proptest::prelude::*;
@@ -189,7 +189,7 @@ mod tests {
         let proxy = seeded_proxy(1, 0, 0);
         let mut snap = proxy.snapshot();
         snap.devices[0].open = Some(OpenEvent {
-            packets: Vec::new(),
+            packets: EventPackets::new(),
             last: SimTime::from_secs(1),
             fate: None,
         });

@@ -52,7 +52,7 @@ pub use client::{
     AuthAttempt, AuthMessage, DeliveryResult, FiatApp, LatencyBreakdown, RetryOutcome, RetryPolicy,
 };
 pub use events::{group_events, UnpredictableEvent, EVENT_GAP};
-pub use features::{event_feature_names, event_features, EVENT_FEATURE_COUNT};
+pub use features::{event_feature_names, event_features, event_features_into, EVENT_FEATURE_COUNT};
 pub use interactions::InteractionGraph;
 pub use pairing::pair;
 pub use pipeline::{

@@ -239,7 +239,7 @@ fn drive() -> Driven {
         &SECRET,
         validator(),
         telemetry(&restored_registry),
-        &snap,
+        snap,
         |_| EventClassifier::simple_rule(235),
     )
     .unwrap();
