@@ -15,8 +15,8 @@
 
 use crate::snapshot::GhostSnapshot;
 use fiat_net::{
-    DnsTable, FastMap, FlowDef, FlowKey, InternedFlowKey, PacketRecord, SimDuration, SimTime,
-    TrafficClass,
+    DeviceFlowKey, DnsTable, FastMap, FlowDef, FlowKey, InternedFlowKey, PacketRecord, SimDuration,
+    SimTime, TrafficClass,
 };
 use fiat_telemetry::{Counter, Family, MetricRegistry, SchemaPart};
 use std::collections::HashMap;
@@ -30,12 +30,15 @@ use std::collections::HashMap;
 /// only the proxy's `ProxyConfig::tolerance` (this by default) sets one.
 pub const DEFAULT_TOLERANCE: SimDuration = SimDuration::from_micros(1);
 
-/// A bucket: device and flow key.
-type Key = (u16, InternedFlowKey);
+/// A bucket: device and flow key, hashed as two or three packed words.
+type Key = DeviceFlowKey;
 
 /// A packet's bucket.
 fn bucket_key(def: FlowDef, p: &PacketRecord, dns: &DnsTable) -> Key {
-    (p.device, InternedFlowKey::of(def, p, dns))
+    Key {
+        device: p.device,
+        flow: InternedFlowKey::of(def, p, dns),
+    }
 }
 
 /// An interval's tolerance bin (a zero tolerance acts as 1 µs).
@@ -388,8 +391,8 @@ impl RuleTable {
             telemetry,
             ..RuleTable::default()
         };
-        for (_, (device, key)) in qualifying {
-            table.insert(device, key);
+        for (_, key) in qualifying {
+            table.insert(key.device, key.flow);
         }
         table
     }
@@ -436,7 +439,7 @@ impl RuleTable {
         g.last_ts = Some(ts);
         if promote {
             self.ghosts.remove(&key);
-            self.insert(key.0, key.1);
+            self.insert(key.device, key.flow);
         }
         promote
     }
@@ -490,7 +493,7 @@ impl RuleTable {
     /// In bounded mode an over-cap insert evicts the least-recently-
     /// matched rule into a ghost.
     pub fn insert(&mut self, device: u16, key: InternedFlowKey) {
-        let k = (device, key);
+        let k = Key { device, flow: key };
         self.stamp += 1;
         self.rules.insert(k, self.stamp);
         self.ghosts.remove(&k);
@@ -508,13 +511,13 @@ impl RuleTable {
         ghosts.sort_unstable_by_key(|(_, g)| g.stamp);
         let rules = rules
             .into_iter()
-            .map(|(_, (device, key))| (device, key.resolve(dns)))
+            .map(|(_, key)| (key.device, key.flow.resolve(dns)))
             .collect();
         let ghosts = ghosts
             .into_iter()
-            .map(|((device, key), g)| GhostSnapshot {
-                device,
-                key: key.resolve(dns),
+            .map(|(key, g)| GhostSnapshot {
+                device: key.device,
+                key: key.flow.resolve(dns),
                 last_ts: g.last_ts,
                 last_bin: g.last_bin,
             })
@@ -552,7 +555,11 @@ impl RuleTable {
                 last_bin: g.last_bin,
                 stamp: table.stamp,
             };
-            table.ghosts.insert((g.device, g.key.intern(dns)), ghost);
+            let key = Key {
+                device: g.device,
+                flow: g.key.intern(dns),
+            };
+            table.ghosts.insert(key, ghost);
         }
         table.set_capacity(cap);
         table
@@ -910,7 +917,10 @@ mod tests {
             .collect();
         let mut a = RuleTable::learn(&eng, &packets, &dns);
         let mut b = RuleTable::learn(&eng, &packets, &dns);
-        let probe = (0u16, key_of(100, &dns));
+        let probe = Key {
+            device: 0,
+            flow: key_of(100, &dns),
+        };
         assert_ne!(
             a.rules.hasher().hash_one(probe),
             b.rules.hasher().hash_one(probe),
@@ -929,7 +939,11 @@ mod tests {
             for round in 0..3 {
                 for f in 0..flows {
                     let p = pkt(1_000_000 + round * 10_000 + f, 100 + f as u16, 9);
-                    let ghost = t.ghosts.contains_key(&(0, key_of(p.size, &dns)));
+                    let key = Key {
+                        device: 0,
+                        flow: key_of(p.size, &dns),
+                    };
+                    let ghost = t.ghosts.contains_key(&key);
                     if t.matches_touch(FlowDef::PortLess, &p, &dns) && ghost {
                         promoted += 1;
                     }

@@ -36,7 +36,9 @@ struct Entry {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "DnsTableRepr", into = "DnsTableRepr")]
 pub struct DnsTable {
-    entries: FastMap<Ipv4Addr, Entry>,
+    /// Keyed by the address as a `u32`: one hash fold per lookup, where
+    /// an `Ipv4Addr` key hashes as a length-prefixed byte slice.
+    entries: FastMap<u32, Entry>,
     domains: Vec<String>,
     index: FastMap<String, u32>,
 }
@@ -106,7 +108,7 @@ impl DnsTable {
     pub fn observe_forward(&mut self, ip: Ipv4Addr, domain: impl AsRef<str>) {
         let domain = self.intern_domain(domain.as_ref());
         self.entries.insert(
-            ip,
+            u32::from(ip),
             Entry {
                 domain,
                 source: DnsSource::Forward,
@@ -118,7 +120,7 @@ impl DnsTable {
     /// existing forward mapping.
     pub fn observe_reverse(&mut self, ip: Ipv4Addr, domain: impl AsRef<str>) {
         let domain = self.intern_domain(domain.as_ref());
-        let e = self.entries.entry(ip).or_insert(Entry {
+        let e = self.entries.entry(u32::from(ip)).or_insert(Entry {
             domain,
             source: DnsSource::Reverse,
         });
@@ -132,7 +134,7 @@ impl DnsTable {
     /// using raw IPs (§2.1 footnote 1).
     pub fn name_of(&self, ip: Ipv4Addr) -> String {
         self.entries
-            .get(&ip)
+            .get(&u32::from(ip))
             .map(|e| self.domains[e.domain as usize].clone())
             .unwrap_or_else(|| ip.to_string())
     }
@@ -141,7 +143,7 @@ impl DnsTable {
     /// IPs yield their domain id, unknown IPs carry the address itself.
     /// This is the per-packet hot-path counterpart of [`DnsTable::name_of`].
     pub fn remote_id(&self, ip: Ipv4Addr) -> crate::flow::RemoteId {
-        match self.entries.get(&ip) {
+        match self.entries.get(&u32::from(ip)) {
             Some(e) => crate::flow::RemoteId::Domain(e.domain),
             None => crate::flow::RemoteId::Ip(ip),
         }
@@ -149,12 +151,12 @@ impl DnsTable {
 
     /// Whether the table knows this IP.
     pub fn contains(&self, ip: Ipv4Addr) -> bool {
-        self.entries.contains_key(&ip)
+        self.entries.contains_key(&u32::from(ip))
     }
 
     /// How the mapping for `ip` was learned, if known.
     pub fn source_of(&self, ip: Ipv4Addr) -> Option<DnsSource> {
-        self.entries.get(&ip).map(|e| e.source)
+        self.entries.get(&u32::from(ip)).map(|e| e.source)
     }
 
     /// Number of known IPs.
@@ -173,7 +175,10 @@ impl DnsTable {
         let mut out: Vec<(Ipv4Addr, &str, DnsSource)> = self
             .entries
             .iter()
-            .map(|(ip, e)| (*ip, self.domains[e.domain as usize].as_str(), e.source))
+            .map(|(&ip, e)| {
+                let name = self.domains[e.domain as usize].as_str();
+                (Ipv4Addr::from(ip), name, e.source)
+            })
             .collect();
         out.sort_by_key(|(ip, _, _)| u32::from(*ip));
         out
@@ -181,11 +186,12 @@ impl DnsTable {
 
     /// Merge another table into this one, respecting forward-beats-reverse.
     pub fn merge(&mut self, other: &DnsTable) {
-        for (ip, e) in &other.entries {
+        for (&ip, e) in &other.entries {
+            let ip = Ipv4Addr::from(ip);
             let domain = other.domains[e.domain as usize].clone();
             match e.source {
-                DnsSource::Forward => self.observe_forward(*ip, domain),
-                DnsSource::Reverse => self.observe_reverse(*ip, domain),
+                DnsSource::Forward => self.observe_forward(ip, domain),
+                DnsSource::Reverse => self.observe_reverse(ip, domain),
             }
         }
     }

@@ -14,6 +14,7 @@
 use crate::dns::DnsTable;
 use crate::packet::PacketRecord;
 use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// Which flow definition to bucket with.
@@ -250,6 +251,81 @@ impl InternedFlowKey {
     }
 }
 
+/// A device's flow bucket: the key of the proxy's rule table and of
+/// bootstrap bucketing, probed on every packet.
+///
+/// Its `Hash` packs the fields injectively into 64-bit words, so a
+/// [`FoldHasher`](crate::hash::FoldHasher) folds two words for a PortLess
+/// key and three for a Classic one, instead of one word per field and
+/// enum tag. Ordered like the `(device, flow)` tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct DeviceFlowKey {
+    /// Device id.
+    pub device: u16,
+    /// The packet's flow key.
+    pub flow: InternedFlowKey,
+}
+
+impl DeviceFlowKey {
+    /// The words `Hash` writes, and how many of them: bit 0 of the first
+    /// word is the flow variant, so the length follows from the first
+    /// word and distinct keys write distinct word sequences.
+    ///
+    /// - PortLess: `[1 | remote tag << 1 | dir << 2 | proto << 10 |
+    ///   size << 18 | device << 34, remote id or address]`.
+    /// - Classic: `[proto << 1 | size << 9 | device << 25 |
+    ///   src_port << 41, src_ip << 32 | dst_ip, dst_port]`.
+    #[inline]
+    fn words(&self) -> ([u64; 3], usize) {
+        let device = u64::from(self.device);
+        match self.flow {
+            InternedFlowKey::PortLess {
+                remote,
+                proto,
+                size,
+                dir,
+            } => {
+                let (tag, remote) = match remote {
+                    RemoteId::Domain(id) => (0, id),
+                    RemoteId::Ip(ip) => (1, u32::from(ip)),
+                };
+                let head = 1
+                    | tag << 1
+                    | u64::from(dir) << 2
+                    | u64::from(proto) << 10
+                    | u64::from(size) << 18
+                    | device << 34;
+                ([head, u64::from(remote), 0], 2)
+            }
+            InternedFlowKey::Classic {
+                src_ip,
+                dst_ip,
+                src_port,
+                dst_port,
+                proto,
+                size,
+            } => {
+                let head = u64::from(proto) << 1
+                    | u64::from(size) << 9
+                    | device << 25
+                    | u64::from(src_port) << 41;
+                let ips = u64::from(u32::from(src_ip)) << 32 | u64::from(u32::from(dst_ip));
+                ([head, ips, u64::from(dst_port)], 3)
+            }
+        }
+    }
+}
+
+impl Hash for DeviceFlowKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (words, n) = self.words();
+        for &w in &words[..n] {
+            state.write_u64(w);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,6 +429,93 @@ mod tests {
             let a = FlowKey::of(def, &pkt(443, 100, Direction::FromDevice), &dns);
             let b = FlowKey::of(def, &pkt(443, 101, Direction::FromDevice), &dns);
             assert_ne!(a, b, "{def}");
+        }
+    }
+
+    /// Read [`DeviceFlowKey::words`] back into the key.
+    fn unpack(words: &[u64]) -> DeviceFlowKey {
+        let bits = |w: u64, at: u32, width: u32| (w >> at) & ((1 << width) - 1);
+        let head = words[0];
+        if head & 1 == 1 {
+            assert_eq!(words.len(), 2);
+            assert_eq!(head >> 50, 0, "unused bits stay clear");
+            assert_eq!(words[1] >> 32, 0);
+            let remote = words[1] as u32;
+            DeviceFlowKey {
+                device: bits(head, 34, 16) as u16,
+                flow: InternedFlowKey::PortLess {
+                    remote: match bits(head, 1, 1) {
+                        0 => RemoteId::Domain(remote),
+                        _ => RemoteId::Ip(Ipv4Addr::from(remote)),
+                    },
+                    dir: bits(head, 2, 8) as u8,
+                    proto: bits(head, 10, 8) as u8,
+                    size: bits(head, 18, 16) as u16,
+                },
+            }
+        } else {
+            assert_eq!(words.len(), 3);
+            assert_eq!(head >> 57, 0, "unused bits stay clear");
+            assert_eq!(words[2] >> 16, 0);
+            DeviceFlowKey {
+                device: bits(head, 25, 16) as u16,
+                flow: InternedFlowKey::Classic {
+                    proto: bits(head, 1, 8) as u8,
+                    size: bits(head, 9, 16) as u16,
+                    src_port: bits(head, 41, 16) as u16,
+                    src_ip: Ipv4Addr::from((words[1] >> 32) as u32),
+                    dst_ip: Ipv4Addr::from(words[1] as u32),
+                    dst_port: words[2] as u16,
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn device_flow_key_packing_is_injective() {
+        // The packing has an inverse, so no two keys share a word
+        // sequence: every field at its extremes and at random values.
+        let mut state = 23u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        // Each field: zero, one, all ones or a random value.
+        let mut pick = move || {
+            let r = next();
+            [0, 1, u64::MAX, r >> 2][(r & 3) as usize]
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (pick() as u32, pick() as u32);
+            let flow = if pick() & 1 == 0 {
+                InternedFlowKey::PortLess {
+                    remote: if pick() & 1 == 0 {
+                        RemoteId::Domain(a)
+                    } else {
+                        RemoteId::Ip(Ipv4Addr::from(a))
+                    },
+                    proto: pick() as u8,
+                    size: pick() as u16,
+                    dir: pick() as u8,
+                }
+            } else {
+                InternedFlowKey::Classic {
+                    src_ip: Ipv4Addr::from(a),
+                    dst_ip: Ipv4Addr::from(b),
+                    src_port: pick() as u16,
+                    dst_port: pick() as u16,
+                    proto: pick() as u8,
+                    size: pick() as u16,
+                }
+            };
+            let device = pick() as u16;
+            let key = DeviceFlowKey { device, flow };
+            let (words, n) = key.words();
+            assert_eq!(unpack(&words[..n]), key);
         }
     }
 

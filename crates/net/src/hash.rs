@@ -122,7 +122,7 @@ impl Hasher for FoldHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{InternedFlowKey, RemoteId};
+    use crate::flow::{DeviceFlowKey, InternedFlowKey, RemoteId};
     use std::collections::HashSet;
     use std::hash::Hash;
     use std::net::Ipv4Addr;
@@ -184,6 +184,32 @@ mod tests {
             )
         });
         assert_spreads("flow keys", keys);
+    }
+
+    #[test]
+    fn packed_device_flow_keys_spread_over_buckets_and_tags() {
+        let portless = (0..=u16::MAX).map(|i| DeviceFlowKey {
+            device: 3,
+            flow: InternedFlowKey::PortLess {
+                remote: RemoteId::Domain(u32::from(i >> 8)),
+                proto: 6,
+                size: i & 0xff,
+                dir: 0,
+            },
+        });
+        assert_spreads("packed portless keys", portless);
+        let classic = (0..=u16::MAX).map(|i| DeviceFlowKey {
+            device: i >> 12,
+            flow: InternedFlowKey::Classic {
+                src_ip: Ipv4Addr::new(192, 168, 1, 2),
+                dst_ip: Ipv4Addr::new(34, 9, 9, 9),
+                src_port: 40_000 + (i & 0xfff),
+                dst_port: 443,
+                proto: 6,
+                size: 100,
+            },
+        });
+        assert_spreads("packed classic keys", classic);
     }
 
     #[test]

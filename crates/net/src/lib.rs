@@ -27,7 +27,7 @@ pub mod time;
 pub mod trace;
 
 pub use dns::DnsTable;
-pub use flow::{FlowDef, FlowKey, InternedFlowKey, RemoteId};
+pub use flow::{DeviceFlowKey, FlowDef, FlowKey, InternedFlowKey, RemoteId};
 pub use hash::{FastMap, FoldState};
 pub use packet::{Direction, PacketRecord, TcpFlags, TlsVersion, TrafficClass, Transport};
 pub use time::{SimDuration, SimTime};
