@@ -148,7 +148,7 @@ fn soak_matcher() -> MatcherConfig {
 
 /// Aggregate result of one long-soak run. Fully deterministic per
 /// [`LongSoakConfig`] — the bench gate compares two runs byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LongSoakReport {
     /// Homes driven.
     pub homes: u32,

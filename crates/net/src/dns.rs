@@ -14,11 +14,10 @@
 //! only for domains already interned on the receiving side).
 
 use crate::hash::FastMap;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// How a domain mapping was learned; forward (in-trace DNS) beats reverse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DnsSource {
     /// Observed an actual DNS response in the trace.
     Forward,
@@ -33,46 +32,13 @@ struct Entry {
 }
 
 /// IP → domain-name table with a built-in domain interner.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-#[serde(from = "DnsTableRepr", into = "DnsTableRepr")]
+#[derive(Debug, Clone, Default)]
 pub struct DnsTable {
     /// Keyed by the address as a `u32`: one hash fold per lookup, where
     /// an `Ipv4Addr` key hashes as a length-prefixed byte slice.
     entries: FastMap<u32, Entry>,
     domains: Vec<String>,
     index: FastMap<String, u32>,
-}
-
-/// Serialized form: the flat entry list (ids are rebuilt on load, so the
-/// wire format is independent of interner state).
-#[derive(Serialize, Deserialize)]
-struct DnsTableRepr {
-    entries: Vec<(Ipv4Addr, String, DnsSource)>,
-}
-
-impl From<DnsTableRepr> for DnsTable {
-    fn from(repr: DnsTableRepr) -> Self {
-        let mut t = DnsTable::new();
-        for (ip, domain, source) in repr.entries {
-            match source {
-                DnsSource::Forward => t.observe_forward(ip, domain),
-                DnsSource::Reverse => t.observe_reverse(ip, domain),
-            }
-        }
-        t
-    }
-}
-
-impl From<DnsTable> for DnsTableRepr {
-    fn from(t: DnsTable) -> Self {
-        DnsTableRepr {
-            entries: t
-                .entries_sorted()
-                .into_iter()
-                .map(|(ip, name, source)| (ip, name.to_string(), source))
-                .collect(),
-        }
-    }
 }
 
 impl DnsTable {

@@ -13,12 +13,11 @@
 
 use crate::dns::DnsTable;
 use crate::packet::PacketRecord;
-use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// Which flow definition to bucket with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowDef {
     /// 6-tuple with ports and raw IPs.
     Classic,
@@ -44,7 +43,7 @@ impl std::fmt::Display for FlowDef {
 ///
 /// Ordered (derive order: variant, then fields lexicographically) so rule
 /// sets can be exported in a canonical sort for deterministic snapshots.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FlowKey {
     /// Classic 6-tuple.
     Classic {

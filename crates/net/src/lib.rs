@@ -12,7 +12,7 @@
 //!   "PortLess" (ports dropped, destination IP replaced by domain name).
 //! - [`dns`]: the DNS table used for the PortLess mapping, including
 //!   reverse lookups and domain aliases (§2.1 footnote 1).
-//! - [`trace`]: a labeled trace container with serde support.
+//! - [`trace`]: a labeled trace container.
 //! - [`hash`]: the keyed fold-multiply hasher behind the per-packet maps
 //!   ([`FastMap`]).
 //!

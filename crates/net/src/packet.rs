@@ -7,12 +7,11 @@
 //! flags and TLS version used by the §4 event features.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Transport protocol of a packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// Transmission Control Protocol.
     Tcp,
@@ -40,7 +39,7 @@ impl fmt::Display for Transport {
 }
 
 /// TCP header flags, stored as the low 8 bits of the flags field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TcpFlags(pub u8);
 
 impl TcpFlags {
@@ -87,7 +86,7 @@ impl TcpFlags {
 }
 
 /// TLS protocol version observed in a ClientHello/record header, if any.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TlsVersion {
     /// No TLS observed on this packet.
     None,
@@ -112,7 +111,7 @@ impl TlsVersion {
 }
 
 /// Direction of a packet relative to the IoT device it concerns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Sent by the IoT device toward the cloud/phone.
     FromDevice,
@@ -133,7 +132,7 @@ impl Direction {
 /// Ground-truth label of the traffic class (§2): control traffic keeps the
 /// device operating, automated traffic is triggered by routines (IFTTT,
 /// schedules), manual traffic by a human in a companion app.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Device housekeeping: keep-alives, telemetry, NTP, DNS.
     Control,
@@ -163,7 +162,7 @@ impl fmt::Display for TrafficClass {
 }
 
 /// One observed packet, as recorded by the capture point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketRecord {
     /// Arrival timestamp at the capture point.
     pub ts: SimTime,

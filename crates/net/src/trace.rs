@@ -8,10 +8,9 @@
 use crate::dns::DnsTable;
 use crate::packet::{PacketRecord, TrafficClass};
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A labeled, time-ordered packet trace for one or more devices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Packets in non-decreasing timestamp order.
     pub packets: Vec<PacketRecord>,
@@ -174,18 +173,5 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.packets[0].device, 1);
         assert_eq!(a.dns.name_of(Ipv4Addr::new(1, 2, 3, 4)), "x.example");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut t = Trace::new();
-        t.push(pkt(1, 0, TrafficClass::Automated));
-        t.dns
-            .observe_forward(Ipv4Addr::new(1, 2, 3, 4), "a.example");
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back.packets[0], t.packets[0]);
-        assert_eq!(back.dns.name_of(Ipv4Addr::new(1, 2, 3, 4)), "a.example");
     }
 }

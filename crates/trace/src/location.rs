@@ -3,11 +3,10 @@
 //! locations but talk to geolocated endpoints — different IPs and even
 //! different domains (google.com → google.co.jp).
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Where the testbed's uplink egresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Location {
     /// United States (native, New Jersey / Illinois).
     Us,
