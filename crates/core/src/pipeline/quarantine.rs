@@ -20,7 +20,8 @@
 //!   discards the held packets and credits the episode to the lockout
 //!   window.
 //!
-//! Re-registering a device drops its record with the rest of its state.
+//! `FiatProxy::register_device` refuses an id already registered, so a
+//! record leaves only by release or expiry.
 //! Each transition writes its effects here and only here: the audit
 //! entry, and one [`ProxyEvent`] that folds into the
 //! [`ProxyStats`](super::ProxyStats) secondary counts, the

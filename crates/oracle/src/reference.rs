@@ -522,13 +522,17 @@ impl ReferenceProxy {
     /// Register a device, mirroring `FiatProxy::register_device`'s
     /// first-N clamp: `min(N, classify_at_cap, FEATURE_PACKETS).max(1)`
     /// (the classifier reads at most `FEATURE_PACKETS`, and the proxy's
-    /// event buffer holds no more).
+    /// event buffer holds no more), and its refusal of an id already
+    /// registered (`false`, state untouched).
     pub fn register_device(
         &mut self,
         device: u16,
         classifier: EventClassifier,
         min_packets_to_complete: usize,
-    ) {
+    ) -> bool {
+        if self.devices.contains_key(&device) {
+            return false;
+        }
         let classify_at = min_packets_to_complete
             .min(self.config.classify_at_cap)
             .clamp(1, FEATURE_PACKETS);
@@ -543,6 +547,7 @@ impl ReferenceProxy {
                 quarantine: None,
             },
         );
+        true
     }
 
     /// Provide the capture's DNS knowledge.
