@@ -92,7 +92,7 @@ pub fn ablations_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiat_net::FlowKey;
+    use fiat_net::{InternedFlowKey, RemoteId};
 
     #[test]
     fn ablation_numbers_are_pinned() {
@@ -172,17 +172,21 @@ first-N 10: 16/78 events decidable, mean decision delay 1661 ms
         let engine = PredictabilityEngine::new(FlowDef::PortLess);
         let rules = RuleTable::learn(&engine, &window.packets, &cap.trace.dns);
         let mut got = String::new();
-        for (device, key) in rules.snapshot(&cap.trace.dns).0 {
-            let FlowKey::PortLess {
+        for key in rules.snapshot().0 {
+            let InternedFlowKey::PortLess {
                 remote,
                 proto,
                 size,
                 dir,
-            } = key
+            } = key.flow
             else {
                 panic!("PortLess engine learned {key:?}");
             };
-            writeln!(got, "{device} {remote} {proto} {size} {dir}").unwrap();
+            let remote = match remote {
+                RemoteId::Domain(id) => cap.trace.dns.domain_str(id).to_string(),
+                RemoteId::Ip(ip) => ip.to_string(),
+            };
+            writeln!(got, "{} {remote} {proto} {size} {dir}", key.device).unwrap();
         }
         assert_eq!(got, expected);
     }

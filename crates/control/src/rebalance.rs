@@ -2,7 +2,7 @@
 //! uses to rebalance a home between shards or survive a proxy restart.
 //!
 //! [`snapshot_home`] encodes a [`FiatProxy`]'s [`HomeSnapshot`] to its
-//! canonical binary bytes ([`HomeSnapshot::to_bytes`], the version-4
+//! canonical binary bytes ([`HomeSnapshot::to_bytes`], the version-5
 //! layout in `fiat_core::snapshot`; deterministic: the snapshot sorts
 //! every collection, so the same state always produces the same bytes)
 //! and counts them into `fiat_control_snapshot_bytes_total`.
@@ -86,6 +86,7 @@ pub fn restore_home(
 mod tests {
     use super::*;
     use fiat_core::snapshot::{EventPackets, OpenEvent};
+    use fiat_core::{AllowReason, ProxyDecision};
     use fiat_net::SimTime;
     use fiat_telemetry::{ManualClock, MetricRegistry};
     use proptest::prelude::*;
@@ -212,8 +213,10 @@ mod tests {
         );
     }
 
-    /// The fixture `fiat_core`'s `snapshot_bytes_are_pinned` pins, and
-    /// the JSON bytes of the two earlier layouts.
+    /// The fixture `fiat_core`'s `snapshot_bytes_are_pinned` pins, the
+    /// binary bytes of the layout before it, and the JSON bytes of the
+    /// two layouts before that.
+    const FIXTURE_V5: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v5.bin");
     const FIXTURE_V4: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v4.bin");
     const FIXTURE_V3: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v3.json");
     const FIXTURE_V2: &[u8] = include_bytes!("../../core/tests/golden/snapshot_v2.json");
@@ -239,18 +242,22 @@ mod tests {
     }
 
     #[test]
-    fn json_layouts_are_refused() {
-        // No legacy reader: the v2 and v3 JSON bytes are not a v4
-        // encoding. Their first four bytes read as a version, but the
-        // fifth onwards is text where v4 has an audit ledger and option
-        // tags, so decoding stops before restore sees a version.
+    fn earlier_layouts_are_refused() {
+        // No legacy reader. The first four bytes of the v2 and v3 JSON
+        // read as a version, but the fifth onwards is text where v5 has
+        // an audit ledger and option tags. v4 stored each DNS entry with
+        // its domain string; where v5 reads the domain list, the first
+        // entry's address reads as a length longer than the bytes left.
+        // Either way decoding stops before restore sees a version.
+        let v4 = 4u32.to_le_bytes();
         for (fixture, head) in [
-            (FIXTURE_V2, b"{\"version\":2,"),
-            (FIXTURE_V3, b"{\"version\":3,"),
+            (FIXTURE_V2, &b"{\"version\":2,"[..]),
+            (FIXTURE_V3, &b"{\"version\":3,"[..]),
+            (FIXTURE_V4, &v4[..]),
         ] {
             assert!(fixture.starts_with(head));
             match restore_fixture(fixture) {
-                Ok(_) => panic!("JSON bytes must be refused"),
+                Ok(_) => panic!("earlier layouts must be refused"),
                 Err(e) => assert_eq!(e, RestoreError::Corrupt),
             }
         }
@@ -258,10 +265,10 @@ mod tests {
 
     #[test]
     fn fixture_restores_whole_and_no_strict_prefix_parses() {
-        let proxy = restore_fixture(FIXTURE_V4).expect("the v4 fixture restores");
-        assert_eq!(snapshot_home(&proxy, None), FIXTURE_V4);
-        for len in 0..FIXTURE_V4.len() {
-            match restore_fixture(&FIXTURE_V4[..len]) {
+        let proxy = restore_fixture(FIXTURE_V5).expect("the v5 fixture restores");
+        assert_eq!(snapshot_home(&proxy, None), FIXTURE_V5);
+        for len in 0..FIXTURE_V5.len() {
+            match restore_fixture(&FIXTURE_V5[..len]) {
                 Ok(_) => panic!("a {len}-byte prefix restored"),
                 Err(e) => assert_eq!(e, RestoreError::Corrupt, "{len}-byte prefix"),
             }
@@ -274,7 +281,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5eed);
         let (mut decoded, mut restored) = (0, 0);
         for _ in 0..2_000 {
-            let mut bytes = FIXTURE_V4.to_vec();
+            let mut bytes = FIXTURE_V5.to_vec();
             let at = rng.gen_range(0..bytes.len());
             bytes[at] ^= 1 << rng.gen_range(0..8u32);
             // Any input the codec accepts is the canonical encoding of
@@ -290,6 +297,58 @@ mod tests {
         // so the run reaches restore's own checks, not only the codec.
         assert!(decoded > 0);
         assert!(restored > 0);
+    }
+
+    #[test]
+    fn restored_home_keeps_a_rule_on_an_address_named_like_it() {
+        // DNS answers are on-path input: 6.6.6.6 resolves to the name
+        // "34.0.0.1", while 34.0.0.1 itself never resolved. The home
+        // learns a rule on the unresolved address; after a migration it
+        // must decide every later packet, to either address, exactly as
+        // the uninterrupted home does.
+        let spoofed = std::net::Ipv4Addr::new(6, 6, 6, 6);
+        let mut dns = fiat_net::DnsTable::new();
+        dns.observe_forward(spoofed, "34.0.0.1");
+        let mut uninterrupted = seeded_proxy(1, 0, 0);
+        uninterrupted.set_dns(dns);
+        // Twenty minutes of bootstrap; the next packet learns the rules
+        // and hits one.
+        for minute in 0..=20 {
+            let _ = uninterrupted.on_packet(&unknown_pkt(0, minute * 60));
+        }
+        assert_eq!(uninterrupted.stats().rule_hit, 1);
+        let bytes = snapshot_home(&uninterrupted, None);
+        let mut restored = restore_home(
+            &bytes,
+            ProxyConfig::default(),
+            &SECRET,
+            HumannessValidator::with_operating_point(1.0, 1.0, 0),
+            plug(),
+            |d| EventClassifier::simple_rule(200 + d * 10),
+            None,
+        )
+        .expect("restore");
+        let mut hits = 0;
+        for minute in 21..31 {
+            let to_address = unknown_pkt(0, minute * 60);
+            let to_domain = fiat_net::PacketRecord {
+                remote_ip: spoofed,
+                ..unknown_pkt(0, minute * 60 + 30)
+            };
+            for p in [to_address, to_domain] {
+                let d = uninterrupted.on_packet(&p);
+                assert_eq!(restored.on_packet(&p), d, "{p:?}");
+                let hit = d == ProxyDecision::Allow(AllowReason::RuleHit);
+                assert_eq!(hit, p.remote_ip != spoofed, "{p:?}");
+                hits += usize::from(hit);
+            }
+        }
+        assert_eq!(hits, 10);
+        assert_eq!(restored.stats(), uninterrupted.stats());
+        assert_eq!(
+            snapshot_home(&restored, None),
+            snapshot_home(&uninterrupted, None)
+        );
     }
 
     proptest! {

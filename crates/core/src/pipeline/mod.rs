@@ -1132,11 +1132,7 @@ impl FiatProxy {
         let mut devices: Vec<DeviceSnapshot> =
             self.devices.values().map(|d| d.rec.clone()).collect();
         devices.sort_unstable_by_key(|d| d.device);
-        let (rules, rule_ghosts) = self
-            .rules
-            .as_ref()
-            .map(|table| table.snapshot(&self.dns))
-            .unzip();
+        let (rules, rule_ghosts) = self.rules.as_ref().map(RuleTable::snapshot).unzip();
         HomeSnapshot {
             version: SNAPSHOT_VERSION,
             started_at: self.started_at,
@@ -1228,13 +1224,11 @@ impl FiatProxy {
         audit.set_max_entries(config.max_audit_entries);
         let mut proxy = Self::with_telemetry(config, ceremony_secret, validator, telemetry);
         proxy.quic.restore_image(&snap.quic);
-        let mut dns = snap.dns;
         let policy = &mut proxy.policy;
         proxy.rules = snap.rules.as_ref().map(|rules| {
             RuleTable::restore(
                 rules,
                 &snap.rule_ghosts,
-                &mut dns,
                 policy.config.tolerance,
                 policy.config.max_rules,
                 RuleTelemetry::registered(&policy.telemetry.registry),
@@ -1251,7 +1245,7 @@ impl FiatProxy {
         policy.human_valid_until = snap.human_valid_until;
         policy.audit = audit;
         policy.stats = snap.stats;
-        proxy.dns = dns;
+        proxy.dns = snap.dns;
         proxy.started_at = snap.started_at;
         proxy.bootstrap_buffer = snap.bootstrap_buffer;
         proxy.server_random_counter = snap.server_random_counter;
@@ -3321,7 +3315,7 @@ mod tests {
         // A repeated id would silently keep one of its two records, and
         // the record cap counts records in list order.
         let golden =
-            HomeSnapshot::from_bytes(include_bytes!("../../tests/golden/snapshot_v4.bin")).unwrap();
+            HomeSnapshot::from_bytes(include_bytes!("../../tests/golden/snapshot_v5.bin")).unwrap();
         let restore = |snap: HomeSnapshot| {
             let config = ProxyConfig {
                 proof_deadline: Some(SimDuration::from_secs(60)),
@@ -3739,11 +3733,12 @@ mod tests {
         // in the replay window, live quarantine records with their
         // quarantine-fated open events, an allow-fated open event,
         // lockout drops on a locked device, an unknown device, a
-        // checkpoint-truncated audit chain, and DNS names shared between
-        // two addresses and the learned rule. A digest change means the
-        // bytes changed and SNAPSHOT_VERSION must be bumped. The bytes
-        // themselves are `tests/golden/snapshot_v4.bin` (binary), which
-        // fiat-control's restore and fuzz tests read.
+        // checkpoint-truncated audit chain, a DNS name shared between two
+        // addresses and the evicted rule, and a live rule on an address
+        // DNS never resolved, so both remote tags are present. A digest
+        // change means the bytes changed and SNAPSHOT_VERSION must be
+        // bumped. The bytes themselves are `tests/golden/snapshot_v5.bin`
+        // (binary), which fiat-control's restore and fuzz tests read.
         let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         let config = ProxyConfig {
             proof_deadline: Some(SimDuration::from_secs(60)),
@@ -3761,10 +3756,14 @@ mod tests {
             proxy.register_device(d, EventClassifier::simple_rule(235), 1);
         }
         proxy.start(SimTime::ZERO);
+        let unresolved = |ts_ms| PacketRecord {
+            remote_ip: Ipv4Addr::new(52, 0, 0, 9),
+            ..pkt(ts_ms, 150)
+        };
         let mut t = 0;
         while t < 20 * 60 * 1000 {
             proxy.on_packet(&pkt(t, 100));
-            proxy.on_packet(&pkt(t + 5_000, 150));
+            proxy.on_packet(&unresolved(t + 5_000));
             t += 10_000;
         }
         prove_human(&mut proxy, 5, t - 100_000);
@@ -3793,9 +3792,9 @@ mod tests {
             .collect();
         assert_eq!(
             hex,
-            "a0ed74ad3c2a52fc8c5ccca32d7550c54a53c97d722d86cb7a2369bf96211af5"
+            "e69d7791b61a42b1bcd4bc57e22bfa69cbdb74f724fba9cd506ea61f394550a1"
         );
-        assert!(bytes == include_bytes!("../../tests/golden/snapshot_v4.bin"));
+        assert!(bytes == include_bytes!("../../tests/golden/snapshot_v5.bin"));
     }
 
     #[test]

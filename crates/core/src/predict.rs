@@ -15,8 +15,8 @@
 
 use crate::snapshot::GhostSnapshot;
 use fiat_net::{
-    DeviceFlowKey, DnsTable, FastMap, FlowDef, FlowKey, InternedFlowKey, PacketRecord, SimDuration,
-    SimTime, TrafficClass,
+    DeviceFlowKey, DnsTable, FastMap, FlowDef, InternedFlowKey, PacketRecord, SimDuration, SimTime,
+    TrafficClass,
 };
 use fiat_telemetry::{Counter, Family, MetricRegistry, SchemaPart};
 use std::collections::HashMap;
@@ -488,9 +488,9 @@ impl RuleTable {
     }
 
     /// Insert a rule directly (used for the §7 DAG-style allow rules,
-    /// e.g. "always allow Alexa → smart light"). Intern the key (via
-    /// `FlowKey::intern`) against the same `DnsTable` later lookups use.
-    /// In bounded mode an over-cap insert evicts the least-recently-
+    /// e.g. "always allow Alexa → smart light"). Build the key
+    /// ([`InternedFlowKey::of`]) from the same `DnsTable` later lookups
+    /// use. In bounded mode an over-cap insert evicts the least-recently-
     /// matched rule into a ghost.
     pub fn insert(&mut self, device: u16, key: InternedFlowKey) {
         let k = Key { device, flow: key };
@@ -500,24 +500,21 @@ impl RuleTable {
         self.evict_over_cap();
     }
 
-    /// The table as a snapshot stores it, keys resolved against `dns`:
-    /// live rules, then evicted-rule ghosts, each in LRU order (least
-    /// recently matched or touched first). Stamps are unique, so the
-    /// order is the eviction order and does not depend on hash order.
-    pub fn snapshot(&self, dns: &DnsTable) -> (Vec<(u16, FlowKey)>, Vec<GhostSnapshot>) {
+    /// The table as a snapshot stores it: live rules, then evicted-rule
+    /// ghosts, each in LRU order (least recently matched or touched
+    /// first), with their keys as the table holds them. Stamps are
+    /// unique, so the order is the eviction order and does not depend on
+    /// hash order.
+    pub fn snapshot(&self) -> (Vec<DeviceFlowKey>, Vec<GhostSnapshot>) {
         let mut rules: Vec<_> = self.rules.iter().map(|(&k, &s)| (s, k)).collect();
         rules.sort_unstable_by_key(|&(s, _)| s);
         let mut ghosts: Vec<_> = self.ghosts.iter().map(|(&k, &g)| (k, g)).collect();
         ghosts.sort_unstable_by_key(|(_, g)| g.stamp);
-        let rules = rules
-            .into_iter()
-            .map(|(_, key)| (key.device, key.flow.resolve(dns)))
-            .collect();
+        let rules = rules.into_iter().map(|(_, key)| key).collect();
         let ghosts = ghosts
             .into_iter()
             .map(|(key, g)| GhostSnapshot {
-                device: key.device,
-                key: key.flow.resolve(dns),
+                key,
                 last_ts: g.last_ts,
                 last_bin: g.last_bin,
             })
@@ -525,17 +522,17 @@ impl RuleTable {
         (rules, ghosts)
     }
 
-    /// Rebuild a table from [`RuleTable::snapshot`]'s lists, interning
-    /// keys into `dns`. Rules, then ghosts, take fresh stamps in list
-    /// order, which reproduces the snapshotted eviction order; the cap
-    /// applies only after both are in, so restoring evicts nothing the
-    /// snapshotted table held. `tolerance` is the ghost re-learn bin.
-    /// Lookups report through `telemetry`; the bucket counters stay
-    /// untouched, since re-learning would count the buckets twice.
+    /// Rebuild a table from [`RuleTable::snapshot`]'s lists, whose keys
+    /// are only meaningful against the `DnsTable` snapshotted with them.
+    /// Rules, then ghosts, take fresh stamps in list order, which
+    /// reproduces the snapshotted eviction order; the cap applies only
+    /// after both are in, so restoring evicts nothing the snapshotted
+    /// table held. `tolerance` is the ghost re-learn bin. Lookups report
+    /// through `telemetry`; the bucket counters stay untouched, since
+    /// re-learning would count the buckets twice.
     pub fn restore(
-        rules: &[(u16, FlowKey)],
+        rules: &[DeviceFlowKey],
         ghosts: &[GhostSnapshot],
-        dns: &mut DnsTable,
         tolerance: SimDuration,
         cap: Option<usize>,
         telemetry: RuleTelemetry,
@@ -545,8 +542,8 @@ impl RuleTable {
             telemetry,
             ..RuleTable::default()
         };
-        for (device, key) in rules {
-            table.insert(*device, key.intern(dns));
+        for key in rules {
+            table.insert(key.device, key.flow);
         }
         for g in ghosts {
             table.stamp += 1;
@@ -555,11 +552,7 @@ impl RuleTable {
                 last_bin: g.last_bin,
                 stamp: table.stamp,
             };
-            let key = Key {
-                device: g.device,
-                flow: g.key.intern(dns),
-            };
-            table.ghosts.insert(key, ghost);
+            table.ghosts.insert(g.key, ghost);
         }
         table.set_capacity(cap);
         table
@@ -870,38 +863,67 @@ mod tests {
         rules.insert(0, k2);
         rules.insert(0, k3);
         rules.insert(0, k1); // refresh: k1 is now the most recent
-        let resolved = |keys: &[InternedFlowKey]| -> Vec<(u16, FlowKey)> {
-            keys.iter().map(|k| (0, k.resolve(&dns))).collect()
+        let keyed = |flows: &[InternedFlowKey]| -> Vec<Key> {
+            flows.iter().map(|&flow| Key { device: 0, flow }).collect()
         };
-        let (lru, ghosts) = rules.snapshot(&dns);
-        assert_eq!(lru, resolved(&[k2, k3, k1]));
+        let (lru, ghosts) = rules.snapshot();
+        assert_eq!(lru, keyed(&[k2, k3, k1]));
         assert!(ghosts.is_empty());
 
         // Restoring the lists reproduces the order; a cap then evicts
         // the least recently matched rule into a ghost.
         let restore = |cap| {
-            let mut dns = dns.clone();
             RuleTable::restore(
                 &lru,
                 &ghosts,
-                &mut dns,
                 DEFAULT_TOLERANCE,
                 cap,
                 RuleTelemetry::default(),
             )
         };
-        assert_eq!(restore(None).snapshot(&dns), (lru.clone(), Vec::new()));
-        let (lru, ghosts) = restore(Some(2)).snapshot(&dns);
-        assert_eq!(lru, resolved(&[k3, k1]));
+        assert_eq!(restore(None).snapshot(), (lru.clone(), Vec::new()));
+        let (lru, ghosts) = restore(Some(2)).snapshot();
+        assert_eq!(lru, keyed(&[k3, k1]));
         assert_eq!(
             ghosts,
             vec![GhostSnapshot {
-                device: 0,
-                key: k2.resolve(&dns),
+                key: keyed(&[k2])[0],
                 last_ts: None,
                 last_bin: None
             }]
         );
+    }
+
+    #[test]
+    fn restored_rule_stays_on_its_address() {
+        // DNS answers are on-path input: 6.6.6.6 resolves to the name
+        // "34.0.0.1", while 34.0.0.1 itself never resolved. The rule
+        // learned on the unresolved address must stay on that address
+        // through snapshot and restore, not move to the domain spelled
+        // like it.
+        let spoofed = Ipv4Addr::new(6, 6, 6, 6);
+        let mut dns = DnsTable::new();
+        dns.observe_forward(spoofed, "34.0.0.1");
+        let eng = PredictabilityEngine::new(FlowDef::PortLess);
+        let packets: Vec<PacketRecord> = (0..10).map(|i| pkt(i * 1000, 100, 5000)).collect();
+        let mut learned = RuleTable::learn(&eng, &packets, &dns);
+        let (rules, ghosts) = learned.snapshot();
+        let mut restored = RuleTable::restore(
+            &rules,
+            &ghosts,
+            DEFAULT_TOLERANCE,
+            None,
+            RuleTelemetry::default(),
+        );
+        let to_address = pkt(99_000, 100, 9);
+        let to_domain = PacketRecord {
+            remote_ip: spoofed,
+            ..to_address.clone()
+        };
+        for table in [&mut learned, &mut restored] {
+            assert!(table.matches_touch(FlowDef::PortLess, &to_address, &dns));
+            assert!(!table.matches_touch(FlowDef::PortLess, &to_domain, &dns));
+        }
     }
 
     #[test]
@@ -952,7 +974,7 @@ mod tests {
             assert!(t.len() <= 8 && t.ghost_len() <= 8);
         }
         assert!(promoted > 0, "no ghost re-promoted");
-        assert_eq!(a.snapshot(&dns), b.snapshot(&dns));
+        assert_eq!(a.snapshot(), b.snapshot());
     }
 
     #[test]

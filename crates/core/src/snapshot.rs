@@ -13,7 +13,8 @@
 //! - **Deterministic bytes.** Every collection is a canonically ordered
 //!   `Vec` (rules and ghosts in LRU/stamp order — semantic state, since
 //!   eviction follows it — devices by id, replay epochs and tickets
-//!   ascending, DNS entries by IP), so encoding the same state twice
+//!   ascending, DNS domains by id and entries by IP), so encoding the
+//!   same state twice
 //!   yields identical bytes — the property the round-trip proptest in
 //!   `fiat-control` pins.
 //! - **No live keys.** The QUIC 1-RTT session key is *not* serialized;
@@ -36,11 +37,13 @@
 //!
 //! Memory and snapshot hold the same records: the live proxy keeps each
 //! device's decision state as a [`DeviceSnapshot`], its quarantine
-//! record inside, so snapshot and restore copy each device whole, and
-//! the rule table converts itself (`RuleTable::snapshot`,
-//! `RuleTable::restore`).
+//! record inside, so snapshot and restore copy each device whole. The
+//! rule table's keys are stored as it holds them ([`DeviceFlowKey`]),
+//! beside the DNS table's interner their domain ids index, so restore
+//! resolves and interns nothing: an address hits the same rule before
+//! and after a migration.
 //!
-//! ## Version 4 layout
+//! ## Version 5 layout
 //!
 //! [`HomeSnapshot::to_bytes`] writes one canonical binary encoding and
 //! [`HomeSnapshot::from_bytes`] reads it back. Integers are fixed-width
@@ -63,10 +66,10 @@
 //! | `started_at` | option of `u64` µs |
 //! | `human_valid_until`, `server_random_counter` | `u64`, each |
 //! | `degraded` | bool |
-//! | `dns` | list of (IPv4 octets, name, source tag), strictly ascending by address |
+//! | `dns` | list of domain strings in id order, then list of (IPv4 octets, domain id, source tag), strictly ascending by address |
 //! | `bootstrap_buffer` | list of packets |
-//! | `rules` | option of a list of (device `u16`, flow key) |
-//! | `rule_ghosts` | list of (device `u16`, flow key, option `last_ts`, option `last_bin`) |
+//! | `rules` | option of a list of rule keys |
+//! | `rule_ghosts` | list of (rule key, option `last_ts`, option `last_bin`) |
 //! | `unknown_seen` | list of `u16` |
 //! | `devices` | list of devices |
 //! | `released_packets` | list of packets |
@@ -76,28 +79,26 @@
 //! - A **packet** is 29 bytes: `ts` `u64`, `device` `u16`, direction
 //!   tag, local and remote IPv4 octets, local and remote port `u16`,
 //!   transport tag, TCP flags byte, TLS tag, `size` `u16`, label tag.
-//! - A **flow key** is tag 0 (Classic: source and destination IPv4,
-//!   ports `u16`, proto byte, `size` `u16`) or tag 1 (PortLess: remote
-//!   name, proto byte, `size` `u16`, direction byte).
+//! - A **domain id** is a `u32` index into the `dns` domain strings.
+//! - A **rule key** is `device` `u16`, then tag 0 (Classic: source and
+//!   destination IPv4, ports `u16`, proto byte, `size` `u16`) or tag 1
+//!   (PortLess: remote, proto byte, `size` `u16`, direction byte). A
+//!   remote is tag 0 and a domain id, or tag 1 and IPv4 octets.
 //! - A **device** is `device` `u16`, `classify_at` `u64`, an option of
 //!   the open event (list of at most [`FEATURE_PACKETS`] packets,
 //!   `last` `u64`, option of the fate: tag 0 allow plus reason tag, 1
 //!   drop plus reason tag, 2 quarantine), the `drops` list of `u64`,
 //!   `locked` bool, and an option of the quarantine record (list of
 //!   packets, class tag, `deadline` `u64`).
-//! - A **name** (a DNS name or a PortLess remote) is a `u32` index into
-//!   the names seen so far. The first use of a name takes the next
-//!   index and carries the string right after it; every later use is
-//!   the index alone.
 //!
 //! The reader checks every count against the bytes left (count × the
 //! element's smallest encoding) before it sizes anything by it. It
 //! refuses an unknown tag, a bool or option tag that is not 0 or 1,
-//! invalid UTF-8, a name written twice or out of order, DNS entries
-//! that do not ascend, an audit record whose checksum fails, an open
-//! event with more packets than its inline buffer holds, and trailing
-//! bytes. So any byte string it accepts re-encodes to exactly those
-//! bytes. The reader checks shape only; every semantic check
+//! invalid UTF-8, a repeated domain, a domain id at or past the domain
+//! count, DNS entries that do not ascend, an audit record whose
+//! checksum fails, an open event with more packets than its inline
+//! buffer holds, and trailing bytes. So any byte string it accepts
+//! re-encodes to exactly those bytes. The reader checks shape only; every semantic check
 //! (version, audit chain, device invariants, caps) is
 //! [`crate::FiatProxy::restore`]'s.
 
@@ -107,16 +108,15 @@ use crate::features::FEATURE_PACKETS;
 use crate::pipeline::{AllowReason, DropReason, ProxyConfig, ProxyStats};
 use fiat_net::dns::DnsSource;
 use fiat_net::{
-    Direction, DnsTable, FastMap, FlowKey, FoldState, PacketRecord, SimTime, TcpFlags, TlsVersion,
-    TrafficClass, Transport,
+    DeviceFlowKey, Direction, DnsTable, InternedFlowKey, PacketRecord, RemoteId, SimTime, TcpFlags,
+    TlsVersion, TrafficClass, Transport,
 };
 use fiat_quic::{ReplayEpochImage, ServerImage};
-use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
 /// Current snapshot layout version. Bump on any incompatible change to
 /// the structs in this module; restore reads this version only.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,16 +192,17 @@ pub struct HomeSnapshot {
     pub server_random_counter: u64,
     /// Whether the proxy was in control-plane degraded mode.
     pub degraded: bool,
-    /// DNS knowledge (encoded sorted by IP; interner ids rebuilt on
-    /// load).
+    /// DNS knowledge with its interner, whose domain ids the rule keys
+    /// use (encoded as its domains in id order and its entries sorted
+    /// by IP; restore keeps every id).
     pub dns: DnsTable,
     /// Bootstrap capture, when the snapshot predates rule learning.
     pub bootstrap_buffer: Vec<PacketRecord>,
-    /// Learned rules in stringly-keyed form, in LRU order
-    /// (least-recently-matched first, the eviction order); `None` when
-    /// bootstrap had not completed. Restored by re-interning against the
-    /// restored [`HomeSnapshot::dns`].
-    pub rules: Option<Vec<(u16, FlowKey)>>,
+    /// Learned rules, keyed as the rule table keys them (PortLess
+    /// remotes by [`HomeSnapshot::dns`] domain id or unresolved
+    /// address), in LRU order (least-recently-matched first, the
+    /// eviction order); `None` when bootstrap had not completed.
+    pub rules: Option<Vec<DeviceFlowKey>>,
     /// Evicted-rule ghosts in LRU order (re-learn candidates; empty when
     /// no rule has been evicted or bootstrap had not completed).
     pub rule_ghosts: Vec<GhostSnapshot>,
@@ -363,14 +364,12 @@ pub enum EventFate {
     Quarantine,
 }
 
-/// One evicted rule's re-learn ("ghost") state, stringly keyed like
-/// [`HomeSnapshot::rules`] and re-interned on restore.
+/// One evicted rule's re-learn ("ghost") state, keyed like
+/// [`HomeSnapshot::rules`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GhostSnapshot {
-    /// Device id the evicted rule belonged to.
-    pub device: u16,
-    /// The evicted rule's flow key.
-    pub key: FlowKey,
+    /// The evicted rule's key.
+    pub key: DeviceFlowKey,
     /// Timestamp of the last packet seen on this ghost, if any.
     pub last_ts: Option<SimTime>,
     /// Tolerance bin of the last observed inter-arrival, if any.
@@ -395,21 +394,15 @@ pub struct QuarantineRecord {
 }
 
 impl HomeSnapshot {
-    /// The canonical version-4 encoding (see the module docs): the same
+    /// The canonical version-5 encoding (see the module docs): the same
     /// snapshot always gives the same bytes. A counting pass sizes the
     /// output, so the bytes are written into one allocation.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let dns = self.dns.entries_sorted();
-        let mut sized = Writer {
-            out: 0,
-            names: FastMap::default(),
-            next_name: 0,
-        };
+        let dns = self.dns.entries();
+        let mut sized = Writer { out: 0 };
         sized.snapshot(self, &dns);
         let mut w = Writer {
             out: Vec::with_capacity(sized.out),
-            names: sized.names,
-            next_name: 0,
         };
         w.snapshot(self, &dns);
         w.out
@@ -418,17 +411,14 @@ impl HomeSnapshot {
     /// Read [`HomeSnapshot::to_bytes`]'s encoding back. `None` when the
     /// bytes are not exactly one canonical encoding: a count larger than
     /// the bytes left could hold, an unknown tag, a bool that is not 0
-    /// or 1, invalid UTF-8, a name out of order, DNS entries out of
-    /// order, an audit record whose checksum fails, an open event of
-    /// more than [`FEATURE_PACKETS`] packets, or trailing bytes.
+    /// or 1, invalid UTF-8, a repeated domain, a domain id past the
+    /// domain list, DNS entries out of order, an audit record whose
+    /// checksum fails, an open event of more than [`FEATURE_PACKETS`]
+    /// packets, or trailing bytes.
     /// Whether the decoded state may be resumed from is
     /// [`crate::FiatProxy::restore`]'s decision.
     pub fn from_bytes(bytes: &[u8]) -> Option<HomeSnapshot> {
-        let mut r = Reader {
-            bytes,
-            names: Vec::new(),
-            seen: HashSet::default(),
-        };
+        let mut r = Reader { bytes, domains: 0 };
         let snap = HomeSnapshot {
             version: r.u32()?,
             audit_truncated: r.u64()?,
@@ -441,7 +431,7 @@ impl HomeSnapshot {
             degraded: r.bool()?,
             dns: r.dns()?,
             bootstrap_buffer: r.list(PACKET_LEN, Reader::packet)?,
-            rules: r.opt(|r| r.list(RULE_MIN, |r| Some((r.u16()?, r.key()?))))?,
+            rules: r.opt(|r| r.list(RULE_MIN, Reader::key))?,
             rule_ghosts: r.list(GHOST_MIN, Reader::ghost)?,
             unknown_seen: r.list(2, Reader::u16)?,
             devices: r.list(DEVICE_MIN, Reader::device)?,
@@ -457,12 +447,12 @@ impl HomeSnapshot {
 /// by the bytes left before anything is sized by it.
 const AUDIT_LEN: usize = 16;
 const PACKET_LEN: usize = 29;
-/// A PortLess key naming an earlier name: tag, index, proto, size, dir.
-const KEY_MIN: usize = 1 + 4 + 1 + 2 + 1;
-const RULE_MIN: usize = 2 + KEY_MIN;
+/// A PortLess rule key: device, tag, remote tag and id or address,
+/// proto, size, dir.
+const RULE_MIN: usize = 2 + 1 + 1 + 4 + 1 + 2 + 1;
 const GHOST_MIN: usize = RULE_MIN + 2;
 const DEVICE_MIN: usize = 2 + 8 + 1 + 4 + 1 + 1;
-const DNS_ENTRY_MIN: usize = 4 + 4 + 1;
+const DNS_ENTRY_LEN: usize = 4 + 4 + 1;
 const EPOCH_MIN: usize = 4 + 4;
 const TICKET_MIN: usize = 8 + 4;
 
@@ -515,27 +505,25 @@ impl Sink for Vec<u8> {
 }
 
 /// A value the reader checks, by kind: a list or string count, an enum
-/// tag with its number of variants, a bool or option tag, or the bytes
-/// of a name's first use. Only the tests read a tag's variant count.
+/// tag with its number of variants, a bool or option tag, the bytes of
+/// a domain string, or a domain id. Only the tests read a tag's variant
+/// count.
 #[derive(Debug, Clone, Copy)]
 #[cfg_attr(not(test), allow(dead_code))]
 enum Field {
     Count,
     Tag(u8),
     Bool,
-    Name,
+    Text,
+    Domain,
 }
 
-/// The encoder. `names` maps each name written so far to its index; the
-/// sizing pass fills it and the writing pass reuses it, meeting every
-/// name's first use at the same point.
-struct Writer<'a, S> {
+/// The encoder.
+struct Writer<S> {
     out: S,
-    names: FastMap<&'a str, u32>,
-    next_name: u32,
 }
 
-impl<'a, S: Sink> Writer<'a, S> {
+impl<S: Sink> Writer<S> {
     fn u8(&mut self, v: u8) {
         self.out.put(&[v]);
     }
@@ -581,7 +569,7 @@ impl<'a, S: Sink> Writer<'a, S> {
         self.u32(u32::try_from(n).expect("a snapshot list fits a u32 count"));
     }
 
-    fn list<T>(&mut self, items: &'a [T], mut f: impl FnMut(&mut Self, &'a T)) {
+    fn list<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
         self.count(items.len());
         for item in items {
             f(self, item);
@@ -595,19 +583,18 @@ impl<'a, S: Sink> Writer<'a, S> {
         }
     }
 
-    fn name(&mut self, name: &'a str) {
-        let next = self.next_name;
-        let at = *self.names.entry(name).or_insert(next);
-        self.u32(at);
-        if at == next {
-            self.next_name += 1;
-            self.count(name.len());
-            self.out.mark(Field::Name);
-            self.out.put(name.as_bytes());
-        }
+    fn text(&mut self, text: &str) {
+        self.count(text.len());
+        self.out.mark(Field::Text);
+        self.out.put(text.as_bytes());
     }
 
-    fn snapshot(&mut self, s: &'a HomeSnapshot, dns: &[(Ipv4Addr, &'a str, DnsSource)]) {
+    fn domain(&mut self, id: u32) {
+        self.out.mark(Field::Domain);
+        self.u32(id);
+    }
+
+    fn snapshot(&mut self, s: &HomeSnapshot, dns: &[(Ipv4Addr, u32, DnsSource)]) {
         self.u32(s.version);
         self.u64(s.audit_truncated);
         self.opt(s.audit_checkpoint.as_ref(), |w, h| w.out.put(h));
@@ -617,21 +604,15 @@ impl<'a, S: Sink> Writer<'a, S> {
         self.time(s.human_valid_until);
         self.u64(s.server_random_counter);
         self.bool(s.degraded);
-        self.count(dns.len());
-        for &(ip, name, source) in dns {
-            self.ip(ip);
-            self.name(name);
-            self.tag(&DNS_SOURCES, &source);
-        }
-        self.list(&s.bootstrap_buffer, Self::packet);
-        self.opt(s.rules.as_deref(), |w, rules| {
-            w.list(rules, |w, (device, key)| {
-                w.u16(*device);
-                w.key(key);
-            })
+        self.list(s.dns.domains(), |w, d| w.text(d));
+        self.list(dns, |w, &(ip, domain, source)| {
+            w.ip(ip);
+            w.domain(domain);
+            w.tag(&DNS_SOURCES, &source);
         });
+        self.list(&s.bootstrap_buffer, Self::packet);
+        self.opt(s.rules.as_deref(), |w, rules| w.list(rules, Self::key));
         self.list(&s.rule_ghosts, |w, g| {
-            w.u16(g.device);
             w.key(&g.key);
             w.opt(g.last_ts, Self::time);
             w.opt(g.last_bin, Self::u64);
@@ -658,9 +639,10 @@ impl<'a, S: Sink> Writer<'a, S> {
         self.tag(&TrafficClass::ALL, &p.label);
     }
 
-    fn key(&mut self, key: &'a FlowKey) {
-        match key {
-            FlowKey::Classic {
+    fn key(&mut self, key: &DeviceFlowKey) {
+        self.u16(key.device);
+        match key.flow {
+            InternedFlowKey::Classic {
                 src_ip,
                 dst_ip,
                 src_port,
@@ -669,29 +651,38 @@ impl<'a, S: Sink> Writer<'a, S> {
                 size,
             } => {
                 self.variant(0, 2);
-                self.ip(*src_ip);
-                self.ip(*dst_ip);
-                self.u16(*src_port);
-                self.u16(*dst_port);
-                self.u8(*proto);
-                self.u16(*size);
+                self.ip(src_ip);
+                self.ip(dst_ip);
+                self.u16(src_port);
+                self.u16(dst_port);
+                self.u8(proto);
+                self.u16(size);
             }
-            FlowKey::PortLess {
+            InternedFlowKey::PortLess {
                 remote,
                 proto,
                 size,
                 dir,
             } => {
                 self.variant(1, 2);
-                self.name(remote);
-                self.u8(*proto);
-                self.u16(*size);
-                self.u8(*dir);
+                match remote {
+                    RemoteId::Domain(id) => {
+                        self.variant(0, 2);
+                        self.domain(id);
+                    }
+                    RemoteId::Ip(ip) => {
+                        self.variant(1, 2);
+                        self.ip(ip);
+                    }
+                }
+                self.u8(proto);
+                self.u16(size);
+                self.u8(dir);
             }
         }
     }
 
-    fn device(&mut self, d: &'a DeviceSnapshot) {
+    fn device(&mut self, d: &DeviceSnapshot) {
         self.u16(d.device);
         self.u64(d.classify_at as u64);
         self.opt(d.open.as_ref(), |w, e| {
@@ -741,7 +732,7 @@ impl<'a, S: Sink> Writer<'a, S> {
         }
     }
 
-    fn quic(&mut self, q: &'a ServerImage) {
+    fn quic(&mut self, q: &ServerImage) {
         self.u64(q.next_ticket_id);
         self.u32(q.current_epoch);
         self.u32(q.replay_retired_below);
@@ -756,12 +747,11 @@ impl<'a, S: Sink> Writer<'a, S> {
     }
 }
 
-/// The decoder: the bytes not yet read, the names read so far by index,
-/// and the same names as a set, to refuse a name written twice.
+/// The decoder: the bytes not yet read, and how many domains the DNS
+/// table holds once it is read, to refuse an id past them.
 struct Reader<'a> {
     bytes: &'a [u8],
-    names: Vec<&'a str>,
-    seen: HashSet<&'a str, FoldState>,
+    domains: u32,
 }
 
 impl<'a> Reader<'a> {
@@ -829,42 +819,30 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn name(&mut self) -> Option<&'a str> {
-        let at = usize::try_from(self.u32()?).ok()?;
-        if let Some(&name) = self.names.get(at) {
-            return Some(name);
-        }
-        if at != self.names.len() {
-            return None;
-        }
+    fn text(&mut self) -> Option<&'a str> {
         let len = self.count(1)?;
-        let (name, rest) = self.bytes.split_at(len);
+        let (text, rest) = self.bytes.split_at(len);
         self.bytes = rest;
-        let name = std::str::from_utf8(name).ok()?;
-        if !self.seen.insert(name) {
-            return None;
-        }
-        self.names.push(name);
-        Some(name)
+        std::str::from_utf8(text).ok()
+    }
+
+    fn domain(&mut self) -> Option<u32> {
+        self.u32().filter(|&id| id < self.domains)
     }
 
     fn dns(&mut self) -> Option<DnsTable> {
-        let n = self.count(DNS_ENTRY_MIN)?;
-        let mut dns = DnsTable::new();
+        let domains = self.list(4, Self::text)?;
+        self.domains = u32::try_from(domains.len()).ok()?;
         let mut prev = None;
-        for _ in 0..n {
-            let ip = self.ip()?;
+        let entries = self.list(DNS_ENTRY_LEN, |r| {
+            let ip = r.ip()?;
             if prev >= Some(u32::from(ip)) {
                 return None;
             }
             prev = Some(u32::from(ip));
-            let name = self.name()?;
-            match self.tag(&DNS_SOURCES)? {
-                DnsSource::Forward => dns.observe_forward(ip, name),
-                DnsSource::Reverse => dns.observe_reverse(ip, name),
-            }
-        }
-        Some(dns)
+            Some((ip, r.domain()?, r.tag(&DNS_SOURCES)?))
+        })?;
+        DnsTable::from_parts(domains, entries)
     }
 
     fn packet(&mut self) -> Option<PacketRecord> {
@@ -898,29 +876,34 @@ impl<'a> Reader<'a> {
         Some(packets)
     }
 
-    fn key(&mut self) -> Option<FlowKey> {
-        match self.u8()? {
-            0 => Some(FlowKey::Classic {
+    fn key(&mut self) -> Option<DeviceFlowKey> {
+        let device = self.u16()?;
+        let flow = match self.u8()? {
+            0 => InternedFlowKey::Classic {
                 src_ip: self.ip()?,
                 dst_ip: self.ip()?,
                 src_port: self.u16()?,
                 dst_port: self.u16()?,
                 proto: self.u8()?,
                 size: self.u16()?,
-            }),
-            1 => Some(FlowKey::PortLess {
-                remote: self.name()?.to_string(),
+            },
+            1 => InternedFlowKey::PortLess {
+                remote: match self.u8()? {
+                    0 => RemoteId::Domain(self.domain()?),
+                    1 => RemoteId::Ip(self.ip()?),
+                    _ => return None,
+                },
                 proto: self.u8()?,
                 size: self.u16()?,
                 dir: self.u8()?,
-            }),
-            _ => None,
-        }
+            },
+            _ => return None,
+        };
+        Some(DeviceFlowKey { device, flow })
     }
 
     fn ghost(&mut self) -> Option<GhostSnapshot> {
         Some(GhostSnapshot {
-            device: self.u16()?,
             key: self.key()?,
             last_ts: self.opt(Self::time)?,
             last_bin: self.opt(Self::u64)?,
@@ -996,7 +979,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
-    const FIXTURE: &[u8] = include_bytes!("../tests/golden/snapshot_v4.bin");
+    const FIXTURE: &[u8] = include_bytes!("../tests/golden/snapshot_v5.bin");
 
     /// A sink that records where each checked value sits.
     #[derive(Default)]
@@ -1024,16 +1007,14 @@ mod tests {
 
     #[test]
     fn every_value_edit_is_refused() {
-        // Walk the fixture's structure: every count, tag, bool and name
-        // the encoder wrote, at its offset.
+        // Walk the fixture's structure: every count, tag, bool, domain
+        // string and domain id the encoder wrote, at its offset.
         let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
-        let dns = snap.dns.entries_sorted();
+        let domains = snap.dns.domains().len() as u32;
         let mut w = Writer {
             out: Fields::default(),
-            names: FastMap::default(),
-            next_name: 0,
         };
-        w.snapshot(&snap, &dns);
+        w.snapshot(&snap, &snap.dns.entries());
         assert_eq!(w.out.len, FIXTURE.len());
         let mut seen = Vec::new();
         for &(at, field) in &w.out.marks {
@@ -1050,7 +1031,8 @@ mod tests {
                 Field::Tag(of) => vec![edited(at, &[of])],
                 Field::Bool => vec![edited(at, &[2])],
                 // 0xFF never occurs in UTF-8.
-                Field::Name => vec![edited(at, &[0xFF])],
+                Field::Text => vec![edited(at, &[0xFF])],
+                Field::Domain => vec![edited(at, &domains.to_le_bytes())],
             };
             for bytes in edits {
                 // `restore_home` answers `None` with `RestoreError::Corrupt`.
@@ -1064,7 +1046,7 @@ mod tests {
                 seen.push(kind);
             }
         }
-        assert_eq!(seen.len(), 4, "the fixture holds every kind of field");
+        assert_eq!(seen.len(), 5, "the fixture holds every kind of field");
     }
 
     #[test]
@@ -1082,11 +1064,17 @@ mod tests {
             edited[at..at + value.len()].copy_from_slice(value);
             HomeSnapshot::from_bytes(&edited).is_none()
         };
-        // A name written a second time instead of referred to.
+        // A repeated domain.
         assert!(refused(find(b"b.example").unwrap(), b"a.example"));
-        // DNS entries that do not ascend by address: the second entry's
-        // address follows the first's name and source tag.
-        let second = find(b"a.example").unwrap() + b"a.example".len() + 1;
+        // The entry count follows the last domain; each entry is its
+        // address, domain id and source tag.
+        let first = find(b"b.example").unwrap() + b"b.example".len() + 4;
+        assert_eq!(bytes[first..first + 9], [1, 1, 1, 1, 0, 0, 0, 0, 0]);
+        // An entry's domain id past the two domains.
+        assert!(!refused(first + 4, &1u32.to_le_bytes()));
+        assert!(refused(first + 4, &2u32.to_le_bytes()));
+        // DNS entries that do not ascend by address.
+        let second = first + 9;
         assert_eq!(bytes[second..second + 4], [2, 2, 2, 2]);
         assert!(refused(second, &[1, 1, 1, 1]));
         assert!(refused(second, &[0, 0, 0, 1]));
@@ -1097,16 +1085,37 @@ mod tests {
     }
 
     #[test]
+    fn a_rule_key_naming_no_domain_is_refused() {
+        let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
+        let domains = snap.dns.domains().len() as u32;
+        let key = |id| DeviceFlowKey {
+            device: 0,
+            flow: InternedFlowKey::PortLess {
+                remote: RemoteId::Domain(id),
+                proto: 6,
+                size: 100,
+                dir: 0,
+            },
+        };
+        for (id, decodes) in [(domains - 1, true), (domains, false), (u32::MAX, false)] {
+            let mut rule = snap.clone();
+            rule.rules = Some(vec![key(id)]);
+            let mut ghost = snap.clone();
+            ghost.rule_ghosts[0].key = key(id);
+            for edited in [rule, ghost] {
+                let bytes = edited.to_bytes();
+                assert_eq!(HomeSnapshot::from_bytes(&bytes).is_some(), decodes, "{id}");
+            }
+        }
+    }
+
+    #[test]
     fn an_open_event_longer_than_the_feature_window_is_refused() {
         // A device record with a pending open event of `n` packets, as
         // the encoder lays it out.
         let device = |n: usize| {
             let packets = vec![EMPTY_SLOT; n];
-            let mut w = Writer {
-                out: Vec::new(),
-                names: FastMap::default(),
-                next_name: 0,
-            };
+            let mut w = Writer { out: Vec::new() };
             w.u16(3);
             w.u64(FEATURE_PACKETS as u64);
             w.bool(true);
@@ -1118,14 +1127,7 @@ mod tests {
             w.bool(false);
             w.out
         };
-        let read = |bytes: &[u8]| {
-            Reader {
-                bytes,
-                names: Vec::new(),
-                seen: HashSet::default(),
-            }
-            .device()
-        };
+        let read = |bytes: &[u8]| Reader { bytes, domains: 0 }.device();
         let five = read(&device(FEATURE_PACKETS)).expect("a full window decodes");
         assert_eq!(five.open.unwrap().packets.len(), FEATURE_PACKETS);
         assert!(read(&device(FEATURE_PACKETS + 1)).is_none());
@@ -1133,7 +1135,7 @@ mod tests {
 
     #[test]
     fn tag_tables_follow_declaration_order() {
-        // The v4 tags are the variants' declaration order, which is also
+        // The v5 tags are the variants' declaration order, which is also
         // their discriminant order.
         assert!(DIRECTIONS.iter().enumerate().all(|(i, &v)| v as usize == i));
         assert!(TRANSPORTS.iter().enumerate().all(|(i, &v)| v as usize == i));

@@ -439,7 +439,7 @@ fn same_schema_merge_does_not_allocate() {
 }
 
 /// The pinned snapshot fixture's bytes (`snapshot_bytes_are_pinned`).
-const FIXTURE: &[u8] = include_bytes!("golden/snapshot_v4.bin");
+const FIXTURE: &[u8] = include_bytes!("golden/snapshot_v5.bin");
 
 /// The config of the home the fixture was taken from.
 fn fixture_config() -> ProxyConfig {
@@ -473,18 +473,18 @@ fn snapshot_codec_allocations_are_bounded() {
     let (taken, snap) = allocations(|| proxy.snapshot());
     let (encoded, bytes) = allocations(|| snap.to_bytes());
     assert_eq!(bytes, FIXTURE);
-    assert!(taken <= 25, "FiatProxy::snapshot made {taken} allocations");
-    // The sorted DNS entries, the name index and one pre-sized output.
+    assert!(taken <= 20, "FiatProxy::snapshot made {taken} allocations");
+    // The sorted DNS entries and one pre-sized output.
     assert!(
-        encoded <= 3,
+        encoded <= 2,
         "HomeSnapshot::to_bytes made {encoded} allocations"
     );
-    // One per non-empty decoded list and string, the DNS table's maps
-    // and names, and the name index: 25 on the fixture.
+    // One per non-empty decoded list, and the DNS table's maps and
+    // domain strings: 20 on the fixture.
     let (decoded, back) = allocations(|| HomeSnapshot::from_bytes(&bytes));
     assert!(back.is_some());
     assert!(
-        decoded <= 25,
+        decoded <= 20,
         "HomeSnapshot::from_bytes made {decoded} allocations"
     );
 }
@@ -502,17 +502,17 @@ fn restore_moves_the_snapshot_in() {
     });
     assert!(proxy.is_ok());
     // The proxy's own set-up (keystore, QUIC server, maps, the rule
-    // table re-interned): 24 on the fixture. The audit entries, DNS
+    // table rebuilt from its keys): 24 on the fixture. The audit entries, DNS
     // table, devices and packet lists move in; cloning them made 39.
     assert!(n <= 24, "FiatProxy::restore made {n} allocations");
 }
 
 #[test]
 fn untrusted_snapshot_count_sizes_nothing() {
-    // Version 4, no truncation, no checkpoint, no head, then a count of
+    // Version 5, no truncation, no checkpoint, no head, then a count of
     // u32::MAX audit entries with 22 bytes left: 40 bytes in all.
     let mut bytes = Vec::new();
-    bytes.extend_from_slice(&4u32.to_le_bytes());
+    bytes.extend_from_slice(&5u32.to_le_bytes());
     bytes.extend_from_slice(&0u64.to_le_bytes());
     bytes.extend_from_slice(&[0, 0]);
     bytes.extend_from_slice(&u32::MAX.to_le_bytes());

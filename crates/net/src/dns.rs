@@ -11,7 +11,8 @@
 //! observation time, so the per-packet rule-match path can bucket flows by
 //! [`RemoteId`](crate::flow::RemoteId) without ever materializing a
 //! `String`. Ids are local to one table (and preserved by [`DnsTable::merge`]
-//! only for domains already interned on the receiving side).
+//! only for domains already interned on the receiving side);
+//! [`DnsTable::from_parts`] rebuilds a table with every id in place.
 
 use crate::hash::FastMap;
 use std::net::Ipv4Addr;
@@ -57,11 +58,6 @@ impl DnsTable {
         self.domains.push(domain.to_string());
         self.index.insert(domain.to_string(), id);
         id
-    }
-
-    /// Id of an already-interned domain.
-    pub fn domain_id(&self, domain: &str) -> Option<u32> {
-        self.index.get(domain).copied()
     }
 
     /// The domain string behind an interned id.
@@ -135,19 +131,43 @@ impl DnsTable {
         self.entries.is_empty()
     }
 
-    /// All entries as (ip, name, source), sorted by IP for deterministic
-    /// serialization.
-    pub fn entries_sorted(&self) -> Vec<(Ipv4Addr, &str, DnsSource)> {
-        let mut out: Vec<(Ipv4Addr, &str, DnsSource)> = self
+    /// The interner: every domain string, at its id.
+    pub fn domains(&self) -> &[String] {
+        &self.domains
+    }
+
+    /// All entries as (ip, domain id, source), ascending by IP.
+    pub fn entries(&self) -> Vec<(Ipv4Addr, u32, DnsSource)> {
+        let mut out: Vec<_> = self
             .entries
             .iter()
-            .map(|(&ip, e)| {
-                let name = self.domains[e.domain as usize].as_str();
-                (Ipv4Addr::from(ip), name, e.source)
-            })
+            .map(|(&ip, e)| (Ipv4Addr::from(ip), e.domain, e.source))
             .collect();
-        out.sort_by_key(|(ip, _, _)| u32::from(*ip));
+        out.sort_unstable_by_key(|&(ip, _, _)| u32::from(ip));
         out
+    }
+
+    /// Rebuild a table from [`DnsTable::domains`] and
+    /// [`DnsTable::entries`], so every domain keeps its id. `None` when
+    /// a domain repeats or an entry names an id past the domain list.
+    pub fn from_parts<'a>(
+        domains: impl IntoIterator<Item = &'a str>,
+        entries: impl IntoIterator<Item = (Ipv4Addr, u32, DnsSource)>,
+    ) -> Option<DnsTable> {
+        let mut dns = DnsTable::new();
+        for domain in domains {
+            let id = dns.domains.len() as u32;
+            if dns.intern_domain(domain) != id {
+                return None;
+            }
+        }
+        for (ip, domain, source) in entries {
+            if domain as usize >= dns.domains.len() {
+                return None;
+            }
+            dns.entries.insert(u32::from(ip), Entry { domain, source });
+        }
+        Some(dns)
     }
 
     /// Merge another table into this one, respecting forward-beats-reverse.
@@ -224,8 +244,26 @@ mod tests {
         assert_eq!(t.domain_str(a), "iot.vendor.example");
         t.observe_forward(IP, "iot.vendor.example");
         assert_eq!(t.remote_id(IP), RemoteId::Domain(a));
-        assert_eq!(t.domain_id("iot.vendor.example"), Some(a));
-        assert_eq!(t.domain_id("missing.example"), None);
+        assert_eq!(t.domains(), ["iot.vendor.example"]);
+    }
+
+    #[test]
+    fn from_parts_keeps_every_id() {
+        let mut t = DnsTable::new();
+        t.intern_domain("unused.example");
+        t.observe_reverse(IP, "ptr.example");
+        t.observe_forward(IP, "forward.example");
+        t.observe_forward(Ipv4Addr::new(1, 2, 3, 4), "142.250.80.46");
+        let entries = t.entries();
+        let names = t.domains().iter().map(String::as_str);
+        let back = DnsTable::from_parts(names, entries.clone()).unwrap();
+        assert_eq!(back.domains(), t.domains());
+        assert_eq!(back.entries(), entries);
+        assert_eq!(back.remote_id(IP), t.remote_id(IP));
+        assert_eq!(back.source_of(IP), Some(DnsSource::Forward));
+        // A repeated domain, or an entry past the domain list.
+        assert!(DnsTable::from_parts(["a", "b", "a"], []).is_none());
+        assert!(DnsTable::from_parts(["a"], [(IP, 1, DnsSource::Forward)]).is_none());
     }
 
     #[test]

@@ -39,10 +39,12 @@ impl std::fmt::Display for FlowDef {
     }
 }
 
-/// A bucket key under one of the two flow definitions.
-///
-/// Ordered (derive order: variant, then fields lexicographically) so rule
-/// sets can be exported in a canonical sort for deterministic snapshots.
+/// A bucket key under one of the two flow definitions, with the PortLess
+/// remote spelled out as a string: the naive form the differential
+/// oracle's reference keys on. A domain spelled like a dotted quad shares
+/// its string with the unresolved address, which [`InternedFlowKey`]
+/// keeps apart. Ordered (derive order: variant, then fields
+/// lexicographically), so naive rule lists sort canonically.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FlowKey {
     /// Classic 6-tuple.
@@ -97,48 +99,6 @@ impl FlowKey {
             },
         }
     }
-
-    /// Convert to the interned form, registering the PortLess remote name
-    /// in `dns`'s interner. A remote string that parses as a dotted quad
-    /// and is not a known domain is treated as the IP fallback, matching
-    /// [`DnsTable::name_of`]'s unknown-IP behavior.
-    pub fn intern(&self, dns: &mut DnsTable) -> InternedFlowKey {
-        match self {
-            FlowKey::Classic {
-                src_ip,
-                dst_ip,
-                src_port,
-                dst_port,
-                proto,
-                size,
-            } => InternedFlowKey::Classic {
-                src_ip: *src_ip,
-                dst_ip: *dst_ip,
-                src_port: *src_port,
-                dst_port: *dst_port,
-                proto: *proto,
-                size: *size,
-            },
-            FlowKey::PortLess {
-                remote,
-                proto,
-                size,
-                dir,
-            } => {
-                let remote = match (dns.domain_id(remote), remote.parse::<Ipv4Addr>()) {
-                    (Some(id), _) => RemoteId::Domain(id),
-                    (None, Ok(ip)) => RemoteId::Ip(ip),
-                    (None, Err(_)) => RemoteId::Domain(dns.intern_domain(remote)),
-                };
-                InternedFlowKey::PortLess {
-                    remote,
-                    proto: *proto,
-                    size: *size,
-                    dir: *dir,
-                }
-            }
-        }
-    }
 }
 
 /// An interned remote endpoint: the dense id of a known domain (from the
@@ -156,10 +116,11 @@ pub enum RemoteId {
 /// The allocation-free (interned) form of [`FlowKey`], used on the
 /// per-packet hot path: rule-table lookups and predictability bucketing.
 /// Ids are only meaningful relative to the [`DnsTable`] that produced
-/// them; [`FlowKey`] remains the stable stringly-keyed form for
-/// serialization, audit encoding, and cross-table comparison. Ordered
-/// (derive order) so table-wide operations — LRU stamp assignment at
-/// learn time, eviction tie-breaks — can iterate deterministically.
+/// them, so a snapshot stores them beside that table's interner
+/// ([`DnsTable::domains`]) and restore rebuilds both as they were.
+/// Ordered (derive order) so table-wide operations — LRU stamp
+/// assignment at learn time, eviction tie-breaks — can iterate
+/// deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InternedFlowKey {
     /// Classic 6-tuple (identical to [`FlowKey::Classic`]).
@@ -209,42 +170,6 @@ impl InternedFlowKey {
                 proto: pkt.transport.proto_number(),
                 size: pkt.size,
                 dir: pkt.direction.feature_code() as u8,
-            },
-        }
-    }
-
-    /// Resolve back to the stringly-keyed [`FlowKey`] (allocates; for
-    /// display and audit paths only).
-    pub fn resolve(&self, dns: &DnsTable) -> FlowKey {
-        match self {
-            InternedFlowKey::Classic {
-                src_ip,
-                dst_ip,
-                src_port,
-                dst_port,
-                proto,
-                size,
-            } => FlowKey::Classic {
-                src_ip: *src_ip,
-                dst_ip: *dst_ip,
-                src_port: *src_port,
-                dst_port: *dst_port,
-                proto: *proto,
-                size: *size,
-            },
-            InternedFlowKey::PortLess {
-                remote,
-                proto,
-                size,
-                dir,
-            } => FlowKey::PortLess {
-                remote: match remote {
-                    RemoteId::Domain(id) => dns.domain_str(*id).to_string(),
-                    RemoteId::Ip(ip) => ip.to_string(),
-                },
-                proto: *proto,
-                size: *size,
-                dir: *dir,
             },
         }
     }

@@ -240,6 +240,55 @@ mod tests {
     }
 
     #[test]
+    fn domain_named_like_an_address_stays_in_lockstep() {
+        // DNS answers are on-path input: 6.6.6.6 resolves to the name
+        // "34.0.0.1", while 34.0.0.1 itself never resolved. The rule
+        // learned on the unresolved address must not also admit the
+        // domain spelled like it, on either side.
+        let spoofed = Ipv4Addr::new(6, 6, 6, 6);
+        let mut dns = DnsTable::new();
+        dns.observe_forward(spoofed, "34.0.0.1");
+        let s = SimTime::from_secs;
+        let mut ops: Vec<Op> = (0..10u64)
+            .map(|i| Op::Packet(flow_pkt(s(i * 60), 0, 100, 8801)))
+            .collect();
+        for i in 10..14u64 {
+            ops.push(Op::Packet(flow_pkt(s(i * 60), 0, 100, 8801)));
+            let mut p = flow_pkt(s(i * 60 + 30), 0, 100, 8801);
+            p.remote_ip = spoofed;
+            ops.push(Op::Packet(p));
+        }
+        let sc = Scenario {
+            config: ProxyConfig {
+                bootstrap: SimDuration::from_secs(600),
+                ..ProxyConfig::default()
+            },
+            devices: vec![(0, 235, 1)],
+            edges: Vec::new(),
+            cascade_window: SimDuration::from_secs(30),
+            dns,
+            fingerprint: None,
+            ops,
+        };
+        if let Some(d) = run_scenario(&sc) {
+            panic!("address/domain alias divergence: {d}");
+        }
+        // Not vacuous: the reference hits only the four packets to the
+        // unresolved address.
+        let mut reference = ReferenceProxy::new(sc.config.clone());
+        reference.register_device(0, fiat_core::EventClassifier::simple_rule(235), 1);
+        reference.set_dns(sc.dns.clone());
+        reference.start(SimTime::ZERO);
+        for op in &sc.ops {
+            if let Op::Packet(p) = op {
+                let hit = reference.on_packet(p) == ProxyDecision::Allow(AllowReason::RuleHit);
+                assert_eq!(hit, p.ts >= s(600) && p.remote_ip != spoofed, "{p:?}");
+            }
+        }
+        assert_eq!(reference.stats().rule_hit, 4);
+    }
+
+    #[test]
     fn quick_differential_runs_clean() {
         // The contract the CI smoke job enforces: on chaos-mutated
         // testbed traffic, the naive reference and the real proxy agree

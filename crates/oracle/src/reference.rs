@@ -8,7 +8,9 @@
 //! shares none of its machinery:
 //!
 //! - no interned flow keys: every packet allocates a stringly
-//!   [`FlowKey`], and the rule "table" is a linear `Vec` scan kept in
+//!   [`FlowKey`] (beside whether DNS left the remote unresolved, so
+//!   an unresolved address never shares a bucket with a domain spelled
+//!   like it), and the rule "table" is a linear `Vec` scan kept in
 //!   LRU order (least recently matched at the front) — the bounded-mode
 //!   eviction and ghost re-learn policies (DESIGN §18) are re-derived
 //!   here over plain `Vec`s, not imported;
@@ -42,13 +44,20 @@ use fiat_core::{
     ProxyStats, UnpredictableEvent,
 };
 use fiat_fingerprint::{ClassSignature, MatcherConfig, FEATURE_COUNT, MAX_CLAIM_DOMAINS};
-use fiat_net::{DnsTable, FlowKey, PacketRecord, SimDuration, SimTime};
+use fiat_net::{DnsTable, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// §2.1: a repeating interval must be at least this long to be a rule
 /// (shorter repeats are bursts, not schedules). Redeclared here on
 /// purpose — see the module docs.
 const MIN_RULE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// A rule bucket: the device, its stringly flow key, and whether the
+/// PortLess remote is an address DNS never resolved. The flag keeps that
+/// address apart from a domain named like its dotted quad, which the
+/// string alone would merge, and sorts the domain first on a tie, as
+/// the real table's keys do.
+type RefKey = (u16, FlowKey, bool);
 
 /// What the rest of an open event's packets get once it is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,8 +112,7 @@ struct RefDevice {
 /// agree whenever the bin is 1 µs wide.
 #[derive(Debug, Clone)]
 struct RefGhost {
-    device: u16,
-    key: FlowKey,
+    key: RefKey,
     last_ts: Option<SimTime>,
     last_bin: Option<u64>,
 }
@@ -452,7 +460,7 @@ pub struct ReferenceProxy {
     /// `None` until the first post-bootstrap packet triggers learning.
     /// Kept in LRU order: least recently matched at the front, so the
     /// bounded-mode eviction victim is always `rules[0]`.
-    rules: Option<Vec<(u16, FlowKey)>>,
+    rules: Option<Vec<RefKey>>,
     /// Evicted-rule ghosts, LRU order like `rules`.
     ghosts: Vec<RefGhost>,
     devices: BTreeMap<u16, RefDevice>,
@@ -781,10 +789,7 @@ impl ReferenceProxy {
             self.apply_rule_cap();
         }
 
-        let key = (
-            pkt.device,
-            FlowKey::of(self.config.flow_def, pkt, &self.dns),
-        );
+        let key = self.key_of(pkt);
         let rules = self.rules.as_mut().expect("rules learned");
         if let Some(pos) = rules.iter().position(|k| *k == key) {
             // LRU touch: a hit moves the rule to the most-recently-
@@ -1106,8 +1111,15 @@ impl ReferenceProxy {
         });
     }
 
+    /// A packet's rule bucket.
+    fn key_of(&self, pkt: &PacketRecord) -> RefKey {
+        let def = self.config.flow_def;
+        let unresolved = def == FlowDef::PortLess && !self.dns.contains(pkt.remote_ip);
+        (pkt.device, FlowKey::of(def, pkt, &self.dns), unresolved)
+    }
+
     /// §2.1 rule learning, rewritten naively: bucket the bootstrap
-    /// capture by `(device, FlowKey)` in arrival order, bin consecutive
+    /// capture by [`RefKey`] in arrival order, bin consecutive
     /// inter-arrivals by the tolerance (the first interval seen in a bin
     /// is its representative), and keep buckets where some bin repeats
     /// (≥ 2 pairs) with a representative of at least
@@ -1115,17 +1127,17 @@ impl ReferenceProxy {
     /// interval, which can never found a rule. Qualifying buckets are
     /// returned sorted by (last packet seen, key), so the newborn table
     /// is already in LRU order — least recently seen flow at the front.
-    fn learn_rules(&self) -> Vec<(u16, FlowKey)> {
-        let mut buckets: Vec<((u16, FlowKey), Vec<SimTime>)> = Vec::new();
+    fn learn_rules(&self) -> Vec<RefKey> {
+        let mut buckets: Vec<(RefKey, Vec<SimTime>)> = Vec::new();
         for p in &self.bootstrap_buffer {
-            let key = (p.device, FlowKey::of(self.config.flow_def, p, &self.dns));
+            let key = self.key_of(p);
             match buckets.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, times)) => times.push(p.ts),
                 None => buckets.push((key, vec![p.ts])),
             }
         }
         let tol = self.config.tolerance.as_micros().max(1);
-        let mut qualifying: Vec<(SimTime, (u16, FlowKey))> = Vec::new();
+        let mut qualifying: Vec<(SimTime, RefKey)> = Vec::new();
         for (key, times) in buckets {
             // (bin, representative interval, pair count)
             let mut bins: Vec<(u64, SimDuration, u32)> = Vec::new();
@@ -1153,12 +1165,8 @@ impl ReferenceProxy {
     /// inter-arrivals in the same tolerance bin, at least
     /// [`MIN_RULE_INTERVAL`] apart, promote the ghost back into the
     /// rule table — and the promoting packet itself counts as a hit.
-    fn advance_ghost(&mut self, key: &(u16, FlowKey), now: SimTime) -> bool {
-        let Some(pos) = self
-            .ghosts
-            .iter()
-            .position(|g| g.device == key.0 && g.key == key.1)
-        else {
+    fn advance_ghost(&mut self, key: &RefKey, now: SimTime) -> bool {
+        let Some(pos) = self.ghosts.iter().position(|g| g.key == *key) else {
             return false;
         };
         let mut g = self.ghosts.remove(pos);
@@ -1171,7 +1179,7 @@ impl ReferenceProxy {
         }
         g.last_ts = Some(now);
         if promote {
-            self.insert_rule(key.0, key.1.clone());
+            self.insert_rule(key.clone());
         } else {
             self.ghosts.push(g);
         }
@@ -1180,12 +1188,11 @@ impl ReferenceProxy {
 
     /// Insert (or refresh) a rule at the most-recently-matched end,
     /// dropping any ghost for the same key, then enforce the cap.
-    fn insert_rule(&mut self, device: u16, key: FlowKey) {
-        self.ghosts
-            .retain(|g| !(g.device == device && g.key == key));
+    fn insert_rule(&mut self, key: RefKey) {
+        self.ghosts.retain(|g| g.key != key);
         let rules = self.rules.as_mut().expect("rules learned");
-        rules.retain(|k| !(k.0 == device && k.1 == key));
-        rules.push((device, key));
+        rules.retain(|k| *k != key);
+        rules.push(key);
         self.apply_rule_cap();
     }
 
@@ -1198,9 +1205,8 @@ impl ReferenceProxy {
         };
         let rules = self.rules.as_mut().expect("rules learned");
         while rules.len() > cap {
-            let (device, key) = rules.remove(0);
+            let key = rules.remove(0);
             self.ghosts.push(RefGhost {
-                device,
                 key,
                 last_ts: None,
                 last_bin: None,

@@ -9,8 +9,8 @@ use fiat::fleet::{build_workloads, run_sequential, run_sharded};
 use fiat::ml::data::{fold_complement, stratified_kfold};
 use fiat::ml::StandardScaler;
 use fiat::net::{
-    Direction, DnsTable, FlowDef, FlowKey, PacketRecord, SimDuration, SimTime, TcpFlags,
-    TlsVersion, TrafficClass, Transport,
+    DeviceFlowKey, Direction, DnsTable, FlowDef, InternedFlowKey, PacketRecord, SimDuration,
+    SimTime, TcpFlags, TlsVersion, TrafficClass, Transport,
 };
 use fiat::sensors::HumannessValidator;
 use proptest::prelude::*;
@@ -128,7 +128,10 @@ proptest! {
         let tolerance = if coarse { 250_000 } else { 1 };
         let engine = PredictabilityEngine::new(FlowDef::PortLess)
             .with_tolerance(SimDuration::from_micros(tolerance));
-        let key = |p: &PacketRecord| (p.device, FlowKey::of(FlowDef::PortLess, p, &dns));
+        let key = |p: &PacketRecord| DeviceFlowKey {
+            device: p.device,
+            flow: InternedFlowKey::of(FlowDef::PortLess, p, &dns),
+        };
 
         let flags = engine.analyze(&packets, &dns);
         let flagged: BTreeSet<_> = packets
@@ -143,7 +146,7 @@ proptest! {
             intervals.iter().map(|&(_, n)| n).sum::<usize>(),
             flags.iter().filter(|&&f| f).count()
         );
-        let (rules, _) = RuleTable::learn(&engine, &packets, &dns).snapshot(&dns);
+        let (rules, _) = RuleTable::learn(&engine, &packets, &dns).snapshot();
         for rule in &rules {
             prop_assert!(flagged.contains(rule), "rule {:?} on no flagged packet", rule);
         }
