@@ -458,8 +458,8 @@ impl HomeSim {
     /// lockstep. Returns `false` (and counts a mismatch) if the encoding
     /// is unstable or the restore is refused.
     pub fn begin_shadow(&mut self) -> bool {
-        let bytes = self.proxy.snapshot().to_bytes();
-        if bytes != self.proxy.snapshot().to_bytes() {
+        let bytes = self.proxy.snapshot();
+        if bytes != self.proxy.snapshot() {
             return false;
         }
         let Some(parsed) = HomeSnapshot::from_bytes(&bytes) else {
@@ -493,10 +493,9 @@ impl HomeSim {
     /// `Some(true)` when a shadow ran and its final stats and snapshot
     /// bytes are identical to the original's; `None` without a shadow.
     pub fn shadow_matches(&self) -> Option<bool> {
-        self.shadow.as_ref().map(|sh| {
-            sh.stats() == self.proxy.stats()
-                && sh.snapshot().to_bytes() == self.proxy.snapshot().to_bytes()
-        })
+        self.shadow
+            .as_ref()
+            .map(|sh| sh.stats() == self.proxy.stats() && sh.snapshot() == self.proxy.snapshot())
     }
 
     /// Current state-size accounting of the home's proxy.

@@ -1,14 +1,15 @@
 //! Snapshot/restore orchestration: the control-plane operations a fleet
 //! uses to rebalance a home between shards or survive a proxy restart.
 //!
-//! [`snapshot_home`] encodes a [`FiatProxy`]'s [`HomeSnapshot`] to its
-//! canonical binary bytes ([`HomeSnapshot::to_bytes`], the version-5
-//! layout in `fiat_core::snapshot`; deterministic: the snapshot sorts
-//! every collection, so the same state always produces the same bytes)
+//! [`snapshot_home`] writes a [`FiatProxy`]'s decision state straight
+//! to its canonical binary bytes ([`FiatProxy::snapshot`], the version-5
+//! layout in `fiat_core::snapshot`; deterministic: every collection is
+//! written sorted, so the same state always produces the same bytes)
 //! and counts them into `fiat_control_snapshot_bytes_total`.
 //! [`restore_home`] decodes ([`HomeSnapshot::from_bytes`], which checks
-//! shape only), re-verifies (version, audit chain, each device's state
-//! and the caps), and rebuilds a proxy that resumes byte-identically —
+//! shape only), re-verifies (version, audit chain, each device's state,
+//! the rule table and the caps), and rebuilds a proxy that writes back
+//! exactly the bytes it was restored from and resumes byte-identically —
 //! the determinism contract proven by the core pipeline tests and the
 //! fleet rebalance oracle.
 
@@ -45,7 +46,7 @@ impl From<SnapshotError> for RestoreError {
 
 /// Encode `proxy`'s full decision state to its canonical snapshot bytes.
 pub fn snapshot_home(proxy: &FiatProxy, metrics: Option<&ControlMetrics>) -> Vec<u8> {
-    let bytes = proxy.snapshot().to_bytes();
+    let bytes = proxy.snapshot();
     if let Some(m) = metrics {
         m.record_snapshot_save(bytes.len() as u64);
     }
@@ -88,6 +89,7 @@ mod tests {
     use fiat_core::snapshot::{EventPackets, OpenEvent};
     use fiat_core::{AllowReason, ProxyDecision};
     use fiat_net::SimTime;
+    use fiat_sensors::{ImuTrace, MotionKind};
     use fiat_telemetry::{ManualClock, MetricRegistry};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -162,9 +164,8 @@ mod tests {
     #[test]
     fn foreign_version_is_refused() {
         let proxy = seeded_proxy(1, 0, 0);
-        let mut snap = proxy.snapshot();
-        snap.version = 99;
-        let bytes = snap.to_bytes();
+        let mut bytes = snapshot_home(&proxy, None);
+        bytes[..4].copy_from_slice(&99u32.to_le_bytes());
         let err = match restore_home(
             &bytes,
             ProxyConfig::default(),
@@ -188,29 +189,22 @@ mod tests {
         // A pending event with no packets parses and its audit chain
         // verifies, but classifying it would panic the resumed proxy.
         let proxy = seeded_proxy(1, 0, 0);
-        let mut snap = proxy.snapshot();
+        let mut snap = HomeSnapshot::from_bytes(&snapshot_home(&proxy, None)).expect("decodes");
         snap.devices[0].open = Some(OpenEvent {
             packets: EventPackets::new(),
             last: SimTime::from_secs(1),
             fate: None,
         });
-        let bytes = snap.to_bytes();
-        let err = match restore_home(
-            &bytes,
+        let err = FiatProxy::restore(
             ProxyConfig::default(),
             &SECRET,
             HumannessValidator::with_operating_point(1.0, 1.0, 0),
             plug(),
+            snap,
             |_| EventClassifier::simple_rule(0),
-            None,
-        ) {
-            Ok(_) => panic!("inconsistent open event must be refused"),
-            Err(e) => e,
-        };
-        assert_eq!(
-            err,
-            RestoreError::Snapshot(SnapshotError::InconsistentDevice(0))
-        );
+        )
+        .err();
+        assert_eq!(err, Some(SnapshotError::InconsistentDevice(0)));
     }
 
     /// The fixture `fiat_core`'s `snapshot_bytes_are_pinned` pins, the
@@ -284,19 +278,225 @@ mod tests {
             let mut bytes = FIXTURE_V5.to_vec();
             let at = rng.gen_range(0..bytes.len());
             bytes[at] ^= 1 << rng.gen_range(0..8u32);
-            // Any input the codec accepts is the canonical encoding of
-            // what it decoded to.
-            if let Some(snap) = HomeSnapshot::from_bytes(&bytes) {
-                decoded += 1;
-                assert_eq!(snap.to_bytes(), bytes, "flip at byte {at}");
+            decoded += usize::from(HomeSnapshot::from_bytes(&bytes).is_some());
+            // Either restore outcome is fine (a panic fails the test),
+            // but any input restore accepts, the restored home writes
+            // back exactly.
+            if let Ok(home) = restore_fixture(&bytes) {
+                restored += 1;
+                assert_eq!(snapshot_home(&home, None), bytes, "flip at byte {at}");
             }
-            // Either restore outcome is fine; a panic fails the test.
-            restored += usize::from(restore_fixture(&bytes).is_ok());
         }
         // Flips inside timestamps and counters keep the bytes decodable,
         // so the run reaches restore's own checks, not only the codec.
         assert!(decoded > 0);
         assert!(restored > 0);
+    }
+
+    /// One replay epoch's tickets, each with its nonces.
+    type Tickets<'a> = &'a [(u64, &'a [u64])];
+
+    /// The replay window's list as the layout writes it: epochs, each
+    /// with its tickets.
+    fn replay_list(epochs: &[(u32, Tickets)]) -> Vec<u8> {
+        let count = |n: usize| (n as u32).to_le_bytes();
+        let mut out = count(epochs.len()).to_vec();
+        for &(epoch, tickets) in epochs {
+            out.extend(epoch.to_le_bytes());
+            out.extend(count(tickets.len()));
+            for &(ticket, nonces) in tickets {
+                out.extend(ticket.to_le_bytes());
+                out.extend(count(nonces.len()));
+                nonces.iter().for_each(|n| out.extend(n.to_le_bytes()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn restore_accepts_only_bytes_it_writes_back() {
+        // A home with a rule and a ghost (cap 1), two unknown devices
+        // and two proofs on one ticket. Each edit below lists a set the
+        // live proxy holds once and in order (unknown devices, replay
+        // epochs, tickets and nonces) out of order or with a repeat, or
+        // holds a rule key twice. Restoring any of them would collapse,
+        // reorder or keep the repeat (a key kept as both a rule and a
+        // ghost is a table the live path never builds), so each is
+        // refused.
+        let config = ProxyConfig {
+            max_rules: Some(1),
+            ..ProxyConfig::default()
+        };
+        let mut home = FiatProxy::with_telemetry(
+            config.clone(),
+            &SECRET,
+            HumannessValidator::with_operating_point(1.0, 1.0, 0),
+            plug(),
+        );
+        home.register_device(0, EventClassifier::simple_rule(235), 1);
+        home.start(SimTime::ZERO);
+        let sized = |size, at_secs| fiat_net::PacketRecord {
+            size,
+            ..unknown_pkt(0, at_secs)
+        };
+        for k in 0..120 {
+            home.on_packet(&sized(100, k * 10));
+            home.on_packet(&sized(150, k * 10 + 5));
+        }
+        let mut app = fiat_core::FiatApp::new(&SECRET, 3);
+        let hello = home.accept_handshake(&app.handshake_request());
+        app.complete_handshake(&hello).unwrap();
+        let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
+        for at_ms in [1_200_000, 1_201_000] {
+            let proof = app
+                .authorize_zero_rtt("app", &imu, MotionKind::HumanTouch, at_ms)
+                .unwrap();
+            assert_eq!(
+                home.on_auth_zero_rtt(&proof, SimTime::from_millis(at_ms)),
+                Ok(true)
+            );
+        }
+        for device in [900, 901] {
+            home.on_packet(&unknown_pkt(device, 1_210));
+        }
+        let bytes = snapshot_home(&home, None);
+        let snap = HomeSnapshot::from_bytes(&bytes).expect("decodes");
+        assert_eq!(snap.unknown_seen, [900, 901]);
+        let (rule, ghost) = (snap.rules.as_ref().unwrap()[0], &snap.rule_ghosts[0]);
+        assert_eq!((snap.rules.unwrap().len(), snap.rule_ghosts.len()), (1, 1));
+        let [epoch] = &snap.quic.replay_epochs[..] else {
+            panic!("one replay epoch");
+        };
+        let [(ticket, nonces)] = &epoch.entries[..] else {
+            panic!("one ticket");
+        };
+        let (e, t, n) = (epoch.epoch, *ticket, nonces.clone());
+        assert_eq!(n.len(), 2);
+
+        // Where the edits go. The replay list ends the bytes. The
+        // unknown devices are a count of 2 and two ids; the ghosts list
+        // (a count of 1, then the ghost's key and its two options)
+        // comes right before them, and the one rule's key before that.
+        let at = |needle: &[u8]| {
+            let found: Vec<_> = (0..bytes.len())
+                .filter(|&i| bytes[i..].starts_with(needle))
+                .collect();
+            assert_eq!(found.len(), 1, "{needle:?}");
+            found[0]
+        };
+        let replay = replay_list(&[(e, &[(t, &n)])]);
+        assert!(bytes.ends_with(&replay));
+        let replay_at = bytes.len() - replay.len();
+        let unknown_at = at(&[2, 0, 0, 0, 0x84, 3, 0x85, 3]);
+        let key_len = |k: &fiat_net::DeviceFlowKey| match k.flow {
+            fiat_net::InternedFlowKey::Classic { .. } => 18,
+            fiat_net::InternedFlowKey::PortLess { .. } => 12,
+        };
+        let options = |g: &fiat_core::GhostSnapshot| {
+            2 + 8 * (usize::from(g.last_ts.is_some()) + usize::from(g.last_bin.is_some()))
+        };
+        let ghosts_at = unknown_at - 4 - key_len(&ghost.key) - options(ghost);
+        let rule_at = ghosts_at - key_len(&rule);
+        assert_eq!(bytes[rule_at - 5..rule_at], [1, 1, 0, 0, 0]);
+        assert_eq!(bytes[ghosts_at..ghosts_at + 4], [1, 0, 0, 0]);
+        let (rule_key, ghost_entry) = (
+            &bytes[rule_at..ghosts_at],
+            &bytes[ghosts_at + 4..unknown_at],
+        );
+
+        let spliced = |from: usize, to: usize, with: &[&[u8]]| -> Vec<u8> {
+            let mut out = bytes[..from].to_vec();
+            with.iter().for_each(|part| out.extend_from_slice(part));
+            out.extend_from_slice(&bytes[to..]);
+            out
+        };
+        let ids =
+            |a: u16, b: u16| [[2, 0, 0, 0].as_slice(), &a.to_le_bytes(), &b.to_le_bytes()].concat();
+        let two = 2u32.to_le_bytes();
+        let corrupt = RestoreError::Corrupt;
+        let rules = RestoreError::Snapshot(SnapshotError::InconsistentRules);
+        let edits = [
+            (
+                "unknown devices out of order",
+                spliced(unknown_at, unknown_at + 8, &[&ids(901, 900)]),
+                corrupt,
+            ),
+            (
+                "an unknown device repeated",
+                spliced(unknown_at, unknown_at + 8, &[&ids(900, 900)]),
+                corrupt,
+            ),
+            (
+                "replay epochs repeated",
+                spliced(
+                    replay_at,
+                    bytes.len(),
+                    &[&replay_list(&[(e, &[(t, &n[..1])]), (e, &[(t, &n[1..])])])],
+                ),
+                corrupt,
+            ),
+            (
+                "replay tickets repeated",
+                spliced(
+                    replay_at,
+                    bytes.len(),
+                    &[&replay_list(&[(e, &[(t, &n[..1]), (t, &n[1..])])])],
+                ),
+                corrupt,
+            ),
+            (
+                "replay nonces out of order",
+                spliced(
+                    replay_at,
+                    bytes.len(),
+                    &[&replay_list(&[(e, &[(t, &[n[1], n[0]])])])],
+                ),
+                corrupt,
+            ),
+            (
+                "a rule repeated",
+                spliced(rule_at - 4, ghosts_at, &[&two, rule_key, rule_key]),
+                rules,
+            ),
+            (
+                "a ghost repeated",
+                spliced(ghosts_at, unknown_at, &[&two, ghost_entry, ghost_entry]),
+                rules,
+            ),
+            (
+                "a rule that is also a ghost",
+                spliced(ghosts_at + 4, ghosts_at + 4 + rule_key.len(), &[rule_key]),
+                rules,
+            ),
+        ];
+        let restore = |bytes: &[u8]| {
+            restore_home(
+                bytes,
+                config.clone(),
+                &SECRET,
+                HumannessValidator::with_operating_point(1.0, 1.0, 0),
+                plug(),
+                |_| EventClassifier::simple_rule(235),
+                None,
+            )
+        };
+        let outcome = |edited: &[u8]| match restore(edited) {
+            Ok(home) if snapshot_home(&home, None) == edited => {
+                "writes back the same bytes".to_string()
+            }
+            Ok(_) => "writes back other bytes".to_string(),
+            Err(e) => e.to_string(),
+        };
+        assert_eq!(outcome(&bytes), "writes back the same bytes");
+        let seen: Vec<_> = edits
+            .iter()
+            .map(|(case, edited, _)| (*case, outcome(edited)))
+            .collect();
+        let refused: Vec<_> = edits
+            .iter()
+            .map(|(case, _, e)| (*case, e.to_string()))
+            .collect();
+        assert_eq!(seen, refused);
     }
 
     #[test]
@@ -353,7 +553,7 @@ mod tests {
 
     proptest! {
         /// The round-trip property: for arbitrary provisioning shapes,
-        /// encode → decode → encode is byte-identical (the
+        /// write → restore → write is byte-identical (the
         /// canonical-bytes contract every rebalance leans on).
         #[test]
         fn snapshot_bytes_round_trip_byte_identically(
@@ -363,8 +563,16 @@ mod tests {
         ) {
             let proxy = seeded_proxy(devices, rotations, start_secs);
             let bytes = snapshot_home(&proxy, None);
-            let snap = HomeSnapshot::from_bytes(&bytes).expect("decodes");
-            prop_assert_eq!(snap.to_bytes(), bytes);
+            let restored = restore_home(
+                &bytes,
+                ProxyConfig::default(),
+                &SECRET,
+                HumannessValidator::with_operating_point(1.0, 1.0, 0),
+                plug(),
+                |d| EventClassifier::simple_rule(200 + d * 10),
+                None,
+            ).expect("restore");
+            prop_assert_eq!(snapshot_home(&restored, None), bytes);
         }
 
         /// A checkpoint-truncated audit chain survives rebalance: drive

@@ -289,22 +289,33 @@ pub struct ProxyStats {
 }
 
 impl ProxyStats {
-    /// Total packets decided.
+    /// Every counter, in declaration order: the one list that field-wise
+    /// folds and the snapshot layout walk.
+    pub(crate) const FIELDS: [fn(&mut ProxyStats) -> &mut u64; 16] = [
+        |s| &mut s.bootstrap,
+        |s| &mut s.rule_hit,
+        |s| &mut s.first_n,
+        |s| &mut s.non_manual,
+        |s| &mut s.manual_verified,
+        |s| &mut s.cascade,
+        |s| &mut s.unknown_device,
+        |s| &mut s.dropped_unverified,
+        |s| &mut s.dropped_lockout,
+        |s| &mut s.retro_unverified,
+        |s| &mut s.quarantined,
+        |s| &mut s.quarantine_released,
+        |s| &mut s.dropped_quarantine,
+        |s| &mut s.quarantine_expired,
+        |s| &mut s.fingerprint_matched,
+        |s| &mut s.dropped_unknown,
+    ];
+
+    /// Total packets decided: every counter but the two secondary
+    /// counts, `retro_unverified` and `quarantine_expired`.
     pub fn total(&self) -> u64 {
-        self.bootstrap
-            + self.rule_hit
-            + self.first_n
-            + self.non_manual
-            + self.manual_verified
-            + self.cascade
-            + self.unknown_device
-            + self.dropped_unverified
-            + self.dropped_lockout
-            + self.quarantined
-            + self.quarantine_released
-            + self.dropped_quarantine
-            + self.fingerprint_matched
-            + self.dropped_unknown
+        let mut s = *self;
+        let all: u64 = Self::FIELDS.iter().map(|field| *field(&mut s)).sum();
+        all - self.retro_unverified - self.quarantine_expired
     }
 
     /// Total packets dropped.
@@ -362,23 +373,10 @@ impl std::ops::AddAssign for ProxyStats {
     /// Field-wise addition, for folding per-proxy (or per-shard) stats
     /// into one fleet-wide view. Commutative and associative, so the
     /// merged result does not depend on shard order.
-    fn add_assign(&mut self, rhs: ProxyStats) {
-        self.bootstrap += rhs.bootstrap;
-        self.rule_hit += rhs.rule_hit;
-        self.first_n += rhs.first_n;
-        self.non_manual += rhs.non_manual;
-        self.manual_verified += rhs.manual_verified;
-        self.cascade += rhs.cascade;
-        self.unknown_device += rhs.unknown_device;
-        self.dropped_unverified += rhs.dropped_unverified;
-        self.dropped_lockout += rhs.dropped_lockout;
-        self.retro_unverified += rhs.retro_unverified;
-        self.quarantined += rhs.quarantined;
-        self.quarantine_released += rhs.quarantine_released;
-        self.dropped_quarantine += rhs.dropped_quarantine;
-        self.quarantine_expired += rhs.quarantine_expired;
-        self.fingerprint_matched += rhs.fingerprint_matched;
-        self.dropped_unknown += rhs.dropped_unknown;
+    fn add_assign(&mut self, mut rhs: ProxyStats) {
+        for field in Self::FIELDS {
+            *field(self) += *field(&mut rhs);
+        }
     }
 }
 
@@ -831,9 +829,9 @@ impl Default for ProxyTelemetry {
 
 /// One registered device: its classifier (provisioning data) and its
 /// decision state, which is the snapshot's record of the device itself.
-struct DeviceState {
+pub(crate) struct DeviceState {
     classifier: EventClassifier,
-    rec: DeviceSnapshot,
+    pub(crate) rec: DeviceSnapshot,
 }
 
 /// What the decision policies share beyond one device's own state: the
@@ -841,9 +839,9 @@ struct DeviceState {
 /// the stats, telemetry and hook that [`Policy::emit`] writes. Kept
 /// apart from the device table so a policy can hold one device's state
 /// mutably while it records its effects.
-struct Policy {
+pub(crate) struct Policy {
     config: ProxyConfig,
-    human_valid_until: SimTime,
+    pub(crate) human_valid_until: SimTime,
     interactions: Option<InteractionGraph>,
     audit: AuditLog,
     stats: ProxyStats,
@@ -851,22 +849,24 @@ struct Policy {
     hook: Option<Box<dyn ProxyHook>>,
 }
 
-/// The FIAT proxy.
+/// The FIAT proxy. The crate-visible fields have one reader outside this
+/// module: the snapshot writer, [`FiatProxy::snapshot`], which lives
+/// with the codec in `crate::snapshot` and only reads them.
 pub struct FiatProxy {
     store: TeeKeystore,
     keys: Paired,
-    quic: QuicServer,
+    pub(crate) quic: QuicServer,
     validator: HumannessValidator,
-    devices: FastMap<u16, DeviceState>,
-    policy: Policy,
-    dns: DnsTable,
-    started_at: Option<SimTime>,
-    bootstrap_buffer: Vec<PacketRecord>,
-    rules: Option<RuleTable>,
-    server_random_counter: u64,
-    quarantine: Quarantine,
-    unknown: UnknownDevices,
-    degraded: bool,
+    pub(crate) devices: FastMap<u16, DeviceState>,
+    pub(crate) policy: Policy,
+    pub(crate) dns: DnsTable,
+    pub(crate) started_at: Option<SimTime>,
+    pub(crate) bootstrap_buffer: Vec<PacketRecord>,
+    pub(crate) rules: Option<RuleTable>,
+    pub(crate) server_random_counter: u64,
+    pub(crate) quarantine: Quarantine,
+    pub(crate) unknown: UnknownDevices,
+    pub(crate) degraded: bool,
     /// Packets decided since this proxy was built (not snapshotted):
     /// picks the 1 in [`DECIDE_SAMPLE_EVERY`] that `on_packet` times.
     packets_seen: u64,
@@ -1124,37 +1124,6 @@ impl FiatProxy {
         self.quic.retire_epochs_below(min_live)
     }
 
-    /// Export the proxy's full decision state as a versioned
-    /// [`HomeSnapshot`] (see `crate::snapshot` for format guarantees).
-    /// Every collection is emitted sorted, so the same state always
-    /// serializes to the same bytes.
-    pub fn snapshot(&self) -> HomeSnapshot {
-        let mut devices: Vec<DeviceSnapshot> =
-            self.devices.values().map(|d| d.rec.clone()).collect();
-        devices.sort_unstable_by_key(|d| d.device);
-        let (rules, rule_ghosts) = self.rules.as_ref().map(RuleTable::snapshot).unzip();
-        HomeSnapshot {
-            version: SNAPSHOT_VERSION,
-            started_at: self.started_at,
-            human_valid_until: self.policy.human_valid_until,
-            server_random_counter: self.server_random_counter,
-            degraded: self.degraded,
-            dns: self.dns.clone(),
-            bootstrap_buffer: self.bootstrap_buffer.clone(),
-            rules,
-            rule_ghosts: rule_ghosts.unwrap_or_default(),
-            unknown_seen: self.unknown.seen.iter().copied().collect(),
-            devices,
-            released_packets: self.quarantine.released.clone(),
-            stats: self.policy.stats,
-            audit_entries: self.policy.audit.entries().to_vec(),
-            audit_head: self.policy.audit.head(),
-            audit_checkpoint: self.policy.audit.checkpoint(),
-            audit_truncated: self.policy.audit.truncated(),
-            quic: self.quic.to_image(),
-        }
-    }
-
     /// Rebuild a proxy from a [`HomeSnapshot`] and resume deciding. The
     /// snapshot is consumed: its audit entries, DNS table, devices and
     /// packet lists move into the proxy instead of being cloned.
@@ -1187,7 +1156,10 @@ impl FiatProxy {
     /// quarantine record that is empty or holds more than
     /// `max(quarantine_capacity, 1)` packets, or more quarantine records
     /// than `max(max_quarantine_records, 1)`. The first such
-    /// device in list order (which is id order) is the one reported.
+    /// device in list order (which is id order) is the one reported. It
+    /// also refuses a rule table the live path could never hold
+    /// ([`SnapshotError::InconsistentRules`]): a key repeated among the
+    /// rules and ghosts, or ghosts without rules.
     pub fn restore(
         config: ProxyConfig,
         ceremony_secret: &[u8; 32],
@@ -1221,19 +1193,23 @@ impl FiatProxy {
             }
             prev = Some(d.device);
         }
+        let rules = match &snap.rules {
+            Some(rules) => RuleTable::restore(
+                rules,
+                &snap.rule_ghosts,
+                config.tolerance,
+                config.max_rules,
+                RuleTelemetry::registered(&telemetry.registry),
+            )
+            .map(Some),
+            None => snap.rule_ghosts.is_empty().then_some(None),
+        }
+        .ok_or(SnapshotError::InconsistentRules)?;
         audit.set_max_entries(config.max_audit_entries);
         let mut proxy = Self::with_telemetry(config, ceremony_secret, validator, telemetry);
         proxy.quic.restore_image(&snap.quic);
+        proxy.rules = rules;
         let policy = &mut proxy.policy;
-        proxy.rules = snap.rules.as_ref().map(|rules| {
-            RuleTable::restore(
-                rules,
-                &snap.rule_ghosts,
-                policy.config.tolerance,
-                policy.config.max_rules,
-                RuleTelemetry::registered(&policy.telemetry.registry),
-            )
-        });
         proxy.devices = snap
             .devices
             .into_iter()
@@ -3034,6 +3010,11 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The proxy's snapshot, decoded.
+    fn decoded(proxy: &FiatProxy) -> HomeSnapshot {
+        HomeSnapshot::from_bytes(&proxy.snapshot()).expect("the proxy's own bytes decode")
+    }
+
     /// Restore a snapshot with the standard plug setup (fresh telemetry,
     /// same ceremony secret, same classifier).
     fn restore_plug(snap: HomeSnapshot) -> FiatProxy {
@@ -3073,8 +3054,7 @@ mod tests {
         let t = drive_prefix(&mut uninterrupted);
         drive_prefix(&mut snapshotted);
 
-        let snap = snapshotted.snapshot();
-        let mut restored = restore_plug(snap);
+        let mut restored = restore_plug(decoded(&snapshotted));
         assert_eq!(restored.rule_count(), uninterrupted.rule_count());
         assert_eq!(restored.audit().head(), uninterrupted.audit().head());
 
@@ -3114,7 +3094,7 @@ mod tests {
             .on_auth_zero_rtt(&z0, SimTime::from_millis(t))
             .unwrap();
 
-        let mut restored = restore_plug(proxy.snapshot());
+        let mut restored = restore_plug(decoded(&proxy));
         // A replay of the pre-snapshot proof is still caught.
         assert_eq!(
             restored.on_auth_zero_rtt(&z0, SimTime::from_millis(t + 1)),
@@ -3136,11 +3116,11 @@ mod tests {
         let t = bootstrap(&mut proxy);
         proxy.on_packet(&pkt(t, 235));
         proxy.set_degraded(SimTime::from_millis(t + 1), true);
-        let bytes = proxy.snapshot().to_bytes();
+        let bytes = proxy.snapshot();
         let back = HomeSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(bytes, back.to_bytes());
+        assert_eq!(bytes, restore_plug(back).snapshot());
         // And two snapshots of the same state encode identically.
-        assert_eq!(bytes, proxy.snapshot().to_bytes());
+        assert_eq!(bytes, proxy.snapshot());
     }
 
     #[test]
@@ -3148,7 +3128,7 @@ mod tests {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
         proxy.on_packet(&pkt(t, 235));
-        let good = proxy.snapshot();
+        let good = decoded(&proxy);
 
         let mut wrong_version = good.clone();
         wrong_version.version = crate::snapshot::SNAPSHOT_VERSION + 1;
@@ -3200,7 +3180,7 @@ mod tests {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
         proxy.on_packet(&pkt(t, 235));
-        let mut snap = proxy.snapshot();
+        let mut snap = decoded(&proxy);
         assert!(snap.devices[0].open.is_some());
         edit(&mut snap.devices[0]);
         FiatProxy::restore(
@@ -3518,7 +3498,7 @@ mod tests {
                 ProxyDecision::Quarantine
             );
         }
-        let snap = proxy.snapshot();
+        let snap = decoded(&proxy);
         let restore = |cap| {
             FiatProxy::restore(
                 config(cap),
@@ -3597,9 +3577,8 @@ mod tests {
 
         // The snapshot round-trips the truncated chain byte-identically
         // and the restored log still verifies (from the checkpoint).
-        let bytes = proxy.snapshot().to_bytes();
+        let bytes = proxy.snapshot();
         let back = HomeSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(bytes, back.to_bytes());
         let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         let mut restored = FiatProxy::restore(
             config,
@@ -3610,6 +3589,7 @@ mod tests {
             |_| EventClassifier::simple_rule(235),
         )
         .unwrap();
+        assert_eq!(restored.snapshot(), bytes);
         assert!(restored.audit().verify());
         assert_eq!(restored.audit().head(), proxy.audit().head());
         assert_eq!(restored.audit().truncated(), proxy.audit().truncated());
@@ -3638,7 +3618,7 @@ mod tests {
         for k in 0..12u64 {
             proxy.on_packet(&pkt(t + k * 40_000, 235));
         }
-        let mut snap = proxy.snapshot();
+        let mut snap = decoded(&proxy);
         assert!(snap.audit_checkpoint.is_some());
         assert!(snap.audit_entries.len() > 1);
         // Drop the newest entry: the suffix still chains from the
@@ -3696,10 +3676,10 @@ mod tests {
         assert_eq!(snapshotted.rule_count(), 1);
         assert_eq!(snapshotted.state_size().rule_ghosts, 1);
 
-        let snap = snapshotted.snapshot();
+        let bytes = snapshotted.snapshot();
+        let snap = HomeSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.rule_ghosts.len(), 1);
         assert!(snap.rule_ghosts[0].last_ts.is_some());
-        let bytes = snap.to_bytes();
         let mut restored = FiatProxy::restore(
             config,
             &SECRET,
@@ -3711,7 +3691,7 @@ mod tests {
         .unwrap();
         // Restore → snapshot reproduces the exact bytes (LRU order and
         // ghost state are semantic, not incidental).
-        assert_eq!(bytes, restored.snapshot().to_bytes());
+        assert_eq!(bytes, restored.snapshot());
 
         // Resume: the ghost re-promotes identically in both twins (two
         // more qualifying repeats at the same cadence).
@@ -3785,7 +3765,7 @@ mod tests {
         assert_eq!(size.quarantine_records, 2);
         assert_eq!(size.open_events, 3);
         assert!(proxy.audit().checkpoint().is_some());
-        let bytes = proxy.snapshot().to_bytes();
+        let bytes = proxy.snapshot();
         let hex: String = fiat_crypto::Sha256::digest(&bytes)
             .iter()
             .map(|b| format!("{b:02x}"))
@@ -3925,7 +3905,7 @@ mod tests {
                         proxy.clear_lockout(d);
                     }
                     93..=96 => {
-                        let snap = proxy.snapshot();
+                        let snap = decoded(&proxy);
                         let dev = snap.devices.iter().find(|s| s.device == d).unwrap();
                         seen[1] |= dev.open.is_some();
                         seen[2] |= dev.quarantine.is_some();
@@ -3999,7 +3979,7 @@ mod tests {
         assert_eq!(last.ts, SimTime::from_millis(t + 2_100));
         assert_eq!(last.verdict, AuditVerdict::AllowedManualVerified);
         assert_eq!(proxy.stats().retro_unverified, 0);
-        let snap = proxy.snapshot();
+        let snap = decoded(&proxy);
         let plug = snap.devices.iter().find(|d| d.device == 0).unwrap();
         assert!(plug.drops.is_empty(), "no lockout credit");
         assert!(!proxy.is_locked(0));

@@ -38,9 +38,9 @@ use fiat_net::{FastMap, PacketRecord, SimTime};
 /// Released packets the interception layer has not drained yet, plus
 /// the transitions of the records on the devices.
 #[derive(Default)]
-pub(super) struct Quarantine {
+pub(crate) struct Quarantine {
     /// Released packets, in release order.
-    pub(super) released: Vec<PacketRecord>,
+    pub(crate) released: Vec<PacketRecord>,
 }
 
 impl Quarantine {

@@ -71,12 +71,12 @@ pub trait FingerprintGate: Send {
 
 /// The proxy's unknown-device state.
 #[derive(Default)]
-pub(super) struct UnknownDevices {
+pub(crate) struct UnknownDevices {
     /// The installed fingerprint gate: runtime wiring, not snapshotted,
     /// so it is re-installed after restore.
     pub(super) gate: Option<Box<dyn FingerprintGate>>,
     /// Devices already audited fail-open (sorted, as snapshotted).
-    pub(super) seen: BTreeSet<u16>,
+    pub(crate) seen: BTreeSet<u16>,
 }
 
 impl UnknownDevices {

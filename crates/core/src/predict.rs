@@ -506,19 +506,15 @@ impl RuleTable {
     /// unique, so the order is the eviction order and does not depend on
     /// hash order.
     pub fn snapshot(&self) -> (Vec<DeviceFlowKey>, Vec<GhostSnapshot>) {
-        let mut rules: Vec<_> = self.rules.iter().map(|(&k, &s)| (s, k)).collect();
-        rules.sort_unstable_by_key(|&(s, _)| s);
-        let mut ghosts: Vec<_> = self.ghosts.iter().map(|(&k, &g)| (k, g)).collect();
-        ghosts.sort_unstable_by_key(|(_, g)| g.stamp);
-        let rules = rules.into_iter().map(|(_, key)| key).collect();
-        let ghosts = ghosts
-            .into_iter()
-            .map(|(key, g)| GhostSnapshot {
-                key,
-                last_ts: g.last_ts,
-                last_bin: g.last_bin,
-            })
-            .collect();
+        let mut rules: Vec<_> = self.rules.keys().copied().collect();
+        rules.sort_unstable_by_key(|k| self.rules[k]);
+        let ghost = |(&key, g): (&Key, &Ghost)| GhostSnapshot {
+            key,
+            last_ts: g.last_ts,
+            last_bin: g.last_bin,
+        };
+        let mut ghosts: Vec<_> = self.ghosts.iter().map(ghost).collect();
+        ghosts.sort_unstable_by_key(|g| self.ghosts[&g.key].stamp);
         (rules, ghosts)
     }
 
@@ -527,23 +523,28 @@ impl RuleTable {
     /// Rules, then ghosts, take fresh stamps in list order, which
     /// reproduces the snapshotted eviction order; the cap applies only
     /// after both are in, so restoring evicts nothing the snapshotted
-    /// table held. `tolerance` is the ghost re-learn bin. Lookups report
-    /// through `telemetry`; the bucket counters stay untouched, since
-    /// re-learning would count the buckets twice.
+    /// table held. `None` when a key appears twice among the rules and
+    /// ghosts: a table holds each key once, as a rule or as a ghost.
+    /// `tolerance` is the ghost re-learn bin. Lookups report through
+    /// `telemetry`; the bucket counters stay untouched, since re-learning
+    /// would count the buckets twice.
     pub fn restore(
         rules: &[DeviceFlowKey],
         ghosts: &[GhostSnapshot],
         tolerance: SimDuration,
         cap: Option<usize>,
         telemetry: RuleTelemetry,
-    ) -> RuleTable {
+    ) -> Option<RuleTable> {
         let mut table = RuleTable {
             tolerance,
             telemetry,
             ..RuleTable::default()
         };
         for key in rules {
-            table.insert(key.device, key.flow);
+            table.stamp += 1;
+            if table.rules.insert(*key, table.stamp).is_some() {
+                return None;
+            }
         }
         for g in ghosts {
             table.stamp += 1;
@@ -552,10 +553,12 @@ impl RuleTable {
                 last_bin: g.last_bin,
                 stamp: table.stamp,
             };
-            table.ghosts.insert(g.key, ghost);
+            if table.rules.contains_key(&g.key) || table.ghosts.insert(g.key, ghost).is_some() {
+                return None;
+            }
         }
         table.set_capacity(cap);
-        table
+        Some(table)
     }
 }
 
@@ -872,17 +875,31 @@ mod tests {
 
         // Restoring the lists reproduces the order; a cap then evicts
         // the least recently matched rule into a ghost.
-        let restore = |cap| {
+        let restore = |rules: &[Key], ghosts: &[GhostSnapshot], cap| {
             RuleTable::restore(
-                &lru,
-                &ghosts,
+                rules,
+                ghosts,
                 DEFAULT_TOLERANCE,
                 cap,
                 RuleTelemetry::default(),
             )
         };
-        assert_eq!(restore(None).snapshot(), (lru.clone(), Vec::new()));
-        let (lru, ghosts) = restore(Some(2)).snapshot();
+        assert_eq!(
+            restore(&lru, &ghosts, None).unwrap().snapshot(),
+            (lru.clone(), Vec::new())
+        );
+        // A key held twice, as two rules, two ghosts, or a rule and a
+        // ghost, is no table the live path builds.
+        let ghost = GhostSnapshot {
+            key: lru[0],
+            last_ts: None,
+            last_bin: None,
+        };
+        assert!(restore(&[lru[0], lru[0]], &[], None).is_none());
+        assert!(restore(&[], &[ghost.clone(), ghost.clone()], None).is_none());
+        assert!(restore(&lru[..1], std::slice::from_ref(&ghost), None).is_none());
+        assert!(restore(&lru[1..], &[ghost], None).is_some());
+        let (lru, ghosts) = restore(&lru, &ghosts, Some(2)).unwrap().snapshot();
         assert_eq!(lru, keyed(&[k3, k1]));
         assert_eq!(
             ghosts,
@@ -914,7 +931,8 @@ mod tests {
             DEFAULT_TOLERANCE,
             None,
             RuleTelemetry::default(),
-        );
+        )
+        .expect("each key once");
         let to_address = pkt(99_000, 100, 9);
         let to_domain = PacketRecord {
             remote_ip: spoofed,

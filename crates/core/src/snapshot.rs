@@ -10,13 +10,13 @@
 //!
 //! Design constraints that shape the format:
 //!
-//! - **Deterministic bytes.** Every collection is a canonically ordered
-//!   `Vec` (rules and ghosts in LRU/stamp order — semantic state, since
-//!   eviction follows it — devices by id, replay epochs and tickets
-//!   ascending, DNS domains by id and entries by IP), so encoding the
-//!   same state twice
-//!   yields identical bytes — the property the round-trip proptest in
-//!   `fiat-control` pins.
+//! - **Deterministic bytes.** Every collection is written in one
+//!   canonical order (rules and ghosts in LRU/stamp order — semantic
+//!   state, since eviction follows it — devices by id, unknown devices,
+//!   replay epochs, tickets and nonces ascending, DNS domains by id and
+//!   entries by IP), so encoding the same state twice yields identical
+//!   bytes — the property the round-trip proptest in `fiat-control`
+//!   pins.
 //! - **No live keys.** The QUIC 1-RTT session key is *not* serialized;
 //!   a restored proxy requires clients to re-handshake for 1-RTT while
 //!   0-RTT tickets (re-derivable from the pairing PSK + epoch) keep
@@ -35,18 +35,21 @@
 //! them must re-install them after restore, and the gate
 //! re-fingerprints strangers from empty evidence.
 //!
-//! Memory and snapshot hold the same records: the live proxy keeps each
+//! One encoder writes the bytes straight from the live proxy
+//! ([`FiatProxy::snapshot`]): nothing is copied to be encoded.
+//! [`HomeSnapshot`] is what [`HomeSnapshot::from_bytes`] decodes and
+//! [`FiatProxy::restore`] consumes. The live proxy keeps each
 //! device's decision state as a [`DeviceSnapshot`], its quarantine
-//! record inside, so snapshot and restore copy each device whole. The
-//! rule table's keys are stored as it holds them ([`DeviceFlowKey`]),
-//! beside the DNS table's interner their domain ids index, so restore
-//! resolves and interns nothing: an address hits the same rule before
-//! and after a migration.
+//! record inside, so restore moves each device in whole. The rule
+//! table's keys are stored as it holds them ([`DeviceFlowKey`]), beside
+//! the DNS table's interner their domain ids index, so restore resolves
+//! and interns nothing: an address hits the same rule before and after a
+//! migration.
 //!
 //! ## Version 5 layout
 //!
-//! [`HomeSnapshot::to_bytes`] writes one canonical binary encoding and
-//! [`HomeSnapshot::from_bytes`] reads it back. Integers are fixed-width
+//! [`FiatProxy::snapshot`] writes one canonical binary encoding
+//! and [`HomeSnapshot::from_bytes`] reads it back. Integers are fixed-width
 //! little-endian. A `bool` or an option tag is one byte, 0 or 1 (an
 //! option's value follows a 1). An enum is a one-byte tag, in the
 //! variant's declaration order, followed by its payload. A list is a
@@ -70,11 +73,11 @@
 //! | `bootstrap_buffer` | list of packets |
 //! | `rules` | option of a list of rule keys |
 //! | `rule_ghosts` | list of (rule key, option `last_ts`, option `last_bin`) |
-//! | `unknown_seen` | list of `u16` |
+//! | `unknown_seen` | list of `u16`, strictly ascending |
 //! | `devices` | list of devices |
 //! | `released_packets` | list of packets |
 //! | `stats` | the 16 [`ProxyStats`] counters as `u64`, in declaration order |
-//! | `quic` | `next_ticket_id` `u64`, `current_epoch` `u32`, `replay_retired_below` `u32`, `replay_retired_count` `u64`, list of (epoch `u32`, list of (ticket `u64`, list of nonce `u64`)) |
+//! | `quic` | `next_ticket_id` `u64`, `current_epoch` `u32`, `replay_retired_below` `u32`, `replay_retired_count` `u64`, list of (epoch `u32`, list of (ticket `u64`, list of nonce `u64`)), each list strictly ascending |
 //!
 //! - A **packet** is 29 bytes: `ts` `u64`, `device` `u16`, direction
 //!   tag, local and remote IPv4 octets, local and remote port `u16`,
@@ -95,17 +98,20 @@
 //! element's smallest encoding) before it sizes anything by it. It
 //! refuses an unknown tag, a bool or option tag that is not 0 or 1,
 //! invalid UTF-8, a repeated domain, a domain id at or past the domain
-//! count, DNS entries that do not ascend, an audit record whose
-//! checksum fails, an open event with more packets than its inline
-//! buffer holds, and trailing bytes. So any byte string it accepts
-//! re-encodes to exactly those bytes. The reader checks shape only; every semantic check
-//! (version, audit chain, device invariants, caps) is
-//! [`crate::FiatProxy::restore`]'s.
+//! count, DNS entries, unknown devices, replay epochs, tickets or nonces
+//! that do not strictly ascend, an audit record whose checksum fails,
+//! an open event with more packets than its inline buffer holds, and
+//! trailing bytes. The reader checks shape only; every semantic check
+//! (version, audit chain, device invariants, repeated rule keys, caps)
+//! is [`FiatProxy::restore`]'s. Together they are canonical: any
+//! bytes restore accepts, the restored proxy writes back (except rules
+//! or audit entries over the config's caps, which restore trims).
 
 use crate::audit::AuditEntry;
 use crate::classifier::EventClass;
 use crate::features::FEATURE_PACKETS;
-use crate::pipeline::{AllowReason, DropReason, ProxyConfig, ProxyStats};
+use crate::pipeline::{AllowReason, DropReason, FiatProxy, ProxyConfig, ProxyStats};
+use crate::predict::RuleTable;
 use fiat_net::dns::DnsSource;
 use fiat_net::{
     DeviceFlowKey, Direction, DnsTable, InternedFlowKey, PacketRecord, RemoteId, SimTime, TcpFlags,
@@ -140,6 +146,10 @@ pub enum SnapshotError {
     /// hold more state than the live path allows, drop one of two
     /// records, or panic on the device's next packet.
     InconsistentDevice(u16),
+    /// A key is repeated among the rules and ghosts, or ghosts come
+    /// without rules: the live table holds each key once, as a rule or a
+    /// ghost, and no ghosts before it is learned.
+    InconsistentRules,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -155,17 +165,19 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::InconsistentDevice(d) => {
                 write!(f, "device {d}: state inconsistent with the decision path")
             }
+            SnapshotError::InconsistentRules => write!(f, "repeated rule key or stray ghosts"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// Full decision state of one home's proxy (see the module docs).
+/// Full decision state of one home's proxy, as
+/// [`HomeSnapshot::from_bytes`] decodes it and
+/// [`FiatProxy::restore`] consumes it (see the module docs).
 ///
-/// Compare snapshots through their encoded bytes
-/// ([`HomeSnapshot::to_bytes`], the canonical form) — `DnsTable` has no
-/// structural equality.
+/// Compare homes through the bytes [`FiatProxy::snapshot`] writes
+/// (the canonical form) — `DnsTable` has no structural equality.
 #[derive(Debug, Clone)]
 pub struct HomeSnapshot {
     /// Layout version ([`SNAPSHOT_VERSION`]).
@@ -394,29 +406,10 @@ pub struct QuarantineRecord {
 }
 
 impl HomeSnapshot {
-    /// The canonical version-5 encoding (see the module docs): the same
-    /// snapshot always gives the same bytes. A counting pass sizes the
-    /// output, so the bytes are written into one allocation.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let dns = self.dns.entries();
-        let mut sized = Writer { out: 0 };
-        sized.snapshot(self, &dns);
-        let mut w = Writer {
-            out: Vec::with_capacity(sized.out),
-        };
-        w.snapshot(self, &dns);
-        w.out
-    }
-
-    /// Read [`HomeSnapshot::to_bytes`]'s encoding back. `None` when the
-    /// bytes are not exactly one canonical encoding: a count larger than
-    /// the bytes left could hold, an unknown tag, a bool that is not 0
-    /// or 1, invalid UTF-8, a repeated domain, a domain id past the
-    /// domain list, DNS entries out of order, an audit record whose
-    /// checksum fails, an open event of more than [`FEATURE_PACKETS`]
-    /// packets, or trailing bytes.
-    /// Whether the decoded state may be resumed from is
-    /// [`crate::FiatProxy::restore`]'s decision.
+    /// Read [`FiatProxy::snapshot`]'s encoding back. `None` when the
+    /// bytes are not exactly one canonical encoding (the module docs list
+    /// what the reader refuses). Whether the decoded state may be resumed
+    /// from is [`FiatProxy::restore`]'s decision.
     pub fn from_bytes(bytes: &[u8]) -> Option<HomeSnapshot> {
         let mut r = Reader { bytes, domains: 0 };
         let snap = HomeSnapshot {
@@ -433,7 +426,7 @@ impl HomeSnapshot {
             bootstrap_buffer: r.list(PACKET_LEN, Reader::packet)?,
             rules: r.opt(|r| r.list(RULE_MIN, Reader::key))?,
             rule_ghosts: r.list(GHOST_MIN, Reader::ghost)?,
-            unknown_seen: r.list(2, Reader::u16)?,
+            unknown_seen: r.ascending(2, Reader::u16, |&d| d)?,
             devices: r.list(DEVICE_MIN, Reader::device)?,
             released_packets: r.list(PACKET_LEN, Reader::packet)?,
             stats: r.stats()?,
@@ -569,7 +562,11 @@ impl<S: Sink> Writer<S> {
         self.u32(u32::try_from(n).expect("a snapshot list fits a u32 count"));
     }
 
-    fn list<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
+    fn list<I>(&mut self, items: I, mut f: impl FnMut(&mut Self, I::Item))
+    where
+        I: IntoIterator<IntoIter: ExactSizeIterator>,
+    {
+        let items = items.into_iter();
         self.count(items.len());
         for item in items {
             f(self, item);
@@ -594,33 +591,37 @@ impl<S: Sink> Writer<S> {
         self.u32(id);
     }
 
-    fn snapshot(&mut self, s: &HomeSnapshot, dns: &[(Ipv4Addr, u32, DnsSource)]) {
-        self.u32(s.version);
-        self.u64(s.audit_truncated);
-        self.opt(s.audit_checkpoint.as_ref(), |w, h| w.out.put(h));
-        self.opt(s.audit_head.as_ref(), |w, h| w.out.put(h));
-        self.list(&s.audit_entries, |w, e| w.out.put_with(|| e.encode()));
-        self.opt(s.started_at, Self::time);
-        self.time(s.human_valid_until);
-        self.u64(s.server_random_counter);
-        self.bool(s.degraded);
-        self.list(s.dns.domains(), |w, d| w.text(d));
-        self.list(dns, |w, &(ip, domain, source)| {
+    /// The whole layout, read from the live proxy `p`; `s` holds its
+    /// collections in their encoded order.
+    fn snapshot(&mut self, p: &FiatProxy, s: &Sorted) {
+        let audit = p.audit();
+        self.u32(SNAPSHOT_VERSION);
+        self.u64(audit.truncated());
+        self.opt(audit.checkpoint().as_ref(), |w, h| w.out.put(h));
+        self.opt(audit.head().as_ref(), |w, h| w.out.put(h));
+        self.list(audit.entries(), |w, e| w.out.put_with(|| e.encode()));
+        self.opt(p.started_at, Self::time);
+        self.time(p.policy.human_valid_until);
+        self.u64(p.server_random_counter);
+        self.bool(p.degraded);
+        self.list(p.dns.domains(), |w, d| w.text(d));
+        self.list(&s.dns, |w, &(ip, domain, source)| {
             w.ip(ip);
             w.domain(domain);
             w.tag(&DNS_SOURCES, &source);
         });
-        self.list(&s.bootstrap_buffer, Self::packet);
-        self.opt(s.rules.as_deref(), |w, rules| w.list(rules, Self::key));
-        self.list(&s.rule_ghosts, |w, g| {
+        self.list(&p.bootstrap_buffer, Self::packet);
+        self.opt(s.rules.as_ref(), |w, (rules, _)| w.list(rules, Self::key));
+        let ghosts = s.rules.as_ref().map_or(&[][..], |(_, ghosts)| ghosts);
+        self.list(ghosts, |w, g| {
             w.key(&g.key);
             w.opt(g.last_ts, Self::time);
             w.opt(g.last_bin, Self::u64);
         });
-        self.list(&s.unknown_seen, |w, d| w.u16(*d));
-        self.list(&s.devices, Self::device);
-        self.list(&s.released_packets, Self::packet);
-        self.stats(&s.stats);
+        self.list(&p.unknown.seen, |w, d| w.u16(*d));
+        self.list(&s.devices, |w, d| w.device(d));
+        self.list(&p.quarantine.released, Self::packet);
+        self.stats(p.stats());
         self.quic(&s.quic);
     }
 
@@ -686,7 +687,7 @@ impl<S: Sink> Writer<S> {
         self.u16(d.device);
         self.u64(d.classify_at as u64);
         self.opt(d.open.as_ref(), |w, e| {
-            w.list(&e.packets, Self::packet);
+            w.list(e.packets.iter(), Self::packet);
             w.time(e.last);
             w.opt(e.fate, |w, fate| match fate {
                 EventFate::AllowRest(why) => {
@@ -709,26 +710,9 @@ impl<S: Sink> Writer<S> {
         });
     }
 
-    fn stats(&mut self, s: &ProxyStats) {
-        for v in [
-            s.bootstrap,
-            s.rule_hit,
-            s.first_n,
-            s.non_manual,
-            s.manual_verified,
-            s.cascade,
-            s.unknown_device,
-            s.dropped_unverified,
-            s.dropped_lockout,
-            s.retro_unverified,
-            s.quarantined,
-            s.quarantine_released,
-            s.dropped_quarantine,
-            s.quarantine_expired,
-            s.fingerprint_matched,
-            s.dropped_unknown,
-        ] {
-            self.u64(v);
+    fn stats(&mut self, mut s: ProxyStats) {
+        for field in ProxyStats::FIELDS {
+            self.u64(*field(&mut s));
         }
     }
 
@@ -744,6 +728,46 @@ impl<S: Sink> Writer<S> {
                 w.list(nonces, |w, n| w.u64(*n));
             });
         });
+    }
+}
+
+/// A live proxy's collections in their encoded order (devices by id,
+/// rules and ghosts in LRU order, DNS entries by address, the replay
+/// image), collected once for both of [`FiatProxy::snapshot`]'s passes.
+struct Sorted<'a> {
+    devices: Vec<&'a DeviceSnapshot>,
+    rules: Option<(Vec<DeviceFlowKey>, Vec<GhostSnapshot>)>,
+    dns: Vec<(Ipv4Addr, u32, DnsSource)>,
+    quic: ServerImage,
+}
+
+impl<'a> Sorted<'a> {
+    fn of(p: &'a FiatProxy) -> Self {
+        let mut devices: Vec<_> = p.devices.values().map(|d| &d.rec).collect();
+        devices.sort_unstable_by_key(|d| d.device);
+        Sorted {
+            devices,
+            rules: p.rules.as_ref().map(RuleTable::snapshot),
+            dns: p.dns.entries(),
+            quic: p.quic.to_image(),
+        }
+    }
+}
+
+impl FiatProxy {
+    /// The proxy's full decision state as canonical version-5 bytes,
+    /// written straight from live state (see the module docs): the same
+    /// state always gives the same bytes. A counting pass sizes the
+    /// output, so the bytes are written into one allocation.
+    pub fn snapshot(&self) -> Vec<u8> {
+        let sorted = Sorted::of(self);
+        let mut sized = Writer { out: 0 };
+        sized.snapshot(self, &sorted);
+        let mut w = Writer {
+            out: Vec::with_capacity(sized.out),
+        };
+        w.snapshot(self, &sorted);
+        w.out
     }
 }
 
@@ -812,6 +836,21 @@ impl<'a> Reader<'a> {
         Some(out)
     }
 
+    /// A list whose elements' `key`s strictly ascend: the one order of
+    /// each set the live proxy holds, so no two encodings decode alike.
+    fn ascending<T, K: Ord>(
+        &mut self,
+        min: usize,
+        f: impl FnMut(&mut Self) -> Option<T>,
+        key: impl Fn(&T) -> K,
+    ) -> Option<Vec<T>> {
+        let items = self.list(min, f)?;
+        items
+            .windows(2)
+            .all(|w| key(&w[0]) < key(&w[1]))
+            .then_some(items)
+    }
+
     fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
         match self.bool()? {
             false => Some(None),
@@ -833,16 +872,8 @@ impl<'a> Reader<'a> {
     fn dns(&mut self) -> Option<DnsTable> {
         let domains = self.list(4, Self::text)?;
         self.domains = u32::try_from(domains.len()).ok()?;
-        let mut prev = None;
-        let entries = self.list(DNS_ENTRY_LEN, |r| {
-            let ip = r.ip()?;
-            if prev >= Some(u32::from(ip)) {
-                return None;
-            }
-            prev = Some(u32::from(ip));
-            Some((ip, r.domain()?, r.tag(&DNS_SOURCES)?))
-        })?;
-        DnsTable::from_parts(domains, entries)
+        let entry = |r: &mut Self| Some((r.ip()?, r.domain()?, r.tag(&DNS_SOURCES)?));
+        DnsTable::from_parts(domains, self.ascending(DNS_ENTRY_LEN, entry, |e| e.0)?)
     }
 
     fn packet(&mut self) -> Option<PacketRecord> {
@@ -939,24 +970,11 @@ impl<'a> Reader<'a> {
     }
 
     fn stats(&mut self) -> Option<ProxyStats> {
-        Some(ProxyStats {
-            bootstrap: self.u64()?,
-            rule_hit: self.u64()?,
-            first_n: self.u64()?,
-            non_manual: self.u64()?,
-            manual_verified: self.u64()?,
-            cascade: self.u64()?,
-            unknown_device: self.u64()?,
-            dropped_unverified: self.u64()?,
-            dropped_lockout: self.u64()?,
-            retro_unverified: self.u64()?,
-            quarantined: self.u64()?,
-            quarantine_released: self.u64()?,
-            dropped_quarantine: self.u64()?,
-            quarantine_expired: self.u64()?,
-            fingerprint_matched: self.u64()?,
-            dropped_unknown: self.u64()?,
-        })
+        let mut s = ProxyStats::default();
+        for field in ProxyStats::FIELDS {
+            *field(&mut s) = self.u64()?;
+        }
+        Some(s)
     }
 
     fn quic(&mut self) -> Option<ServerImage> {
@@ -965,21 +983,47 @@ impl<'a> Reader<'a> {
             current_epoch: self.u32()?,
             replay_retired_below: self.u32()?,
             replay_retired_count: self.u64()?,
-            replay_epochs: self.list(EPOCH_MIN, |r| {
-                Some(ReplayEpochImage {
-                    epoch: r.u32()?,
-                    entries: r.list(TICKET_MIN, |r| Some((r.u64()?, r.list(8, Self::u64)?)))?,
-                })
-            })?,
+            replay_epochs: self.ascending(EPOCH_MIN, Self::epoch, |e| e.epoch)?,
         })
+    }
+
+    fn epoch(&mut self) -> Option<ReplayEpochImage> {
+        let epoch = self.u32()?;
+        let ticket = |r: &mut Self| Some((r.u64()?, r.ascending(8, Self::u64, |&n| n)?));
+        let entries = self.ascending(TICKET_MIN, ticket, |&(ticket, _)| ticket)?;
+        Some(ReplayEpochImage { epoch, entries })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classifier::EventClassifier;
+    use crate::pipeline::ProxyTelemetry;
+    use fiat_net::SimDuration;
+    use fiat_sensors::HumannessValidator;
 
     const FIXTURE: &[u8] = include_bytes!("../tests/golden/snapshot_v5.bin");
+
+    /// `bytes` decoded and restored under the config of the home the
+    /// fixture was taken from; `None` if either step refuses them.
+    fn restored(bytes: &[u8]) -> Option<FiatProxy> {
+        let config = ProxyConfig {
+            proof_deadline: Some(SimDuration::from_secs(60)),
+            max_rules: Some(1),
+            max_audit_entries: Some(4),
+            ..ProxyConfig::default()
+        };
+        FiatProxy::restore(
+            config,
+            &[0x77; 32],
+            HumannessValidator::with_operating_point(1.0, 1.0, 0),
+            ProxyTelemetry::default(),
+            HomeSnapshot::from_bytes(bytes)?,
+            |_| EventClassifier::simple_rule(235),
+        )
+        .ok()
+    }
 
     /// A sink that records where each checked value sits.
     #[derive(Default)]
@@ -1007,14 +1051,14 @@ mod tests {
 
     #[test]
     fn every_value_edit_is_refused() {
-        // Walk the fixture's structure: every count, tag, bool, domain
-        // string and domain id the encoder wrote, at its offset.
-        let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
-        let domains = snap.dns.domains().len() as u32;
+        // Walk the fixture home's structure: every count, tag, bool,
+        // domain string and domain id the encoder wrote, at its offset.
+        let home = restored(FIXTURE).expect("the fixture restores");
+        let domains = home.dns.domains().len() as u32;
         let mut w = Writer {
             out: Fields::default(),
         };
-        w.snapshot(&snap, &snap.dns.entries());
+        w.snapshot(&home, &Sorted::of(&home));
         assert_eq!(w.out.len, FIXTURE.len());
         let mut seen = Vec::new();
         for &(at, field) in &w.out.marks {
@@ -1032,7 +1076,16 @@ mod tests {
                 Field::Bool => vec![edited(at, &[2])],
                 // 0xFF never occurs in UTF-8.
                 Field::Text => vec![edited(at, &[0xFF])],
-                Field::Domain => vec![edited(at, &domains.to_le_bytes())],
+                // An id past the domains is refused; the last domain's
+                // decodes. The marks include a rule's and a ghost's.
+                Field::Domain => {
+                    let last = edited(at, &(domains - 1).to_le_bytes());
+                    assert!(HomeSnapshot::from_bytes(&last).is_some(), "id at byte {at}");
+                    vec![
+                        edited(at, &domains.to_le_bytes()),
+                        edited(at, &u32::MAX.to_le_bytes()),
+                    ]
+                }
             };
             for bytes in edits {
                 // `restore_home` answers `None` with `RestoreError::Corrupt`.
@@ -1051,13 +1104,13 @@ mod tests {
 
     #[test]
     fn only_the_canonical_encoding_decodes() {
-        let mut snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
+        let mut home = restored(FIXTURE).expect("the fixture restores");
         let mut dns = DnsTable::new();
         dns.observe_forward(Ipv4Addr::new(1, 1, 1, 1), "a.example");
         dns.observe_reverse(Ipv4Addr::new(2, 2, 2, 2), "b.example");
-        snap.dns = dns;
-        let bytes = snap.to_bytes();
-        assert_eq!(HomeSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
+        home.set_dns(dns);
+        let bytes = home.snapshot();
+        assert_eq!(restored(&bytes).expect("restores").snapshot(), bytes);
         let find = |needle: &[u8]| bytes.windows(needle.len()).position(|w| w == needle);
         let refused = |at: usize, value: &[u8]| {
             let mut edited = bytes.clone();
@@ -1082,31 +1135,6 @@ mod tests {
         let mut longer = bytes.clone();
         longer.push(0);
         assert!(HomeSnapshot::from_bytes(&longer).is_none());
-    }
-
-    #[test]
-    fn a_rule_key_naming_no_domain_is_refused() {
-        let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
-        let domains = snap.dns.domains().len() as u32;
-        let key = |id| DeviceFlowKey {
-            device: 0,
-            flow: InternedFlowKey::PortLess {
-                remote: RemoteId::Domain(id),
-                proto: 6,
-                size: 100,
-                dir: 0,
-            },
-        };
-        for (id, decodes) in [(domains - 1, true), (domains, false), (u32::MAX, false)] {
-            let mut rule = snap.clone();
-            rule.rules = Some(vec![key(id)]);
-            let mut ghost = snap.clone();
-            ghost.rule_ghosts[0].key = key(id);
-            for edited in [rule, ghost] {
-                let bytes = edited.to_bytes();
-                assert_eq!(HomeSnapshot::from_bytes(&bytes).is_some(), decodes, "{id}");
-            }
-        }
     }
 
     #[test]

@@ -468,16 +468,16 @@ fn fixture_home() -> FiatProxy {
 #[test]
 fn snapshot_codec_allocations_are_bounded() {
     let proxy = fixture_home();
-    // What `snapshot_home` does: take the snapshot (its own clones of
-    // the home's lists), then encode it.
-    let (taken, snap) = allocations(|| proxy.snapshot());
-    let (encoded, bytes) = allocations(|| snap.to_bytes());
+    // What `snapshot_home` does: write the bytes straight from the
+    // home's live state.
+    let (written, bytes) = allocations(|| proxy.snapshot());
     assert_eq!(bytes, FIXTURE);
-    assert!(taken <= 20, "FiatProxy::snapshot made {taken} allocations");
-    // The sorted DNS entries and one pre-sized output.
+    // The devices sorted by id, the rule table's two LRU lists, the DNS
+    // entries by address, the replay image (one list, plus one per epoch
+    // and per ticket: 3) and one pre-sized output: 8 on the fixture.
     assert!(
-        encoded <= 2,
-        "HomeSnapshot::to_bytes made {encoded} allocations"
+        written <= 8,
+        "FiatProxy::snapshot made {written} allocations"
     );
     // One per non-empty decoded list, and the DNS table's maps and
     // domain strings: 20 on the fixture.
