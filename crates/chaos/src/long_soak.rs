@@ -42,8 +42,7 @@
 
 use fiat_core::pipeline::ProxyTelemetry;
 use fiat_core::{
-    EventClassifier, FiatApp, FiatProxy, HomeSnapshot, ProxyConfig, ProxyDecision, ProxyStats,
-    StateSize,
+    EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision, ProxyStats, StateSize,
 };
 use fiat_fingerprint::{FingerprintEngine, MatcherConfig, SignatureSet};
 use fiat_net::{
@@ -462,15 +461,12 @@ impl HomeSim {
         if bytes != self.proxy.snapshot() {
             return false;
         }
-        let Some(parsed) = HomeSnapshot::from_bytes(&bytes) else {
-            return false;
-        };
         match FiatProxy::restore(
             self.config.clone(),
             &SECRET,
             perfect_validator(),
             fresh_telemetry(),
-            parsed,
+            &bytes,
             |_| EventClassifier::simple_rule(MANUAL_SIZE),
         ) {
             Ok(mut p) => {

@@ -41,5 +41,5 @@ pub use enroll::{
 };
 pub use lifecycle::{KeyLifecycle, LifecyclePolicy};
 pub use metrics::ControlMetrics;
-pub use rebalance::{restore_home, snapshot_home, RestoreError};
+pub use rebalance::{restore_home, snapshot_home};
 pub use sweep::{run_control_sweep, ControlConfig, ControlReport};

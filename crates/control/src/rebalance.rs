@@ -6,43 +6,17 @@
 //! layout in `fiat_core::snapshot`; deterministic: every collection is
 //! written sorted, so the same state always produces the same bytes)
 //! and counts them into `fiat_control_snapshot_bytes_total`.
-//! [`restore_home`] decodes ([`HomeSnapshot::from_bytes`], which checks
-//! shape only), re-verifies (version, audit chain, each device's state,
-//! the rule table and the caps), and rebuilds a proxy that writes back
-//! exactly the bytes it was restored from and resumes byte-identically —
-//! the determinism contract proven by the core pipeline tests and the
-//! fleet rebalance oracle.
+//! [`restore_home`] reads them back ([`FiatProxy::restore`], one walk
+//! that checks each field as it reads it: the encoding, the version,
+//! the audit chain, each device's state, the rule table and the caps)
+//! into a proxy that writes back exactly the bytes it was restored from
+//! and resumes byte-identically — the determinism contract proven by
+//! the core pipeline tests and the fleet rebalance oracle.
 
 use crate::metrics::ControlMetrics;
 use fiat_core::pipeline::ProxyTelemetry;
-use fiat_core::{EventClassifier, FiatProxy, HomeSnapshot, ProxyConfig, SnapshotError};
+use fiat_core::{EventClassifier, FiatProxy, ProxyConfig, SnapshotError};
 use fiat_sensors::HumannessValidator;
-
-/// Why a serialized snapshot could not be restored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestoreError {
-    /// The bytes are not a canonical [`HomeSnapshot`] encoding.
-    Corrupt,
-    /// The snapshot parsed but failed validation.
-    Snapshot(SnapshotError),
-}
-
-impl std::fmt::Display for RestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RestoreError::Corrupt => write!(f, "snapshot bytes did not parse"),
-            RestoreError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RestoreError {}
-
-impl From<SnapshotError> for RestoreError {
-    fn from(e: SnapshotError) -> Self {
-        RestoreError::Snapshot(e)
-    }
-}
 
 /// Encode `proxy`'s full decision state to its canonical snapshot bytes.
 pub fn snapshot_home(proxy: &FiatProxy, metrics: Option<&ControlMetrics>) -> Vec<u8> {
@@ -67,14 +41,13 @@ pub fn restore_home(
     telemetry: ProxyTelemetry,
     classifiers: impl FnMut(u16) -> EventClassifier,
     metrics: Option<&ControlMetrics>,
-) -> Result<FiatProxy, RestoreError> {
-    let snap = HomeSnapshot::from_bytes(bytes).ok_or(RestoreError::Corrupt)?;
+) -> Result<FiatProxy, SnapshotError> {
     let proxy = FiatProxy::restore(
         config,
         ceremony_secret,
         validator,
         telemetry,
-        snap,
+        bytes,
         classifiers,
     )?;
     if let Some(m) = metrics {
@@ -86,7 +59,6 @@ pub fn restore_home(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fiat_core::snapshot::{EventPackets, OpenEvent};
     use fiat_core::{AllowReason, ProxyDecision};
     use fiat_net::SimTime;
     use fiat_sensors::{ImuTrace, MotionKind};
@@ -158,7 +130,7 @@ mod tests {
             Ok(_) => panic!("garbage must be refused"),
             Err(e) => e,
         };
-        assert_eq!(err, RestoreError::Corrupt);
+        assert_eq!(err, SnapshotError::Corrupt);
     }
 
     #[test]
@@ -178,30 +150,32 @@ mod tests {
             Ok(_) => panic!("foreign version must be refused"),
             Err(e) => e,
         };
-        assert_eq!(
-            err,
-            RestoreError::Snapshot(SnapshotError::UnsupportedVersion(99))
-        );
+        assert_eq!(err, SnapshotError::UnsupportedVersion(99));
     }
 
     #[test]
     fn inconsistent_open_event_is_refused() {
-        // A pending event with no packets parses and its audit chain
-        // verifies, but classifying it would panic the resumed proxy.
-        let proxy = seeded_proxy(1, 0, 0);
-        let mut snap = HomeSnapshot::from_bytes(&snapshot_home(&proxy, None)).expect("decodes");
-        snap.devices[0].open = Some(OpenEvent {
-            packets: EventPackets::new(),
-            last: SimTime::from_secs(1),
-            fate: None,
-        });
-        let err = FiatProxy::restore(
+        // A pending event with no packets is well formed and its audit
+        // chain verifies, but classifying it would panic the resumed
+        // proxy. The home's one device record follows the device count:
+        // its id 0, a `classify_at` of 4, then the tag of its open event,
+        // which the edit turns from none into a pending event (no
+        // packets, `last`, no fate).
+        let bytes = snapshot_home(&seeded_proxy(1, 0, 0), None);
+        let head = [&[1, 0, 0, 0, 0, 0][..], &4u64.to_le_bytes(), &[0]].concat();
+        let at = bytes.windows(head.len()).position(|w| *w == head[..]);
+        let at = at.expect("the device record") + head.len() - 1;
+        let last = SimTime::from_secs(1).as_micros().to_le_bytes();
+        let pending = [&[1, 0, 0, 0, 0][..], &last, &[0]].concat();
+        let edited = [&bytes[..at], &pending, &bytes[at + 1..]].concat();
+        let err = restore_home(
+            &edited,
             ProxyConfig::default(),
             &SECRET,
             HumannessValidator::with_operating_point(1.0, 1.0, 0),
             plug(),
-            snap,
             |_| EventClassifier::simple_rule(0),
+            None,
         )
         .err();
         assert_eq!(err, Some(SnapshotError::InconsistentDevice(0)));
@@ -217,7 +191,7 @@ mod tests {
 
     /// Restore `bytes` with the configuration the pinned fixture was
     /// taken under.
-    fn restore_fixture(bytes: &[u8]) -> Result<FiatProxy, RestoreError> {
+    fn restore_fixture(bytes: &[u8]) -> Result<FiatProxy, SnapshotError> {
         let config = ProxyConfig {
             proof_deadline: Some(fiat_net::SimDuration::from_secs(60)),
             max_rules: Some(1),
@@ -242,7 +216,8 @@ mod tests {
         // an audit ledger and option tags. v4 stored each DNS entry with
         // its domain string; where v5 reads the domain list, the first
         // entry's address reads as a length longer than the bytes left.
-        // Either way decoding stops before restore sees a version.
+        // Either way the bytes stop reading as version 5 before restore
+        // checks the version.
         let v4 = 4u32.to_le_bytes();
         for (fixture, head) in [
             (FIXTURE_V2, &b"{\"version\":2,"[..]),
@@ -252,7 +227,7 @@ mod tests {
             assert!(fixture.starts_with(head));
             match restore_fixture(fixture) {
                 Ok(_) => panic!("earlier layouts must be refused"),
-                Err(e) => assert_eq!(e, RestoreError::Corrupt),
+                Err(e) => assert_eq!(e, SnapshotError::Corrupt),
             }
         }
     }
@@ -264,7 +239,7 @@ mod tests {
         for len in 0..FIXTURE_V5.len() {
             match restore_fixture(&FIXTURE_V5[..len]) {
                 Ok(_) => panic!("a {len}-byte prefix restored"),
-                Err(e) => assert_eq!(e, RestoreError::Corrupt, "{len}-byte prefix"),
+                Err(e) => assert_eq!(e, SnapshotError::Corrupt, "{len}-byte prefix"),
             }
         }
     }
@@ -278,17 +253,22 @@ mod tests {
             let mut bytes = FIXTURE_V5.to_vec();
             let at = rng.gen_range(0..bytes.len());
             bytes[at] ^= 1 << rng.gen_range(0..8u32);
-            decoded += usize::from(HomeSnapshot::from_bytes(&bytes).is_some());
             // Either restore outcome is fine (a panic fails the test),
             // but any input restore accepts, the restored home writes
             // back exactly.
-            if let Ok(home) = restore_fixture(&bytes) {
-                restored += 1;
-                assert_eq!(snapshot_home(&home, None), bytes, "flip at byte {at}");
+            match restore_fixture(&bytes) {
+                Ok(home) => {
+                    decoded += 1;
+                    restored += 1;
+                    assert_eq!(snapshot_home(&home, None), bytes, "flip at byte {at}");
+                }
+                Err(SnapshotError::Corrupt) => {}
+                Err(_) => decoded += 1,
             }
         }
         // Flips inside timestamps and counters keep the bytes decodable,
-        // so the run reaches restore's own checks, not only the codec.
+        // so the run reaches restore's semantic checks, not only the
+        // encoding's.
         assert!(decoded > 0);
         assert!(restored > 0);
     }
@@ -313,16 +293,9 @@ mod tests {
         out
     }
 
-    #[test]
-    fn restore_accepts_only_bytes_it_writes_back() {
-        // A home with a rule and a ghost (cap 1), two unknown devices
-        // and two proofs on one ticket. Each edit below lists a set the
-        // live proxy holds once and in order (unknown devices, replay
-        // epochs, tickets and nonces) out of order or with a repeat, or
-        // holds a rule key twice. Restoring any of them would collapse,
-        // reorder or keep the repeat (a key kept as both a rule and a
-        // ghost is a table the live path never builds), so each is
-        // refused.
+    /// A home with a rule and a ghost (cap 1), two unknown devices and
+    /// two proofs on one ticket, and the config it runs under.
+    fn capped_home() -> (FiatProxy, ProxyConfig) {
         let config = ProxyConfig {
             max_rules: Some(1),
             ..ProxyConfig::default()
@@ -359,24 +332,17 @@ mod tests {
         for device in [900, 901] {
             home.on_packet(&unknown_pkt(device, 1_210));
         }
-        let bytes = snapshot_home(&home, None);
-        let snap = HomeSnapshot::from_bytes(&bytes).expect("decodes");
-        assert_eq!(snap.unknown_seen, [900, 901]);
-        let (rule, ghost) = (snap.rules.as_ref().unwrap()[0], &snap.rule_ghosts[0]);
-        assert_eq!((snap.rules.unwrap().len(), snap.rule_ghosts.len()), (1, 1));
-        let [epoch] = &snap.quic.replay_epochs[..] else {
-            panic!("one replay epoch");
-        };
-        let [(ticket, nonces)] = &epoch.entries[..] else {
-            panic!("one ticket");
-        };
-        let (e, t, n) = (epoch.epoch, *ticket, nonces.clone());
-        assert_eq!(n.len(), 2);
+        (home, config)
+    }
 
-        // Where the edits go. The replay list ends the bytes. The
-        // unknown devices are a count of 2 and two ids; the ghosts list
-        // (a count of 1, then the ghost's key and its two options)
-        // comes right before them, and the one rule's key before that.
+    /// Where [`capped_home`]'s rule lists sit in its bytes: the one
+    /// rule's key, the ghost list's count and the unknown devices that
+    /// follow the ghost. The DNS table and the bootstrap buffer are
+    /// empty, so the rule list (option tag 1, count 1) follows the
+    /// degraded flag and three empty counts. Both keys are PortLess keys
+    /// on an address DNS never resolved: 12 bytes. The unknown devices
+    /// are a count of 2 and the ids 900 and 901.
+    fn rule_lists_at(bytes: &[u8]) -> (usize, usize, usize) {
         let at = |needle: &[u8]| {
             let found: Vec<_> = (0..bytes.len())
                 .filter(|&i| bytes[i..].starts_with(needle))
@@ -384,21 +350,40 @@ mod tests {
             assert_eq!(found.len(), 1, "{needle:?}");
             found[0]
         };
-        let replay = replay_list(&[(e, &[(t, &n)])]);
-        assert!(bytes.ends_with(&replay));
-        let replay_at = bytes.len() - replay.len();
-        let unknown_at = at(&[2, 0, 0, 0, 0x84, 3, 0x85, 3]);
-        let key_len = |k: &fiat_net::DeviceFlowKey| match k.flow {
-            fiat_net::InternedFlowKey::Classic { .. } => 18,
-            fiat_net::InternedFlowKey::PortLess { .. } => 12,
-        };
-        let options = |g: &fiat_core::GhostSnapshot| {
-            2 + 8 * (usize::from(g.last_ts.is_some()) + usize::from(g.last_bin.is_some()))
-        };
-        let ghosts_at = unknown_at - 4 - key_len(&ghost.key) - options(ghost);
-        let rule_at = ghosts_at - key_len(&rule);
-        assert_eq!(bytes[rule_at - 5..rule_at], [1, 1, 0, 0, 0]);
+        let lists = [[0; 13].as_slice(), &[1, 1, 0, 0, 0]].concat();
+        let rule_at = at(&lists) + lists.len();
+        let ghosts_at = rule_at + 12;
         assert_eq!(bytes[ghosts_at..ghosts_at + 4], [1, 0, 0, 0]);
+        (rule_at, ghosts_at, at(&[2, 0, 0, 0, 0x84, 3, 0x85, 3]))
+    }
+
+    #[test]
+    fn restore_accepts_only_bytes_it_writes_back() {
+        // Each edit of `capped_home`'s bytes below lists a set the live
+        // proxy holds once and in order (unknown devices, replay epochs,
+        // tickets and nonces) out of order or with a repeat, or holds a
+        // rule key twice. Restoring any of them would collapse, reorder
+        // or keep the repeat (a key kept as both a rule and a ghost is a
+        // table the live path never builds), so each is refused. They are
+        // restored under cap 2, so the rule edits meet the repeated-key
+        // check, not the cap.
+        let (home, config) = capped_home();
+        let bytes = snapshot_home(&home, None);
+        let size = home.state_size();
+        let held = (size.rules, size.rule_ghosts, size.replay_tickets);
+        assert_eq!((held, size.replay_entries), ((1, 1, 1), 2));
+
+        // Where the edits go. The replay list ends the bytes: one epoch
+        // holding one ticket with two nonces, 40 bytes.
+        let replay_at = bytes.len() - 40;
+        let u64_at = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
+        let e = u32::from_le_bytes(bytes[replay_at + 4..replay_at + 8].try_into().unwrap());
+        let (t, n) = (
+            u64_at(replay_at + 12),
+            [u64_at(replay_at + 24), u64_at(replay_at + 32)],
+        );
+        assert_eq!(bytes[replay_at..], replay_list(&[(e, &[(t, &n)])]));
+        let (rule_at, ghosts_at, unknown_at) = rule_lists_at(&bytes);
         let (rule_key, ghost_entry) = (
             &bytes[rule_at..ghosts_at],
             &bytes[ghosts_at + 4..unknown_at],
@@ -413,8 +398,8 @@ mod tests {
         let ids =
             |a: u16, b: u16| [[2, 0, 0, 0].as_slice(), &a.to_le_bytes(), &b.to_le_bytes()].concat();
         let two = 2u32.to_le_bytes();
-        let corrupt = RestoreError::Corrupt;
-        let rules = RestoreError::Snapshot(SnapshotError::InconsistentRules);
+        let corrupt = SnapshotError::Corrupt;
+        let rules = SnapshotError::InconsistentRules;
         let edits = [
             (
                 "unknown devices out of order",
@@ -469,6 +454,10 @@ mod tests {
                 rules,
             ),
         ];
+        let config = ProxyConfig {
+            max_rules: Some(2),
+            ..config
+        };
         let restore = |bytes: &[u8]| {
             restore_home(
                 bytes,
@@ -497,6 +486,58 @@ mod tests {
             .map(|(case, _, e)| (*case, e.to_string()))
             .collect();
         assert_eq!(seen, refused);
+    }
+
+    #[test]
+    fn restore_refuses_state_over_its_caps() {
+        // The live path never holds more rules or ghosts than
+        // `max_rules`, nor more audit entries than `max_audit_entries`.
+        // Restore refuses both instead of trimming them, which would
+        // write back other bytes.
+        let (home, config) = capped_home();
+        let bytes = snapshot_home(&home, None);
+        let restore = |bytes: &[u8], config: ProxyConfig| {
+            let home = restore_home(
+                bytes,
+                config,
+                &SECRET,
+                HumannessValidator::with_operating_point(1.0, 1.0, 0),
+                plug(),
+                |_| EventClassifier::simple_rule(235),
+                None,
+            )?;
+            assert_eq!(snapshot_home(&home, None), bytes);
+            Ok::<_, SnapshotError>(())
+        };
+        let capped = |max_rules, max_audit_entries| ProxyConfig {
+            max_rules: Some(max_rules),
+            max_audit_entries: Some(max_audit_entries),
+            ..config.clone()
+        };
+        // The ghost's key edited into a second rule: two rules, no ghost.
+        let (rule_at, ghosts_at, unknown_at) = rule_lists_at(&bytes);
+        let two_rules = [
+            &bytes[..rule_at - 4],
+            &2u32.to_le_bytes(),
+            &bytes[rule_at..ghosts_at],
+            &bytes[ghosts_at + 4..ghosts_at + 16],
+            &0u32.to_le_bytes(),
+            &bytes[unknown_at..],
+        ]
+        .concat();
+        let entries = home.audit().len();
+        assert!(entries > 1);
+        assert_eq!(restore(&two_rules, capped(2, entries)), Ok(()));
+        assert_eq!(
+            restore(&two_rules, capped(1, entries)),
+            Err(SnapshotError::InconsistentRules)
+        );
+        // The log one entry over the cap.
+        assert_eq!(restore(&bytes, capped(1, entries)), Ok(()));
+        assert_eq!(
+            restore(&bytes, capped(1, entries - 1)),
+            Err(SnapshotError::AuditChainInvalid)
+        );
     }
 
     #[test]

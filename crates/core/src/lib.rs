@@ -61,4 +61,4 @@ pub use pipeline::{
     ProxyTelemetry, StateSize, DECIDE_SAMPLE_EVERY,
 };
 pub use predict::{PredictabilityEngine, PredictabilityReport, RuleTable, RuleTelemetry};
-pub use snapshot::{GhostSnapshot, HomeSnapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{GhostSnapshot, SnapshotError, SNAPSHOT_VERSION};

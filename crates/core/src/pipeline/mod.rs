@@ -43,10 +43,7 @@ use crate::features::FEATURE_PACKETS;
 use crate::interactions::InteractionGraph;
 use crate::pairing::{pair, Paired};
 use crate::predict::{PredictabilityEngine, RuleTable, RuleTelemetry, DEFAULT_TOLERANCE};
-use crate::snapshot::{
-    DeviceSnapshot, EventFate, EventPackets, HomeSnapshot, OpenEvent, SnapshotError,
-    SNAPSHOT_VERSION,
-};
+use crate::snapshot::{DeviceSnapshot, EventFate, EventPackets, OpenEvent};
 use fiat_crypto::TeeKeystore;
 use fiat_net::{DnsTable, FastMap, FlowDef, PacketRecord, SimDuration, SimTime};
 use fiat_quic::{ClientHello, Server as QuicServer, ServerHello, ZeroRttPacket};
@@ -416,43 +413,39 @@ pub struct StateSize {
 }
 
 impl StateSize {
+    /// Every surface, in declaration order: the one list both folds
+    /// below walk.
+    const FIELDS: [fn(&mut StateSize) -> &mut usize; 13] = [
+        |s| &mut s.rules,
+        |s| &mut s.rule_ghosts,
+        |s| &mut s.open_events,
+        |s| &mut s.open_packets,
+        |s| &mut s.quarantine_records,
+        |s| &mut s.quarantine_held,
+        |s| &mut s.audit_entries,
+        |s| &mut s.replay_tickets,
+        |s| &mut s.replay_entries,
+        |s| &mut s.replay_epochs,
+        |s| &mut s.bootstrap_buffered,
+        |s| &mut s.released_pending,
+        |s| &mut s.fingerprint_evidence,
+    ];
+
     /// Sum of every surface — the single number compared against the
     /// soak's per-home budget.
     pub fn total(&self) -> usize {
-        self.rules
-            + self.rule_ghosts
-            + self.open_events
-            + self.open_packets
-            + self.quarantine_records
-            + self.quarantine_held
-            + self.audit_entries
-            + self.replay_tickets
-            + self.replay_entries
-            + self.replay_epochs
-            + self.bootstrap_buffered
-            + self.released_pending
-            + self.fingerprint_evidence
+        let mut s = *self;
+        Self::FIELDS.iter().map(|field| *field(&mut s)).sum()
     }
 
     /// Field-wise maximum — fold per-sample sizes into a high-water
     /// mark (each surface peaks independently, so the result may not
     /// correspond to any single instant).
-    pub fn max_fields(self, rhs: StateSize) -> StateSize {
-        StateSize {
-            rules: self.rules.max(rhs.rules),
-            rule_ghosts: self.rule_ghosts.max(rhs.rule_ghosts),
-            open_events: self.open_events.max(rhs.open_events),
-            open_packets: self.open_packets.max(rhs.open_packets),
-            quarantine_records: self.quarantine_records.max(rhs.quarantine_records),
-            quarantine_held: self.quarantine_held.max(rhs.quarantine_held),
-            audit_entries: self.audit_entries.max(rhs.audit_entries),
-            replay_tickets: self.replay_tickets.max(rhs.replay_tickets),
-            replay_entries: self.replay_entries.max(rhs.replay_entries),
-            replay_epochs: self.replay_epochs.max(rhs.replay_epochs),
-            bootstrap_buffered: self.bootstrap_buffered.max(rhs.bootstrap_buffered),
-            released_pending: self.released_pending.max(rhs.released_pending),
-            fingerprint_evidence: self.fingerprint_evidence.max(rhs.fingerprint_evidence),
+    pub fn max_fields(mut self, mut rhs: StateSize) -> StateSize {
+        for field in Self::FIELDS {
+            *field(&mut self) = (*field(&mut self)).max(*field(&mut rhs));
         }
+        self
     }
 }
 
@@ -830,7 +823,7 @@ impl Default for ProxyTelemetry {
 /// One registered device: its classifier (provisioning data) and its
 /// decision state, which is the snapshot's record of the device itself.
 pub(crate) struct DeviceState {
-    classifier: EventClassifier,
+    pub(crate) classifier: EventClassifier,
     pub(crate) rec: DeviceSnapshot,
 }
 
@@ -843,15 +836,16 @@ pub(crate) struct Policy {
     config: ProxyConfig,
     pub(crate) human_valid_until: SimTime,
     interactions: Option<InteractionGraph>,
-    audit: AuditLog,
-    stats: ProxyStats,
+    pub(crate) audit: AuditLog,
+    pub(crate) stats: ProxyStats,
     telemetry: ProxyTelemetry,
     hook: Option<Box<dyn ProxyHook>>,
 }
 
-/// The FIAT proxy. The crate-visible fields have one reader outside this
-/// module: the snapshot writer, [`FiatProxy::snapshot`], which lives
-/// with the codec in `crate::snapshot` and only reads them.
+/// The FIAT proxy. The crate-visible fields have one user outside this
+/// module: the snapshot codec in `crate::snapshot`, whose writer
+/// ([`FiatProxy::snapshot`]) reads them and whose reader
+/// ([`FiatProxy::restore`]) fills a fresh proxy's.
 pub struct FiatProxy {
     store: TeeKeystore,
     keys: Paired,
@@ -1122,116 +1116,6 @@ impl FiatProxy {
     /// fall-back-to-1-RTT. Returns how many epochs were newly retired.
     pub fn retire_ticket_epochs_below(&mut self, min_live: u32) -> u32 {
         self.quic.retire_epochs_below(min_live)
-    }
-
-    /// Rebuild a proxy from a [`HomeSnapshot`] and resume deciding. The
-    /// snapshot is consumed: its audit entries, DNS table, devices and
-    /// packet lists move into the proxy instead of being cloned.
-    ///
-    /// `ceremony_secret` must be the secret the snapshotted proxy was
-    /// paired with: the pairing PSK (and with it the per-epoch ticket
-    /// secrets clients hold) is re-derived, so issued 0-RTT tickets keep
-    /// working across the restore. The 1-RTT session key is deliberately
-    /// not part of a snapshot — clients re-handshake for 1-RTT.
-    /// `classifiers` re-supplies each device's classifier (model weights
-    /// are provisioning data, not state).
-    ///
-    /// Restore is telemetry-silent: gauges and counters in `telemetry`
-    /// are *not* replayed, because the registry that witnessed the
-    /// pre-snapshot traffic already counted it. A fleet that folds the
-    /// old and new registries additively gets totals byte-identical to
-    /// an uninterrupted run — the invariant the fleet rebalance tests
-    /// pin. The interaction graph, any hook and the fingerprint gate
-    /// are not part of a snapshot; re-install them after restore if the
-    /// home uses them (the gate's evidence windows restart empty).
-    ///
-    /// Snapshot bytes are not authenticated, so restore refuses a device
-    /// whose state the live path could never reach
-    /// ([`SnapshotError::InconsistentDevice`]): an id not strictly above
-    /// the previous device's (a repeated or out-of-order id; the live
-    /// path writes each device once, ascending), a first-N window outside
-    /// `1..=classify_at_cap` (the cap clamped to `1..=FEATURE_PACKETS`),
-    /// a pending event with no buffered packets or with `classify_at` or
-    /// more, a quarantine-fated event with no quarantine record, a
-    /// quarantine record that is empty or holds more than
-    /// `max(quarantine_capacity, 1)` packets, or more quarantine records
-    /// than `max(max_quarantine_records, 1)`. The first such
-    /// device in list order (which is id order) is the one reported. It
-    /// also refuses a rule table the live path could never hold
-    /// ([`SnapshotError::InconsistentRules`]): a key repeated among the
-    /// rules and ghosts, or ghosts without rules.
-    pub fn restore(
-        config: ProxyConfig,
-        ceremony_secret: &[u8; 32],
-        validator: HumannessValidator,
-        telemetry: ProxyTelemetry,
-        snap: HomeSnapshot,
-        mut classifiers: impl FnMut(u16) -> EventClassifier,
-    ) -> Result<Self, SnapshotError> {
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(snap.version));
-        }
-        let mut audit = AuditLog::from_parts_at(
-            snap.audit_checkpoint,
-            snap.audit_truncated,
-            snap.audit_entries,
-            snap.audit_head,
-        )
-        .ok_or(SnapshotError::AuditChainInvalid)?;
-        // One pass in list order: ids strictly ascending (so the list is
-        // a map, in id order), each device consistent, and its record
-        // within the record cap.
-        let cap = config
-            .max_quarantine_records
-            .map_or(usize::MAX, |c| c.max(1));
-        let mut records = 0;
-        let mut prev = None;
-        for d in &snap.devices {
-            records += usize::from(d.quarantine.is_some());
-            if prev.is_some_and(|p| p >= d.device) || !d.is_consistent(&config) || records > cap {
-                return Err(SnapshotError::InconsistentDevice(d.device));
-            }
-            prev = Some(d.device);
-        }
-        let rules = match &snap.rules {
-            Some(rules) => RuleTable::restore(
-                rules,
-                &snap.rule_ghosts,
-                config.tolerance,
-                config.max_rules,
-                RuleTelemetry::registered(&telemetry.registry),
-            )
-            .map(Some),
-            None => snap.rule_ghosts.is_empty().then_some(None),
-        }
-        .ok_or(SnapshotError::InconsistentRules)?;
-        audit.set_max_entries(config.max_audit_entries);
-        let mut proxy = Self::with_telemetry(config, ceremony_secret, validator, telemetry);
-        proxy.quic.restore_image(&snap.quic);
-        proxy.rules = rules;
-        let policy = &mut proxy.policy;
-        proxy.devices = snap
-            .devices
-            .into_iter()
-            .map(|rec| {
-                let classifier = classifiers(rec.device);
-                (rec.device, DeviceState { classifier, rec })
-            })
-            .collect();
-        policy.human_valid_until = snap.human_valid_until;
-        policy.audit = audit;
-        policy.stats = snap.stats;
-        proxy.dns = snap.dns;
-        proxy.started_at = snap.started_at;
-        proxy.bootstrap_buffer = snap.bootstrap_buffer;
-        proxy.server_random_counter = snap.server_random_counter;
-        proxy.quarantine.released = snap.released_packets;
-        proxy.unknown.seen = snap.unknown_seen.into_iter().collect();
-        proxy.degraded = snap.degraded;
-        // Like the hook and interaction graph, the fingerprint gate is
-        // runtime wiring, not snapshotted state — re-install it after
-        // restore. Its evidence windows restart from empty.
-        Ok(proxy)
     }
 
     /// Accept the app's handshake and issue a ticket.
@@ -1640,7 +1524,7 @@ impl std::error::Error for AuthError {}
 mod tests {
     use super::*;
     use crate::events::UnpredictableEvent;
-    use crate::snapshot::QuarantineRecord;
+    use crate::snapshot::{QuarantineRecord, SnapshotError};
     use fiat_net::{Direction, TcpFlags, TlsVersion, TrafficClass, Transport};
     use fiat_sensors::{ImuTrace, MotionKind};
     use std::net::Ipv4Addr;
@@ -3010,24 +2894,46 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The proxy's snapshot, decoded.
-    fn decoded(proxy: &FiatProxy) -> HomeSnapshot {
-        HomeSnapshot::from_bytes(&proxy.snapshot()).expect("the proxy's own bytes decode")
-    }
-
-    /// Restore a snapshot with the standard plug setup (fresh telemetry,
-    /// same ceremony secret, same classifier).
-    fn restore_plug(snap: HomeSnapshot) -> FiatProxy {
+    /// Restore snapshot bytes under `config` with the standard plug
+    /// setup (fresh telemetry, same ceremony secret, same classifier).
+    fn restore_with(config: ProxyConfig, bytes: &[u8]) -> Result<FiatProxy, SnapshotError> {
         let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         FiatProxy::restore(
-            ProxyConfig::default(),
+            config,
             &SECRET,
             validator,
             ProxyTelemetry::default(),
-            snap,
+            bytes,
             |_| EventClassifier::simple_rule(235),
         )
-        .unwrap()
+    }
+
+    /// Restore snapshot bytes under the default config.
+    fn restore_plug(bytes: &[u8]) -> FiatProxy {
+        restore_with(ProxyConfig::default(), bytes).unwrap()
+    }
+
+    /// Where the audit entry count sits in snapshot `bytes`: past the
+    /// version, the truncation count and the two optional hashes.
+    fn audit_count_at(bytes: &[u8]) -> usize {
+        let head_at = 12 + 1 + 32 * usize::from(bytes[12]);
+        head_at + 1 + 32 * usize::from(bytes[head_at])
+    }
+
+    /// `bytes` with the newest audit entry cut: the count decremented
+    /// and its 16-byte record removed.
+    fn newest_entry_cut(bytes: &[u8]) -> Vec<u8> {
+        let at = audit_count_at(bytes);
+        let n = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let newest = at + 4 + 16 * (n as usize - 1);
+        let count = (n - 1).to_le_bytes();
+        [
+            &bytes[..at],
+            &count,
+            &bytes[at + 4..newest],
+            &bytes[newest + 16..],
+        ]
+        .concat()
     }
 
     #[test]
@@ -3054,7 +2960,7 @@ mod tests {
         let t = drive_prefix(&mut uninterrupted);
         drive_prefix(&mut snapshotted);
 
-        let mut restored = restore_plug(decoded(&snapshotted));
+        let mut restored = restore_plug(&snapshotted.snapshot());
         assert_eq!(restored.rule_count(), uninterrupted.rule_count());
         assert_eq!(restored.audit().head(), uninterrupted.audit().head());
 
@@ -3094,7 +3000,7 @@ mod tests {
             .on_auth_zero_rtt(&z0, SimTime::from_millis(t))
             .unwrap();
 
-        let mut restored = restore_plug(decoded(&proxy));
+        let mut restored = restore_plug(&proxy.snapshot());
         // A replay of the pre-snapshot proof is still caught.
         assert_eq!(
             restored.on_auth_zero_rtt(&z0, SimTime::from_millis(t + 1)),
@@ -3117,8 +3023,7 @@ mod tests {
         proxy.on_packet(&pkt(t, 235));
         proxy.set_degraded(SimTime::from_millis(t + 1), true);
         let bytes = proxy.snapshot();
-        let back = HomeSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(bytes, restore_plug(back).snapshot());
+        assert_eq!(bytes, restore_plug(&bytes).snapshot());
         // And two snapshots of the same state encode identically.
         assert_eq!(bytes, proxy.snapshot());
     }
@@ -3128,69 +3033,46 @@ mod tests {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
         proxy.on_packet(&pkt(t, 235));
-        let good = decoded(&proxy);
+        let good = proxy.snapshot();
+        let refused = |bytes: &[u8]| restore_with(ProxyConfig::default(), bytes).err();
 
         let mut wrong_version = good.clone();
-        wrong_version.version = crate::snapshot::SNAPSHOT_VERSION + 1;
-        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        let version = crate::snapshot::SNAPSHOT_VERSION + 1;
+        wrong_version[..4].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
-            FiatProxy::restore(
-                ProxyConfig::default(),
-                &SECRET,
-                validator,
-                ProxyTelemetry::default(),
-                wrong_version,
-                |_| EventClassifier::simple_rule(235),
-            )
-            .err(),
-            Some(crate::snapshot::SnapshotError::UnsupportedVersion(
-                crate::snapshot::SNAPSHOT_VERSION + 1
-            ))
+            refused(&wrong_version),
+            Some(SnapshotError::UnsupportedVersion(version))
         );
 
+        // The oldest entry's verdict edited, its record re-encoded with a
+        // valid checksum.
+        let first = audit_count_at(&good) + 4;
+        let record = good[first..first + 16].try_into().unwrap();
+        let mut entry = AuditEntry::decode(&record).unwrap();
+        entry.verdict = AuditVerdict::AllowedManualVerified;
         let mut tampered = good.clone();
-        tampered.audit_entries[0].verdict = AuditVerdict::AllowedManualVerified;
+        tampered[first..first + 16].copy_from_slice(&entry.encode());
         // The newest entry cut away: the shortened chain is well formed,
         // but it no longer ends at the stored head.
-        let mut tail_cut = good.clone();
-        assert!(tail_cut.audit_entries.pop().is_some());
+        let tail_cut = newest_entry_cut(&good);
         // A head that commits to nothing in the log.
         let mut foreign_head = good.clone();
-        foreign_head.audit_head = Some([0xA5; 32]);
+        foreign_head[first - 36..first - 4].fill(0xA5);
         for bad in [tampered, tail_cut, foreign_head] {
-            let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
-            assert_eq!(
-                FiatProxy::restore(
-                    ProxyConfig::default(),
-                    &SECRET,
-                    validator,
-                    ProxyTelemetry::default(),
-                    bad,
-                    |_| EventClassifier::simple_rule(235),
-                )
-                .err(),
-                Some(crate::snapshot::SnapshotError::AuditChainInvalid)
-            );
+            assert_eq!(refused(&bad), Some(SnapshotError::AuditChainInvalid));
         }
     }
 
-    /// Restore a post-bootstrap plug snapshot after `edit`, where the
-    /// plug's manual command has opened an event.
+    /// Restore a post-bootstrap plug snapshot written after `edit` of
+    /// the live device, whose manual command has opened an event.
     fn restore_edited(edit: impl FnOnce(&mut DeviceSnapshot)) -> Result<FiatProxy, SnapshotError> {
         let mut proxy = proxy_with_plug();
         let t = bootstrap(&mut proxy);
         proxy.on_packet(&pkt(t, 235));
-        let mut snap = decoded(&proxy);
-        assert!(snap.devices[0].open.is_some());
-        edit(&mut snap.devices[0]);
-        FiatProxy::restore(
-            ProxyConfig::default(),
-            &SECRET,
-            HumannessValidator::with_operating_point(1.0, 1.0, 0),
-            ProxyTelemetry::default(),
-            snap,
-            |_| EventClassifier::simple_rule(235),
-        )
+        let device = &mut proxy.devices.get_mut(&0).unwrap().rec;
+        assert!(device.open.is_some());
+        edit(device);
+        restore_with(ProxyConfig::default(), &proxy.snapshot())
     }
 
     #[test]
@@ -3287,45 +3169,6 @@ mod tests {
         }
         assert!(held(1).is_ok());
         assert!(held(capacity).is_ok());
-    }
-
-    #[test]
-    fn restore_refuses_repeated_or_out_of_order_device_ids() {
-        // The live path writes each device once, in ascending id order.
-        // A repeated id would silently keep one of its two records, and
-        // the record cap counts records in list order.
-        let golden =
-            HomeSnapshot::from_bytes(include_bytes!("../../tests/golden/snapshot_v5.bin")).unwrap();
-        let restore = |snap: HomeSnapshot| {
-            let config = ProxyConfig {
-                proof_deadline: Some(SimDuration::from_secs(60)),
-                max_rules: Some(1),
-                max_audit_entries: Some(4),
-                ..ProxyConfig::default()
-            };
-            let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
-            FiatProxy::restore(
-                config,
-                &SECRET,
-                validator,
-                ProxyTelemetry::default(),
-                snap,
-                |_| EventClassifier::simple_rule(235),
-            )
-            .err()
-        };
-        let ids: Vec<u16> = golden.devices.iter().map(|d| d.device).collect();
-        assert_eq!(ids, [0, 1, 2]);
-        assert_eq!(restore(golden.clone()), None);
-        let mut repeated = golden.clone();
-        repeated.devices.insert(2, golden.devices[1].clone());
-        assert_eq!(
-            restore(repeated),
-            Some(SnapshotError::InconsistentDevice(1))
-        );
-        let mut swapped = golden;
-        swapped.devices.swap(0, 1);
-        assert_eq!(restore(swapped), Some(SnapshotError::InconsistentDevice(0)));
     }
 
     /// Device ids of the quarantine releases a [`ProxyHook`] saw.
@@ -3498,17 +3341,8 @@ mod tests {
                 ProxyDecision::Quarantine
             );
         }
-        let snap = decoded(&proxy);
-        let restore = |cap| {
-            FiatProxy::restore(
-                config(cap),
-                &SECRET,
-                validator(),
-                ProxyTelemetry::default(),
-                snap.clone(),
-                |_| EventClassifier::simple_rule(235),
-            )
-        };
+        let bytes = proxy.snapshot();
+        let restore = |cap| restore_with(config(cap), &bytes);
         for (cap, past) in [(Some(2), 3), (Some(1), 2), (Some(0), 2)] {
             assert_eq!(
                 restore(cap).err(),
@@ -3578,17 +3412,7 @@ mod tests {
         // The snapshot round-trips the truncated chain byte-identically
         // and the restored log still verifies (from the checkpoint).
         let bytes = proxy.snapshot();
-        let back = HomeSnapshot::from_bytes(&bytes).unwrap();
-        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
-        let mut restored = FiatProxy::restore(
-            config,
-            &SECRET,
-            validator,
-            ProxyTelemetry::default(),
-            back,
-            |_| EventClassifier::simple_rule(235),
-        )
-        .unwrap();
+        let mut restored = restore_with(config, &bytes).unwrap();
         assert_eq!(restored.snapshot(), bytes);
         assert!(restored.audit().verify());
         assert_eq!(restored.audit().head(), proxy.audit().head());
@@ -3618,23 +3442,13 @@ mod tests {
         for k in 0..12u64 {
             proxy.on_packet(&pkt(t + k * 40_000, 235));
         }
-        let mut snap = decoded(&proxy);
-        assert!(snap.audit_checkpoint.is_some());
-        assert!(snap.audit_entries.len() > 1);
+        assert!(proxy.audit().checkpoint().is_some());
+        assert!(proxy.audit().len() > 1);
         // Drop the newest entry: the suffix still chains from the
         // checkpoint, but not to the stored head.
-        snap.audit_entries.pop();
-        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+        let bytes = newest_entry_cut(&proxy.snapshot());
         assert_eq!(
-            FiatProxy::restore(
-                config,
-                &SECRET,
-                validator,
-                ProxyTelemetry::default(),
-                snap,
-                |_| EventClassifier::simple_rule(235),
-            )
-            .err(),
+            restore_with(config, &bytes).err(),
             Some(SnapshotError::AuditChainInvalid)
         );
     }
@@ -3643,7 +3457,6 @@ mod tests {
     fn snapshot_round_trips_lru_order_and_ghosts() {
         // Two periodic flows learned, cap 1: the older one is evicted to
         // a ghost, then touched once so the ghost carries re-learn state.
-        let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
         let config = ProxyConfig {
             max_rules: Some(1),
             ..ProxyConfig::default()
@@ -3676,19 +3489,10 @@ mod tests {
         assert_eq!(snapshotted.rule_count(), 1);
         assert_eq!(snapshotted.state_size().rule_ghosts, 1);
 
+        let (_, ghosts) = snapshotted.rules.as_ref().unwrap().snapshot();
+        assert!(ghosts[0].last_ts.is_some());
         let bytes = snapshotted.snapshot();
-        let snap = HomeSnapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(snap.rule_ghosts.len(), 1);
-        assert!(snap.rule_ghosts[0].last_ts.is_some());
-        let mut restored = FiatProxy::restore(
-            config,
-            &SECRET,
-            validator,
-            ProxyTelemetry::default(),
-            snap,
-            |_| EventClassifier::simple_rule(235),
-        )
-        .unwrap();
+        let mut restored = restore_with(config, &bytes).unwrap();
         // Restore → snapshot reproduces the exact bytes (LRU order and
         // ghost state are semantic, not incidental).
         assert_eq!(bytes, restored.snapshot());
@@ -3905,8 +3709,7 @@ mod tests {
                         proxy.clear_lockout(d);
                     }
                     93..=96 => {
-                        let snap = decoded(&proxy);
-                        let dev = snap.devices.iter().find(|s| s.device == d).unwrap();
+                        let dev = &proxy.devices[&d].rec;
                         seen[1] |= dev.open.is_some();
                         seen[2] |= dev.quarantine.is_some();
                         seen[3] |= dev.locked;
@@ -3979,9 +3782,7 @@ mod tests {
         assert_eq!(last.ts, SimTime::from_millis(t + 2_100));
         assert_eq!(last.verdict, AuditVerdict::AllowedManualVerified);
         assert_eq!(proxy.stats().retro_unverified, 0);
-        let snap = decoded(&proxy);
-        let plug = snap.devices.iter().find(|d| d.device == 0).unwrap();
-        assert!(plug.drops.is_empty(), "no lockout credit");
+        assert!(proxy.devices[&0].rec.drops.is_empty(), "no lockout credit");
         assert!(!proxy.is_locked(0));
         assert!(proxy.audit().verify());
     }

@@ -521,44 +521,50 @@ impl RuleTable {
     /// Rebuild a table from [`RuleTable::snapshot`]'s lists, whose keys
     /// are only meaningful against the `DnsTable` snapshotted with them.
     /// Rules, then ghosts, take fresh stamps in list order, which
-    /// reproduces the snapshotted eviction order; the cap applies only
-    /// after both are in, so restoring evicts nothing the snapshotted
-    /// table held. `None` when a key appears twice among the rules and
-    /// ghosts: a table holds each key once, as a rule or as a ghost.
-    /// `tolerance` is the ghost re-learn bin. Lookups report through
-    /// `telemetry`; the bucket counters stay untouched, since re-learning
-    /// would count the buckets twice.
+    /// reproduces the snapshotted eviction order. `None` when a key
+    /// appears twice among the rules and ghosts, or when the rules or
+    /// the ghosts are more than `cap`: a live table holds each key once,
+    /// as a rule or as a ghost, and never more of either than its cap.
+    /// `tolerance` is the ghost re-learn bin. Once the lists are
+    /// accepted, lookups report into `registry`'s `fiat_rules_*` series;
+    /// the bucket counters stay untouched, since re-learning would count
+    /// the buckets twice.
     pub fn restore(
         rules: &[DeviceFlowKey],
         ghosts: &[GhostSnapshot],
         tolerance: SimDuration,
         cap: Option<usize>,
-        telemetry: RuleTelemetry,
+        registry: &MetricRegistry,
     ) -> Option<RuleTable> {
-        let mut table = RuleTable {
-            tolerance,
-            telemetry,
-            ..RuleTable::default()
-        };
+        if cap.is_some_and(|cap| rules.len().max(ghosts.len()) > cap) {
+            return None;
+        }
+        let (mut live, mut evicted, mut stamp) = (FastMap::default(), FastMap::default(), 0);
         for key in rules {
-            table.stamp += 1;
-            if table.rules.insert(*key, table.stamp).is_some() {
+            stamp += 1;
+            if live.insert(*key, stamp).is_some() {
                 return None;
             }
         }
         for g in ghosts {
-            table.stamp += 1;
+            stamp += 1;
             let ghost = Ghost {
                 last_ts: g.last_ts,
                 last_bin: g.last_bin,
-                stamp: table.stamp,
+                stamp,
             };
-            if table.rules.contains_key(&g.key) || table.ghosts.insert(g.key, ghost).is_some() {
+            if live.contains_key(&g.key) || evicted.insert(g.key, ghost).is_some() {
                 return None;
             }
         }
-        table.set_capacity(cap);
-        Some(table)
+        Some(RuleTable {
+            rules: live,
+            ghosts: evicted,
+            stamp,
+            cap,
+            tolerance,
+            telemetry: RuleTelemetry::registered(registry),
+        })
     }
 }
 
@@ -873,16 +879,11 @@ mod tests {
         assert_eq!(lru, keyed(&[k2, k3, k1]));
         assert!(ghosts.is_empty());
 
-        // Restoring the lists reproduces the order; a cap then evicts
-        // the least recently matched rule into a ghost.
+        // Restoring the lists reproduces the order; a lower cap then
+        // evicts the least recently matched rule into a ghost.
+        let registry = MetricRegistry::new();
         let restore = |rules: &[Key], ghosts: &[GhostSnapshot], cap| {
-            RuleTable::restore(
-                rules,
-                ghosts,
-                DEFAULT_TOLERANCE,
-                cap,
-                RuleTelemetry::default(),
-            )
+            RuleTable::restore(rules, ghosts, DEFAULT_TOLERANCE, cap, &registry)
         };
         assert_eq!(
             restore(&lru, &ghosts, None).unwrap().snapshot(),
@@ -899,7 +900,11 @@ mod tests {
         assert!(restore(&[], &[ghost.clone(), ghost.clone()], None).is_none());
         assert!(restore(&lru[..1], std::slice::from_ref(&ghost), None).is_none());
         assert!(restore(&lru[1..], &[ghost], None).is_some());
-        let (lru, ghosts) = restore(&lru, &ghosts, Some(2)).unwrap().snapshot();
+        // More rules than the cap is no table the live path holds.
+        assert!(restore(&lru, &ghosts, Some(2)).is_none());
+        let mut table = restore(&lru, &ghosts, Some(3)).unwrap();
+        table.set_capacity(Some(2));
+        let (lru, ghosts) = table.snapshot();
         assert_eq!(lru, keyed(&[k3, k1]));
         assert_eq!(
             ghosts,
@@ -925,14 +930,9 @@ mod tests {
         let packets: Vec<PacketRecord> = (0..10).map(|i| pkt(i * 1000, 100, 5000)).collect();
         let mut learned = RuleTable::learn(&eng, &packets, &dns);
         let (rules, ghosts) = learned.snapshot();
-        let mut restored = RuleTable::restore(
-            &rules,
-            &ghosts,
-            DEFAULT_TOLERANCE,
-            None,
-            RuleTelemetry::default(),
-        )
-        .expect("each key once");
+        let registry = MetricRegistry::new();
+        let mut restored = RuleTable::restore(&rules, &ghosts, DEFAULT_TOLERANCE, None, &registry)
+            .expect("each key once");
         let to_address = pkt(99_000, 100, 9);
         let to_domain = PacketRecord {
             remote_ip: spoofed,

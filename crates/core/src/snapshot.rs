@@ -1,6 +1,6 @@
 //! Versioned home state snapshots and their canonical binary encoding.
 //!
-//! A [`HomeSnapshot`] captures everything a [`crate::FiatProxy`] needs to
+//! A snapshot captures everything a [`crate::FiatProxy`] needs to
 //! resume mid-trace on another process (or fleet shard): learned rules,
 //! open events, the lockout and quarantine state, the epoch-keyed 0-RTT
 //! replay window, and the full audit chain. The contract, enforced by the
@@ -22,8 +22,8 @@
 //!   0-RTT tickets (re-derivable from the pairing PSK + epoch) keep
 //!   working. Classifiers are also not serialized — ML model weights are
 //!   provisioning data, re-supplied by the caller at restore.
-//! - **Versioned, no legacy reader.** [`HomeSnapshot::version`] must
-//!   equal [`SNAPSHOT_VERSION`]; restore refuses anything else. Snapshots
+//! - **Versioned, no legacy reader.** The leading `version` must equal
+//!   [`SNAPSHOT_VERSION`]; restore refuses anything else. Snapshots
 //!   live only in memory for one migration, so no older version is ever
 //!   read and a layout change is just a version bump.
 //!
@@ -36,29 +36,27 @@
 //! re-fingerprints strangers from empty evidence.
 //!
 //! One encoder writes the bytes straight from the live proxy
-//! ([`FiatProxy::snapshot`]): nothing is copied to be encoded.
-//! [`HomeSnapshot`] is what [`HomeSnapshot::from_bytes`] decodes and
-//! [`FiatProxy::restore`] consumes. The live proxy keeps each
-//! device's decision state as a [`DeviceSnapshot`], its quarantine
-//! record inside, so restore moves each device in whole. The rule
-//! table's keys are stored as it holds them ([`DeviceFlowKey`]), beside
-//! the DNS table's interner their domain ids index, so restore resolves
-//! and interns nothing: an address hits the same rule before and after a
-//! migration.
+//! ([`FiatProxy::snapshot`]), and one reader ([`FiatProxy::restore`])
+//! walks them back in the same order into the proxy's own records:
+//! nothing is copied to be encoded or decoded into a go-between. The
+//! live proxy keeps each device's decision state as a
+//! [`DeviceSnapshot`], its quarantine record inside, so restore reads
+//! each device whole. The rule table's keys are stored as it holds
+//! them ([`DeviceFlowKey`]), beside the DNS table's interner their
+//! domain ids index, so restore resolves and interns nothing: an
+//! address hits the same rule before and after a migration.
 //!
 //! ## Version 5 layout
 //!
-//! [`FiatProxy::snapshot`] writes one canonical binary encoding
-//! and [`HomeSnapshot::from_bytes`] reads it back. Integers are fixed-width
-//! little-endian. A `bool` or an option tag is one byte, 0 or 1 (an
-//! option's value follows a 1). An enum is a one-byte tag, in the
-//! variant's declaration order, followed by its payload. A list is a
-//! `u32` count, then its elements. A string is a `u32` byte count, then
-//! UTF-8. Each fact is stored once: the audit chain is its retained
-//! entries, the 32-byte head, the truncation checkpoint and ledger — not
-//! one hash per entry, since restore recomputes every link and refuses a
-//! chain that does not end at the stored head. The fields follow in
-//! [`HomeSnapshot`]'s declaration order:
+//! Integers are fixed-width little-endian. A `bool` or an option tag is
+//! one byte, 0 or 1 (an option's value follows a 1). An enum is a
+//! one-byte tag, in the variant's declaration order, followed by its
+//! payload. A list is a `u32` count, then its elements. A string is a
+//! `u32` byte count, then UTF-8. Each fact is stored once: the audit
+//! chain is its retained entries, the 32-byte head, the truncation
+//! checkpoint and ledger — not one hash per entry, since restore
+//! recomputes every link and refuses a chain that does not end at the
+//! stored head. The fields follow in this order:
 //!
 //! | Field | Encoding |
 //! |---|---|
@@ -94,45 +92,60 @@
 //!   `locked` bool, and an option of the quarantine record (list of
 //!   packets, class tag, `deadline` `u64`).
 //!
-//! The reader checks every count against the bytes left (count × the
-//! element's smallest encoding) before it sizes anything by it. It
-//! refuses an unknown tag, a bool or option tag that is not 0 or 1,
-//! invalid UTF-8, a repeated domain, a domain id at or past the domain
-//! count, DNS entries, unknown devices, replay epochs, tickets or nonces
-//! that do not strictly ascend, an audit record whose checksum fails,
-//! an open event with more packets than its inline buffer holds, and
-//! trailing bytes. The reader checks shape only; every semantic check
-//! (version, audit chain, device invariants, repeated rule keys, caps)
-//! is [`FiatProxy::restore`]'s. Together they are canonical: any
-//! bytes restore accepts, the restored proxy writes back (except rules
-//! or audit entries over the config's caps, which restore trims).
+//! Restore checks each field as it reads it, except the version and the
+//! rule table's repeated keys and cap, which it checks once the last
+//! byte is read (the table attaches its counters to the caller's
+//! registry when it accepts its keys, and a refused input touches no
+//! registry). It refuses, as
+//! [`SnapshotError::Corrupt`], a count larger than the bytes left could
+//! hold (count × the element's smallest encoding, checked before
+//! anything is sized by it), an unknown tag, a bool or option tag that
+//! is not 0 or 1, invalid UTF-8, a repeated domain, a domain id at or
+//! past the domain count, DNS entries, unknown devices, replay epochs,
+//! tickets or nonces that do not strictly ascend, an audit record whose
+//! checksum fails, an open event with more packets than its inline
+//! buffer holds, and trailing bytes. It refuses what no live proxy
+//! under the restoring config holds with the other
+//! [`SnapshotError`] variants: an audit chain that does not verify or
+//! is over `max_audit_entries`, a device that breaks the decision
+//! path's invariants, a rule key held twice, ghosts without rules, and
+//! rules or ghosts over `max_rules`. The version is checked after the
+//! last byte, so an earlier layout's bytes are `Corrupt`. Any bytes
+//! restore accepts, the restored proxy writes back exactly.
 
-use crate::audit::AuditEntry;
-use crate::classifier::EventClass;
+use crate::audit::{AuditEntry, AuditLog};
+use crate::classifier::{EventClass, EventClassifier};
 use crate::features::FEATURE_PACKETS;
-use crate::pipeline::{AllowReason, DropReason, FiatProxy, ProxyConfig, ProxyStats};
+use crate::pipeline::{
+    AllowReason, DeviceState, DropReason, FiatProxy, ProxyConfig, ProxyStats, ProxyTelemetry,
+};
 use crate::predict::RuleTable;
 use fiat_net::dns::DnsSource;
 use fiat_net::{
-    DeviceFlowKey, Direction, DnsTable, InternedFlowKey, PacketRecord, RemoteId, SimTime, TcpFlags,
-    TlsVersion, TrafficClass, Transport,
+    DeviceFlowKey, Direction, DnsTable, FastMap, InternedFlowKey, PacketRecord, RemoteId, SimTime,
+    TcpFlags, TlsVersion, TrafficClass, Transport,
 };
 use fiat_quic::{ReplayEpochImage, ServerImage};
+use fiat_sensors::HumannessValidator;
 use std::net::Ipv4Addr;
 
 /// Current snapshot layout version. Bump on any incompatible change to
-/// the structs in this module; restore reads this version only.
+/// the layout in this module; restore reads this version only.
 pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The snapshot's version field does not match [`SNAPSHOT_VERSION`].
+    /// The bytes are not one canonical version-5 encoding (the module
+    /// docs list what the reader refuses).
+    Corrupt,
+    /// The bytes read as one version-5 encoding, but their leading
+    /// version is not [`SNAPSHOT_VERSION`].
     UnsupportedVersion(u32),
     /// The audit chain recomputed from the snapshot's entries does not
-    /// end at its stored head, or its truncation ledger is impossible:
-    /// the snapshot was tampered with or truncated and must not be
-    /// resumed from.
+    /// end at its stored head, its truncation ledger is impossible, or
+    /// it holds more entries than `max_audit_entries`: the snapshot was
+    /// tampered with or truncated and must not be resumed from.
     AuditChainInvalid,
     /// This device's state breaks an invariant the decision path relies
     /// on: its id is not above the previous device's in the list (a
@@ -146,15 +159,17 @@ pub enum SnapshotError {
     /// hold more state than the live path allows, drop one of two
     /// records, or panic on the device's next packet.
     InconsistentDevice(u16),
-    /// A key is repeated among the rules and ghosts, or ghosts come
-    /// without rules: the live table holds each key once, as a rule or a
-    /// ghost, and no ghosts before it is learned.
+    /// A key is repeated among the rules and ghosts, ghosts come without
+    /// rules, or the rules or the ghosts are more than `max_rules`: the
+    /// live table holds each key once, as a rule or a ghost, no ghosts
+    /// before it is learned, and at most its cap of each.
     InconsistentRules,
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SnapshotError::Corrupt => write!(f, "snapshot bytes did not parse"),
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
@@ -165,70 +180,14 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::InconsistentDevice(d) => {
                 write!(f, "device {d}: state inconsistent with the decision path")
             }
-            SnapshotError::InconsistentRules => write!(f, "repeated rule key or stray ghosts"),
+            SnapshotError::InconsistentRules => {
+                write!(f, "repeated rule key, stray ghosts or rules over the cap")
+            }
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// Full decision state of one home's proxy, as
-/// [`HomeSnapshot::from_bytes`] decodes it and
-/// [`FiatProxy::restore`] consumes it (see the module docs).
-///
-/// Compare homes through the bytes [`FiatProxy::snapshot`] writes
-/// (the canonical form) — `DnsTable` has no structural equality.
-#[derive(Debug, Clone)]
-pub struct HomeSnapshot {
-    /// Layout version ([`SNAPSHOT_VERSION`]).
-    pub version: u32,
-    /// How many audit entries were truncated away before the retained
-    /// suffix.
-    pub audit_truncated: u64,
-    /// Chain hash of the last truncated-away audit entry, if the log has
-    /// ever been checkpoint-truncated; the suffix verifies from this
-    /// anchor instead of genesis.
-    pub audit_checkpoint: Option<[u8; 32]>,
-    /// Chain head ([`crate::audit::AuditLog::head`]); `None` for a log
-    /// that never held an entry. Restore recomputes the chain from the
-    /// entries and requires it to end here.
-    pub audit_head: Option<[u8; 32]>,
-    /// Audit entries. When the chain was checkpoint-truncated this is
-    /// the retained suffix.
-    pub audit_entries: Vec<AuditEntry>,
-    /// When the proxy started (bootstrap anchor).
-    pub started_at: Option<SimTime>,
-    /// Humanness-proof freshness horizon.
-    pub human_valid_until: SimTime,
-    /// Handshake server-random counter (continues unique randoms).
-    pub server_random_counter: u64,
-    /// Whether the proxy was in control-plane degraded mode.
-    pub degraded: bool,
-    /// DNS knowledge with its interner, whose domain ids the rule keys
-    /// use (encoded as its domains in id order and its entries sorted
-    /// by IP; restore keeps every id).
-    pub dns: DnsTable,
-    /// Bootstrap capture, when the snapshot predates rule learning.
-    pub bootstrap_buffer: Vec<PacketRecord>,
-    /// Learned rules, keyed as the rule table keys them (PortLess
-    /// remotes by [`HomeSnapshot::dns`] domain id or unresolved
-    /// address), in LRU order (least-recently-matched first, the
-    /// eviction order); `None` when bootstrap had not completed.
-    pub rules: Option<Vec<DeviceFlowKey>>,
-    /// Evicted-rule ghosts in LRU order (re-learn candidates; empty when
-    /// no rule has been evicted or bootstrap had not completed).
-    pub rule_ghosts: Vec<GhostSnapshot>,
-    /// Unknown devices already audited fail-open, sorted.
-    pub unknown_seen: Vec<u16>,
-    /// Per-device decision state, strictly ascending by device id.
-    pub devices: Vec<DeviceSnapshot>,
-    /// Quarantine releases not yet drained by the interception layer.
-    pub released_packets: Vec<PacketRecord>,
-    /// Decision counters so far.
-    pub stats: ProxyStats,
-    /// QUIC server state (ticket issuance + epoch-keyed replay window).
-    pub quic: ServerImage,
-}
 
 /// One device's decision state: the live proxy's own record of the
 /// device (beside its classifier), not a copy made for the snapshot.
@@ -376,8 +335,8 @@ pub enum EventFate {
     Quarantine,
 }
 
-/// One evicted rule's re-learn ("ghost") state, keyed like
-/// [`HomeSnapshot::rules`].
+/// One evicted rule's re-learn ("ghost") state, keyed like the rules
+/// ([`RuleTable::snapshot`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GhostSnapshot {
     /// The evicted rule's key.
@@ -403,37 +362,6 @@ pub struct QuarantineRecord {
     pub class: EventClass,
     /// Proof deadline.
     pub deadline: SimTime,
-}
-
-impl HomeSnapshot {
-    /// Read [`FiatProxy::snapshot`]'s encoding back. `None` when the
-    /// bytes are not exactly one canonical encoding (the module docs list
-    /// what the reader refuses). Whether the decoded state may be resumed
-    /// from is [`FiatProxy::restore`]'s decision.
-    pub fn from_bytes(bytes: &[u8]) -> Option<HomeSnapshot> {
-        let mut r = Reader { bytes, domains: 0 };
-        let snap = HomeSnapshot {
-            version: r.u32()?,
-            audit_truncated: r.u64()?,
-            audit_checkpoint: r.opt(Reader::array)?,
-            audit_head: r.opt(Reader::array)?,
-            audit_entries: r.list(AUDIT_LEN, |r| AuditEntry::decode(&r.array()?))?,
-            started_at: r.opt(Reader::time)?,
-            human_valid_until: r.time()?,
-            server_random_counter: r.u64()?,
-            degraded: r.bool()?,
-            dns: r.dns()?,
-            bootstrap_buffer: r.list(PACKET_LEN, Reader::packet)?,
-            rules: r.opt(|r| r.list(RULE_MIN, Reader::key))?,
-            rule_ghosts: r.list(GHOST_MIN, Reader::ghost)?,
-            unknown_seen: r.ascending(2, Reader::u16, |&d| d)?,
-            devices: r.list(DEVICE_MIN, Reader::device)?,
-            released_packets: r.list(PACKET_LEN, Reader::packet)?,
-            stats: r.stats()?,
-            quic: r.quic()?,
-        };
-        r.bytes.is_empty().then_some(snap)
-    }
 }
 
 /// Smallest encodings of the list elements, which bound a list's count
@@ -769,71 +697,215 @@ impl FiatProxy {
         w.snapshot(self, &sorted);
         w.out
     }
+
+    /// Rebuild a proxy from [`FiatProxy::snapshot`]'s bytes and resume
+    /// deciding. One walk reads the bytes in layout order and checks
+    /// each field as it reads it (the module docs list the checks); the
+    /// proxy is built only after the last byte, so refused bytes never
+    /// reach `telemetry`'s registry.
+    ///
+    /// `ceremony_secret` must be the secret the snapshotted proxy was
+    /// paired with: the pairing PSK (and with it the per-epoch ticket
+    /// secrets clients hold) is re-derived, so issued 0-RTT tickets keep
+    /// working across the restore. The 1-RTT session key is deliberately
+    /// not part of a snapshot — clients re-handshake for 1-RTT.
+    /// `classifiers` re-supplies each device's classifier (model weights
+    /// are provisioning data, not state).
+    ///
+    /// Restore is telemetry-silent: gauges and counters in `telemetry`
+    /// are *not* replayed, because the registry that witnessed the
+    /// pre-snapshot traffic already counted it. A fleet that folds the
+    /// old and new registries additively gets totals byte-identical to
+    /// an uninterrupted run — the invariant the fleet rebalance tests
+    /// pin. The interaction graph, any hook and the fingerprint gate
+    /// are not part of a snapshot; re-install them after restore if the
+    /// home uses them (the gate's evidence windows restart empty).
+    ///
+    /// Snapshot bytes are not authenticated, so restore accepts only
+    /// state a live proxy under `config` could hold, and refuses the
+    /// rest with the [`SnapshotError`] that names it. The first refusal
+    /// in layout order is the one reported, except that the version and
+    /// the rule table are checked after the last byte.
+    pub fn restore(
+        config: ProxyConfig,
+        ceremony_secret: &[u8; 32],
+        validator: HumannessValidator,
+        telemetry: ProxyTelemetry,
+        bytes: &[u8],
+        classifiers: impl FnMut(u16) -> EventClassifier,
+    ) -> Result<FiatProxy, SnapshotError> {
+        let mut r = Reader { bytes, domains: 0 };
+        r.restore(config, ceremony_secret, validator, telemetry, classifiers)
+    }
+}
+
+/// What a [`Reader`] read, or why the bytes are refused.
+type Read<T> = Result<T, SnapshotError>;
+
+/// `Ok(())` when `ok`, else `err`.
+fn check(ok: bool, err: SnapshotError) -> Read<()> {
+    ok.then_some(()).ok_or(err)
 }
 
 /// The decoder: the bytes not yet read, and how many domains the DNS
-/// table holds once it is read, to refuse an id past them.
+/// table holds once it is read, to refuse an id past them. A read that
+/// the bytes do not hold is [`SnapshotError::Corrupt`].
 struct Reader<'a> {
     bytes: &'a [u8],
     domains: u32,
 }
 
 impl<'a> Reader<'a> {
-    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
-        let (head, rest) = self.bytes.split_first_chunk()?;
-        self.bytes = rest;
-        Some(*head)
+    /// The whole layout, in [`Writer::snapshot`]'s order, each field
+    /// checked as it is read, then the proxy built from what was read.
+    /// The rule table is built last, since it attaches its counters to
+    /// `telemetry`'s registry once it accepts its keys.
+    fn restore(
+        &mut self,
+        config: ProxyConfig,
+        ceremony_secret: &[u8; 32],
+        validator: HumannessValidator,
+        telemetry: ProxyTelemetry,
+        mut classifiers: impl FnMut(u16) -> EventClassifier,
+    ) -> Read<FiatProxy> {
+        use SnapshotError::{AuditChainInvalid, Corrupt, InconsistentDevice, InconsistentRules};
+        let version = self.u32()?;
+        let truncated = self.u64()?;
+        let checkpoint = self.opt(Self::array)?;
+        let head = self.opt(Self::array)?;
+        let entries = self.list(AUDIT_LEN, |r| {
+            AuditEntry::decode(&r.array()?).ok_or(Corrupt)
+        })?;
+        let max_entries = config.max_audit_entries;
+        check(
+            max_entries.is_none_or(|max| entries.len() <= max),
+            AuditChainInvalid,
+        )?;
+        let mut audit = AuditLog::from_parts_at(checkpoint, truncated, entries, head)
+            .ok_or(AuditChainInvalid)?;
+        audit.set_max_entries(max_entries);
+        let started_at = self.opt(Self::time)?;
+        let human_valid_until = self.time()?;
+        let server_random_counter = self.u64()?;
+        let degraded = self.bool()?;
+        let dns = self.dns()?;
+        let bootstrap_buffer = self.list(PACKET_LEN, Self::packet)?;
+        let rules = self.opt(|r| r.list(RULE_MIN, Self::key))?;
+        let ghosts = self.list(GHOST_MIN, Self::ghost)?;
+        check(rules.is_some() || ghosts.is_empty(), InconsistentRules)?;
+        let unknown_seen = self.ascending(2, Self::u16, |&d| d)?;
+        // Devices ascend by id, each is consistent, and each record is
+        // within the record cap, counting in list order.
+        let record_cap = config
+            .max_quarantine_records
+            .map_or(usize::MAX, |c| c.max(1));
+        let n = self.count(DEVICE_MIN)?;
+        let mut devices = FastMap::default();
+        devices.reserve(n);
+        let (mut prev, mut records) = (None, 0);
+        for _ in 0..n {
+            let rec = self.device()?;
+            records += usize::from(rec.quarantine.is_some());
+            let ok = prev < Some(rec.device) && rec.is_consistent(&config) && records <= record_cap;
+            check(ok, InconsistentDevice(rec.device))?;
+            prev = Some(rec.device);
+            let classifier = classifiers(rec.device);
+            devices.insert(rec.device, DeviceState { classifier, rec });
+        }
+        let released = self.list(PACKET_LEN, Self::packet)?;
+        let stats = self.stats()?;
+        let quic = self.quic()?;
+        check(self.bytes.is_empty(), Corrupt)?;
+        check(
+            version == SNAPSHOT_VERSION,
+            SnapshotError::UnsupportedVersion(version),
+        )?;
+        let rules = rules
+            .map(|rules| {
+                let (tolerance, cap) = (config.tolerance, config.max_rules);
+                RuleTable::restore(&rules, &ghosts, tolerance, cap, telemetry.registry())
+                    .ok_or(InconsistentRules)
+            })
+            .transpose()?;
+        let mut proxy = FiatProxy::with_telemetry(config, ceremony_secret, validator, telemetry);
+        proxy.quic.restore_image(&quic);
+        proxy.rules = rules;
+        proxy.devices = devices;
+        proxy.policy.human_valid_until = human_valid_until;
+        proxy.policy.audit = audit;
+        proxy.policy.stats = stats;
+        proxy.dns = dns;
+        proxy.started_at = started_at;
+        proxy.bootstrap_buffer = bootstrap_buffer;
+        proxy.server_random_counter = server_random_counter;
+        proxy.quarantine.released = released;
+        proxy.unknown.seen = unknown_seen.into_iter().collect();
+        proxy.degraded = degraded;
+        Ok(proxy)
     }
 
-    fn u8(&mut self) -> Option<u8> {
+    fn array<const N: usize>(&mut self) -> Read<[u8; N]> {
+        let (head, rest) = self
+            .bytes
+            .split_first_chunk()
+            .ok_or(SnapshotError::Corrupt)?;
+        self.bytes = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Read<u8> {
         self.array().map(u8::from_le_bytes)
     }
 
-    fn u16(&mut self) -> Option<u16> {
+    fn u16(&mut self) -> Read<u16> {
         self.array().map(u16::from_le_bytes)
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    fn u32(&mut self) -> Read<u32> {
         self.array().map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    fn u64(&mut self) -> Read<u64> {
         self.array().map(u64::from_le_bytes)
     }
 
-    fn bool(&mut self) -> Option<bool> {
+    fn bool(&mut self) -> Read<bool> {
         match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(SnapshotError::Corrupt),
         }
     }
 
-    fn time(&mut self) -> Option<SimTime> {
+    fn time(&mut self) -> Read<SimTime> {
         self.u64().map(SimTime::from_micros)
     }
 
-    fn ip(&mut self) -> Option<Ipv4Addr> {
+    fn ip(&mut self) -> Read<Ipv4Addr> {
         self.array().map(Ipv4Addr::from)
     }
 
-    fn tag<T: Copy>(&mut self, all: &[T]) -> Option<T> {
-        all.get(usize::from(self.u8()?)).copied()
+    fn tag<T: Copy>(&mut self, all: &[T]) -> Read<T> {
+        let at = usize::from(self.u8()?);
+        all.get(at).copied().ok_or(SnapshotError::Corrupt)
     }
 
     /// A list count, refused unless `count × min` bytes are left.
-    fn count(&mut self, min: usize) -> Option<usize> {
-        let n = usize::try_from(self.u32()?).ok()?;
-        (n.checked_mul(min)? <= self.bytes.len()).then_some(n)
+    fn count(&mut self, min: usize) -> Read<usize> {
+        let n = usize::try_from(self.u32()?).map_err(|_| SnapshotError::Corrupt)?;
+        let fits = n
+            .checked_mul(min)
+            .is_some_and(|len| len <= self.bytes.len());
+        check(fits, SnapshotError::Corrupt).map(|()| n)
     }
 
-    fn list<T>(&mut self, min: usize, mut f: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+    fn list<T>(&mut self, min: usize, mut f: impl FnMut(&mut Self) -> Read<T>) -> Read<Vec<T>> {
         let n = self.count(min)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(f(self)?);
         }
-        Some(out)
+        Ok(out)
     }
 
     /// A list whose elements' `key`s strictly ascend: the one order of
@@ -841,43 +913,43 @@ impl<'a> Reader<'a> {
     fn ascending<T, K: Ord>(
         &mut self,
         min: usize,
-        f: impl FnMut(&mut Self) -> Option<T>,
+        f: impl FnMut(&mut Self) -> Read<T>,
         key: impl Fn(&T) -> K,
-    ) -> Option<Vec<T>> {
+    ) -> Read<Vec<T>> {
         let items = self.list(min, f)?;
-        items
-            .windows(2)
-            .all(|w| key(&w[0]) < key(&w[1]))
-            .then_some(items)
+        let ascends = items.windows(2).all(|w| key(&w[0]) < key(&w[1]));
+        check(ascends, SnapshotError::Corrupt).map(|()| items)
     }
 
-    fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
+    fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> Read<T>) -> Read<Option<T>> {
         match self.bool()? {
-            false => Some(None),
+            false => Ok(None),
             true => f(self).map(Some),
         }
     }
 
-    fn text(&mut self) -> Option<&'a str> {
+    fn text(&mut self) -> Read<&'a str> {
         let len = self.count(1)?;
         let (text, rest) = self.bytes.split_at(len);
         self.bytes = rest;
-        std::str::from_utf8(text).ok()
+        std::str::from_utf8(text).map_err(|_| SnapshotError::Corrupt)
     }
 
-    fn domain(&mut self) -> Option<u32> {
-        self.u32().filter(|&id| id < self.domains)
+    fn domain(&mut self) -> Read<u32> {
+        let id = self.u32()?;
+        check(id < self.domains, SnapshotError::Corrupt).map(|()| id)
     }
 
-    fn dns(&mut self) -> Option<DnsTable> {
+    fn dns(&mut self) -> Read<DnsTable> {
         let domains = self.list(4, Self::text)?;
-        self.domains = u32::try_from(domains.len()).ok()?;
-        let entry = |r: &mut Self| Some((r.ip()?, r.domain()?, r.tag(&DNS_SOURCES)?));
-        DnsTable::from_parts(domains, self.ascending(DNS_ENTRY_LEN, entry, |e| e.0)?)
+        self.domains = u32::try_from(domains.len()).map_err(|_| SnapshotError::Corrupt)?;
+        let entry = |r: &mut Self| Ok((r.ip()?, r.domain()?, r.tag(&DNS_SOURCES)?));
+        let entries = self.ascending(DNS_ENTRY_LEN, entry, |e| e.0)?;
+        DnsTable::from_parts(domains, entries).ok_or(SnapshotError::Corrupt)
     }
 
-    fn packet(&mut self) -> Option<PacketRecord> {
-        Some(PacketRecord {
+    fn packet(&mut self) -> Read<PacketRecord> {
+        Ok(PacketRecord {
             ts: self.time()?,
             device: self.u16()?,
             direction: self.tag(&DIRECTIONS)?,
@@ -895,19 +967,17 @@ impl<'a> Reader<'a> {
 
     /// An open event's packet list, refused past [`FEATURE_PACKETS`]:
     /// more than the live path ever buffers.
-    fn event_packets(&mut self) -> Option<EventPackets> {
+    fn event_packets(&mut self) -> Read<EventPackets> {
         let n = self.count(PACKET_LEN)?;
-        if n > FEATURE_PACKETS {
-            return None;
-        }
+        check(n <= FEATURE_PACKETS, SnapshotError::Corrupt)?;
         let mut packets = EventPackets::new();
         for _ in 0..n {
             packets.push(&self.packet()?);
         }
-        Some(packets)
+        Ok(packets)
     }
 
-    fn key(&mut self) -> Option<DeviceFlowKey> {
+    fn key(&mut self) -> Read<DeviceFlowKey> {
         let device = self.u16()?;
         let flow = match self.u8()? {
             0 => InternedFlowKey::Classic {
@@ -922,45 +992,45 @@ impl<'a> Reader<'a> {
                 remote: match self.u8()? {
                     0 => RemoteId::Domain(self.domain()?),
                     1 => RemoteId::Ip(self.ip()?),
-                    _ => return None,
+                    _ => return Err(SnapshotError::Corrupt),
                 },
                 proto: self.u8()?,
                 size: self.u16()?,
                 dir: self.u8()?,
             },
-            _ => return None,
+            _ => return Err(SnapshotError::Corrupt),
         };
-        Some(DeviceFlowKey { device, flow })
+        Ok(DeviceFlowKey { device, flow })
     }
 
-    fn ghost(&mut self) -> Option<GhostSnapshot> {
-        Some(GhostSnapshot {
+    fn ghost(&mut self) -> Read<GhostSnapshot> {
+        Ok(GhostSnapshot {
             key: self.key()?,
             last_ts: self.opt(Self::time)?,
             last_bin: self.opt(Self::u64)?,
         })
     }
 
-    fn device(&mut self) -> Option<DeviceSnapshot> {
-        Some(DeviceSnapshot {
+    fn device(&mut self) -> Read<DeviceSnapshot> {
+        Ok(DeviceSnapshot {
             device: self.u16()?,
-            classify_at: usize::try_from(self.u64()?).ok()?,
+            classify_at: usize::try_from(self.u64()?).map_err(|_| SnapshotError::Corrupt)?,
             open: self.opt(|r| {
-                Some(OpenEvent {
+                Ok(OpenEvent {
                     packets: r.event_packets()?,
                     last: r.time()?,
                     fate: r.opt(|r| match r.u8()? {
                         0 => r.tag(&AllowReason::ALL).map(EventFate::AllowRest),
                         1 => r.tag(&DropReason::ALL).map(EventFate::DropRest),
-                        2 => Some(EventFate::Quarantine),
-                        _ => None,
+                        2 => Ok(EventFate::Quarantine),
+                        _ => Err(SnapshotError::Corrupt),
                     })?,
                 })
             })?,
             drops: self.list(8, Self::time)?,
             locked: self.bool()?,
             quarantine: self.opt(|r| {
-                Some(QuarantineRecord {
+                Ok(QuarantineRecord {
                     packets: r.list(PACKET_LEN, Self::packet)?,
                     class: r.tag(&EVENT_CLASSES)?,
                     deadline: r.time()?,
@@ -969,16 +1039,16 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn stats(&mut self) -> Option<ProxyStats> {
+    fn stats(&mut self) -> Read<ProxyStats> {
         let mut s = ProxyStats::default();
         for field in ProxyStats::FIELDS {
             *field(&mut s) = self.u64()?;
         }
-        Some(s)
+        Ok(s)
     }
 
-    fn quic(&mut self) -> Option<ServerImage> {
-        Some(ServerImage {
+    fn quic(&mut self) -> Read<ServerImage> {
+        Ok(ServerImage {
             next_ticket_id: self.u64()?,
             current_epoch: self.u32()?,
             replay_retired_below: self.u32()?,
@@ -987,27 +1057,24 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn epoch(&mut self) -> Option<ReplayEpochImage> {
+    fn epoch(&mut self) -> Read<ReplayEpochImage> {
         let epoch = self.u32()?;
-        let ticket = |r: &mut Self| Some((r.u64()?, r.ascending(8, Self::u64, |&n| n)?));
+        let ticket = |r: &mut Self| Ok((r.u64()?, r.ascending(8, Self::u64, |&n| n)?));
         let entries = self.ascending(TICKET_MIN, ticket, |&(ticket, _)| ticket)?;
-        Some(ReplayEpochImage { epoch, entries })
+        Ok(ReplayEpochImage { epoch, entries })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classifier::EventClassifier;
-    use crate::pipeline::ProxyTelemetry;
     use fiat_net::SimDuration;
-    use fiat_sensors::HumannessValidator;
 
     const FIXTURE: &[u8] = include_bytes!("../tests/golden/snapshot_v5.bin");
 
-    /// `bytes` decoded and restored under the config of the home the
-    /// fixture was taken from; `None` if either step refuses them.
-    fn restored(bytes: &[u8]) -> Option<FiatProxy> {
+    /// `bytes` restored under the config of the home the fixture was
+    /// taken from.
+    fn restored(bytes: &[u8]) -> Read<FiatProxy> {
         let config = ProxyConfig {
             proof_deadline: Some(SimDuration::from_secs(60)),
             max_rules: Some(1),
@@ -1019,10 +1086,9 @@ mod tests {
             &[0x77; 32],
             HumannessValidator::with_operating_point(1.0, 1.0, 0),
             ProxyTelemetry::default(),
-            HomeSnapshot::from_bytes(bytes)?,
+            bytes,
             |_| EventClassifier::simple_rule(235),
         )
-        .ok()
     }
 
     /// A sink that records where each checked value sits.
@@ -1077,10 +1143,11 @@ mod tests {
                 // 0xFF never occurs in UTF-8.
                 Field::Text => vec![edited(at, &[0xFF])],
                 // An id past the domains is refused; the last domain's
-                // decodes. The marks include a rule's and a ghost's.
+                // reads. The marks include a rule's and a ghost's.
                 Field::Domain => {
                     let last = edited(at, &(domains - 1).to_le_bytes());
-                    assert!(HomeSnapshot::from_bytes(&last).is_some(), "id at byte {at}");
+                    let err = restored(&last).err();
+                    assert_ne!(err, Some(SnapshotError::Corrupt), "id at byte {at}");
                     vec![
                         edited(at, &domains.to_le_bytes()),
                         edited(at, &u32::MAX.to_le_bytes()),
@@ -1088,10 +1155,10 @@ mod tests {
                 }
             };
             for bytes in edits {
-                // `restore_home` answers `None` with `RestoreError::Corrupt`.
-                assert!(
-                    HomeSnapshot::from_bytes(&bytes).is_none(),
-                    "{field:?} edit at byte {at} decoded"
+                assert_eq!(
+                    restored(&bytes).err(),
+                    Some(SnapshotError::Corrupt),
+                    "{field:?} edit at byte {at}"
                 );
             }
             let kind = std::mem::discriminant(&field);
@@ -1103,7 +1170,7 @@ mod tests {
     }
 
     #[test]
-    fn only_the_canonical_encoding_decodes() {
+    fn only_the_canonical_encoding_restores() {
         let mut home = restored(FIXTURE).expect("the fixture restores");
         let mut dns = DnsTable::new();
         dns.observe_forward(Ipv4Addr::new(1, 1, 1, 1), "a.example");
@@ -1115,7 +1182,7 @@ mod tests {
         let refused = |at: usize, value: &[u8]| {
             let mut edited = bytes.clone();
             edited[at..at + value.len()].copy_from_slice(value);
-            HomeSnapshot::from_bytes(&edited).is_none()
+            restored(&edited).err() == Some(SnapshotError::Corrupt)
         };
         // A repeated domain.
         assert!(refused(find(b"b.example").unwrap(), b"a.example"));
@@ -1134,7 +1201,36 @@ mod tests {
         // Trailing bytes.
         let mut longer = bytes.clone();
         longer.push(0);
-        assert!(HomeSnapshot::from_bytes(&longer).is_none());
+        assert_eq!(restored(&longer).err(), Some(SnapshotError::Corrupt));
+    }
+
+    #[test]
+    fn restore_refuses_repeated_or_out_of_order_device_ids() {
+        // The live path writes each device once, in ascending id order.
+        // A repeated id would silently keep one of its two records, and
+        // the record cap counts records in list order. The edits rewrite
+        // the fixture's device list in another order.
+        let home = restored(FIXTURE).expect("the fixture restores");
+        let devices = Sorted::of(&home).devices;
+        let ids: Vec<u16> = devices.iter().map(|d| d.device).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        let list = |order: &[usize]| {
+            let mut w = Writer { out: Vec::new() };
+            w.list(order, |w, &i| w.device(devices[i]));
+            w.out
+        };
+        let whole = list(&[0, 1, 2]);
+        let at = FIXTURE.windows(whole.len()).position(|w| *w == whole[..]);
+        let at = at.expect("the device list");
+        let reordered = |order: &[usize]| {
+            let rest = &FIXTURE[at + whole.len()..];
+            restored(&[&FIXTURE[..at], &list(order), rest].concat()).err()
+        };
+        assert_eq!(reordered(&[0, 1, 2]), None);
+        let repeated = reordered(&[0, 1, 1, 2]);
+        assert_eq!(repeated, Some(SnapshotError::InconsistentDevice(1)));
+        let swapped = reordered(&[1, 0, 2]);
+        assert_eq!(swapped, Some(SnapshotError::InconsistentDevice(0)));
     }
 
     #[test]
@@ -1158,7 +1254,7 @@ mod tests {
         let read = |bytes: &[u8]| Reader { bytes, domains: 0 }.device();
         let five = read(&device(FEATURE_PACKETS)).expect("a full window decodes");
         assert_eq!(five.open.unwrap().packets.len(), FEATURE_PACKETS);
-        assert!(read(&device(FEATURE_PACKETS + 1)).is_none());
+        assert!(read(&device(FEATURE_PACKETS + 1)).is_err());
     }
 
     #[test]

@@ -25,9 +25,9 @@
 
 use fiat_core::classifier::event_dataset;
 use fiat_core::{
-    event_features, AllowReason, AuthMessage, EventClassifier, FiatApp, FiatProxy, HomeSnapshot,
+    event_features, AllowReason, AuthMessage, EventClassifier, FiatApp, FiatProxy,
     PredictabilityEngine, ProxyConfig, ProxyDecision, ProxyTelemetry, RuleTable, RuleTelemetry,
-    UnpredictableEvent, DECIDE_SAMPLE_EVERY,
+    SnapshotError, UnpredictableEvent, DECIDE_SAMPLE_EVERY,
 };
 use fiat_net::{
     Direction, DnsTable, FlowDef, PacketRecord, SimDuration, SimTime, TcpFlags, TlsVersion,
@@ -453,13 +453,12 @@ fn fixture_config() -> ProxyConfig {
 
 /// The home the fixture was taken from, restored under its config.
 fn fixture_home() -> FiatProxy {
-    let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
     FiatProxy::restore(
         fixture_config(),
         &[0x77; 32],
         HumannessValidator::with_operating_point(1.0, 1.0, 0),
         ProxyTelemetry::default(),
-        snap,
+        FIXTURE,
         |_| EventClassifier::simple_rule(235),
     )
     .expect("the fixture restores")
@@ -479,32 +478,24 @@ fn snapshot_codec_allocations_are_bounded() {
         written <= 8,
         "FiatProxy::snapshot made {written} allocations"
     );
-    // One per non-empty decoded list, and the DNS table's maps and
-    // domain strings: 20 on the fixture.
-    let (decoded, back) = allocations(|| HomeSnapshot::from_bytes(&bytes));
-    assert!(back.is_some());
-    assert!(
-        decoded <= 20,
-        "HomeSnapshot::from_bytes made {decoded} allocations"
-    );
 }
 
 #[test]
-fn restore_moves_the_snapshot_in() {
-    let snap = HomeSnapshot::from_bytes(FIXTURE).expect("the fixture decodes");
+fn restore_allocations_are_bounded() {
     let config = fixture_config();
     let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
     let telemetry = ProxyTelemetry::default();
     let (n, proxy) = allocations(|| {
-        FiatProxy::restore(config, &[0x77; 32], validator, telemetry, snap, |_| {
+        FiatProxy::restore(config, &[0x77; 32], validator, telemetry, FIXTURE, |_| {
             EventClassifier::simple_rule(235)
         })
     });
-    assert!(proxy.is_ok());
-    // The proxy's own set-up (keystore, QUIC server, maps, the rule
-    // table rebuilt from its keys): 24 on the fixture. The audit entries, DNS
-    // table, devices and packet lists move in; cloning them made 39.
-    assert!(n <= 24, "FiatProxy::restore made {n} allocations");
+    assert_eq!(proxy.expect("the fixture restores").snapshot(), FIXTURE);
+    // One walk reads the bytes into the proxy's own records: the audit
+    // entries, the DNS table's maps and domain strings, every non-empty
+    // list, the rule table, the device map, then the proxy's own set-up
+    // (keystore, QUIC server, replay store): 39 on the fixture.
+    assert!(n <= 39, "FiatProxy::restore made {n} allocations");
 }
 
 #[test]
@@ -517,7 +508,14 @@ fn untrusted_snapshot_count_sizes_nothing() {
     bytes.extend_from_slice(&[0, 0]);
     bytes.extend_from_slice(&u32::MAX.to_le_bytes());
     bytes.resize(40, 0);
-    let (n, decoded) = allocations(|| HomeSnapshot::from_bytes(&bytes));
-    assert!(decoded.is_none());
+    let config = ProxyConfig::default();
+    let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+    let telemetry = ProxyTelemetry::default();
+    let (n, restored) = allocations(|| {
+        FiatProxy::restore(config, &[0x77; 32], validator, telemetry, &bytes, |_| {
+            EventClassifier::simple_rule(235)
+        })
+    });
+    assert_eq!(restored.err(), Some(SnapshotError::Corrupt));
     assert_eq!(n, 0, "the count sized {n} allocations");
 }

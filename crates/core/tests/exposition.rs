@@ -16,8 +16,8 @@
 
 use fiat_core::pipeline::AuthError;
 use fiat_core::{
-    AllowReason, EventClassifier, FiatApp, FiatProxy, HomeSnapshot, ProxyConfig, ProxyDecision,
-    ProxyEvent, ProxyHook, ProxyTelemetry,
+    AllowReason, EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision, ProxyEvent,
+    ProxyHook, ProxyTelemetry,
 };
 use fiat_net::{Direction, PacketRecord, SimDuration, SimTime, TcpFlags, TlsVersion};
 use fiat_net::{TrafficClass, Transport};
@@ -232,14 +232,13 @@ fn drive() -> Driven {
     assert!(proxy.telemetry().degraded_decision_count() > 0);
 
     // Restore into a fresh registry and keep deciding there.
-    let snap = HomeSnapshot::from_bytes(&proxy.snapshot()).expect("the proxy's bytes decode");
     let restored_registry = MetricRegistry::new();
     let mut restored = FiatProxy::restore(
         config(),
         &SECRET,
         validator(),
         telemetry(&restored_registry),
-        snap,
+        &proxy.snapshot(),
         |_| EventClassifier::simple_rule(235),
     )
     .unwrap();
