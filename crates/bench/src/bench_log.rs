@@ -231,6 +231,43 @@ mod tests {
         }
     }
 
+    /// The committed trajectory at the repo root.
+    const COMMITTED: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
+
+    #[test]
+    fn committed_trajectory_renders_byte_for_byte() {
+        let text = std::fs::read_to_string(COMMITTED).unwrap();
+        let records = load_fleet_records(Path::new(COMMITTED)).unwrap();
+        assert_eq!(render_document(&records), text);
+        // Integer-valued `days` and `pps` come back as written.
+        assert!(text.contains("\"days\":1,"));
+        assert!(text.contains("\"pps\":2336728}"));
+    }
+
+    #[test]
+    fn appending_a_fixed_record_adds_a_fixed_line() {
+        let dir = std::env::temp_dir().join("fiat_bench_log_append_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_fleet.json");
+        let before = std::fs::read_to_string(COMMITTED).unwrap();
+        std::fs::write(&path, &before).unwrap();
+        let mut rec = record("fleet");
+        rec.note = Some("tab\t \"quoted\" back\\slash".into());
+        append_fleet_record(&path, &rec).unwrap();
+
+        let body = before.strip_suffix("\n ]}\n").unwrap();
+        let line = concat!(
+            r#"{"date":"2026-08-08","source":"fleet","note":"tab\t \"quoted\" back\\slash","#,
+            r#""seed":42,"homes":4,"days":1,"rows":[{"shards":1,"packets":206291,"#,
+            r#""wall_ms":88.3,"pps":2336728},{"shards":2,"packets":206291,"wall_ms":83.2,"#,
+            r#""pps":2479251}],"stages":{"decide":0.93,"merge":0.04},"#,
+            r#""bottleneck":"top suspected bottleneck: merge 4.0% — x"}"#,
+        );
+        let after = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(after, format!("{body},\n  {line}\n ]}}\n"));
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn civil_dates_are_correct() {
         assert_eq!(civil_from_days(0), (1970, 1, 1));
