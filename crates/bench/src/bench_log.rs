@@ -5,11 +5,11 @@
 //! document is a single JSON object — `{"schema": 1, "records": [...]}`
 //! — with one record per line inside the array so diffs stay readable.
 //!
-//! Built on the vendored `serde` [`Value`] data model (no external JSON
-//! dependency); [`Raw`] passes a `Value` tree through the vendored
-//! `serde_json` entry points unchanged.
+//! Records are built as the harness's own JSON `Value` trees and rendered
+//! through its one renderer, so reading the committed file and writing
+//! it back reproduces it byte for byte.
 
-use serde::Value;
+use crate::json::{self, Value};
 use std::path::Path;
 
 /// Default trajectory file, at the repo root next to the other
@@ -18,24 +18,6 @@ pub const BENCH_FLEET_PATH: &str = "BENCH_fleet.json";
 
 /// Document schema version; bump on incompatible record changes.
 pub const SCHEMA_VERSION: u64 = 1;
-
-/// A [`Value`] tree with pass-through `Serialize`/`Deserialize`, so a
-/// whole untyped JSON document moves through the vendored `serde_json`
-/// entry points (which are generic over the traits) without a schema
-/// struct.
-pub struct Raw(pub Value);
-
-impl serde::Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
-impl serde::Deserialize for Raw {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Raw(v.clone()))
-    }
-}
 
 /// One swept shard count inside a record.
 #[derive(Debug, Clone)]
@@ -154,7 +136,7 @@ fn render_document(records: &[Value]) -> String {
     let mut out = format!("{{\"schema\":{SCHEMA_VERSION},\n \"records\":[\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str("  ");
-        out.push_str(&serde_json::to_string(&Raw(r.clone())).expect("value renders"));
+        r.write_to(&mut out);
         if i + 1 < records.len() {
             out.push(',');
         }
@@ -166,14 +148,13 @@ fn render_document(records: &[Value]) -> String {
 
 /// Load and validate the trajectory document, returning its records.
 /// A missing file is an empty trajectory, not an error.
-pub fn load_fleet_records(path: &Path) -> Result<Vec<Value>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+pub(crate) fn load_fleet_records(path: &Path) -> Result<Vec<Value>, String> {
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
-    let Raw(doc) =
-        serde_json::from_str::<Raw>(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let doc = json::parse(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
     let obj = doc
         .as_obj()
         .ok_or_else(|| format!("{}: expected a JSON object", path.display()))?;
@@ -269,6 +250,19 @@ mod tests {
     }
 
     #[test]
+    fn too_deep_a_document_is_refused_not_clobbered() {
+        let dir = std::env::temp_dir().join("fiat_bench_log_depth_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_fleet.json");
+        let before = "[".repeat(100_000);
+        std::fs::write(&path, &before).unwrap();
+        assert!(load_fleet_records(&path).is_err());
+        assert!(append_fleet_record(&path, &record("fleet")).is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn civil_dates_are_correct() {
         assert_eq!(civil_from_days(0), (1970, 1, 1));
         assert_eq!(civil_from_days(19_723), (2024, 1, 1)); // leap year start
@@ -292,10 +286,10 @@ mod tests {
         let records = load_fleet_records(&path).unwrap();
         assert_eq!(records.len(), 2);
         let first = records[0].as_obj().unwrap();
-        assert_eq!(
-            Value::field(first, "source").and_then(Value::as_str),
-            Some("seed")
-        );
+        assert!(matches!(
+            Value::field(first, "source"),
+            Some(Value::Str(s)) if s == "seed"
+        ));
         let rows = Value::field(first, "rows").and_then(Value::as_arr).unwrap();
         assert_eq!(rows.len(), 2);
         let row0 = rows[0].as_obj().unwrap();

@@ -15,6 +15,7 @@ pub mod fig1;
 pub mod fig2;
 pub mod fingerprint_exp;
 pub mod fleet_exp;
+mod json;
 pub mod ml_tables;
 pub mod oracle_exp;
 pub mod soak_exp;

@@ -12,11 +12,11 @@
 //! is deterministic for a fixed seed and ends with a `soak: PASS` /
 //! `SOAK REGRESSION` trailer CI greps for.
 
-use crate::bench_log::{self, BenchRecord, BenchRow, Raw};
+use crate::bench_log::{self, BenchRecord, BenchRow};
+use crate::json::Value;
 use fiat_chaos::{run_long_soak, LongSoakConfig, LongSoakReport};
 use fiat_core::{ProxyStats, StateSize};
 use fiat_telemetry::MetricRegistry;
-use serde::Value;
 use std::fmt::Write as _;
 
 /// Both legs of one soak run plus the artifacts the CLI writes.
@@ -87,7 +87,7 @@ macro_rules! lower_primitive {
     ($($ty:ty),*) => {$(
         impl Lower for $ty {
             fn lower(&self) -> Value {
-                serde::Serialize::to_value(self)
+                Value::U64(*self as u64)
             }
         }
     )*};
@@ -169,7 +169,8 @@ fn render_json(capped: &LongSoakReport, negative: &LongSoakReport) -> String {
         ("capped".to_string(), capped.lower()),
         ("negative".to_string(), negative.lower()),
     ]);
-    let mut json = serde_json::to_string(&Raw(doc)).expect("report renders");
+    let mut json = String::new();
+    doc.write_to(&mut json);
     json.push('\n');
     json
 }

@@ -3,7 +3,7 @@
 //!
 //! Both formats are generated without any serialization dependency. The
 //! JSON is plain RFC 8259 output (objects with sorted, deterministic
-//! ordering) so `serde_json` — or any other reader — parses it directly;
+//! ordering) that any JSON reader parses directly;
 //! the text format follows the Prometheus exposition conventions
 //! (`# HELP`/`# TYPE` headers, `_bucket`/`_sum`/`_count` histogram
 //! series with cumulative inclusive `le` bounds).
@@ -72,7 +72,7 @@ pub struct Snapshot {
 }
 
 /// Escape a string for a JSON string literal (quotes not included).
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -13,9 +13,9 @@
 //! - [`Span`] — stage-latency timing driven by a pluggable [`Clock`], so
 //!   real deployments use the OS monotonic clock ([`WallClock`]) while
 //!   deterministic experiments drive simulated time ([`ManualClock`]).
-//! - [`Snapshot`] exposition — Prometheus text format and a
-//!   `serde_json`-compatible JSON document, both rendered without any
-//!   serialization dependency.
+//! - [`Snapshot`] exposition — Prometheus text format and a plain
+//!   RFC 8259 JSON document, both rendered without any serialization
+//!   dependency.
 //!
 //! The crate holds only these primitives. Metric families belong to the
 //! layer that owns the numbers: the proxy declares its decision-path
@@ -47,7 +47,7 @@ pub mod schema;
 pub mod span;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use expose::{CounterSample, GaugeSample, HistogramSample, Snapshot};
+pub use expose::{json_escape, CounterSample, GaugeSample, HistogramSample, Snapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, NUM_BUCKETS};
 pub use schema::{Family, LabelSet, MetricKind, PartCells, SchemaPart};
 pub use span::Span;

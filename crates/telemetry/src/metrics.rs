@@ -725,8 +725,8 @@ impl MetricRegistry {
         self.snapshot().to_prometheus()
     }
 
-    /// Render a JSON snapshot (parseable by any JSON reader, including
-    /// `serde_json`).
+    /// Render a JSON snapshot (plain RFC 8259, parseable by any JSON
+    /// reader).
     pub fn render_json(&self) -> String {
         self.snapshot().to_json()
     }
