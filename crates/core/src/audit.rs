@@ -176,12 +176,13 @@ fn chain(prev: Option<[u8; 32]>, entries: &[AuditEntry]) -> Option<[u8; 32]> {
 }
 
 /// One chain link: `SHA-256(prev || record)`, where a missing `prev` is
-/// the genesis tag.
+/// the genesis tag. At most 32 + 16 bytes, so one padded block.
 fn link(prev: Option<[u8; 32]>, entry: &AuditEntry) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(prev.as_ref().map_or(GENESIS, |p| p.as_slice()));
-    h.update(&entry.encode());
-    h.finalize()
+    let prev = prev.as_ref().map_or(GENESIS, |p| p.as_slice());
+    let mut input = [0u8; 32 + 16];
+    input[..prev.len()].copy_from_slice(prev);
+    input[prev.len()..prev.len() + 16].copy_from_slice(&entry.encode());
+    Sha256::digest_one_block(&input[..prev.len() + 16])
 }
 
 /// The anchor an untruncated chain starts from.
@@ -634,6 +635,20 @@ mod tests {
         assert!(log.head().is_some());
         assert_ne!(log.head(), head_before);
         assert!(log.verify());
+    }
+
+    #[test]
+    fn link_is_the_streaming_digest_of_prev_and_record() {
+        let e = entry(7, 3, AuditVerdict::LockedOut);
+        let streaming = |prev: &[u8]| {
+            let mut h = Sha256::new();
+            h.update(prev);
+            h.update(&e.encode());
+            h.finalize()
+        };
+        assert_eq!(link(None, &e), streaming(GENESIS));
+        let prev = link(None, &e);
+        assert_eq!(link(Some(prev), &e), streaming(&prev));
     }
 
     #[test]

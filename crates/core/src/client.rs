@@ -96,16 +96,44 @@ impl AuthMessage {
         out
     }
 
-    /// Parse a message encoded by [`AuthMessage::encode`].
+    /// Parse a message encoded by [`AuthMessage::encode`] into an owned
+    /// copy of its [`AuthView`].
     pub fn decode(bytes: &[u8]) -> Option<AuthMessage> {
+        AuthView::parse(bytes).map(|v| AuthMessage {
+            app_package: v.app_package.to_string(),
+            features: v.features().collect(),
+            truth: v.truth,
+            ts_micros: v.ts_micros,
+        })
+    }
+}
+
+/// An encoded [`AuthMessage`], parsed in place: the proxy checks a proof
+/// through it without allocating.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AuthView<'a> {
+    /// Android package name of the foreground IoT app.
+    pub app_package: &'a str,
+    /// Ground-truth motion kind (see [`AuthMessage::truth`]).
+    pub truth: MotionKind,
+    /// Client timestamp (microseconds).
+    pub ts_micros: u64,
+    /// The features, eight big-endian bytes each.
+    feature_bytes: &'a [u8],
+}
+
+impl<'a> AuthView<'a> {
+    /// Parse a message encoded by [`AuthMessage::encode`]: `None` unless
+    /// every byte is where the encoding puts it.
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
         let mut i = 0usize;
-        let take = |i: &mut usize, n: usize| -> Option<&[u8]> {
+        let take = |i: &mut usize, n: usize| -> Option<&'a [u8]> {
             let s = bytes.get(*i..*i + n)?;
             *i += n;
             Some(s)
         };
         let name_len = u16::from_be_bytes(take(&mut i, 2)?.try_into().ok()?) as usize;
-        let app_package = String::from_utf8(take(&mut i, name_len)?.to_vec()).ok()?;
+        let app_package = std::str::from_utf8(take(&mut i, name_len)?).ok()?;
         let truth = match take(&mut i, 1)?[0] {
             1 => MotionKind::HumanTouch,
             0 => MotionKind::Resting,
@@ -114,22 +142,25 @@ impl AuthMessage {
         };
         let ts_micros = u64::from_be_bytes(take(&mut i, 8)?.try_into().ok()?);
         let n = u16::from_be_bytes(take(&mut i, 2)?.try_into().ok()?) as usize;
-        // The count is untrusted: check it against the bytes that are
-        // actually there before sizing anything by it.
-        let rest = &bytes[i..];
-        if rest.len() != 8 * n {
+        // The count is untrusted: it must match the bytes that are
+        // actually there.
+        let feature_bytes = &bytes[i..];
+        if feature_bytes.len() != 8 * n {
             return None;
         }
-        let features = rest
-            .chunks_exact(8)
-            .map(|f| f64::from_be_bytes(f.try_into().expect("8-byte chunk")))
-            .collect();
-        Some(AuthMessage {
+        Some(AuthView {
             app_package,
-            features,
             truth,
             ts_micros,
+            feature_bytes,
         })
+    }
+
+    /// The features in order, decoded as they are read.
+    pub fn features(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.feature_bytes
+            .chunks_exact(8)
+            .map(|f| f64::from_be_bytes(f.try_into().expect("8-byte chunk")))
     }
 }
 

@@ -49,7 +49,8 @@ pub mod snapshot;
 pub use analysis::ErrorModel;
 pub use classifier::{EventClass, EventClassifier, ModelRegistry};
 pub use client::{
-    AuthAttempt, AuthMessage, DeliveryResult, FiatApp, LatencyBreakdown, RetryOutcome, RetryPolicy,
+    AuthAttempt, AuthMessage, AuthView, DeliveryResult, FiatApp, LatencyBreakdown, RetryOutcome,
+    RetryPolicy,
 };
 pub use events::{group_events, UnpredictableEvent, EVENT_GAP};
 pub use features::{event_feature_names, event_features, event_features_into, EVENT_FEATURE_COUNT};

@@ -38,7 +38,7 @@
 
 use crate::audit::{AuditEntry, AuditLog, AuditVerdict, AUDIT_PROXY_DEVICE};
 use crate::classifier::{EventClass, EventClassifier};
-use crate::client::{AuthMessage, FiatApp};
+use crate::client::{AuthView, FiatApp};
 use crate::features::FEATURE_PACKETS;
 use crate::interactions::InteractionGraph;
 use crate::pairing::{pair, Paired};
@@ -866,6 +866,31 @@ pub struct FiatProxy {
     packets_seen: u64,
 }
 
+/// Judge a proof the channel opened: check the payload's signature with
+/// the pairing's sign key, parse it in place and validate its humanness
+/// features. Nothing here allocates.
+fn judge_proof(
+    payload: Result<&[u8], fiat_quic::QuicError>,
+    store: &TeeKeystore,
+    keys: &Paired,
+    validator: &mut HumannessValidator,
+    t: &ProxyTelemetry,
+) -> Result<bool, AuthError> {
+    let (msg_bytes, tag) = FiatApp::split_payload(payload.map_err(AuthError::Transport)?)
+        .ok_or(AuthError::Malformed)?;
+    if !store
+        .verify(keys.sign_key, msg_bytes, tag)
+        .expect("sealed sign key")
+    {
+        return Err(AuthError::BadSignature);
+    }
+    let msg = AuthView::parse(msg_bytes).ok_or(AuthError::Malformed)?;
+    let span = Span::enter(&t.stage_humanness, &*t.clock);
+    let human = validator.validate_stream(msg.features(), msg.truth);
+    span.exit();
+    Ok(human)
+}
+
 impl FiatProxy {
     /// Build a proxy paired via `ceremony_secret`, using `validator` for
     /// humanness decisions. Telemetry goes to a private wall-clock
@@ -1133,8 +1158,7 @@ impl FiatProxy {
         pkt: &ZeroRttPacket,
         now: SimTime,
     ) -> Result<bool, AuthError> {
-        let payload = self.quic.accept_zero_rtt(pkt);
-        self.authenticate(payload, now)
+        self.authenticate(|quic| quic.accept_zero_rtt(pkt), now)
     }
 
     /// Process a 1-RTT auth message.
@@ -1143,26 +1167,25 @@ impl FiatProxy {
         pkt: &fiat_quic::Packet,
         now: SimTime,
     ) -> Result<bool, AuthError> {
-        let payload = self.quic.open(pkt);
-        self.authenticate(payload, now)
+        self.authenticate(|quic| quic.open(pkt), now)
     }
 
-    /// Check an auth message's signature and validate its humanness
-    /// features. Every failure, transport or payload, counts once as an
-    /// auth error.
+    /// Open a proof with `open`, then check its signature and validate
+    /// its humanness features in place. Every failure, transport or
+    /// payload, counts once as an auth error.
     fn authenticate(
         &mut self,
-        payload: Result<Vec<u8>, fiat_quic::QuicError>,
+        open: impl FnOnce(&mut QuicServer) -> Result<&[u8], fiat_quic::QuicError>,
         now: SimTime,
     ) -> Result<bool, AuthError> {
-        let msg = payload
-            .map_err(AuthError::Transport)
-            .and_then(|p| self.verify(&p))
-            .inspect_err(|_| self.policy.telemetry.auth_errors.inc())?;
-        let t = &self.policy.telemetry;
-        let span = Span::enter(&t.stage_humanness, &*t.clock);
-        let human = self.validator.validate_features(&msg.features, msg.truth);
-        span.exit();
+        let human = judge_proof(
+            open(&mut self.quic),
+            &self.store,
+            &self.keys,
+            &mut self.validator,
+            &self.policy.telemetry,
+        )
+        .inspect_err(|_| self.policy.telemetry.auth_errors.inc())?;
         if human {
             self.policy.human_valid_until = now + self.policy.config.human_valid_window;
             if self.policy.config.proof_deadline.is_some() {
@@ -1175,19 +1198,6 @@ impl FiatProxy {
             verified: human,
         });
         Ok(human)
-    }
-
-    /// Verify a decrypted auth payload's signature and decode it.
-    fn verify(&self, payload: &[u8]) -> Result<AuthMessage, AuthError> {
-        let (msg_bytes, tag) = FiatApp::split_payload(payload).ok_or(AuthError::Malformed)?;
-        if !self
-            .store
-            .verify(self.keys.sign_key, msg_bytes, tag)
-            .expect("sealed sign key")
-        {
-            return Err(AuthError::BadSignature);
-        }
-        AuthMessage::decode(msg_bytes).ok_or(AuthError::Malformed)
     }
 
     /// Drain packets released from quarantine since the last call, in

@@ -2,8 +2,8 @@
 //! rule-hit decision, for the event path (first-N packets, live and
 //! retrospective classification, sealed events), for bootstrap rule
 //! learning, for a home's telemetry set-up and merge, for the snapshot
-//! codec and restore, and for a proof payload and a snapshot that lie
-//! about their lengths.
+//! codec and restore, for a proof payload and a snapshot that lie about
+//! their lengths, and for verified 0-RTT and 1-RTT proofs.
 //!
 //! `RuleTable::matches_touch` keys lookups on [`InternedFlowKey`] (remote
 //! domains interned to dense ids in the `DnsTable`), so deciding a
@@ -25,7 +25,7 @@
 
 use fiat_core::classifier::event_dataset;
 use fiat_core::{
-    event_features, AllowReason, AuthMessage, EventClassifier, FiatApp, FiatProxy,
+    event_features, AllowReason, AuthMessage, AuthView, EventClassifier, FiatApp, FiatProxy,
     PredictabilityEngine, ProxyConfig, ProxyDecision, ProxyTelemetry, RuleTable, RuleTelemetry,
     SnapshotError, UnpredictableEvent, DECIDE_SAMPLE_EVERY,
 };
@@ -36,6 +36,7 @@ use fiat_net::{
 use fiat_probe::{thread_allocations, CountingAllocator};
 use fiat_sensors::{HumannessValidator, ImuTrace, MotionKind};
 use fiat_telemetry::{Clock, ManualClock, MetricRegistry};
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -366,9 +367,98 @@ fn untrusted_feature_count_sizes_nothing() {
     // The feature count sits after the name, the truth byte and the time.
     let at = 2 + msg.app_package.len() + 1 + 8;
     bytes[at..at + 2].copy_from_slice(&u16::MAX.to_be_bytes());
+    let (n, view) = allocations(|| AuthView::parse(&bytes));
+    assert_eq!(view, None);
+    assert_eq!(
+        n, 0,
+        "the view borrows the package name; the count sized nothing"
+    );
     let (n, decoded) = allocations(|| AuthMessage::decode(&bytes));
     assert_eq!(decoded, None);
-    assert_eq!(n, 1, "only the package name; the count sized nothing");
+    assert_eq!(n, 0, "decode copies only a message the view accepted");
+}
+
+/// A proxy on its default wall-clock telemetry, and a paired app whose
+/// handshake with it is done.
+fn paired_proxy() -> (FiatProxy, FiatApp) {
+    let validator = HumannessValidator::with_operating_point(1.0, 1.0, 0);
+    let mut proxy = FiatProxy::new(fixture_config(), &[9u8; 32], validator);
+    proxy.start(SimTime::ZERO);
+    let mut app = FiatApp::new(&[9u8; 32], 1);
+    let sh = proxy.accept_handshake(&app.handshake_request());
+    app.complete_handshake(&sh).unwrap();
+    (proxy, app)
+}
+
+/// Warm-up proofs before each measured region: the first 0-RTT proof
+/// resolves its epoch's replay gauge, and the first proof of each kind
+/// grows the QUIC server's plaintext buffer to the payload's size.
+const WARM_PROOFS: usize = 4;
+/// Proofs inside each measured region.
+const MEASURED_PROOFS: usize = 60;
+
+#[test]
+fn verified_zero_rtt_proofs_allocate_only_replay_growth() {
+    let (mut proxy, mut app) = paired_proxy();
+    let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
+    let proofs: Vec<_> = (0..WARM_PROOFS + MEASURED_PROOFS)
+        .map(|i| {
+            app.authorize_zero_rtt("iot.app", &imu, MotionKind::HumanTouch, i as u64)
+                .unwrap()
+        })
+        .collect();
+    let now = SimTime::from_secs(1);
+    for z in &proofs[..WARM_PROOFS] {
+        assert_eq!(proxy.on_auth_zero_rtt(z, now), Ok(true));
+    }
+    let (n, verified) = allocations(|| {
+        proofs[WARM_PROOFS..]
+            .iter()
+            .filter(|z| proxy.on_auth_zero_rtt(z, now) == Ok(true))
+            .count()
+    });
+    assert_eq!(verified, MEASURED_PROOFS);
+    // The anti-replay store must remember every accepted nonce, so its
+    // per-ticket `HashSet<u64>` grows with them: the same inserts into a
+    // set of that type are the whole budget.
+    let mut nonces: HashSet<u64> = (1..=WARM_PROOFS as u64).collect();
+    let (growth, ()) = allocations(|| {
+        for z in &proofs[WARM_PROOFS..] {
+            nonces.insert(z.nonce);
+        }
+    });
+    assert!(growth > 0 && growth < 8, "{growth} set growths");
+    assert_eq!(
+        n, growth,
+        "{MEASURED_PROOFS} verified 0-RTT proofs made {n} allocations"
+    );
+}
+
+#[test]
+fn verified_one_rtt_proofs_do_not_allocate() {
+    let (mut proxy, mut app) = paired_proxy();
+    let imu = ImuTrace::synthesize(MotionKind::HumanTouch, 500, 3);
+    let proofs: Vec<_> = (0..WARM_PROOFS + MEASURED_PROOFS)
+        .map(|i| {
+            app.authorize_one_rtt("iot.app", &imu, MotionKind::HumanTouch, i as u64)
+                .unwrap()
+        })
+        .collect();
+    let now = SimTime::from_secs(1);
+    for p in &proofs[..WARM_PROOFS] {
+        assert_eq!(proxy.on_auth_one_rtt(p, now), Ok(true));
+    }
+    let (n, verified) = allocations(|| {
+        proofs[WARM_PROOFS..]
+            .iter()
+            .filter(|p| proxy.on_auth_one_rtt(p, now) == Ok(true))
+            .count()
+    });
+    assert_eq!(verified, MEASURED_PROOFS);
+    assert_eq!(
+        n, 0,
+        "{MEASURED_PROOFS} verified 1-RTT proofs made {n} allocations"
+    );
 }
 
 /// A home past bootstrap on its own registry: proxy, QUIC and rule

@@ -52,7 +52,38 @@ impl std::error::Error for KeystoreError {}
 
 struct SealedKey {
     material: [u8; 32],
-    purpose: KeyPurpose,
+    role: Role,
+}
+
+/// What a sealed key may do, with what the store prepared for it.
+#[allow(clippy::large_enum_variant)] // a store holds a few keys; boxing would add a pointer chase per proof
+enum Role {
+    /// HMAC with the state keyed by the material (its ipad and opad
+    /// blocks absorbed), computed at the key's first sign or verify and
+    /// cloned for every one after it, so a key that never signs never
+    /// pays for it.
+    Sign(Option<HmacSha256>),
+    Encrypt,
+}
+
+impl SealedKey {
+    /// The key's keyed HMAC state; a non-Sign key is refused.
+    fn mac(&mut self) -> Result<HmacSha256, KeystoreError> {
+        match &mut self.role {
+            Role::Sign(mac) => Ok(mac
+                .get_or_insert_with(|| HmacSha256::new(&self.material))
+                .clone()),
+            Role::Encrypt => Err(KeystoreError::WrongPurpose),
+        }
+    }
+
+    /// The AEAD key; a non-Encrypt key is refused.
+    fn aead_key(&self) -> Result<&[u8; 32], KeystoreError> {
+        match self.role {
+            Role::Encrypt => Ok(&self.material),
+            Role::Sign(_) => Err(KeystoreError::WrongPurpose),
+        }
+    }
 }
 
 /// Hardware-backed keystore model. Thread-safe; keys are write-once.
@@ -74,7 +105,8 @@ impl TeeKeystore {
     }
 
     /// The store's state. Every update leaves it valid at each step (an
-    /// id is reserved before its key is inserted; every other operation
+    /// id is reserved before its key is inserted, and a Sign key's keyed
+    /// HMAC state is stored whole once computed; every other operation
     /// only reads), so a guard poisoned by a panicking thread is
     /// recovered, not propagated.
     fn lock(&self) -> MutexGuard<'_, StoreInner> {
@@ -84,11 +116,28 @@ impl TeeKeystore {
     /// Import raw key material. The material is consumed by the store; only
     /// a handle escapes.
     pub fn import(&self, material: [u8; 32], purpose: KeyPurpose) -> KeyHandle {
+        let role = match purpose {
+            KeyPurpose::Sign => Role::Sign(None),
+            KeyPurpose::Encrypt => Role::Encrypt,
+        };
         let mut inner = self.lock();
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.keys.insert(id, SealedKey { material, purpose });
+        inner.keys.insert(id, SealedKey { material, role });
         KeyHandle(id)
+    }
+
+    /// Run `f` on the key `handle` names, under the store's lock.
+    fn with_key<T>(
+        &self,
+        handle: KeyHandle,
+        f: impl FnOnce(&mut SealedKey) -> Result<T, KeystoreError>,
+    ) -> Result<T, KeystoreError> {
+        f(self
+            .lock()
+            .keys
+            .get_mut(&handle.0)
+            .ok_or(KeystoreError::UnknownHandle)?)
     }
 
     /// Derive a sub-key from an existing key via HKDF and seal it under the
@@ -99,28 +148,17 @@ impl TeeKeystore {
         info: &[u8],
         purpose: KeyPurpose,
     ) -> Result<KeyHandle, KeystoreError> {
-        let derived: [u8; 32] = {
-            let inner = self.lock();
-            let key = inner
-                .keys
-                .get(&parent.0)
-                .ok_or(KeystoreError::UnknownHandle)?;
-            Hkdf::derive(b"fiat-keystore", &key.material, info)
-        };
+        let derived = self.with_key(parent, |key| {
+            Ok(Hkdf::derive(b"fiat-keystore", &key.material, info))
+        })?;
         Ok(self.import(derived, purpose))
     }
 
     /// HMAC-SHA256 over `data` with a Sign-purpose key.
     pub fn sign(&self, handle: KeyHandle, data: &[u8]) -> Result<[u8; 32], KeystoreError> {
-        let inner = self.lock();
-        let key = inner
-            .keys
-            .get(&handle.0)
-            .ok_or(KeystoreError::UnknownHandle)?;
-        if key.purpose != KeyPurpose::Sign {
-            return Err(KeystoreError::WrongPurpose);
-        }
-        Ok(HmacSha256::mac(&key.material, data))
+        let mut mac = self.with_key(handle, SealedKey::mac)?;
+        mac.update(data);
+        Ok(mac.finalize())
     }
 
     /// Verify an HMAC tag with a Sign-purpose key.
@@ -130,15 +168,7 @@ impl TeeKeystore {
         data: &[u8],
         tag: &[u8],
     ) -> Result<bool, KeystoreError> {
-        let inner = self.lock();
-        let key = inner
-            .keys
-            .get(&handle.0)
-            .ok_or(KeystoreError::UnknownHandle)?;
-        if key.purpose != KeyPurpose::Sign {
-            return Err(KeystoreError::WrongPurpose);
-        }
-        Ok(HmacSha256::verify(&key.material, data, tag))
+        Ok(crate::ct::ct_eq(&self.sign(handle, data)?, tag))
     }
 
     /// AEAD-seal `plaintext` with an Encrypt-purpose key.
@@ -149,15 +179,9 @@ impl TeeKeystore {
         aad: &[u8],
         plaintext: &[u8],
     ) -> Result<Vec<u8>, KeystoreError> {
-        let inner = self.lock();
-        let key = inner
-            .keys
-            .get(&handle.0)
-            .ok_or(KeystoreError::UnknownHandle)?;
-        if key.purpose != KeyPurpose::Encrypt {
-            return Err(KeystoreError::WrongPurpose);
-        }
-        Ok(aead::seal(&key.material, nonce, aad, plaintext))
+        self.with_key(handle, |key| {
+            Ok(aead::seal(key.aead_key()?, nonce, aad, plaintext))
+        })
     }
 
     /// AEAD-open ciphertext sealed by [`TeeKeystore::seal`].
@@ -168,15 +192,10 @@ impl TeeKeystore {
         aad: &[u8],
         sealed: &[u8],
     ) -> Result<Vec<u8>, KeystoreError> {
-        let inner = self.lock();
-        let key = inner
-            .keys
-            .get(&handle.0)
-            .ok_or(KeystoreError::UnknownHandle)?;
-        if key.purpose != KeyPurpose::Encrypt {
-            return Err(KeystoreError::WrongPurpose);
-        }
-        aead::open(&key.material, nonce, aad, sealed).map_err(|_| KeystoreError::BadCiphertext)
+        self.with_key(handle, |key| {
+            aead::open(key.aead_key()?, nonce, aad, sealed)
+                .map_err(|_| KeystoreError::BadCiphertext)
+        })
     }
 
     /// Number of keys sealed in the store.
@@ -201,6 +220,36 @@ mod tests {
         let tag = store.sign(h, b"evidence").unwrap();
         assert!(store.verify(h, b"evidence", &tag).unwrap());
         assert!(!store.verify(h, b"tampered", &tag).unwrap());
+    }
+
+    /// RFC 4231's HMAC-SHA256 cases through a Sign key's keyed state.
+    /// HMAC zero-pads a key to one block and hashes a longer one first,
+    /// so each case's key becomes 32 bytes of material with the same MAC.
+    #[test]
+    fn rfc4231_cases_through_the_keyed_state() {
+        let long_key = crate::Sha256::digest(&[0xaa; 131]);
+        let cases: [(&[u8], &[u8], &str); 7] = [
+            (&[0x0b; 20], b"Hi There", "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+            (b"Jefe", b"what do ya want for nothing?", "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+            (&[0xaa; 20], &[0xdd; 50], "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+            (&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25], &[0xcd; 50], "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+            (&[0x0c; 20], b"Test With Truncation", "a3b6167473100ee06e0c796c2955552b"),
+            (&long_key, b"Test Using Larger Than Block-Size Key - Hash Key First", "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+            (&long_key, b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.", "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+        ];
+        let store = TeeKeystore::new();
+        for (key, data, want) in cases {
+            let mut material = [0u8; 32];
+            material[..key.len()].copy_from_slice(key);
+            let h = store.import(material, KeyPurpose::Sign);
+            for _ in 0..2 {
+                let tag = store.sign(h, data).unwrap();
+                let hex: String = tag.iter().map(|b| format!("{b:02x}")).collect();
+                assert!(hex.starts_with(want), "{hex} for {want}");
+                assert_eq!(tag, HmacSha256::mac(key, data));
+                assert!(store.verify(h, data, &tag).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! comparison, which is sufficient for a research reproduction.
 //!
 //! The only `unsafe` code is in the x86_64 fast paths: SHA-256 on the SHA
-//! extensions and ChaCha20 four blocks at a time on SSE2. Every `unsafe`
-//! block must say why it is sound in a `// SAFETY:` comment.
+//! extensions and ChaCha20 eight blocks at a time on AVX2, each chosen at
+//! run time. Every `unsafe` block must say why it is sound in a
+//! `// SAFETY:` comment.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -33,7 +34,7 @@ pub mod keystore;
 pub mod poly1305;
 pub mod sha256;
 
-pub use aead::{open, seal, AeadError, KEY_LEN, NONCE_LEN, TAG_LEN};
+pub use aead::{open, open_into, seal, AeadError, KEY_LEN, NONCE_LEN, TAG_LEN};
 pub use hkdf::Hkdf;
 pub use hmac::HmacSha256;
 pub use keystore::{KeyHandle, KeyPurpose, KeystoreError, TeeKeystore};

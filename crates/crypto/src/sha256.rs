@@ -8,11 +8,18 @@
 //! On x86_64 CPUs with the SHA extensions (and SSE4.1), [`Sha256::new`]
 //! selects a second one built on the `sha256rnds2`/`sha256msg1`/
 //! `sha256msg2` instructions, detected at run time.
+//!
+//! [`Sha256::digest_one_block`] hashes an input of at most
+//! [`ONE_BLOCK_MAX`] bytes with one compression of a padded stack block
+//! and no streaming state.
 
 /// Output length of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Internal block length in bytes.
 pub const BLOCK_LEN: usize = 64;
+/// Longest input [`Sha256::digest_one_block`] takes: the padding byte
+/// `0x80` and the 8-byte length fill the rest of its one block.
+pub const ONE_BLOCK_MAX: usize = BLOCK_LEN - 9;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -47,6 +54,51 @@ impl Backend {
         }
         Backend::Scalar
     }
+
+    /// Compress every block of `blocks`, whose length is a multiple of
+    /// [`BLOCK_LEN`], into `state`.
+    fn compress_blocks(self, state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+        match self {
+            Backend::Scalar => {
+                for block in blocks.chunks_exact(BLOCK_LEN) {
+                    compress(state, block.try_into().expect("chunks are whole blocks"));
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a backend is `ShaNi` only when `shani::detected()` saw
+            // the `sha` and `sse4.1` features on this CPU (in `detect`, and
+            // in the tests' `hardware`), which are the features
+            // `shani::compress_blocks` is compiled for.
+            Backend::ShaNi => unsafe { shani::compress_blocks(state, blocks) },
+        }
+    }
+
+    /// SHA-256 of `data`, at most [`ONE_BLOCK_MAX`] bytes, as one padded
+    /// block.
+    fn digest_one_block(self, data: &[u8]) -> [u8; DIGEST_LEN] {
+        assert!(
+            data.len() <= ONE_BLOCK_MAX,
+            "{} bytes do not fit one block",
+            data.len()
+        );
+        let mut block = [0u8; BLOCK_LEN];
+        block[..data.len()].copy_from_slice(data);
+        block[data.len()] = 0x80;
+        block[BLOCK_LEN - 8..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        self.compress_blocks(&mut state, &block);
+        digest_bytes(&state)
+    }
+}
+
+/// The big-endian bytes of a final hash state.
+fn digest_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// Incremental SHA-256 hasher.
@@ -118,11 +170,7 @@ impl Sha256 {
         self.buf[len_at..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress_blocks(&block);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        digest_bytes(&self.state)
     }
 
     /// One-shot convenience.
@@ -132,67 +180,61 @@ impl Sha256 {
         h.finalize()
     }
 
+    /// [`Sha256::digest`] of an input of at most [`ONE_BLOCK_MAX`] bytes:
+    /// the input is padded into one stack block and compressed once on
+    /// the detected backend.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is longer than [`ONE_BLOCK_MAX`].
+    pub fn digest_one_block(data: &[u8]) -> [u8; DIGEST_LEN] {
+        Backend::detect().digest_one_block(data)
+    }
+
     /// Compress every block of `blocks`, whose length is a multiple of
     /// [`BLOCK_LEN`], with this hasher's backend.
     fn compress_blocks(&mut self, blocks: &[u8]) {
-        debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
-        match self.backend {
-            Backend::Scalar => {
-                for block in blocks.chunks_exact(BLOCK_LEN) {
-                    self.compress(block.try_into().expect("chunks are whole blocks"));
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `backend` is `ShaNi` only when `shani::detected()` saw
-            // the `sha` and `sse4.1` features on this CPU (in `Backend::detect`,
-            // and in the tests' `hasher`), which are the features
-            // `shani::compress_blocks` is compiled for.
-            Backend::ShaNi => unsafe { shani::compress_blocks(&mut self.state, blocks) },
-        }
+        self.backend.compress_blocks(&mut self.state, blocks);
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The portable FIPS 180-4 compression of one block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -339,16 +381,37 @@ mod tests {
             blocks in (1usize..=3).prop_flat_map(|n| prop::collection::vec(any::<u8>(), n * BLOCK_LEN)),
         ) {
             let state: [u32; 8] = state.try_into().unwrap();
-            let mut reference = Sha256 { state, ..hasher(Backend::Scalar) };
+            let mut reference = state;
             for block in blocks.chunks_exact(BLOCK_LEN) {
-                reference.compress(block.try_into().unwrap());
+                compress(&mut reference, block.try_into().unwrap());
             }
             for backend in backends() {
                 let mut h = Sha256 { state, ..hasher(backend) };
                 h.compress_blocks(&blocks);
-                prop_assert_eq!(h.state, reference.state, "{:?}", backend);
+                prop_assert_eq!(h.state, reference, "{:?}", backend);
             }
         }
+
+        /// Every length 0..=ONE_BLOCK_MAX: the one-block digest on every
+        /// backend equals the streaming digest.
+        #[test]
+        fn one_block_digest_matches_streaming(
+            data in prop::collection::vec(any::<u8>(), ONE_BLOCK_MAX),
+        ) {
+            for len in 0..=ONE_BLOCK_MAX {
+                let want = Sha256::digest(&data[..len]);
+                for backend in backends() {
+                    prop_assert_eq!(backend.digest_one_block(&data[..len]), want, "{:?} len {}", backend, len);
+                }
+                prop_assert_eq!(Sha256::digest_one_block(&data[..len]), want);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "56 bytes do not fit one block")]
+    fn one_block_digest_refuses_a_second_block() {
+        Sha256::digest_one_block(&[0u8; ONE_BLOCK_MAX + 1]);
     }
 
     proptest! {

@@ -1,66 +1,11 @@
-//! Property tests for the crypto primitives.
+//! Property tests for the crypto primitives, through their public API.
+//!
+//! The tests that pick a backend (scalar or AVX2 ChaCha20, scalar or
+//! SHA-extension SHA-256) live in each module's unit tests, where the
+//! private backend can be named.
 
-use fiat_crypto::poly1305::Poly1305;
 use fiat_crypto::{aead, chacha20, hkdf::Hkdf, HmacSha256, KeyPurpose, Sha256, TeeKeystore};
 use proptest::prelude::*;
-
-/// XOR `data` with the keystream taken block by block from the scalar
-/// [`chacha20::block`], the counter wrapping like `u32::wrapping_add`.
-fn xor_reference(key: &[u8; 32], counter: u32, nonce: &[u8; 12], data: &mut [u8]) {
-    for (i, chunk) in data.chunks_mut(64).enumerate() {
-        let ks = chacha20::block(key, counter.wrapping_add(i as u32), nonce);
-        for (b, k) in chunk.iter_mut().zip(ks) {
-            *b ^= k;
-        }
-    }
-}
-
-/// RFC 8439 §2.8 ChaCha20-Poly1305 composed from the scalar block function
-/// and one-shot Poly1305, as the text writes it.
-fn seal_reference(key: &[u8; 32], nonce: &[u8; 12], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-    let mut ct = plaintext.to_vec();
-    xor_reference(key, 1, nonce, &mut ct);
-    let block0 = chacha20::block(key, 0, nonce);
-    let pad = |v: &mut Vec<u8>| v.resize(v.len().next_multiple_of(16), 0);
-    let mut mac_data = aad.to_vec();
-    pad(&mut mac_data);
-    mac_data.extend_from_slice(&ct);
-    pad(&mut mac_data);
-    mac_data.extend_from_slice(&(aad.len() as u64).to_le_bytes());
-    mac_data.extend_from_slice(&(ct.len() as u64).to_le_bytes());
-    let tag = Poly1305::mac(block0[..32].try_into().unwrap(), &mac_data);
-    ct.extend_from_slice(&tag);
-    ct
-}
-
-/// Seal and open every length 0..=600 (the four-block batches, the
-/// batch that also carries the Poly1305 key, and every tail length),
-/// against the scalar composition.
-#[test]
-fn aead_matches_reference_at_every_length() {
-    let key: [u8; 32] = std::array::from_fn(|i| (i * 7 + 3) as u8);
-    let nonce = [0, 0, 0, 7, 0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47];
-    let plain: Vec<u8> = (0..=600).map(|i| (i * 31 % 251) as u8).collect();
-    for len in 0..=600 {
-        let aad = &plain[..len % 29];
-        let sealed = aead::seal(&key, &nonce, aad, &plain[..len]);
-        assert_eq!(
-            sealed,
-            seal_reference(&key, &nonce, aad, &plain[..len]),
-            "len {len}"
-        );
-        assert_eq!(
-            aead::open(&key, &nonce, aad, &sealed).unwrap(),
-            &plain[..len]
-        );
-        let mut bad = sealed;
-        bad[len / 2] ^= 0x10;
-        assert_eq!(
-            aead::open(&key, &nonce, aad, &bad),
-            Err(aead::AeadError::BadTag)
-        );
-    }
-}
 
 proptest! {
     /// SHA-256 streaming at arbitrary chunk boundaries equals one-shot.
@@ -143,23 +88,6 @@ proptest! {
         prop_assert_eq!(buf, data);
     }
 
-    /// `xor_in_place`, four blocks at a time where the CPU allows, equals
-    /// the scalar block function run block by block, also when the block
-    /// counter wraps past `u32::MAX`.
-    #[test]
-    fn chacha20_matches_scalar_blocks(
-        key in prop::array::uniform32(any::<u8>()),
-        nonce in prop::array::uniform12(any::<u8>()),
-        counter in prop_oneof![any::<u32>(), (u32::MAX - 3)..=u32::MAX],
-        data in prop::collection::vec(any::<u8>(), 0..=1024),
-    ) {
-        let mut fast = data.clone();
-        chacha20::xor_in_place(&key, counter, &nonce, &mut fast);
-        let mut reference = data;
-        xor_reference(&key, counter, &nonce, &mut reference);
-        prop_assert_eq!(fast, reference);
-    }
-
     /// AEAD under different nonces never produces identical ciphertexts
     /// for the same plaintext (keystream reuse detector).
     #[test]
@@ -173,6 +101,26 @@ proptest! {
         let c1 = aead::seal(&key, &n1, b"", &data);
         let c2 = aead::seal(&key, &n2, b"", &data);
         prop_assert_ne!(c1, c2);
+    }
+
+    /// A keystore signs with the HMAC state it keys once per key: its tags
+    /// equal one-shot `HmacSha256::mac` over the same material, and its
+    /// verify accepts exactly those tags.
+    #[test]
+    fn keystore_tags_equal_one_shot_hmac(
+        material in prop::array::uniform32(any::<u8>()),
+        msg in prop::collection::vec(any::<u8>(), 0..600),
+        flip in any::<usize>(),
+    ) {
+        let store = TeeKeystore::new();
+        let h = store.import(material, KeyPurpose::Sign);
+        let want = HmacSha256::mac(&material, &msg);
+        prop_assert_eq!(store.sign(h, &msg).unwrap(), want);
+        prop_assert_eq!(store.sign(h, &msg).unwrap(), want, "a second sign from the same state");
+        prop_assert!(store.verify(h, &msg, &want).unwrap());
+        let mut bad = want;
+        bad[flip % 32] ^= 1 << (flip % 8);
+        prop_assert!(!store.verify(h, &msg, &bad).unwrap());
     }
 
     /// Keystore sign/verify across arbitrary derivation paths.

@@ -166,20 +166,22 @@ impl Session {
         }
     }
 
-    /// Open a peer packet; a failed open leaves `recv_pn` where it was.
-    fn open(&mut self, pkt: &Packet) -> Result<Vec<u8>, QuicError> {
+    /// Open a peer packet into `out`; a failed open leaves `recv_pn`
+    /// where it was.
+    fn open(&mut self, pkt: &Packet, out: &mut Vec<u8>) -> Result<(), QuicError> {
         if pkt.number <= self.recv_pn {
             return Err(QuicError::StalePacketNumber);
         }
-        let out = aead::open(
+        aead::open_into(
             &self.key,
             &nonce_bytes(self.recv_dir, pkt.number),
             b"1rtt",
             &pkt.ciphertext,
+            out,
         )
         .map_err(|_| QuicError::DecryptFailed)?;
         self.recv_pn = pkt.number;
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -261,7 +263,12 @@ impl Client {
 
     /// Open a server-to-client packet.
     pub fn open(&mut self, pkt: &Packet) -> Result<Vec<u8>, QuicError> {
-        self.session.as_mut().ok_or(QuicError::BadState)?.open(pkt)
+        let mut out = Vec::new();
+        self.session
+            .as_mut()
+            .ok_or(QuicError::BadState)?
+            .open(pkt, &mut out)?;
+        Ok(out)
     }
 
     /// Seal early data for 0-RTT using the cached ticket.
@@ -423,6 +430,11 @@ pub struct Server {
     current_epoch: u32,
     replay: ReplayStore,
     telemetry: ServerTelemetry,
+    /// The last accepted packet's plaintext, which [`Server::open`] and
+    /// [`Server::accept_zero_rtt`] lend out. Reused, so a proof allocates
+    /// nothing once it has grown to the largest payload; emptied whenever
+    /// a packet is refused.
+    plaintext: Vec<u8>,
 }
 
 impl Server {
@@ -436,6 +448,7 @@ impl Server {
             current_epoch: 0,
             replay: ReplayStore::new(),
             telemetry: ServerTelemetry::default(),
+            plaintext: Vec::new(),
         }
     }
 
@@ -542,18 +555,28 @@ impl Server {
         }
     }
 
-    /// Open a client-to-server 1-RTT packet.
-    pub fn open(&mut self, pkt: &Packet) -> Result<Vec<u8>, QuicError> {
-        let out = self
-            .session
-            .as_mut()
-            .ok_or(QuicError::BadState)
-            .and_then(|session| session.open(pkt));
+    /// Open a client-to-server 1-RTT packet. The plaintext is lent from
+    /// the server's buffer until the next packet.
+    pub fn open(&mut self, pkt: &Packet) -> Result<&[u8], QuicError> {
+        let out = match self.session.as_mut() {
+            Some(session) => session.open(pkt, &mut self.plaintext),
+            None => Err(QuicError::BadState),
+        };
         match out {
-            Ok(_) => self.telemetry.one_rtt_accepted.inc(),
+            Ok(()) => self.telemetry.one_rtt_accepted.inc(),
             Err(_) => self.telemetry.one_rtt_rejected.inc(),
         }
-        out
+        self.released(out)
+    }
+
+    /// The plaintext buffer as the result of an open: its bytes when the
+    /// packet was accepted, else the error with the buffer emptied, so no
+    /// refused packet's plaintext stays behind.
+    fn released(&mut self, out: Result<(), QuicError>) -> Result<&[u8], QuicError> {
+        if out.is_err() {
+            self.plaintext.clear();
+        }
+        out.map(|()| self.plaintext.as_slice())
     }
 
     /// Seal a server-to-client packet.
@@ -562,19 +585,20 @@ impl Server {
     }
 
     /// Accept a 0-RTT packet: ticket must have been issued by this server
-    /// and the (ticket, nonce) pair never seen before.
-    pub fn accept_zero_rtt(&mut self, pkt: &ZeroRttPacket) -> Result<Vec<u8>, QuicError> {
+    /// and the (ticket, nonce) pair never seen before. The plaintext is
+    /// lent from the server's buffer until the next packet.
+    pub fn accept_zero_rtt(&mut self, pkt: &ZeroRttPacket) -> Result<&[u8], QuicError> {
         let out = self.accept_zero_rtt_inner(pkt);
         match out {
-            Ok(_) => self.telemetry.zero_rtt_accepted.inc(),
+            Ok(()) => self.telemetry.zero_rtt_accepted.inc(),
             Err(QuicError::Replayed) => self.telemetry.zero_rtt_replayed.inc(),
             Err(QuicError::RetiredEpoch) => self.telemetry.zero_rtt_retired.inc(),
             Err(_) => self.telemetry.zero_rtt_rejected.inc(),
         }
-        out
+        self.released(out)
     }
 
-    fn accept_zero_rtt_inner(&mut self, pkt: &ZeroRttPacket) -> Result<Vec<u8>, QuicError> {
+    fn accept_zero_rtt_inner(&mut self, pkt: &ZeroRttPacket) -> Result<(), QuicError> {
         let SessionTicket { id, epoch } = pkt.ticket;
         if id == 0 || id >= self.next_ticket_id || epoch > self.current_epoch {
             return Err(QuicError::UnknownTicket);
@@ -595,11 +619,12 @@ impl Server {
             Some((ticket, key)) if ticket == pkt.ticket => key,
             _ => early_key(&ticket_secret(&self.psk, id, epoch)),
         };
-        let plaintext = aead::open(
+        aead::open_into(
             &key,
             &nonce_bytes(DIR_CLIENT_TO_SERVER, pkt.nonce),
             b"0rtt",
             &pkt.ciphertext,
+            &mut self.plaintext,
         )
         .map_err(|_| QuicError::DecryptFailed)?;
         self.early = Some((pkt.ticket, key));
@@ -609,7 +634,7 @@ impl Server {
         if let Some(g) = self.telemetry.replay_entries(epoch) {
             g.add(1);
         }
-        Ok(plaintext)
+        Ok(())
     }
 }
 
@@ -740,6 +765,7 @@ mod tests {
             assert_eq!(s.accept_zero_rtt(z), Err(QuicError::DecryptFailed));
             assert_eq!(s.early, cached, "{z:?}");
             assert_eq!(s.to_image(), image, "{z:?}");
+            assert!(s.plaintext.is_empty(), "{z:?} left plaintext behind");
         }
 
         // The genuine client's next packets still open over 0-RTT, on the
@@ -785,10 +811,29 @@ mod tests {
         let mut c = Client::new(PSK);
         let mut s = Server::new(PSK);
         handshake(&mut c, &mut s);
+        assert_eq!(s.open(&c.seal(b"genuine").unwrap()).unwrap(), b"genuine");
         let mut p = c.seal(b"data").unwrap();
         let n = p.ciphertext.len();
         p.ciphertext[n - 1] ^= 1;
         assert_eq!(s.open(&p), Err(QuicError::DecryptFailed));
+        assert!(s.plaintext.is_empty(), "a forgery left plaintext behind");
+        assert_eq!(s.open(&c.seal(b"next").unwrap()).unwrap(), b"next");
+    }
+
+    #[test]
+    fn refused_packets_leave_no_plaintext() {
+        let mut c = Client::new(PSK);
+        let mut s = Server::new(PSK);
+        handshake(&mut c, &mut s);
+        let z = c.seal_zero_rtt(b"once").unwrap();
+        assert_eq!(s.accept_zero_rtt(&z).unwrap(), b"once");
+        // A verbatim replay authenticates, then the store refuses it.
+        assert_eq!(s.accept_zero_rtt(&z), Err(QuicError::Replayed));
+        assert!(s.plaintext.is_empty());
+        let p = c.seal(b"one").unwrap();
+        assert_eq!(s.open(&p).unwrap(), b"one");
+        assert_eq!(s.open(&p), Err(QuicError::StalePacketNumber));
+        assert!(s.plaintext.is_empty());
     }
 
     #[test]

@@ -136,9 +136,20 @@ impl HumannessValidator {
     /// Decide from an already-extracted 48-feature vector (what FIAT's
     /// app actually ships over the wire, §5.3).
     pub fn validate_features(&mut self, features: &[f64], truth: MotionKind) -> bool {
+        self.validate_stream(features.iter().copied(), truth)
+    }
+
+    /// [`HumannessValidator::validate_features`] on features yielded one
+    /// at a time, as a proof's bytes decode. The calibrated mode reads
+    /// none of them; the trained mode collects them into its input row.
+    pub fn validate_stream(
+        &mut self,
+        features: impl Iterator<Item = f64>,
+        truth: MotionKind,
+    ) -> bool {
         match &mut self.mode {
             Mode::Trained { tree, scaler } => {
-                let mut f = features.to_vec();
+                let mut f: Vec<f64> = features.collect();
                 scaler.transform_row(&mut f);
                 tree.predict_one(&f) == 1
             }
