@@ -49,7 +49,8 @@ use fiat_net::{DnsTable, FastMap, FlowDef, PacketRecord, SimDuration, SimTime};
 use fiat_quic::{ClientHello, Server as QuicServer, ServerHello, ZeroRttPacket};
 use fiat_sensors::HumannessValidator;
 use fiat_telemetry::{
-    Clock, Counter, Family, Gauge, Histogram, MetricRegistry, SchemaPart, Span, WallClock,
+    Clock, CounterCell, Family, GaugeCell, Histogram, MetricRegistry, PartWriter, SchemaPart, Span,
+    WallClock,
 };
 use quarantine::Quarantine;
 use std::sync::Arc;
@@ -334,19 +335,26 @@ impl ProxyStats {
         }
     }
 
+    /// Packets decided as `decision`: the field that counts it.
+    pub fn decided(&self, decision: ProxyDecision) -> u64 {
+        let mut s = *self;
+        *s.field(decision)
+    }
+
     /// Fold one policy event into the counts: a decision into its
     /// reason's field, an expiry's demoted packets into
     /// `quarantine_expired`.
     fn note(&mut self, ev: &ProxyEvent) {
-        let decision = match *ev {
-            ProxyEvent::Decided { decision, .. } => decision,
-            ProxyEvent::QuarantineExpired { packets, .. } => {
-                self.quarantine_expired += packets;
-                return;
-            }
-            _ => return,
-        };
-        let counter = match decision {
+        match *ev {
+            ProxyEvent::Decided { decision, .. } => *self.field(decision) += 1,
+            ProxyEvent::QuarantineExpired { packets, .. } => self.quarantine_expired += packets,
+            _ => {}
+        }
+    }
+
+    /// The field a packet decided as `decision` counts into.
+    fn field(&mut self, decision: ProxyDecision) -> &mut u64 {
+        match decision {
             ProxyDecision::Allow(AllowReason::Bootstrap) => &mut self.bootstrap,
             ProxyDecision::Allow(AllowReason::RuleHit) => &mut self.rule_hit,
             ProxyDecision::Allow(AllowReason::FirstN) => &mut self.first_n,
@@ -361,8 +369,7 @@ impl ProxyStats {
             ProxyDecision::Drop(DropReason::QuarantineExpired) => &mut self.dropped_quarantine,
             ProxyDecision::Drop(DropReason::UnknownQuarantined) => &mut self.dropped_unknown,
             ProxyDecision::Quarantine => &mut self.quarantined,
-        };
-        *counter += 1;
+        }
     }
 }
 
@@ -470,6 +477,16 @@ impl ProxyDecision {
     /// first-N completion bound.
     pub fn is_allow(self) -> bool {
         matches!(self, ProxyDecision::Allow(_))
+    }
+
+    /// The telemetry `decision` label: `"allow"`, `"drop"` or
+    /// `"quarantine"`.
+    pub fn decision_str(self) -> &'static str {
+        match self {
+            ProxyDecision::Allow(_) => "allow",
+            ProxyDecision::Drop(_) => "drop",
+            ProxyDecision::Quarantine => "quarantine",
+        }
     }
 
     /// Stable snake_case reason label (`"rule_hit"`, `"locked_out"`,
@@ -691,18 +708,22 @@ const _: () = assert!(
 
 /// Pre-resolved telemetry handles for the proxy decision path.
 ///
-/// Every handle indexes a cell of a static schema part
-/// (`PROXY_METRICS`, `STAGE_METRICS`), attached once at
-/// construction, so the per-packet hot path never touches a registry
-/// lock — each update is a single relaxed atomic operation. Two
-/// registries keep what is deterministic apart from what is not:
+/// The counters and gauges are this proxy's own cells of the static
+/// `PROXY_METRICS` part, attached per writer
+/// ([`MetricRegistry::attach_writer`]) at construction. The proxy is
+/// their one writer, always through `&mut self`, so an update is a
+/// relaxed load and a store: no registry lock and no locked instruction.
+/// A registry shared by several proxies sums their cells when it is
+/// read. Two registries keep what is deterministic apart from what is
+/// not:
 ///
 /// - [`ProxyTelemetry::registry`] holds counters and gauges only, a pure
 ///   function of the inputs, so fleet runs can compare it byte for byte;
 /// - [`ProxyTelemetry::timing`] is private to this telemetry and holds
-///   every stage-latency histogram (`fiat_proxy_stage_ns`), timed on
-///   the pluggable clock: the OS monotonic clock in deployments, a
-///   [`fiat_telemetry::ManualClock`] in tests.
+///   every stage-latency histogram (`fiat_proxy_stage_ns`,
+///   `STAGE_METRICS`), timed on the pluggable clock: the OS monotonic
+///   clock in deployments, a [`fiat_telemetry::ManualClock`] in tests.
+///   A histogram sample is five relaxed atomic read-modify-writes.
 pub struct ProxyTelemetry {
     registry: MetricRegistry,
     timing: MetricRegistry,
@@ -711,31 +732,32 @@ pub struct ProxyTelemetry {
     stage_classification: Histogram,
     stage_humanness: Histogram,
     decide_sampled: Histogram,
-    decisions: [Counter; DECISION_SERIES],
-    quarantine_held: Counter,
-    quarantine_released: Counter,
-    quarantine_expired: Counter,
-    quarantine_depth: Gauge,
-    rules_gauge: Gauge,
-    open_events_gauge: Gauge,
-    locked_devices_gauge: Gauge,
-    devices_gauge: Gauge,
-    auth_verified: Counter,
-    auth_rejected: Counter,
-    auth_errors: Counter,
-    lockouts: Counter,
-    retro_unverified: Counter,
-    degraded_gauge: Gauge,
-    degraded_decisions: Counter,
+    cells: PartWriter,
+    decisions: [CounterCell; DECISION_SERIES],
+    quarantine_held: CounterCell,
+    quarantine_released: CounterCell,
+    quarantine_expired: CounterCell,
+    quarantine_depth: GaugeCell,
+    rules_gauge: GaugeCell,
+    open_events_gauge: GaugeCell,
+    locked_devices_gauge: GaugeCell,
+    devices_gauge: GaugeCell,
+    auth_verified: CounterCell,
+    auth_rejected: CounterCell,
+    auth_errors: CounterCell,
+    lockouts: CounterCell,
+    retro_unverified: CounterCell,
+    degraded_gauge: GaugeCell,
+    degraded_decisions: CounterCell,
 }
 
 impl ProxyTelemetry {
-    /// Attach the proxy's counters and gauges to `registry`, and time
+    /// Attach the proxy's own counters and gauges to `registry`, and time
     /// stages with `clock` into a fresh timing registry.
     pub fn new(registry: MetricRegistry, clock: Arc<dyn Clock>) -> Self {
         let timing = MetricRegistry::new();
         let stage = timing.attach(&STAGE_METRICS);
-        let c = registry.attach(&PROXY_METRICS);
+        let c = registry.attach_writer(&PROXY_METRICS);
         ProxyTelemetry {
             stage_rule_learn: stage.histogram(0, 0),
             stage_classification: stage.histogram(0, 1),
@@ -757,20 +779,21 @@ impl ProxyTelemetry {
             retro_unverified: c.counter(RETRO_UNVERIFIED, 0),
             degraded_gauge: c.gauge(DEGRADED, 0),
             degraded_decisions: c.counter(DEGRADED_DECISIONS, 0),
+            cells: c,
             registry,
             timing,
             clock,
         }
     }
 
-    /// Packets decided while the proxy was in degraded mode.
+    /// Packets this proxy decided while in degraded mode.
     pub fn degraded_decision_count(&self) -> u64 {
-        self.degraded_decisions.get()
+        self.cells.get(self.degraded_decisions)
     }
 
-    /// Lockout episodes entered so far (one per episode).
+    /// Lockout episodes this proxy entered so far (one per episode).
     pub fn lockout_count(&self) -> u64 {
-        self.lockouts.get()
+        self.cells.get(self.lockouts)
     }
 
     /// The deterministic registry: counters and gauges (for exposition).
@@ -785,28 +808,41 @@ impl ProxyTelemetry {
         &self.timing
     }
 
+    /// Add `n` (may be negative) to one of this proxy's gauges.
+    fn shift(&mut self, gauge: impl FnOnce(&Self) -> GaugeCell, n: i64) {
+        let g = gauge(self);
+        self.cells.shift(g, n);
+    }
+
+    /// Add one to one of this proxy's counters.
+    fn inc(&mut self, counter: impl FnOnce(&Self) -> CounterCell) {
+        let c = counter(self);
+        self.cells.inc(c);
+    }
+
     /// Fold one policy event into the counters and gauges it moves.
-    fn note(&self, ev: &ProxyEvent) {
+    fn note(&mut self, ev: &ProxyEvent) {
+        let c = &mut self.cells;
         match *ev {
-            ProxyEvent::Decided { decision, .. } => self.decisions[decision.series()].inc(),
-            ProxyEvent::Proof { verified: true, .. } => self.auth_verified.inc(),
-            ProxyEvent::Proof { .. } => self.auth_rejected.inc(),
+            ProxyEvent::Decided { decision, .. } => c.inc(self.decisions[decision.series()]),
+            ProxyEvent::Proof { verified: true, .. } => c.inc(self.auth_verified),
+            ProxyEvent::Proof { .. } => c.inc(self.auth_rejected),
             ProxyEvent::Lockout { .. } => {
-                self.lockouts.inc();
-                self.locked_devices_gauge.inc();
+                c.inc(self.lockouts);
+                c.shift(self.locked_devices_gauge, 1);
             }
-            ProxyEvent::LockoutCleared { .. } => self.locked_devices_gauge.dec(),
+            ProxyEvent::LockoutCleared { .. } => c.shift(self.locked_devices_gauge, -1),
             ProxyEvent::QuarantineHeld { .. } => {
-                self.quarantine_held.inc();
-                self.quarantine_depth.inc();
+                c.inc(self.quarantine_held);
+                c.shift(self.quarantine_depth, 1);
             }
             ProxyEvent::QuarantineReleased { packets, .. } => {
-                self.quarantine_released.add(packets);
-                self.quarantine_depth.add(-(packets as i64));
+                c.add(self.quarantine_released, packets);
+                c.shift(self.quarantine_depth, -(packets as i64));
             }
             ProxyEvent::QuarantineExpired { packets, .. } => {
-                self.quarantine_expired.add(packets);
-                self.quarantine_depth.add(-(packets as i64));
+                c.add(self.quarantine_expired, packets);
+                c.shift(self.quarantine_depth, -(packets as i64));
             }
         }
     }
@@ -1008,7 +1044,7 @@ impl FiatProxy {
             quarantine: None,
         };
         self.devices.insert(device, DeviceState { classifier, rec });
-        self.policy.telemetry.devices_gauge.inc();
+        self.policy.telemetry.shift(|t| t.devices_gauge, 1);
         true
     }
 
@@ -1083,7 +1119,7 @@ impl FiatProxy {
             d.locked = false;
             d.drops.clear();
             if d.open.take().is_some() {
-                self.policy.telemetry.open_events_gauge.dec();
+                self.policy.telemetry.shift(|t| t.open_events_gauge, -1);
             }
         }
     }
@@ -1101,10 +1137,10 @@ impl FiatProxy {
         }
         self.degraded = degraded;
         let verdict = if degraded {
-            self.policy.telemetry.degraded_gauge.inc();
+            self.policy.telemetry.shift(|t| t.degraded_gauge, 1);
             AuditVerdict::DegradedModeEntered
         } else {
-            self.policy.telemetry.degraded_gauge.dec();
+            self.policy.telemetry.shift(|t| t.degraded_gauge, -1);
             AuditVerdict::DegradedModeExited
         };
         // The transition is proxy-wide; Control is the neutral class for
@@ -1185,7 +1221,7 @@ impl FiatProxy {
             &mut self.validator,
             &self.policy.telemetry,
         )
-        .inspect_err(|_| self.policy.telemetry.auth_errors.inc())?;
+        .inspect_err(|_| self.policy.telemetry.inc(|t| t.auth_errors))?;
         if human {
             self.policy.human_valid_until = now + self.policy.config.human_valid_window;
             if self.policy.config.proof_deadline.is_some() {
@@ -1224,7 +1260,7 @@ impl FiatProxy {
                 .record(t.clock.now_nanos().saturating_sub(started));
         }
         if self.degraded {
-            self.policy.telemetry.degraded_decisions.inc();
+            self.policy.telemetry.inc(|t| t.degraded_decisions);
         }
         self.policy.emit(ProxyEvent::Decided {
             ts: pkt.ts,
@@ -1260,7 +1296,9 @@ impl FiatProxy {
             );
             rules.set_capacity(self.policy.config.max_rules);
             span.exit();
-            self.policy.telemetry.rules_gauge.add(rules.len() as i64);
+            self.policy
+                .telemetry
+                .shift(|t| t.rules_gauge, rules.len() as i64);
             self.rules = Some(rules);
             self.bootstrap_buffer.clear();
             self.bootstrap_buffer.shrink_to_fit();
@@ -1299,7 +1337,7 @@ impl FiatProxy {
             return ProxyDecision::Drop(DropReason::LockedOut);
         }
         if dev.rec.open.is_none() {
-            self.policy.telemetry.open_events_gauge.inc();
+            self.policy.telemetry.shift(|t| t.open_events_gauge, 1);
         }
         let open = dev.rec.open.get_or_insert_with(|| OpenEvent {
             packets: EventPackets::new(),
@@ -1476,7 +1514,7 @@ impl Policy {
         let Some(stale) = dev.rec.open.take_if(|e| now - e.last >= gap) else {
             return;
         };
-        self.telemetry.open_events_gauge.dec();
+        self.telemetry.shift(|t| t.open_events_gauge, -1);
         if stale.fate.is_none() {
             self.retro_close(dev, stale);
         }
@@ -1498,7 +1536,7 @@ impl Policy {
             Some(AllowReason::NonManual) => AuditVerdict::AllowedNonManual,
             Some(_) => AuditVerdict::AllowedManualVerified,
             None => {
-                self.telemetry.retro_unverified.inc();
+                self.telemetry.inc(|t| t.retro_unverified);
                 self.stats.retro_unverified += 1;
                 self.unverified_episode(dev, end)
             }

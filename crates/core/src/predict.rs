@@ -18,7 +18,7 @@ use fiat_net::{
     DeviceFlowKey, DnsTable, FastMap, FlowDef, InternedFlowKey, PacketRecord, SimDuration, SimTime,
     TrafficClass,
 };
-use fiat_telemetry::{Counter, Family, MetricRegistry, SchemaPart};
+use fiat_telemetry::{CounterCell, Family, MetricRegistry, PartWriter, SchemaPart};
 use std::collections::HashMap;
 
 /// Default interval quantization bin: one microsecond, i.e. exact
@@ -253,20 +253,24 @@ impl PredictabilityReport {
 /// in the offline analysis, as in Fig 2).
 pub const MIN_RULE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-/// Telemetry handles for rule learning and enforcement lookups. The
-/// default is a set of detached counters (not owned by any registry), so
-/// uninstrumented callers pay one relaxed atomic op and nothing else.
-#[derive(Debug, Clone, Default)]
+/// The rule table's own cells of the `fiat_rules_*` series: bucket
+/// outcomes at learning and lookup outcomes at enforcement. The table is
+/// their one writer ([`MetricRegistry::attach_writer`]), so a lookup's
+/// count is a relaxed load and a store, not a locked instruction. The
+/// default is a set of detached cells that no registry reads.
+#[derive(Debug)]
 pub struct RuleTelemetry {
-    /// Bootstrap flow buckets admitted as rules.
-    pub buckets_learned: Counter,
-    /// Bootstrap flow buckets examined but rejected (no qualifying
-    /// repeating interval).
-    pub buckets_rejected: Counter,
-    /// Enforcement-time lookups that hit a rule.
-    pub match_hits: Counter,
-    /// Enforcement-time lookups that missed.
-    pub match_misses: Counter,
+    cells: PartWriter,
+    learned: CounterCell,
+    rejected: CounterCell,
+    hits: CounterCell,
+    misses: CounterCell,
+}
+
+impl Default for RuleTelemetry {
+    fn default() -> Self {
+        Self::over(PartWriter::detached(&RULE_METRICS))
+    }
 }
 
 /// The `fiat_rules_*` series, attached when rules are learned or
@@ -285,14 +289,25 @@ static RULE_METRICS: SchemaPart = SchemaPart::new(&[
 ]);
 
 impl RuleTelemetry {
-    /// Handles to the `fiat_rules_*` series of `registry`.
+    /// This table's own cells of the `fiat_rules_*` series of
+    /// `registry`.
     pub fn registered(registry: &MetricRegistry) -> Self {
-        let cells = registry.attach(&RULE_METRICS);
+        Self::over(registry.attach_writer(&RULE_METRICS))
+    }
+
+    /// Count one enforcement lookup.
+    fn note_match(&mut self, hit: bool) {
+        let c = if hit { self.hits } else { self.misses };
+        self.cells.inc(c);
+    }
+
+    fn over(cells: PartWriter) -> Self {
         RuleTelemetry {
-            buckets_learned: cells.counter(0, 0),
-            buckets_rejected: cells.counter(0, 1),
-            match_hits: cells.counter(1, 0),
-            match_misses: cells.counter(1, 1),
+            learned: cells.counter(0, 0),
+            rejected: cells.counter(0, 1),
+            hits: cells.counter(1, 0),
+            misses: cells.counter(1, 1),
+            cells,
         }
     }
 }
@@ -333,7 +348,7 @@ fn least_recent<V>(map: &FastMap<Key, V>, stamp: impl Fn(&V) -> u64) -> Key {
 /// device cycling fresh keys can never grow the table past the cap —
 /// fresh keys were never learned, so they have no ghost and no re-learn
 /// path. Ghosts are capped at the same size and evicted the same way.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct RuleTable {
     rules: FastMap<Key, u64>,
     ghosts: FastMap<Key, Ghost>,
@@ -367,22 +382,23 @@ impl RuleTable {
         engine: &PredictabilityEngine,
         packets: &[PacketRecord],
         dns: &DnsTable,
-        telemetry: RuleTelemetry,
+        mut telemetry: RuleTelemetry,
     ) -> RuleTable {
         // Qualifying buckets get their LRU stamps in (last-seen, key)
         // order, so "least recently matched" is well-defined — and
         // deterministic — from the moment the table is born.
         let mut qualifying: Vec<(SimTime, Key)> = Vec::new();
+        let t = &mut telemetry;
         engine.for_each_bucket(packets, dns, |key, members, bins| {
             if bins
                 .values()
                 .any(|b| b.repeats() && b.first >= MIN_RULE_INTERVAL)
             {
-                telemetry.buckets_learned.inc();
+                t.cells.inc(t.learned);
                 let last = *members.last().expect("buckets are nonempty");
                 qualifying.push((packets[last].ts, key));
             } else {
-                telemetry.buckets_rejected.inc();
+                t.cells.inc(t.rejected);
             }
         });
         qualifying.sort();
@@ -409,15 +425,12 @@ impl RuleTable {
         if let Some(stamp) = self.rules.get_mut(&key) {
             self.stamp += 1;
             *stamp = self.stamp;
-            self.telemetry.match_hits.inc();
+            self.telemetry.note_match(true);
             return true;
         }
-        if self.advance_ghost(key, pkt.ts) {
-            self.telemetry.match_hits.inc();
-            return true;
-        }
-        self.telemetry.match_misses.inc();
-        false
+        let hit = self.advance_ghost(key, pkt.ts);
+        self.telemetry.note_match(hit);
+        hit
     }
 
     /// Advance the re-learn pattern for an evicted key; `true` when this
@@ -750,17 +763,17 @@ mod tests {
             assert!(rules.len() <= 4, "iteration {i}: {} rules", rules.len());
             assert!(rules.ghost_len() <= 4, "iteration {i}");
         }
-        let mut touched = rules.clone();
+        let (len, ghosts) = (rules.len(), rules.ghost_len());
         for i in 0..1000u64 {
             // Fresh keys were never learned: no rule, no ghost, no growth.
-            assert!(!touched.matches_touch(
+            assert!(!rules.matches_touch(
                 FlowDef::PortLess,
                 &pkt(i * 1000, 10_000 + (i % 50_000) as u16, 9),
                 &dns
             ));
         }
-        assert_eq!(touched.len(), rules.len());
-        assert_eq!(touched.ghost_len(), rules.ghost_len());
+        assert_eq!(rules.len(), len);
+        assert_eq!(rules.ghost_len(), ghosts);
     }
 
     #[test]
@@ -1007,15 +1020,16 @@ mod tests {
         let eng = PredictabilityEngine::new(FlowDef::PortLess);
         let registry = MetricRegistry::new();
         let telemetry = RuleTelemetry::registered(&registry);
-        let mut rules = RuleTable::learn_instrumented(&eng, &packets, &dns, telemetry.clone());
-        assert_eq!(telemetry.buckets_learned.get(), 1);
-        assert_eq!(telemetry.buckets_rejected.get(), 1);
+        let mut rules = RuleTable::learn_instrumented(&eng, &packets, &dns, telemetry);
+        let count = |name, outcome| registry.counter(name, &[("outcome", outcome)]).get();
+        assert_eq!(count("fiat_rules_buckets_total", "learned"), 1);
+        assert_eq!(count("fiat_rules_buckets_total", "rejected"), 1);
 
         assert!(rules.matches_touch(FlowDef::PortLess, &pkt(99_000, 100, 60_000), &dns));
         assert!(!rules.matches_touch(FlowDef::PortLess, &pkt(99_000, 101, 60_000), &dns));
-        assert_eq!(telemetry.match_hits.get(), 1);
-        assert_eq!(telemetry.match_misses.get(), 1);
-        // The registry sees the same counts (handles are shared).
+        assert_eq!(count("fiat_rules_match_total", "hit"), 1);
+        assert_eq!(count("fiat_rules_match_total", "miss"), 1);
+        // The exposition reads the table's own cells.
         assert!(registry
             .render_prometheus()
             .contains("fiat_rules_match_total{outcome=\"hit\"} 1"));

@@ -371,3 +371,98 @@ fn lookup_before_rules_attach_is_not_a_second_series() {
         1
     );
 }
+
+#[test]
+fn two_proxies_on_two_threads_share_one_registry() {
+    // Each proxy is the one writer of its own cells in the shared
+    // registry; the registry sums them when read, so concurrent writers
+    // lose nothing.
+    let shared = MetricRegistry::new();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let shared = &shared;
+            s.spawn(move || learn_and_match(&mut proxy(shared)));
+        }
+    });
+    let twice = MetricRegistry::new();
+    for _ in 0..2 {
+        let alone = MetricRegistry::new();
+        learn_and_match(&mut proxy(&alone));
+        twice.merge_from(&alone);
+    }
+    let (a, b) = (shared.snapshot(), twice.snapshot());
+    assert!(!a.counters.is_empty() && !a.gauges.is_empty());
+    assert_eq!(a.counters, b.counters);
+    assert_eq!(a.gauges, b.gauges);
+    assert_eq!(shared.len(), twice.len());
+}
+
+/// Four periodic flows (sizes 100..=103, one packet each every 10 s) on
+/// device 0 from `from_ms` to `to_ms`; returns how many packets were
+/// allowed as a rule hit after an earlier one of the same flow missed
+/// (a ghost promoted back into the table).
+fn periodic_flows(proxy: &mut FiatProxy, from_ms: u64, to_ms: u64) -> u64 {
+    let mut missed = [false; 4];
+    let mut promoted = 0;
+    let mut t = from_ms;
+    while t < to_ms {
+        for (i, missed) in missed.iter_mut().enumerate() {
+            let d = proxy.on_packet(&pkt(t + i as u64 * 1_000, 0, 100 + i as u16));
+            if d == ProxyDecision::Allow(AllowReason::RuleHit) {
+                promoted += u64::from(std::mem::take(missed));
+            } else {
+                *missed = true;
+            }
+        }
+        t += 10_000;
+    }
+    promoted
+}
+
+#[test]
+fn rule_match_hits_are_rule_hit_decisions_across_ghosts_and_restore() {
+    // Two rules for four learned flows: every lookup evicts, ghosts and
+    // re-promotes rules. The table's `hit` series counts exactly the
+    // proxy's `rule_hit` decisions, and `hit + miss` every lookup (every
+    // decision after bootstrap; nothing here locks the device).
+    let config = ProxyConfig {
+        max_rules: Some(2),
+        ..config()
+    };
+    let first = MetricRegistry::new();
+    let mut proxy =
+        FiatProxy::with_telemetry(config.clone(), &SECRET, validator(), telemetry(&first));
+    proxy.register_device(0, EventClassifier::simple_rule(235), 1);
+    proxy.start(SimTime::ZERO);
+    let bootstrap_ms = 20 * 60 * 1000;
+    assert_eq!(periodic_flows(&mut proxy, 0, bootstrap_ms), 0);
+    assert!(periodic_flows(&mut proxy, bootstrap_ms, bootstrap_ms + 600_000) > 0);
+    assert_eq!(proxy.state_size().rule_ghosts, 2);
+
+    let second = MetricRegistry::new();
+    let mut restored = FiatProxy::restore(
+        config,
+        &SECRET,
+        validator(),
+        telemetry(&second),
+        &proxy.snapshot(),
+        |_| EventClassifier::simple_rule(235),
+    )
+    .unwrap();
+    let from = bootstrap_ms + 600_000;
+    assert!(periodic_flows(&mut restored, from, from + 600_000) > 0);
+
+    let count = |outcome| {
+        [&first, &second]
+            .iter()
+            .map(|r| {
+                r.counter("fiat_rules_match_total", &[("outcome", outcome)])
+                    .get()
+            })
+            .sum::<u64>()
+    };
+    let s = restored.stats();
+    assert!(s.rule_hit > 0 && s.non_manual + s.first_n > 0);
+    assert_eq!(count("hit"), s.rule_hit);
+    assert_eq!(count("hit") + count("miss"), s.total() - s.bootstrap);
+}

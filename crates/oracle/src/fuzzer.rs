@@ -10,9 +10,11 @@
 //! flush-then-older-packet), and lockout clears. Both proxies run the
 //! identical op list; the oracle compares every per-packet decision,
 //! the final [`ProxyStats`], the audit trail entry-by-entry, and the
-//! real proxy's hash chain. On divergence, a greedy chunk-removal
-//! shrinker minimizes the op list before reporting.
+//! real proxy's hash chain, and after every op it checks the real
+//! proxy's own laws ([`crate::laws`]). On divergence, a greedy
+//! chunk-removal shrinker minimizes the op list before reporting.
 
+use crate::laws::{self, LawViolation};
 use crate::reference::ReferenceProxy;
 use fiat_core::audit::AuditEntry;
 use fiat_core::{EventClassifier, FiatApp, FiatProxy, ProxyConfig, ProxyDecision, ProxyStats};
@@ -173,11 +175,14 @@ pub enum DivergenceKind {
     },
     /// The real proxy's own hash chain failed to verify.
     AuditChain,
+    /// The real proxy broke one of its own laws ([`crate::laws`]) after
+    /// an op.
+    Law(LawViolation),
 }
 
 impl DivergenceKind {
-    /// Stable label for metrics/grouping: `decision`, `stats`, or
-    /// `audit`.
+    /// Stable label for metrics/grouping: `decision`, `stats`, `audit`
+    /// or `law`.
     pub fn label(&self) -> &'static str {
         match self {
             DivergenceKind::Decision { .. } => "decision",
@@ -185,6 +190,7 @@ impl DivergenceKind {
             DivergenceKind::AuditLength { .. }
             | DivergenceKind::AuditEntry { .. }
             | DivergenceKind::AuditChain => "audit",
+            DivergenceKind::Law(_) => "law",
         }
     }
 }
@@ -234,6 +240,7 @@ impl std::fmt::Display for Divergence {
             DivergenceKind::AuditChain => {
                 write!(f, "end state: real proxy audit hash chain failed to verify")
             }
+            DivergenceKind::Law(v) => write!(f, "op {}: law broken: {v}", self.op_index),
         }
     }
 }
@@ -380,6 +387,12 @@ fn run_pair(
                 real.clear_lockout(*device);
                 reference.clear_lockout(*device);
             }
+        }
+        if let Err(v) = laws::check(&real) {
+            return Some(Divergence {
+                op_index: i,
+                kind: DivergenceKind::Law(v),
+            });
         }
     }
 

@@ -12,7 +12,9 @@
 //! - the fuzzer (`fuzzer`): seeded timestamp-chaos scenarios over the
 //!   paper's 10-device testbed matrix, driven op-by-op through both
 //!   implementations, comparing every decision, the final counters,
-//!   and the audit trail, with a greedy shrinker for any divergence.
+//!   and the audit trail, with a greedy shrinker for any divergence;
+//! - the laws (`laws`): what the real proxy's exported data must satisfy
+//!   on its own, checked after every op without the reference.
 //!
 //! The oracle's contract: **any** disagreement is a bug until either
 //! `fiat-core` is fixed or the behaviour is argued for and recorded in
@@ -27,6 +29,7 @@
 #![deny(missing_docs)]
 
 pub mod fuzzer;
+pub mod laws;
 pub mod reference;
 
 pub use fuzzer::{

@@ -5,11 +5,15 @@
 //!
 //! - [`MetricRegistry`] — thread-safe, named [`Counter`]s, [`Gauge`]s and
 //!   log-linear-bucket [`Histogram`]s (p50/p90/p99/max queries, one
-//!   relaxed atomic op per update on the hot path).
+//!   relaxed atomic op per update).
 //! - [`SchemaPart`] — metric families declared once as a `static` table
 //!   and attached to a registry as one cell array, so a component's
 //!   telemetry is built with one allocation and merged element by
-//!   element.
+//!   element. A [`PartWriter`] attaches a part with cells of its own,
+//!   so a hot path that owns its counters updates them with a plain
+//!   load and store, no locked instruction.
+//! - [`work`] — with the `count-work` feature, a per-thread count of the
+//!   locked read-modify-writes telemetry makes, for exact cost tests.
 //! - [`Span`] — stage-latency timing driven by a pluggable [`Clock`], so
 //!   real deployments use the OS monotonic clock ([`WallClock`]) while
 //!   deterministic experiments drive simulated time ([`ManualClock`]).
@@ -45,9 +49,12 @@ pub mod expose;
 pub mod metrics;
 pub mod schema;
 pub mod span;
+pub mod work;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use expose::{json_escape, CounterSample, GaugeSample, HistogramSample, Snapshot};
 pub use metrics::{Counter, Gauge, Histogram, MetricRegistry, NUM_BUCKETS};
-pub use schema::{Family, LabelSet, MetricKind, PartCells, SchemaPart};
+pub use schema::{
+    CounterCell, Family, GaugeCell, LabelSet, MetricKind, PartCells, PartWriter, SchemaPart,
+};
 pub use span::Span;

@@ -1,24 +1,30 @@
 //! Counters, gauges, log-linear histograms, and the registry that owns
 //! them.
 //!
-//! Every metric value lives in a cell: an `AtomicU64` in a shared
-//! `Arc<[AtomicU64]>` array. A handle ([`Counter`], [`Gauge`],
-//! [`Histogram`]) is that array plus an index, so cloning one is a
-//! reference-count bump and every update on the hot path is one relaxed
-//! atomic operation. A [`MetricRegistry`] holds two kinds of series:
+//! Every metric value lives in a cell, an `AtomicU64` in an
+//! `Arc<[AtomicU64]>` array. A [`MetricRegistry`] holds two kinds of
+//! series:
 //!
 //! - **schema parts** ([`SchemaPart`]): families declared once as a
-//!   `static` table. Attaching a part allocates one zeroed cell array for
-//!   all of its series, and merging registries adds same-part arrays
-//!   element by element;
+//!   `static` table and attached to a registry. A part attached with
+//!   [`MetricRegistry::attach`] has one cell array that every caller
+//!   shares; its handles update with relaxed atomic read-modify-writes.
+//!   A part attached with [`MetricRegistry::attach_writer`] gets a cell
+//!   array per caller, a [`PartWriter`] that is the array's one writer,
+//!   so its updates are a relaxed load and a store with no locked
+//!   instruction. Wherever the registry reads a part's series (the
+//!   exposition, a merge, a lookup by name), it sums the shared array and
+//!   every writer's array;
 //! - **string-keyed series**, created on first lookup by name and labels:
 //!   what is truly dynamic (per-epoch gauges, harness reports).
 //!
 //! Each `(name, labels)` lives in exactly one place: a lookup by name
-//! resolves to an attached part's cell when the part declares the
-//! series, and attaching a part absorbs any string-keyed series it
-//! declares. The registry's lock is taken to attach, look up, merge and
-//! expose, never by a handle update.
+//! resolves to an attached part's series when the part declares it, and
+//! a part's first attach absorbs any string-keyed series it declares.
+//! The registry's lock is taken to attach, look up, merge and expose,
+//! and by the handles a lookup of a part's counter or gauge returns
+//! (they read the summed series), never by a [`PartWriter`] update or a
+//! [`PartCells`] handle.
 //!
 //! Histograms use log-linear buckets (16 linear sub-buckets per power of
 //! two, the HdrHistogram layout): relative bucket width is bounded by
@@ -27,7 +33,8 @@
 //! buckets.
 
 use crate::expose::{CounterSample, GaugeSample, HistogramSample, Snapshot};
-use crate::schema::{MetricKind, PartCells, SchemaPart};
+use crate::schema::{MetricKind, PartCells, PartWriter, SchemaPart};
+use crate::work::{rmw_add, rmw_max};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
@@ -80,21 +87,21 @@ pub(crate) fn bucket_bounds(idx: usize) -> (u64, u64) {
 }
 
 /// `n` zeroed cells in one allocation.
-fn zeroed(n: usize) -> Arc<[AtomicU64]> {
+pub(crate) fn zeroed(n: usize) -> Arc<[AtomicU64]> {
     (0..n).map(|_| AtomicU64::new(0)).collect()
 }
 
 /// Add one counter or gauge cell into another (gauges wrap as `i64`).
-pub(crate) fn fold_cell(dst: &AtomicU64, src: &AtomicU64) {
+fn fold_cell(dst: &AtomicU64, src: &AtomicU64) {
     let n = src.load(Ordering::Relaxed);
     if n != 0 {
-        dst.fetch_add(n, Ordering::Relaxed);
+        rmw_add(dst, n);
     }
 }
 
 /// Fold one histogram's cells into another's: buckets, count and sum
 /// add, min and max tighten.
-pub(crate) fn fold_histogram(dst: &[AtomicU64], src: &[AtomicU64]) {
+fn fold_histogram(dst: &[AtomicU64], src: &[AtomicU64]) {
     if src[COUNT].load(Ordering::Relaxed) == 0 {
         return;
     }
@@ -104,15 +111,68 @@ pub(crate) fn fold_histogram(dst: &[AtomicU64], src: &[AtomicU64]) {
     fold_cell(&dst[COUNT], &src[COUNT]);
     fold_cell(&dst[SUM], &src[SUM]);
     for cell in [INV_MIN, MAX] {
-        dst[cell].fetch_max(src[cell].load(Ordering::Relaxed), Ordering::Relaxed);
+        rmw_max(&dst[cell], src[cell].load(Ordering::Relaxed));
+    }
+}
+
+/// Fold one series of `kind` (its cells start `src`) into another
+/// (starting `dst`).
+pub(crate) fn fold_series(kind: MetricKind, dst: &[AtomicU64], src: &[AtomicU64]) {
+    let (dst, src) = (&dst[..kind.cells()], &src[..kind.cells()]);
+    match kind {
+        MetricKind::Histogram => fold_histogram(dst, src),
+        MetricKind::Counter | MetricKind::Gauge => fold_cell(&dst[0], &src[0]),
+    }
+}
+
+/// Where a counter's or gauge's value lives.
+#[derive(Clone)]
+enum Slot {
+    /// One cell of an array, updated with atomic read-modify-writes.
+    Cell(Arc<[AtomicU64]>, usize),
+    /// Series `cell` of the registry's part `part`: reads sum the part's
+    /// shared cell and every writer's, updates go to the shared cell.
+    Series(MetricRegistry, usize, usize),
+}
+
+impl Slot {
+    fn load(&self) -> u64 {
+        match self {
+            Slot::Cell(cells, cell) => cells[*cell].load(Ordering::Relaxed),
+            Slot::Series(registry, part, cell) => registry.lock().load(*part, *cell),
+        }
+    }
+
+    fn add(&self, n: u64) {
+        match self {
+            Slot::Cell(cells, cell) => rmw_add(&cells[*cell], n),
+            Slot::Series(registry, part, cell) => {
+                rmw_add(&registry.lock().shared(*part)[*cell], n);
+            }
+        }
+    }
+
+    /// Make the value `v`: a series' shared cell takes `v` less what the
+    /// writers hold.
+    fn set(&self, v: u64) {
+        match self {
+            Slot::Cell(cells, cell) => cells[*cell].store(v, Ordering::Relaxed),
+            Slot::Series(registry, part, cell) => {
+                let mut s = registry.lock();
+                let shared = s.shared(*part);
+                let writers = s
+                    .load(*part, *cell)
+                    .wrapping_sub(shared[*cell].load(Ordering::Relaxed));
+                shared[*cell].store(v.wrapping_sub(writers), Ordering::Relaxed);
+            }
+        }
     }
 }
 
 /// A monotonically increasing counter.
 #[derive(Clone)]
 pub struct Counter {
-    cells: Arc<[AtomicU64]>,
-    cell: usize,
+    slot: Slot,
 }
 
 impl Default for Counter {
@@ -134,7 +194,9 @@ impl Counter {
     }
 
     pub(crate) fn at(cells: Arc<[AtomicU64]>, cell: usize) -> Self {
-        Counter { cells, cell }
+        Counter {
+            slot: Slot::Cell(cells, cell),
+        }
     }
 
     /// Add one.
@@ -144,20 +206,19 @@ impl Counter {
 
     /// Add `n`.
     pub fn add(&self, n: u64) {
-        self.cells[self.cell].fetch_add(n, Ordering::Relaxed);
+        self.slot.add(n);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.cells[self.cell].load(Ordering::Relaxed)
+        self.slot.load()
     }
 }
 
 /// A gauge: a value that can go up and down.
 #[derive(Clone)]
 pub struct Gauge {
-    cells: Arc<[AtomicU64]>,
-    cell: usize,
+    slot: Slot,
 }
 
 impl Default for Gauge {
@@ -179,17 +240,19 @@ impl Gauge {
     }
 
     pub(crate) fn at(cells: Arc<[AtomicU64]>, cell: usize) -> Self {
-        Gauge { cells, cell }
+        Gauge {
+            slot: Slot::Cell(cells, cell),
+        }
     }
 
     /// Set the value.
     pub fn set(&self, v: i64) {
-        self.cells[self.cell].store(v as u64, Ordering::Relaxed);
+        self.slot.set(v as u64);
     }
 
     /// Add `n` (may be negative).
     pub fn add(&self, n: i64) {
-        self.cells[self.cell].fetch_add(n as u64, Ordering::Relaxed);
+        self.slot.add(n as u64);
     }
 
     /// Add one.
@@ -204,10 +267,9 @@ impl Gauge {
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.cells[self.cell].load(Ordering::Relaxed) as i64
+        self.slot.load() as i64
     }
 }
-
 /// A log-linear-bucket histogram of `u64` samples (typically latencies
 /// in nanoseconds or microseconds). Quantile queries are accurate to one
 /// bucket width (≤ 1/16 of the value, or ±1 below 16).
@@ -253,11 +315,11 @@ impl Histogram {
     /// Record one sample.
     pub fn record(&self, v: u64) {
         let c = self.cells();
-        c[BUCKETS + bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        c[COUNT].fetch_add(1, Ordering::Relaxed);
-        c[SUM].fetch_add(v, Ordering::Relaxed);
-        c[INV_MIN].fetch_max(!v, Ordering::Relaxed);
-        c[MAX].fetch_max(v, Ordering::Relaxed);
+        rmw_add(&c[BUCKETS + bucket_index(v)], 1);
+        rmw_add(&c[COUNT], 1);
+        rmw_add(&c[SUM], v);
+        rmw_max(&c[INV_MIN], !v);
+        rmw_max(&c[MAX], v);
     }
 
     /// Number of recorded samples.
@@ -421,128 +483,152 @@ pub(crate) const fn valid_name(s: &str) -> bool {
     true
 }
 
+/// A string-keyed series: its kind and its own cells (one for a counter
+/// or gauge, [`HISTOGRAM_CELLS`] for a histogram).
 #[derive(Debug, Clone)]
-enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
+struct Keyed {
+    kind: MetricKind,
+    cells: Arc<[AtomicU64]>,
 }
 
-impl Metric {
-    fn new(kind: MetricKind) -> Self {
-        match kind {
-            MetricKind::Counter => Metric::Counter(Counter::new()),
-            MetricKind::Gauge => Metric::Gauge(Gauge::new()),
-            MetricKind::Histogram => Metric::Histogram(Histogram::new()),
-        }
-    }
-
-    /// The handle of `kind` at `cell` of `cells`.
-    fn at(kind: MetricKind, cells: Arc<[AtomicU64]>, cell: usize) -> Self {
-        match kind {
-            MetricKind::Counter => Metric::Counter(Counter::at(cells, cell)),
-            MetricKind::Gauge => Metric::Gauge(Gauge::at(cells, cell)),
-            MetricKind::Histogram => Metric::Histogram(Histogram::at(cells, cell)),
-        }
-    }
-
-    fn kind(&self) -> MetricKind {
-        match self {
-            Metric::Counter(_) => MetricKind::Counter,
-            Metric::Gauge(_) => MetricKind::Gauge,
-            Metric::Histogram(_) => MetricKind::Histogram,
-        }
-    }
-
-    /// Add `other`'s value into this metric. Panics on a kind mismatch.
-    fn fold(&self, other: &Metric, name: &str) {
-        match (self, other) {
-            (Metric::Counter(c), Metric::Counter(o)) => {
-                fold_cell(&c.cells[c.cell], &o.cells[o.cell])
-            }
-            (Metric::Gauge(g), Metric::Gauge(o)) => fold_cell(&g.cells[g.cell], &o.cells[o.cell]),
-            (Metric::Histogram(h), Metric::Histogram(o)) => h.merge_from(o),
-            _ => panic!("metric {name:?} merged with a different kind"),
-        }
-    }
-}
-
-/// A schema part attached to a registry, with its cells.
+/// A schema part attached to a registry.
 #[derive(Debug)]
 struct Part {
     schema: &'static SchemaPart,
-    cells: Arc<[AtomicU64]>,
+    /// The cells of [`MetricRegistry::attach`] callers, of the
+    /// string-keyed series the part absorbed, of merges into this
+    /// registry and of updates through lookup handles. Allocated on first
+    /// use: a part attached only per writer may never need it.
+    shared: Option<Arc<[AtomicU64]>>,
+}
+
+/// Where a lookup by name resolved.
+enum Resolved {
+    /// Series `cell` of attached part `part`.
+    Part(usize, usize),
+    /// A string-keyed series.
+    Keyed(Arc<[AtomicU64]>),
 }
 
 #[derive(Debug, Default)]
 struct Store {
     parts: Vec<Part>,
-    metrics: BTreeMap<Arc<MetricId>, Metric>,
+    /// Each [`PartWriter`]'s cells, with the index of its part.
+    writers: Vec<(usize, Arc<[AtomicU64]>)>,
+    metrics: BTreeMap<Arc<MetricId>, Keyed>,
     help: BTreeMap<Arc<str>, Arc<str>>,
 }
 
 impl Store {
-    /// The attached-part handle for `name` + `labels`, if a part declares
-    /// that series.
-    fn part_series<K: AsRef<str>, V: AsRef<str>>(
-        &self,
-        name: &str,
-        labels: &[(K, V)],
-    ) -> Option<Metric> {
-        self.parts.iter().find_map(|p| {
-            p.schema
-                .find(name, labels)
-                .map(|(kind, cell)| Metric::at(kind, p.cells.clone(), cell))
-        })
-    }
-
-    /// Get or create the cells of `schema`. A new part absorbs the
-    /// string-keyed series it declares, so none is exported twice.
-    fn attach(&mut self, schema: &'static SchemaPart) -> Arc<[AtomicU64]> {
-        if let Some(p) = self.parts.iter().find(|p| std::ptr::eq(p.schema, schema)) {
-            return p.cells.clone();
+    /// The index of `schema` among the attached parts, attaching it if
+    /// absent. A part's first attach absorbs the string-keyed series it
+    /// declares, so none is exported twice.
+    fn attach(&mut self, schema: &'static SchemaPart) -> usize {
+        if let Some(i) = self
+            .parts
+            .iter()
+            .position(|p| std::ptr::eq(p.schema, schema))
+        {
+            return i;
         }
-        let cells = zeroed(schema.cells());
+        let mut shared: Option<Arc<[AtomicU64]>> = None;
         self.metrics
-            .retain(|id, metric| match schema.find(&id.name, &id.labels) {
+            .retain(|id, keyed| match schema.find(&id.name, &id.labels) {
                 Some((kind, cell)) => {
-                    Metric::at(kind, cells.clone(), cell).fold(metric, &id.name);
+                    assert!(
+                        kind == keyed.kind,
+                        "metric {:?} merged with a different kind",
+                        id.name
+                    );
+                    let dst = shared.get_or_insert_with(|| zeroed(schema.cells()));
+                    fold_series(kind, &dst[cell..], &keyed.cells);
                     false
                 }
                 None => true,
             });
-        self.parts.push(Part {
-            schema,
-            cells: cells.clone(),
-        });
-        cells
+        self.parts.push(Part { schema, shared });
+        self.parts.len() - 1
+    }
+
+    /// The shared cells of part `part`.
+    fn shared(&mut self, part: usize) -> Arc<[AtomicU64]> {
+        let p = &mut self.parts[part];
+        p.shared
+            .get_or_insert_with(|| zeroed(p.schema.cells()))
+            .clone()
+    }
+
+    /// The value of counter or gauge cell `cell` of part `part`: the
+    /// shared cell plus every writer's.
+    fn load(&self, part: usize, cell: usize) -> u64 {
+        let shared = self.parts[part]
+            .shared
+            .as_ref()
+            .map_or(0, |c| c[cell].load(Ordering::Relaxed));
+        self.writers
+            .iter()
+            .filter(|(p, _)| *p == part)
+            .fold(shared, |sum, (_, c)| {
+                sum.wrapping_add(c[cell].load(Ordering::Relaxed))
+            })
+    }
+
+    /// The attached part and cell of `name` + `labels`, if a part
+    /// declares that series.
+    fn part_series<K: AsRef<str>, V: AsRef<str>>(
+        &self,
+        name: &str,
+        labels: &[(K, V)],
+    ) -> Option<(usize, MetricKind, usize)> {
+        self.parts.iter().enumerate().find_map(|(i, p)| {
+            p.schema
+                .find(name, labels)
+                .map(|(kind, cell)| (i, kind, cell))
+        })
     }
 
     /// The string-keyed series `id`, created as `kind` when absent.
-    fn keyed(&mut self, id: Arc<MetricId>, kind: MetricKind) -> Metric {
+    fn keyed(&mut self, id: Arc<MetricId>, kind: MetricKind) -> Keyed {
         self.metrics
             .entry(id)
-            .or_insert_with(|| Metric::new(kind))
+            .or_insert_with(|| Keyed {
+                kind,
+                cells: zeroed(kind.cells()),
+            })
             .clone()
     }
 
     /// Get or create the series `name` + `labels` as `kind`.
-    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> Metric {
-        let metric = self
-            .part_series(name, labels)
-            .unwrap_or_else(|| self.keyed(Arc::new(MetricId::new(name, labels)), kind));
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], kind: MetricKind) -> Resolved {
+        let (found, resolved) = match self.part_series(name, labels) {
+            Some((part, found, cell)) => (found, Resolved::Part(part, cell)),
+            None => {
+                let keyed = self.keyed(Arc::new(MetricId::new(name, labels)), kind);
+                (keyed.kind, Resolved::Keyed(keyed.cells))
+            }
+        };
         assert!(
-            metric.kind() == kind,
+            found == kind,
             "metric {name:?} already registered with a different kind"
         );
-        metric
+        resolved
     }
 
     /// Fold one string-keyed series of another registry into this one.
-    fn fold_metric(&mut self, id: &Arc<MetricId>, metric: &Metric) {
-        self.part_series(&id.name, &id.labels)
-            .unwrap_or_else(|| self.keyed(id.clone(), metric.kind()))
-            .fold(metric, &id.name);
+    fn fold_keyed(&mut self, id: &Arc<MetricId>, src: &Keyed) {
+        let (kind, dst, cell) = match self.part_series(&id.name, &id.labels) {
+            Some((part, kind, cell)) => (kind, self.shared(part), cell),
+            None => {
+                let keyed = self.keyed(id.clone(), src.kind);
+                (keyed.kind, keyed.cells, 0)
+            }
+        };
+        assert!(
+            kind == src.kind,
+            "metric {:?} merged with a different kind",
+            id.name
+        );
+        fold_series(kind, &dst[cell..], &src.cells);
     }
 }
 
@@ -576,36 +662,59 @@ impl MetricRegistry {
         self.inner.lock().unwrap()
     }
 
-    /// Attach a schema part, or return the cells it already has here: two
-    /// components attaching the same part to one registry share them.
+    /// Attach a schema part, or return the cells it already shares here:
+    /// two components attaching the same part to one registry share
+    /// them, and every update is an atomic read-modify-write.
     /// String-keyed series the part declares move into its cells.
     pub fn attach(&self, part: &'static SchemaPart) -> PartCells {
-        PartCells::new(part, self.lock().attach(part))
+        let mut s = self.lock();
+        let i = s.attach(part);
+        PartCells::new(part, s.shared(i))
     }
 
-    /// Get or create a counter. Resolves to an attached part's cell when
-    /// a part declares the series. Panics if the name+labels already map
-    /// to a different metric kind.
+    /// Attach a schema part with cells of the caller's own: each call
+    /// gets a fresh zeroed array, and the returned [`PartWriter`] is its
+    /// one writer, so an update is a relaxed load and a store. The
+    /// registry sums every writer's cells (and any shared ones) wherever
+    /// it reads the part's series. A writer updates counters and gauges;
+    /// the part's histograms stay in its shared cells.
+    pub fn attach_writer(&self, part: &'static SchemaPart) -> PartWriter {
+        let cells = zeroed(part.cells());
+        let mut s = self.lock();
+        let i = s.attach(part);
+        s.writers.push((i, cells.clone()));
+        PartWriter::new(part, cells)
+    }
+
+    /// Get or create a counter. A series an attached part declares
+    /// resolves to that part: the handle reads the series' sum over the
+    /// part's shared and per-writer cells (taking the registry lock), and
+    /// adds to the shared cell. Panics if the name+labels already map to a
+    /// different metric kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.lock().resolve(name, labels, MetricKind::Counter) {
-            Metric::Counter(c) => c,
-            _ => unreachable!("resolve checks the kind"),
-        }
+        let slot = match self.lock().resolve(name, labels, MetricKind::Counter) {
+            Resolved::Part(part, cell) => Slot::Series(self.clone(), part, cell),
+            Resolved::Keyed(cells) => Slot::Cell(cells, 0),
+        };
+        Counter { slot }
     }
 
-    /// Get or create a gauge. Panics on kind mismatch.
+    /// Get or create a gauge, resolved as [`MetricRegistry::counter`]
+    /// resolves a counter. Panics on kind mismatch.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.lock().resolve(name, labels, MetricKind::Gauge) {
-            Metric::Gauge(g) => g,
-            _ => unreachable!("resolve checks the kind"),
-        }
+        let slot = match self.lock().resolve(name, labels, MetricKind::Gauge) {
+            Resolved::Part(part, cell) => Slot::Series(self.clone(), part, cell),
+            Resolved::Keyed(cells) => Slot::Cell(cells, 0),
+        };
+        Gauge { slot }
     }
 
     /// Get or create a histogram. Panics on kind mismatch.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.lock().resolve(name, labels, MetricKind::Histogram) {
-            Metric::Histogram(h) => h,
-            _ => unreachable!("resolve checks the kind"),
+        let mut s = self.lock();
+        match s.resolve(name, labels, MetricKind::Histogram) {
+            Resolved::Part(part, cell) => Histogram::at(s.shared(part), cell),
+            Resolved::Keyed(cells) => Histogram::at(cells, 0),
         }
     }
 
@@ -615,7 +724,8 @@ impl MetricRegistry {
         self.lock().help.insert(name.into(), help.into());
     }
 
-    /// Number of registered metrics (all kinds, counting each label set).
+    /// Number of registered metrics (all kinds, counting each label set;
+    /// a part's series count once however many writers it has).
     pub fn len(&self) -> usize {
         let s = self.lock();
         s.parts.iter().map(|p| p.schema.series()).sum::<usize>() + s.metrics.len()
@@ -628,8 +738,10 @@ impl MetricRegistry {
 
     /// Fold every metric of `other` into this registry: counters and
     /// gauges add, histograms merge bucket-wise, help text carries over.
-    /// Addition is commutative, so merging per-shard registries yields
-    /// the same fleet-wide registry regardless of shard order or count.
+    /// A part's shared cells and each of its writers' cells all fold into
+    /// this registry's shared cells of the part. Addition is commutative,
+    /// so merging per-shard registries yields the same fleet-wide
+    /// registry regardless of shard order or count.
     ///
     /// The two registries are never locked at once (no lock-order
     /// deadlock between them), and merging into a registry that already
@@ -640,21 +752,40 @@ impl MetricRegistry {
         if Arc::ptr_eq(&self.inner, &other.inner) {
             return; // same underlying store: nothing to fold in
         }
+        let fold = |schema: &'static SchemaPart, src: Option<Arc<[AtomicU64]>>| {
+            let dst = {
+                let mut s = self.lock();
+                let i = s.attach(schema);
+                s.shared(i)
+            };
+            if let Some(src) = src {
+                schema.fold(&dst, &src);
+            }
+        };
         for i in 0.. {
             let part = other
                 .lock()
                 .parts
                 .get(i)
-                .map(|p| (p.schema, p.cells.clone()));
+                .map(|p| (p.schema, p.shared.clone()));
             let Some((schema, src)) = part else { break };
-            let dst = self.lock().attach(schema);
-            schema.fold(&dst, &src);
+            fold(schema, src);
+        }
+        for i in 0.. {
+            let writer = {
+                let s = other.lock();
+                s.writers
+                    .get(i)
+                    .map(|(part, cells)| (s.parts[*part].schema, cells.clone()))
+            };
+            let Some((schema, src)) = writer else { break };
+            fold(schema, Some(src));
         }
         let mut last: Option<Arc<MetricId>> = None;
         loop {
             let next = entry_after(&other.lock().metrics, last.as_deref());
-            let Some((id, metric)) = next else { break };
-            self.lock().fold_metric(&id, &metric);
+            let Some((id, keyed)) = next else { break };
+            self.lock().fold_keyed(&id, &keyed);
             last = Some(id);
         }
         let mut last: Option<Arc<str>> = None;
@@ -672,36 +803,48 @@ impl MetricRegistry {
 
     /// A point-in-time copy of every metric, ordered by name then labels.
     pub fn snapshot(&self) -> Snapshot {
-        let s = self.lock();
+        let mut s = self.lock();
         let mut snap = Snapshot::default();
-        let mut push = |metric: &Metric, name: &str, labels: Vec<(String, String)>| {
-            let name = name.to_string();
-            match metric {
-                Metric::Counter(c) => snap.counters.push(CounterSample {
-                    name,
-                    labels,
-                    value: c.get(),
-                }),
-                Metric::Gauge(g) => snap.gauges.push(GaugeSample {
-                    name,
-                    labels,
-                    value: g.get(),
-                }),
-                Metric::Histogram(h) => snap.histograms.push(h.sample(name, labels)),
-            }
-        };
-        for part in &s.parts {
-            for (fam, set, cell) in part.schema.each_series() {
+        for i in 0..s.parts.len() {
+            let schema = s.parts[i].schema;
+            for (fam, set, cell) in schema.each_series() {
+                let name = fam.name.to_string();
                 let labels = set.iter().map(|&(k, v)| (k.into(), v.into())).collect();
-                push(
-                    &Metric::at(fam.kind, part.cells.clone(), cell),
-                    fam.name,
-                    labels,
-                );
+                match fam.kind {
+                    MetricKind::Counter => snap.counters.push(CounterSample {
+                        name,
+                        labels,
+                        value: s.load(i, cell),
+                    }),
+                    MetricKind::Gauge => snap.gauges.push(GaugeSample {
+                        name,
+                        labels,
+                        value: s.load(i, cell) as i64,
+                    }),
+                    MetricKind::Histogram => snap
+                        .histograms
+                        .push(Histogram::at(s.shared(i), cell).sample(name, labels)),
+                }
             }
         }
-        for (id, metric) in &s.metrics {
-            push(metric, &id.name, id.labels.clone());
+        for (id, keyed) in &s.metrics {
+            let (name, labels) = (id.name.clone(), id.labels.clone());
+            let value = keyed.cells[0].load(Ordering::Relaxed);
+            match keyed.kind {
+                MetricKind::Counter => snap.counters.push(CounterSample {
+                    name,
+                    labels,
+                    value,
+                }),
+                MetricKind::Gauge => snap.gauges.push(GaugeSample {
+                    name,
+                    labels,
+                    value: value as i64,
+                }),
+                MetricKind::Histogram => snap
+                    .histograms
+                    .push(Histogram::at(keyed.cells.clone(), 0).sample(name, labels)),
+            }
         }
         snap.counters
             .sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
@@ -1057,6 +1200,111 @@ mod tests {
         // The sources are untouched.
         assert_eq!(cells.counter(0, 0).get(), 2);
         assert_eq!(keyed.len(), 2);
+    }
+
+    #[test]
+    fn writers_are_summed_wherever_a_series_is_read() {
+        let r = MetricRegistry::new();
+        let early = r.counter("hits_total", &[]);
+        early.add(5);
+        let mut a = r.attach_writer(&PART);
+        let mut b = r.attach_writer(&PART);
+        // The early series moved into the part once, not once per writer.
+        assert_eq!(r.len(), 4);
+        let (hits, open) = (a.counter(0, 1), a.gauge(1, 0));
+        a.add(hits, 2);
+        b.inc(hits);
+        a.shift(open, 4);
+        b.shift(open, -1);
+        r.attach(&PART).counter(0, 1).add(10);
+        assert_eq!((a.get(hits), b.get(hits)), (2, 1));
+        // Lookups, the exposition and a merge all read the sum.
+        let looked_up = r.counter("hits_total", &[]);
+        assert_eq!(looked_up.get(), 5 + 2 + 1 + 10);
+        assert_eq!(r.gauge("open", &[]).get(), 3);
+        let text = r.render_prometheus();
+        assert!(text.contains("hits_total 18\n"), "{text}");
+        assert!(text.contains("open 3\n"), "{text}");
+        let merged = MetricRegistry::new();
+        merged.merge_from(&r);
+        assert_eq!(merged.render_prometheus(), text);
+        // A lookup handle updates the series; setting a gauge through one
+        // makes the sum what was set.
+        looked_up.inc();
+        a.inc(hits);
+        assert_eq!(looked_up.get(), 20);
+        r.gauge("open", &[]).set(-2);
+        assert_eq!(r.gauge("open", &[]).get(), -2);
+        b.shift(open, 1);
+        assert_eq!(r.gauge("open", &[]).get(), -1);
+        // Dropping a writer keeps what it counted.
+        drop(a);
+        assert_eq!(r.counter("hits_total", &[]).get(), 20);
+        assert_eq!(r.len(), 4);
+    }
+
+    #[test]
+    fn a_detached_writer_reports_nowhere() {
+        let r = MetricRegistry::new();
+        let mut w = PartWriter::detached(&PART);
+        let hits = w.counter(0, 0);
+        w.add(hits, 3);
+        assert_eq!(w.get(hits), 3);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn concurrent_writers_render_and_merge_exactly() {
+        // Writer threads each own a writer of one part in one registry
+        // while another thread renders and merges the registry; every
+        // read sums the writers, and the final sums are exact.
+        const THREADS: u64 = 4;
+        const ADDS: u64 = 20_000;
+        let r = MetricRegistry::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let mut w = r.attach_writer(&PART);
+                    let r = &r;
+                    s.spawn(move || {
+                        let (hits, open) = (w.counter(0, 0), w.gauge(1, 0));
+                        for i in 0..ADDS {
+                            w.add(hits, t + 1);
+                            w.shift(open, if i % 2 == 0 { 1 } else { -1 });
+                        }
+                        // A lookup on the writing thread sees at least
+                        // its own count.
+                        assert!(r.counter("hits_total", &[("shard", "x")]).get() >= (t + 1) * ADDS);
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                let mut last = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let _ = r.render_prometheus();
+                    let m = MetricRegistry::new();
+                    m.merge_from(&r);
+                    // Each writer's cell only grows, so neither does a
+                    // merged read go backwards.
+                    let now = m.counter("hits_total", &[("shard", "x")]).get();
+                    assert!(now >= last);
+                    last = now;
+                }
+            });
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+        let total = ADDS * (1..=THREADS).sum::<u64>();
+        assert_eq!(r.counter("hits_total", &[("shard", "x")]).get(), total);
+        assert_eq!(r.gauge("open", &[]).get(), 0);
+        let m = MetricRegistry::new();
+        m.merge_from(&r);
+        m.merge_from(&r);
+        assert_eq!(m.counter("hits_total", &[("shard", "x")]).get(), 2 * total);
+        assert_eq!(r.len(), 4);
     }
 
     #[test]

@@ -1,14 +1,25 @@
 //! Static metric schemas: metric families declared once, at compile
-//! time, and attached to a registry as one block of cells.
+//! time, and attached to a registry as blocks of cells.
 //!
 //! A [`SchemaPart`] is a `static` table of [`Family`] rows — name, help,
 //! kind and every label set the family is exported with. Attaching it to
 //! a [`MetricRegistry`](crate::MetricRegistry) allocates one zeroed cell
-//! array for all of its series; [`PartCells`] hands out [`Counter`],
-//! [`Gauge`] and [`Histogram`] handles that index into that array, so
-//! building a component's telemetry costs one allocation instead of a
-//! string-keyed registration per series, and merging two registries adds
-//! their same-part arrays element by element.
+//! array for all of its series, so building a component's telemetry
+//! costs one allocation instead of a string-keyed registration per
+//! series, and merging two registries adds their same-part arrays
+//! element by element. A part is attached in one of two ways:
+//!
+//! - [`MetricRegistry::attach`](crate::MetricRegistry::attach) returns
+//!   [`PartCells`], the part's one shared array: it hands out
+//!   [`Counter`], [`Gauge`] and [`Histogram`] handles, any number of
+//!   callers may update them, and each update is an atomic
+//!   read-modify-write;
+//! - [`MetricRegistry::attach_writer`](crate::MetricRegistry::attach_writer)
+//!   returns a [`PartWriter`], an array of the caller's own. It is not
+//!   `Clone` and updates through `&mut self`, so it is the one writer of
+//!   its cells and an update is a relaxed load and a store, with no
+//!   locked instruction. The registry sums every writer's array wherever
+//!   it reads the part.
 //!
 //! ```
 //! use fiat_telemetry::{Family, MetricRegistry, SchemaPart};
@@ -27,13 +38,21 @@
 //! let cells = reg.attach(&PART);
 //! cells.counter(JOBS, 1).inc();
 //! cells.gauge(DEPTH, 0).set(3);
-//! // String lookups of a declared series resolve to the same cell.
-//! assert_eq!(reg.counter("jobs_total", &[("result", "failed")]).get(), 1);
+//! // Two workers, each the one writer of its own cells.
+//! let mut a = reg.attach_writer(&PART);
+//! let mut b = reg.attach_writer(&PART);
+//! let failed = a.counter(JOBS, 1);
+//! a.inc(failed);
+//! b.add(failed, 2);
+//! // String lookups of a declared series read the sum over all cells.
+//! assert_eq!(reg.counter("jobs_total", &[("result", "failed")]).get(), 4);
 //! assert_eq!(reg.len(), 3);
 //! ```
 
-use crate::metrics::{valid_name, Counter, Gauge, Histogram, HISTOGRAM_CELLS};
-use std::sync::atomic::AtomicU64;
+use crate::metrics::{fold_series, valid_name, zeroed, Counter, Gauge, Histogram, HISTOGRAM_CELLS};
+use crate::work::owned_add;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What one series of a family holds.
@@ -49,7 +68,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// Cells one series of this kind occupies.
-    const fn cells(self) -> usize {
+    pub(crate) const fn cells(self) -> usize {
         match self {
             MetricKind::Histogram => HISTOGRAM_CELLS,
             MetricKind::Counter | MetricKind::Gauge => 1,
@@ -218,18 +237,30 @@ impl SchemaPart {
     /// add, histograms merge.
     pub(crate) fn fold(&self, dst: &[AtomicU64], src: &[AtomicU64]) {
         for (fam, _, cell) in self.each_series() {
-            let width = fam.kind.cells();
-            let (d, s) = (&dst[cell..cell + width], &src[cell..cell + width]);
-            match fam.kind {
-                MetricKind::Histogram => crate::metrics::fold_histogram(d, s),
-                MetricKind::Counter | MetricKind::Gauge => crate::metrics::fold_cell(&d[0], &s[0]),
-            }
+            fold_series(fam.kind, &dst[cell..], &src[cell..]);
         }
+    }
+
+    /// First cell of series `set` of family `family`, checking its kind.
+    fn cell(&self, family: usize, set: usize, kind: MetricKind) -> usize {
+        let fam = &self.families[family];
+        assert_eq!(fam.kind, kind, "metric {:?} is a {:?}", fam.name, fam.kind);
+        assert!(
+            set < fam.series.len(),
+            "metric {:?} has no label set {set}",
+            fam.name
+        );
+        let before: usize = self.families[..family]
+            .iter()
+            .map(|f| f.series.len() * f.kind.cells())
+            .sum();
+        before + set * kind.cells()
     }
 }
 
-/// The cells of one [`SchemaPart`] attached to a registry. Handles index
-/// into the shared array, so every update stays one relaxed atomic op.
+/// The shared cells of one [`SchemaPart`] attached to a registry.
+/// Handles index into the shared array, and every update is one relaxed
+/// atomic read-modify-write.
 #[derive(Clone)]
 pub struct PartCells {
     part: &'static SchemaPart,
@@ -241,47 +272,101 @@ impl PartCells {
         PartCells { part, cells }
     }
 
-    /// First cell of series `set` of family `family`, checking its kind.
-    fn cell(&self, family: usize, set: usize, kind: MetricKind) -> usize {
-        let fam = &self.part.families[family];
-        assert_eq!(fam.kind, kind, "metric {:?} is a {:?}", fam.name, fam.kind);
-        assert!(
-            set < fam.series.len(),
-            "metric {:?} has no label set {set}",
-            fam.name
-        );
-        let before: usize = self.part.families[..family]
-            .iter()
-            .map(|f| f.series.len() * f.kind.cells())
-            .sum();
-        before + set * kind.cells()
-    }
-
     /// The counter of series `set` of family `family` (indices in
     /// declaration order). Panics if the family is not a counter.
     pub fn counter(&self, family: usize, set: usize) -> Counter {
-        Counter::at(
-            self.cells.clone(),
-            self.cell(family, set, MetricKind::Counter),
-        )
+        let cell = self.part.cell(family, set, MetricKind::Counter);
+        Counter::at(self.cells.clone(), cell)
     }
 
     /// The gauge of series `set` of family `family`. Panics if the family
     /// is not a gauge.
     pub fn gauge(&self, family: usize, set: usize) -> Gauge {
-        Gauge::at(
-            self.cells.clone(),
-            self.cell(family, set, MetricKind::Gauge),
-        )
+        let cell = self.part.cell(family, set, MetricKind::Gauge);
+        Gauge::at(self.cells.clone(), cell)
     }
 
     /// The histogram of series `set` of family `family`. Panics if the
     /// family is not a histogram.
     pub fn histogram(&self, family: usize, set: usize) -> Histogram {
-        Histogram::at(
-            self.cells.clone(),
-            self.cell(family, set, MetricKind::Histogram),
-        )
+        let cell = self.part.cell(family, set, MetricKind::Histogram);
+        Histogram::at(self.cells.clone(), cell)
+    }
+}
+
+/// A counter series of a [`PartWriter`]'s part: an index resolved once,
+/// updated through the writer.
+#[derive(Debug, Clone, Copy)]
+pub struct CounterCell(usize);
+
+/// A gauge series of a [`PartWriter`]'s part.
+#[derive(Debug, Clone, Copy)]
+pub struct GaugeCell(usize);
+
+/// One writer's own cells of a [`SchemaPart`], from
+/// [`MetricRegistry::attach_writer`](crate::MetricRegistry::attach_writer)
+/// or [`PartWriter::detached`].
+///
+/// It is not `Clone`, and every update takes `&mut self`, so it is the
+/// only writer of its cells: an update is a relaxed load plus a store,
+/// never a locked instruction. The registry only reads the cells (it
+/// sums them with the part's other cells), so a concurrent exposition
+/// sees each cell's last stored value.
+pub struct PartWriter {
+    part: &'static SchemaPart,
+    cells: Arc<[AtomicU64]>,
+}
+
+impl fmt::Debug for PartWriter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PartWriter").finish_non_exhaustive()
+    }
+}
+
+impl PartWriter {
+    pub(crate) fn new(part: &'static SchemaPart, cells: Arc<[AtomicU64]>) -> Self {
+        PartWriter { part, cells }
+    }
+
+    /// Cells of `part` that no registry reads: for uninstrumented
+    /// callers.
+    pub fn detached(part: &'static SchemaPart) -> Self {
+        Self::new(part, zeroed(part.cells()))
+    }
+
+    /// The counter of series `set` of family `family` (indices in
+    /// declaration order). Panics if the family is not a counter.
+    pub fn counter(&self, family: usize, set: usize) -> CounterCell {
+        CounterCell(self.part.cell(family, set, MetricKind::Counter))
+    }
+
+    /// The gauge of series `set` of family `family`. Panics if the family
+    /// is not a gauge.
+    pub fn gauge(&self, family: usize, set: usize) -> GaugeCell {
+        GaugeCell(self.part.cell(family, set, MetricKind::Gauge))
+    }
+
+    /// Add one to a counter.
+    #[inline]
+    pub fn inc(&mut self, c: CounterCell) {
+        self.add(c, 1);
+    }
+
+    /// Add `n` to a counter.
+    #[inline]
+    pub fn add(&mut self, c: CounterCell, n: u64) {
+        owned_add(&self.cells[c.0], n);
+    }
+
+    /// Add `n` (may be negative) to a gauge.
+    #[inline]
+    pub fn shift(&mut self, g: GaugeCell, n: i64) {
+        owned_add(&self.cells[g.0], n as u64);
+    }
+
+    /// This writer's own count of a counter (not the registry's sum).
+    pub fn get(&self, c: CounterCell) -> u64 {
+        self.cells[c.0].load(Ordering::Relaxed)
     }
 }
 
